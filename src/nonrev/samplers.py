@@ -10,7 +10,9 @@ counter-based Philox stream keyed by s * 2**64 + r, so runs are
 bit-reproducible and replicates can execute in any order or in parallel.
 The batched driver splits that stream into a refresh-noise sub-stream and an
 accept-uniform sub-stream (a 2**128 jump apart), which makes its output
-independent of the internal buffering block size.
+independent of the internal buffering block size.  It runs all acceptance
+rules in one batch, and every rule reads each replicate's two sub-streams,
+so the rules share common random numbers.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ class SeparableHamiltonian:
                     raise ValueError("grad disagrees with finite differences")
 
     def kinetic(self, v: np.ndarray) -> np.ndarray:
-        return np.sum(v * v, axis=-1) / (2.0 * self.sigma2)
+        return np.add.reduce(v * v, axis=-1) / (2.0 * self.sigma2)
 
     def energy(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.asarray(self.U(x)) + self.kinetic(v)
@@ -84,49 +86,36 @@ def leapfrog(H: SeparableHamiltonian, x: np.ndarray, v: np.ndarray,
              step: float, nleap: int):
     """Velocity-Verlet flow for the separable Hamiltonian; symmetric splitting
     so the map psi satisfies psi^{-1} = xi o psi o xi with xi(x,v) = (x,-v)."""
-    x = x.copy()
-    v = v.copy()
     half = 0.5 * step
+    kick = half * np.asarray(H.grad(x))  # shared by consecutive half-kicks
     for _ in range(nleap):
-        v = v - half * np.asarray(H.grad(x))
+        v = v - kick
         x = x + step * v / H.sigma2
-        v = v - half * np.asarray(H.grad(x))
+        kick = half * np.asarray(H.grad(x))
+        v = v - kick
     return x, v
-
-
-def _accept_prob(rule: AcceptanceRule, r: np.ndarray) -> np.ndarray:
-    r = np.where(np.isfinite(r), r, 0.0)
-    if rule.kind == "metropolis":
-        return np.minimum(1.0, r)
-    if rule.kind == "barker":
-        return r / (1.0 + r)
-    return np.vectorize(rule.phi)(r)
 
 
 def _refresh(v, noise, omega, sigma2):
     return v * math.cos(omega) + noise * math.sqrt(sigma2) * math.sin(omega)
 
 
-def _ghmc_update(H, x, v, noise, u, step, nleap, omega, rule,
-                 diagnostics=None):
-    """One GHMC transition given pre-drawn refresh noise and accept uniform.
-
-    Operates on batched arrays x, v of shape (R, d); noise (R, d), u (R,).
-    Non-finite energies reject with a momentum flip.
-    """
-    v = _refresh(v, noise, omega, H.sigma2)
-    with np.errstate(over="ignore", invalid="ignore"):
-        xn, vn = leapfrog(H, x, v, step, nleap)
-        de = H.energy(x, v) - H.energy(xn, vn)
-        r = np.exp(de)
-    bad = ~np.isfinite(de)
-    if diagnostics is not None and np.any(bad):
-        diagnostics["overflow"] = diagnostics.get("overflow", 0) + int(bad.sum())
-    a = np.where(bad, 0.0, _accept_prob(rule, r))
-    acc = (u < a)[:, None]
-    x = np.where(acc, xn, x)
-    v = np.where(acc, vn, -v)
-    return x, v
+def _ghmc_update(H, x, Ux, v, u, step, nleap, rules, diagnostics=None):
+    """Leapfrog proposal and accept stage of one GHMC transition on k * R rows,
+    block i of R rows under rules[i]; v is the refreshed momentum, Ux = U(x).
+    Non-finite energy errors reject; rejection flips the momentum.  Returns the
+    next (x, U(x), v).  The caller silences floating-point warnings."""
+    xn, vn = leapfrog(H, x, v, step, nleap)
+    Un = np.asarray(H.U(xn))
+    de = (Ux + H.kinetic(v)) - (Un + H.kinetic(vn))
+    r = np.exp(de)
+    a = np.concatenate([rule.phi(ri)
+                        for rule, ri in zip(rules, r.reshape(len(rules), -1))])
+    ok = np.isfinite(de)
+    if diagnostics is not None and not ok.all():
+        diagnostics["overflow"] = diagnostics.get("overflow", 0) + int((~ok).sum())
+    acc = ((u < a) & ok)[:, None]
+    return np.where(acc, xn, x), np.where(acc[:, 0], Un, Ux), np.where(acc, vn, -v)
 
 
 def ghmc_step(state: PhaseState, H: SeparableHamiltonian, step: float,
@@ -143,9 +132,11 @@ def ghmc_step(state: PhaseState, H: SeparableHamiltonian, step: float,
         raise ValueError("omega must lie in (0, pi/2]")
     noise = rng.standard_normal(state.x.size)
     u = rng.random()
-    x, v = _ghmc_update(H, state.x[None, :], state.v[None, :],
-                        noise[None, :], np.array([u]), step, nleap, omega,
-                        phi, diagnostics)
+    x = state.x[None, :]
+    v = _refresh(state.v, noise, omega, H.sigma2)[None, :]
+    with np.errstate(over="ignore", invalid="ignore"):
+        x, _, v = _ghmc_update(H, x, np.asarray(H.U(x)), v, np.array([u]),
+                               step, nleap, [phi], diagnostics)
     return PhaseState(x[0], v[0])
 
 
@@ -245,41 +236,47 @@ def estimate_var_lambda(chains, lam: float, max_lag: int | None = None) -> Chain
 
 
 def run_ghmc_chains(H: SeparableHamiltonian, step: float, nleap: int,
-                    omega: float, rule: AcceptanceRule, n_steps: int,
+                    omega: float, rules: Sequence[AcceptanceRule], n_steps: int,
                     replicates: int, seed: int,
                     observables: Sequence[Callable[[np.ndarray], np.ndarray]],
                     x0: float = 0.0, burn_in: int = 0,
                     block: int = 100_000):
-    """Replicate-batched GHMC driver.
+    """Replicate-batched GHMC driver advancing all acceptance rules at once.
 
     Each replicate owns its Philox stream, split into a noise sub-stream and
-    a uniform sub-stream so pre-drawing in blocks does not change the draws;
-    transitions are applied vectorized across replicates.  Returns a list of
-    (replicates, n_steps) arrays, one per observable of the position x.
+    a uniform sub-stream so pre-drawing in blocks does not change the draws.
+    Every rule uses the same draws, so its chains are bit-identical to a run
+    with that rule alone.  Returns a list of (len(rules) * R, n_steps) arrays,
+    one per observable of the position x; rows [i*R:(i+1)*R] are rules[i]'s.
     """
-    R, d = replicates, H.d
-    noise_rngs, unif_rngs = [], []
-    for r in range(R):
-        bitgen = np.random.Philox(key=(seed << 64) + r)
-        noise_rngs.append(np.random.Generator(bitgen))
-        unif_rngs.append(np.random.Generator(bitgen.jumped(1)))
-    x = np.full((R, d), float(x0))
-    v = np.stack([rng.standard_normal(d) * math.sqrt(H.sigma2)
-                  for rng in noise_rngs])
-    out = [np.empty((R, n_steps)) for _ in observables]
-    done = -burn_in
+    if block < 1:
+        raise ValueError("block must be >= 1")
+    k, R, d = len(rules), replicates, H.d
+    noise_rngs = [replicate_rng(seed, r) for r in range(R)]
+    unif_rngs = [np.random.Generator(g.bit_generator.jumped(1)) for g in noise_rngs]
+    cos, sin, scale = math.cos(omega), math.sin(omega), math.sqrt(H.sigma2)
+    x = np.full((k * R, d), float(x0))
+    Ux = np.asarray(H.U(x))
+    v = np.tile(np.stack([rng.standard_normal(d) * scale for rng in noise_rngs]),
+                (k, 1))
+    out = [np.empty((k * R, n_steps)) for _ in observables]
     total = n_steps + burn_in
-    while done < n_steps:
-        b = min(block, total - (done + burn_in))
-        noise = np.stack([rng.standard_normal((b, d)) for rng in noise_rngs])
-        unif = np.stack([rng.random(b) for rng in unif_rngs])
-        for i in range(b):
-            x, v = _ghmc_update(H, x, v, noise[:, i, :], unif[:, i],
-                                step, nleap, omega, rule)
-            if done >= 0:
-                for j, f in enumerate(observables):
-                    out[j][:, done] = f(x)
-            done += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, total, block):
+            b = min(block, total - start)
+            # every rule's rows get its replicate's refresh term and uniform
+            noise = np.stack([rng.standard_normal((b, d)) for rng in noise_rngs],
+                             axis=1) * scale * sin
+            noise = np.tile(noise, (1, k, 1))
+            unif = np.tile(np.stack([rng.random(b) for rng in unif_rngs], axis=1),
+                           (1, k))
+            for i in range(b):
+                x, Ux, v = _ghmc_update(H, x, Ux, v * cos + noise[i], unif[i],
+                                        step, nleap, rules)
+                t = start + i - burn_in
+                if t >= 0:
+                    for o, f in zip(out, observables):
+                        o[:, t] = f(x)
     return out
 
 
@@ -306,43 +303,33 @@ def compare_acceptance_rules(H: SeparableHamiltonian, omega: float, step: float,
                              seed: int = 0, burn_in: int | None = None) -> RuleComparisonReport:
     """Paired GHMC runs across acceptance rules with shared noise streams.
 
-    Each rule reruns the same per-replicate Philox streams (common refresh
-    noise and accept uniforms).  PASS when, for every lambda and observable,
-    the estimate never beats the first (most accepting) rule by more than
-    2 combined standard errors.
+    All rules run in one batch on the same per-replicate Philox streams
+    (common refresh noise and accept uniforms).  PASS when, for every lambda
+    and observable, the estimate never beats the first (most accepting) rule
+    by more than 2 combined standard errors.  Raises ValueError unless there
+    are at least two rules of distinct kinds, a lambda and an observable.
     """
+    kinds = [rule.kind for rule in rules]
+    if len(kinds) < 2 or len(set(kinds)) < len(kinds):
+        raise ValueError(f"need at least two acceptance rules of distinct kinds, got {kinds}")
+    if len(lambdas) == 0 or len(observables) == 0:
+        raise ValueError("need at least one lambda and one observable")
     if burn_in is None:
         burn_in = n_steps // 10
     names = list(observables)
-    funs = [observables[k] for k in names]
-    rows = []
-    table = {}
-    for rule in rules:
-        chains = run_ghmc_chains(H, step, nleap, omega, rule, n_steps,
-                                 replicates, seed, funs, burn_in=burn_in)
-        for name, vals in zip(names, chains):
-            for lam in lambdas:
-                st = estimate_var_lambda(vals, lam)
-                rows.append(RuleComparisonRow(rule.kind, lam, name,
-                                              st.estimate, st.se))
-                table[(rule.kind, lam, name)] = st
+    chains = run_ghmc_chains(H, step, nleap, omega, rules, n_steps, replicates,
+                             seed, [observables[k] for k in names], burn_in=burn_in)
+    R = replicates
+    stats = {(kind, lam, name): estimate_var_lambda(vals[i * R:(i + 1) * R], lam)
+             for i, kind in enumerate(kinds)
+             for name, vals in zip(names, chains) for lam in lambdas}
+    rows = [RuleComparisonRow(*key, st.estimate, st.se) for key, st in stats.items()]
     passed = True
-    base = rules[0].kind
-    for rule in rules[1:]:
-        for name in names:
-            for lam in lambdas:
-                a = table[(base, lam, name)]
-                b = table[(rule.kind, lam, name)]
-                comb = math.hypot(a.se, b.se)
-                if b.estimate < a.estimate - 2.0 * comb:
-                    passed = False
+    for kind, lam, name in stats:
+        a, b = stats[kinds[0], lam, name], stats[kind, lam, name]
+        if b.estimate < a.estimate - 2.0 * math.hypot(a.se, b.se):
+            passed = False
     return RuleComparisonReport(rows, passed)
-
-
-def chainstats_csv_rows(experiment: str, lam: float, stats: ChainStats,
-                        steps: int, seed: int) -> str:
-    return (f"{experiment},{lam!r},{stats.estimate!r},{stats.se!r},"
-            f"{stats.replicates},{steps},{seed}")
 
 
 def refresh_comparison_witness(omega: float, sigma2: float = 1.0):
@@ -360,7 +347,7 @@ def refresh_comparison_witness(omega: float, sigma2: float = 1.0):
 def gaussian_potential(sigma: float = 1.0, d: int = 1) -> SeparableHamiltonian:
     s2 = sigma * sigma
     return SeparableHamiltonian(
-        U=lambda x: np.sum(x * x, axis=-1) / (2 * s2),
+        U=lambda x: np.add.reduce(x * x, axis=-1) / (2 * s2),
         grad=lambda x: x / s2,
         d=d,
     )

@@ -10,6 +10,7 @@ State enumeration on X x {-1,+1}: id = 2*x + (0 if v == +1 else 1).
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -139,33 +140,50 @@ class SwitchingRate:
         return (1.0 - self.theta) * minimal + self.theta * maximal
 
 
+def _barker(r):
+    r = np.minimum(r, sys.float_info.max)  # finite r unchanged, inf -> max/max = 1
+    return r / (1.0 + r)
+
+
 @dataclass(frozen=True)
 class AcceptanceRule:
-    """Acceptance function phi with r*phi(1/r) = phi(r), phi <= min{1,r}."""
+    """Acceptance function phi with r*phi(1/r) = phi(r), phi <= min{1,r}.
+
+    phi maps arrays of ratios in [0, inf] elementwise, and phi(inf) is the
+    limit of phi(r) as r grows, so overflowing ratios are accepted.
+    """
 
     kind: str
-    phi: Callable[[float], float]
+    phi: Callable[[np.ndarray], np.ndarray]
 
     def __post_init__(self):
-        # balance condition checked on a log-spaced grid
+        # balance condition checked on a log-spaced grid, plus 0 and infinity
         rs = np.logspace(-3, 3, 25)
-        for r in rs:
-            lhs = r * self.phi(1.0 / r)
-            rhs = self.phi(r)
-            if abs(lhs - rhs) > 1e-12 * max(1.0, rhs):
-                raise ValueError("phi violates r*phi(1/r) = phi(r)")
-            if rhs > min(1.0, r) + 1e-12:
-                raise ValueError("phi must be dominated by min{1, r}")
-        if self.phi(0.0) != 0.0:
+        grid = np.concatenate([rs, 1.0 / rs, [0.0, 1e300, np.inf]])
+        try:
+            with np.errstate(all="ignore"):
+                vals = np.asarray(self.phi(grid), dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ValueError("phi must map arrays of ratios elementwise") from exc
+        if vals.shape != grid.shape:
+            raise ValueError("phi must map arrays of ratios elementwise")
+        phi, back, (zero, big, inf) = vals[:25], vals[25:50], vals[50:]
+        if np.any(np.abs(rs * back - phi) > 1e-12 * np.maximum(1.0, phi)):
+            raise ValueError("phi violates r*phi(1/r) = phi(r)")
+        if np.any(phi > np.minimum(1.0, rs) + 1e-12):
+            raise ValueError("phi must be dominated by min{1, r}")
+        if zero != 0.0:
             raise ValueError("phi(0) must be 0")
+        if not abs(inf - big) <= 1e-12:
+            raise ValueError("phi(inf) must be the limit of phi(r) as r grows")
 
     @staticmethod
     def metropolis() -> "AcceptanceRule":
-        return AcceptanceRule("metropolis", lambda r: min(1.0, r))
+        return AcceptanceRule("metropolis", lambda r: np.minimum(1.0, r))
 
     @staticmethod
     def barker() -> "AcceptanceRule":
-        return AcceptanceRule("barker", lambda r: r / (1.0 + r) if r > 0 else 0.0)
+        return AcceptanceRule("barker", _barker)
 
 
 @dataclass(frozen=True)
@@ -371,17 +389,12 @@ def metropolized_flow_finite(mu: FiniteDistribution, psi: FlowMap,
     """
     if not psi.check_reversal(Q):
         raise ValueError("flow map must satisfy psi^{-1} = xi o psi o xi")
-    n = mu.n
-    w = mu.weights
-    P = np.zeros((n, n))
-    xi = Q.perm
-    for z in range(n):
-        num = w[xi[psi.psi[z]]]
-        den = w[z]
-        r = 0.0 if den == 0.0 else num / den
-        a = phi.phi(r)
-        P[z, psi.psi[z]] += a
-        P[z, xi[z]] += 1.0 - a
+    w, xi, z = mu.weights, Q.perm, np.arange(mu.n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = phi.phi(np.where(w == 0.0, 0.0, w[xi[psi.psi]] / w))
+    P = np.zeros((mu.n, mu.n))
+    P[z, psi.psi] += a
+    P[z, xi] += 1.0 - a
     return KernelMatrix(P)
 
 

@@ -96,10 +96,13 @@ class TestGhmcStep:
         out = samplers.ghmc_step(state, self.H, 0.9, 2, math.pi / 4,
                                  AcceptanceRule.metropolis(),
                                  ScriptedRng([noise], [u]))
-        x, v = samplers._ghmc_update(self.H, state.x[None, :], state.v[None, :],
-                                     noise[None, :], np.array([u]), 0.9, 2,
-                                     math.pi / 4, AcceptanceRule.metropolis())
+        x = state.x[None, :]
+        refreshed = samplers._refresh(state.v, noise, math.pi / 4, 1.0)
+        x, Ux, v = samplers._ghmc_update(self.H, x, self.H.U(x), refreshed[None, :],
+                                         np.array([u]), 0.9, 2,
+                                         [AcceptanceRule.metropolis()])
         assert np.array_equal(out.x, x[0]) and np.array_equal(out.v, v[0])
+        assert np.array_equal(Ux, self.H.U(x))
 
     def test_rejection_flips_refreshed_momentum(self):
         # force rejection with u = 1 (accept requires u < a <= 1)
@@ -123,6 +126,26 @@ class TestGhmcStep:
                                  ScriptedRng([noise], [0.0]), diagnostics=diag)
         assert np.allclose(out.x, state.x)
         assert diag.get("overflow", 0) == 1
+
+    @pytest.mark.parametrize("rule", [AcceptanceRule.metropolis(),
+                                      AcceptanceRule.barker()],
+                             ids=["metropolis", "barker"])
+    def test_overflowing_ratio_accepts(self, rule):
+        # a finite energy drop of about 1.28e4 makes exp(de) overflow to inf;
+        # phi(inf) = 1, so the move must be accepted, as extra_chance_step does
+        diag = {}
+        H = samplers.double_well_potential(a=10.0, b=2.0)
+        state = PhaseState(np.array([10.0]), np.array([0.0]))
+        xn, vn = leapfrog(H, state.x, state.v, 0.01, 1)
+        de = float(H.energy(state.x, state.v) - H.energy(xn, vn))
+        assert 709.8 < de < math.inf
+        out = samplers.ghmc_step(state, H, 0.01, 1, math.pi / 2, rule,
+                                 ScriptedRng([np.zeros(1)], [0.999]),
+                                 diagnostics=diag)
+        ref = samplers.extra_chance_step(state, H, 0.01, 1, 1,
+                                         ScriptedRng([], [0.999]))
+        assert np.array_equal(out.x, xn) and np.array_equal(ref.x, xn)
+        assert "overflow" not in diag
 
 
 class TestExtraChance:
@@ -242,21 +265,43 @@ class TestEstimator:
 class TestGhmcDriver:
     H = gaussian_potential()
     OBS = [lambda x: x[:, 0], lambda x: x[:, 0] ** 2]
+    R = 8
 
-    def run(self, seed=0, block=100_000, n_steps=3000, rule=None):
+    def run(self, seed=0, block=100_000, n_steps=3000, rules=None):
         return samplers.run_ghmc_chains(
             self.H, step=0.9, nleap=2, omega=math.pi / 4,
-            rule=rule or AcceptanceRule.metropolis(),
-            n_steps=n_steps, replicates=8, seed=seed,
+            rules=rules or [AcceptanceRule.metropolis()],
+            n_steps=n_steps, replicates=self.R, seed=seed,
             observables=self.OBS, burn_in=200, block=block)
 
     def test_deterministic_and_block_independent(self):
-        a = self.run()
-        b = self.run()
-        c = self.run(block=137)
+        for rules in ([AcceptanceRule.metropolis()],
+                      [AcceptanceRule.metropolis(), AcceptanceRule.barker()]):
+            a = self.run(rules=rules)
+            b = self.run(rules=rules)
+            c = self.run(rules=rules, block=137)
+            for j in range(2):
+                assert np.array_equal(a[j], b[j])
+                assert np.array_equal(a[j], c[j])
+
+    def test_fused_rules_match_single_rule_runs(self):
+        met, bar = AcceptanceRule.metropolis(), AcceptanceRule.barker()
+        fused = self.run(seed=3, rules=[met, bar])
+        alone = [self.run(seed=3, rules=[rule]) for rule in (met, bar)]
         for j in range(2):
-            assert np.array_equal(a[j], b[j])
-            assert np.array_equal(a[j], c[j])
+            assert fused[j].shape == (2 * self.R, 3000)
+            assert np.array_equal(fused[j][:self.R], alone[0][j])
+            assert np.array_equal(fused[j][self.R:], alone[1][j])
+        assert not np.array_equal(fused[0][:self.R], fused[0][self.R:])
+
+    def test_rule_runs_its_phi_not_its_kind(self):
+        # the kind is a label: a "metropolis" rule with Barker's phi is Barker
+        relabelled = AcceptanceRule("metropolis", AcceptanceRule.barker().phi)
+        a = self.run(seed=2, rules=[relabelled])
+        b = self.run(seed=2, rules=[AcceptanceRule.barker()])
+        c = self.run(seed=2, rules=[AcceptanceRule.metropolis()])
+        assert np.array_equal(a[0], b[0])
+        assert not np.array_equal(a[0], c[0])
 
     def test_moment_preservation(self):
         chains = self.run(seed=4, n_steps=6000)
@@ -266,15 +311,42 @@ class TestGhmcDriver:
             se = vals.std(ddof=1) / math.sqrt(vals.size)
             assert abs(vals.mean() - target) < 3 * se
 
-    def test_compare_acceptance_rules_smoke(self):
-        report = samplers.compare_acceptance_rules(
+    def compare(self, rules=None, lambdas=(0.5,), observables=None):
+        return samplers.compare_acceptance_rules(
             self.H, omega=math.pi / 4, step=0.9, nleap=2,
-            rules=[AcceptanceRule.metropolis(), AcceptanceRule.barker()],
-            lambdas=[0.5], observables={"x2": lambda x: x[:, 0] ** 2},
+            rules=([AcceptanceRule.metropolis(), AcceptanceRule.barker()]
+                   if rules is None else rules),
+            lambdas=list(lambdas),
+            observables=({"x2": lambda x: x[:, 0] ** 2}
+                         if observables is None else observables),
             n_steps=4000, replicates=8, seed=1)
+
+    def test_compare_acceptance_rules_smoke(self):
+        report = self.compare()
         assert report.passed
         kinds = {row.rule for row in report.rows}
         assert kinds == {"metropolis", "barker"}
+
+    def test_compare_rows_match_single_rule_estimates(self):
+        report = self.compare()
+        for rule, row in zip([AcceptanceRule.metropolis(), AcceptanceRule.barker()],
+                             report.rows):
+            chains = samplers.run_ghmc_chains(
+                self.H, 0.9, 2, math.pi / 4, [rule], 4000, 8, 1,
+                [lambda x: x[:, 0] ** 2], burn_in=400)
+            st = estimate_var_lambda(chains[0], 0.5)
+            assert (row.rule, row.estimate, row.se) == (rule.kind, st.estimate, st.se)
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"rules": [AcceptanceRule.metropolis()]}, "at least two"),
+        ({"rules": []}, "at least two"),
+        ({"rules": [AcceptanceRule.barker(), AcceptanceRule.barker()]}, "distinct"),
+        ({"lambdas": []}, "lambda"),
+        ({"observables": {}}, "observable"),
+    ], ids=["one-rule", "no-rules", "duplicate-kind", "no-lambdas", "no-observables"])
+    def test_compare_refuses_missing_evidence(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            self.compare(**kwargs)
 
 
 class TestMisc:
@@ -298,11 +370,3 @@ class TestMisc:
         g1, g2 = samplers.refresh_comparison_witness(math.pi / 2)
         assert g1 == pytest.approx(0.0, abs=1e-15)
         assert g2 == pytest.approx(0.0, abs=1e-15)
-
-    def test_chainstats_csv_row_format(self):
-        st = estimate_var_lambda(np.random.default_rng(0).standard_normal((2, 200)), 0.0)
-        row = samplers.chainstats_csv_rows("demo", 0.0, st, steps=200, seed=3)
-        parts = row.split(",")
-        assert parts[0] == "demo"
-        assert parts[3:] == [repr(st.se), "2", "200", "3"]
-        float(parts[1]), float(parts[2])  # numeric fields parse

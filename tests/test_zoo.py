@@ -185,11 +185,26 @@ class TestAcceptanceRules:
             assert 0.5 * min(1.0, r) <= phi(r) <= min(1.0, r) + 1e-15
 
     def test_rejects_unbalanced_phi(self):
-        with pytest.raises(ValueError):
-            zoo.AcceptanceRule("bad", lambda r: min(1.0, 0.5 * r + 0.1))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"r\*phi\(1/r\) = phi\(r\)"):
+            zoo.AcceptanceRule("bad", lambda r: np.minimum(1.0, 0.5 * r + 0.1))
+        with pytest.raises(ValueError, match="dominated by min"):
             # balanced but exceeds min{1, r}
-            zoo.AcceptanceRule("bad", lambda r: min(1.0, 2.0 * r))
+            zoo.AcceptanceRule("bad", lambda r: 2.0 * np.minimum(1.0, r))
+
+    def test_rejects_malformed_phi(self):
+        with pytest.raises(ValueError, match="arrays"):
+            zoo.AcceptanceRule("scalar", lambda r: min(1.0, r))
+        with pytest.raises(ValueError, match=r"phi\(inf\)"):
+            zoo.AcceptanceRule("nan-at-inf", lambda r: r / (1.0 + r))
+
+    def test_phi_is_elementwise_and_one_at_infinity(self):
+        r = np.array([0.0, 0.5, 2.0, 1e300, np.inf])
+        for rule, want in ((zoo.AcceptanceRule.metropolis(), np.minimum(1.0, r[:3])),
+                           (zoo.AcceptanceRule.barker(), r[:3] / (1.0 + r[:3]))):
+            vals = rule.phi(r)
+            assert vals.shape == r.shape
+            assert np.array_equal(vals[:3], want)
+            assert np.array_equal(vals[3:], [1.0, 1.0])
 
 
 class TestFlowMaps:
@@ -208,6 +223,26 @@ class TestFlowMaps:
         psi = zoo.ring_shift_flow(5)
         P = zoo.metropolized_flow_finite(mu, psi, Q, zoo.AcceptanceRule.metropolis())
         assert np.max(np.abs(P.entries - P_ref.entries)) < 1e-15
+
+    def test_metropolized_flow_matches_loop_reference(self):
+        def loop_reference(mu, psi, Q, phi):
+            w, xi = mu.weights, Q.perm
+            P = np.zeros((mu.n, mu.n))
+            for z in range(mu.n):
+                a = phi.phi(w[xi[psi.psi[z]]] / w[z])
+                P[z, psi.psi[z]] += a
+                P[z, xi[z]] += 1.0 - a
+            return P
+
+        rng = np.random.default_rng(11)
+        for n in (3, 5, 12):
+            mu = zoo.half_lift(zoo.RingTarget(0.1 + 3.0 * rng.random(n)).pi)
+            Q = zoo.velocity_flip(n)
+            # psi = xi puts the move and the flip mass on the same entry
+            for psi in (zoo.ring_shift_flow(n), zoo.FlowMap(Q.perm)):
+                for phi in (zoo.AcceptanceRule.metropolis(), zoo.AcceptanceRule.barker()):
+                    P = zoo.metropolized_flow_finite(mu, psi, Q, phi)
+                    assert np.array_equal(P.entries, loop_reference(mu, psi, Q, phi))
 
     def test_barker_flow_is_muQ_reversible(self):
         _, mu, Q = zoo.gustafson_ring(RING4)
