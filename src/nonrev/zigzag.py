@@ -325,8 +325,8 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     """Run the process to the horizon; returns the full event skeleton.
 
     Exact integrated-rate inversion is used for diagonal-Gaussian potentials
-    with canonical or canonical-plus-constant-gamma intensities; otherwise
-    thinning with the affine envelope.
+    with canonical or canonical-plus-constant-gamma intensities
+    (``_simulate_exact``); otherwise thinning with the affine envelope.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
@@ -335,12 +335,10 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     v = np.array(v0, dtype=float).reshape(d).copy()
     if not np.all(np.isin(v, (-1.0, 1.0))):
         raise ValueError("v0 must be +-1 valued")
-    exact = (pot.gaussian_sigmas is not None and not force_thinning
-             and spec.kind in ("canonical", "canonical-plus-gamma")
-             and not callable(spec.gamma))
-    gamma_c = float(spec.gamma) if not callable(spec.gamma) else 0.0
-    if exact:
-        inv2 = 1.0 / (pot.gaussian_sigmas ** 2)
+    if (pot.gaussian_sigmas is not None and not force_thinning
+            and spec.kind in ("canonical", "canonical-plus-gamma")
+            and not callable(spec.gamma)):
+        return _simulate_exact(pot.gaussian_sigmas, spec, x, v, horizon, rng)
     cap = 1024
     times = np.empty(cap)
     Xs = np.empty((cap, d))
@@ -358,13 +356,8 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
         best_dt = math.inf
         best_ev = None
         for i in range(d):
-            if exact:
-                a = float(x[i] * v[i] * inv2[i])
-                dt_i = _exact_flip_time(a, float(inv2[i]), gamma_c,
-                                        rng.exponential())
-            else:
-                dt_i = _thinned_flip_time(spec, pot, i, x, v, rng,
-                                          horizon=remaining + 1.0)
+            dt_i = _thinned_flip_time(spec, pot, i, x, v, rng,
+                                      horizon=remaining + 1.0)
             if dt_i < best_dt:
                 best_dt = dt_i
                 best_ev = ("flip", i)
@@ -402,8 +395,96 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
                             Vs[:count].copy(), types, horizon)
 
 
+def _simulate_exact(sigmas: np.ndarray, spec: IntensitySpec, x: np.ndarray,
+                    v: np.ndarray, horizon: float,
+                    rng: np.random.Generator) -> ZigZagTrajectory:
+    """Event loop of ``simulate_zigzag`` for a diagonal Gaussian with
+    canonical(+constant gamma) rates, on Python floats.
+
+    Each event draws the d coordinate clocks and then the refresh clock (if
+    any) in one ``standard_exponential`` call, which reads the stream exactly
+    as that many scalar ``exponential()`` calls would; a refresh then draws
+    ``random(d)`` (full) or ``integers(d)`` (partial).  The gradient stays
+    finite by construction, so it is never evaluated.
+    """
+    d = x.size
+    inv2 = (1.0 / (sigmas ** 2)).tolist()
+    gamma = float(spec.gamma)
+    rate = spec.refresh_rate
+    n_clocks = d + (rate > 0)
+    full = spec.refresh_mode == "full"
+    x, v = x.tolist(), v.tolist()
+    times, Xs, Vs, types = [0.0], list(x), list(v), []
+    t = 0.0
+    while True:
+        e = rng.standard_exponential(n_clocks).tolist()
+        best_dt = math.inf
+        best = d
+        for i in range(d):
+            dt_i = _exact_flip_time(x[i] * v[i] * inv2[i], inv2[i], gamma, e[i])
+            if dt_i < best_dt:
+                best_dt, best = dt_i, i
+        if rate > 0:
+            dt_r = e[d] / rate
+            if dt_r < best_dt:
+                best_dt, best = dt_r, d
+        if best_dt >= horizon - t:
+            break
+        t += best_dt
+        x = [xi + best_dt * vi for xi, vi in zip(x, v)]
+        if best < d:
+            v[best] = -v[best]
+            types.append(f"flip({best})")
+        else:
+            if full:
+                v = [-1.0 if u < 0.5 else 1.0 for u in rng.random(d).tolist()]
+            else:
+                j = int(rng.integers(d))
+                v[j] = -v[j]
+            types.append("refresh")
+        times.append(t)
+        Xs.extend(x)
+        Vs.extend(v)
+    return ZigZagTrajectory(np.array(times), np.array(Xs).reshape(-1, d),
+                            np.array(Vs).reshape(-1, d), types, horizon)
+
+
 _GL3 = np.polynomial.legendre.leggauss(3)
 _GL8 = np.polynomial.legendre.leggauss(8)
+
+
+def _window_integrals(traj: ZigZagTrajectory, f, degree: int | None,
+                      edges) -> np.ndarray:
+    """Time integrals of f(Z_s) over the windows [edges[k], edges[k+1]].
+
+    Each window is cut at the event times strictly inside it, and every
+    segment gets the Gauss-Legendre rule; f is evaluated once per node over
+    the segments of all windows, and each window sums its own segments with
+    one dot product per node.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if not (edges[0] >= 0.0 and np.all(np.diff(edges) > 0)
+            and edges[-1] <= traj.horizon + 1e-12):
+        raise ValueError("bad integration window")
+    nodes, weights = _GL3 if (degree is not None and degree <= 4) else _GL8
+    lo = np.searchsorted(traj.times, edges[:-1], side="right")
+    hi = np.searchsorted(traj.times, edges[1:], side="left")
+    points = np.concatenate([np.concatenate(([a], traj.times[i:j]))
+                             for a, i, j in zip(edges[:-1], lo, hi)]
+                            + [edges[-1:]])
+    bounds = np.concatenate(([0], np.cumsum(hi - lo + 1))).tolist()
+    windows = list(zip(bounds[:-1], bounds[1:]))
+    a, b = points[:-1], points[1:]
+    half = (b - a) / 2.0
+    mid = (a + b) / 2.0
+    totals = [0.0] * len(windows)
+    for z, w in zip(nodes, weights):
+        x, v = traj.state_at(mid + z * half)
+        vals = np.asarray(f(x, v), dtype=float)
+        wh = w * half
+        for k, (s, e) in enumerate(windows):
+            totals[k] += float(np.dot(wh[s:e], vals[s:e]))
+    return np.array(totals)
 
 
 def trajectory_integral(traj: ZigZagTrajectory, f, degree: int | None = None,
@@ -416,20 +497,7 @@ def trajectory_integral(traj: ZigZagTrajectory, f, degree: int | None = None,
     """
     if t_end is None:
         t_end = traj.horizon
-    if not 0.0 <= t_start < t_end <= traj.horizon + 1e-12:
-        raise ValueError("bad integration window")
-    nodes, weights = _GL3 if (degree is not None and degree <= 4) else _GL8
-    cuts = traj.times[(traj.times > t_start) & (traj.times < t_end)]
-    edges = np.concatenate(([t_start], cuts, [t_end]))
-    a, b = edges[:-1], edges[1:]
-    half = (b - a) / 2.0
-    mid = (a + b) / 2.0
-    total = 0.0
-    for z, w in zip(nodes, weights):
-        ts = mid + z * half
-        x, v = traj.state_at(ts)
-        total += float(np.dot(w * half, np.asarray(f(x, v), dtype=float)))
-    return total
+    return float(_window_integrals(traj, f, degree, [t_start, t_end])[0])
 
 
 def batch_means_variance(traj: ZigZagTrajectory, f, t_start: float,
@@ -442,8 +510,7 @@ def batch_means_variance(traj: ZigZagTrajectory, f, t_start: float,
     if traj.n_events < 2:
         raise ValueError("degenerate trajectory: fewer than 2 events")
     edges = np.linspace(t_start, t_end, n_batches + 1)
-    ints = np.array([trajectory_integral(traj, f, degree, a, b)
-                     for a, b in zip(edges[:-1], edges[1:])])
+    ints = _window_integrals(traj, f, degree, edges)
     delta = span / n_batches
     means = ints / delta
     return float(delta * means.var(ddof=1))

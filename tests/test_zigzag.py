@@ -6,6 +6,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 from nonrev import zigzag
+from nonrev.samplers import replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, PhiEps, Potential,
                            SmoothObservable, intensity, phi_eps,
                            simulate_zigzag, zz_gaussian)
@@ -223,6 +224,101 @@ class TestSimulation:
                             np.random.default_rng(0))
 
 
+def reference_exact_loop(pot, spec, x0, v0, horizon, rng):
+    """The exact-inversion event loop in its numpy form: array state and
+    one scalar exponential() per clock, coordinates first, then refresh."""
+    d = pot.d
+    x = np.array(x0, dtype=float).reshape(d).copy()
+    v = np.array(v0, dtype=float).reshape(d).copy()
+    inv2 = 1.0 / (pot.gaussian_sigmas ** 2)
+    gamma = float(spec.gamma)
+    times, Xs, Vs, types = [0.0], [x.copy()], [v.copy()], []
+    t = 0.0
+    while True:
+        remaining = horizon - t
+        best_dt, best_ev = math.inf, None
+        for i in range(d):
+            a = float(x[i] * v[i] * inv2[i])
+            dt_i = zigzag._exact_flip_time(a, float(inv2[i]), gamma,
+                                           rng.exponential())
+            if dt_i < best_dt:
+                best_dt, best_ev = dt_i, ("flip", i)
+        if spec.refresh_rate > 0:
+            dt_r = rng.exponential() / spec.refresh_rate
+            if dt_r < best_dt:
+                best_dt, best_ev = dt_r, ("refresh", None)
+        if best_dt >= remaining or best_ev is None:
+            break
+        t += best_dt
+        x += best_dt * v
+        kind, i = best_ev
+        if kind == "flip":
+            v[i] = -v[i]
+            label = f"flip({i})"
+        else:
+            if spec.refresh_mode == "full":
+                v = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+            else:
+                j = int(rng.integers(d))
+                v[j] = -v[j]
+            label = "refresh"
+        times.append(t)
+        Xs.append(x.copy())
+        Vs.append(v.copy())
+        types.append(label)
+    return np.array(times), np.array(Xs), np.array(Vs), types
+
+
+class TestExactLoopMatchesReference:
+    CASES = {
+        "canonical-1d": ([1.0], IntensitySpec("canonical")),
+        "gamma-1d": ([1.0], IntensitySpec("canonical-plus-gamma", gamma=0.5)),
+        "partial-2d": ([1.0, 1.0], IntensitySpec("canonical", refresh_rate=1.0,
+                                                  refresh_mode="partial")),
+        "full-2d": ([1.0, 1.0], IntensitySpec("canonical", refresh_rate=1.0,
+                                               refresh_mode="full")),
+        "canonical-3d": ([0.5, 1.0, 2.0], IntensitySpec("canonical")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("stream", ["replicate", "default"])
+    def test_bit_identical(self, case, stream):
+        sigmas, spec = self.CASES[case]
+        pot = zz_gaussian(sigmas)
+        d = pot.d
+        x0 = np.linspace(-0.8, 1.1, d)
+        v0 = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
+        make = ((lambda: replicate_rng(31, 2)) if stream == "replicate"
+                else (lambda: np.random.default_rng(31)))
+        rng, rng_ref = make(), make()
+        traj = simulate_zigzag(pot, spec, x0, v0, 300.0, rng)
+        times, X, V, types = reference_exact_loop(pot, spec, x0, v0, 300.0,
+                                                  rng_ref)
+        assert traj.n_events > 50
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.X, X)
+        assert np.array_equal(traj.V, V)
+        assert traj.types == types
+        # both loops leave the stream at the same position
+        assert rng.random() == rng_ref.random()
+
+
+def reference_window_integral(traj, f, degree, t_start, t_end):
+    """One window's integral, cut and summed on its own."""
+    nodes, weights = (zigzag._GL3 if (degree is not None and degree <= 4)
+                      else zigzag._GL8)
+    cuts = traj.times[(traj.times > t_start) & (traj.times < t_end)]
+    edges = np.concatenate(([t_start], cuts, [t_end]))
+    a, b = edges[:-1], edges[1:]
+    half = (b - a) / 2.0
+    mid = (a + b) / 2.0
+    total = 0.0
+    for z, w in zip(nodes, weights):
+        x, v = traj.state_at(mid + z * half)
+        total += float(np.dot(w * half, np.asarray(f(x, v), dtype=float)))
+    return total
+
+
 class TestTrajectoryTools:
     @staticmethod
     def short_traj():
@@ -279,6 +375,26 @@ class TestTrajectoryTools:
         est = zigzag.batch_means_variance(traj, lambda x, v: np.ones(x.shape[0]),
                                           0.0, traj.horizon, degree=0)
         assert abs(est) < 1e-20
+
+    @pytest.mark.parametrize("degree", [1, None])
+    def test_batch_means_match_per_window_reference(self, degree):
+        traj = self.short_traj()
+        f = lambda x, v: np.cos(x[:, 0]) + x[:, 0] * v[:, 0]
+        t_start, t_end, n = 3.7, 47.3, 20
+        edges = np.linspace(t_start, t_end, n + 1)
+        counts = [np.count_nonzero((traj.times > a) & (traj.times < b))
+                  for a, b in zip(edges[:-1], edges[1:])]
+        assert 0 in counts and max(counts) > 1
+        ints = np.array([reference_window_integral(traj, f, degree, a, b)
+                         for a, b in zip(edges[:-1], edges[1:])])
+        delta = (t_end - t_start) / n
+        expected = float(delta * (ints / delta).var(ddof=1))
+        assert zigzag.batch_means_variance(traj, f, t_start, t_end, n,
+                                           degree) == expected
+        for a, b in [(0.0, traj.horizon), (t_start, t_end),
+                     (edges[3], edges[4])]:
+            assert (zigzag.trajectory_integral(traj, f, degree, a, b)
+                    == reference_window_integral(traj, f, degree, a, b))
 
     def test_batch_means_needs_events(self):
         traj = simulate_zigzag(free_potential(), IntensitySpec(), [0.0], [1.0],
