@@ -21,7 +21,7 @@ import numpy as np
 from scipy.special import log_ndtr, ndtr
 from scipy.interpolate import CubicSpline
 
-from .samplers import replicate_rng
+from . import samplers
 
 
 @dataclass(frozen=True)
@@ -267,20 +267,24 @@ class EnvelopeViolation(RuntimeError):
 
 
 def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
-    """First time Lambda(t) = e for rate (a + b t)_+ + gamma, b > 0."""
+    """First time Lambda(t) = e for rate (a + b t)_+ + gamma, b > 0.
+
+    The root of c t + b t^2 / 2 = e is taken in the conjugate form
+    2e / (c + sqrt(c^2 + 2be)), which does not cancel when c >> sqrt(be).
+    """
     if gamma == 0.0:
         if a >= 0:
-            return (-a + math.sqrt(a * a + 2 * b * e)) / b
+            return 2 * e / (a + math.sqrt(a * a + 2 * b * e))
         t0 = -a / b
         return t0 + math.sqrt(2 * e / b)
     if a >= 0:
         ag = a + gamma
-        return (-ag + math.sqrt(ag * ag + 2 * b * e)) / b
+        return 2 * e / (ag + math.sqrt(ag * ag + 2 * b * e))
     t0 = -a / b
     if e < gamma * t0:
         return e / gamma
     rem = e - gamma * t0
-    return t0 + (-gamma + math.sqrt(gamma * gamma + 2 * b * rem)) / b
+    return t0 + 2 * rem / (gamma + math.sqrt(gamma * gamma + 2 * b * rem))
 
 
 def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
@@ -304,7 +308,7 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
         while u < window:
             e = rng.exponential()
             # first point of rate lam0 + B t after u, within the window
-            du = (-lam0 + math.sqrt(lam0 * lam0 + 2 * B * e)) / B
+            du = 2 * e / (lam0 + math.sqrt(lam0 * lam0 + 2 * B * e))
             if u + du >= window:
                 break
             u += du
@@ -325,14 +329,20 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     """Run the process to the horizon; returns the full event skeleton.
 
     Exact integrated-rate inversion is used for diagonal-Gaussian potentials
-    with canonical or canonical-plus-constant-gamma intensities
-    (``_simulate_exact``); otherwise thinning with the affine envelope.
+    with canonical or canonical-plus-constant-gamma intensities, in an event
+    loop on Python floats (``_simulate_exact``); otherwise thinning with the
+    affine envelope.  The exact loop reads rng per event as one exponential
+    per coordinate clock in coordinate order, then one for the refresh clock,
+    then the refresh draw: the layout of a loop of scalar draws.  x0 must be
+    finite; it is checked before anything is drawn.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     d = pot.d
     x = np.array(x0, dtype=float).reshape(d).copy()
     v = np.array(v0, dtype=float).reshape(d).copy()
+    if not np.all(np.isfinite(x)):
+        raise ValueError("x0 must be finite")
     if not np.all(np.isin(v, (-1.0, 1.0))):
         raise ValueError("v0 must be +-1 valued")
     if (pot.gaussian_sigmas is not None and not force_thinning
@@ -537,7 +547,7 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
     burn = horizon / 10.0
     per = np.empty(replicates)
     for r in range(replicates):
-        rng = replicate_rng(seed, r)
+        rng = samplers.replicate_rng(seed, r)
         start = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
         v0 = np.where(rng.random(d) < 0.5, -1.0, 1.0)
         traj = simulate_zigzag(pot, spec, start, v0, horizon + burn, rng)
@@ -553,8 +563,7 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
             x, v = traj.state_at(ts)
             vals = np.asarray(fc(x, v), dtype=float)
             lam_d = math.exp(-lam * grid_dt)
-            from .samplers import estimate_var_lambda
-            per[r] = grid_dt * estimate_var_lambda(vals, lam_d).estimate
+            per[r] = grid_dt * samplers.estimate_var_lambda(vals, lam_d).estimate
     est = float(per.mean())
     se = float(per.std(ddof=1) / math.sqrt(replicates))
     return est, se, per

@@ -5,6 +5,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy.stats import ks_2samp
 
 from nonrev import cli, finite, samplers, zigzag, zoo
@@ -242,6 +243,7 @@ def test_criterion_05_two_cycle_identities():
           f"extra-chance monotone {worst_mono:.2e}")
 
 
+@pytest.mark.slow
 def test_criterion_06_acceptance_rule_comparison():
     t0 = time.time()
     # exact finite comparison inside a refresh/flow cycle

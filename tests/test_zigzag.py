@@ -147,6 +147,30 @@ class TestExactInversion:
             integral = quad(lambda s: max(0.0, a + b * s) + gamma, 0.0, t)[0]
             assert integral == pytest.approx(e, abs=1e-9)
 
+    def test_large_rate_does_not_cancel(self):
+        # the root of a t + t^2 / 2 = 1 is 1e-8 to 16 digits at a = 1e8;
+        # (-a + sqrt(a^2 + 2e)) / b returned 1.49e-8
+        assert zigzag._exact_flip_time(1e8, 1.0, 0.0, 1.0) == pytest.approx(
+            1e-8, rel=1e-12)
+        assert zigzag._exact_flip_time(1e8, 1.0, 0.5, 1.0) == pytest.approx(
+            1.0 / (1e8 + 0.5), rel=1e-12)
+        # gamma-remainder branch: t0 = 1, then rate gamma + b (t - t0)
+        t = zigzag._exact_flip_time(-1.0, 1.0, 1e8, 1e8 + 1.0)
+        assert t - 1.0 == pytest.approx(1e-8, rel=1e-7)
+
+    def test_narrow_target_first_event(self):
+        # sigma = 1e-4 from x = 1 moving away: a = b = 1e8, and the first
+        # event time solves a t + b t^2 / 2 = e for the first clock e
+        pot = zz_gaussian([1e-4])
+        traj = simulate_zigzag(pot, IntensitySpec("canonical"), [1.0], [1.0],
+                               1.0, np.random.default_rng(4))
+        e = np.random.default_rng(4).standard_exponential()
+        a = b = 1e8
+        t = traj.times[1]
+        assert traj.types[0] == "flip(0)"
+        assert (a * t + b * t * t / 2 - e) / e == pytest.approx(0.0, abs=1e-14)
+        assert t == pytest.approx(e / a, rel=1e-7)
+
 
 class TestSimulation:
     def test_free_flight_has_no_events(self):
@@ -222,6 +246,17 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_zigzag(pot, IntensitySpec(), [0.0], [0.5], 1.0,
                             np.random.default_rng(0))
+
+    @pytest.mark.parametrize("force_thinning", [False, True])
+    def test_non_finite_start_rejected_before_any_draw(self, force_thinning):
+        pot = zz_gaussian([1.0, 1.0])
+        for bad in (np.nan, np.inf):
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                simulate_zigzag(pot, IntensitySpec(), [0.0, bad], [1.0, -1.0],
+                                1.0, rng, force_thinning=force_thinning)
+            assert rng.bit_generator.state == state
 
 
 def reference_exact_loop(pot, spec, x0, v0, horizon, rng):
