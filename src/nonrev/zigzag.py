@@ -413,8 +413,7 @@ def _simulate_exact(sigmas: np.ndarray, spec: IntensitySpec, x: np.ndarray,
 
     Each event draws the d coordinate clocks and then the refresh clock (if
     any) in one ``standard_exponential`` call, which reads the stream exactly
-    as that many scalar ``exponential()`` calls would; a refresh then draws
-    ``random(d)`` (full) or ``integers(d)`` (partial).  The gradient stays
+    as that many scalar ``exponential()`` calls would.  The gradient stays
     finite by construction, so it is never evaluated.
     """
     d = x.size
