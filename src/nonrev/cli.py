@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,14 +34,6 @@ class ExperimentConfig:
     seed: int
     params: dict
     out_dir: Path
-
-
-def max_threads() -> int:
-    """Parallelism cap from NONREV_THREADS (default 1)."""
-    try:
-        return max(1, int(os.environ.get("NONREV_THREADS", "1")))
-    except ValueError:
-        return 1
 
 
 def _validate_lambdas(name: str, params: dict) -> None:
@@ -109,7 +100,6 @@ def run(config: ExperimentConfig) -> int:
     meta = {"experiment": config.experiment, "seed": config.seed,
             "params": {k: list(v) if isinstance(v, tuple) else v
                        for k, v in config.params.items()},
-            "threads": max_threads(),
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     with open(f"{stem}_metadata.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -421,23 +421,3 @@ def verify_quantitative_remark(P1: KernelMatrix, P2: KernelMatrix,
     lhs = var_lambda(f, P1, mu, lam)
     rhs = (1.0 - alpha) * fbar_sq + alpha * var_lambda(f, P2, mu, lam)
     return lhs <= rhs + 1e-9
-
-
-def save_matrix(path, mat: np.ndarray) -> None:
-    """Plain-text format: first line n, then n rows of n decimal entries."""
-    mat = np.asarray(mat, dtype=float)
-    n = mat.shape[0]
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{n}\n")
-        for row in mat:
-            fh.write(" ".join(repr(float(x)) for x in row) + "\n")
-
-
-def load_matrix(path) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        n = int(fh.readline())
-        rows = [[float(x) for x in fh.readline().split()] for _ in range(n)]
-    mat = np.array(rows)
-    if mat.shape != (n, n):
-        raise ValueError("malformed matrix file")
-    return mat

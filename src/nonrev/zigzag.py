@@ -1,14 +1,16 @@
 """Event-driven Zig-Zag process on R^d x {-1,1}^d.
 
 Velocity coordinate i flips at intensity lambda_i(x, v); between events the
-position moves linearly.  Intensities come in four kinds (canonical,
-Gaussian-penalty smoothed, barker, canonical plus an extra x-only rate
-gamma), all satisfying the switching identity
-lambda_i(x, v) - lambda_i(x, -v) = dU/dx_i(x) v_i.
+position moves linearly.  With s = dU/dx_i(x) v_i, intensities come in three
+kinds, each -log phi(e^{-s}) for an acceptance function phi of
+:class:`nonrev.zoo.AcceptanceRule`: canonical (s)_+ (Metropolis), penalty
+(Gaussian-smoothed phi_eps) and barker (softplus, Barker).  Every kind takes
+an extra x-only rate gamma on top, and all satisfy the switching
+identity lambda_i(x, v) - lambda_i(x, -v) = s.
 
 Event times use exact inversion of the integrated rate for Gaussian
-potentials with canonical(+gamma) intensities, and thinning against an
-affine-along-the-ray envelope otherwise.
+potentials with canonical intensities and a constant gamma, and thinning
+against an affine-along-the-ray envelope otherwise.
 """
 
 from __future__ import annotations
@@ -18,40 +20,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import log_ndtr, ndtr
+from scipy.special import log_ndtr
 from scipy.interpolate import CubicSpline
 
 from . import samplers
-
-
-@dataclass(frozen=True)
-class Potential:
-    """Smooth potential U with gradient; mu(x, v) propto exp(-U(x)) 2^{-d}.
-
-    hessian_bound(x, v, tau) must bound max_i sup_{s in [0,tau]}
-    |(Hess U(x + s v) v)_i|; it feeds the thinning envelope.  gaussian_sigmas
-    marks diagonal-Gaussian targets eligible for exact event-time inversion.
-    """
-
-    U: Callable[[np.ndarray], np.ndarray]
-    grad: Callable[[np.ndarray], np.ndarray]
-    d: int
-    hessian_bound: Callable[[np.ndarray, np.ndarray, float], float] | None = None
-    gaussian_sigmas: np.ndarray | None = None
-
-    def __post_init__(self):
-        rng = np.random.default_rng(999)
-        probes = rng.standard_normal((5, self.d))
-        h = 1e-6
-        for p in probes:
-            g = np.asarray(self.grad(p[None, :]))[0]
-            for i in range(self.d):
-                e = np.zeros(self.d)
-                e[i] = h
-                fd = (float(np.squeeze(self.U((p + e)[None, :])))
-                      - float(np.squeeze(self.U((p - e)[None, :])))) / (2 * h)
-                if abs(fd - g[i]) > 1e-5 * max(1.0, abs(g[i])):
-                    raise ValueError("grad disagrees with finite differences")
+from .samplers import Potential
 
 
 def zz_gaussian(sigmas) -> Potential:
@@ -61,7 +34,7 @@ def zz_gaussian(sigmas) -> Potential:
     inv2 = 1.0 / (s * s)
     bmax = float(np.max(inv2))
     return Potential(
-        U=lambda x: 0.5 * np.sum(x * x * inv2, axis=-1),
+        U=lambda x: 0.5 * np.add.reduce(x * x * inv2, axis=-1),
         grad=lambda x: x * inv2,
         d=s.size,
         hessian_bound=lambda x, v, tau: bmax,
@@ -100,37 +73,6 @@ def zz_tabulated(xs, us) -> Potential:
     )
 
 
-@dataclass(frozen=True)
-class PhiEps:
-    """Gaussian-smoothed Metropolis acceptance; eps = 0 is min{1, r}."""
-
-    eps: float
-
-    def __post_init__(self):
-        if self.eps < 0:
-            raise ValueError("eps must be >= 0")
-
-
-def phi_eps(rule: PhiEps, r):
-    """phi_eps(r) = r [1 - Phi(se/2 + ln r / se)] + [1 - Phi(se/2 - ln r / se)]
-    with se = sqrt(eps); phi_0(r) = min{1, r}, phi_eps(0) = 0."""
-    r = np.asarray(r, dtype=float)
-    scalar = r.ndim == 0
-    r = np.atleast_1d(r)
-    if np.any(r < 0):
-        raise ValueError("r must be >= 0")
-    if rule.eps == 0.0:
-        out = np.minimum(1.0, r)
-    else:
-        se = math.sqrt(rule.eps)
-        out = np.zeros_like(r)
-        pos = r > 0
-        lr = np.log(r[pos])
-        out[pos] = (r[pos] * ndtr(-(se / 2 + lr / se))
-                    + ndtr(-(se / 2 - lr / se)))
-    return float(out[0]) if scalar else out
-
-
 def _log_phi_eps_exp(eps: float, s):
     """log phi_eps(e^s), numerically stable for large |s|."""
     s = np.asarray(s, dtype=float)
@@ -151,17 +93,18 @@ def penalty_sup_bound(eps: float) -> float:
     return -math.log1p(-q)
 
 
-_KINDS = ("canonical", "penalty", "barker", "canonical-plus-gamma")
+_KINDS = ("canonical", "penalty", "barker")
 
 
 @dataclass(frozen=True)
 class IntensitySpec:
     """Per-coordinate switching intensities plus an optional refresh clock.
 
-    kind applies to every coordinate.  gamma is a constant or an x-only
-    callable (so gamma - Q gamma = 0 structurally).  refresh_mode 'full'
-    resamples v uniformly on {-1,1}^d at rate refresh_rate; 'partial' flips
-    each coordinate independently at rate refresh_rate / d.
+    kind applies to every coordinate, and gamma is added to every kind: a
+    constant or an x-only callable (so gamma - Q gamma = 0 structurally).
+    refresh_mode 'full' resamples v uniformly on {-1,1}^d at rate
+    refresh_rate; 'partial' flips each coordinate independently at rate
+    refresh_rate / d.
     """
 
     kind: str = "canonical"
@@ -193,15 +136,16 @@ def intensity(spec: IntensitySpec, pot: Potential, i: int, x: np.ndarray,
     v = np.asarray(v, dtype=float)
     s = np.asarray(pot.grad(x))[..., i] * v[..., i]
     if spec.kind == "canonical":
-        return np.maximum(0.0, s)
-    if spec.kind == "penalty":
+        lam = np.maximum(0.0, s)
+    elif spec.kind == "penalty":
         # -log phi_eps(density ratio e^{-s}); reduces to (s)_+ at eps = 0 and
         # satisfies lambda(s) - lambda(-s) = s by the balance of phi_eps
-        return -_log_phi_eps_exp(spec.eps, -s)
-    if spec.kind == "barker":
-        return np.logaddexp(0.0, s)  # softplus
-    out = np.maximum(0.0, s) + spec.gamma_at(x)
-    return out
+        lam = -_log_phi_eps_exp(spec.eps, -s)
+    else:
+        lam = np.logaddexp(0.0, s)  # softplus
+    if callable(spec.gamma) or spec.gamma != 0.0:
+        lam = lam + spec.gamma_at(x)
+    return lam
 
 
 def total_flip_rate(spec: IntensitySpec, pot: Potential, x, v):
@@ -293,9 +237,10 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
     """First arrival of the inhomogeneous rate t -> lambda_i(x + t v, v) by
     thinning against the affine envelope lam(0) + B t, refreshed per window.
 
-    Valid for every intensity kind here: smooth kinds are 1-Lipschitz
-    transforms of s(t) = dU_i(x + t v) v_i, so the ray bound B on |s'(t)|
-    dominates |d lambda / dt| as well.
+    Valid for every intensity kind here with a constant gamma: smooth kinds
+    are 1-Lipschitz transforms of s(t) = dU_i(x + t v) v_i, so the ray bound
+    B on |s'(t)| dominates |d lambda / dt| as well.  An x-dependent gamma
+    that outgrows the envelope raises EnvelopeViolation.
     """
     if pot.hessian_bound is None:
         raise EnvelopeViolation("no ray bound available for thinning envelope")
@@ -329,7 +274,7 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     """Run the process to the horizon; returns the full event skeleton.
 
     Exact integrated-rate inversion is used for diagonal-Gaussian potentials
-    with canonical or canonical-plus-constant-gamma intensities, in an event
+    with canonical intensities and a constant gamma, in an event
     loop on Python floats (``_simulate_exact``); otherwise thinning with the
     affine envelope.  The exact loop reads rng per event as one exponential
     per coordinate clock in coordinate order, then one for the refresh clock,
@@ -346,8 +291,7 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     if not np.all(np.isin(v, (-1.0, 1.0))):
         raise ValueError("v0 must be +-1 valued")
     if (pot.gaussian_sigmas is not None and not force_thinning
-            and spec.kind in ("canonical", "canonical-plus-gamma")
-            and not callable(spec.gamma)):
+            and spec.kind == "canonical" and not callable(spec.gamma)):
         return _simulate_exact(pot.gaussian_sigmas, spec, x, v, horizon, rng)
     cap = 1024
     times = np.empty(cap)
@@ -409,7 +353,7 @@ def _simulate_exact(sigmas: np.ndarray, spec: IntensitySpec, x: np.ndarray,
                     v: np.ndarray, horizon: float,
                     rng: np.random.Generator) -> ZigZagTrajectory:
     """Event loop of ``simulate_zigzag`` for a diagonal Gaussian with
-    canonical(+constant gamma) rates, on Python floats.
+    canonical rates plus a constant gamma, on Python floats.
 
     Each event draws the d coordinate clocks and then the refresh clock (if
     any) in one ``standard_exponential`` call, which reads the stream exactly
@@ -516,6 +460,9 @@ def batch_means_variance(traj: ZigZagTrajectory, f, t_start: float,
     span = t_end - t_start
     if n_batches is None:
         n_batches = int(math.sqrt(span))
+    if n_batches < 2:
+        raise ValueError(f"batch means need at least 2 batches, got {n_batches} "
+                         f"for a span of {span!r}")
     if traj.n_events < 2:
         raise ValueError("degenerate trajectory: fewer than 2 events")
     edges = np.linspace(t_start, t_end, n_batches + 1)

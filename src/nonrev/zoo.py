@@ -10,11 +10,13 @@ State enumeration on X x {-1,+1}: id = 2*x + (0 if v == +1 else 1).
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from scipy.special import ndtr
 
 from .finite import (
     DeterministicInvolution,
@@ -145,6 +147,21 @@ def _barker(r):
     return r / (1.0 + r)
 
 
+def _smoothed_metropolis(eps: float, r):
+    """r [1 - Phi(se/2 + ln r / se)] + [1 - Phi(se/2 - ln r / se)] with
+    se = sqrt(eps); min{1, r} at eps = 0, and 0 at r = 0."""
+    if eps == 0.0:
+        return np.minimum(1.0, r)
+    se = math.sqrt(eps)
+    # finite r unchanged, inf -> max, where the formula is already 1
+    r = np.asarray(np.minimum(r, sys.float_info.max), dtype=float)
+    out = np.zeros_like(r)
+    pos = r > 0
+    lr = np.log(r[pos])
+    out[pos] = r[pos] * ndtr(-(se / 2 + lr / se)) + ndtr(-(se / 2 - lr / se))
+    return out
+
+
 @dataclass(frozen=True)
 class AcceptanceRule:
     """Acceptance function phi with r*phi(1/r) = phi(r), phi <= min{1,r}.
@@ -184,6 +201,16 @@ class AcceptanceRule:
     @staticmethod
     def barker() -> "AcceptanceRule":
         return AcceptanceRule("barker", _barker)
+
+    @staticmethod
+    def phi_eps(eps: float) -> "AcceptanceRule":
+        """Gaussian-smoothed Metropolis, phi_eps(r) = E[min{1, r e^W}] with
+        W ~ N(-eps/2, eps); eps = 0 is min{1, r}.  Its Zig-Zag switching rate
+        -log phi_eps(e^{-s}) is the penalty intensity."""
+        if not eps >= 0:
+            raise ValueError("eps must be >= 0")
+        return AcceptanceRule(f"phi_eps={eps!r}",
+                              lambda r: _smoothed_metropolis(eps, r))
 
 
 @dataclass(frozen=True)

@@ -262,7 +262,7 @@ def test_criterion_06_acceptance_rule_comparison():
     assert worst < 1e-9
 
     # GHMC on the 1-D Gaussian, 16 replicates x 1e6 steps
-    H = samplers.gaussian_potential(1.0)
+    H = zigzag.zz_gaussian([1.0])
     report = samplers.compare_acceptance_rules(
         H, omega=math.pi / 4, step=0.9, nleap=2,
         rules=[zoo.AcceptanceRule.metropolis(), zoo.AcceptanceRule.barker()],
@@ -282,11 +282,11 @@ def test_criterion_07_phi_eps_suite():
     grid = np.logspace(-2, 2, 20)
     eps_values = (0.1, 0.5, 1.0)
     # symmetry and monotonicity in eps
-    prev = zigzag.phi_eps(zigzag.PhiEps(0.0), grid)
+    prev = zoo.AcceptanceRule.phi_eps(0.0).phi(grid)
     for eps in eps_values:
-        rule = zigzag.PhiEps(eps)
-        vals = zigzag.phi_eps(rule, grid)
-        sym = np.max(np.abs(grid * zigzag.phi_eps(rule, 1.0 / grid) - vals))
+        rule = zoo.AcceptanceRule.phi_eps(eps)
+        vals = rule.phi(grid)
+        sym = np.max(np.abs(grid * rule.phi(1.0 / grid) - vals))
         assert sym < 1e-10
         assert np.max(vals - prev) < 1e-12  # nonincreasing in eps
         prev = vals
@@ -297,7 +297,7 @@ def test_criterion_07_phi_eps_suite():
         assert np.max(diff - phi0 * math.sqrt(math.expm1(eps))) < 1e-12
     # Monte Carlo oracle with a shared 1e7-sample normal array
     eps = 0.5
-    rule = zigzag.PhiEps(eps)
+    rule = zoo.AcceptanceRule.phi_eps(eps)
     z = np.random.default_rng(707).standard_normal(10_000_000)
     ew = np.exp(z * math.sqrt(eps) - eps / 2)
     for r in grid:
@@ -307,7 +307,7 @@ def test_criterion_07_phi_eps_suite():
         # to 0; floor it at the estimator granularity 1/N
         se = max(float(draws.std(ddof=1)) / math.sqrt(draws.size),
                  1.0 / draws.size)
-        assert abs(zigzag.phi_eps(rule, float(r)) - mc) < 4 * se
+        assert abs(rule.phi(float(r)) - mc) < 4 * se
     elapsed = time.time() - t0
     assert elapsed < 60.0
     print(f"criterion 7 PASS: phi_eps symmetry/monotonicity/bound exact, "

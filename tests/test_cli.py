@@ -106,17 +106,4 @@ class TestRun:
         _, out = self.run_gustafson(tmp_path, "a", seed=31)
         meta = json.loads((out / "gustafson-ring_metadata.json").read_text())
         assert meta["seed"] == 31
-        assert meta["threads"] >= 1
         assert "timestamp" in meta
-
-
-class TestThreads:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv("NONREV_THREADS", raising=False)
-        assert cli.max_threads() == 1
-        monkeypatch.setenv("NONREV_THREADS", "4")
-        assert cli.max_threads() == 4
-        monkeypatch.setenv("NONREV_THREADS", "-2")
-        assert cli.max_threads() == 1
-        monkeypatch.setenv("NONREV_THREADS", "lots")
-        assert cli.max_threads() == 1

@@ -352,12 +352,3 @@ class TestQuantitativeRemark:
         with pytest.raises(HypothesisNotCertified):
             finite.verify_quantitative_remark(
                 two_state_flip(0.2), two_state_flip(0.4), UNIF2, Q, 0.5, f, 0.5)
-
-
-def test_matrix_serialization_roundtrip(tmp_path):
-    rng = np.random.default_rng(6)
-    mat = rng.random((4, 4))
-    path = tmp_path / "m.txt"
-    finite.save_matrix(path, mat)
-    back = finite.load_matrix(path)
-    assert np.array_equal(back, mat)

@@ -5,10 +5,14 @@ import pytest
 
 from nonrev import finite, samplers
 from nonrev.finite import FiniteDistribution, KernelMatrix, Observable
-from nonrev.samplers import (PhaseState, SeparableHamiltonian,
-                             estimate_var_lambda, gaussian_potential, leapfrog,
-                             replicate_rng)
+from nonrev.samplers import (PhaseState, Potential, estimate_var_lambda,
+                             leapfrog, replicate_rng)
+from nonrev.zigzag import zz_double_well, zz_gaussian, zz_tabulated
 from nonrev.zoo import AcceptanceRule
+
+
+def energy(H, x, v):
+    return samplers._energy(H.U(x), v)
 
 
 class ScriptedRng:
@@ -29,25 +33,29 @@ class ScriptedRng:
 
 class TestHamiltonian:
     def test_gradient_check_rejects_wrong_grad(self):
-        with pytest.raises(ValueError):
-            SeparableHamiltonian(U=lambda x: np.sum(x * x, axis=-1),
-                                 grad=lambda x: 3.0 * x, d=2)
+        with pytest.raises(ValueError, match="finite differences"):
+            Potential(U=lambda x: np.sum(x * x, axis=-1),
+                      grad=lambda x: 3.0 * x, d=2)
+        with pytest.raises(ValueError, match="finite differences"):
+            # right in the first coordinate only
+            Potential(U=lambda x: 0.5 * np.sum(x * x, axis=-1),
+                      grad=lambda x: x * np.array([1.0, 2.0]), d=2)
 
     def test_builtin_potentials_pass_their_own_check(self):
-        samplers.gaussian_potential(sigma=2.0, d=3)
-        samplers.double_well_potential(a=0.5, b=1.5)
+        # construction runs the finite-difference gradient check
+        zz_gaussian([2.0, 2.0, 2.0])
+        zz_gaussian([0.3, 1.0, 2.5])
+        zz_double_well(a=0.5, b=1.5)
+        zz_double_well(a=10.0, b=2.0)
+        xs = np.linspace(-6, 6, 401)
+        zz_tabulated(xs, 0.25 * xs ** 4 - xs ** 2)
 
     def test_energy_shape(self):
-        H = gaussian_potential(d=2)
+        H = zz_gaussian([1.0, 1.0])
         x = np.zeros((4, 2))
         v = np.ones((4, 2))
-        assert H.energy(x, v).shape == (4,)
-        assert H.energy(x, v)[0] == pytest.approx(1.0)
-
-    def test_invalid_sigma2(self):
-        with pytest.raises(ValueError):
-            SeparableHamiltonian(U=lambda x: np.sum(x * x, axis=-1) / 2,
-                                 grad=lambda x: x, sigma2=0.0)
+        assert energy(H, x, v).shape == (4,)
+        assert energy(H, x, v)[0] == pytest.approx(1.0)
 
 
 class TestLeapfrog:
@@ -55,8 +63,7 @@ class TestLeapfrog:
         # psi^{-1} = xi o psi o xi with xi(x, v) = (x, -v)
         rng = np.random.default_rng(0)
         worst = 0.0
-        for H, step in ((gaussian_potential(), 0.3),
-                        (samplers.double_well_potential(), 0.05)):
+        for H, step in ((zz_gaussian([1.0]), 0.3), (zz_double_well(), 0.05)):
             for _ in range(100):
                 x = rng.standard_normal(1)
                 v = rng.standard_normal(1)
@@ -67,19 +74,19 @@ class TestLeapfrog:
         assert worst < 1e-9
 
     def test_energy_error_scaling(self):
-        H = gaussian_potential()
+        H = zz_gaussian([1.0])
         x = np.array([1.0])
         v = np.array([0.5])
         errs = []
         for step in (0.1, 0.05):
             xn, vn = leapfrog(H, x, v, step, nleap=int(round(1.0 / step)))
-            errs.append(abs(float(H.energy(xn, vn) - H.energy(x, v))))
+            errs.append(abs(float(energy(H, xn, vn) - energy(H, x, v))))
         # second-order integrator: quartering the error when halving the step
         assert errs[1] < errs[0] / 3.0
 
 
 class TestGhmcStep:
-    H = gaussian_potential()
+    H = zz_gaussian([1.0])
 
     def test_parameter_validation(self):
         state = PhaseState(np.zeros(1), np.zeros(1))
@@ -97,7 +104,7 @@ class TestGhmcStep:
                                  AcceptanceRule.metropolis(),
                                  ScriptedRng([noise], [u]))
         x = state.x[None, :]
-        refreshed = samplers._refresh(state.v, noise, math.pi / 4, 1.0)
+        refreshed = samplers._refresh(state.v, noise, math.pi / 4)
         x, Ux, v = samplers._ghmc_update(self.H, x, self.H.U(x), refreshed[None, :],
                                          np.array([u]), 0.9, 2,
                                          [AcceptanceRule.metropolis()])
@@ -111,7 +118,7 @@ class TestGhmcStep:
         out = samplers.ghmc_step(state, self.H, 0.5, 3, math.pi / 3,
                                  AcceptanceRule.metropolis(),
                                  ScriptedRng([noise], [1.0]))
-        refreshed = samplers._refresh(state.v, noise, math.pi / 3, 1.0)
+        refreshed = samplers._refresh(state.v, noise, math.pi / 3)
         assert np.allclose(out.x, state.x)
         assert np.allclose(out.v, -refreshed)
 
@@ -120,7 +127,7 @@ class TestGhmcStep:
         noise = np.array([5.0])
         state = PhaseState(np.array([1.0]), np.array([30.0]))
         # huge step on a steep potential overflows the proposal energy
-        H = samplers.double_well_potential(a=10.0, b=2.0)
+        H = zz_double_well(a=10.0, b=2.0)
         out = samplers.ghmc_step(state, H, 50.0, 5, math.pi / 2,
                                  AcceptanceRule.metropolis(),
                                  ScriptedRng([noise], [0.0]), diagnostics=diag)
@@ -134,10 +141,10 @@ class TestGhmcStep:
         # a finite energy drop of about 1.28e4 makes exp(de) overflow to inf;
         # phi(inf) = 1, so the move must be accepted, as extra_chance_step does
         diag = {}
-        H = samplers.double_well_potential(a=10.0, b=2.0)
+        H = zz_double_well(a=10.0, b=2.0)
         state = PhaseState(np.array([10.0]), np.array([0.0]))
         xn, vn = leapfrog(H, state.x, state.v, 0.01, 1)
-        de = float(H.energy(state.x, state.v) - H.energy(xn, vn))
+        de = float(energy(H, state.x, state.v) - energy(H, xn, vn))
         assert 709.8 < de < math.inf
         out = samplers.ghmc_step(state, H, 0.01, 1, math.pi / 2, rule,
                                  ScriptedRng([np.zeros(1)], [0.999]),
@@ -149,7 +156,7 @@ class TestGhmcStep:
 
 
 class TestExtraChance:
-    H = gaussian_potential()
+    H = zz_gaussian([1.0])
 
     def test_k_validation(self):
         state = PhaseState(np.zeros(1), np.ones(1))
@@ -162,7 +169,7 @@ class TestExtraChance:
             out = samplers.extra_chance_step(state, self.H, 0.9, 2, 1,
                                              ScriptedRng([], [u]))
             xn, vn = leapfrog(self.H, state.x, state.v, 0.9, 2)
-            de = float(self.H.energy(state.x, state.v) - self.H.energy(xn, vn))
+            de = float(energy(self.H, state.x, state.v) - energy(self.H, xn, vn))
             if u < min(1.0, math.exp(de)):
                 assert np.allclose(out.x, xn) and np.allclose(out.v, vn)
             else:
@@ -174,9 +181,9 @@ class TestExtraChance:
         H = self.H
         x1, v1 = leapfrog(H, state.x, state.v, 1.5, 1)
         x2, v2 = leapfrog(H, x1, v1, 1.5, 1)
-        e0 = float(H.energy(state.x, state.v))
-        a1 = min(1.0, math.exp(e0 - float(H.energy(x1, v1))))
-        a2 = max(a1, min(1.0, math.exp(e0 - float(H.energy(x2, v2)))))
+        e0 = float(energy(H, state.x, state.v))
+        a1 = min(1.0, math.exp(e0 - float(energy(H, x1, v1))))
+        a2 = max(a1, min(1.0, math.exp(e0 - float(energy(H, x2, v2)))))
         assert a2 > a1  # construction sanity
         u = 0.5 * (a1 + a2)
         out = samplers.extra_chance_step(state, H, 1.5, 1, 2, ScriptedRng([], [u]))
@@ -263,7 +270,7 @@ class TestEstimator:
 
 
 class TestGhmcDriver:
-    H = gaussian_potential()
+    H = zz_gaussian([1.0])
     OBS = [lambda x: x[:, 0], lambda x: x[:, 0] ** 2]
     R = 8
 
@@ -362,6 +369,14 @@ class TestMisc:
         c = replicate_rng(7, 0).standard_normal(5)
         assert not np.allclose(a, b)
         assert np.array_equal(a, c)
+
+    def test_ordered_within_se(self):
+        # a <= b + 2 sqrt(se_a^2 + se_b^2); the violation is the excess
+        assert samplers.ordered_within_se(1.0, 0.3, 0.0, 0.4) == 0.0
+        assert samplers.ordered_within_se(2.0, 0.3, 0.0, 0.4) == pytest.approx(1.0)
+        assert samplers.ordered_within_se(2.0, 0.3, 0.0, 0.4, k=4.0) == 0.0
+        assert not samplers.ordered_within_se(np.nan, 0.3, 0.0, 0.4) <= 0.0
+        assert not samplers.ordered_within_se(1.0, np.nan, 0.0, 0.4) <= 0.0
 
     def test_refresh_witness_signs_differ(self):
         for omega in (0.3, math.pi / 4, 1.2):

@@ -7,9 +7,9 @@ from scipy.stats import ks_2samp
 
 from nonrev import zigzag
 from nonrev.samplers import replicate_rng
-from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, PhiEps, Potential,
-                           SmoothObservable, intensity, phi_eps,
-                           simulate_zigzag, zz_gaussian)
+from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, Potential,
+                           SmoothObservable, intensity, simulate_zigzag,
+                           zz_gaussian)
 
 
 def free_potential():
@@ -19,70 +19,6 @@ def free_potential():
                      hessian_bound=lambda x, v, tau: 0.0)
 
 
-class TestPhiEps:
-    def test_eps0_is_metropolis(self):
-        rule = PhiEps(0.0)
-        for r in (0.0, 0.3, 1.0, 2.5):
-            assert phi_eps(rule, r) == min(1.0, r)
-
-    def test_balance_and_domination(self):
-        rule = PhiEps(0.7)
-        for r in np.logspace(-3, 3, 31):
-            lhs = r * phi_eps(rule, 1.0 / r)
-            rhs = phi_eps(rule, r)
-            assert lhs == pytest.approx(rhs, rel=1e-12)
-            assert rhs <= min(1.0, r) + 1e-15
-        assert phi_eps(rule, 0.0) == 0.0
-
-    def test_value_at_one(self):
-        # phi_1(1) = 2 (1 - Phi(1/2))
-        from scipy.stats import norm
-        assert phi_eps(PhiEps(1.0), 1.0) == pytest.approx(2 * (1 - norm.cdf(0.5)))
-
-    def test_monte_carlo_oracle(self):
-        # phi_eps(r) = E[min(1, r e^W)], W ~ N(-eps/2, eps)
-        eps = 0.5
-        rule = PhiEps(eps)
-        rng = np.random.default_rng(42)
-        w = rng.standard_normal(1_000_000) * math.sqrt(eps) - eps / 2
-        ew = np.exp(w)
-        for r in (0.2, 0.8, 1.0, 1.7, 4.0):
-            draws = np.minimum(1.0, r * ew)
-            mc = draws.mean()
-            se = draws.std(ddof=1) / math.sqrt(draws.size)
-            assert abs(phi_eps(rule, r) - mc) < 4 * se
-
-    def test_smoothing_bounds(self):
-        # 0 <= phi_0 - phi_eps <= phi_0 * sqrt(e^eps - 1)
-        eps = 0.3
-        rule = PhiEps(eps)
-        q = math.sqrt(math.expm1(eps))
-        for r in np.logspace(-2, 2, 25):
-            p0 = min(1.0, r)
-            pe = phi_eps(rule, r)
-            assert -1e-14 <= p0 - pe <= p0 * q + 1e-14
-
-    def test_penalty_sup_bound(self):
-        eps = 0.2
-        bound = zigzag.penalty_sup_bound(eps)
-        assert bound == pytest.approx(-math.log1p(-math.sqrt(math.expm1(eps))))
-        spec_p = IntensitySpec(kind="penalty", eps=eps)
-        spec_c = IntensitySpec(kind="canonical")
-        pot = zz_gaussian([1.0])
-        for xi in np.linspace(-4, 4, 41):
-            x = np.array([xi])
-            v = np.array([1.0])
-            gap = abs(float(intensity(spec_p, pot, 0, x, v))
-                      - float(intensity(spec_c, pot, 0, x, v)))
-            assert gap <= bound + 1e-12
-        with pytest.raises(ValueError):
-            zigzag.penalty_sup_bound(math.log(2) + 0.01)
-
-    def test_negative_eps_rejected(self):
-        with pytest.raises(ValueError):
-            PhiEps(-0.1)
-
-
 class TestIntensities:
     POT = zz_gaussian([1.5])
 
@@ -90,7 +26,8 @@ class TestIntensities:
         return [IntensitySpec("canonical"),
                 IntensitySpec("penalty", eps=0.4),
                 IntensitySpec("barker"),
-                IntensitySpec("canonical-plus-gamma", gamma=0.3)]
+                IntensitySpec("canonical", gamma=0.3),
+                IntensitySpec("barker", gamma=0.3)]
 
     def test_switching_identity(self):
         # lambda_i(x, v) - lambda_i(x, -v) = dU/dx_i v_i for every kind
@@ -119,11 +56,19 @@ class TestIntensities:
             assert np.all(intensity(spec, self.POT, 0, x, v) >= 0)
 
     def test_callable_gamma(self):
-        spec = IntensitySpec("canonical-plus-gamma",
-                             gamma=lambda x: 0.1 * x[..., 0] ** 2)
+        spec = IntensitySpec("canonical", gamma=lambda x: 0.1 * x[..., 0] ** 2)
         x, v = np.array([[2.0]]), np.array([[-1.0]])
         base = intensity(IntensitySpec("canonical"), self.POT, 0, x, v).item()
         assert intensity(spec, self.POT, 0, x, v).item() == pytest.approx(base + 0.4)
+
+    def test_gamma_adds_to_every_kind(self):
+        x = np.array([[-1.0], [0.0], [2.0]])
+        v = np.ones((3, 1))
+        for kind, eps in (("canonical", 0.0), ("penalty", 0.4), ("barker", 0.0)):
+            base = intensity(IntensitySpec(kind, eps=eps), self.POT, 0, x, v)
+            plus = intensity(IntensitySpec(kind, eps=eps, gamma=0.3),
+                             self.POT, 0, x, v)
+            assert np.array_equal(plus, base + 0.3)
 
     def test_spec_validation(self):
         with pytest.raises(ValueError):
@@ -134,6 +79,22 @@ class TestIntensities:
             IntensitySpec(refresh_rate=-1.0)
         with pytest.raises(ValueError):
             IntensitySpec(refresh_mode="half")
+
+    def test_penalty_sup_bound(self):
+        eps = 0.2
+        bound = zigzag.penalty_sup_bound(eps)
+        assert bound == pytest.approx(-math.log1p(-math.sqrt(math.expm1(eps))))
+        spec_p = IntensitySpec(kind="penalty", eps=eps)
+        spec_c = IntensitySpec(kind="canonical")
+        pot = zz_gaussian([1.0])
+        for xi in np.linspace(-4, 4, 41):
+            x = np.array([xi])
+            v = np.array([1.0])
+            gap = abs(float(intensity(spec_p, pot, 0, x, v))
+                      - float(intensity(spec_c, pot, 0, x, v)))
+            assert gap <= bound + 1e-12
+        with pytest.raises(ValueError):
+            zigzag.penalty_sup_bound(math.log(2) + 0.01)
 
 
 class TestExactInversion:
@@ -221,6 +182,19 @@ class TestSimulation:
                                         degree=2) / traj.horizon
         assert abs(m2 - 1.0) < 0.15
 
+    def test_gamma_is_one_process_exact_and_thinned(self):
+        # canonical plus a constant gamma takes the exact path unless forced
+        # to thin; both must simulate the same rate (about 2.4 events per
+        # unit time here, where thinning once ignored gamma and gave 0.4)
+        pot = zz_gaussian([1.0])
+        spec = IntensitySpec("canonical", gamma=2.0)
+        rates = [simulate_zigzag(pot, spec, [0.0], [1.0], 3000.0,
+                                 np.random.default_rng(1),
+                                 force_thinning=thin).n_events / 3000.0
+                 for thin in (False, True)]
+        assert rates[0] > 2.0
+        assert rates[1] == pytest.approx(rates[0], rel=0.05)
+
     def test_envelope_violation_detected(self):
         lying = Potential(U=lambda x: 0.5 * np.sum(x * x, axis=-1),
                           grad=lambda x: x, d=1,
@@ -307,7 +281,7 @@ def reference_exact_loop(pot, spec, x0, v0, horizon, rng):
 class TestExactLoopMatchesReference:
     CASES = {
         "canonical-1d": ([1.0], IntensitySpec("canonical")),
-        "gamma-1d": ([1.0], IntensitySpec("canonical-plus-gamma", gamma=0.5)),
+        "gamma-1d": ([1.0], IntensitySpec("canonical", gamma=0.5)),
         "partial-2d": ([1.0, 1.0], IntensitySpec("canonical", refresh_rate=1.0,
                                                   refresh_mode="partial")),
         "full-2d": ([1.0, 1.0], IntensitySpec("canonical", refresh_rate=1.0,
@@ -461,6 +435,13 @@ class TestVarianceEstimation:
             pot, spec, f, horizon=600.0, replicates=8, lam=2.0, seed=3, degree=1)
         assert est0 > est2 > 0
 
+    def test_too_few_batches_raises(self):
+        # horizon 3 gives floor(sqrt(3)) = 1 batch, whose variance is NaN
+        with pytest.raises(ValueError, match="at least 2 batches"):
+            zigzag.estimate_var_continuous(zz_gaussian([0.2]), IntensitySpec(),
+                                           lambda x, v: x[:, 0], horizon=3.0,
+                                           replicates=3, lam=0.0, seed=0)
+
     def test_validation(self):
         pot = zz_gaussian([1.0])
         f = lambda x, v: x[:, 0]
@@ -500,8 +481,8 @@ class TestGeneratorAndQuadrature:
         specs = [IntensitySpec("canonical"),
                  IntensitySpec("penalty", eps=0.3),
                  IntensitySpec("barker"),
-                 IntensitySpec("canonical-plus-gamma", gamma=0.4,
-                               refresh_rate=1.0)]
+                 IntensitySpec("canonical", gamma=0.4, refresh_rate=1.0),
+                 IntensitySpec("penalty", eps=0.3, gamma=0.4)]
         for spec in specs:
             for g in basis:
                 val = zigzag.expectation_mu(
@@ -521,11 +502,11 @@ class TestGeneratorAndQuadrature:
         g = SmoothObservable(lambda x, v: x[:, 0] * v[:, 0], lambda x, v: v)
         gap = zigzag.dirichlet_gap_quadrature(
             pot, IntensitySpec("canonical"),
-            IntensitySpec("canonical-plus-gamma", gamma=0.5), g)
+            IntensitySpec("canonical", gamma=0.5), g)
         assert gap == pytest.approx(1.0, abs=1e-8)
         # and the reversed orientation is exactly the negation
         rev = zigzag.dirichlet_gap_quadrature(
-            pot, IntensitySpec("canonical-plus-gamma", gamma=0.5),
+            pot, IntensitySpec("canonical", gamma=0.5),
             IntensitySpec("canonical"), g)
         assert rev == pytest.approx(-1.0, abs=1e-8)
 

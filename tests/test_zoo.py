@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from nonrev import finite, zoo
 from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
@@ -205,6 +208,63 @@ class TestAcceptanceRules:
             assert vals.shape == r.shape
             assert np.array_equal(vals[:3], want)
             assert np.array_equal(vals[3:], [1.0, 1.0])
+        for eps in (0.01, 0.5, 1.0, 3.0):
+            vals = zoo.AcceptanceRule.phi_eps(eps).phi(r)
+            assert vals.shape == r.shape and vals[0] == 0.0
+            assert np.array_equal(vals[3:], [1.0, 1.0])
+
+
+class TestSmoothedMetropolis:
+    def test_eps0_is_metropolis(self):
+        rule = zoo.AcceptanceRule.phi_eps(0.0)
+        for r in (0.0, 0.3, 1.0, 2.5):
+            assert rule.phi(r) == min(1.0, r)
+        grid = np.concatenate([[0.0], np.logspace(-3, 3, 25), [1e300, np.inf]])
+        assert np.array_equal(rule.phi(grid),
+                              zoo.AcceptanceRule.metropolis().phi(grid))
+
+    def test_balance_and_domination(self):
+        for eps in (0.0, 0.01, 0.5, 1.0, 3.0):
+            zoo.AcceptanceRule.phi_eps(eps)  # passes the rule's own validation
+        rule = zoo.AcceptanceRule.phi_eps(0.7)
+        for r in np.logspace(-3, 3, 31):
+            lhs = r * rule.phi(1.0 / r)
+            rhs = rule.phi(r)
+            assert lhs == pytest.approx(rhs, rel=1e-12)
+            assert rhs <= min(1.0, r) + 1e-15
+        assert rule.phi(0.0) == 0.0
+
+    def test_value_at_one(self):
+        # phi_1(1) = 2 (1 - Phi(1/2))
+        assert zoo.AcceptanceRule.phi_eps(1.0).phi(1.0) == pytest.approx(
+            2 * (1 - norm.cdf(0.5)))
+
+    def test_monte_carlo_oracle(self):
+        # phi_eps(r) = E[min(1, r e^W)], W ~ N(-eps/2, eps)
+        eps = 0.5
+        rule = zoo.AcceptanceRule.phi_eps(eps)
+        rng = np.random.default_rng(42)
+        w = rng.standard_normal(1_000_000) * math.sqrt(eps) - eps / 2
+        ew = np.exp(w)
+        for r in (0.2, 0.8, 1.0, 1.7, 4.0):
+            draws = np.minimum(1.0, r * ew)
+            mc = draws.mean()
+            se = draws.std(ddof=1) / math.sqrt(draws.size)
+            assert abs(rule.phi(r) - mc) < 4 * se
+
+    def test_smoothing_bounds(self):
+        # 0 <= phi_0 - phi_eps <= phi_0 * sqrt(e^eps - 1)
+        eps = 0.3
+        rule = zoo.AcceptanceRule.phi_eps(eps)
+        q = math.sqrt(math.expm1(eps))
+        for r in np.logspace(-2, 2, 25):
+            p0 = min(1.0, r)
+            pe = rule.phi(r)
+            assert -1e-14 <= p0 - pe <= p0 * q + 1e-14
+
+    def test_negative_eps_rejected(self):
+        with pytest.raises(ValueError, match="eps"):
+            zoo.AcceptanceRule.phi_eps(-0.1)
 
 
 class TestFlowMaps:
