@@ -74,6 +74,9 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     params = {**defaults, **raw}
     _validate_lambdas(name, params)
+    horizon = params.get("horizon", 4)  # batch means need floor(sqrt(T)) >= 2
+    if not (isinstance(horizon, (int, float)) and horizon >= 4):
+        raise ConfigError(f"horizon must be a number >= 4, got {horizon!r}")
     return ExperimentConfig(name, seed, params, out_dir)
 
 

@@ -283,12 +283,11 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     return out
 
 
-def ordered_within_se(a: float, se_a: float, b: float, se_b: float,
-                      k: float = 2.0) -> float:
-    """Violation of a <= b + k * sqrt(se_a^2 + se_b^2): 0.0 when the ordering
-    holds within k combined standard errors, the excess otherwise, and NaN
+def ordered_within_se(a: float, se_a: float, b: float, se_b: float) -> float:
+    """Violation of a <= b + 2 * sqrt(se_a^2 + se_b^2): 0.0 when the ordering
+    holds within two combined standard errors, the excess otherwise, and NaN
     when an input is NaN, so that a `violation <= tol` test fails."""
-    gap = a - b - k * math.hypot(se_a, se_b)
+    gap = a - b - 2.0 * math.hypot(se_a, se_b)
     return 0.0 if gap <= 0.0 else gap
 
 

@@ -57,6 +57,13 @@ class TestConfigValidation:
             tmp_path, {"experiment": "phi-eps-bounds", "seed": 1}))
         assert cfg.experiment == "phi-eps-bounds"
 
+    @pytest.mark.parametrize("name", ["zigzag-1d-gamma", "zigzag-2d-refresh"])
+    @pytest.mark.parametrize("horizon", [3.9, 0, -1, "long"])
+    def test_horizon_too_short_for_batch_means(self, tmp_path, name, horizon):
+        path = write_config(tmp_path, {"experiment": name, "seed": 1,
+                                       "horizon": horizon})
+        assert cli.main(["run", path]) == 2
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")

@@ -374,7 +374,6 @@ class TestMisc:
         # a <= b + 2 sqrt(se_a^2 + se_b^2); the violation is the excess
         assert samplers.ordered_within_se(1.0, 0.3, 0.0, 0.4) == 0.0
         assert samplers.ordered_within_se(2.0, 0.3, 0.0, 0.4) == pytest.approx(1.0)
-        assert samplers.ordered_within_se(2.0, 0.3, 0.0, 0.4, k=4.0) == 0.0
         assert not samplers.ordered_within_se(np.nan, 0.3, 0.0, 0.4) <= 0.0
         assert not samplers.ordered_within_se(1.0, np.nan, 0.0, 0.4) <= 0.0
 
