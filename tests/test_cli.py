@@ -61,7 +61,8 @@ class TestConfigValidation:
     @pytest.mark.parametrize("horizon", [3.9, 0, -1, "long"])
     def test_horizon_too_short_for_batch_means(self, tmp_path, name, horizon):
         path = write_config(tmp_path, {"experiment": name, "seed": 1,
-                                       "horizon": horizon})
+                                       "horizon": horizon,
+                                       "out": str(tmp_path / "x")})
         assert cli.main(["run", path]) == 2
 
     def test_malformed_json(self, tmp_path):
