@@ -63,8 +63,10 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     seed = raw.pop("seed", None)
     if seed_override is not None:
         seed = seed_override
-    if seed is None or not isinstance(seed, int):
+    if not isinstance(seed, int) or isinstance(seed, bool):
         raise ConfigError("seed is mandatory and must be an integer")
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed must lie in [0, 2^64), got {seed}")
     out_dir = Path(raw.pop("out", "."))
     if out_override is not None:
         out_dir = Path(out_override)
@@ -73,7 +75,17 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     params = {**defaults, **raw}
+    for key, default in defaults.items():
+        # every grid must give its check something to compare
+        least = 2 if key == "K_values" else 1
+        if isinstance(default, tuple) and not (
+                isinstance(params[key], (list, tuple)) and len(params[key]) >= least):
+            raise ConfigError(f"{key} must be a list of at least {least} "
+                              f"entries, got {params[key]!r}")
     _validate_lambdas(name, params)
+    replicates = params.get("replicates", 2)  # a standard error needs 2
+    if not (isinstance(replicates, (int, float)) and replicates >= 2):
+        raise ConfigError(f"replicates must be a number >= 2, got {replicates!r}")
     horizon = params.get("horizon", 4)  # batch means need floor(sqrt(T)) >= 2
     if not (isinstance(horizon, (int, float)) and horizon >= 4):
         raise ConfigError(f"horizon must be a number >= 4, got {horizon!r}")

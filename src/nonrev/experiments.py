@@ -211,8 +211,7 @@ def run_ghmc_phi_compare(cfg: dict, seed: int):
     for row in rep.rows:
         rows.append(ResultRow("ghmc-phi-compare", f"mc-{row.rule}-{row.observable}",
                               row.lam, row.estimate, row.se))
-    checks.append({"name": "mc-metropolis<=barker+2se", "pass": rep.passed,
-                   "max_violation": 0.0 if rep.passed else 1.0})
+    checks.append(_check("mc-metropolis<=barker+2se", rep.max_violation, 0.0))
     return rows, checks
 
 

@@ -302,8 +302,15 @@ class RuleComparisonRow:
 
 @dataclass
 class RuleComparisonReport:
+    """max_violation is the worst ``ordered_within_se`` of a rule against
+    the first rule over all lambdas and observables (NaN if any is NaN)."""
+
     rows: list
-    passed: bool
+    max_violation: float
+
+    @property
+    def passed(self) -> bool:
+        return self.max_violation <= 0.0
 
 
 def compare_acceptance_rules(H: Potential, omega: float, step: float,
@@ -317,8 +324,9 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
     All rules run in one batch on the same per-replicate Philox streams
     (common refresh noise and accept uniforms).  PASS when, for every lambda
     and observable, the estimate never beats the first (most accepting) rule
-    by more than 2 combined standard errors.  Raises ValueError unless there
-    are at least two rules of distinct kinds, a lambda and an observable.
+    by more than 2 combined standard errors; the report carries the worst
+    excess as max_violation.  Raises ValueError unless there are at least
+    two rules of distinct kinds, a lambda and an observable.
     """
     kinds = [rule.kind for rule in rules]
     if len(kinds) < 2 or len(set(kinds)) < len(kinds):
@@ -335,12 +343,11 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
              for i, kind in enumerate(kinds)
              for name, vals in zip(names, chains) for lam in lambdas}
     rows = [RuleComparisonRow(*key, st.estimate, st.se) for key, st in stats.items()]
-    passed = True
+    violations = []
     for (_kind, lam, name), b in stats.items():
         a = stats[kinds[0], lam, name]
-        if not ordered_within_se(a.estimate, a.se, b.estimate, b.se) <= 0.0:
-            passed = False
-    return RuleComparisonReport(rows, passed)
+        violations.append(ordered_within_se(a.estimate, a.se, b.estimate, b.se))
+    return RuleComparisonReport(rows, float(np.max(violations)))
 
 
 def refresh_comparison_witness(omega: float):

@@ -8,9 +8,11 @@ kinds, each -log phi(e^{-s}) for an acceptance function phi of
 an extra x-only rate gamma on top, and all satisfy the switching
 identity lambda_i(x, v) - lambda_i(x, -v) = s.
 
-Event times use exact inversion of the integrated rate for Gaussian
-potentials with canonical intensities and a constant gamma, and thinning
-against an affine-along-the-ray envelope otherwise.
+One event loop simulates every process; the coordinate clocks are drawn in
+one of two ways, picked from the potential and the spec: exact inversion of
+the integrated rate for diagonal-Gaussian potentials with canonical
+intensities and a constant gamma, and thinning against an
+affine-along-the-ray envelope otherwise.
 """
 
 from __future__ import annotations
@@ -101,7 +103,8 @@ class IntensitySpec:
     """Per-coordinate switching intensities plus an optional refresh clock.
 
     kind applies to every coordinate, and gamma is added to every kind: a
-    constant or an x-only callable (so gamma - Q gamma = 0 structurally).
+    constant >= 0 or an x-only callable (so gamma - Q gamma = 0
+    structurally).
     refresh_mode 'full' resamples v uniformly on {-1,1}^d at rate
     refresh_rate; 'partial' flips each coordinate independently at rate
     refresh_rate / d.
@@ -118,6 +121,8 @@ class IntensitySpec:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.kind == "penalty" and self.eps <= 0:
             raise ValueError("penalty requires eps > 0")
+        if not (callable(self.gamma) or self.gamma >= 0):
+            raise ValueError(f"a constant gamma must be >= 0, got {self.gamma!r}")
         if self.refresh_rate < 0:
             raise ValueError("refresh_rate must be >= 0")
         if self.refresh_mode not in ("full", "partial"):
@@ -146,11 +151,6 @@ def intensity(spec: IntensitySpec, pot: Potential, i: int, x: np.ndarray,
     if callable(spec.gamma) or spec.gamma != 0.0:
         lam = lam + spec.gamma_at(x)
     return lam
-
-
-def total_flip_rate(spec: IntensitySpec, pot: Potential, x, v):
-    x = np.asarray(x, dtype=float)
-    return sum(intensity(spec, pot, i, x, v) for i in range(pot.d))
 
 
 @dataclass
@@ -269,100 +269,36 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
 
 
 def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
-                    rng: np.random.Generator,
-                    force_thinning: bool = False) -> ZigZagTrajectory:
+                    rng: np.random.Generator) -> ZigZagTrajectory:
     """Run the process to the horizon; returns the full event skeleton.
 
-    Exact integrated-rate inversion is used for diagonal-Gaussian potentials
-    with canonical intensities and a constant gamma, in an event
-    loop on Python floats (``_simulate_exact``); otherwise thinning with the
-    affine envelope.  The exact loop reads rng per event as one exponential
-    per coordinate clock in coordinate order, then one for the refresh clock,
-    then the refresh draw: the layout of a loop of scalar draws.  x0 must be
-    finite; it is checked before anything is drawn.
+    One event loop on Python floats moves x, flips or refreshes v and
+    records the skeleton; only the coordinate clocks are drawn in two ways,
+    picked from the inputs.  A diagonal Gaussian (``pot.gaussian_sigmas``)
+    with canonical rates and a constant gamma inverts the integrated rate
+    exactly: each event reads rng as one ``standard_exponential`` call for
+    the d coordinate clocks and then the refresh clock (the layout of that
+    many scalar ``exponential()`` calls), then the refresh draw.  Every
+    other input thins each coordinate against an affine envelope
+    (``_thinned_flip_time``, coordinates in order), then draws one
+    ``exponential()`` for the refresh clock and the refresh draw, and raises
+    RuntimeError at a non-finite gradient.  x0 must be finite; it is checked
+    before anything is drawn.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")
     d = pot.d
-    x = np.array(x0, dtype=float).reshape(d).copy()
-    v = np.array(v0, dtype=float).reshape(d).copy()
+    x = np.array(x0, dtype=float).reshape(d)
+    v = np.array(v0, dtype=float).reshape(d)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
     if not np.all(np.isin(v, (-1.0, 1.0))):
         raise ValueError("v0 must be +-1 valued")
-    if (pot.gaussian_sigmas is not None and not force_thinning
-            and spec.kind == "canonical" and not callable(spec.gamma)):
-        return _simulate_exact(pot.gaussian_sigmas, spec, x, v, horizon, rng)
-    cap = 1024
-    times = np.empty(cap)
-    Xs = np.empty((cap, d))
-    Vs = np.empty((cap, d))
-    types = []
-    times[0] = 0.0
-    Xs[0] = x
-    Vs[0] = v
-    count = 1
-    t = 0.0
-    while True:
-        remaining = horizon - t
-        if not np.isfinite(np.asarray(pot.grad(x[None, :]))).all():
-            raise RuntimeError("non-finite gradient encountered")
-        best_dt = math.inf
-        best_ev = None
-        for i in range(d):
-            dt_i = _thinned_flip_time(spec, pot, i, x, v, rng,
-                                      horizon=remaining + 1.0)
-            if dt_i < best_dt:
-                best_dt = dt_i
-                best_ev = ("flip", i)
-        if spec.refresh_rate > 0:
-            dt_r = rng.exponential() / spec.refresh_rate
-            if dt_r < best_dt:
-                best_dt = dt_r
-                best_ev = ("refresh", None)
-        if best_dt >= remaining or best_ev is None:
-            break
-        t += best_dt
-        x += best_dt * v
-        kind, i = best_ev
-        if kind == "flip":
-            v[i] = -v[i]
-            label = f"flip({i})"
-        else:
-            if spec.refresh_mode == "full":
-                v = np.where(rng.random(d) < 0.5, -1.0, 1.0)
-            else:
-                j = int(rng.integers(d))
-                v[j] = -v[j]
-            label = "refresh"
-        if count == cap:
-            cap *= 2
-            times = np.concatenate([times, np.empty(cap // 2)])
-            Xs = np.concatenate([Xs, np.empty((cap // 2, d))])
-            Vs = np.concatenate([Vs, np.empty((cap // 2, d))])
-        times[count] = t
-        Xs[count] = x
-        Vs[count] = v
-        count += 1
-        types.append(label)
-    return ZigZagTrajectory(times[:count].copy(), Xs[:count].copy(),
-                            Vs[:count].copy(), types, horizon)
-
-
-def _simulate_exact(sigmas: np.ndarray, spec: IntensitySpec, x: np.ndarray,
-                    v: np.ndarray, horizon: float,
-                    rng: np.random.Generator) -> ZigZagTrajectory:
-    """Event loop of ``simulate_zigzag`` for a diagonal Gaussian with
-    canonical rates plus a constant gamma, on Python floats.
-
-    Each event draws the d coordinate clocks and then the refresh clock (if
-    any) in one ``standard_exponential`` call, which reads the stream exactly
-    as that many scalar ``exponential()`` calls would.  The gradient stays
-    finite by construction, so it is never evaluated.
-    """
-    d = x.size
-    inv2 = (1.0 / (sigmas ** 2)).tolist()
-    gamma = float(spec.gamma)
+    exact = (pot.gaussian_sigmas is not None and spec.kind == "canonical"
+             and not callable(spec.gamma))
+    if exact:
+        inv2 = (1.0 / (pot.gaussian_sigmas ** 2)).tolist()
+        gamma = float(spec.gamma)
     rate = spec.refresh_rate
     n_clocks = d + (rate > 0)
     full = spec.refresh_mode == "full"
@@ -370,15 +306,26 @@ def _simulate_exact(sigmas: np.ndarray, spec: IntensitySpec, x: np.ndarray,
     times, Xs, Vs, types = [0.0], list(x), list(v), []
     t = 0.0
     while True:
-        e = rng.standard_exponential(n_clocks).tolist()
         best_dt = math.inf
         best = d
-        for i in range(d):
-            dt_i = _exact_flip_time(x[i] * v[i] * inv2[i], inv2[i], gamma, e[i])
-            if dt_i < best_dt:
-                best_dt, best = dt_i, i
+        if exact:
+            e = rng.standard_exponential(n_clocks).tolist()
+            for i in range(d):
+                dt_i = _exact_flip_time(x[i] * v[i] * inv2[i], inv2[i], gamma,
+                                        e[i])
+                if dt_i < best_dt:
+                    best_dt, best = dt_i, i
+        else:
+            xa, va = np.array(x), np.array(v)
+            if not np.isfinite(np.asarray(pot.grad(xa[None, :]))).all():
+                raise RuntimeError("non-finite gradient encountered")
+            for i in range(d):
+                dt_i = _thinned_flip_time(spec, pot, i, xa, va, rng,
+                                          horizon=horizon - t + 1.0)
+                if dt_i < best_dt:
+                    best_dt, best = dt_i, i
         if rate > 0:
-            dt_r = e[d] / rate
+            dt_r = (e[d] if exact else rng.exponential()) / rate
             if dt_r < best_dt:
                 best_dt, best = dt_r, d
         if best_dt >= horizon - t:

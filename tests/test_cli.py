@@ -11,6 +11,12 @@ CATALOG = ["gustafson-ring", "lifted-ordering", "neal-ordering",
            "zigzag-2d-refresh", "phi-eps-bounds"]
 
 
+GRID_KEYS = [(name, key) for name, (_d, defaults, _r) in EXPERIMENTS.items()
+             for key, value in defaults.items() if isinstance(value, tuple)]
+REPLICATED = [name for name, (_d, defaults, _r) in EXPERIMENTS.items()
+              if "replicates" in defaults]
+
+
 def write_config(tmp_path, payload, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
@@ -62,6 +68,44 @@ class TestConfigValidation:
     def test_horizon_too_short_for_batch_means(self, tmp_path, name, horizon):
         path = write_config(tmp_path, {"experiment": name, "seed": 1,
                                        "horizon": horizon,
+                                       "out": str(tmp_path / "x")})
+        assert cli.main(["run", path]) == 2
+
+    @pytest.mark.parametrize("name, key", GRID_KEYS,
+                             ids=[f"{n}-{k}" for n, k in GRID_KEYS])
+    @pytest.mark.parametrize("value", [[], "abc"], ids=["empty", "string"])
+    def test_grid_not_a_nonempty_list(self, tmp_path, name, key, value):
+        # an empty grid leaves its check nothing to compare: no vacuous PASS
+        path = write_config(tmp_path, {"experiment": name, "seed": 1,
+                                       key: value, "out": str(tmp_path / "x")})
+        assert cli.main(["run", path]) == 2
+
+    @pytest.mark.parametrize("ks", [[], [2], 3])
+    def test_too_few_k_values(self, tmp_path, ks):
+        path = write_config(tmp_path, {"experiment": "two-cycle-extra-chance",
+                                       "seed": 1, "K_values": ks,
+                                       "out": str(tmp_path / "x")})
+        assert cli.main(["run", path]) == 2
+
+    @pytest.mark.parametrize("name", CATALOG)
+    @pytest.mark.parametrize("seed", [True, -1, 2 ** 64],
+                             ids=["true", "negative", "2^64"])
+    def test_seed_not_a_64_bit_unsigned_integer(self, tmp_path, name, seed):
+        path = write_config(tmp_path, {"experiment": name, "seed": seed,
+                                       "out": str(tmp_path / "x")})
+        assert cli.main(["run", path]) == 2
+
+    def test_seed_range_ends_accepted(self, tmp_path):
+        for seed in (0, 2 ** 64 - 1):
+            path = write_config(tmp_path, {"experiment": "gustafson-ring",
+                                           "seed": seed})
+            assert cli.load_config(path).seed == seed
+
+    @pytest.mark.parametrize("name", REPLICATED)
+    @pytest.mark.parametrize("replicates", [1, 0, 1.5, "many"])
+    def test_replicates_below_two(self, tmp_path, name, replicates):
+        path = write_config(tmp_path, {"experiment": name, "seed": 1,
+                                       "replicates": replicates,
                                        "out": str(tmp_path / "x")})
         assert cli.main(["run", path]) == 2
 

@@ -344,6 +344,23 @@ class TestGhmcDriver:
             st = estimate_var_lambda(chains[0], 0.5)
             assert (row.rule, row.estimate, row.se) == (rule.kind, st.estimate, st.se)
 
+    def test_failing_comparison_reports_its_excess(self):
+        # a lazy Metropolis rule listed first has the larger variance, so the
+        # ordering fails and the report carries the worst excess, not 0 or 1
+        lazy = AcceptanceRule("lazy-metropolis", lambda r: 0.1 * np.minimum(1.0, r))
+        report = self.compare(rules=[lazy, AcceptanceRule.metropolis()],
+                              lambdas=(0.5, 0.9))
+        est = {(row.rule, row.lam): (row.estimate, row.se) for row in report.rows}
+        excess = max(samplers.ordered_within_se(*est["lazy-metropolis", lam],
+                                                *est[rule, lam])
+                     for rule in ("lazy-metropolis", "metropolis")
+                     for lam in (0.5, 0.9))
+        assert excess > 0.0
+        assert report.max_violation == excess
+        assert not report.passed
+        nan = self.compare(observables={"nan": lambda x: np.full(x.shape[0], np.nan)})
+        assert math.isnan(nan.max_violation) and not nan.passed
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"rules": [AcceptanceRule.metropolis()]}, "at least two"),
         ({"rules": []}, "at least two"),

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -10,6 +11,12 @@ from nonrev.samplers import replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, Potential,
                            SmoothObservable, intensity, simulate_zigzag,
                            zz_gaussian)
+
+
+def sigmaless(pot):
+    """The same target without the diagonal-Gaussian mark, so that
+    simulate_zigzag draws its clocks by thinning."""
+    return dataclasses.replace(pot, gaussian_sigmas=None)
 
 
 def free_potential():
@@ -79,6 +86,9 @@ class TestIntensities:
             IntensitySpec(refresh_rate=-1.0)
         with pytest.raises(ValueError):
             IntensitySpec(refresh_mode="half")
+        for gamma in (-0.5, math.nan):
+            with pytest.raises(ValueError, match="gamma"):
+                IntensitySpec("canonical", gamma=gamma)
 
     def test_penalty_sup_bound(self):
         eps = 0.2
@@ -174,24 +184,24 @@ class TestSimulation:
         assert ks_2samp(exact, thinned).pvalue > 1e-3
 
     def test_forced_thinning_agrees_on_moments(self):
-        pot = zz_gaussian([1.0])
+        pot = sigmaless(zz_gaussian([1.0]))
         spec = IntensitySpec("canonical")
         traj = simulate_zigzag(pot, spec, [0.0], [1.0], horizon=5000.0,
-                               rng=np.random.default_rng(7), force_thinning=True)
+                               rng=np.random.default_rng(7))
         m2 = zigzag.trajectory_integral(traj, lambda x, v: x[:, 0] ** 2,
                                         degree=2) / traj.horizon
         assert abs(m2 - 1.0) < 0.15
 
     def test_gamma_is_one_process_exact_and_thinned(self):
-        # canonical plus a constant gamma takes the exact path unless forced
-        # to thin; both must simulate the same rate (about 2.4 events per
-        # unit time here, where thinning once ignored gamma and gave 0.4)
+        # canonical plus a constant gamma takes the exact path on a marked
+        # Gaussian and thins without the mark; both must simulate the same
+        # rate (about 2.4 events per unit time here, where thinning once
+        # ignored gamma and gave 0.4)
         pot = zz_gaussian([1.0])
         spec = IntensitySpec("canonical", gamma=2.0)
-        rates = [simulate_zigzag(pot, spec, [0.0], [1.0], 3000.0,
-                                 np.random.default_rng(1),
-                                 force_thinning=thin).n_events / 3000.0
-                 for thin in (False, True)]
+        rates = [simulate_zigzag(target, spec, [0.0], [1.0], 3000.0,
+                                 np.random.default_rng(1)).n_events / 3000.0
+                 for target in (pot, sigmaless(pot))]
         assert rates[0] > 2.0
         assert rates[1] == pytest.approx(rates[0], rel=0.05)
 
@@ -221,35 +231,45 @@ class TestSimulation:
             simulate_zigzag(pot, IntensitySpec(), [0.0], [0.5], 1.0,
                             np.random.default_rng(0))
 
-    @pytest.mark.parametrize("force_thinning", [False, True])
-    def test_non_finite_start_rejected_before_any_draw(self, force_thinning):
+    @pytest.mark.parametrize("thin", [False, True])
+    def test_non_finite_start_rejected_before_any_draw(self, thin):
         pot = zz_gaussian([1.0, 1.0])
+        if thin:
+            pot = sigmaless(pot)
         for bad in (np.nan, np.inf):
             rng = np.random.default_rng(0)
             state = rng.bit_generator.state
             with pytest.raises(ValueError, match="x0 must be finite"):
                 simulate_zigzag(pot, IntensitySpec(), [0.0, bad], [1.0, -1.0],
-                                1.0, rng, force_thinning=force_thinning)
+                                1.0, rng)
             assert rng.bit_generator.state == state
 
 
-def reference_exact_loop(pot, spec, x0, v0, horizon, rng):
-    """The exact-inversion event loop in its numpy form: array state and
-    one scalar exponential() per clock, coordinates first, then refresh."""
+def exact_clock(pot, spec, i, x, v, rng, remaining):
+    inv2 = 1.0 / pot.gaussian_sigmas[i] ** 2
+    return zigzag._exact_flip_time(float(x[i] * v[i] * inv2), float(inv2),
+                                   float(spec.gamma), rng.exponential())
+
+
+def thinned_clock(pot, spec, i, x, v, rng, remaining):
+    return zigzag._thinned_flip_time(spec, pot, i, x, v, rng,
+                                     horizon=remaining + 1.0)
+
+
+def reference_loop(pot, spec, x0, v0, horizon, rng, clock):
+    """The event loop in its numpy form: array state, and per event one
+    clock(...) per coordinate in order, one scalar exponential() for the
+    refresh clock, then the refresh draw."""
     d = pot.d
     x = np.array(x0, dtype=float).reshape(d).copy()
     v = np.array(v0, dtype=float).reshape(d).copy()
-    inv2 = 1.0 / (pot.gaussian_sigmas ** 2)
-    gamma = float(spec.gamma)
     times, Xs, Vs, types = [0.0], [x.copy()], [v.copy()], []
     t = 0.0
     while True:
         remaining = horizon - t
         best_dt, best_ev = math.inf, None
         for i in range(d):
-            a = float(x[i] * v[i] * inv2[i])
-            dt_i = zigzag._exact_flip_time(a, float(inv2[i]), gamma,
-                                           rng.exponential())
+            dt_i = clock(pot, spec, i, x, v, rng, remaining)
             if dt_i < best_dt:
                 best_dt, best_ev = dt_i, ("flip", i)
         if spec.refresh_rate > 0:
@@ -279,21 +299,31 @@ def reference_exact_loop(pot, spec, x0, v0, horizon, rng):
 
 
 class TestExactLoopMatchesReference:
+    G1, G2 = zz_gaussian([1.0]), zz_gaussian([1.0, 1.0])
+    PARTIAL = IntensitySpec("canonical", refresh_rate=1.0, refresh_mode="partial")
+    FULL = IntensitySpec("canonical", refresh_rate=1.0, refresh_mode="full")
     CASES = {
-        "canonical-1d": ([1.0], IntensitySpec("canonical")),
-        "gamma-1d": ([1.0], IntensitySpec("canonical", gamma=0.5)),
-        "partial-2d": ([1.0, 1.0], IntensitySpec("canonical", refresh_rate=1.0,
-                                                  refresh_mode="partial")),
-        "full-2d": ([1.0, 1.0], IntensitySpec("canonical", refresh_rate=1.0,
-                                               refresh_mode="full")),
-        "canonical-3d": ([0.5, 1.0, 2.0], IntensitySpec("canonical")),
+        "canonical-1d": (G1, IntensitySpec("canonical"), exact_clock),
+        "gamma-1d": (G1, IntensitySpec("canonical", gamma=0.5), exact_clock),
+        "partial-2d": (G2, PARTIAL, exact_clock),
+        "full-2d": (G2, FULL, exact_clock),
+        "canonical-3d": (zz_gaussian([0.5, 1.0, 2.0]), IntensitySpec("canonical"),
+                         exact_clock),
+        "thinned-barker-1d": (G1, IntensitySpec("barker"), thinned_clock),
+        "thinned-penalty-1d": (G1, IntensitySpec("penalty", eps=0.5),
+                               thinned_clock),
+        "thinned-double-well": (zigzag.zz_double_well(),
+                                IntensitySpec("canonical"), thinned_clock),
+        "thinned-partial-2d": (sigmaless(G2), PARTIAL, thinned_clock),
+        "thinned-full-2d": (sigmaless(G2), FULL, thinned_clock),
+        "thinned-canonical-3d": (sigmaless(zz_gaussian([0.5, 1.0, 2.0])),
+                                 IntensitySpec("canonical"), thinned_clock),
     }
 
     @pytest.mark.parametrize("case", sorted(CASES))
     @pytest.mark.parametrize("stream", ["replicate", "default"])
     def test_bit_identical(self, case, stream):
-        sigmas, spec = self.CASES[case]
-        pot = zz_gaussian(sigmas)
+        pot, spec, clock = self.CASES[case]
         d = pot.d
         x0 = np.linspace(-0.8, 1.1, d)
         v0 = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
@@ -301,8 +331,8 @@ class TestExactLoopMatchesReference:
                 else (lambda: np.random.default_rng(31)))
         rng, rng_ref = make(), make()
         traj = simulate_zigzag(pot, spec, x0, v0, 300.0, rng)
-        times, X, V, types = reference_exact_loop(pot, spec, x0, v0, 300.0,
-                                                  rng_ref)
+        times, X, V, types = reference_loop(pot, spec, x0, v0, 300.0, rng_ref,
+                                            clock)
         assert traj.n_events > 50
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.X, X)
