@@ -7,46 +7,4 @@ estimators (:mod:`nonrev.samplers`), the Zig-Zag process
 (:mod:`nonrev.cli` / :mod:`nonrev.experiments`).
 """
 
-from .finite import (
-    DeterministicInvolution,
-    FiniteDistribution,
-    KernelMatrix,
-    Observable,
-    OrderingCertificate,
-    adjoint,
-    check_invariance,
-    check_isometric_involution,
-    check_muQ_reversible,
-    dirichlet_dominance_certificate,
-    dirichlet_form,
-    project_symmetric,
-    reversible_parts,
-    spectral_gap_reversible,
-    var_lambda,
-    var_lambda_cycle,
-    verify_ordering_theorem,
-    verify_quantitative_remark,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "DeterministicInvolution",
-    "FiniteDistribution",
-    "KernelMatrix",
-    "Observable",
-    "OrderingCertificate",
-    "adjoint",
-    "check_invariance",
-    "check_isometric_involution",
-    "check_muQ_reversible",
-    "dirichlet_dominance_certificate",
-    "dirichlet_form",
-    "project_symmetric",
-    "reversible_parts",
-    "spectral_gap_reversible",
-    "var_lambda",
-    "var_lambda_cycle",
-    "verify_ordering_theorem",
-    "verify_quantitative_remark",
-]

@@ -14,14 +14,12 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .experiments import CSV_HEADER, EXPERIMENTS
-
-CONTINUOUS_EXPERIMENTS = {"zigzag-1d-gamma", "zigzag-2d-refresh",
-                          "phi-eps-bounds"}
 
 
 class ConfigError(ValueError):
@@ -36,17 +34,13 @@ class ExperimentConfig:
     out_dir: Path
 
 
-def _validate_lambdas(name: str, params: dict) -> None:
+def _validate_lambdas(params: dict) -> None:
     for key in ("lambdas", "mc_lambdas"):
-        if key not in params:
-            continue
-        for lam in params[key]:
-            lam = float(lam)
-            if name in CONTINUOUS_EXPERIMENTS:
-                if lam < 0:
-                    raise ConfigError(f"{key} entries must be >= 0, got {lam}")
-            elif not 0.0 <= lam < 1.0:
-                raise ConfigError(f"{key} entries must lie in [0, 1), got {lam}")
+        for lam in params.get(key, ()):
+            if not (isinstance(lam, (int, float)) and not isinstance(lam, bool)
+                    and 0.0 <= lam < 1.0):
+                raise ConfigError(f"{key} entries must be numbers in [0, 1), "
+                                  f"got {lam!r}")
 
 
 def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig:
@@ -82,13 +76,13 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
                 isinstance(params[key], (list, tuple)) and len(params[key]) >= least):
             raise ConfigError(f"{key} must be a list of at least {least} "
                               f"entries, got {params[key]!r}")
-    _validate_lambdas(name, params)
+    _validate_lambdas(params)
     replicates = params.get("replicates", 2)  # a standard error needs 2
     if not (isinstance(replicates, (int, float)) and replicates >= 2):
         raise ConfigError(f"replicates must be a number >= 2, got {replicates!r}")
     horizon = params.get("horizon", 4)  # batch means need floor(sqrt(T)) >= 2
-    if not (isinstance(horizon, (int, float)) and horizon >= 4):
-        raise ConfigError(f"horizon must be a number >= 4, got {horizon!r}")
+    if not (isinstance(horizon, (int, float)) and 4 <= horizon < math.inf):
+        raise ConfigError(f"horizon must be a finite number >= 4, got {horizon!r}")
     return ExperimentConfig(name, seed, params, out_dir)
 
 

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import finite, samplers, zigzag, zoo
-from .finite import (DeterministicInvolution, FiniteDistribution, KernelMatrix,
-                     Observable)
+from .finite import FiniteDistribution, KernelMatrix, Observable
 
 
 @dataclass

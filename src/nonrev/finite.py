@@ -217,23 +217,6 @@ def project_symmetric(f: Observable, Q: DeterministicInvolution, sign: int) -> O
     return Observable((f.values + sign * qf) / 2.0)
 
 
-def dirichlet_form(f: Observable, P: KernelMatrix, mu: FiniteDistribution) -> float:
-    """<f, (Id - P) f>_mu."""
-    _check_dims(f.n, P.n, mu.n)
-    v = f.values
-    return inner(v, v - P.entries @ v, mu)
-
-
-def dirichlet_form_halfsum(f: Observable, P: KernelMatrix, mu: FiniteDistribution) -> float:
-    """Half-square-sum form (1/2) sum mu(z) P(z,z') [f(z') - f(z)]^2.
-
-    Agrees with dirichlet_form only when P is mu-reversible.
-    """
-    _check_dims(f.n, P.n, mu.n)
-    d = f.values[None, :] - f.values[:, None]
-    return float(0.5 * np.sum(mu.weights[:, None] * P.entries * d * d))
-
-
 def var_lambda(f: Observable, P: KernelMatrix, mu: FiniteDistribution,
                lam: float) -> float:
     """Discounted asymptotic variance 2<fbar, (Id - lam P)^{-1} fbar>_mu - |fbar|^2."""
@@ -285,43 +268,11 @@ def var_lambda_cycle(f: Observable, P1: KernelMatrix, P2: KernelMatrix,
     return inner(fbar, a, mu) + inner(fbar, b, mu) - inner(fbar, fbar, mu)
 
 
-def var_lambda_cycle_series(f: Observable, P1: KernelMatrix, P2: KernelMatrix,
-                            mu: FiniteDistribution, lam: float,
-                            truncation: int | None = None) -> float:
-    """Truncated-series oracle for var_lambda_cycle."""
-    fbar = centered(f, mu)
-    if lam == 0.0:
-        return inner(fbar, fbar, mu)
-    if truncation is None:
-        truncation = int(np.ceil(np.log(1e-14) / np.log(lam ** 2))) + 1
-    total = -inner(fbar, fbar, mu)
-    a = fbar.copy()  # (P1 P2)^k fbar
-    b = fbar.copy()  # (P2 P1)^k fbar
-    for k in range(truncation + 1):
-        w = lam ** (2 * k)
-        total += w * inner(fbar, a + lam * P1.entries @ a, mu)
-        total += w * inner(fbar, b + lam * P2.entries @ b, mu)
-        a = P1.entries @ (P2.entries @ a)
-        b = P2.entries @ (P1.entries @ b)
-    return total
-
-
 def _symmetrized(mat: np.ndarray, mu: FiniteDistribution) -> np.ndarray:
     """Similarity transform D^{1/2} M D^{-1/2}, then symmetric part."""
     s = np.sqrt(mu.weights)
     a = (s[:, None] * mat) / s[None, :]
     return (a + a.T) / 2.0
-
-
-def spectral_gap_reversible(P: KernelMatrix, mu: FiniteDistribution) -> float:
-    """1 minus the top eigenvalue of the symmetrized kernel off constants."""
-    _check_dims(P.n, mu.n)
-    if not check_mu_reversible(P, mu):
-        raise NotReversibleError("spectral_gap_reversible requires a mu-reversible kernel")
-    a = _symmetrized(P.entries, mu)
-    u = np.sqrt(mu.weights)
-    a0 = a - np.outer(u, u)  # deflate the constant direction (eigenvalue 1)
-    return 1.0 - float(np.max(np.linalg.eigvalsh(a0)))
 
 
 def dirichlet_dominance_certificate(P1: KernelMatrix, P2: KernelMatrix,
@@ -398,26 +349,3 @@ def verify_ordering_theorem(P1: KernelMatrix, P2: KernelMatrix,
             worst_minus = max(worst_minus, v2m - v1m)
     return OrderingReport(worst_plus, worst_minus, trials, lambdas)
 
-
-def verify_quantitative_remark(P1: KernelMatrix, P2: KernelMatrix,
-                               mu: FiniteDistribution, Q: DeterministicInvolution,
-                               alpha: float, f: Observable, lam: float) -> bool:
-    """Quantitative ordering var(P1) <= (1-alpha)|fbar|^2 + alpha var(P2).
-
-    Hypothesis <g,(Id-QP1)g>_mu >= alpha^{-1} <g,(Id-QP2)g>_mu is certified
-    by a PSD check before the conclusion is evaluated; requires Qf = f.
-    """
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError("alpha must lie in (0, 1]")
-    _check_dims(P1.n, P2.n, mu.n, Q.n, f.n)
-    if np.max(np.abs(f.values[Q.perm] - f.values)) > STRUCT_TOL:
-        raise ValueError("requires Qf = f")
-    qm = Q.matrix
-    n = P1.n
-    h = (np.eye(n) - qm @ P1.entries) - (np.eye(n) - qm @ P2.entries) / alpha
-    if float(np.min(np.linalg.eigvalsh(_symmetrized(h, mu)))) < -PSD_TOL:
-        raise HypothesisNotCertified("quantitative Dirichlet hypothesis not PSD-certified")
-    fbar_sq = inner(centered(f, mu), centered(f, mu), mu)
-    lhs = var_lambda(f, P1, mu, lam)
-    rhs = (1.0 - alpha) * fbar_sq + alpha * var_lambda(f, P2, mu, lam)
-    return lhs <= rhs + 1e-9

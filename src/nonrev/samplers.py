@@ -1,9 +1,8 @@
 """Continuous-state samplers and empirical discounted-variance estimation.
 
-Implements the guided walk on the line, GHMC with leapfrog integration and
-partial momentum refreshment, the extra-chance multi-proposal step, and the
-plug-in estimator for the discounted sum of autocovariances with replicate
-standard errors.
+Implements GHMC with leapfrog integration and partial momentum refreshment,
+and the plug-in estimator for the discounted sum of autocovariances with
+replicate standard errors.
 
 Reproducibility contract: every replicate r of a run seeded with s owns the
 counter-based Philox stream keyed by s * 2**64 + r, so runs are
@@ -28,22 +27,6 @@ from .zoo import AcceptanceRule
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + replicate))
-
-
-@dataclass(frozen=True)
-class PhaseState:
-    x: np.ndarray
-    v: np.ndarray
-
-    def __post_init__(self):
-        x = np.atleast_1d(np.asarray(self.x, dtype=float))
-        v = np.atleast_1d(np.asarray(self.v, dtype=float))
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "v", v)
-        if x.shape != v.shape:
-            raise ValueError("x and v must have the same shape")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(v))):
-            raise ValueError("state must be finite")
 
 
 @dataclass(frozen=True)
@@ -100,10 +83,6 @@ def leapfrog(H: Potential, x: np.ndarray, v: np.ndarray,
     return x, v
 
 
-def _refresh(v, noise, omega):
-    return v * math.cos(omega) + noise * math.sin(omega)
-
-
 def _ghmc_update(H, x, Ux, v, u, step, nleap, rules, diagnostics=None):
     """Leapfrog proposal and accept stage of one GHMC transition on k * R rows,
     block i of R rows under rules[i]; v is the refreshed momentum, Ux = U(x).
@@ -120,62 +99,6 @@ def _ghmc_update(H, x, Ux, v, u, step, nleap, rules, diagnostics=None):
         diagnostics["overflow"] = diagnostics.get("overflow", 0) + int((~ok).sum())
     acc = ((u < a) & ok)[:, None]
     return np.where(acc, xn, x), np.where(acc[:, 0], Un, Ux), np.where(acc, vn, -v)
-
-
-def ghmc_step(state: PhaseState, H: Potential, step: float,
-              nleap: int, omega: float, phi: AcceptanceRule,
-              rng: np.random.Generator, diagnostics: dict | None = None) -> PhaseState:
-    """Partial momentum refresh (angle omega), leapfrog proposal, accept with
-    phi(exp(-energy error)), momentum flip on rejection.
-
-    Draw order: refresh normals first, then the accept uniform.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    if not 0 < omega <= math.pi / 2:
-        raise ValueError("omega must lie in (0, pi/2]")
-    noise = rng.standard_normal(state.x.size)
-    u = rng.random()
-    x = state.x[None, :]
-    v = _refresh(state.v, noise, omega)[None, :]
-    with np.errstate(over="ignore", invalid="ignore"):
-        x, _, v = _ghmc_update(H, x, np.asarray(H.U(x)), v, np.array([u]),
-                               step, nleap, [phi], diagnostics)
-    return PhaseState(x[0], v[0])
-
-
-def extra_chance_step(state: PhaseState, H: Potential, step: float,
-                      nleap: int, K: int, rng: np.random.Generator) -> PhaseState:
-    """Accept stage with K chained proposals psi^k and the monotone ladder
-    alpha_k = max{alpha_{k-1}, min{1, r_k}}; no momentum refresh inside."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    u = rng.random()
-    e0 = float(_energy(H.U(state.x), state.v))
-    alpha = 0.0
-    x, v = state.x, state.v
-    for _k in range(K):
-        x, v = leapfrog(H, x, v, step, nleap)
-        with np.errstate(over="ignore", invalid="ignore"):
-            de = e0 - float(_energy(H.U(x), v))
-        r = math.exp(min(de, 700.0)) if np.isfinite(de) else 0.0
-        alpha = max(alpha, min(1.0, r))
-        if u < alpha:
-            return PhaseState(x, v)
-    return PhaseState(state.x, -state.v)
-
-
-def guided_walk_step(x: float, v: int, logdensity: Callable[[float], float],
-                     step_draw: Callable[[np.random.Generator], float],
-                     rng: np.random.Generator):
-    """Propose x + |z| v with z from the symmetric step law; MH-accept against
-    the target, flip the direction on rejection."""
-    z = abs(step_draw(rng))
-    y = x + z * v
-    logr = logdensity(y) - logdensity(x)
-    if math.log(max(rng.random(), 1e-300)) < logr:
-        return y, v
-    return x, -v
 
 
 @dataclass
@@ -349,14 +272,3 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
         violations.append(ordered_within_se(a.estimate, a.se, b.estimate, b.se))
     return RuleComparisonReport(rows, float(np.max(violations)))
 
-
-def refresh_comparison_witness(omega: float):
-    """Closed-form values of <g, Q(R_{pi/2} - R_omega) g>_mu for g1(v) = v and
-    g2(v) = v^2 under the unit-variance momentum refreshment of GHMC.
-
-    The two signs differ for omega in (0, pi/2), demonstrating that full and
-    partial refreshment are not Dirichlet-comparable.  Asserts nothing.
-    """
-    g1 = math.cos(omega)
-    g2 = -2.0 * math.cos(omega) ** 2
-    return g1, g2

@@ -18,12 +18,11 @@ affine-along-the-ray envelope otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy.special import log_ndtr
-from scipy.interpolate import CubicSpline
 
 from . import samplers
 from .samplers import Potential
@@ -59,22 +58,6 @@ def zz_double_well(a: float = 1.0, b: float = 1.0) -> Potential:
     )
 
 
-def zz_tabulated(xs, us) -> Potential:
-    """1-D potential interpolated with a cubic spline through (xs, us)."""
-    spline = CubicSpline(np.asarray(xs, dtype=float), np.asarray(us, dtype=float))
-    dspline = spline.derivative()
-    d2 = spline.derivative(2)
-    grid = np.linspace(xs[0], xs[-1], 2049)
-    bmax = float(np.max(np.abs(d2(grid)))) * 1.05 + 1e-9
-
-    return Potential(
-        U=lambda x: spline(x[..., 0]),
-        grad=lambda x: dspline(x),
-        d=1,
-        hessian_bound=lambda x, v, tau: bmax,
-    )
-
-
 def _log_phi_eps_exp(eps: float, s):
     """log phi_eps(e^s), numerically stable for large |s|."""
     s = np.asarray(s, dtype=float)
@@ -84,15 +67,6 @@ def _log_phi_eps_exp(eps: float, s):
     a = s + log_ndtr(-(se / 2 + s / se))
     b = log_ndtr(-(se / 2 - s / se))
     return np.logaddexp(a, b)
-
-
-def penalty_sup_bound(eps: float) -> float:
-    """Uniform bound sup_s |lambda^eps - lambda^0| = -log(1 - sqrt(e^eps - 1)),
-    defined for eps < log 2."""
-    q = math.sqrt(math.expm1(eps))
-    if q >= 1.0:
-        raise ValueError("bound undefined: need e^eps - 1 < 1")
-    return -math.log1p(-q)
 
 
 _KINDS = ("canonical", "penalty", "barker")
@@ -185,25 +159,6 @@ class ZigZagTrajectory:
         k = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, None)
         x = self.X[k] + (t - self.times[k])[:, None] * self.V[k]
         return x, self.V[k]
-
-    def reconstruction_error(self) -> float:
-        dt = np.diff(self.times)
-        pred = self.X[:-1] + dt[:, None] * self.V[:-1]
-        return float(np.max(np.abs(pred - self.X[1:]))) if dt.size else 0.0
-
-    def to_csv(self, path) -> None:
-        d = self.X.shape[1]
-        head = ("t," + ",".join(f"x_{i+1}" for i in range(d)) + ","
-                + ",".join(f"v_{i+1}" for i in range(d)) + ",event_type")
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(head + "\n")
-            labels = ["start"] + list(self.types)
-            for k in range(self.times.size):
-                row = [repr(float(self.times[k]))]
-                row += [repr(float(val)) for val in self.X[k]]
-                row += [repr(float(val)) for val in self.V[k]]
-                row.append(labels[k])
-                fh.write(",".join(row) + "\n")
 
 
 class EnvelopeViolation(RuntimeError):

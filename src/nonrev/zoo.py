@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -24,11 +24,7 @@ from .finite import (
     KernelMatrix,
     Observable,
     STRUCT_TOL,
-    dirichlet_dominance_certificate,
-    HypothesisNotCertified,
     check_mu_reversible,
-    var_lambda,
-    var_lambda_cycle,
 )
 
 
@@ -310,34 +306,6 @@ def lift_observable(f: Observable, n: int) -> Observable:
     return Observable(np.repeat(f.values, 2))
 
 
-def symmetrized_lift_identity_residual(pair: SubKernelPair, rho: SwitchingRate,
-                                       kmax: int = 30) -> float:
-    """Max residual of S(P^lifted)^k f-lift = lift of P^k f over k <= kmax.
-
-    S denotes the mu-symmetrization (P + P*)/2; the identity underlies the
-    lifted-vs-collapsed variance bound.
-    """
-    lifted, mu, _ = lifted_kernel(pair, rho)
-    coll = collapsed_kernel(pair)
-    # mu-adjoint of the lifted kernel
-    w = mu.weights
-    adj = (w[None, :] * lifted.entries.T) / w[:, None]
-    S = (lifted.entries + adj) / 2.0
-    n = pair.pi.n
-    rng = np.random.default_rng(7)
-    worst = 0.0
-    for _ in range(5):
-        f = rng.standard_normal(n)
-        fl = np.repeat(f, 2)
-        pf = f.copy()
-        sf = fl.copy()
-        for _k in range(kmax):
-            pf = coll.entries @ pf
-            sf = S @ sf
-            worst = max(worst, float(np.max(np.abs(sf - np.repeat(pf, 2)))))
-    return worst
-
-
 def guided_walk_ring(target: RingTarget, step_dist: np.ndarray) -> SubKernelPair:
     """Guided-walk sub-kernels: jump x -> x + k*v with weight q(k), MH-accepted.
 
@@ -459,54 +427,3 @@ def extra_chance_finite(mu: FiniteDistribution, psi: FlowMap,
         P[z, xi[z]] += 1.0 - alpha_prev
     return KernelMatrix(P)
 
-
-@dataclass
-class TwoCycleReport:
-    max_violation: float
-    max_composition_violation: float | None
-    lambdas: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        worst = self.max_violation
-        if self.max_composition_violation is not None:
-            worst = max(worst, self.max_composition_violation)
-        return worst <= 1e-9
-
-
-def two_cycle_variance_experiment(P11: KernelMatrix, P12: KernelMatrix,
-                                  P21: KernelMatrix, P22: KernelMatrix,
-                                  mu: FiniteDistribution,
-                                  Q: DeterministicInvolution,
-                                  f: Observable, lambdas) -> TwoCycleReport:
-    """Alternating-kernel comparison under slotwise Dirichlet dominance.
-
-    Certifies E(g, QP_{1,j}) >= E(g, QP_{2,j}) for j = 1, 2, then checks
-    var(f, {P11, P12}) <= var(f, {P21, P22}) for Qf = f over the lambda grid.
-    When both P_{i,1} fix f, additionally checks the composed-kernel ordering
-    var_{lam}(f, P11 P12) <= var_{lam}(f, P21 P22).
-    """
-    if np.max(np.abs(f.values[Q.perm] - f.values)) > STRUCT_TOL:
-        raise ValueError("requires Qf = f")
-    for a, b in ((P11, P21), (P12, P22)):
-        cert = dirichlet_dominance_certificate(a, b, mu, Q, side="left")
-        if not cert.holds:
-            raise HypothesisNotCertified(
-                f"slot dominance fails (min eig {cert.dominance_matrix_min_eig:.3e})")
-    lambdas = list(lambdas)
-    worst = 0.0
-    for lam in lambdas:
-        v1 = var_lambda_cycle(f, P11, P12, mu, lam)
-        v2 = var_lambda_cycle(f, P21, P22, mu, lam)
-        worst = max(worst, v1 - v2)
-    comp_worst = None
-    fixes = all(np.max(np.abs(P.entries @ f.values - f.values)) <= STRUCT_TOL
-                for P in (P11, P21))
-    if fixes:
-        c1 = KernelMatrix(P11.entries @ P12.entries)
-        c2 = KernelMatrix(P21.entries @ P22.entries)
-        comp_worst = 0.0
-        for lam in lambdas:
-            comp_worst = max(comp_worst,
-                             var_lambda(f, c1, mu, lam) - var_lambda(f, c2, mu, lam))
-    return TwoCycleReport(worst, comp_worst, lambdas)

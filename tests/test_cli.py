@@ -1,5 +1,5 @@
 import json
-import os
+import math
 
 import pytest
 
@@ -49,22 +49,31 @@ class TestConfigValidation:
         assert cli.main(["run", path]) == 2
 
     def test_unknown_key(self, tmp_path):
-        path = write_config(tmp_path, {"experiment": "gustafson-ring",
-                                       "seed": 1, "extra_knob": 3})
-        assert cli.main(["run", path]) == 2
+        # phi-eps-bounds has no lambda grid, so lambdas is unknown there too
+        for name, key, value in (("gustafson-ring", "extra_knob", 3),
+                                 ("phi-eps-bounds", "lambdas", [0.5])):
+            path = write_config(tmp_path, {"experiment": name, "seed": 1,
+                                           key: value,
+                                           "out": str(tmp_path / "x")})
+            assert cli.main(["run", path]) == 2
 
     def test_lambda_outside_unit_interval(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "gustafson-ring",
                                        "seed": 1, "lambdas": [0.5, 1.0]})
         assert cli.main(["run", path]) == 2
 
-    def test_continuous_experiment_allows_lambda_above_one(self, tmp_path):
-        cfg = cli.load_config(write_config(
-            tmp_path, {"experiment": "phi-eps-bounds", "seed": 1}))
-        assert cfg.experiment == "phi-eps-bounds"
+    @pytest.mark.parametrize("name, key", [("gustafson-ring", "lambdas"),
+                                           ("ghmc-phi-compare", "mc_lambdas")])
+    @pytest.mark.parametrize("lam", ["a", None, True, False, [0.5], math.nan],
+                             ids=["string", "null", "true", "false", "list", "nan"])
+    def test_lambda_not_a_number_in_unit_interval(self, tmp_path, name, key, lam):
+        path = write_config(tmp_path, {"experiment": name, "seed": 1,
+                                       key: [0.5, lam],
+                                       "out": str(tmp_path / "x")})
+        assert cli.main(["run", path]) == 2
 
     @pytest.mark.parametrize("name", ["zigzag-1d-gamma", "zigzag-2d-refresh"])
-    @pytest.mark.parametrize("horizon", [3.9, 0, -1, "long"])
+    @pytest.mark.parametrize("horizon", [3.9, 0, -1, "long", math.inf])
     def test_horizon_too_short_for_batch_means(self, tmp_path, name, horizon):
         path = write_config(tmp_path, {"experiment": name, "seed": 1,
                                        "horizon": horizon,
@@ -96,10 +105,12 @@ class TestConfigValidation:
         assert cli.main(["run", path]) == 2
 
     def test_seed_range_ends_accepted(self, tmp_path):
-        for seed in (0, 2 ** 64 - 1):
-            path = write_config(tmp_path, {"experiment": "gustafson-ring",
-                                           "seed": seed})
-            assert cli.load_config(path).seed == seed
+        # every entry, continuous ones included, loads at its defaults
+        for name in CATALOG:
+            for seed in (0, 2 ** 64 - 1):
+                path = write_config(tmp_path, {"experiment": name, "seed": seed})
+                cfg = cli.load_config(path)
+                assert (cfg.experiment, cfg.seed) == (name, seed)
 
     @pytest.mark.parametrize("name", REPLICATED)
     @pytest.mark.parametrize("replicates", [1, 0, 1.5, "many"])

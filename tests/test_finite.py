@@ -5,6 +5,7 @@ from nonrev import finite
 from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            HypothesisNotCertified, KernelMatrix,
                            NotReversibleError, Observable)
+from oracles import dirichlet_form, dirichlet_form_halfsum, var_lambda_cycle_series
 
 
 def two_state_flip(p):
@@ -152,15 +153,15 @@ class TestProjectors:
 class TestDirichletForm:
     def test_constant_and_identity(self):
         f = Observable(np.ones(2))
-        assert finite.dirichlet_form(f, two_state_flip(0.3), UNIF2) == pytest.approx(0.0)
+        assert dirichlet_form(f, two_state_flip(0.3), UNIF2) == pytest.approx(0.0)
         g = Observable(np.array([2.0, -1.0]))
-        assert finite.dirichlet_form(g, KernelMatrix(np.eye(2)), UNIF2) == pytest.approx(0.0)
+        assert dirichlet_form(g, KernelMatrix(np.eye(2)), UNIF2) == pytest.approx(0.0)
 
     def test_two_state_hand_value(self):
         # <f,(Id-P)f> = 2p for f = (1,-1) on the flip-p chain
         for p in (0.1, 0.5, 0.9):
             f = Observable(np.array([1.0, -1.0]))
-            assert finite.dirichlet_form(f, two_state_flip(p), UNIF2) == pytest.approx(2 * p)
+            assert dirichlet_form(f, two_state_flip(p), UNIF2) == pytest.approx(2 * p)
 
     def test_halfsum_agrees_under_reversibility(self):
         rng = np.random.default_rng(2)
@@ -173,8 +174,8 @@ class TestDirichletForm:
         P = KernelMatrix(M)
         assert finite.check_mu_reversible(P, mu)
         f = Observable(rng.standard_normal(5))
-        a = finite.dirichlet_form(f, P, mu)
-        b = finite.dirichlet_form_halfsum(f, P, mu)
+        a = dirichlet_form(f, P, mu)
+        b = dirichlet_form_halfsum(f, P, mu)
         assert abs(a - b) <= 1e-10
 
 
@@ -230,29 +231,9 @@ class TestVarLambdaCycle:
         P2 = KernelMatrix(M)
         f = Observable(rng.standard_normal(4))
         a = finite.var_lambda_cycle(f, P1, P2, mu, 0.7)
-        b = finite.var_lambda_cycle_series(f, P1, P2, mu, 0.7)
+        b = var_lambda_cycle_series(f, P1, P2, mu, 0.7)
         assert abs(a - b) <= 1e-9
         assert finite.var_lambda_cycle(f, P2, P1, mu, 0.7) == pytest.approx(a, abs=1e-12)
-
-
-class TestSpectralGap:
-    def test_identity_gap_zero(self):
-        assert finite.spectral_gap_reversible(KernelMatrix(np.eye(2)), UNIF2) == pytest.approx(0.0)
-
-    def test_two_state_gap(self):
-        for p in (0.1, 0.4):
-            assert finite.spectral_gap_reversible(two_state_flip(p), UNIF2) == pytest.approx(2 * p)
-
-    def test_rank_one_projector_gap_one(self):
-        mu = FiniteDistribution(np.array([0.2, 0.3, 0.5]))
-        P = KernelMatrix(np.tile(mu.weights, (3, 1)))
-        assert finite.spectral_gap_reversible(P, mu) == pytest.approx(1.0)
-
-    def test_nonreversible_raises(self):
-        P = KernelMatrix(np.roll(np.eye(3), 1, axis=1))
-        mu = FiniteDistribution(np.full(3, 1 / 3))
-        with pytest.raises(NotReversibleError):
-            finite.spectral_gap_reversible(P, mu)
 
 
 class TestDominanceCertificate:
@@ -274,8 +255,8 @@ class TestDominanceCertificate:
         assert swapped.witness is not None
         # the witness really violates the Dirichlet dominance
         g = swapped.witness
-        d1 = finite.dirichlet_form(g, two_state_flip(0.2), UNIF2)
-        d2 = finite.dirichlet_form(g, two_state_flip(0.4), UNIF2)
+        d1 = dirichlet_form(g, two_state_flip(0.2), UNIF2)
+        d2 = dirichlet_form(g, two_state_flip(0.4), UNIF2)
         assert d1 < d2
 
 
@@ -305,50 +286,3 @@ class TestOrderingTheorem:
             finite.verify_ordering_theorem(two_state_flip(0.2),
                                            two_state_flip(0.4), UNIF2, Q, [0.5])
 
-
-class TestQuantitativeRemark:
-    def test_alpha_one_reduces_to_plain_ordering(self):
-        Q = DeterministicInvolution.identity(2)
-        f = Observable(np.array([1.0, -1.0]))
-        assert finite.verify_quantitative_remark(
-            two_state_flip(0.4), two_state_flip(0.2), UNIF2, Q, 1.0, f, 0.5)
-
-    def test_convex_mixture_bound_tight_only_in_the_limit(self):
-        # P2 = (1-alpha) Id + alpha P1 meets the hypothesis with equality;
-        # the bound holds strictly at lambda < 1 and the two sides close up
-        # as lambda -> 1 (the underlying resolvent identity is a limit
-        # statement, not an identity at fixed lambda)
-        Q = DeterministicInvolution.identity(2)
-        P1 = two_state_flip(0.4)
-        alpha = 0.5
-        P2 = KernelMatrix((1 - alpha) * np.eye(2) + alpha * P1.entries)
-        f = Observable(np.array([1.0, -1.0]))
-        assert finite.verify_quantitative_remark(P1, P2, UNIF2, Q, alpha, f, 0.7)
-        fbar = f.values
-        norm2 = float(UNIF2.weights @ (fbar * fbar))
-
-        def resolvent(P, lam):
-            sol = np.linalg.solve(np.eye(2) - lam * P.entries, fbar)
-            return float(UNIF2.weights @ (fbar * sol))
-
-        def gap(lam):
-            lhs = finite.var_lambda(f, P1, UNIF2, lam)
-            rhs = ((1 - alpha) * norm2
-                   + alpha * finite.var_lambda(f, P2, UNIF2, lam))
-            return rhs - lhs
-
-        # the resolvent terms equalize only in the lambda -> 1 limit:
-        # alpha <fbar, [Id - lam P2]^-1 fbar> -> <fbar, [Id - lam P1]^-1 fbar>
-        for lam, tol in ((0.7, 0.5), (0.99, 0.03), (0.9999, 3e-4)):
-            ratio = alpha * resolvent(P2, lam) / resolvent(P1, lam)
-            assert abs(ratio - 1.0) < tol
-        # so the bound always keeps slack 2(1-alpha)||fbar||^2 at lambda = 1
-        assert gap(0.7) > 0
-        assert gap(0.9999) == pytest.approx(2 * (1 - alpha) * norm2, abs=1e-3)
-
-    def test_uncertified_raises(self):
-        Q = DeterministicInvolution.identity(2)
-        f = Observable(np.array([1.0, -1.0]))
-        with pytest.raises(HypothesisNotCertified):
-            finite.verify_quantitative_remark(
-                two_state_flip(0.2), two_state_flip(0.4), UNIF2, Q, 0.5, f, 0.5)

@@ -5,30 +5,15 @@ import pytest
 
 from nonrev import finite, samplers
 from nonrev.finite import FiniteDistribution, KernelMatrix, Observable
-from nonrev.samplers import (PhaseState, Potential, estimate_var_lambda,
-                             leapfrog, replicate_rng)
-from nonrev.zigzag import zz_double_well, zz_gaussian, zz_tabulated
+from nonrev.samplers import (Potential, estimate_var_lambda, leapfrog,
+                             replicate_rng)
+from nonrev.zigzag import zz_double_well, zz_gaussian
 from nonrev.zoo import AcceptanceRule
+from oracles import zz_tabulated
 
 
 def energy(H, x, v):
     return samplers._energy(H.U(x), v)
-
-
-class ScriptedRng:
-    """Replays pre-recorded standard_normal / random draws."""
-
-    def __init__(self, normals, uniforms):
-        self.normals = list(normals)
-        self.uniforms = list(uniforms)
-
-    def standard_normal(self, size=None):
-        out = self.normals.pop(0)
-        return np.asarray(out) if size is not None else float(out)
-
-    def random(self, size=None):
-        out = self.uniforms.pop(0)
-        return np.asarray(out) if size is not None else float(out)
 
 
 class TestHamiltonian:
@@ -86,52 +71,33 @@ class TestLeapfrog:
 
 
 class TestGhmcStep:
+    """The accept stage of one GHMC transition, samplers._ghmc_update, on a
+    single row; the momentum passed in is the refreshed one."""
+
     H = zz_gaussian([1.0])
 
-    def test_parameter_validation(self):
-        state = PhaseState(np.zeros(1), np.zeros(1))
-        rng = np.random.default_rng(0)
-        with pytest.raises(ValueError):
-            samplers.ghmc_step(state, self.H, -0.1, 1, 1.0, AcceptanceRule.metropolis(), rng)
-        with pytest.raises(ValueError):
-            samplers.ghmc_step(state, self.H, 0.1, 1, 2.0, AcceptanceRule.metropolis(), rng)
-
-    def test_scalar_matches_batched_update(self):
-        noise = np.array([0.7])
-        u = 0.3
-        state = PhaseState(np.array([0.4]), np.array([-1.1]))
-        out = samplers.ghmc_step(state, self.H, 0.9, 2, math.pi / 4,
-                                 AcceptanceRule.metropolis(),
-                                 ScriptedRng([noise], [u]))
-        x = state.x[None, :]
-        refreshed = samplers._refresh(state.v, noise, math.pi / 4)
-        x, Ux, v = samplers._ghmc_update(self.H, x, self.H.U(x), refreshed[None, :],
-                                         np.array([u]), 0.9, 2,
-                                         [AcceptanceRule.metropolis()])
-        assert np.array_equal(out.x, x[0]) and np.array_equal(out.v, v[0])
-        assert np.array_equal(Ux, self.H.U(x))
+    @staticmethod
+    def update(H, x, v, u, step, nleap, rule, diagnostics=None):
+        x, v = np.array([[x]]), np.array([[v]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            xn, Un, vn = samplers._ghmc_update(H, x, np.asarray(H.U(x)), v,
+                                               np.array([u]), step, nleap,
+                                               [rule], diagnostics)
+        return xn[0, 0], Un[0], vn[0, 0]
 
     def test_rejection_flips_refreshed_momentum(self):
         # force rejection with u = 1 (accept requires u < a <= 1)
-        noise = np.array([0.2])
-        state = PhaseState(np.array([2.0]), np.array([1.0]))
-        out = samplers.ghmc_step(state, self.H, 0.5, 3, math.pi / 3,
-                                 AcceptanceRule.metropolis(),
-                                 ScriptedRng([noise], [1.0]))
-        refreshed = samplers._refresh(state.v, noise, math.pi / 3)
-        assert np.allclose(out.x, state.x)
-        assert np.allclose(out.v, -refreshed)
+        x, U, v = self.update(self.H, 2.0, 0.6, 1.0, 0.5, 3,
+                              AcceptanceRule.metropolis())
+        assert (x, U, v) == (2.0, float(self.H.U(np.array([2.0]))), -0.6)
 
     def test_nonfinite_energy_rejects(self):
         diag = {}
-        noise = np.array([5.0])
-        state = PhaseState(np.array([1.0]), np.array([30.0]))
         # huge step on a steep potential overflows the proposal energy
         H = zz_double_well(a=10.0, b=2.0)
-        out = samplers.ghmc_step(state, H, 50.0, 5, math.pi / 2,
-                                 AcceptanceRule.metropolis(),
-                                 ScriptedRng([noise], [0.0]), diagnostics=diag)
-        assert np.allclose(out.x, state.x)
+        x, _, v = self.update(H, 1.0, 5.0, 0.0, 50.0, 5,
+                              AcceptanceRule.metropolis(), diag)
+        assert (x, v) == (1.0, -5.0)
         assert diag.get("overflow", 0) == 1
 
     @pytest.mark.parametrize("rule", [AcceptanceRule.metropolis(),
@@ -139,82 +105,16 @@ class TestGhmcStep:
                              ids=["metropolis", "barker"])
     def test_overflowing_ratio_accepts(self, rule):
         # a finite energy drop of about 1.28e4 makes exp(de) overflow to inf;
-        # phi(inf) = 1, so the move must be accepted, as extra_chance_step does
+        # phi(inf) = 1, so the move must be accepted
         diag = {}
         H = zz_double_well(a=10.0, b=2.0)
-        state = PhaseState(np.array([10.0]), np.array([0.0]))
-        xn, vn = leapfrog(H, state.x, state.v, 0.01, 1)
-        de = float(energy(H, state.x, state.v) - energy(H, xn, vn))
+        x0, v0 = np.array([10.0]), np.array([0.0])
+        xn, vn = leapfrog(H, x0, v0, 0.01, 1)
+        de = float(energy(H, x0, v0) - energy(H, xn, vn))
         assert 709.8 < de < math.inf
-        out = samplers.ghmc_step(state, H, 0.01, 1, math.pi / 2, rule,
-                                 ScriptedRng([np.zeros(1)], [0.999]),
-                                 diagnostics=diag)
-        ref = samplers.extra_chance_step(state, H, 0.01, 1, 1,
-                                         ScriptedRng([], [0.999]))
-        assert np.array_equal(out.x, xn) and np.array_equal(ref.x, xn)
+        x, _, v = self.update(H, 10.0, 0.0, 0.999, 0.01, 1, rule, diag)
+        assert (x, v) == (xn[0], vn[0])
         assert "overflow" not in diag
-
-
-class TestExtraChance:
-    H = zz_gaussian([1.0])
-
-    def test_k_validation(self):
-        state = PhaseState(np.zeros(1), np.ones(1))
-        with pytest.raises(ValueError):
-            samplers.extra_chance_step(state, self.H, 0.1, 1, 0, np.random.default_rng(0))
-
-    def test_k1_matches_metropolis_accept_stage(self):
-        state = PhaseState(np.array([0.3]), np.array([0.8]))
-        for u in (0.05, 0.95):
-            out = samplers.extra_chance_step(state, self.H, 0.9, 2, 1,
-                                             ScriptedRng([], [u]))
-            xn, vn = leapfrog(self.H, state.x, state.v, 0.9, 2)
-            de = float(energy(self.H, state.x, state.v) - energy(self.H, xn, vn))
-            if u < min(1.0, math.exp(de)):
-                assert np.allclose(out.x, xn) and np.allclose(out.v, vn)
-            else:
-                assert np.allclose(out.x, state.x) and np.allclose(out.v, -state.v)
-
-    def test_ladder_uses_later_stage(self):
-        # pick u between alpha_1 and alpha_2 so only the second proposal lands
-        state = PhaseState(np.array([0.5]), np.array([1.2]))
-        H = self.H
-        x1, v1 = leapfrog(H, state.x, state.v, 1.5, 1)
-        x2, v2 = leapfrog(H, x1, v1, 1.5, 1)
-        e0 = float(energy(H, state.x, state.v))
-        a1 = min(1.0, math.exp(e0 - float(energy(H, x1, v1))))
-        a2 = max(a1, min(1.0, math.exp(e0 - float(energy(H, x2, v2)))))
-        assert a2 > a1  # construction sanity
-        u = 0.5 * (a1 + a2)
-        out = samplers.extra_chance_step(state, H, 1.5, 1, 2, ScriptedRng([], [u]))
-        assert np.allclose(out.x, x2) and np.allclose(out.v, v2)
-
-
-class TestGuidedWalk:
-    def test_wall_flip_on_bounded_support(self):
-        logdensity = lambda x: 0.0 if 0.0 <= x <= 1.0 else -math.inf
-        step_draw = lambda rng: 0.4
-        x, v = samplers.guided_walk_step(0.9, 1, logdensity, step_draw,
-                                         np.random.default_rng(0))
-        assert (x, v) == (0.9, -1)
-
-    def test_uniform_interior_move_always_accepts(self):
-        logdensity = lambda x: 0.0 if 0.0 <= x <= 1.0 else -math.inf
-        x, v = samplers.guided_walk_step(0.2, 1, logdensity, lambda rng: 0.3,
-                                         np.random.default_rng(0))
-        assert (x, v) == (pytest.approx(0.5), 1)
-
-    def test_gaussian_moments(self):
-        rng = replicate_rng(5, 0)
-        logdensity = lambda x: -0.5 * x * x
-        x, v = 0.0, 1
-        xs = np.empty(20000)
-        for i in range(xs.size):
-            x, v = samplers.guided_walk_step(
-                x, v, logdensity, lambda r: r.standard_normal(), rng)
-            xs[i] = x
-        assert abs(xs.mean()) < 0.1
-        assert abs(xs.var() - 1.0) < 0.1
 
 
 class TestEstimator:
@@ -374,12 +274,6 @@ class TestGhmcDriver:
 
 
 class TestMisc:
-    def test_phase_state_validation(self):
-        with pytest.raises(ValueError):
-            PhaseState(np.zeros(2), np.zeros(3))
-        with pytest.raises(ValueError):
-            PhaseState(np.array([np.nan]), np.array([0.0]))
-
     def test_replicate_streams_are_distinct(self):
         a = replicate_rng(7, 0).standard_normal(5)
         b = replicate_rng(7, 1).standard_normal(5)
@@ -393,11 +287,3 @@ class TestMisc:
         assert samplers.ordered_within_se(2.0, 0.3, 0.0, 0.4) == pytest.approx(1.0)
         assert not samplers.ordered_within_se(np.nan, 0.3, 0.0, 0.4) <= 0.0
         assert not samplers.ordered_within_se(1.0, np.nan, 0.0, 0.4) <= 0.0
-
-    def test_refresh_witness_signs_differ(self):
-        for omega in (0.3, math.pi / 4, 1.2):
-            g1, g2 = samplers.refresh_comparison_witness(omega)
-            assert g1 > 0 > g2
-        g1, g2 = samplers.refresh_comparison_witness(math.pi / 2)
-        assert g1 == pytest.approx(0.0, abs=1e-15)
-        assert g2 == pytest.approx(0.0, abs=1e-15)

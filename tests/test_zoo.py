@@ -7,6 +7,7 @@ from scipy.stats import norm
 from nonrev import finite, zoo
 from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            KernelMatrix, Observable)
+from oracles import dirichlet_form_halfsum, symmetrized_lift_identity_residual
 
 RING5 = zoo.RingTarget(np.array([1.0, 2.0, 3.0, 2.0, 1.0]))
 RING4 = zoo.RingTarget(np.array([1.0, 0.5, 2.0, 1.5]))
@@ -173,7 +174,7 @@ class TestLiftedKernel:
     def test_symmetrization_identity(self):
         pair = mh_pair(RING5)
         for rate in (zoo.SwitchingRate("minimal"), zoo.SwitchingRate("maximal")):
-            resid = zoo.symmetrized_lift_identity_residual(pair, rate, kmax=30)
+            resid = symmetrized_lift_identity_residual(pair, rate, kmax=30)
             assert resid < 1e-9
 
 
@@ -344,9 +345,9 @@ class TestExtraChance:
                                                               side="left")
                 assert cert.holds
                 for f in fs:
-                    d_prev = finite.dirichlet_form_halfsum(f, KernelMatrix(
+                    d_prev = dirichlet_form_halfsum(f, KernelMatrix(
                         Q.matrix @ prev.entries), mu)
-                    d_cur = finite.dirichlet_form_halfsum(f, KernelMatrix(
+                    d_cur = dirichlet_form_halfsum(f, KernelMatrix(
                         Q.matrix @ P.entries), mu)
                     assert d_cur >= d_prev - 1e-12
             prev = P
@@ -417,45 +418,3 @@ class TestNealPair:
         with pytest.raises(ValueError):
             zoo.neal_pair_kernels(KernelMatrix(np.eye(2)), pi)
 
-
-class TestTwoCycle:
-    def test_refresh_vs_full_switch_report(self):
-        # cycle {R, P} with R = (1-a) Id + a Q.  QR = a Id + (1-a) Q, so the
-        # Dirichlet form of QR is (1-a) <g, (Id - Q) g> and the lighter
-        # switcher (small a) dominates.
-        P, mu, Q = zoo.gustafson_ring(RING5)
-        n2 = mu.n
-        R_light = KernelMatrix(0.7 * np.eye(n2) + 0.3 * Q.matrix)
-        R_heavy = KernelMatrix(0.2 * np.eye(n2) + 0.8 * Q.matrix)
-        f = zoo.lift_observable(Observable(np.array([1.0, 0.0, -1.0, 0.5, 0.0])), 5)
-        report = zoo.two_cycle_variance_experiment(
-            R_light, P, R_heavy, P, mu, Q, f, lambdas=[0.2, 0.5, 0.8])
-        assert report.ok
-        # R fixes velocity-independent f, so the composed check also ran
-        assert np.max(np.abs(R_light.entries @ f.values - f.values)) < 1e-12
-        assert report.max_composition_violation is not None
-
-    def test_composition_branch(self):
-        P, mu, Q = zoo.gustafson_ring(RING4)
-        R1 = KernelMatrix(0.9 * np.eye(8) + 0.1 * Q.matrix)
-        R2 = KernelMatrix(0.5 * np.eye(8) + 0.5 * Q.matrix)
-        f = zoo.lift_observable(Observable(np.array([2.0, -1.0, 0.0, 1.0])), 4)
-        report = zoo.two_cycle_variance_experiment(
-            R1, P, R2, P, mu, Q, f, lambdas=[0.3, 0.7])
-        assert report.max_composition_violation is not None
-        assert report.ok
-
-    def test_requires_symmetric_observable(self):
-        P, mu, Q = zoo.gustafson_ring(RING4)
-        f = Observable(np.arange(8, dtype=float))  # depends on v
-        with pytest.raises(ValueError):
-            zoo.two_cycle_variance_experiment(P, P, P, P, mu, Q, f, [0.5])
-
-    def test_uncertified_slot_raises(self):
-        P, mu, Q = zoo.gustafson_ring(RING4)
-        R1 = KernelMatrix(0.1 * np.eye(8) + 0.9 * Q.matrix)
-        R2 = KernelMatrix(0.9 * np.eye(8) + 0.1 * Q.matrix)
-        f = zoo.lift_observable(Observable(np.array([2.0, -1.0, 0.0, 1.0])), 4)
-        with pytest.raises(finite.HypothesisNotCertified):
-            # dominance runs the wrong way: QR1 has the smaller Dirichlet form
-            zoo.two_cycle_variance_experiment(R1, P, R2, P, mu, Q, f, [0.5])
