@@ -78,8 +78,9 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
                               f"entries, got {params[key]!r}")
     _validate_lambdas(params)
     replicates = params.get("replicates", 2)  # a standard error needs 2
-    if not (isinstance(replicates, (int, float)) and replicates >= 2):
-        raise ConfigError(f"replicates must be a number >= 2, got {replicates!r}")
+    if not (isinstance(replicates, int) and not isinstance(replicates, bool)
+            and replicates >= 2):
+        raise ConfigError(f"replicates must be an integer >= 2, got {replicates!r}")
     horizon = params.get("horizon", 4)  # batch means need floor(sqrt(T)) >= 2
     if not (isinstance(horizon, (int, float)) and 4 <= horizon < math.inf):
         raise ConfigError(f"horizon must be a finite number >= 4, got {horizon!r}")

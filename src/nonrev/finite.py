@@ -196,25 +196,14 @@ def check_muQ_reversible(P: KernelMatrix, mu: FiniteDistribution,
     _check_dims(P.n, mu.n, Q.n)
     if not check_isometric_involution(Q, mu):
         raise ValueError("Q is not a mu-isometric involution")
-    qm = Q.matrix
-    qpq = qm @ P.entries @ qm
+    qpq = P.entries[Q.perm][:, Q.perm]  # Q is a permutation: gathers, not products
     return bool(np.max(np.abs(adjoint(P, mu).entries - qpq)) <= STRUCT_TOL)
 
 
 def reversible_parts(P: KernelMatrix, Q: DeterministicInvolution):
     """The pair (QP, PQ) as kernel products."""
     _check_dims(P.n, Q.n)
-    qm = Q.matrix
-    return KernelMatrix(qm @ P.entries), KernelMatrix(P.entries @ qm)
-
-
-def project_symmetric(f: Observable, Q: DeterministicInvolution, sign: int) -> Observable:
-    """Projection (f + sign * Qf) / 2 onto the +/- eigenspace of Q."""
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    _check_dims(f.n, Q.n)
-    qf = f.values[Q.perm]
-    return Observable((f.values + sign * qf) / 2.0)
+    return KernelMatrix(P.entries[Q.perm]), KernelMatrix(P.entries[:, Q.perm])
 
 
 def var_lambda(f: Observable, P: KernelMatrix, mu: FiniteDistribution,
@@ -289,11 +278,10 @@ def dirichlet_dominance_certificate(P1: KernelMatrix, P2: KernelMatrix,
     for P in (P1, P2):
         if not check_muQ_reversible(P, mu, Q):
             raise NotReversibleError("certificate requires (mu,Q)-reversible kernels")
-    qm = Q.matrix
     if side == "left":
-        s = qm @ P2.entries - qm @ P1.entries
+        s = P2.entries[Q.perm] - P1.entries[Q.perm]
     elif side == "right":
-        s = P2.entries @ qm - P1.entries @ qm
+        s = P2.entries[:, Q.perm] - P1.entries[:, Q.perm]
     else:
         raise ValueError("side must be 'left' or 'right'")
     sym = _symmetrized(s, mu)
@@ -326,26 +314,30 @@ def verify_ordering_theorem(P1: KernelMatrix, P2: KernelMatrix,
 
     Requires the dominance certificate to hold.  For Qf = f the ordering is
     var(P1) <= var(P2); for Qf = -f it reverses.  Violations are reported,
-    not raised.
+    not raised.  All 2 * trials projected observables of a kernel and lambda
+    go through one block solve.
     """
+    lambdas = list(lambdas)
+    if trials < 1 or not lambdas:
+        raise ValueError("the check needs trials >= 1 and a non-empty lambda grid")
+    if not all(0.0 <= lam < 1.0 for lam in lambdas):
+        raise ValueError("lambda must lie in [0, 1)")
     cert = dirichlet_dominance_certificate(P1, P2, mu, Q, side="left")
     if not cert.holds:
         raise HypothesisNotCertified(
             f"dominance certificate fails (min eig {cert.dominance_matrix_min_eig:.3e})")
-    rng = np.random.default_rng(rng_seed)
+    w = mu.weights
+    # one row per trial: the same draws as `trials` calls of standard_normal(n)
+    g = np.random.default_rng(rng_seed).standard_normal((trials, mu.n))
+    f = np.concatenate([g + g[:, Q.perm], g - g[:, Q.perm]]) / 2.0  # Qf = f, then Qf = -f
+    fbar = (f - (f @ w)[:, None]).T  # one centred observable per column
+    sq = w @ (fbar * fbar)
     worst_plus = 0.0
     worst_minus = 0.0
-    lambdas = list(lambdas)
-    for _ in range(trials):
-        f = Observable(rng.standard_normal(mu.n))
-        fp = project_symmetric(f, Q, +1)
-        fm = project_symmetric(f, Q, -1)
-        for lam in lambdas:
-            v1p = var_lambda(fp, P1, mu, lam)
-            v2p = var_lambda(fp, P2, mu, lam)
-            worst_plus = max(worst_plus, v1p - v2p)
-            v1m = var_lambda(fm, P1, mu, lam)
-            v2m = var_lambda(fm, P2, mu, lam)
-            worst_minus = max(worst_minus, v2m - v1m)
+    eye = np.eye(mu.n)
+    for lam in lambdas:
+        v1, v2 = (2.0 * (w @ (fbar * np.linalg.solve(eye - lam * P.entries, fbar))) - sq
+                  for P in (P1, P2))
+        worst_plus = max(worst_plus, float(np.max(v1[:trials] - v2[:trials])))
+        worst_minus = max(worst_minus, float(np.max(v2[trials:] - v1[trials:])))
     return OrderingReport(worst_plus, worst_minus, trials, lambdas)
-

@@ -6,6 +6,8 @@ triples on enumerated product spaces, ready for the exact analysis in
 maps stay bijective.
 
 State enumeration on X x {-1,+1}: id = 2*x + (0 if v == +1 else 1).
+Constructors fill their matrices by index arithmetic over all states at
+once, never by per-state loops.
 """
 
 from __future__ import annotations
@@ -28,17 +30,8 @@ from .finite import (
 )
 
 
-def pv_index(x: int, v: int, n: int) -> int:
-    # v = +1 -> even slot, v = -1 -> odd slot
-    return 2 * (x % n) + (0 if v == 1 else 1)
-
-
 def velocity_flip(n: int) -> DeterministicInvolution:
-    perm = np.empty(2 * n, dtype=np.intp)
-    for x in range(n):
-        perm[pv_index(x, 1, n)] = pv_index(x, -1, n)
-        perm[pv_index(x, -1, n)] = pv_index(x, 1, n)
-    return DeterministicInvolution(perm)
+    return DeterministicInvolution(np.arange(2 * n) ^ 1)  # swaps slots 2x, 2x+1
 
 
 def half_lift(pi: FiniteDistribution) -> FiniteDistribution:
@@ -243,13 +236,12 @@ def gustafson_ring(target: RingTarget):
     """
     n = target.n
     w = target.weights
+    z = np.arange(2 * n)
+    psi = ring_shift_flow(n).psi  # (x, v) -> (x + v, v)
+    a = np.minimum(1.0, w[psi // 2] / w[z // 2])
     P = np.zeros((2 * n, 2 * n))
-    for x in range(n):
-        for v in (1, -1):
-            z = pv_index(x, v, n)
-            a = min(1.0, w[(x + v) % n] / w[x])
-            P[z, pv_index(x + v, v, n)] += a
-            P[z, pv_index(x, -v, n)] += 1.0 - a
+    P[z, psi] += a
+    P[z, z ^ 1] += 1.0 - a
     return KernelMatrix(P), half_lift(target.pi), velocity_flip(n)
 
 
@@ -278,19 +270,17 @@ def mh_subkernels(target: RingTarget, q_plus: np.ndarray, q_minus: np.ndarray) -
 def lifted_kernel(pair: SubKernelPair, rho: SwitchingRate):
     """Lifted kernel on X x {-1,+1}: move with T_v, switch velocity at rate rho."""
     n = pair.pi.n
+    z = np.arange(2 * n)
+    # the v = +1 and v = -1 values interleaved into state-id order
+    esc = np.stack([pair.escape(1), pair.escape(-1)], axis=1).ravel()
+    rv = np.stack([rho.rho(pair, 1), rho.rho(pair, -1)], axis=1).ravel()
+    if np.any(rv < -1e-12) or np.any(rv > 1.0 - esc + 1e-12):
+        raise ValueError("switching rate outside [0, 1 - T_v(x, X)]")
     P = np.zeros((2 * n, 2 * n))
-    for v in (1, -1):
-        tv = pair.sub(v)
-        esc = pair.escape(v)
-        rv = rho.rho(pair, v)
-        if np.any(rv < -1e-12) or np.any(rv > 1.0 - esc + 1e-12):
-            raise ValueError("switching rate outside [0, 1 - T_v(x, X)]")
-        for x in range(n):
-            z = pv_index(x, v, n)
-            for y in range(n):
-                P[z, pv_index(y, v, n)] += tv[x, y]
-            P[z, pv_index(x, v, n)] += 1.0 - esc[x] - rv[x]
-            P[z, pv_index(x, -v, n)] += rv[x]
+    P[0::2, 0::2] += pair.T_plus
+    P[1::2, 1::2] += pair.T_minus
+    P[z, z] += 1.0 - esc - rv
+    P[z, z ^ 1] += rv
     return KernelMatrix(P), half_lift(pair.pi), velocity_flip(n)
 
 
@@ -319,15 +309,14 @@ def guided_walk_ring(target: RingTarget, step_dist: np.ndarray) -> SubKernelPair
     if abs(q.sum() - 1.0) > 1e-12:
         raise ValueError("step_dist must sum to 1")
     w = target.weights
-    out = {}
-    for v in (1, -1):
-        T = np.zeros((n, n))
-        for x in range(n):
-            for k in range(1, m + 1):
-                y = (x + k * v) % n
-                T[x, y] += q[k - 1] * min(1.0, w[y] / w[x])
-        out[v] = T
-    return SubKernelPair(out[1], out[-1], target.pi)
+    # axes (v, x, k), v = +1 then -1; the m targets x + k*v of a row are
+    # distinct as 2m < n
+    d = np.arange(2)[:, None, None]
+    x = np.arange(n)[None, :, None]
+    y = (x + np.arange(1, m + 1) * (1 - 2 * d)) % n
+    T = np.zeros((2, n, n))
+    T[d, x, y] += q * np.minimum(1.0, w[y] / w[x])
+    return SubKernelPair(T[0], T[1], target.pi)
 
 
 def neal_pair_kernels(T2: KernelMatrix, pi: FiniteDistribution):
@@ -346,31 +335,26 @@ def neal_pair_kernels(T2: KernelMatrix, pi: FiniteDistribution):
     if np.any(t <= 0) or np.any(t >= 1):
         raise ValueError("T2 entries must lie strictly in (0, 1)")
 
-    def idx(x1, x2):
-        return x1 * n + x2
-
+    # state id of (x1, x2) is x1 * n + x2
     mu = FiniteDistribution((pi.weights[:, None] * t).ravel())
-    # swap involution: idx(x1, x2) -> idx(x2, x1)
-    perm = np.array([idx(j % n, j // n) for j in range(n * n)], dtype=np.intp)
-    Q = DeterministicInvolution(perm)
-
-    M2 = np.zeros((n * n, n * n))
-    M1 = np.zeros((n * n, n * n))
-    for x1 in range(n):
-        for x2 in range(n):
-            z = idx(x1, x2)
-            stay = 0.0
-            for y2 in range(n):
-                M2[z, idx(x1, y2)] = t[x1, y2]
-                if y2 != x2:
-                    u = t[x1, y2] / (1.0 - t[x1, x2]) * min(
-                        1.0, (1.0 - t[x1, x2]) / (1.0 - t[x1, y2]))
-                    M1[z, idx(x1, y2)] = u
-                    stay += u
-            M1[z, z] = 1.0 - stay
-    qm = Q.matrix
-    P1 = KernelMatrix(qm @ M1)
-    P2 = KernelMatrix(qm @ M2)
+    # swap involution: (x1, x2) -> (x2, x1)
+    Q = DeterministicInvolution(np.arange(n * n).reshape(n, n).T.ravel())
+    i = np.arange(n)
+    # u[x1, x2, y2], the move x2 -> y2 != x2 of M1
+    s = 1.0 - t
+    u = t[:, None, :] / s[:, :, None] * np.minimum(1.0, s[:, :, None] / s[:, None, :])
+    u[:, i, i] = 0.0
+    # left to right, as the defining sum runs; np.sum would add pairwise
+    # and differ in the last bits on rows longer than 8
+    stay = np.cumsum(u, axis=2)[:, :, -1]
+    M1 = np.zeros((n, n, n, n))
+    M2 = np.zeros((n, n, n, n))
+    M1[i, :, i, :] = u
+    M2[i, :, i, :] = t[:, None, :]
+    M1 = M1.reshape(n * n, n * n)
+    M1[np.arange(n * n), np.arange(n * n)] = 1.0 - stay.ravel()
+    P1 = KernelMatrix(M1[Q.perm])
+    P2 = KernelMatrix(M2.reshape(n * n, n * n)[Q.perm])
     return P1, P2, mu, Q
 
 
@@ -395,11 +379,9 @@ def metropolized_flow_finite(mu: FiniteDistribution, psi: FlowMap,
 
 def ring_shift_flow(n: int) -> FlowMap:
     """psi(x, v) = (x + v, v) on Z_n x {-1,+1}."""
-    psi = np.empty(2 * n, dtype=np.intp)
-    for x in range(n):
-        for v in (1, -1):
-            psi[pv_index(x, v, n)] = pv_index(x + v, v, n)
-    return FlowMap(psi)
+    z = np.arange(2 * n)
+    v = 1 - 2 * (z % 2)
+    return FlowMap(2 * ((z // 2 + v) % n) + z % 2)
 
 
 def extra_chance_finite(mu: FiniteDistribution, psi: FlowMap,
@@ -411,19 +393,16 @@ def extra_chance_finite(mu: FiniteDistribution, psi: FlowMap,
         raise ValueError("K must be >= 1")
     if not psi.check_reversal(Q):
         raise ValueError("flow map must satisfy psi^{-1} = xi o psi o xi")
-    n = mu.n
     w = mu.weights
     xi = Q.perm
-    P = np.zeros((n, n))
-    for z in range(n):
-        alpha_prev = 0.0
-        zk = z
-        for _k in range(1, K + 1):
-            zk = psi.psi[zk]
-            r = 0.0 if w[z] == 0.0 else w[xi[zk]] / w[z]
-            alpha = max(alpha_prev, min(1.0, r))
-            P[z, zk] += alpha - alpha_prev
-            alpha_prev = alpha
-        P[z, xi[z]] += 1.0 - alpha_prev
+    z = np.arange(mu.n)
+    P = np.zeros((mu.n, mu.n))
+    zk, alpha_prev = z, np.zeros(mu.n)
+    for _k in range(K):  # stages, each over all states z at once
+        zk = psi.psi[zk]
+        alpha = np.maximum(alpha_prev, np.minimum(1.0, w[xi[zk]] / w))
+        P[z, zk] += alpha - alpha_prev
+        alpha_prev = alpha
+    P[z, xi] += 1.0 - alpha_prev
     return KernelMatrix(P)
 

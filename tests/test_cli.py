@@ -113,7 +113,7 @@ class TestConfigValidation:
                 assert (cfg.experiment, cfg.seed) == (name, seed)
 
     @pytest.mark.parametrize("name", REPLICATED)
-    @pytest.mark.parametrize("replicates", [1, 0, 1.5, "many"])
+    @pytest.mark.parametrize("replicates", [1, 0, 1.5, "many", 2.5, math.inf])
     def test_replicates_below_two(self, tmp_path, name, replicates):
         path = write_config(tmp_path, {"experiment": name, "seed": 1,
                                        "replicates": replicates,

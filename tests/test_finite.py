@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,9 @@ from nonrev import finite
 from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            HypothesisNotCertified, KernelMatrix,
                            NotReversibleError, Observable)
-from oracles import dirichlet_form, dirichlet_form_halfsum, var_lambda_cycle_series
+import oracles
+from oracles import (dirichlet_form, dirichlet_form_halfsum, project_symmetric,
+                     var_lambda_cycle_series)
 
 
 def two_state_flip(p):
@@ -136,18 +140,18 @@ class TestProjectors:
         rng = np.random.default_rng(1)
         Q = DeterministicInvolution(np.array([1, 0, 3, 2]))
         f = Observable(rng.standard_normal(4))
-        fp = finite.project_symmetric(f, Q, +1)
-        fm = finite.project_symmetric(f, Q, -1)
+        fp = project_symmetric(f, Q, +1)
+        fm = project_symmetric(f, Q, -1)
         assert np.allclose(fp.values + fm.values, f.values, atol=1e-15, rtol=0)
         # projections are idempotent and land in the right eigenspace
-        assert np.array_equal(finite.project_symmetric(fp, Q, +1).values, fp.values)
+        assert np.array_equal(project_symmetric(fp, Q, +1).values, fp.values)
         assert np.array_equal(fp.values[Q.perm], fp.values)
         assert np.array_equal(fm.values[Q.perm], -fm.values)
 
     def test_odd_function_kills_plus_projection(self):
         Q = DeterministicInvolution(np.array([1, 0]))
         f = Observable(np.array([1.0, -1.0]))  # f(x, v) = v
-        assert np.all(finite.project_symmetric(f, Q, +1).values == 0)
+        assert np.all(project_symmetric(f, Q, +1).values == 0)
 
 
 class TestDirichletForm:
@@ -286,3 +290,72 @@ class TestOrderingTheorem:
             finite.verify_ordering_theorem(two_state_flip(0.2),
                                            two_state_flip(0.4), UNIF2, Q, [0.5])
 
+    @pytest.mark.parametrize("trials, lambdas", [
+        (0, [0.5]), (-1, [0.5]), (10, []), (0, [1.5]),
+        (10, [0.5, 1.0]), (10, [-0.1]), (10, [math.nan])],
+        ids=["no-trials", "negative-trials", "empty-grid", "no-trials-bad-lambda",
+             "lambda-one", "negative-lambda", "nan-lambda"])
+    def test_no_evidence_raises(self, trials, lambdas):
+        # an empty sample or grid certifies nothing, and a lambda outside
+        # [0, 1) is refused even when no observable would reach it
+        with pytest.raises(ValueError) as err:
+            finite.verify_ordering_theorem(two_state_flip(0.4), two_state_flip(0.2),
+                                           UNIF2, DeterministicInvolution.identity(2),
+                                           lambdas, trials=trials)
+        assert err.type is ValueError
+
+
+def lifted_dominated_pair(seed, n=4):
+    """(P1, P2, mu, Q) on a ring of n sites lifted to 2n states with
+    E(g, QP1) >= E(g, QP2): QP1 = M0 + c (M1 - Id) adds a PSD Dirichlet
+    increment to QP2 = M0."""
+    rng = np.random.default_rng(seed)
+    mu = FiniteDistribution.from_unnormalized(np.repeat(0.5 + rng.random(n), 2))
+    Q = DeterministicInvolution(np.arange(2 * n) ^ 1)
+
+    def reversible():
+        F = rng.random((2 * n, 2 * n))
+        K = (F + F.T) / 2.0 / mu.weights[:, None]
+        K = K / (1.25 * K.sum(axis=1).max())
+        return K + np.diag(1.0 - K.sum(axis=1))
+
+    M0, M1 = reversible(), reversible()
+    c = float(np.min(np.diag(M0))) * 0.8
+    return (KernelMatrix((M0 + c * (M1 - np.eye(2 * n)))[Q.perm]),
+            KernelMatrix(M0[Q.perm]), mu, Q)
+
+
+LAMS = [0.05 * k for k in range(1, 20)]
+
+
+class TestBatchedOrderingCheck:
+    """The block-solve check against its per-vector oracle, and a negative
+    control: a pair that is not dominated must fail once the certificate
+    is forced to hold."""
+
+    def test_negative_control_fails_and_matches_oracle(self, monkeypatch):
+        P1, P2, mu, Q = lifted_dominated_pair(5)
+        assert not finite.dirichlet_dominance_certificate(P2, P1, mu, Q).holds
+        forced = lambda *args, **kwargs: finite.OrderingCertificate(0.0, True)  # noqa: E731
+        monkeypatch.setattr(finite, "dirichlet_dominance_certificate", forced)
+        monkeypatch.setattr(oracles, "dirichlet_dominance_certificate", forced)
+        got = finite.verify_ordering_theorem(P2, P1, mu, Q, LAMS, trials=20, rng_seed=9)
+        ref = oracles.verify_ordering_reference(P2, P1, mu, Q, LAMS, trials=20, rng_seed=9)
+        assert not got.ok and not ref.ok
+        for a, b in ((got.max_violation_plus, ref.max_violation_plus),
+                     (got.max_violation_minus, ref.max_violation_minus)):
+            assert a > 1e-6 and b > 1e-6
+            assert a == pytest.approx(b, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_dominated_pair_matches_oracle(self, seed):
+        P1, P2, mu, Q = lifted_dominated_pair(seed, n=3 + seed)
+        got = finite.verify_ordering_theorem(P1, P2, mu, Q, LAMS, trials=20, rng_seed=seed)
+        ref = oracles.verify_ordering_reference(P1, P2, mu, Q, LAMS, trials=20,
+                                                rng_seed=seed)
+        assert got.ok and ref.ok
+        assert got.max_violation_plus == pytest.approx(ref.max_violation_plus,
+                                                       rel=1e-12, abs=1e-15)
+        assert got.max_violation_minus == pytest.approx(ref.max_violation_minus,
+                                                        rel=1e-12, abs=1e-15)
+        assert (got.trials, got.lambdas) == (ref.trials, ref.lambdas)

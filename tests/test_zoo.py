@@ -7,7 +7,8 @@ from scipy.stats import norm
 from nonrev import finite, zoo
 from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            KernelMatrix, Observable)
-from oracles import dirichlet_form_halfsum, symmetrized_lift_identity_residual
+import oracles
+from oracles import dirichlet_form_halfsum, pv_index, symmetrized_lift_identity_residual
 
 RING5 = zoo.RingTarget(np.array([1.0, 2.0, 3.0, 2.0, 1.0]))
 RING4 = zoo.RingTarget(np.array([1.0, 0.5, 2.0, 1.5]))
@@ -29,10 +30,10 @@ def mh_pair(target):
 
 class TestEnumeration:
     def test_pv_index_layout(self):
-        assert zoo.pv_index(0, 1, 5) == 0
-        assert zoo.pv_index(0, -1, 5) == 1
-        assert zoo.pv_index(3, 1, 5) == 6
-        assert zoo.pv_index(6, 1, 5) == zoo.pv_index(1, 1, 5)  # wraps
+        assert pv_index(0, 1, 5) == 0
+        assert pv_index(0, -1, 5) == 1
+        assert pv_index(3, 1, 5) == 6
+        assert pv_index(6, 1, 5) == pv_index(1, 1, 5)  # wraps
 
     def test_velocity_flip_is_isometric_involution(self):
         Q = zoo.velocity_flip(4)
@@ -65,15 +66,15 @@ class TestGustafson:
         # uniform ring: every move accepted, never flips
         target = zoo.RingTarget(np.ones(5))
         P, _, _ = zoo.gustafson_ring(target)
-        z = zoo.pv_index(2, 1, 5)
-        assert P.entries[z, zoo.pv_index(3, 1, 5)] == 1.0
+        z = pv_index(2, 1, 5)
+        assert P.entries[z, pv_index(3, 1, 5)] == 1.0
 
     def test_reject_flips_velocity(self):
         P, _, _ = zoo.gustafson_ring(RING5)
         # from the mode x=2 moving right, pi(3)/pi(2) = 2/3
-        z = zoo.pv_index(2, 1, 5)
-        assert P.entries[z, zoo.pv_index(3, 1, 5)] == pytest.approx(2 / 3)
-        assert P.entries[z, zoo.pv_index(2, -1, 5)] == pytest.approx(1 / 3)
+        z = pv_index(2, 1, 5)
+        assert P.entries[z, pv_index(3, 1, 5)] == pytest.approx(2 / 3)
+        assert P.entries[z, pv_index(2, -1, 5)] == pytest.approx(1 / 3)
 
 
 class TestSubKernels:
@@ -418,3 +419,136 @@ class TestNealPair:
         with pytest.raises(ValueError):
             zoo.neal_pair_kernels(KernelMatrix(np.eye(2)), pi)
 
+
+
+def bit_equal(a, b) -> bool:
+    """Entrywise equal floats, signs of zeros included."""
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def random_ring(n):
+    return zoo.RingTarget(0.1 + 3.0 * np.random.default_rng(n).random(n))
+
+
+def diagonal_mass_pair(target):
+    """mh_subkernels on dense random proposals, diagonals included, so the
+    lifted kernel adds its stay mass onto a nonzero T_v(x, x)."""
+    rng = np.random.default_rng(target.n + 1)
+    qp, qm = rng.random((2, target.n, target.n))
+    return zoo.mh_subkernels(target, qp / qp.sum(axis=1, keepdims=True),
+                             qm / qm.sum(axis=1, keepdims=True))
+
+
+RING_SIZES = [3, 4, 5, 6, 7, 8, 200]
+RATES = [zoo.SwitchingRate("minimal"), zoo.SwitchingRate("convex", 0.3),
+         zoo.SwitchingRate("maximal")]
+# a 3-point step law needs 2 * 3 < n
+STEP_CASES = ([(n, [1.0]) for n in RING_SIZES]
+              + [(n, [0.5, 0.3, 0.2]) for n in RING_SIZES if n > 6])
+
+
+class TestLoopReferences:
+    """Each loop-free constructor equals its per-state loop reference in
+    tests/oracles.py bit for bit."""
+
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_flip_shift_and_persistent_walk(self, n):
+        assert np.array_equal(zoo.velocity_flip(n).perm, oracles.velocity_flip_loop(n).perm)
+        assert np.array_equal(zoo.ring_shift_flow(n).psi, oracles.ring_shift_flow_loop(n).psi)
+        P, mu, Q = zoo.gustafson_ring(random_ring(n))
+        P_ref, mu_ref, Q_ref = oracles.gustafson_ring_loop(random_ring(n))
+        assert bit_equal(P.entries, P_ref.entries)
+        assert bit_equal(mu.weights, mu_ref.weights)
+        assert np.array_equal(Q.perm, Q_ref.perm)
+
+    @pytest.mark.parametrize("n, steps", STEP_CASES)
+    def test_guided_walk_and_its_lifts(self, n, steps):
+        pair = zoo.guided_walk_ring(random_ring(n), np.array(steps))
+        ref = oracles.guided_walk_ring_loop(random_ring(n), np.array(steps))
+        assert bit_equal(pair.T_plus, ref.T_plus)
+        assert bit_equal(pair.T_minus, ref.T_minus)
+        for rate in RATES:
+            assert bit_equal(zoo.lifted_kernel(pair, rate)[0].entries,
+                             oracles.lifted_kernel_loop(pair, rate)[0].entries)
+
+    @pytest.mark.parametrize("n", RING_SIZES)
+    def test_lifted_kernel_with_diagonal_mass(self, n):
+        pair = diagonal_mass_pair(random_ring(n))
+        assert np.all(np.diag(pair.T_plus) > 0) and np.all(np.diag(pair.T_minus) > 0)
+        for rate in RATES:
+            assert bit_equal(zoo.lifted_kernel(pair, rate)[0].entries,
+                             oracles.lifted_kernel_loop(pair, rate)[0].entries)
+
+    @pytest.mark.parametrize("n", RING_SIZES)
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_extra_chance(self, n, K):
+        mu = zoo.half_lift(random_ring(n).pi)
+        Q, psi = zoo.velocity_flip(n), zoo.ring_shift_flow(n)
+        assert bit_equal(zoo.extra_chance_finite(mu, psi, Q, K).entries,
+                         oracles.extra_chance_finite_loop(mu, psi, Q, K).entries)
+
+    @pytest.mark.parametrize("n", [3, 9, 20])
+    def test_neal_pair(self, n):
+        # rows of 9 and 20 entries: a pairwise sum of the stay mass would
+        # differ from the loop's left-to-right sum in the last bits
+        pi = random_ring(n).pi
+        T2 = KernelMatrix(0.3 * np.eye(n) + 0.7 * np.tile(pi.weights, (n, 1)))
+        got = zoo.neal_pair_kernels(T2, pi)
+        ref = oracles.neal_pair_kernels_loop(T2, pi)
+        for a, b in zip(got[:2], ref[:2]):
+            assert bit_equal(a.entries, b.entries)
+        assert bit_equal(got[2].weights, ref[2].weights)
+        assert np.array_equal(got[3].perm, ref[3].perm)
+
+
+def zoo_families():
+    """(name, P, mu, Q) for every kernel family of the zoo."""
+    target = random_ring(6)
+    P, mu, Q = zoo.gustafson_ring(target)
+    yield "gustafson", P, mu, Q
+    pairs = (("mh", mh_pair(target)), ("mh-diagonal", diagonal_mass_pair(target)),
+             ("guided", zoo.guided_walk_ring(target, np.array([0.6, 0.4]))))
+    for pair_name, pair in pairs:
+        for rate in RATES:
+            yield (f"lifted-{pair_name}-{rate.kind}", *zoo.lifted_kernel(pair, rate))
+    psi = zoo.ring_shift_flow(6)
+    for rule in (zoo.AcceptanceRule.metropolis(), zoo.AcceptanceRule.barker()):
+        yield f"flow-{rule.kind}", zoo.metropolized_flow_finite(mu, psi, Q, rule), mu, Q
+    for K in (1, 3):
+        yield f"extra-chance-{K}", zoo.extra_chance_finite(mu, psi, Q, K), mu, Q
+    pi = target.pi
+    T2 = KernelMatrix(0.4 * np.eye(6) + 0.6 * np.tile(pi.weights, (6, 1)))
+    P1, P2, mu2, Q2 = zoo.neal_pair_kernels(T2, pi)
+    yield "neal-P1", P1, mu2, Q2
+    yield "neal-P2", P2, mu2, Q2
+
+
+FAMILIES = list(zoo_families())
+
+
+class TestQGathers:
+    """Q is a permutation, so the index gathers of `finite` give exactly
+    the floats of the permutation-matrix products they replace."""
+
+    @pytest.mark.parametrize("name, P, mu, Q", FAMILIES, ids=[f[0] for f in FAMILIES])
+    def test_gathers_equal_products(self, name, P, mu, Q):
+        qm = Q.matrix
+        qp, pq = finite.reversible_parts(P, Q)
+        assert np.array_equal(qp.entries, qm @ P.entries)
+        assert np.array_equal(pq.entries, P.entries @ qm)
+        # the QPQ of check_muQ_reversible
+        assert np.array_equal(P.entries[Q.perm][:, Q.perm], qm @ P.entries @ qm)
+        assert finite.check_muQ_reversible(P, mu, Q)
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    def test_certificate_equals_product_form(self, side):
+        P1, P2, mu, Q = zoo.neal_pair_kernels(
+            KernelMatrix(0.4 * np.eye(5) + 0.6 * np.tile(RING5.pi.weights, (5, 1))),
+            RING5.pi)
+        qm = Q.matrix
+        for a, b in ((P1, P2), (P2, P1)):
+            diff = (qm @ b.entries - qm @ a.entries if side == "left"
+                    else b.entries @ qm - a.entries @ qm)
+            want = np.linalg.eigh(finite._symmetrized(diff, mu))[0][0]
+            cert = finite.dirichlet_dominance_certificate(a, b, mu, Q, side=side)
+            assert cert.dominance_matrix_min_eig == want
