@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
-import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .experiments import CSV_HEADER, EXPERIMENTS
+from .experiments import CSV_HEADER, EXPERIMENTS, PARAMS
 
 
 class ConfigError(ValueError):
@@ -34,13 +33,23 @@ class ExperimentConfig:
     out_dir: Path
 
 
-def _validate_lambdas(params: dict) -> None:
-    for key in ("lambdas", "mc_lambdas"):
-        for lam in params.get(key, ()):
-            if not (isinstance(lam, (int, float)) and not isinstance(lam, bool)
-                    and 0.0 <= lam < 1.0):
-                raise ConfigError(f"{key} entries must be numbers in [0, 1), "
-                                  f"got {lam!r}")
+def _value(key: str, value, default):
+    """value as its default's type, each number in PARAMS[key]'s range: a float
+    takes a finite int or float, an int an int, a tuple a list of such."""
+    p, grid = PARAMS[key], isinstance(default, tuple)
+    kind = type(default[0] if grid else default)
+    if grid and not (isinstance(value, (list, tuple)) and len(value) >= p.min_len):
+        raise ConfigError(f"{key} must be a list of at least {p.min_len} "
+                          f"entries, got {value!r}")
+    for x in value if grid else [value]:
+        # compare x as given: float() of an int beyond the float range overflows
+        if not (type(x) in (int, kind) and abs(x) <= sys.float_info.max
+                and (p.lo < x if p.lo_open else p.lo <= x) and x < p.hi):
+            raise ConfigError(f"{'each entry of ' if grid else ''}{key} must be a "
+                              f"finite {kind.__name__}{p}, got {x!r}")
+    if p.increasing and any(a >= b for a, b in zip(value, value[1:])):
+        raise ConfigError(f"{key} must be strictly increasing, got {value!r}")
+    return tuple(map(kind, value)) if grid else kind(value)
 
 
 def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig:
@@ -52,38 +61,24 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     name = raw.pop("experiment", None)
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {name!r}")
     seed = raw.pop("seed", None)
     if seed_override is not None:
         seed = seed_override
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError("seed is mandatory and must be an integer")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"seed must lie in [0, 2^64), got {seed}")
-    out_dir = Path(raw.pop("out", "."))
-    if out_override is not None:
-        out_dir = Path(out_override)
+    if type(seed) is not int or not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"seed is mandatory and must be an integer in "
+                          f"[0, 2^64), got {seed!r}")
+    out_dir = raw.pop("out", ".")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"out must be a path string, got {out_dir!r}")
+    out_dir = Path(out_dir if out_override is None else out_override)
     _desc, defaults, _runner = EXPERIMENTS[name]
     unknown = set(raw) - set(defaults)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    params = {**defaults, **raw}
-    for key, default in defaults.items():
-        # every grid must give its check something to compare
-        least = 2 if key == "K_values" else 1
-        if isinstance(default, tuple) and not (
-                isinstance(params[key], (list, tuple)) and len(params[key]) >= least):
-            raise ConfigError(f"{key} must be a list of at least {least} "
-                              f"entries, got {params[key]!r}")
-    _validate_lambdas(params)
-    replicates = params.get("replicates", 2)  # a standard error needs 2
-    if not (isinstance(replicates, int) and not isinstance(replicates, bool)
-            and replicates >= 2):
-        raise ConfigError(f"replicates must be an integer >= 2, got {replicates!r}")
-    horizon = params.get("horizon", 4)  # batch means need floor(sqrt(T)) >= 2
-    if not (isinstance(horizon, (int, float)) and 4 <= horizon < math.inf):
-        raise ConfigError(f"horizon must be a finite number >= 4, got {horizon!r}")
+    params = {key: _value(key, raw.get(key, default), default)
+              for key, default in defaults.items()}
     return ExperimentConfig(name, seed, params, out_dir)
 
 
@@ -108,8 +103,7 @@ def run(config: ExperimentConfig) -> int:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     meta = {"experiment": config.experiment, "seed": config.seed,
-            "params": {k: list(v) if isinstance(v, tuple) else v
-                       for k, v in config.params.items()},
+            "params": config.params,
             "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
     with open(f"{stem}_metadata.json", "w", encoding="utf-8") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)

@@ -49,7 +49,7 @@ DEFAULT_LAMBDAS = tuple(round(0.1 * k, 2) for k in range(1, 10))
 
 
 def run_gustafson_ring(cfg: dict, seed: int):
-    target = zoo.RingTarget(np.asarray(cfg["weights"], dtype=float))
+    target = zoo.RingTarget(cfg["weights"])
     P, mu, Q = zoo.gustafson_ring(target)
     checks = []
     checks.append(_check("invariance",
@@ -73,8 +73,8 @@ def run_gustafson_ring(cfg: dict, seed: int):
 
 
 def run_lifted_ordering(cfg: dict, seed: int):
-    target = zoo.RingTarget(np.asarray(cfg["weights"], dtype=float))
-    pair = zoo.guided_walk_ring(target, np.asarray(cfg["step_dist"], dtype=float))
+    target = zoo.RingTarget(cfg["weights"])
+    pair = zoo.guided_walk_ring(target, cfg["step_dist"])
     kinds = [("minimal", zoo.SwitchingRate("minimal")),
              ("convex-0.5", zoo.SwitchingRate("convex", 0.5)),
              ("maximal", zoo.SwitchingRate("maximal"))]
@@ -148,14 +148,14 @@ def _ring_refresh_kernel(n: int, a: float = 0.5) -> KernelMatrix:
 
 
 def run_two_cycle_extra_chance(cfg: dict, seed: int):
-    target = zoo.RingTarget(np.asarray(cfg["weights"], dtype=float))
+    target = zoo.RingTarget(cfg["weights"])
     n = target.n
     mu = zoo.half_lift(target.pi)
     Q = zoo.velocity_flip(n)
     psi = zoo.ring_shift_flow(n)
     R = _ring_refresh_kernel(n)
     f = _position_observable(n)
-    Ks = list(cfg["K_values"])
+    Ks = cfg["K_values"]
     kernels = {K: zoo.extra_chance_finite(mu, psi, Q, K) for K in Ks}
     rows = []
     worst_mono = 0.0
@@ -180,7 +180,7 @@ def run_two_cycle_extra_chance(cfg: dict, seed: int):
 
 def run_ghmc_phi_compare(cfg: dict, seed: int):
     # exact finite comparison on the ring
-    target = zoo.RingTarget(np.asarray(cfg["weights"], dtype=float))
+    target = zoo.RingTarget(cfg["weights"])
     n = target.n
     mu = zoo.half_lift(target.pi)
     Q = zoo.velocity_flip(n)
@@ -204,8 +204,8 @@ def run_ghmc_phi_compare(cfg: dict, seed: int):
     rep = samplers.compare_acceptance_rules(
         H, omega=math.pi / 4, step=cfg["step"], nleap=cfg["nleap"],
         rules=[zoo.AcceptanceRule.metropolis(), zoo.AcceptanceRule.barker()],
-        lambdas=list(cfg["mc_lambdas"]), observables=obs,
-        n_steps=int(cfg["steps"]), replicates=int(cfg["replicates"]),
+        lambdas=cfg["mc_lambdas"], observables=obs,
+        n_steps=cfg["steps"], replicates=cfg["replicates"],
         seed=seed)
     for row in rep.rows:
         rows.append(ResultRow("ghmc-phi-compare", f"mc-{row.rule}-{row.observable}",
@@ -217,14 +217,12 @@ def run_ghmc_phi_compare(cfg: dict, seed: int):
 def run_zigzag_1d_gamma(cfg: dict, seed: int):
     pot = zigzag.zz_gaussian([1.0])
     spec1 = zigzag.IntensitySpec("canonical")
-    spec2 = zigzag.IntensitySpec("canonical", gamma=float(cfg["gamma"]))
+    spec2 = zigzag.IntensitySpec("canonical", gamma=cfg["gamma"])
     f = lambda x, v: x[:, 0]
-    T = float(cfg["horizon"])
-    R = int(cfg["replicates"])
-    e1, s1, _ = zigzag.estimate_var_continuous(pot, spec1, f, T, R, 0.0, seed,
-                                               degree=1)
-    e2, s2, _ = zigzag.estimate_var_continuous(pot, spec2, f, T, R, 0.0, seed,
-                                               degree=1)
+    e1, s1, _ = zigzag.estimate_var_continuous(pot, spec1, f, cfg["horizon"],
+                                               cfg["replicates"], 0.0, seed, degree=1)
+    e2, s2, _ = zigzag.estimate_var_continuous(pot, spec2, f, cfg["horizon"],
+                                               cfg["replicates"], 0.0, seed, degree=1)
     rows = [ResultRow("zigzag-1d-gamma", "canonical", 0.0, e1, s1),
             ResultRow("zigzag-1d-gamma", "plus-gamma", 0.0, e2, s2)]
     checks = [_check("canonical<=plus-gamma+2se",
@@ -257,26 +255,23 @@ def _basis_2d():
 
 def run_zigzag_2d_refresh(cfg: dict, seed: int):
     pot = zigzag.zz_gaussian([1.0, 1.0])
-    rate = float(cfg["refresh_rate"])
-    partial = zigzag.IntensitySpec("canonical", refresh_rate=rate,
+    partial = zigzag.IntensitySpec("canonical", refresh_rate=cfg["refresh_rate"],
                                    refresh_mode="partial")
-    full = zigzag.IntensitySpec("canonical", refresh_rate=rate,
+    full = zigzag.IntensitySpec("canonical", refresh_rate=cfg["refresh_rate"],
                                 refresh_mode="full")
     rows = []
     worst_gap = 0.0
     for k, g in enumerate(_basis_2d()):
         gap = zigzag.dirichlet_gap_quadrature(pot, partial, full, g,
-                                              m=int(cfg["quad_nodes"]))
+                                              m=cfg["quad_nodes"])
         worst_gap = max(worst_gap, -gap)
         rows.append(ResultRow("zigzag-2d-refresh", f"gap-basis-{k}", 0.0, gap))
     checks = [_check("gap-nonnegative-on-basis", worst_gap, 1e-8)]
     f = lambda x, v: x[:, 0] + x[:, 1]
-    T = float(cfg["horizon"])
-    R = int(cfg["replicates"])
-    e1, s1, _ = zigzag.estimate_var_continuous(pot, partial, f, T, R, 0.0, seed,
-                                               degree=1)
-    e2, s2, _ = zigzag.estimate_var_continuous(pot, full, f, T, R, 0.0,
-                                               seed + 1, degree=1)
+    e1, s1, _ = zigzag.estimate_var_continuous(pot, partial, f, cfg["horizon"],
+                                               cfg["replicates"], 0.0, seed, degree=1)
+    e2, s2, _ = zigzag.estimate_var_continuous(pot, full, f, cfg["horizon"],
+                                               cfg["replicates"], 0.0, seed + 1, degree=1)
     rows.append(ResultRow("zigzag-2d-refresh", "partial", 0.0, e1, s1))
     rows.append(ResultRow("zigzag-2d-refresh", "full", 0.0, e2, s2))
     checks.append(_check("partial<=full+2se",
@@ -285,15 +280,14 @@ def run_zigzag_2d_refresh(cfg: dict, seed: int):
 
 
 def run_phi_eps_bounds(cfg: dict, seed: int):
-    rs = np.logspace(-3, 3, int(cfg["grid_points"]))
-    epss = [float(e) for e in cfg["eps_values"]]
+    rs = np.logspace(-3, 3, cfg["grid_points"])
     rows = []
     worst_sym = 0.0
     worst_bound = 0.0
     worst_mono = 0.0
     phi0 = zoo.AcceptanceRule.phi_eps(0.0).phi(rs)
     prev = phi0
-    for eps in sorted(epss):
+    for eps in sorted(cfg["eps_values"]):
         rule = zoo.AcceptanceRule.phi_eps(eps)
         vals = rule.phi(rs)
         sym = np.max(np.abs(rs * rule.phi(1.0 / rs) - vals))
@@ -361,4 +355,36 @@ EXPERIMENTS = {
         "and the uniform approximation bound",
         {"grid_points": 41, "eps_values": (0.01, 0.1, 1.0)},
         run_phi_eps_bounds),
+}
+
+
+@dataclass(frozen=True)
+class Param:
+    """Range of a config value, or of each entry of a grid: lo <= x < hi (lo < x
+    if lo_open); a grid has >= min_len entries, strictly increasing if asked."""
+
+    lo: float = -math.inf
+    hi: float = math.inf
+    lo_open: bool = False
+    min_len: int = 1
+    increasing: bool = False
+
+    def __str__(self) -> str:
+        if self.lo == -math.inf and self.hi == math.inf:
+            return ""
+        return f" in {'(' if self.lo_open else '['}{self.lo:g}, {self.hi:g})"
+
+
+_POSITIVE, _COUNT = Param(0.0, lo_open=True), Param(1)
+
+# name -> Param; a name means the same thing in every entry of EXPERIMENTS
+PARAMS = {
+    "weights": Param(), "step_dist": Param(),  # type and finiteness only
+    "lambdas": Param(0.0, 1.0), "mc_lambdas": Param(0.0, 1.0),
+    # the checks compare consecutive K, so each must be a real step up
+    "K_values": Param(1, min_len=2, increasing=True),
+    "replicates": Param(2),  # a standard error needs 2
+    "horizon": Param(4.0),  # batch means need floor(sqrt(T)) >= 2 batches
+    "step": _POSITIVE, "gamma": _POSITIVE, "refresh_rate": _POSITIVE, "eps_values": _POSITIVE,
+    "nleap": _COUNT, "steps": _COUNT, "quad_nodes": _COUNT, "grid_points": _COUNT,
 }

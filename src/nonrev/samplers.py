@@ -111,12 +111,6 @@ class ChainStats:
     estimate: float
     se: float
 
-    def __post_init__(self):
-        if self.autocovariances.size and self.autocovariances[0] < 0:
-            raise ValueError("lag-0 autocovariance must be nonnegative")
-        if self.se < 0:
-            raise ValueError("standard error must be nonnegative")
-
 
 def default_max_lag(lam: float) -> int:
     if lam == 0.0:
@@ -249,7 +243,9 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
     and observable, the estimate never beats the first (most accepting) rule
     by more than 2 combined standard errors; the report carries the worst
     excess as max_violation.  Raises ValueError unless there are at least
-    two rules of distinct kinds, a lambda and an observable.
+    two rules of distinct kinds, a lambda and an observable, and when the
+    chains of some rule and observable never moved (lag-0 autocovariance
+    exactly 0.0, as when every proposal is rejected).
     """
     kinds = [rule.kind for rule in rules]
     if len(kinds) < 2 or len(set(kinds)) < len(kinds):
@@ -265,6 +261,9 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
     stats = {(kind, lam, name): estimate_var_lambda(vals[i * R:(i + 1) * R], lam)
              for i, kind in enumerate(kinds)
              for name, vals in zip(names, chains) for lam in lambdas}
+    frozen = {(k, name) for (k, _, name), st in stats.items() if st.autocovariances[0] == 0.0}
+    if frozen:
+        raise ValueError(f"no evidence: chains never moved for {sorted(frozen)}")
     rows = [RuleComparisonRow(*key, st.estimate, st.se) for key, st in stats.items()]
     violations = []
     for (_kind, lam, name), b in stats.items():

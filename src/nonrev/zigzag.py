@@ -11,8 +11,8 @@ identity lambda_i(x, v) - lambda_i(x, -v) = s.
 One event loop simulates every process; the coordinate clocks are drawn in
 one of two ways, picked from the potential and the spec: exact inversion of
 the integrated rate for diagonal-Gaussian potentials with canonical
-intensities and a constant gamma, and thinning against an
-affine-along-the-ray envelope otherwise.
+intensities, and thinning against an affine-along-the-ray envelope
+otherwise.
 """
 
 from __future__ import annotations
@@ -76,9 +76,8 @@ _KINDS = ("canonical", "penalty", "barker")
 class IntensitySpec:
     """Per-coordinate switching intensities plus an optional refresh clock.
 
-    kind applies to every coordinate, and gamma is added to every kind: a
-    constant >= 0 or an x-only callable (so gamma - Q gamma = 0
-    structurally).
+    kind applies to every coordinate, and the constant gamma >= 0 is added
+    to every kind (an x-only rate, so gamma - Q gamma = 0 structurally).
     refresh_mode 'full' resamples v uniformly on {-1,1}^d at rate
     refresh_rate; 'partial' flips each coordinate independently at rate
     refresh_rate / d.
@@ -86,7 +85,7 @@ class IntensitySpec:
 
     kind: str = "canonical"
     eps: float = 0.0
-    gamma: float | Callable[[np.ndarray], np.ndarray] = 0.0
+    gamma: float = 0.0
     refresh_rate: float = 0.0
     refresh_mode: str = "full"
 
@@ -95,17 +94,12 @@ class IntensitySpec:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.kind == "penalty" and self.eps <= 0:
             raise ValueError("penalty requires eps > 0")
-        if not (callable(self.gamma) or self.gamma >= 0):
-            raise ValueError(f"a constant gamma must be >= 0, got {self.gamma!r}")
-        if self.refresh_rate < 0:
-            raise ValueError("refresh_rate must be >= 0")
+        if not self.gamma >= 0:
+            raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
+        if not self.refresh_rate >= 0:
+            raise ValueError(f"refresh_rate must be >= 0, got {self.refresh_rate!r}")
         if self.refresh_mode not in ("full", "partial"):
             raise ValueError("refresh_mode must be 'full' or 'partial'")
-
-    def gamma_at(self, x: np.ndarray):
-        if callable(self.gamma):
-            return np.asarray(self.gamma(x), dtype=float)
-        return np.asarray(self.gamma, dtype=float)
 
 
 def intensity(spec: IntensitySpec, pot: Potential, i: int, x: np.ndarray,
@@ -122,8 +116,8 @@ def intensity(spec: IntensitySpec, pot: Potential, i: int, x: np.ndarray,
         lam = -_log_phi_eps_exp(spec.eps, -s)
     else:
         lam = np.logaddexp(0.0, s)  # softplus
-    if callable(spec.gamma) or spec.gamma != 0.0:
-        lam = lam + spec.gamma_at(x)
+    if spec.gamma != 0.0:
+        lam = lam + spec.gamma
     return lam
 
 
@@ -192,10 +186,10 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
     """First arrival of the inhomogeneous rate t -> lambda_i(x + t v, v) by
     thinning against the affine envelope lam(0) + B t, refreshed per window.
 
-    Valid for every intensity kind here with a constant gamma: smooth kinds
+    Valid for every intensity kind here (gamma is constant): smooth kinds
     are 1-Lipschitz transforms of s(t) = dU_i(x + t v) v_i, so the ray bound
-    B on |s'(t)| dominates |d lambda / dt| as well.  An x-dependent gamma
-    that outgrows the envelope raises EnvelopeViolation.
+    B on |s'(t)| dominates |d lambda / dt| as well.  An intensity above the
+    envelope (a hessian_bound that is too small) raises EnvelopeViolation.
     """
     if pot.hessian_bound is None:
         raise EnvelopeViolation("no ray bound available for thinning envelope")
@@ -230,7 +224,7 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     One event loop on Python floats moves x, flips or refreshes v and
     records the skeleton; only the coordinate clocks are drawn in two ways,
     picked from the inputs.  A diagonal Gaussian (``pot.gaussian_sigmas``)
-    with canonical rates and a constant gamma inverts the integrated rate
+    with canonical rates inverts the integrated rate
     exactly: each event reads rng as one ``standard_exponential`` call for
     the d coordinate clocks and then the refresh clock (the layout of that
     many scalar ``exponential()`` calls), then the refresh draw.  Every
@@ -249,8 +243,7 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
         raise ValueError("x0 must be finite")
     if not np.all(np.isin(v, (-1.0, 1.0))):
         raise ValueError("v0 must be +-1 valued")
-    exact = (pot.gaussian_sigmas is not None and spec.kind == "canonical"
-             and not callable(spec.gamma))
+    exact = pot.gaussian_sigmas is not None and spec.kind == "canonical"
     if exact:
         inv2 = (1.0 / (pot.gaussian_sigmas ** 2)).tolist()
         gamma = float(spec.gamma)
@@ -376,42 +369,29 @@ def batch_means_variance(traj: ZigZagTrajectory, f, t_start: float,
 
 def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
                             horizon: float, replicates: int, lam: float,
-                            seed: int, x0=None, degree: int | None = None,
-                            grid_dt: float = 0.05):
-    """Replicate estimate of the (discounted) asymptotic variance of f.
+                            seed: int, degree: int | None = None):
+    """Replicate estimate of the asymptotic variance of f.
 
-    Each replicate simulates horizon*1.1 and discards the first tenth as
-    burn-in.  lam = 0 uses batch means with floor(sqrt(T)) batches; lam > 0
-    samples the path on a uniform grid of step grid_dt and applies the
-    discounted-autocovariance plug-in with discrete factor exp(-lam*grid_dt),
-    scaled by grid_dt (documented discretization).  Returns (estimate, se,
-    per-replicate array).
+    Each replicate starts at x = 0 with uniform random velocities, simulates
+    horizon*1.1, discards the first tenth as burn-in and applies batch means
+    with floor(sqrt(T)) batches.  lam must be 0 (no discount); the slot
+    mirrors the discrete estimators.  Returns (estimate, se, per-replicate).
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
-    if lam < 0:
-        raise ValueError("lam must be >= 0")
+    if lam != 0:
+        raise ValueError(f"only lam = 0 is supported, got {lam!r}")
     d = pot.d
     burn = horizon / 10.0
     per = np.empty(replicates)
     for r in range(replicates):
         rng = samplers.replicate_rng(seed, r)
-        start = np.zeros(d) if x0 is None else np.asarray(x0, dtype=float)
         v0 = np.where(rng.random(d) < 0.5, -1.0, 1.0)
-        traj = simulate_zigzag(pot, spec, start, v0, horizon + burn, rng)
-        if traj.n_events < 2:
-            raise ValueError("degenerate trajectory: fewer than 2 events")
+        traj = simulate_zigzag(pot, spec, np.zeros(d), v0, horizon + burn, rng)
         mean = trajectory_integral(traj, f, degree, burn, burn + horizon) / horizon
         fc = lambda x, v: np.asarray(f(x, v), dtype=float) - mean
-        if lam == 0.0:
-            per[r] = batch_means_variance(traj, fc, burn, burn + horizon,
-                                          degree=degree)
-        else:
-            ts = np.arange(burn, burn + horizon, grid_dt)
-            x, v = traj.state_at(ts)
-            vals = np.asarray(fc(x, v), dtype=float)
-            lam_d = math.exp(-lam * grid_dt)
-            per[r] = grid_dt * samplers.estimate_var_lambda(vals, lam_d).estimate
+        per[r] = batch_means_variance(traj, fc, burn, burn + horizon,
+                                      degree=degree)
     est = float(per.mean())
     se = float(per.std(ddof=1) / math.sqrt(replicates))
     return est, se, per

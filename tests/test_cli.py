@@ -1,10 +1,14 @@
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonrev import cli
-from nonrev.experiments import EXPERIMENTS
+from nonrev.experiments import EXPERIMENTS, PARAMS
 
 CATALOG = ["gustafson-ring", "lifted-ordering", "neal-ordering",
            "two-cycle-extra-chance", "ghmc-phi-compare", "zigzag-1d-gamma",
@@ -120,6 +124,78 @@ class TestConfigValidation:
                                        "out": str(tmp_path / "x")})
         assert cli.main(["run", path]) == 2
 
+    # each of these ran at the parent of the typed parameter table: the GHMC
+    # ones froze every chain and passed with each estimate 0.0 +- 0.0, the
+    # rest compared a process or a K with itself or wrote K=True
+    @pytest.mark.parametrize("name, key, value, code", [
+        ("ghmc-phi-compare", "step", 50, 3),
+        ("ghmc-phi-compare", "step", 1e300, 3),
+        ("ghmc-phi-compare", "step", math.nan, 2),
+        ("ghmc-phi-compare", "step", 0, 2),
+        ("ghmc-phi-compare", "nleap", 0, 2),
+        ("zigzag-1d-gamma", "gamma", 0, 2),
+        ("zigzag-2d-refresh", "refresh_rate", 0, 2),
+        ("zigzag-2d-refresh", "refresh_rate", math.nan, 2),
+        ("two-cycle-extra-chance", "K_values", [2, 2], 2),
+        ("two-cycle-extra-chance", "K_values", [True, 2], 2),
+        ("two-cycle-extra-chance", "K_values", [3, 2], 2),
+    ], ids=["step-50", "step-1e300", "step-nan", "step-0", "nleap-0", "gamma-0",
+            "refresh-0", "refresh-nan", "K-2-2", "K-true-2", "K-3-2"])
+    def test_run_without_evidence(self, tmp_path, name, key, value, code):
+        small = {"ghmc-phi-compare": {"steps": 2000, "replicates": 4},
+                 "zigzag-1d-gamma": {"horizon": 100.0, "replicates": 4},
+                 "zigzag-2d-refresh": {"horizon": 100.0, "replicates": 4}}
+        path = write_config(tmp_path, {"experiment": name, "seed": 1,
+                                       **small.get(name, {}), key: value,
+                                       "out": str(tmp_path / "x")})
+        assert cli.main(["run", path]) == code
+
+    @pytest.mark.parametrize("name, key, value", [
+        ("zigzag-1d-gamma", "horizon", 10 ** 400),
+        ("ghmc-phi-compare", "step", 10 ** 400),
+        ("ghmc-phi-compare", "steps", 10 ** 400),
+        ("gustafson-ring", "weights", [1.0, 10 ** 400, 1.0]),
+        ("ghmc-phi-compare", "steps", "many"),
+        ("ghmc-phi-compare", "steps", 2000.0),
+        ("zigzag-1d-gamma", "gamma", math.nan),
+        ("zigzag-1d-gamma", "gamma", -1),
+        ("zigzag-2d-refresh", "quad_nodes", 2.5),
+        ("phi-eps-bounds", "grid_points", 0),
+        ("phi-eps-bounds", "eps_values", [0.1, 0.0]),
+        ("gustafson-ring", "weights", ["a", 1.0, 1.0]),
+        ("lifted-ordering", "step_dist", [1.0, math.inf]),
+        ("gustafson-ring", "lambdas", [[0.5]]),
+    ], ids=["horizon-1e400", "step-1e400", "steps-1e400", "weight-1e400",
+            "steps-string", "steps-float", "gamma-nan", "gamma-negative",
+            "quad-nodes-float", "grid-points-0", "eps-0", "weight-string",
+            "step-dist-inf", "lambda-nested"])
+    def test_value_outside_its_table_row(self, tmp_path, name, key, value):
+        # load_config only; an int beyond the float range must not overflow
+        path = write_config(tmp_path, {"experiment": name, "seed": 1, key: value})
+        with pytest.raises(cli.ConfigError, match=key):
+            cli.load_config(path)
+
+    @pytest.mark.parametrize("payload", [
+        {"experiment": ["gustafson-ring"], "seed": 1},
+        {"experiment": "gustafson-ring", "seed": 1, "out": 5},
+    ], ids=["experiment-list", "out-number"])
+    def test_experiment_and_out_must_be_strings(self, tmp_path, payload):
+        assert cli.main(["run", write_config(tmp_path, payload)]) == 2
+
+    def test_table_covers_every_key(self):
+        keys = {key for _d, defaults, _r in EXPERIMENTS.values() for key in defaults}
+        assert set(PARAMS) == keys and len(PARAMS) == 15
+
+    def test_values_take_their_defaults_types(self, tmp_path):
+        path = write_config(tmp_path, {"experiment": "zigzag-1d-gamma", "seed": 1,
+                                       "gamma": 1, "horizon": 200})
+        params = cli.load_config(path).params
+        assert params == {"gamma": 1.0, "horizon": 200.0, "replicates": 16}
+        assert type(params["gamma"]) is type(params["horizon"]) is float
+        path = write_config(tmp_path, {"experiment": "two-cycle-extra-chance",
+                                       "seed": 1, "weights": [1, 2, 3]})
+        assert cli.load_config(path).params["weights"] == (1.0, 2.0, 3.0)
+
     def test_malformed_json(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
@@ -170,3 +246,90 @@ class TestRun:
         meta = json.loads((out / "gustafson-ring_metadata.json").read_text())
         assert meta["seed"] == 31
         assert "timestamp" in meta
+
+
+# -- property tests over the parameter table ---------------------------------
+
+CONFUSED = st.one_of(st.text(max_size=3), st.none(), st.booleans(),
+                     st.sampled_from([math.nan, math.inf, -math.inf, 10 ** 400,
+                                      -10 ** 400, 2.5, -1, 0]),
+                     st.lists(st.integers(-3, 3), max_size=2),
+                     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+
+
+def in_range(kind, p):
+    """Numbers of the default's type that the table row admits."""
+    if kind is int:
+        return st.integers(min_value=math.ceil(p.lo), max_value=10 ** 6)
+    return st.floats(min_value=max(p.lo, -1e300), max_value=min(p.hi, 1e300),
+                     exclude_min=p.lo_open, exclude_max=p.hi < math.inf,
+                     allow_nan=False, allow_infinity=False)
+
+
+def valid_value(key, default):
+    p = PARAMS[key]
+    if not isinstance(default, tuple):
+        return in_range(type(default), p)
+    grids = st.lists(in_range(type(default[0]), p), min_size=p.min_len,
+                     max_size=p.min_len + 3, unique=p.increasing)
+    return grids.map(sorted) if p.increasing else grids
+
+
+def any_value(key, default):
+    kind = type(default[0] if isinstance(default, tuple) else default)
+    entry = st.one_of(st.integers(-10, 10), st.floats(), CONFUSED)
+    return st.one_of(valid_value(key, default), entry, st.lists(entry, max_size=4),
+                     st.lists(st.one_of(in_range(kind, PARAMS[key]), entry),
+                              max_size=4))
+
+
+def load(payload):
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "config.json"
+        path.write_text(json.dumps(payload))
+        return cli.load_config(path)
+
+
+def assert_typed_and_in_range(params, defaults):
+    assert list(params) == list(defaults)
+    for key, default in defaults.items():
+        p, value = PARAMS[key], params[key]
+        grid = isinstance(default, tuple)
+        kind = type(default[0] if grid else default)
+        entries = value if grid else (value,)
+        assert type(value) is (tuple if grid else kind)
+        assert len(entries) >= p.min_len
+        for x in entries:
+            assert type(x) is kind and math.isfinite(x) and x < p.hi
+            assert x > p.lo if p.lo_open else x >= p.lo
+        if p.increasing:
+            assert all(a < b for a, b in zip(entries, entries[1:]))
+
+
+@st.composite
+def configs(draw, values):
+    name = draw(st.sampled_from(CATALOG))
+    defaults = EXPERIMENTS[name][1]
+    keys = draw(st.lists(st.sampled_from(sorted(defaults)), unique=True, max_size=3))
+    return name, {key: draw(values(key, defaults[key])) for key in keys}
+
+
+class TestParamTableProperties:
+    @settings(derandomize=True, deadline=None, max_examples=300)
+    @given(configs(any_value))
+    def test_returns_typed_values_or_config_error(self, case):
+        name, overrides = case
+        try:
+            cfg = load({"experiment": name, "seed": 1, **overrides})
+        except cli.ConfigError:
+            return
+        assert_typed_and_in_range(cfg.params, EXPERIMENTS[name][1])
+
+    @settings(derandomize=True, deadline=None, max_examples=150)
+    @given(configs(valid_value))
+    def test_values_inside_the_table_load_unchanged(self, case):
+        name, overrides = case
+        params = load({"experiment": name, "seed": 1, **overrides}).params
+        assert_typed_and_in_range(params, EXPERIMENTS[name][1])
+        for key, value in overrides.items():
+            assert params[key] == (tuple(value) if isinstance(value, list) else value)

@@ -261,6 +261,17 @@ class TestGhmcDriver:
         nan = self.compare(observables={"nan": lambda x: np.full(x.shape[0], np.nan)})
         assert math.isnan(nan.max_violation) and not nan.passed
 
+    @pytest.mark.parametrize("step", [50.0, 1e300])
+    def test_frozen_chains_raise(self, step):
+        # every proposal is rejected, so each chain stays at x0 and both
+        # estimates are 0.0 +- 0.0: an ordering "within 2 SE" with no evidence
+        with pytest.raises(ValueError, match="never moved"):
+            samplers.compare_acceptance_rules(
+                self.H, omega=math.pi / 4, step=step, nleap=2,
+                rules=[AcceptanceRule.metropolis(), AcceptanceRule.barker()],
+                lambdas=[0.5], observables={"x2": lambda x: x[:, 0] ** 2},
+                n_steps=2000, replicates=4, seed=1)
+
     @pytest.mark.parametrize("kwargs, match", [
         ({"rules": [AcceptanceRule.metropolis()]}, "at least two"),
         ({"rules": []}, "at least two"),
