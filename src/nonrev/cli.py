@@ -95,10 +95,7 @@ def run(config: ExperimentConfig) -> int:
         fh.write(CSV_HEADER + "\n")
         for row in rows:
             fh.write(row.to_csv() + "\n")
-    summary = {"experiment": config.experiment,
-               "checks": [{"name": c["name"], "pass": bool(c["pass"]),
-                           "max_violation": c["max_violation"]}
-                          for c in checks]}
+    summary = {"experiment": config.experiment, "checks": checks}
     with open(f"{stem}_summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -218,21 +218,20 @@ def var_lambda(f: Observable, P: KernelMatrix, mu: FiniteDistribution,
 
 
 def var_lambda_series(f: Observable, P: KernelMatrix, mu: FiniteDistribution,
-                      lam: float, truncation: int | None = None) -> float:
+                      lam: float) -> float:
     """Independent truncated-series oracle for var_lambda.
 
-    Sums |fbar|^2 + 2 sum_{k>=1} lam^k <fbar, P^k fbar>_mu term by term.
+    Sums |fbar|^2 + 2 sum_{k>=1} lam^k <fbar, P^k fbar>_mu term by term, up
+    to the first k with lam^k <= 1e-12.
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
     fbar = centered(f, mu)
     if lam == 0.0:
         return inner(fbar, fbar, mu)
-    if truncation is None:
-        truncation = int(np.ceil(np.log(1e-12) / np.log(lam)))
     total = inner(fbar, fbar, mu)
     pk = fbar.copy()
-    for k in range(1, truncation + 1):
+    for k in range(1, int(np.ceil(np.log(1e-12) / np.log(lam))) + 1):
         pk = P.entries @ pk
         total += 2.0 * lam ** k * inner(fbar, pk, mu)
     return total

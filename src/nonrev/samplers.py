@@ -127,19 +127,19 @@ def _autocov(values: np.ndarray, max_lag: int) -> np.ndarray:
     return out
 
 
-def estimate_var_lambda(chains, lam: float, max_lag: int | None = None) -> ChainStats:
+def estimate_var_lambda(chains, lam: float) -> ChainStats:
     """Plug-in discounted-autocovariance estimator.
 
     chains: array (replicates, length) of observable values (a single 1-D
     chain is treated as one replicate).  Per replicate the estimate is
-    gamma_0 + 2 sum_{k<=K} lam^k gamma_k with biased autocovariances; the
+    gamma_0 + 2 sum_{k<=K} lam^k gamma_k with biased autocovariances and
+    K = default_max_lag(lam) (the first lag with lam^K <= 1e-8); the
     standard error is the replicate sample SD divided by sqrt(R).
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
     chains = np.atleast_2d(np.asarray(chains, dtype=float))
-    if max_lag is None:
-        max_lag = default_max_lag(lam)
+    max_lag = default_max_lag(lam)
     if chains.shape[1] < 10 * max(1, max_lag):
         raise ValueError("chain shorter than 10 * max_lag")
     weights = lam ** np.arange(max_lag + 1)

@@ -13,13 +13,17 @@ one of two ways, picked from the potential and the spec: exact inversion of
 the integrated rate for diagonal-Gaussian potentials with canonical
 intensities, and thinning against an affine-along-the-ray envelope
 otherwise.
+
+Observables are plain callables g(x, v), vectorized over a leading axis.
+The generator is L g = <grad_x g, v> + J g, where the jump part J holds the
+flips and the refresh clock.  Two processes on the same potential share the
+transport term, so their Dirichlet-form gap needs J alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.special import log_ndtr
@@ -182,9 +186,10 @@ def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
 
 def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
                        x: np.ndarray, v: np.ndarray, rng,
-                       window: float = 1.0, horizon: float = np.inf) -> float:
+                       horizon: float = np.inf) -> float:
     """First arrival of the inhomogeneous rate t -> lambda_i(x + t v, v) by
-    thinning against the affine envelope lam(0) + B t, refreshed per window.
+    thinning against the affine envelope lam(0) + B t, refreshed per unit
+    time window.
 
     Valid for every intensity kind here (gamma is constant): smooth kinds
     are 1-Lipschitz transforms of s(t) = dU_i(x + t v) v_i, so the ray bound
@@ -196,14 +201,14 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
     s = 0.0
     while s < horizon:
         base = float(intensity(spec, pot, i, x + s * v, v))
-        B = float(pot.hessian_bound(x + s * v, v, window)) + 1e-12
+        B = float(pot.hessian_bound(x + s * v, v, 1.0)) + 1e-12
         u = 0.0
         lam0 = base
-        while u < window:
+        while u < 1.0:
             e = rng.exponential()
             # first point of rate lam0 + B t after u, within the window
             du = 2 * e / (lam0 + math.sqrt(lam0 * lam0 + 2 * B * e))
-            if u + du >= window:
+            if u + du >= 1.0:
                 break
             u += du
             lam0 = base + B * u
@@ -213,7 +218,7 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
                     f"intensity {true} exceeds envelope {lam0} at offset {s + u}")
             if rng.random() * lam0 < true:
                 return s + u
-        s += window
+        s += 1.0
     return math.inf
 
 
@@ -335,26 +340,26 @@ def _window_integrals(traj: ZigZagTrajectory, f, degree: int | None,
     return np.array(totals)
 
 
-def trajectory_integral(traj: ZigZagTrajectory, f, degree: int | None = None,
-                        t_start: float = 0.0, t_end: float | None = None) -> float:
-    """Time integral of f(Z_s) over [t_start, t_end] along the path.
+def trajectory_integral(traj: ZigZagTrajectory, f, degree: int | None = None) -> float:
+    """Time integral of f(Z_s) over the whole path, [0, horizon].
 
     f(x, v) must be vectorized over a leading axis.  A 3-point
     Gauss-Legendre rule per segment is exact for position-polynomials up to
     degree 4 (pass degree <= 4); otherwise an 8-point rule is used.
     """
-    if t_end is None:
-        t_end = traj.horizon
-    return float(_window_integrals(traj, f, degree, [t_start, t_end])[0])
+    return float(_window_integrals(traj, f, degree, [0.0, traj.horizon])[0])
 
 
 def batch_means_variance(traj: ZigZagTrajectory, f, t_start: float,
-                         t_end: float, n_batches: int | None = None,
-                         degree: int | None = None) -> float:
-    """Asymptotic-variance estimate from block averages of the path integral."""
+                         t_end: float, degree: int | None = None) -> float:
+    """Asymptotic-variance estimate from block averages of the path integral
+    over [t_start, t_end], cut into floor(sqrt(t_end - t_start)) batches.
+
+    The batch means' sample variance does not change when a constant is
+    subtracted from f, so f needs no centring.
+    """
     span = t_end - t_start
-    if n_batches is None:
-        n_batches = int(math.sqrt(span))
+    n_batches = int(math.sqrt(span))
     if n_batches < 2:
         raise ValueError(f"batch means need at least 2 batches, got {n_batches} "
                          f"for a span of {span!r}")
@@ -374,8 +379,9 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
 
     Each replicate starts at x = 0 with uniform random velocities, simulates
     horizon*1.1, discards the first tenth as burn-in and applies batch means
-    with floor(sqrt(T)) batches.  lam must be 0 (no discount); the slot
-    mirrors the discrete estimators.  Returns (estimate, se, per-replicate).
+    to f itself, in one pass over the path.  lam must be 0 (no discount);
+    the slot mirrors the discrete estimators.  Returns (estimate, se,
+    per-replicate).
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
@@ -388,34 +394,10 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
         rng = samplers.replicate_rng(seed, r)
         v0 = np.where(rng.random(d) < 0.5, -1.0, 1.0)
         traj = simulate_zigzag(pot, spec, np.zeros(d), v0, horizon + burn, rng)
-        mean = trajectory_integral(traj, f, degree, burn, burn + horizon) / horizon
-        fc = lambda x, v: np.asarray(f(x, v), dtype=float) - mean
-        per[r] = batch_means_variance(traj, fc, burn, burn + horizon,
-                                      degree=degree)
+        per[r] = batch_means_variance(traj, f, burn, burn + horizon, degree)
     est = float(per.mean())
     se = float(per.std(ddof=1) / math.sqrt(replicates))
     return est, se, per
-
-
-@dataclass(frozen=True)
-class SmoothObservable:
-    """g(x, v) with an x-gradient; both vectorized over a leading axis."""
-
-    value: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    grad_x: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
-
-    def gradient(self, x, v):
-        if self.grad_x is not None:
-            return np.asarray(self.grad_x(x, v), dtype=float)
-        d = x.shape[-1]
-        h = 1e-6
-        cols = []
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = h
-            cols.append((np.asarray(self.value(x + e, v))
-                         - np.asarray(self.value(x - e, v))) / (2 * h))
-        return np.stack(cols, axis=-1)
 
 
 def _flip(v: np.ndarray, i: int) -> np.ndarray:
@@ -429,32 +411,28 @@ def _all_velocities(d: int) -> np.ndarray:
     return out.reshape(d, -1).T
 
 
-def generator_apply(pot: Potential, spec: IntensitySpec, g: SmoothObservable,
-                    x: np.ndarray, v: np.ndarray):
-    """(Lg)(x, v) = <grad_x g, v> + sum_i lambda_i [g(x, flip_i v) - g(x, v)]
-    plus the refresh term; batched over the leading axis."""
+def jump_generator(pot: Potential, spec: IntensitySpec, g,
+                   x: np.ndarray, v: np.ndarray):
+    """(Jg)(x, v) = sum_i lambda_i(x, v) [g(x, flip_i v) - g(x, v)] plus the
+    refresh term: the generator without its transport term <grad_x g, v>.
+    Batched over the leading axis."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     d = pot.d
-    out = np.sum(g.gradient(x, v) * v, axis=-1)
-    gv = np.asarray(g.value(x, v), dtype=float)
-    for i in range(d):
-        out = out + intensity(spec, pot, i, x, v) * (
-            np.asarray(g.value(x, _flip(v, i)), dtype=float) - gv)
+    gv = np.asarray(g(x, v), dtype=float)
+    flips = [np.asarray(g(x, _flip(v, i)), dtype=float) - gv for i in range(d)]
+    out = np.zeros_like(gv)
+    for i, dg in enumerate(flips):
+        out += intensity(spec, pot, i, x, v) * dg
     lb = spec.refresh_rate
-    if lb > 0:
-        if spec.refresh_mode == "full":
-            vs = _all_velocities(d)
-            mean = np.zeros_like(gv)
-            for w in vs:
-                mean += np.asarray(g.value(x, np.broadcast_to(w, v.shape)),
-                                   dtype=float)
-            mean /= vs.shape[0]
-            out = out + lb * (mean - gv)
-        else:
-            for i in range(d):
-                out = out + (lb / d) * (
-                    np.asarray(g.value(x, _flip(v, i)), dtype=float) - gv)
+    if lb > 0 and spec.refresh_mode == "full":
+        vs = _all_velocities(d)
+        mean = sum(np.asarray(g(x, np.broadcast_to(w, v.shape)), dtype=float)
+                   for w in vs) / vs.shape[0]
+        out += lb * (mean - gv)
+    elif lb > 0:
+        for dg in flips:
+            out += (lb / d) * dg
     return out
 
 
@@ -501,11 +479,11 @@ def expectation_mu(pot: Potential, fn, m: int = 40):
 
 
 def dirichlet_gap_quadrature(pot: Potential, spec1: IntensitySpec,
-                             spec2: IntensitySpec, g: SmoothObservable,
-                             m: int = 40) -> float:
+                             spec2: IntensitySpec, g, m: int = 40) -> float:
     """<g, -(L1 - L2) Q g>_mu by quadrature; >= 0 certifies that the spec1
     process has the larger Dirichlet form (hence the smaller variance for
-    flip-symmetric observables).
+    flip-symmetric observables).  Both processes move on the same potential,
+    so the transport terms cancel and -(L1 - L2) = J2 - J1 on the jump parts.
 
     Evaluated at two resolutions (m and m + 16 nodes per axis); a relative
     disagreement above 1e-4 raises (grid too coarse).
@@ -514,14 +492,12 @@ def dirichlet_gap_quadrature(pot: Potential, spec1: IntensitySpec,
         raise ValueError("gap quadrature supports d in {1, 2}")
 
     def qg(x, v):
-        return np.asarray(g.value(x, -v), dtype=float)
-
-    qobs = SmoothObservable(qg, lambda x, v: g.gradient(x, -v))
+        return g(x, -v)
 
     def integrand(x, v):
-        diff = (generator_apply(pot, spec2, qobs, x, v)
-                - generator_apply(pot, spec1, qobs, x, v))
-        return np.asarray(g.value(x, v), dtype=float) * diff
+        diff = (jump_generator(pot, spec2, qg, x, v)
+                - jump_generator(pot, spec1, qg, x, v))
+        return np.asarray(g(x, v), dtype=float) * diff
 
     coarse = expectation_mu(pot, integrand, m)
     fine = expectation_mu(pot, integrand, m + 16)

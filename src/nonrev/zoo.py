@@ -142,7 +142,8 @@ def _smoothed_metropolis(eps: float, r):
     if eps == 0.0:
         return np.minimum(1.0, r)
     se = math.sqrt(eps)
-    # finite r unchanged, inf -> max, where the formula is already 1
+    # finite r unchanged, inf -> max: the formula grows with r, so
+    # phi(inf) >= phi(1e300) (it is 1 to within rounding unless eps is large)
     r = np.asarray(np.minimum(r, sys.float_info.max), dtype=float)
     out = np.zeros_like(r)
     pos = r > 0
@@ -155,8 +156,9 @@ def _smoothed_metropolis(eps: float, r):
 class AcceptanceRule:
     """Acceptance function phi with r*phi(1/r) = phi(r), phi <= min{1,r}.
 
-    phi maps arrays of ratios in [0, inf] elementwise, and phi(inf) is the
-    limit of phi(r) as r grows, so overflowing ratios are accepted.
+    phi maps arrays of ratios in [0, inf] elementwise, and phi(inf) lies
+    between phi(1e300) and 1, as the limit of phi(r) as r grows does, so
+    overflowing ratios are accepted at least as often as huge finite ones.
     """
 
     kind: str
@@ -180,8 +182,11 @@ class AcceptanceRule:
             raise ValueError("phi must be dominated by min{1, r}")
         if zero != 0.0:
             raise ValueError("phi(0) must be 0")
-        if not abs(inf - big) <= 1e-12:
-            raise ValueError("phi(inf) must be the limit of phi(r) as r grows")
+        # phi_eps at large eps is still visibly below 1 at r = 1e300, so the
+        # limit is bracketed rather than matched
+        if not big <= inf <= 1.0:
+            raise ValueError("phi(inf) must lie between phi(1e300) and 1, "
+                             f"got {inf!r} with phi(1e300) = {big!r}")
 
     @staticmethod
     def metropolis() -> "AcceptanceRule":

@@ -3,9 +3,12 @@
 Each one recomputes a quantity of the package by a different route (a
 truncated series, a half-square-sum form, an explicit symmetrization, a
 per-state loop in place of index arithmetic, a per-vector solve in place of
-a block solve) or builds a target the catalog does not use, so it lives
+a block solve, a centred second pass in place of one batch-means pass) or
+builds a target the catalog does not use, so it lives
 beside the tests that use it rather than inside the package under test.
 """
+
+import math
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -14,7 +17,8 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            HypothesisNotCertified, KernelMatrix, Observable,
                            OrderingReport, centered, check_mu_reversible,
                            dirichlet_dominance_certificate, inner, var_lambda)
-from nonrev.samplers import Potential
+from nonrev.samplers import Potential, replicate_rng
+from nonrev.zigzag import _window_integrals, simulate_zigzag
 from nonrev.zoo import (FlowMap, RingTarget, SubKernelPair, SwitchingRate,
                         collapsed_kernel, half_lift, lifted_kernel)
 
@@ -97,6 +101,27 @@ def zz_tabulated(xs, us) -> Potential:
         d=1,
         hessian_bound=lambda x, v, tau: bmax,
     )
+
+
+def estimate_var_continuous_centred(pot: Potential, spec, f, horizon: float,
+                                    replicates: int, seed: int, degree=None):
+    """zigzag.estimate_var_continuous (lam = 0) in two passes per replicate:
+    the path mean of f over the kept span first, then batch means of f minus
+    that mean, with floor(sqrt(span)) batches."""
+    burn = horizon / 10.0
+    span = (burn + horizon) - burn
+    n = int(math.sqrt(span))
+    delta = span / n
+    per = np.empty(replicates)
+    for r in range(replicates):
+        rng = replicate_rng(seed, r)
+        v0 = np.where(rng.random(pot.d) < 0.5, -1.0, 1.0)
+        traj = simulate_zigzag(pot, spec, np.zeros(pot.d), v0, horizon + burn, rng)
+        mean = _window_integrals(traj, f, degree, [burn, burn + horizon])[0] / horizon
+        ints = _window_integrals(traj, lambda x, v: np.asarray(f(x, v)) - mean,
+                                 degree, np.linspace(burn, burn + horizon, n + 1))
+        per[r] = delta * (ints / delta).var(ddof=1)
+    return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates)), per
 
 
 def project_symmetric(f: Observable, Q: DeterministicInvolution, sign: int) -> Observable:

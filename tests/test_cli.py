@@ -62,9 +62,14 @@ class TestConfigValidation:
             assert cli.main(["run", path]) == 2
 
     def test_lambda_outside_unit_interval(self, tmp_path):
-        path = write_config(tmp_path, {"experiment": "gustafson-ring",
-                                       "seed": 1, "lambdas": [0.5, 1.0]})
-        assert cli.main(["run", path]) == 2
+        # lambda = 0 compares |fbar|^2 with itself (neal-ordering once divided
+        # by it and exited 3)
+        for name, lambdas in (("gustafson-ring", [0.5, 1.0]),
+                              ("neal-ordering", [0.0, 0.5])):
+            path = write_config(tmp_path, {"experiment": name, "seed": 1,
+                                           "lambdas": lambdas,
+                                           "out": str(tmp_path / "x")})
+            assert cli.main(["run", path]) == 2
 
     @pytest.mark.parametrize("name, key", [("gustafson-ring", "lambdas"),
                                            ("ghmc-phi-compare", "mc_lambdas")])
@@ -224,6 +229,10 @@ class TestRun:
         assert "PASS" in stdout and "FAIL" not in stdout
         summary = json.loads((out / "gustafson-ring_summary.json").read_text())
         assert all(c["pass"] for c in summary["checks"])
+        # each check carries the tolerance its violation is held to
+        assert [sorted(c) for c in summary["checks"]] == [
+            ["max_violation", "name", "pass", "tol"]] * 4
+        assert summary["checks"][-1]["tol"] == 1e-8
 
     def test_results_csv_deterministic(self, tmp_path):
         _, out_a = self.run_gustafson(tmp_path, "a")
@@ -233,6 +242,14 @@ class TestRun:
         assert a == b
         header = a.decode().splitlines()[0]
         assert header == "experiment,case_id,lambda,value,se,oracle,pass"
+
+    def test_large_eps_runs(self, tmp_path):
+        # phi_eps(1e300) is about 1e-9 below 1 at eps = 1000; the rule's
+        # phi(inf) check once rejected it and the run exited 3
+        path = write_config(tmp_path, {"experiment": "phi-eps-bounds", "seed": 1,
+                                       "eps_values": [1000.0],
+                                       "out": str(tmp_path / "x")})
+        assert cli.main(["run", path]) == 0
 
     def test_numeric_failure_exit_code(self, tmp_path):
         # negative target weights fail inside the runner -> exit 3

@@ -6,12 +6,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
-from nonrev import zigzag
+from nonrev import experiments, zigzag
 from nonrev.samplers import replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, Potential,
-                           SmoothObservable, intensity, simulate_zigzag,
-                           zz_gaussian)
-from oracles import zz_tabulated
+                           intensity, simulate_zigzag, zz_gaussian)
+from oracles import estimate_var_continuous_centred, zz_tabulated
 
 
 def sigmaless(pot):
@@ -401,21 +400,30 @@ class TestTrajectoryTools:
     def test_batch_means_match_per_window_reference(self, degree):
         traj = self.short_traj()
         f = lambda x, v: np.cos(x[:, 0]) + x[:, 0] * v[:, 0]
-        t_start, t_end, n = 3.7, 47.3, 20
-        edges = np.linspace(t_start, t_end, n + 1)
+        t_start, t_end = 3.7, 47.3
+
+        def reference(edges):
+            return np.array([reference_window_integral(traj, f, degree, a, b)
+                             for a, b in zip(edges[:-1], edges[1:])])
+
+        # 20 windows, some of which hold no event
+        edges = np.linspace(t_start, t_end, 21)
         counts = [np.count_nonzero((traj.times > a) & (traj.times < b))
                   for a, b in zip(edges[:-1], edges[1:])]
         assert 0 in counts and max(counts) > 1
-        ints = np.array([reference_window_integral(traj, f, degree, a, b)
-                         for a, b in zip(edges[:-1], edges[1:])])
-        delta = (t_end - t_start) / n
+        assert np.array_equal(zigzag._window_integrals(traj, f, degree, edges),
+                              reference(edges))
+        for window in [(t_start, t_end), (edges[3], edges[4])]:
+            assert np.array_equal(zigzag._window_integrals(traj, f, degree, window),
+                                  reference(window))
+        # batch means over the span use floor(sqrt(43.6)) = 6 batches
+        ints = reference(np.linspace(t_start, t_end, 7))
+        delta = (t_end - t_start) / 6
         expected = float(delta * (ints / delta).var(ddof=1))
-        assert zigzag.batch_means_variance(traj, f, t_start, t_end, n,
+        assert zigzag.batch_means_variance(traj, f, t_start, t_end,
                                            degree) == expected
-        for a, b in [(0.0, traj.horizon), (t_start, t_end),
-                     (edges[3], edges[4])]:
-            assert (zigzag.trajectory_integral(traj, f, degree, a, b)
-                    == reference_window_integral(traj, f, degree, a, b))
+        assert (zigzag.trajectory_integral(traj, f, degree)
+                == reference_window_integral(traj, f, degree, 0.0, traj.horizon))
 
     def test_batch_means_needs_events(self):
         traj = simulate_zigzag(free_potential(), IntensitySpec(), [0.0], [1.0],
@@ -436,6 +444,31 @@ class TestVarianceEstimation:
         # quadrupling the horizon should roughly halve the spread
         assert 0.25 < se_long / se_short < 0.95
         assert per_short.size == per_long.size == 12
+
+    # the catalog's targets, observables and rates at short horizons
+    CATALOG_TARGETS = {
+        "1d-canonical": ([1.0], IntensitySpec("canonical")),
+        "1d-plus-gamma": ([1.0], IntensitySpec("canonical", gamma=0.5)),
+        "2d-partial": ([1.0, 1.0], IntensitySpec("canonical", refresh_rate=1.0,
+                                                 refresh_mode="partial")),
+        "2d-full": ([1.0, 1.0], IntensitySpec("canonical", refresh_rate=1.0,
+                                              refresh_mode="full")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CATALOG_TARGETS))
+    def test_matches_centred_two_pass_oracle(self, case):
+        # batch means of f and of f minus its path mean agree, so the
+        # one-pass estimator equals the explicitly centred two-pass one
+        sigmas, spec = self.CATALOG_TARGETS[case]
+        pot = zz_gaussian(sigmas)
+        f = lambda x, v: np.sum(x, axis=1)
+        est, se, per = zigzag.estimate_var_continuous(pot, spec, f, 300.0, 3, 0.0,
+                                                      909, degree=1)
+        ref_est, ref_se, ref_per = estimate_var_continuous_centred(
+            pot, spec, f, 300.0, 3, 909, degree=1)
+        assert np.allclose(per, ref_per, rtol=1e-12, atol=0.0)
+        assert est == pytest.approx(ref_est, rel=1e-12)
+        assert se == pytest.approx(ref_se, rel=1e-12)
 
     def test_too_few_batches_raises(self):
         # horizon 3 gives floor(sqrt(3)) = 1 batch, whose variance is NaN
@@ -468,42 +501,78 @@ class TestGeneratorAndQuadrature:
             == pytest.approx(0.0, abs=1e-12)
 
     def test_generator_integrates_to_zero(self):
-        # E_mu[(Lg)] = 0 for a basis of smooth observables, all four kinds
-        pot = zz_gaussian([1.0])
-        basis = [
-            SmoothObservable(lambda x, v: x[:, 0],
-                             lambda x, v: np.ones_like(x)),
-            SmoothObservable(lambda x, v: x[:, 0] ** 2,
-                             lambda x, v: 2 * x),
-            SmoothObservable(lambda x, v: x[:, 0] * v[:, 0],
-                             lambda x, v: v),
-            SmoothObservable(lambda x, v: np.sin(x[:, 0]) * v[:, 0],
-                             lambda x, v: np.cos(x[:, :1]) * v),
-            SmoothObservable(lambda x, v: x[:, 0] ** 3 + v[:, 0],
-                             lambda x, v: 3 * x ** 2),
+        # E_mu[L g] = E_mu[<grad_x g, v> + J g] = 0 for a basis of smooth
+        # observables, every intensity kind and both refresh modes; each
+        # basis entry is (g, <grad_x g, v>) with the gradient written out
+        one_d = [
+            (lambda x, v: x[:, 0], lambda x, v: v[:, 0]),
+            (lambda x, v: x[:, 0] ** 2, lambda x, v: 2 * x[:, 0] * v[:, 0]),
+            (lambda x, v: x[:, 0] * v[:, 0], lambda x, v: np.ones(x.shape[0])),
+            (lambda x, v: np.sin(x[:, 0]) * v[:, 0],
+             lambda x, v: np.cos(x[:, 0])),
+            (lambda x, v: x[:, 0] ** 3 + v[:, 0],
+             lambda x, v: 3 * x[:, 0] ** 2 * v[:, 0]),
         ]
-        specs = [IntensitySpec("canonical"),
-                 IntensitySpec("penalty", eps=0.3),
-                 IntensitySpec("barker"),
-                 IntensitySpec("canonical", gamma=0.4, refresh_rate=1.0),
-                 IntensitySpec("penalty", eps=0.3, gamma=0.4)]
-        for spec in specs:
-            for g in basis:
+        two_d = [
+            (lambda x, v: x[:, 0] * v[:, 1], lambda x, v: v[:, 0] * v[:, 1]),
+            (lambda x, v: x[:, 0] * x[:, 1] * v[:, 0],
+             lambda x, v: x[:, 1] + x[:, 0] * v[:, 0] * v[:, 1]),
+        ]
+        cases = [(zz_gaussian([1.0]), spec, one_d) for spec in (
+            IntensitySpec("canonical"),
+            IntensitySpec("penalty", eps=0.3),
+            IntensitySpec("barker"),
+            IntensitySpec("canonical", gamma=0.4, refresh_rate=1.0),
+            IntensitySpec("penalty", eps=0.3, gamma=0.4))]
+        cases += [(zz_gaussian([1.0, 0.7]), IntensitySpec(
+            "canonical", refresh_rate=1.0, refresh_mode=mode), two_d)
+            for mode in ("partial", "full")]
+        for pot, spec, basis in cases:
+            for g, transport in basis:
                 val = zigzag.expectation_mu(
-                    pot, lambda x, v: zigzag.generator_apply(pot, spec, g, x, v))
+                    pot, lambda x, v: transport(x, v)
+                    + zigzag.jump_generator(pot, spec, g, x, v))
                 assert abs(val) < 1e-6
+        # the jump part alone does not integrate to zero: E[J(x v)] = -E[x^2]
+        pot = zz_gaussian([1.0])
+        jump = zigzag.expectation_mu(pot, lambda x, v: zigzag.jump_generator(
+            pot, IntensitySpec(), one_d[2][0], x, v))
+        assert jump == pytest.approx(-1.0, abs=1e-8)
+
+    # the catalog's gaps at its defaults as the full generator, transport
+    # term included, gives them (the jump parts alone must agree to 1e-12)
+    GAP_1D = 0.9999999999999178
+    GAP_BASIS = {3: 0.9999999999999083, 7: 0.9999999999999081,
+                 11: 2.9999999999945497, 15: 2.9999999999945492,
+                 19: 0.9999999999998164}
+
+    def test_catalog_gaps_match_full_generator(self):
+        gamma = experiments.EXPERIMENTS["zigzag-1d-gamma"][1]["gamma"]
+        gap = zigzag.dirichlet_gap_quadrature(
+            zz_gaussian([1.0]), IntensitySpec("canonical"),
+            IntensitySpec("canonical", gamma=gamma), lambda x, v: x[:, 0] * v[:, 0])
+        assert gap == pytest.approx(self.GAP_1D, abs=1e-12)
+        defaults = experiments.EXPERIMENTS["zigzag-2d-refresh"][1]
+        rate, m = defaults["refresh_rate"], defaults["quad_nodes"]
+        partial, full = (IntensitySpec("canonical", refresh_rate=rate,
+                                       refresh_mode=mode) for mode in ("partial", "full"))
+        gaps = [zigzag.dirichlet_gap_quadrature(zz_gaussian([1.0, 1.0]), partial,
+                                                full, g, m=m)
+                for g in experiments._basis_2d()]
+        assert gaps == pytest.approx([self.GAP_BASIS.get(k, 0.0) for k in range(20)],
+                                     abs=1e-12)
 
     def test_gap_zero_for_equal_specs(self):
         pot = zz_gaussian([1.0])
         spec = IntensitySpec("canonical")
-        g = SmoothObservable(lambda x, v: x[:, 0] * v[:, 0], lambda x, v: v)
+        g = lambda x, v: x[:, 0] * v[:, 0]
         assert abs(zigzag.dirichlet_gap_quadrature(pot, spec, spec, g)) < 1e-12
 
     def test_gap_extra_gamma_closed_form(self):
         # the canonical process dominates the gamma-augmented one; for
         # g = x v the gap is 2 gamma E[x^2]
         pot = zz_gaussian([1.0])
-        g = SmoothObservable(lambda x, v: x[:, 0] * v[:, 0], lambda x, v: v)
+        g = lambda x, v: x[:, 0] * v[:, 0]
         gap = zigzag.dirichlet_gap_quadrature(
             pot, IntensitySpec("canonical"),
             IntensitySpec("canonical", gamma=0.5), g)
@@ -516,10 +585,9 @@ class TestGeneratorAndQuadrature:
 
     def test_dimension_guards(self):
         pot3 = zz_gaussian([1.0, 1.0, 1.0])
-        g = SmoothObservable(lambda x, v: x[:, 0], lambda x, v: np.ones_like(x))
         with pytest.raises(ValueError):
             zigzag.dirichlet_gap_quadrature(pot3, IntensitySpec(),
-                                            IntensitySpec(), g)
+                                            IntensitySpec(), lambda x, v: x[:, 0])
         pot9 = zz_gaussian(np.ones(9))
         with pytest.raises(ValueError):
             zigzag.expectation_mu(pot9, lambda x, v: np.ones(x.shape[0]))

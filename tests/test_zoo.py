@@ -202,6 +202,19 @@ class TestAcceptanceRules:
         with pytest.raises(ValueError, match=r"phi\(inf\)"):
             zoo.AcceptanceRule("nan-at-inf", lambda r: r / (1.0 + r))
 
+    def test_phi_at_infinity_between_phi_1e300_and_one(self):
+        # phi_eps approaches 1 slowly at large eps (1e-9 short at r = 1e300
+        # for eps = 1000), which a match within 1e-12 once rejected
+        for eps in (10.0, 100.0, 1000.0, 1e4, 1e6):
+            rule = zoo.AcceptanceRule.phi_eps(eps)
+            big, inf = rule.phi(np.array([1e300, np.inf]))
+            assert big <= inf <= 1.0
+        metropolis = lambda r: np.minimum(1.0, r)
+        for at_inf in (np.nan, 1.5, 0.5):
+            with pytest.raises(ValueError, match=r"phi\(inf\)"):
+                zoo.AcceptanceRule("bad-at-inf", lambda r, a=at_inf: np.where(
+                    np.isinf(r), a, metropolis(r)))
+
     def test_phi_is_elementwise_and_one_at_infinity(self):
         r = np.array([0.0, 0.5, 2.0, 1e300, np.inf])
         for rule, want in ((zoo.AcceptanceRule.metropolis(), np.minimum(1.0, r[:3])),
