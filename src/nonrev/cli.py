@@ -56,7 +56,8 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
     try:
         with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    # ValueError: malformed JSON, bytes that are not UTF-8, too many digits
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -83,28 +84,37 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
 
 
 def run(config: ExperimentConfig) -> int:
+    """Exit code 0 or 3 of one run.  An out path that cannot be written
+    raises ConfigError; the directory is made first, so a bad path fails
+    before the run rather than after it."""
     _desc, _defaults, runner = EXPERIMENTS[config.experiment]
+    try:
+        config.out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create the out directory: {exc}") from exc
     try:
         rows, checks = runner(config.params, config.seed)
     except Exception as exc:  # noqa: BLE001 - mapped to the exit contract
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    config.out_dir.mkdir(parents=True, exist_ok=True)
     stem = config.out_dir / config.experiment
-    with open(f"{stem}_results.csv", "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
-        for row in rows:
-            fh.write(row.to_csv() + "\n")
-    summary = {"experiment": config.experiment, "checks": checks}
-    with open(f"{stem}_summary.json", "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    meta = {"experiment": config.experiment, "seed": config.seed,
-            "params": config.params,
-            "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
-    with open(f"{stem}_metadata.json", "w", encoding="utf-8") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    try:
+        with open(f"{stem}_results.csv", "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(CSV_HEADER + "\n")
+            for row in rows:
+                fh.write(row.to_csv() + "\n")
+        summary = {"experiment": config.experiment, "checks": checks}
+        with open(f"{stem}_summary.json", "w", encoding="utf-8") as fh:
+            json.dump(summary, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        meta = {"experiment": config.experiment, "seed": config.seed,
+                "params": config.params,
+                "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
+        with open(f"{stem}_metadata.json", "w", encoding="utf-8") as fh:
+            json.dump(meta, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write to the out directory: {exc}") from exc
     for c in checks:
         status = "PASS" if c["pass"] else "FAIL"
         print(f"{config.experiment} :: {c['name']}: {status} "
@@ -131,11 +141,10 @@ def main(argv=None) -> int:
         print(list_experiments())
         return 0
     try:
-        config = load_config(args.config, args.seed, args.out)
+        return run(load_config(args.config, args.seed, args.out))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run(config)
 
 
 if __name__ == "__main__":

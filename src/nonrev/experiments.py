@@ -41,7 +41,19 @@ def _check(name: str, violation: float, tol: float = 1e-9) -> dict:
 def _position_observable(n: int) -> Observable:
     """x-only observable on the ring x {-1,+1} space (Qf = f)."""
     vals = np.cos(2 * math.pi * np.arange(n) / n) + 0.3 * np.arange(n) / n
-    return zoo.lift_observable(Observable(vals), n)
+    return zoo.lift_observable(Observable(vals))
+
+
+def _ring_cycle(weights):
+    """(mu, Q, psi, R, f) on the ring x {-1,+1}: the half lift of the target,
+    the velocity flip, the shift flow, the (mu, Q)-reversible lazy flip
+    refresh R = (Id + Q)/2 and the position observable."""
+    target = zoo.RingTarget(weights)
+    n = target.n
+    Q = zoo.velocity_flip(n)
+    R = KernelMatrix(0.5 * np.eye(2 * n) + 0.5 * Q.matrix)
+    return (zoo.half_lift(target.pi), Q, zoo.ring_shift_flow(n), R,
+            _position_observable(n))
 
 
 DEFAULT_RING = (1.0, 2.0, 3.0, 2.0, 1.0)
@@ -75,13 +87,11 @@ def run_gustafson_ring(cfg: dict, seed: int):
 def run_lifted_ordering(cfg: dict, seed: int):
     target = zoo.RingTarget(cfg["weights"])
     pair = zoo.guided_walk_ring(target, cfg["step_dist"])
-    kinds = [("minimal", zoo.SwitchingRate("minimal")),
-             ("convex-0.5", zoo.SwitchingRate("convex", 0.5)),
-             ("maximal", zoo.SwitchingRate("maximal"))]
-    lifted = {name: zoo.lifted_kernel(pair, rate) for name, rate in kinds}
+    kinds = [("minimal", 0.0), ("convex-0.5", 0.5), ("maximal", 1.0)]
+    lifted = {name: zoo.lifted_kernel(pair, theta) for name, theta in kinds}
     coll = zoo.collapsed_kernel(pair)
     f_base = Observable(np.cos(2 * math.pi * np.arange(target.n) / target.n))
-    f = zoo.lift_observable(f_base, target.n)
+    f = zoo.lift_observable(f_base)
     rows = []
     worst_chain = 0.0
     worst_vs_coll = 0.0
@@ -122,9 +132,8 @@ def run_neal_ordering(cfg: dict, seed: int):
         f = rng.standard_normal(n)
         g = Observable(np.add.outer(f, f).ravel())  # g(x1,x2) = f(x1)+f(x2)
         fb = Observable(np.repeat(f, n))            # f(x1) lifted to pairs
-        fpi = Observable(f)
-        var_pi = finite.var_lambda(fpi, KernelMatrix(np.tile(pi.weights, (n, 1))),
-                                   pi, 0.0)
+        fbar = finite.centered(Observable(f), pi)
+        var_pi = finite.inner(fbar, fbar, pi)
         vals = {}
         for name, P in (("P1", P1), ("P2", P2)):
             vg = finite.var_lambda(g, P, mu, lam)
@@ -141,20 +150,8 @@ def run_neal_ordering(cfg: dict, seed: int):
     return rows, checks
 
 
-def _ring_refresh_kernel(n: int, a: float = 0.5) -> KernelMatrix:
-    """(mu,Q)-reversible lazy velocity flip on the ring x {-1,+1} space."""
-    Q = zoo.velocity_flip(n)
-    return KernelMatrix((1 - a) * np.eye(2 * n) + a * Q.matrix)
-
-
 def run_two_cycle_extra_chance(cfg: dict, seed: int):
-    target = zoo.RingTarget(cfg["weights"])
-    n = target.n
-    mu = zoo.half_lift(target.pi)
-    Q = zoo.velocity_flip(n)
-    psi = zoo.ring_shift_flow(n)
-    R = _ring_refresh_kernel(n)
-    f = _position_observable(n)
+    mu, Q, psi, R, f = _ring_cycle(cfg["weights"])
     Ks = cfg["K_values"]
     kernels = {K: zoo.extra_chance_finite(mu, psi, Q, K) for K in Ks}
     rows = []
@@ -180,15 +177,9 @@ def run_two_cycle_extra_chance(cfg: dict, seed: int):
 
 def run_ghmc_phi_compare(cfg: dict, seed: int):
     # exact finite comparison on the ring
-    target = zoo.RingTarget(cfg["weights"])
-    n = target.n
-    mu = zoo.half_lift(target.pi)
-    Q = zoo.velocity_flip(n)
-    psi = zoo.ring_shift_flow(n)
+    mu, Q, psi, R, f = _ring_cycle(cfg["weights"])
     P_met = zoo.metropolized_flow_finite(mu, psi, Q, zoo.AcceptanceRule.metropolis())
     P_bar = zoo.metropolized_flow_finite(mu, psi, Q, zoo.AcceptanceRule.barker())
-    R = _ring_refresh_kernel(n)
-    f = _position_observable(n)
     rows = []
     worst = 0.0
     for lam in cfg["lambdas"]:

@@ -107,10 +107,6 @@ class DeterministicInvolution:
         q[np.arange(self.n), self.perm] = 1.0
         return q
 
-    @staticmethod
-    def identity(n: int) -> "DeterministicInvolution":
-        return DeterministicInvolution(np.arange(n))
-
 
 @dataclass(frozen=True)
 class Observable:

@@ -90,45 +90,9 @@ class SubKernelPair:
         if np.max(np.abs(w[:, None] * tp - (w[:, None] * tm).T)) > STRUCT_TOL:
             raise ValueError("skewed detailed balance violated")
 
-    def sub(self, v: int) -> np.ndarray:
-        return self.T_plus if v == 1 else self.T_minus
-
     def escape(self, v: int) -> np.ndarray:
         """T_v(x, X), the per-state total move probability."""
-        return self.sub(v).sum(axis=1)
-
-
-@dataclass(frozen=True)
-class SwitchingRate:
-    """Velocity switching rates for a lifted kernel.
-
-    kind 'minimal' is max{0, T_{-v}(x,X) - T_v(x,X)}, 'maximal' is
-    1 - T_v(x,X), and 'convex' interpolates (1-theta)*minimal + theta*maximal.
-    All three satisfy the admissibility constraints
-    0 <= rho_{v,-v} <= 1 - T_v(x,X) and
-    rho_{v,-v}(x) - rho_{-v,v}(x) = T_{-v}(x,X) - T_v(x,X).
-    """
-
-    kind: str
-    theta: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("minimal", "maximal", "convex"):
-            raise ValueError("kind must be minimal, maximal or convex")
-        if self.kind == "convex" and not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
-
-    def rho(self, pair: SubKernelPair, v: int) -> np.ndarray:
-        """rho_{v,-v}(x) as a vector over x."""
-        tv = pair.escape(v)
-        tmv = pair.escape(-v)
-        minimal = np.maximum(0.0, tmv - tv)
-        maximal = 1.0 - tv
-        if self.kind == "minimal":
-            return minimal
-        if self.kind == "maximal":
-            return maximal
-        return (1.0 - self.theta) * minimal + self.theta * maximal
+        return (self.T_plus if v == 1 else self.T_minus).sum(axis=1)
 
 
 def _barker(r):
@@ -219,35 +183,9 @@ class FlowMap:
         if sorted(p.tolist()) != list(range(p.size)):
             raise ValueError("psi must be a bijection")
 
-    @property
-    def n(self) -> int:
-        return self.psi.size
-
-    @property
-    def inverse(self) -> np.ndarray:
-        inv = np.empty(self.n, dtype=np.intp)
-        inv[self.psi] = np.arange(self.n)
-        return inv
-
     def check_reversal(self, Q: DeterministicInvolution) -> bool:
-        xi = Q.perm
-        return bool(np.array_equal(self.inverse, xi[self.psi[xi]]))
-
-
-def gustafson_ring(target: RingTarget):
-    """Persistent-direction walk on Z_n x {-1,+1} with momentum flip on reject.
-
-    Moves x -> x+v with probability min{1, pi(x+v)/pi(x)}, otherwise flips v.
-    """
-    n = target.n
-    w = target.weights
-    z = np.arange(2 * n)
-    psi = ring_shift_flow(n).psi  # (x, v) -> (x + v, v)
-    a = np.minimum(1.0, w[psi // 2] / w[z // 2])
-    P = np.zeros((2 * n, 2 * n))
-    P[z, psi] += a
-    P[z, z ^ 1] += 1.0 - a
-    return KernelMatrix(P), half_lift(target.pi), velocity_flip(n)
+        p, xi = self.psi, Q.perm
+        return bool(np.array_equal(p[xi[p[xi]]], np.arange(p.size)))
 
 
 def mh_subkernels(target: RingTarget, q_plus: np.ndarray, q_minus: np.ndarray) -> SubKernelPair:
@@ -272,13 +210,24 @@ def mh_subkernels(target: RingTarget, q_plus: np.ndarray, q_minus: np.ndarray) -
     return SubKernelPair(out[1], out[-1], pi)
 
 
-def lifted_kernel(pair: SubKernelPair, rho: SwitchingRate):
-    """Lifted kernel on X x {-1,+1}: move with T_v, switch velocity at rate rho."""
+def lifted_kernel(pair: SubKernelPair, theta: float):
+    """Lifted kernel on X x {-1,+1}: move with T_v, switch velocity at rate
+
+        rho_{v,-v}(x) = (1 - theta) max{0, T_{-v}(x,X) - T_v(x,X)}
+                        + theta (1 - T_v(x,X)),
+
+    from the minimal rate (theta = 0) to the maximal one (theta = 1).  Every
+    theta in [0, 1] keeps 0 <= rho_{v,-v} <= 1 - T_v(x,X) and
+    rho_{v,-v}(x) - rho_{-v,v}(x) = T_{-v}(x,X) - T_v(x,X).
+    """
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
     n = pair.pi.n
     z = np.arange(2 * n)
-    # the v = +1 and v = -1 values interleaved into state-id order
+    # T_v(x, X) for v = +1 and v = -1 interleaved into state-id order, so
+    # esc[z ^ 1] is T_{-v}(x, X)
     esc = np.stack([pair.escape(1), pair.escape(-1)], axis=1).ravel()
-    rv = np.stack([rho.rho(pair, 1), rho.rho(pair, -1)], axis=1).ravel()
+    rv = (1.0 - theta) * np.maximum(0.0, esc[z ^ 1] - esc) + theta * (1.0 - esc)
     if np.any(rv < -1e-12) or np.any(rv > 1.0 - esc + 1e-12):
         raise ValueError("switching rate outside [0, 1 - T_v(x, X)]")
     P = np.zeros((2 * n, 2 * n))
@@ -289,6 +238,13 @@ def lifted_kernel(pair: SubKernelPair, rho: SwitchingRate):
     return KernelMatrix(P), half_lift(pair.pi), velocity_flip(n)
 
 
+def gustafson_ring(target: RingTarget):
+    """Persistent-direction walk on Z_n x {-1,+1}: move x -> x+v with
+    probability min{1, pi(x+v)/pi(x)}, otherwise flip v.  It is the
+    maximal-rate lift of the unit-step guided walk."""
+    return lifted_kernel(guided_walk_ring(target, (1.0,)), 1.0)
+
+
 def collapsed_kernel(pair: SubKernelPair) -> KernelMatrix:
     """pi-reversible mixture (T_1 + T_{-1})/2 plus diagonal rejection mass."""
     p = (pair.T_plus + pair.T_minus) / 2.0
@@ -296,7 +252,7 @@ def collapsed_kernel(pair: SubKernelPair) -> KernelMatrix:
     return KernelMatrix(p)
 
 
-def lift_observable(f: Observable, n: int) -> Observable:
+def lift_observable(f: Observable) -> Observable:
     """f on X lifted to X x {-1,+1} ignoring the velocity."""
     return Observable(np.repeat(f.values, 2))
 

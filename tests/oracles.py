@@ -19,8 +19,8 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            dirichlet_dominance_certificate, inner, var_lambda)
 from nonrev.samplers import Potential, replicate_rng
 from nonrev.zigzag import _window_integrals, simulate_zigzag
-from nonrev.zoo import (FlowMap, RingTarget, SubKernelPair, SwitchingRate,
-                        collapsed_kernel, half_lift, lifted_kernel)
+from nonrev.zoo import (FlowMap, RingTarget, SubKernelPair, collapsed_kernel,
+                        half_lift, lifted_kernel)
 
 
 def dirichlet_form(f: Observable, P: KernelMatrix, mu: FiniteDistribution) -> float:
@@ -59,14 +59,14 @@ def var_lambda_cycle_series(f: Observable, P1: KernelMatrix, P2: KernelMatrix,
     return total
 
 
-def symmetrized_lift_identity_residual(pair: SubKernelPair, rho: SwitchingRate,
+def symmetrized_lift_identity_residual(pair: SubKernelPair, theta: float,
                                        kmax: int = 30) -> float:
     """Max residual of S(P^lifted)^k f-lift = lift of P^k f over k <= kmax.
 
     S denotes the mu-symmetrization (P + P*)/2; the identity underlies the
     lifted-vs-collapsed variance bound.
     """
-    lifted, mu, _ = lifted_kernel(pair, rho)
+    lifted, mu, _ = lifted_kernel(pair, theta)
     coll = collapsed_kernel(pair)
     # mu-adjoint of the lifted kernel
     w = mu.weights
@@ -194,21 +194,24 @@ def gustafson_ring_loop(target: RingTarget):
     return KernelMatrix(P), half_lift(target.pi), velocity_flip_loop(n)
 
 
-def lifted_kernel_loop(pair: SubKernelPair, rho: SwitchingRate):
+def lifted_kernel_loop(pair: SubKernelPair, theta: float):
+    """lifted_kernel with the minimal and the maximal switching rate of each
+    state computed in the loop and mixed with weight theta."""
     n = pair.pi.n
     P = np.zeros((2 * n, 2 * n))
-    for v in (1, -1):
-        tv = pair.sub(v)
-        esc = pair.escape(v)
-        rv = rho.rho(pair, v)
-        if np.any(rv < -1e-12) or np.any(rv > 1.0 - esc + 1e-12):
-            raise ValueError("switching rate outside [0, 1 - T_v(x, X)]")
+    for v, tv in ((1, pair.T_plus), (-1, pair.T_minus)):
+        esc, esc_back = pair.escape(v), pair.escape(-v)
         for x in range(n):
+            minimal = max(0.0, esc_back[x] - esc[x])
+            maximal = 1.0 - esc[x]
+            rv = (1.0 - theta) * minimal + theta * maximal
+            if rv < -1e-12 or rv > 1.0 - esc[x] + 1e-12:
+                raise ValueError("switching rate outside [0, 1 - T_v(x, X)]")
             z = pv_index(x, v, n)
             for y in range(n):
                 P[z, pv_index(y, v, n)] += tv[x, y]
-            P[z, pv_index(x, v, n)] += 1.0 - esc[x] - rv[x]
-            P[z, pv_index(x, -v, n)] += rv[x]
+            P[z, pv_index(x, v, n)] += 1.0 - esc[x] - rv
+            P[z, pv_index(x, -v, n)] += rv
     return KernelMatrix(P), half_lift(pair.pi), velocity_flip_loop(n)
 
 

@@ -66,12 +66,10 @@ def test_criterion_01_structure_suite():
             qp[x, (x + 1) % n] = 1.0
             qm[x, (x - 1) % n] = 1.0
         pair = zoo.mh_subkernels(target, qp, qm)
-        for rate in (zoo.SwitchingRate("minimal"),
-                     zoo.SwitchingRate("convex", 0.5),
-                     zoo.SwitchingRate("maximal")):
-            kernels.append(zoo.lifted_kernel(pair, rate)[0])
+        for theta in (0.0, 0.5, 1.0):  # minimal, convex, maximal rate
+            kernels.append(zoo.lifted_kernel(pair, theta)[0])
         gw = zoo.guided_walk_ring(target, np.array([1.0]))
-        kernels.append(zoo.lifted_kernel(gw, zoo.SwitchingRate("minimal"))[0])
+        kernels.append(zoo.lifted_kernel(gw, 0.0)[0])
         psi = zoo.ring_shift_flow(n)
         for phi in (zoo.AcceptanceRule.metropolis(), zoo.AcceptanceRule.barker()):
             kernels.append(zoo.metropolized_flow_finite(mu, psi, Q, phi))
@@ -116,15 +114,14 @@ def test_criterion_03_lifted_chain():
         qm[x, (x - 1) % n] = 1.0
     pair = zoo.mh_subkernels(target, qp, qm)
     thetas = [0.0, 0.25, 0.5, 0.75, 1.0]  # 0 = minimal rate, 1 = maximal
-    kernels = [zoo.lifted_kernel(pair, zoo.SwitchingRate("convex", th))
-               for th in thetas]
+    kernels = [zoo.lifted_kernel(pair, th) for th in thetas]
     coll = zoo.collapsed_kernel(pair)
     rng = np.random.default_rng(303)
     worst_chain = 0.0
     worst_coll = 0.0
     for _ in range(10):
         f0 = Observable(rng.standard_normal(n))
-        f = zoo.lift_observable(f0, n)
+        f = zoo.lift_observable(f0)
         for lam in LAM_GRID:
             vals = [finite.var_lambda(f, P, mu, lam) for P, mu, _ in kernels]
             for a, b in zip(vals[:-1], vals[1:]):
@@ -136,8 +133,8 @@ def test_criterion_03_lifted_chain():
 
     # full guided-walk chain: minimal-rate lift <= persistent walk <= collapsed
     gw = zoo.guided_walk_ring(target, np.array([1.0]))
-    P_min, mu, Q = zoo.lifted_kernel(gw, zoo.SwitchingRate("minimal"))
-    P_max, _, _ = zoo.lifted_kernel(gw, zoo.SwitchingRate("maximal"))
+    P_min, mu, Q = zoo.lifted_kernel(gw, 0.0)
+    P_max, _, _ = zoo.lifted_kernel(gw, 1.0)
     P_gus, _, _ = zoo.gustafson_ring(target)
     # the flip-on-reject walk is exactly the maximal-rate lift of unit steps
     assert np.max(np.abs(P_gus.entries - P_max.entries)) < 1e-14
@@ -145,7 +142,7 @@ def test_criterion_03_lifted_chain():
     worst_ex6 = 0.0
     for _ in range(10):
         f0 = Observable(rng.standard_normal(n))
-        f = zoo.lift_observable(f0, n)
+        f = zoo.lift_observable(f0)
         for lam in LAM_GRID:
             v_lift = finite.var_lambda(f, P_min, mu, lam)
             v_walk = finite.var_lambda(f, P_gus, mu, lam)

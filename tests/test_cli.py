@@ -201,10 +201,16 @@ class TestConfigValidation:
                                        "seed": 1, "weights": [1, 2, 3]})
         assert cli.load_config(path).params["weights"] == (1.0, 2.0, 3.0)
 
-    def test_malformed_json(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        assert cli.main(["run", str(path)]) == 2
+    def test_malformed_json(self, tmp_path, capsys):
+        # not JSON; not UTF-8 (once a UnicodeDecodeError, exit 1); nested
+        # past the decoder's recursion limit (once a RecursionError, exit 1);
+        # an integer past int()'s digit limit (once a ValueError, exit 1)
+        for raw in (b"{not json", b'{"experiment": "gustafson-ring\xff"}',
+                    b"[" * 100_000 + b"]" * 100_000, b'{"seed": ' + b"1" * 5000 + b"}"):
+            path = tmp_path / "bad.json"
+            path.write_bytes(raw)
+            assert cli.main(["run", str(path)]) == 2
+            assert capsys.readouterr().err.startswith("config error:")
 
     def test_seed_override(self, tmp_path):
         path = write_config(tmp_path, {"experiment": "gustafson-ring", "seed": 1})
@@ -233,6 +239,15 @@ class TestRun:
         assert [sorted(c) for c in summary["checks"]] == [
             ["max_violation", "name", "pass", "tol"]] * 4
         assert summary["checks"][-1]["tol"] == 1e-8
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_path_that_is_not_a_directory(self, tmp_path, capsys, out):
+        # --out under a regular file was a NotADirectoryError, exit 1; it is
+        # found before the run starts
+        (tmp_path / "file").write_text("")
+        path = write_config(tmp_path, {"experiment": "gustafson-ring", "seed": 1})
+        assert cli.main(["run", path, "--out", str(tmp_path / out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
     def test_results_csv_deterministic(self, tmp_path):
         _, out_a = self.run_gustafson(tmp_path, "a")

@@ -63,7 +63,7 @@ class TestIsometricInvolution:
     def test_identity(self):
         mu = FiniteDistribution(np.array([0.7, 0.3]))
         assert finite.check_isometric_involution(
-            DeterministicInvolution.identity(2), mu)
+            DeterministicInvolution(np.arange(2)), mu)
 
     def test_velocity_flip_on_half_lift(self):
         # mu(x, v) = pi(x)/2 with xi(x, v) = (x, -v)
@@ -106,13 +106,13 @@ class TestAdjoint:
 class TestMuQReversible:
     def test_reversible_with_identity_q(self):
         assert finite.check_muQ_reversible(
-            two_state_flip(0.3), UNIF2, DeterministicInvolution.identity(2))
+            two_state_flip(0.3), UNIF2, DeterministicInvolution(np.arange(2)))
 
     def test_cyclic_shift_fails_with_identity_q(self):
         P = KernelMatrix(np.roll(np.eye(3), 1, axis=1))
         mu = FiniteDistribution(np.full(3, 1 / 3))
         assert not finite.check_muQ_reversible(
-            P, mu, DeterministicInvolution.identity(3))
+            P, mu, DeterministicInvolution(np.arange(3)))
 
     def test_bad_involution_raises(self):
         mu = FiniteDistribution(np.array([0.2, 0.8]))
@@ -242,14 +242,14 @@ class TestVarLambdaCycle:
 
 class TestDominanceCertificate:
     def test_equal_kernels_hold_with_zero_eig(self):
-        Q = DeterministicInvolution.identity(2)
+        Q = DeterministicInvolution(np.arange(2))
         cert = finite.dirichlet_dominance_certificate(
             two_state_flip(0.3), two_state_flip(0.3), UNIF2, Q)
         assert cert.holds
         assert cert.dominance_matrix_min_eig == pytest.approx(0.0, abs=1e-12)
 
     def test_peskun_dominated_pair(self):
-        Q = DeterministicInvolution.identity(2)
+        Q = DeterministicInvolution(np.arange(2))
         cert = finite.dirichlet_dominance_certificate(
             two_state_flip(0.4), two_state_flip(0.2), UNIF2, Q)
         assert cert.holds
@@ -266,7 +266,7 @@ class TestDominanceCertificate:
 
 class TestOrderingTheorem:
     def test_equal_kernels_zero_violation(self):
-        Q = DeterministicInvolution.identity(2)
+        Q = DeterministicInvolution(np.arange(2))
         rep = finite.verify_ordering_theorem(
             two_state_flip(0.3), two_state_flip(0.3), UNIF2, Q,
             [0.1, 0.5, 0.9], trials=10)
@@ -274,7 +274,7 @@ class TestOrderingTheorem:
         assert rep.max_violation_plus == pytest.approx(0.0, abs=1e-12)
 
     def test_peskun_pair_ordering(self):
-        Q = DeterministicInvolution.identity(3)
+        Q = DeterministicInvolution(np.arange(3))
         mu = FiniteDistribution(np.array([0.2, 0.3, 0.5]))
         base = np.tile(mu.weights, (3, 1))
         P2 = KernelMatrix(0.5 * np.eye(3) + 0.5 * base)
@@ -285,7 +285,7 @@ class TestOrderingTheorem:
         assert rep.ok
 
     def test_uncertified_hypothesis_raises(self):
-        Q = DeterministicInvolution.identity(2)
+        Q = DeterministicInvolution(np.arange(2))
         with pytest.raises(HypothesisNotCertified):
             finite.verify_ordering_theorem(two_state_flip(0.2),
                                            two_state_flip(0.4), UNIF2, Q, [0.5])
@@ -300,7 +300,7 @@ class TestOrderingTheorem:
         # [0, 1) is refused even when no observable would reach it
         with pytest.raises(ValueError) as err:
             finite.verify_ordering_theorem(two_state_flip(0.4), two_state_flip(0.2),
-                                           UNIF2, DeterministicInvolution.identity(2),
+                                           UNIF2, DeterministicInvolution(np.arange(2)),
                                            lambdas, trials=trials)
         assert err.type is ValueError
 

@@ -1,7 +1,8 @@
-"""Every public module-level function or class of the package must be reached
-by something other than its own unit tests: another part of the package, an
-acceptance criterion, or the benchmark.  Code that only unit tests call
-belongs in `tests/` (oracles and fixtures) or nowhere.
+"""Every public module-level function or class of the package, and every
+public method or property of its public classes, must be reached by something
+other than its own unit tests: another part of the package, an acceptance
+criterion, or the benchmark.  Code that only unit tests call belongs in
+`tests/` (oracles and fixtures) or nowhere.
 
 A name counts as referenced when it appears as an AST name, an attribute or a
 string constant in `src/` outside its own definition, in
@@ -22,6 +23,12 @@ def public_definitions(tree: ast.Module):
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
+
+
+def public_members(cls: ast.ClassDef):
+    """Methods, static methods and properties not starting with '_'."""
+    return [node for node in cls.body
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")]
 
 
 def reexports(node: ast.AST) -> bool:
@@ -67,12 +74,19 @@ def unreferenced_public_names() -> list:
         for node in public_definitions(tree):
             if node.name not in refs | referenced_names(tree, skip=node):
                 unused.append(f"{path.stem}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                unused += [f"{path.stem}.{node.name}.{m.name}"
+                           for m in public_members(node)
+                           if m.name not in refs | referenced_names(tree, skip=m)]
     return unused
 
 
 def test_scan_sees_the_package():
     trees = [parse(p) for p in PACKAGE.glob("*.py")]
     assert sum(len(public_definitions(t)) for t in trees) > 50
+    classes = [node for t in trees for node in public_definitions(t)
+               if isinstance(node, ast.ClassDef)]
+    assert sum(len(public_members(c)) for c in classes) > 15
 
 
 def test_every_public_name_is_reached_outside_unit_tests():

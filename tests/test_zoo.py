@@ -111,52 +111,61 @@ class TestSubKernels:
         assert finite.check_mu_reversible(coll, RING5.pi)
 
 
+def interleaved_escape(pair):
+    """T_v(x, X) in state-id order: entry z ^ 1 is T_{-v}(x, X)."""
+    return np.stack([pair.escape(1), pair.escape(-1)], axis=1).ravel()
+
+
+def switching_rates(pair, theta):
+    """rho_{v,-v}(x) in state-id order, read off the lifted kernel's
+    P[z, z ^ 1]: the sub-kernels never move mass onto the flipped state."""
+    P = zoo.lifted_kernel(pair, theta)[0].entries
+    z = np.arange(P.shape[0])
+    return P[z, z ^ 1]
+
+
 class TestSwitchingRates:
     def test_minimal_formula(self):
         pair = mh_pair(RING5)
-        rho = zoo.SwitchingRate("minimal").rho(pair, 1)
-        expect = np.maximum(0.0, pair.escape(-1) - pair.escape(1))
-        assert np.allclose(rho, expect)
+        esc = interleaved_escape(pair)
+        expect = np.maximum(0.0, esc[np.arange(10) ^ 1] - esc)
+        assert np.allclose(switching_rates(pair, 0.0), expect)
 
     def test_ordering_and_admissibility(self):
         pair = mh_pair(RING5)
-        for v in (1, -1):
-            mn = zoo.SwitchingRate("minimal").rho(pair, v)
-            cv = zoo.SwitchingRate("convex", 0.5).rho(pair, v)
-            mx = zoo.SwitchingRate("maximal").rho(pair, v)
-            assert np.all(mn <= cv + 1e-15) and np.all(cv <= mx + 1e-15)
-            assert np.all(mx <= 1.0 - pair.escape(v) + 1e-15)
-            # the skew constraint rho_{v,-v} - rho_{-v,v} = T_{-v} - T_v
-            for rate in (zoo.SwitchingRate("minimal"),
-                         zoo.SwitchingRate("convex", 0.3),
-                         zoo.SwitchingRate("maximal")):
-                diff = rate.rho(pair, v) - rate.rho(pair, -v)
-                assert np.allclose(diff, pair.escape(-v) - pair.escape(v))
+        esc = interleaved_escape(pair)
+        flip = np.arange(10) ^ 1
+        mn, cv, mx = (switching_rates(pair, theta) for theta in (0.0, 0.5, 1.0))
+        assert np.all(mn <= cv + 1e-15) and np.all(cv <= mx + 1e-15)
+        assert np.all(mx <= 1.0 - esc + 1e-15)
+        # the skew constraint rho_{v,-v} - rho_{-v,v} = T_{-v} - T_v
+        for theta in (0.0, 0.3, 1.0):
+            rho = switching_rates(pair, theta)
+            assert np.all(rho >= 0.0)
+            assert np.allclose(rho - rho[flip], esc[flip] - esc)
 
-    def test_kind_validation(self):
-        with pytest.raises(ValueError):
-            zoo.SwitchingRate("other")
-        with pytest.raises(ValueError):
-            zoo.SwitchingRate("convex", 1.5)
+    def test_theta_validation(self):
+        pair = mh_pair(RING5)
+        for theta in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match="theta"):
+                zoo.lifted_kernel(pair, theta)
 
 
 class TestLiftedKernel:
     def test_structure_all_kinds(self):
         pair = mh_pair(RING5)
-        for rate in (zoo.SwitchingRate("minimal"),
-                     zoo.SwitchingRate("convex", 0.25),
-                     zoo.SwitchingRate("maximal")):
-            P, mu, Q = zoo.lifted_kernel(pair, rate)
+        for theta in (0.0, 0.25, 1.0):
+            P, mu, Q = zoo.lifted_kernel(pair, theta)
             assert finite.check_invariance(P, mu)
             assert finite.check_muQ_reversible(P, mu, Q)
 
     def test_variance_ordering_minimal_beats_maximal(self):
         pair = mh_pair(RING5)
-        Pmin, mu, Q = zoo.lifted_kernel(pair, zoo.SwitchingRate("minimal"))
-        Pmax, _, _ = zoo.lifted_kernel(pair, zoo.SwitchingRate("maximal"))
+        Pmin, mu, Q = zoo.lifted_kernel(pair, 0.0)
+        Pmax, _, _ = zoo.lifted_kernel(pair, 1.0)
         cert = finite.dirichlet_dominance_certificate(Pmin, Pmax, mu, Q, side="left")
         assert cert.holds
-        f = zoo.lift_observable(Observable(np.array([1.0, -1.0, 0.5, 0.0, -0.5])), 5)
+        f = zoo.lift_observable(Observable(np.array([1.0, -1.0, 0.5, 0.0, -0.5])))
         for lam in (0.2, 0.5, 0.8):
             v_min = finite.var_lambda(f, Pmin, mu, lam)
             v_max = finite.var_lambda(f, Pmax, mu, lam)
@@ -164,18 +173,18 @@ class TestLiftedKernel:
 
     def test_maximal_dominated_by_collapsed(self):
         pair = mh_pair(RING5)
-        Pmax, mu, _ = zoo.lifted_kernel(pair, zoo.SwitchingRate("maximal"))
+        Pmax, mu, _ = zoo.lifted_kernel(pair, 1.0)
         coll = zoo.collapsed_kernel(pair)
         f0 = Observable(np.array([1.0, -1.0, 0.5, 0.0, -0.5]))
-        f = zoo.lift_observable(f0, 5)
+        f = zoo.lift_observable(f0)
         for lam in (0.3, 0.7):
             assert (finite.var_lambda(f, Pmax, mu, lam)
                     <= finite.var_lambda(f0, coll, RING5.pi, lam) + 1e-9)
 
     def test_symmetrization_identity(self):
         pair = mh_pair(RING5)
-        for rate in (zoo.SwitchingRate("minimal"), zoo.SwitchingRate("maximal")):
-            resid = symmetrized_lift_identity_residual(pair, rate, kmax=30)
+        for theta in (0.0, 1.0):
+            resid = symmetrized_lift_identity_residual(pair, theta, kmax=30)
             assert resid < 1e-9
 
 
@@ -286,8 +295,25 @@ class TestFlowMaps:
     def test_ring_shift_reversal(self):
         psi = zoo.ring_shift_flow(6)
         assert psi.check_reversal(zoo.velocity_flip(6))
-        inv = psi.inverse
-        assert np.array_equal(inv[psi.psi], np.arange(12))
+        # xi o psi o xi undoes psi
+        xi = zoo.velocity_flip(6).perm
+        assert np.array_equal(xi[psi.psi[xi]][psi.psi], np.arange(12))
+
+    def test_reversal_check_is_inverse_equality(self):
+        # psi o xi o psi o xi = id is the condition psi^{-1} = xi o psi o xi
+        rng = np.random.default_rng(5)
+        for n in (3, 4, 7):
+            Q = zoo.velocity_flip(n)
+            xi = Q.perm
+            flows = [zoo.ring_shift_flow(n), zoo.FlowMap(xi),
+                     zoo.FlowMap(np.arange(2 * n)),
+                     *(zoo.FlowMap(rng.permutation(2 * n)) for _ in range(50))]
+            verdicts = []
+            for psi in flows:
+                inverse = np.argsort(psi.psi)
+                verdicts.append(np.array_equal(inverse, xi[psi.psi[xi]]))
+                assert psi.check_reversal(Q) == verdicts[-1]
+            assert all(verdicts[:3]) and not all(verdicts)
 
     def test_non_bijection_rejected(self):
         with pytest.raises(ValueError):
@@ -376,7 +402,7 @@ class TestGuidedWalk:
     def test_structure(self):
         pair = zoo.guided_walk_ring(RING5, np.array([0.7, 0.3]))
         # valid skewed pair by construction; lifted kernel is (mu, Q)-reversible
-        P, mu, Q = zoo.lifted_kernel(pair, zoo.SwitchingRate("minimal"))
+        P, mu, Q = zoo.lifted_kernel(pair, 0.0)
         assert finite.check_muQ_reversible(P, mu, Q)
 
     def test_step_validation(self):
@@ -453,8 +479,7 @@ def diagonal_mass_pair(target):
 
 
 RING_SIZES = [3, 4, 5, 6, 7, 8, 200]
-RATES = [zoo.SwitchingRate("minimal"), zoo.SwitchingRate("convex", 0.3),
-         zoo.SwitchingRate("maximal")]
+RATES = {"minimal": 0.0, "convex": 0.3, "maximal": 1.0}  # theta by name
 # a 3-point step law needs 2 * 3 < n
 STEP_CASES = ([(n, [1.0]) for n in RING_SIZES]
               + [(n, [0.5, 0.3, 0.2]) for n in RING_SIZES if n > 6])
@@ -480,17 +505,17 @@ class TestLoopReferences:
         ref = oracles.guided_walk_ring_loop(random_ring(n), np.array(steps))
         assert bit_equal(pair.T_plus, ref.T_plus)
         assert bit_equal(pair.T_minus, ref.T_minus)
-        for rate in RATES:
-            assert bit_equal(zoo.lifted_kernel(pair, rate)[0].entries,
-                             oracles.lifted_kernel_loop(pair, rate)[0].entries)
+        for theta in RATES.values():
+            assert bit_equal(zoo.lifted_kernel(pair, theta)[0].entries,
+                             oracles.lifted_kernel_loop(pair, theta)[0].entries)
 
     @pytest.mark.parametrize("n", RING_SIZES)
     def test_lifted_kernel_with_diagonal_mass(self, n):
         pair = diagonal_mass_pair(random_ring(n))
         assert np.all(np.diag(pair.T_plus) > 0) and np.all(np.diag(pair.T_minus) > 0)
-        for rate in RATES:
-            assert bit_equal(zoo.lifted_kernel(pair, rate)[0].entries,
-                             oracles.lifted_kernel_loop(pair, rate)[0].entries)
+        for theta in RATES.values():
+            assert bit_equal(zoo.lifted_kernel(pair, theta)[0].entries,
+                             oracles.lifted_kernel_loop(pair, theta)[0].entries)
 
     @pytest.mark.parametrize("n", RING_SIZES)
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
@@ -522,8 +547,8 @@ def zoo_families():
     pairs = (("mh", mh_pair(target)), ("mh-diagonal", diagonal_mass_pair(target)),
              ("guided", zoo.guided_walk_ring(target, np.array([0.6, 0.4]))))
     for pair_name, pair in pairs:
-        for rate in RATES:
-            yield (f"lifted-{pair_name}-{rate.kind}", *zoo.lifted_kernel(pair, rate))
+        for rate, theta in RATES.items():
+            yield (f"lifted-{pair_name}-{rate}", *zoo.lifted_kernel(pair, theta))
     psi = zoo.ring_shift_flow(6)
     for rule in (zoo.AcceptanceRule.metropolis(), zoo.AcceptanceRule.barker()):
         yield f"flow-{rule.kind}", zoo.metropolized_flow_finite(mu, psi, Q, rule), mu, Q
