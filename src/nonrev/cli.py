@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .experiments import CSV_HEADER, EXPERIMENTS, PARAMS
+from .experiments import CSV_HEADER, EXPERIMENTS, PARAMS, cross_key_error
 
 
 class ConfigError(ValueError):
@@ -80,6 +80,8 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     params = {key: _value(key, raw.get(key, default), default)
               for key, default in defaults.items()}
+    if error := cross_key_error(params):
+        raise ConfigError(error)
     return ExperimentConfig(name, seed, params, out_dir)
 
 

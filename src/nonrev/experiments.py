@@ -95,7 +95,6 @@ def run_lifted_ordering(cfg: dict, seed: int):
     rows = []
     worst_chain = 0.0
     worst_vs_coll = 0.0
-    mu = lifted["minimal"][1]
     for lam in cfg["lambdas"]:
         vals = {}
         for name, _ in kinds:
@@ -210,10 +209,10 @@ def run_zigzag_1d_gamma(cfg: dict, seed: int):
     spec1 = zigzag.IntensitySpec("canonical")
     spec2 = zigzag.IntensitySpec("canonical", gamma=cfg["gamma"])
     f = lambda x, v: x[:, 0]
-    e1, s1, _ = zigzag.estimate_var_continuous(pot, spec1, f, cfg["horizon"],
-                                               cfg["replicates"], 0.0, seed, degree=1)
-    e2, s2, _ = zigzag.estimate_var_continuous(pot, spec2, f, cfg["horizon"],
-                                               cfg["replicates"], 0.0, seed, degree=1)
+    e1, s1 = zigzag.estimate_var_continuous(pot, spec1, f, cfg["horizon"],
+                                            cfg["replicates"], 0.0, seed, degree=1)
+    e2, s2 = zigzag.estimate_var_continuous(pot, spec2, f, cfg["horizon"],
+                                            cfg["replicates"], 0.0, seed, degree=1)
     rows = [ResultRow("zigzag-1d-gamma", "canonical", 0.0, e1, s1),
             ResultRow("zigzag-1d-gamma", "plus-gamma", 0.0, e2, s2)]
     checks = [_check("canonical<=plus-gamma+2se",
@@ -248,10 +247,10 @@ def run_zigzag_2d_refresh(cfg: dict, seed: int):
         rows.append(ResultRow("zigzag-2d-refresh", f"gap-basis-{k}", 0.0, gap))
     checks = [_check("gap-nonnegative-on-basis", worst_gap, 1e-8)]
     f = lambda x, v: x[:, 0] + x[:, 1]
-    e1, s1, _ = zigzag.estimate_var_continuous(pot, partial, f, cfg["horizon"],
-                                               cfg["replicates"], 0.0, seed, degree=1)
-    e2, s2, _ = zigzag.estimate_var_continuous(pot, full, f, cfg["horizon"],
-                                               cfg["replicates"], 0.0, seed + 1, degree=1)
+    e1, s1 = zigzag.estimate_var_continuous(pot, partial, f, cfg["horizon"],
+                                            cfg["replicates"], 0.0, seed, degree=1)
+    e2, s2 = zigzag.estimate_var_continuous(pot, full, f, cfg["horizon"],
+                                            cfg["replicates"], 0.0, seed + 1, degree=1)
     rows.append(ResultRow("zigzag-2d-refresh", "partial", 0.0, e1, s1))
     rows.append(ResultRow("zigzag-2d-refresh", "full", 0.0, e2, s2))
     checks.append(_check("partial<=full+2se",
@@ -372,3 +371,12 @@ PARAMS = {
     "step": _POSITIVE, "gamma": _POSITIVE, "refresh_rate": _POSITIVE, "eps_values": _POSITIVE,
     "nleap": _COUNT, "steps": _COUNT, "quad_nodes": _COUNT, "grid_points": _COUNT,
 }
+
+
+def cross_key_error(params: dict) -> str | None:
+    """Why params break the one rule across keys, steps >= the estimator's
+    samplers.min_chain_length at the largest of mc_lambdas; None if not."""
+    lams = params.get("mc_lambdas")
+    if lams and params["steps"] < (need := samplers.min_chain_length(max(lams))):
+        return f"steps must be >= {need} for mc_lambdas {lams!r}, got {params['steps']!r}"
+    return None

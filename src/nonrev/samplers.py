@@ -37,7 +37,7 @@ class Potential:
 
     U and grad must accept arrays of shape (..., d) and broadcast over the
     leading axes; U returns shape (...), grad returns (..., d).
-    hessian_bound(x, v, tau) must bound max_i sup_{s in [0,tau]}
+    hessian_bound(x, v) must bound max_i sup_{s in [0, 1]}
     |(Hess U(x + s v) v)_i|; it feeds the Zig-Zag thinning envelope.
     gaussian_sigmas marks diagonal-Gaussian targets eligible for exact
     Zig-Zag event-time inversion.
@@ -46,7 +46,7 @@ class Potential:
     U: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     d: int
-    hessian_bound: Callable[[np.ndarray, np.ndarray, float], float] | None = None
+    hessian_bound: Callable[[np.ndarray, np.ndarray], float] | None = None
     gaussian_sigmas: np.ndarray | None = None
 
     def __post_init__(self):
@@ -83,7 +83,7 @@ def leapfrog(H: Potential, x: np.ndarray, v: np.ndarray,
     return x, v
 
 
-def _ghmc_update(H, x, Ux, v, u, step, nleap, rules, diagnostics=None):
+def _ghmc_update(H, x, Ux, v, u, step, nleap, rules):
     """Leapfrog proposal and accept stage of one GHMC transition on k * R rows,
     block i of R rows under rules[i]; v is the refreshed momentum, Ux = U(x).
     Non-finite energy errors reject; rejection flips the momentum.  Returns the
@@ -94,10 +94,7 @@ def _ghmc_update(H, x, Ux, v, u, step, nleap, rules, diagnostics=None):
     r = np.exp(de)
     a = np.concatenate([rule.phi(ri)
                         for rule, ri in zip(rules, r.reshape(len(rules), -1))])
-    ok = np.isfinite(de)
-    if diagnostics is not None and not ok.all():
-        diagnostics["overflow"] = diagnostics.get("overflow", 0) + int((~ok).sum())
-    acc = ((u < a) & ok)[:, None]
+    acc = ((u < a) & np.isfinite(de))[:, None]
     return np.where(acc, xn, x), np.where(acc[:, 0], Un, Ux), np.where(acc, vn, -v)
 
 
@@ -106,8 +103,6 @@ class ChainStats:
     """Replicate summary of a discounted-variance estimate."""
 
     autocovariances: np.ndarray
-    replicates: int
-    per_replicate: np.ndarray
     estimate: float
     se: float
 
@@ -116,6 +111,11 @@ def default_max_lag(lam: float) -> int:
     if lam == 0.0:
         return 0
     return int(math.ceil(math.log(1e-8) / math.log(lam)))
+
+
+def min_chain_length(lam: float) -> int:
+    """Shortest chain estimate_var_lambda accepts at lam: ten lag windows."""
+    return 10 * max(1, default_max_lag(lam))
 
 
 def _autocov(values: np.ndarray, max_lag: int) -> np.ndarray:
@@ -130,18 +130,21 @@ def _autocov(values: np.ndarray, max_lag: int) -> np.ndarray:
 def estimate_var_lambda(chains, lam: float) -> ChainStats:
     """Plug-in discounted-autocovariance estimator.
 
-    chains: array (replicates, length) of observable values (a single 1-D
-    chain is treated as one replicate).  Per replicate the estimate is
+    chains: array (R, length) of observable values, R >= 2 replicates and
+    length >= min_chain_length(lam).  Per replicate the estimate is
     gamma_0 + 2 sum_{k<=K} lam^k gamma_k with biased autocovariances and
     K = default_max_lag(lam) (the first lag with lam^K <= 1e-8); the
     standard error is the replicate sample SD divided by sqrt(R).
     """
     if not 0.0 <= lam < 1.0:
         raise ValueError("lambda must lie in [0, 1)")
-    chains = np.atleast_2d(np.asarray(chains, dtype=float))
-    max_lag = default_max_lag(lam)
-    if chains.shape[1] < 10 * max(1, max_lag):
+    chains = np.asarray(chains, dtype=float)
+    if chains.ndim != 2 or chains.shape[0] < 2:
+        raise ValueError("need a (replicates, length) array with at least 2 "
+                         f"replicates for a standard error, got shape {chains.shape}")
+    if chains.shape[1] < min_chain_length(lam):
         raise ValueError("chain shorter than 10 * max_lag")
+    max_lag = default_max_lag(lam)
     weights = lam ** np.arange(max_lag + 1)
     weights[1:] *= 2.0
     per = np.empty(chains.shape[0])
@@ -151,17 +154,14 @@ def estimate_var_lambda(chains, lam: float) -> ChainStats:
         acc_cov += g
         per[r] = float(np.dot(weights, g))
     R = chains.shape[0]
-    est = float(per.mean())
-    se = float(per.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
-    return ChainStats(acc_cov / R, R, per, est, se)
+    return ChainStats(acc_cov / R, float(per.mean()), float(per.std(ddof=1) / math.sqrt(R)))
 
 
 def run_ghmc_chains(H: Potential, step: float, nleap: int,
                     omega: float, rules: Sequence[AcceptanceRule], n_steps: int,
                     replicates: int, seed: int,
                     observables: Sequence[Callable[[np.ndarray], np.ndarray]],
-                    x0: float = 0.0, burn_in: int = 0,
-                    block: int = 100_000):
+                    *, burn_in: int = 0, block: int = 100_000):
     """Replicate-batched GHMC driver advancing all acceptance rules at once.
 
     Each replicate owns its Philox stream, split into a noise sub-stream and
@@ -176,7 +176,7 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     noise_rngs = [replicate_rng(seed, r) for r in range(R)]
     unif_rngs = [np.random.Generator(g.bit_generator.jumped(1)) for g in noise_rngs]
     cos, sin = math.cos(omega), math.sin(omega)
-    x = np.full((k * R, d), float(x0))
+    x = np.zeros((k * R, d))
     Ux = np.asarray(H.U(x))
     v = np.tile(np.stack([rng.standard_normal(d) for rng in noise_rngs]), (k, 1))
     out = [np.empty((k * R, n_steps)) for _ in observables]
@@ -235,28 +235,28 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
                              lambdas: Sequence[float],
                              observables: dict,
                              n_steps: int = 100_000, replicates: int = 16,
-                             seed: int = 0, burn_in: int | None = None) -> RuleComparisonReport:
+                             seed: int = 0) -> RuleComparisonReport:
     """Paired GHMC runs across acceptance rules with shared noise streams.
 
     All rules run in one batch on the same per-replicate Philox streams
-    (common refresh noise and accept uniforms).  PASS when, for every lambda
-    and observable, the estimate never beats the first (most accepting) rule
-    by more than 2 combined standard errors; the report carries the worst
-    excess as max_violation.  Raises ValueError unless there are at least
-    two rules of distinct kinds, a lambda and an observable, and when the
-    chains of some rule and observable never moved (lag-0 autocovariance
-    exactly 0.0, as when every proposal is rejected).
+    (common refresh noise and accept uniforms), after n_steps // 10 steps
+    of burn-in.  PASS when, for every lambda and observable, the estimate
+    never beats the first (most accepting) rule by more than 2 combined
+    standard errors; the report carries the worst excess as max_violation.
+    Raises ValueError unless there are at least two rules of distinct
+    kinds, a lambda, an observable and 2 replicates, and when the chains of
+    some rule and observable never moved (lag-0 autocovariance exactly 0.0,
+    as when every proposal is rejected).
     """
     kinds = [rule.kind for rule in rules]
     if len(kinds) < 2 or len(set(kinds)) < len(kinds):
         raise ValueError(f"need at least two acceptance rules of distinct kinds, got {kinds}")
-    if len(lambdas) == 0 or len(observables) == 0:
-        raise ValueError("need at least one lambda and one observable")
-    if burn_in is None:
-        burn_in = n_steps // 10
+    if len(lambdas) == 0 or len(observables) == 0 or replicates < 2:
+        raise ValueError("need at least one lambda, one observable and 2 replicates")
     names = list(observables)
     chains = run_ghmc_chains(H, step, nleap, omega, rules, n_steps, replicates,
-                             seed, [observables[k] for k in names], burn_in=burn_in)
+                             seed, [observables[k] for k in names],
+                             burn_in=n_steps // 10)
     R = replicates
     stats = {(kind, lam, name): estimate_var_lambda(vals[i * R:(i + 1) * R], lam)
              for i, kind in enumerate(kinds)

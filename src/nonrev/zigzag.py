@@ -42,21 +42,21 @@ def zz_gaussian(sigmas) -> Potential:
         U=lambda x: 0.5 * np.add.reduce(x * x * inv2, axis=-1),
         grad=lambda x: x * inv2,
         d=s.size,
-        hessian_bound=lambda x, v, tau: bmax,
+        hessian_bound=lambda x, v: bmax,
         gaussian_sigmas=s,
     )
 
 
-def zz_double_well(a: float = 1.0, b: float = 1.0) -> Potential:
-    """U(x) = a (x^2 - b)^2 in one dimension."""
+def zz_double_well() -> Potential:
+    """U(x) = (x^2 - 1)^2 in one dimension."""
 
-    def hb(x, v, tau):
-        m = max(abs(float(x[0])), abs(float(x[0]) + tau * float(v[0])))
-        return 12.0 * a * m * m + 4.0 * a * b
+    def hb(x, v):
+        m = max(abs(float(x[0])), abs(float(x[0]) + float(v[0])))
+        return 12.0 * m * m + 4.0
 
     return Potential(
-        U=lambda x: a * (x[..., 0] ** 2 - b) ** 2,
-        grad=lambda x: 4.0 * a * x * (x ** 2 - b),
+        U=lambda x: (x[..., 0] ** 2 - 1.0) ** 2,
+        grad=lambda x: 4.0 * x * (x ** 2 - 1.0),
         d=1,
         hessian_bound=hb,
     )
@@ -201,7 +201,7 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
     s = 0.0
     while s < horizon:
         base = float(intensity(spec, pot, i, x + s * v, v))
-        B = float(pot.hessian_bound(x + s * v, v, 1.0)) + 1e-12
+        B = float(pot.hessian_bound(x + s * v, v)) + 1e-12
         u = 0.0
         lam0 = base
         while u < 1.0:
@@ -380,8 +380,7 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
     Each replicate starts at x = 0 with uniform random velocities, simulates
     horizon*1.1, discards the first tenth as burn-in and applies batch means
     to f itself, in one pass over the path.  lam must be 0 (no discount);
-    the slot mirrors the discrete estimators.  Returns (estimate, se,
-    per-replicate).
+    the slot mirrors the discrete estimators.  Returns (estimate, se).
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
@@ -395,9 +394,7 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
         v0 = np.where(rng.random(d) < 0.5, -1.0, 1.0)
         traj = simulate_zigzag(pot, spec, np.zeros(d), v0, horizon + burn, rng)
         per[r] = batch_means_variance(traj, f, burn, burn + horizon, degree)
-    est = float(per.mean())
-    se = float(per.std(ddof=1) / math.sqrt(replicates))
-    return est, se, per
+    return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))
 
 
 def _flip(v: np.ndarray, i: int) -> np.ndarray:

@@ -99,15 +99,22 @@ def zz_tabulated(xs, us) -> Potential:
         U=lambda x: spline(x[..., 0]),
         grad=lambda x: dspline(x),
         d=1,
-        hessian_bound=lambda x, v, tau: bmax,
+        hessian_bound=lambda x, v: bmax,
     )
+
+
+def steep_double_well() -> Potential:
+    """U(x) = 10 (x^2 - 2)^2: steep enough that a large leapfrog step
+    overflows the energy, or drops it past exp's range."""
+    return Potential(U=lambda x: 10.0 * (x[..., 0] ** 2 - 2.0) ** 2,
+                     grad=lambda x: 40.0 * x * (x ** 2 - 2.0), d=1)
 
 
 def estimate_var_continuous_centred(pot: Potential, spec, f, horizon: float,
                                     replicates: int, seed: int, degree=None):
     """zigzag.estimate_var_continuous (lam = 0) in two passes per replicate:
     the path mean of f over the kept span first, then batch means of f minus
-    that mean, with floor(sqrt(span)) batches."""
+    that mean, with floor(sqrt(span)) batches.  Returns (estimate, se)."""
     burn = horizon / 10.0
     span = (burn + horizon) - burn
     n = int(math.sqrt(span))
@@ -121,7 +128,7 @@ def estimate_var_continuous_centred(pot: Potential, spec, f, horizon: float,
         ints = _window_integrals(traj, lambda x, v: np.asarray(f(x, v)) - mean,
                                  degree, np.linspace(burn, burn + horizon, n + 1))
         per[r] = delta * (ints / delta).var(ddof=1)
-    return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates)), per
+    return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))
 
 
 def project_symmetric(f: Observable, Q: DeterministicInvolution, sign: int) -> Observable:
@@ -154,7 +161,7 @@ def verify_ordering_reference(P1: KernelMatrix, P2: KernelMatrix,
                              - var_lambda(fp, P2, mu, lam))
             worst_minus = max(worst_minus, var_lambda(fm, P2, mu, lam)
                               - var_lambda(fm, P1, mu, lam))
-    return OrderingReport(worst_plus, worst_minus, trials, lambdas)
+    return OrderingReport(worst_plus, worst_minus)
 
 
 # Per-state loop references for the zoo constructors, which build the same

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonrev import cli
-from nonrev.experiments import EXPERIMENTS, PARAMS
+from nonrev import cli, samplers
+from nonrev.experiments import EXPERIMENTS, PARAMS, cross_key_error
 
 CATALOG = ["gustafson-ring", "lifted-ordering", "neal-ordering",
            "two-cycle-extra-chance", "ghmc-phi-compare", "zigzag-1d-gamma",
@@ -180,6 +180,34 @@ class TestConfigValidation:
         with pytest.raises(cli.ConfigError, match=key):
             cli.load_config(path)
 
+    # each used to exit 3 ("chain shorter than 10 * max_lag") after the
+    # whole GHMC run had finished
+    @pytest.mark.parametrize("overrides", [
+        {"mc_lambdas": [0.995]},
+        {"mc_lambdas": [0.9999], "steps": 2000},
+    ], ids=["lam-0.995-default-steps", "lam-0.9999-2000-steps"])
+    def test_steps_too_short_for_mc_lambdas(self, tmp_path, capsys, overrides):
+        path = write_config(tmp_path, {"experiment": "ghmc-phi-compare", "seed": 1,
+                                       **overrides, "out": str(tmp_path / "x")})
+        assert cli.main(["run", path]) == 2
+        assert capsys.readouterr().err.startswith("config error: steps must be >=")
+        assert not (tmp_path / "x").exists()
+
+    def test_steps_rule_boundary(self, tmp_path):
+        # 10 lag windows of 83 at lambda = 0.8; criterion 10 runs 2000 steps
+        # at the default mc_lambdas (0.5,), 27 lags
+        assert samplers.min_chain_length(0.8) == 830
+        for steps, lambdas, ok in ((830, [0.2, 0.8], True), (829, [0.8, 0.2], False),
+                                   (2000, None, True)):
+            payload = {"experiment": "ghmc-phi-compare", "seed": 1, "steps": steps,
+                       **({"mc_lambdas": lambdas} if lambdas else {})}
+            path = write_config(tmp_path, payload)
+            if ok:
+                assert cli.load_config(path).params["steps"] == steps
+            else:
+                with pytest.raises(cli.ConfigError, match="steps must be >= 830"):
+                    cli.load_config(path)
+
     @pytest.mark.parametrize("payload", [
         {"experiment": ["gustafson-ring"], "seed": 1},
         {"experiment": "gustafson-ring", "seed": 1, "out": 5},
@@ -336,6 +364,7 @@ def assert_typed_and_in_range(params, defaults):
             assert x > p.lo if p.lo_open else x >= p.lo
         if p.increasing:
             assert all(a < b for a, b in zip(entries, entries[1:]))
+    assert cross_key_error(params) is None
 
 
 @st.composite
@@ -344,6 +373,19 @@ def configs(draw, values):
     defaults = EXPERIMENTS[name][1]
     keys = draw(st.lists(st.sampled_from(sorted(defaults)), unique=True, max_size=3))
     return name, {key: draw(values(key, defaults[key])) for key in keys}
+
+
+def long_enough_chains(case):
+    """case with steps raised to the least that its largest mc_lambda
+    admits: valid values drawn one key at a time can break that rule."""
+    name, overrides = case
+    defaults = EXPERIMENTS[name][1]
+    if "mc_lambdas" not in defaults:
+        return case
+    need = samplers.min_chain_length(max(overrides.get("mc_lambdas", defaults["mc_lambdas"])))
+    if overrides.get("steps", defaults["steps"]) < need:
+        overrides = {**overrides, "steps": need}
+    return name, overrides
 
 
 class TestParamTableProperties:
@@ -358,7 +400,7 @@ class TestParamTableProperties:
         assert_typed_and_in_range(cfg.params, EXPERIMENTS[name][1])
 
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(configs(valid_value))
+    @given(configs(valid_value).map(long_enough_chains))
     def test_values_inside_the_table_load_unchanged(self, case):
         name, overrides = case
         params = load({"experiment": name, "seed": 1, **overrides}).params

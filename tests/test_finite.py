@@ -256,12 +256,8 @@ class TestDominanceCertificate:
         swapped = finite.dirichlet_dominance_certificate(
             two_state_flip(0.2), two_state_flip(0.4), UNIF2, Q)
         assert not swapped.holds
-        assert swapped.witness is not None
-        # the witness really violates the Dirichlet dominance
-        g = swapped.witness
-        d1 = dirichlet_form(g, two_state_flip(0.2), UNIF2)
-        d2 = dirichlet_form(g, two_state_flip(0.4), UNIF2)
-        assert d1 < d2
+        # the symmetrized difference of the kernels is [[-0.2, 0.2], [0.2, -0.2]]
+        assert swapped.dominance_matrix_min_eig == pytest.approx(-0.4, abs=1e-12)
 
 
 class TestOrderingTheorem:
@@ -358,4 +354,3 @@ class TestBatchedOrderingCheck:
                                                        rel=1e-12, abs=1e-15)
         assert got.max_violation_minus == pytest.approx(ref.max_violation_minus,
                                                         rel=1e-12, abs=1e-15)
-        assert (got.trials, got.lambdas) == (ref.trials, ref.lambdas)

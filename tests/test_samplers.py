@@ -9,7 +9,7 @@ from nonrev.samplers import (Potential, estimate_var_lambda, leapfrog,
                              replicate_rng)
 from nonrev.zigzag import zz_double_well, zz_gaussian
 from nonrev.zoo import AcceptanceRule
-from oracles import zz_tabulated
+from oracles import steep_double_well, zz_tabulated
 
 
 def energy(H, x, v):
@@ -30,8 +30,8 @@ class TestHamiltonian:
         # construction runs the finite-difference gradient check
         zz_gaussian([2.0, 2.0, 2.0])
         zz_gaussian([0.3, 1.0, 2.5])
-        zz_double_well(a=0.5, b=1.5)
-        zz_double_well(a=10.0, b=2.0)
+        zz_double_well()
+        steep_double_well()
         xs = np.linspace(-6, 6, 401)
         zz_tabulated(xs, 0.25 * xs ** 4 - xs ** 2)
 
@@ -77,12 +77,11 @@ class TestGhmcStep:
     H = zz_gaussian([1.0])
 
     @staticmethod
-    def update(H, x, v, u, step, nleap, rule, diagnostics=None):
+    def update(H, x, v, u, step, nleap, rule):
         x, v = np.array([[x]]), np.array([[v]])
         with np.errstate(over="ignore", invalid="ignore"):
             xn, Un, vn = samplers._ghmc_update(H, x, np.asarray(H.U(x)), v,
-                                               np.array([u]), step, nleap,
-                                               [rule], diagnostics)
+                                               np.array([u]), step, nleap, [rule])
         return xn[0, 0], Un[0], vn[0, 0]
 
     def test_rejection_flips_refreshed_momentum(self):
@@ -92,13 +91,13 @@ class TestGhmcStep:
         assert (x, U, v) == (2.0, float(self.H.U(np.array([2.0]))), -0.6)
 
     def test_nonfinite_energy_rejects(self):
-        diag = {}
         # huge step on a steep potential overflows the proposal energy
-        H = zz_double_well(a=10.0, b=2.0)
-        x, _, v = self.update(H, 1.0, 5.0, 0.0, 50.0, 5,
-                              AcceptanceRule.metropolis(), diag)
+        H = steep_double_well()
+        with np.errstate(over="ignore", invalid="ignore"):
+            xn, vn = leapfrog(H, np.array([[1.0]]), np.array([[5.0]]), 50.0, 5)
+            assert not np.isfinite(samplers._energy(np.asarray(H.U(xn)), vn)).all()
+        x, _, v = self.update(H, 1.0, 5.0, 0.0, 50.0, 5, AcceptanceRule.metropolis())
         assert (x, v) == (1.0, -5.0)
-        assert diag.get("overflow", 0) == 1
 
     @pytest.mark.parametrize("rule", [AcceptanceRule.metropolis(),
                                       AcceptanceRule.barker()],
@@ -106,24 +105,23 @@ class TestGhmcStep:
     def test_overflowing_ratio_accepts(self, rule):
         # a finite energy drop of about 1.28e4 makes exp(de) overflow to inf;
         # phi(inf) = 1, so the move must be accepted
-        diag = {}
-        H = zz_double_well(a=10.0, b=2.0)
+        H = steep_double_well()
         x0, v0 = np.array([10.0]), np.array([0.0])
         xn, vn = leapfrog(H, x0, v0, 0.01, 1)
         de = float(energy(H, x0, v0) - energy(H, xn, vn))
         assert 709.8 < de < math.inf
-        x, _, v = self.update(H, 10.0, 0.0, 0.999, 0.01, 1, rule, diag)
+        x, _, v = self.update(H, 10.0, 0.0, 0.999, 0.01, 1, rule)
         assert (x, v) == (xn[0], vn[0])
-        assert "overflow" not in diag
 
 
 class TestEstimator:
     def test_lag0_is_biased_variance(self):
         rng = np.random.default_rng(1)
-        row = rng.standard_normal(500)
-        st = estimate_var_lambda(row, lam=0.0)
-        assert st.estimate == pytest.approx(float(np.var(row)))
-        assert st.se == 0.0  # single replicate
+        rows = rng.standard_normal((2, 500))
+        st = estimate_var_lambda(rows, lam=0.0)
+        per = np.var(rows, axis=1)
+        assert st.estimate == pytest.approx(float(per.mean()))
+        assert st.se == pytest.approx(float(per.std(ddof=1)) / math.sqrt(2))
 
     def test_iid_case_matches_population_variance(self):
         rng = np.random.default_rng(2)
@@ -134,10 +132,17 @@ class TestEstimator:
 
     def test_validation(self):
         rng = np.random.default_rng(3)
-        with pytest.raises(ValueError):
-            estimate_var_lambda(rng.standard_normal(100), lam=1.0)
-        with pytest.raises(ValueError):
-            estimate_var_lambda(rng.standard_normal(50), lam=0.9)  # too short
+        with pytest.raises(ValueError, match="lambda"):
+            estimate_var_lambda(rng.standard_normal((2, 100)), lam=1.0)
+        with pytest.raises(ValueError, match="shorter"):
+            estimate_var_lambda(rng.standard_normal((2, 50)), lam=0.9)
+
+    @pytest.mark.parametrize("shape", [(500,), (1, 500), (2, 2, 500)],
+                             ids=["1-d", "one-row", "3-d"])
+    def test_needs_two_replicate_rows(self, shape):
+        # one replicate has no standard error: it used to report se = 0.0
+        with pytest.raises(ValueError, match="at least 2"):
+            estimate_var_lambda(np.random.default_rng(4).standard_normal(shape), lam=0.5)
 
     def test_default_max_lag(self):
         assert samplers.default_max_lag(0.0) == 0
@@ -271,6 +276,15 @@ class TestGhmcDriver:
                 rules=[AcceptanceRule.metropolis(), AcceptanceRule.barker()],
                 lambdas=[0.5], observables={"x2": lambda x: x[:, 0] ** 2},
                 n_steps=2000, replicates=4, seed=1)
+
+    def test_compare_refuses_one_replicate(self):
+        # with one replicate every SE was 0.0 and the comparison passed
+        with pytest.raises(ValueError, match="2 replicates"):
+            samplers.compare_acceptance_rules(
+                self.H, omega=math.pi / 4, step=0.9, nleap=2,
+                rules=[AcceptanceRule.metropolis(), AcceptanceRule.barker()],
+                lambdas=[0.5], observables={"x2": lambda x: x[:, 0] ** 2},
+                n_steps=2000, replicates=1, seed=1)
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"rules": [AcceptanceRule.metropolis()]}, "at least two"),

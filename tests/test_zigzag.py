@@ -23,7 +23,7 @@ def free_potential():
     """U identically zero: the process never flips."""
     return Potential(U=lambda x: np.zeros(x.shape[:-1]),
                      grad=lambda x: np.zeros_like(x), d=1,
-                     hessian_bound=lambda x, v, tau: 0.0)
+                     hessian_bound=lambda x, v: 0.0)
 
 
 class TestIntensities:
@@ -203,7 +203,7 @@ class TestSimulation:
     def test_envelope_violation_detected(self):
         lying = Potential(U=lambda x: 0.5 * np.sum(x * x, axis=-1),
                           grad=lambda x: x, d=1,
-                          hessian_bound=lambda x, v, tau: 0.05)
+                          hessian_bound=lambda x, v: 0.05)
         with pytest.raises(EnvelopeViolation):
             simulate_zigzag(lying, IntensitySpec("canonical"), [5.0], [1.0],
                             horizon=100.0, rng=np.random.default_rng(0))
@@ -437,13 +437,12 @@ class TestVarianceEstimation:
         pot = zz_gaussian([1.0])
         spec = IntensitySpec("canonical")
         f = lambda x, v: x[:, 0] ** 2
-        _, se_short, per_short = zigzag.estimate_var_continuous(
+        _, se_short = zigzag.estimate_var_continuous(
             pot, spec, f, horizon=400.0, replicates=12, lam=0.0, seed=2, degree=2)
-        _, se_long, per_long = zigzag.estimate_var_continuous(
+        _, se_long = zigzag.estimate_var_continuous(
             pot, spec, f, horizon=1600.0, replicates=12, lam=0.0, seed=2, degree=2)
         # quadrupling the horizon should roughly halve the spread
         assert 0.25 < se_long / se_short < 0.95
-        assert per_short.size == per_long.size == 12
 
     # the catalog's targets, observables and rates at short horizons
     CATALOG_TARGETS = {
@@ -462,11 +461,10 @@ class TestVarianceEstimation:
         sigmas, spec = self.CATALOG_TARGETS[case]
         pot = zz_gaussian(sigmas)
         f = lambda x, v: np.sum(x, axis=1)
-        est, se, per = zigzag.estimate_var_continuous(pot, spec, f, 300.0, 3, 0.0,
-                                                      909, degree=1)
-        ref_est, ref_se, ref_per = estimate_var_continuous_centred(
+        est, se = zigzag.estimate_var_continuous(pot, spec, f, 300.0, 3, 0.0,
+                                                 909, degree=1)
+        ref_est, ref_se = estimate_var_continuous_centred(
             pot, spec, f, 300.0, 3, 909, degree=1)
-        assert np.allclose(per, ref_per, rtol=1e-12, atol=0.0)
         assert est == pytest.approx(ref_est, rel=1e-12)
         assert se == pytest.approx(ref_se, rel=1e-12)
 
