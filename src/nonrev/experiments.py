@@ -72,15 +72,13 @@ def run_gustafson_ring(cfg: dict, seed: int):
     db = max(0.0 if finite.check_mu_reversible(k, mu) else 1.0 for k in (qp, pq))
     checks.append(_check("reversible-parts-detailed-balance", db))
     f = _position_observable(target.n)
-    rows = []
-    worst = 0.0
-    for lam in cfg["lambdas"]:
-        v = finite.var_lambda(f, P, mu, lam)
-        o = finite.var_lambda_series(f, P, mu, lam)
-        worst = max(worst, abs(v - o))
-        rows.append(ResultRow("gustafson-ring", "var", lam, v, 0.0, o,
-                              abs(v - o) <= 1e-8))
-    checks.append(_check("series-oracle-agreement", worst, 1e-8))
+    lams = cfg["lambdas"]
+    vals = finite.var_lambda(f, P, mu, lams)
+    oracle = finite.var_lambda_series(f, P, mu, lams)
+    gap = np.abs(vals - oracle)
+    rows = [ResultRow("gustafson-ring", "var", lam, v, 0.0, o, d <= 1e-8)
+            for lam, v, o, d in zip(lams, vals, oracle, gap)]
+    checks.append(_check("series-oracle-agreement", np.max(gap), 1e-8))
     return rows, checks
 
 
@@ -88,28 +86,21 @@ def run_lifted_ordering(cfg: dict, seed: int):
     target = zoo.RingTarget(cfg["weights"])
     pair = zoo.guided_walk_ring(target, cfg["step_dist"])
     kinds = [("minimal", 0.0), ("convex-0.5", 0.5), ("maximal", 1.0)]
-    lifted = {name: zoo.lifted_kernel(pair, theta) for name, theta in kinds}
-    coll = zoo.collapsed_kernel(pair)
     f_base = Observable(np.cos(2 * math.pi * np.arange(target.n) / target.n))
     f = zoo.lift_observable(f_base)
-    rows = []
-    worst_chain = 0.0
-    worst_vs_coll = 0.0
-    for lam in cfg["lambdas"]:
-        vals = {}
-        for name, _ in kinds:
-            P, mu, Q = lifted[name]
-            vals[name] = finite.var_lambda(f, P, mu, lam)
-            rows.append(ResultRow("lifted-ordering", name, lam, vals[name]))
-        vc = finite.var_lambda(f_base, coll, pair.pi, lam)
-        rows.append(ResultRow("lifted-ordering", "collapsed", lam, vc))
-        worst_chain = max(worst_chain,
-                          vals["minimal"] - vals["convex-0.5"],
-                          vals["convex-0.5"] - vals["maximal"])
-        worst_vs_coll = max(worst_vs_coll,
-                            max(vals[n] for n, _ in kinds) - vc)
-    checks = [_check("rate-ordering-minimal<=convex<=maximal", worst_chain),
-              _check("lifted<=collapsed", worst_vs_coll)]
+    lams = cfg["lambdas"]
+    vals = {}
+    for name, theta in kinds:
+        P, mu, _Q = zoo.lifted_kernel(pair, theta)
+        vals[name] = finite.var_lambda(f, P, mu, lams)
+    vals["collapsed"] = finite.var_lambda(f_base, zoo.collapsed_kernel(pair), pair.pi, lams)
+    rows = [ResultRow("lifted-ordering", name, lam, v[i])
+            for i, lam in enumerate(lams) for name, v in vals.items()]
+    lifted = np.array([vals[name] for name, _ in kinds])  # rate x lambda
+    checks = [_check("rate-ordering-minimal<=convex<=maximal",
+                     max(0.0, np.max(lifted[:-1] - lifted[1:]))),
+              _check("lifted<=collapsed",
+                     max(0.0, np.max(lifted.max(axis=0) - vals["collapsed"])))]
     return rows, checks
 
 
@@ -127,7 +118,7 @@ def run_neal_ordering(cfg: dict, seed: int):
     rows = []
     worst_id = 0.0
     worst_ord = 0.0
-    for lam in cfg["lambdas"]:
+    for lam in cfg["lambdas"]:  # a fresh observable per lambda
         f = rng.standard_normal(n)
         g = Observable(np.add.outer(f, f).ravel())  # g(x1,x2) = f(x1)+f(x2)
         fb = Observable(np.repeat(f, n))            # f(x1) lifted to pairs
@@ -135,8 +126,8 @@ def run_neal_ordering(cfg: dict, seed: int):
         var_pi = finite.inner(fbar, fbar, pi)
         vals = {}
         for name, P in (("P1", P1), ("P2", P2)):
-            vg = finite.var_lambda(g, P, mu, lam)
-            vf = finite.var_lambda(fb, P, mu, lam)
+            vg = finite.var_lambda(g, P, mu, [lam])[0]
+            vf = finite.var_lambda(fb, P, mu, [lam])[0]
             vals[name] = vf
             ident = -(1 - lam ** 2) / lam * var_pi + (1 + lam) ** 2 / lam * vf
             resid = abs(vg - ident)
@@ -151,18 +142,13 @@ def run_neal_ordering(cfg: dict, seed: int):
 
 def run_two_cycle_extra_chance(cfg: dict, seed: int):
     mu, Q, psi, R, f = _ring_cycle(cfg["weights"])
-    Ks = cfg["K_values"]
+    Ks, lams = cfg["K_values"], cfg["lambdas"]
     kernels = {K: zoo.extra_chance_finite(mu, psi, Q, K) for K in Ks}
-    rows = []
-    worst_mono = 0.0
-    for lam in cfg["lambdas"]:
-        prev = None
-        for K in Ks:
-            v = finite.var_lambda_cycle(f, R, kernels[K], mu, lam)
-            rows.append(ResultRow("two-cycle-extra-chance", f"K={K}", lam, v))
-            if prev is not None:
-                worst_mono = max(worst_mono, v - prev)
-            prev = v
+    vals = np.array([finite.var_lambda_cycle(f, R, kernels[K], mu, lams)
+                     for K in Ks])  # K x lambda
+    rows = [ResultRow("two-cycle-extra-chance", f"K={K}", lam, v[i])
+            for i, lam in enumerate(lams) for K, v in zip(Ks, vals)]
+    worst_mono = max(0.0, np.max(vals[1:] - vals[:-1]))
     # Dirichlet forms of P_K Q nondecreasing in K, certified by PSD test
     worst_eig = 0.0
     for Ka, Kb in zip(Ks[:-1], Ks[1:]):
@@ -179,15 +165,12 @@ def run_ghmc_phi_compare(cfg: dict, seed: int):
     mu, Q, psi, R, f = _ring_cycle(cfg["weights"])
     P_met = zoo.metropolized_flow_finite(mu, psi, Q, zoo.AcceptanceRule.metropolis())
     P_bar = zoo.metropolized_flow_finite(mu, psi, Q, zoo.AcceptanceRule.barker())
-    rows = []
-    worst = 0.0
-    for lam in cfg["lambdas"]:
-        vm = finite.var_lambda_cycle(f, R, P_met, mu, lam)
-        vb = finite.var_lambda_cycle(f, R, P_bar, mu, lam)
-        rows.append(ResultRow("ghmc-phi-compare", "finite-metropolis", lam, vm))
-        rows.append(ResultRow("ghmc-phi-compare", "finite-barker", lam, vb))
-        worst = max(worst, vm - vb)
-    checks = [_check("finite-metropolis<=barker", worst)]
+    lams = cfg["lambdas"]
+    vm, vb = (finite.var_lambda_cycle(f, R, P, mu, lams) for P in (P_met, P_bar))
+    rows = [ResultRow("ghmc-phi-compare", name, lam, v)
+            for lam, m, b in zip(lams, vm, vb)
+            for name, v in (("finite-metropolis", m), ("finite-barker", b))]
+    checks = [_check("finite-metropolis<=barker", max(0.0, np.max(vm - vb)))]
     # Monte Carlo GHMC comparison on the 1-D Gaussian
     H = zigzag.zz_gaussian([1.0])
     obs = {"x2": lambda x: x[:, 0] ** 2, "absx": lambda x: np.abs(x[:, 0])}

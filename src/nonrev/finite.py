@@ -201,54 +201,100 @@ def reversible_parts(P: KernelMatrix, Q: DeterministicInvolution):
     return KernelMatrix(P.entries[Q.perm]), KernelMatrix(P.entries[:, Q.perm])
 
 
-def var_lambda(f: Observable, P: KernelMatrix, mu: FiniteDistribution,
-               lam: float) -> float:
-    """Discounted asymptotic variance 2<fbar, (Id - lam P)^{-1} fbar>_mu - |fbar|^2."""
-    if not 0.0 <= lam < 1.0:
+def _lambda_grid(lambdas) -> list[float]:
+    """The discount grid as floats, refused if empty or if any lambda lies
+    outside [0, 1) (NaN included)."""
+    grid = [float(lam) for lam in lambdas]
+    if not grid:
+        raise ValueError("the lambda grid is empty")
+    if not all(0.0 <= lam < 1.0 for lam in grid):
         raise ValueError("lambda must lie in [0, 1)")
+    return grid
+
+
+def var_lambda(f: Observable, P: KernelMatrix, mu: FiniteDistribution,
+               lambdas) -> np.ndarray:
+    """Discounted asymptotic variance 2<fbar, (Id - lam P)^{-1} fbar>_mu - |fbar|^2
+    at each lam of the grid, one solve per lam."""
+    grid = _lambda_grid(lambdas)
     _check_dims(f.n, P.n, mu.n)
     fbar = centered(f, mu)
-    g = np.linalg.solve(np.eye(P.n) - lam * P.entries, fbar)
-    return 2.0 * inner(fbar, g, mu) - inner(fbar, fbar, mu)
+    sq = inner(fbar, fbar, mu)
+    eye = np.eye(P.n)
+    solves = (np.linalg.solve(eye - lam * P.entries, fbar) for lam in grid)
+    return np.array([2.0 * inner(fbar, g, mu) - sq for g in solves])
+
+
+def _series_terms(lam: float) -> int:
+    """First k with lam^k <= 1e-12."""
+    return 0 if lam == 0.0 else int(np.ceil(np.log(1e-12) / np.log(lam)))
+
+
+def _doubling_sum(P: KernelMatrix, fbar: np.ndarray, lam: float) -> np.ndarray:
+    """S_m fbar with S_m = sum_{k<m} (lam P)^k, doubled as S_2m = S_m + (lam P)^m S_m
+    with (lam P)^m squared, up to the first m with lam^m <= 1e-12 (1 - lam):
+    P is stochastic, so that bounds the tail by 1e-12 max|fbar|."""
+    s, a, lam_m = fbar, lam * P.entries, lam
+    while lam_m > 1e-12 * (1.0 - lam):
+        s = s + a @ s
+        a = a @ a
+        lam_m *= lam_m
+    return s
 
 
 def var_lambda_series(f: Observable, P: KernelMatrix, mu: FiniteDistribution,
-                      lam: float) -> float:
-    """Independent truncated-series oracle for var_lambda.
+                      lambdas) -> np.ndarray:
+    """Independent power-series oracle for var_lambda: powers of P only, no solve.
 
-    Sums |fbar|^2 + 2 sum_{k>=1} lam^k <fbar, P^k fbar>_mu term by term, up
-    to the first k with lam^k <= 1e-12.
+    At each lam sums |fbar|^2 + 2 sum_{k>=1} lam^k <fbar, P^k fbar>_mu term
+    by term up to the first k = K with lam^k <= 1e-12, from moments formed
+    once up to the grid's largest such K.  A lam with K > n log2 K, where K
+    matrix-vector products cost more than log2 K squarings of an n x n
+    matrix, is summed in doubling form instead (see _doubling_sum), so every
+    lam below 1 finishes.
     """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("lambda must lie in [0, 1)")
+    grid = _lambda_grid(lambdas)
+    _check_dims(f.n, P.n, mu.n)
     fbar = centered(f, mu)
-    if lam == 0.0:
-        return inner(fbar, fbar, mu)
-    total = inner(fbar, fbar, mu)
-    pk = fbar.copy()
-    for k in range(1, int(np.ceil(np.log(1e-12) / np.log(lam))) + 1):
+    sq = inner(fbar, fbar, mu)
+    terms = [_series_terms(lam) for lam in grid]
+    linear = [K <= P.n * np.log2(max(K, 1)) for K in terms]
+    moments = []
+    pk = fbar
+    for _ in range(max((K for K, lin in zip(terms, linear) if lin), default=0)):
         pk = P.entries @ pk
-        total += 2.0 * lam ** k * inner(fbar, pk, mu)
-    return total
+        moments.append(inner(fbar, pk, mu))
+    out = []
+    for lam, K, lin in zip(grid, terms, linear):
+        if lin:
+            total = sq
+            for k in range(1, K + 1):
+                total += 2.0 * lam ** k * moments[k - 1]
+        else:
+            total = 2.0 * inner(fbar, _doubling_sum(P, fbar, lam), mu) - sq
+        out.append(total)
+    return np.array(out)
 
 
 def var_lambda_cycle(f: Observable, P1: KernelMatrix, P2: KernelMatrix,
-                     mu: FiniteDistribution, lam: float) -> float:
+                     mu: FiniteDistribution, lambdas) -> np.ndarray:
     """Discounted variance of the chain alternating P1, P2, P1, P2, ...
 
-    Closed form via two resolvent solves with (Id - lam^2 P1 P2) and
-    (Id - lam^2 P2 P1); symmetric in (P1, P2).
+    Closed form at each lam via two resolvent solves with (Id - lam^2 P1 P2)
+    and (Id - lam^2 P2 P1), the products formed once; symmetric in (P1, P2).
     """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("lambda must lie in [0, 1)")
+    grid = _lambda_grid(lambdas)
     _check_dims(f.n, P1.n, P2.n, mu.n)
     fbar = centered(f, mu)
-    n = P1.n
-    a = np.linalg.solve(np.eye(n) - lam ** 2 * P1.entries @ P2.entries,
-                        fbar + lam * P1.entries @ fbar)
-    b = np.linalg.solve(np.eye(n) - lam ** 2 * P2.entries @ P1.entries,
-                        fbar + lam * P2.entries @ fbar)
-    return inner(fbar, a, mu) + inner(fbar, b, mu) - inner(fbar, fbar, mu)
+    sq = inner(fbar, fbar, mu)
+    eye = np.eye(P1.n)
+    p12, p21 = P1.entries @ P2.entries, P2.entries @ P1.entries
+    out = []
+    for lam in grid:
+        a = np.linalg.solve(eye - lam ** 2 * p12, fbar + lam * P1.entries @ fbar)
+        b = np.linalg.solve(eye - lam ** 2 * p21, fbar + lam * P2.entries @ fbar)
+        out.append(inner(fbar, a, mu) + inner(fbar, b, mu) - sq)
+    return np.array(out)
 
 
 def _symmetrized(mat: np.ndarray, mu: FiniteDistribution) -> np.ndarray:
@@ -304,11 +350,9 @@ def verify_ordering_theorem(P1: KernelMatrix, P2: KernelMatrix,
     not raised.  All 2 * trials projected observables of a kernel and lambda
     go through one block solve.
     """
-    lambdas = list(lambdas)
-    if trials < 1 or not lambdas:
-        raise ValueError("the check needs trials >= 1 and a non-empty lambda grid")
-    if not all(0.0 <= lam < 1.0 for lam in lambdas):
-        raise ValueError("lambda must lie in [0, 1)")
+    lambdas = _lambda_grid(lambdas)
+    if trials < 1:
+        raise ValueError("the check needs trials >= 1")
     cert = dirichlet_dominance_certificate(P1, P2, mu, Q, side="left")
     if not cert.holds:
         raise HypothesisNotCertified(

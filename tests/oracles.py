@@ -3,7 +3,8 @@
 Each one recomputes a quantity of the package by a different route (a
 truncated series, a half-square-sum form, an explicit symmetrization, a
 per-state loop in place of index arithmetic, a per-vector solve in place of
-a block solve, a centred second pass in place of one batch-means pass) or
+a block solve, one lambda per call in place of a grid, a centred second pass
+in place of one batch-means pass) or
 builds a target the catalog does not use, so it lives
 beside the tests that use it rather than inside the package under test.
 """
@@ -15,8 +16,9 @@ from scipy.interpolate import CubicSpline
 
 from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            HypothesisNotCertified, KernelMatrix, Observable,
-                           OrderingReport, centered, check_mu_reversible,
-                           dirichlet_dominance_certificate, inner, var_lambda)
+                           OrderingReport, _check_dims, centered,
+                           check_mu_reversible, dirichlet_dominance_certificate,
+                           inner)
 from nonrev.samplers import Potential, replicate_rng
 from nonrev.zigzag import _window_integrals, simulate_zigzag
 from nonrev.zoo import (FlowMap, RingTarget, SubKernelPair, collapsed_kernel,
@@ -36,6 +38,60 @@ def dirichlet_form_halfsum(f: Observable, P: KernelMatrix, mu: FiniteDistributio
     """
     d = f.values[None, :] - f.values[:, None]
     return float(0.5 * np.sum(mu.weights[:, None] * P.entries * d * d))
+
+
+# Per-lambda references for the grid forms of finite.var_lambda,
+# finite.var_lambda_series and finite.var_lambda_cycle: one lambda per call,
+# and the cycle scales P1 by lam^2 before the product, as (lam^2 P1) @ P2.
+
+def var_lambda_reference(f: Observable, P: KernelMatrix, mu: FiniteDistribution,
+                         lam: float) -> float:
+    """Discounted asymptotic variance 2<fbar, (Id - lam P)^{-1} fbar>_mu - |fbar|^2."""
+    if not 0.0 <= lam < 1.0:
+        raise ValueError("lambda must lie in [0, 1)")
+    _check_dims(f.n, P.n, mu.n)
+    fbar = centered(f, mu)
+    g = np.linalg.solve(np.eye(P.n) - lam * P.entries, fbar)
+    return 2.0 * inner(fbar, g, mu) - inner(fbar, fbar, mu)
+
+
+def var_lambda_series_reference(f: Observable, P: KernelMatrix, mu: FiniteDistribution,
+                                lam: float) -> float:
+    """Independent truncated-series oracle for var_lambda.
+
+    Sums |fbar|^2 + 2 sum_{k>=1} lam^k <fbar, P^k fbar>_mu term by term, up
+    to the first k with lam^k <= 1e-12.
+    """
+    if not 0.0 <= lam < 1.0:
+        raise ValueError("lambda must lie in [0, 1)")
+    fbar = centered(f, mu)
+    if lam == 0.0:
+        return inner(fbar, fbar, mu)
+    total = inner(fbar, fbar, mu)
+    pk = fbar.copy()
+    for k in range(1, int(np.ceil(np.log(1e-12) / np.log(lam))) + 1):
+        pk = P.entries @ pk
+        total += 2.0 * lam ** k * inner(fbar, pk, mu)
+    return total
+
+
+def var_lambda_cycle_reference(f: Observable, P1: KernelMatrix, P2: KernelMatrix,
+                               mu: FiniteDistribution, lam: float) -> float:
+    """Discounted variance of the chain alternating P1, P2, P1, P2, ...
+
+    Closed form via two resolvent solves with (Id - lam^2 P1 P2) and
+    (Id - lam^2 P2 P1); symmetric in (P1, P2).
+    """
+    if not 0.0 <= lam < 1.0:
+        raise ValueError("lambda must lie in [0, 1)")
+    _check_dims(f.n, P1.n, P2.n, mu.n)
+    fbar = centered(f, mu)
+    n = P1.n
+    a = np.linalg.solve(np.eye(n) - lam ** 2 * P1.entries @ P2.entries,
+                        fbar + lam * P1.entries @ fbar)
+    b = np.linalg.solve(np.eye(n) - lam ** 2 * P2.entries @ P1.entries,
+                        fbar + lam * P2.entries @ fbar)
+    return inner(fbar, a, mu) + inner(fbar, b, mu) - inner(fbar, fbar, mu)
 
 
 def var_lambda_cycle_series(f: Observable, P1: KernelMatrix, P2: KernelMatrix,
@@ -143,7 +199,7 @@ def verify_ordering_reference(P1: KernelMatrix, P2: KernelMatrix,
                               lambdas, trials: int = 100,
                               rng_seed: int = 0) -> OrderingReport:
     """Per-vector oracle for finite.verify_ordering_theorem: one observable
-    and one var_lambda solve at a time, on the same draws."""
+    and one var_lambda_reference solve at a time, on the same draws."""
     cert = dirichlet_dominance_certificate(P1, P2, mu, Q, side="left")
     if not cert.holds:
         raise HypothesisNotCertified(
@@ -157,10 +213,10 @@ def verify_ordering_reference(P1: KernelMatrix, P2: KernelMatrix,
         fp = project_symmetric(f, Q, +1)
         fm = project_symmetric(f, Q, -1)
         for lam in lambdas:
-            worst_plus = max(worst_plus, var_lambda(fp, P1, mu, lam)
-                             - var_lambda(fp, P2, mu, lam))
-            worst_minus = max(worst_minus, var_lambda(fm, P2, mu, lam)
-                              - var_lambda(fm, P1, mu, lam))
+            worst_plus = max(worst_plus, var_lambda_reference(fp, P1, mu, lam)
+                             - var_lambda_reference(fp, P2, mu, lam))
+            worst_minus = max(worst_minus, var_lambda_reference(fm, P2, mu, lam)
+                              - var_lambda_reference(fm, P1, mu, lam))
     return OrderingReport(worst_plus, worst_minus)
 
 

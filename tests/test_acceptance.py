@@ -123,10 +123,10 @@ def test_criterion_03_lifted_chain():
         f0 = Observable(rng.standard_normal(n))
         f = zoo.lift_observable(f0)
         for lam in LAM_GRID:
-            vals = [finite.var_lambda(f, P, mu, lam) for P, mu, _ in kernels]
+            vals = [finite.var_lambda(f, P, mu, [lam])[0] for P, mu, _ in kernels]
             for a, b in zip(vals[:-1], vals[1:]):
                 worst_chain = max(worst_chain, a - b)
-            vc = finite.var_lambda(f0, coll, target.pi, lam)
+            vc = finite.var_lambda(f0, coll, target.pi, [lam])[0]
             worst_coll = max(worst_coll, max(vals) - vc)
     assert worst_chain < 1e-9
     assert worst_coll < 1e-9
@@ -144,9 +144,9 @@ def test_criterion_03_lifted_chain():
         f0 = Observable(rng.standard_normal(n))
         f = zoo.lift_observable(f0)
         for lam in LAM_GRID:
-            v_lift = finite.var_lambda(f, P_min, mu, lam)
-            v_walk = finite.var_lambda(f, P_gus, mu, lam)
-            v_rw = finite.var_lambda(f0, coll_gw, target.pi, lam)
+            v_lift = finite.var_lambda(f, P_min, mu, [lam])[0]
+            v_walk = finite.var_lambda(f, P_gus, mu, [lam])[0]
+            v_rw = finite.var_lambda(f0, coll_gw, target.pi, [lam])[0]
             worst_ex6 = max(worst_ex6, v_lift - v_walk, v_walk - v_rw)
     assert worst_ex6 < 1e-9
     print(f"criterion 3 PASS: switching-rate chain {worst_chain:.2e}, "
@@ -167,16 +167,16 @@ def test_criterion_04_pair_space_identity():
             f = rng.standard_normal(n)
             g = Observable(np.add.outer(f, f).ravel())
             fb = Observable(np.repeat(f, n))
-            var_pi = finite.var_lambda(Observable(f), Pi, pi, 0.0)
+            var_pi = finite.var_lambda(Observable(f), Pi, pi, [0.0])[0]
             for lam in [round(0.1 * k, 1) for k in range(1, 10)]:
                 for P in (P1, P2):
-                    vg = finite.var_lambda(g, P, mu, lam)
-                    vf = finite.var_lambda(fb, P, mu, lam)
+                    vg = finite.var_lambda(g, P, mu, [lam])[0]
+                    vf = finite.var_lambda(fb, P, mu, [lam])[0]
                     ident = (-(1 - lam ** 2) / lam * var_pi
                              + (1 + lam) ** 2 / lam * vf)
                     worst_id = max(worst_id, abs(vg - ident))
-                v1 = finite.var_lambda(fb, P1, mu, lam)
-                v2 = finite.var_lambda(fb, P2, mu, lam)
+                v1 = finite.var_lambda(fb, P1, mu, [lam])[0]
+                v2 = finite.var_lambda(fb, P2, mu, [lam])[0]
                 worst_ord = max(worst_ord, v1 - v2)
     assert worst_id < 1e-9
     assert worst_ord < 1e-9
@@ -203,8 +203,8 @@ def test_criterion_05_two_cycle_identities():
         P2 = random_muQ_kernel(rng, mu, Q)
         comp = KernelMatrix(P1.entries @ P2.entries)
         for lam in (0.2, 0.5, 0.8):
-            lhs = finite.var_lambda_cycle(f, P1, P2, mu, lam)
-            rhs = ((2 + lam + 1 / lam) / 2 * finite.var_lambda(f, comp, mu, lam ** 2)
+            lhs = finite.var_lambda_cycle(f, P1, P2, mu, [lam])[0]
+            rhs = ((2 + lam + 1 / lam) / 2 * finite.var_lambda(f, comp, mu, [lam ** 2])[0]
                    + (lam - 1 / lam) / 2 * norm2)
             worst_id1 = max(worst_id1, abs(lhs - rhs))
 
@@ -213,8 +213,8 @@ def test_criterion_05_two_cycle_identities():
         A = KernelMatrix(P1b.entries @ Q.matrix)
         B = KernelMatrix(Q.matrix @ P2.entries)
         for lam in (0.2, 0.5, 0.8):
-            lhs = finite.var_lambda_cycle(f, P1b, P2, mu, lam)
-            rhs = finite.var_lambda_cycle(f, A, B, mu, lam)
+            lhs = finite.var_lambda_cycle(f, P1b, P2, mu, [lam])[0]
+            rhs = finite.var_lambda_cycle(f, A, B, mu, [lam])[0]
             worst_id2 = max(worst_id2, abs(lhs - rhs))
     assert worst_id1 < 1e-9
     assert worst_id2 < 1e-9
@@ -231,7 +231,7 @@ def test_criterion_05_two_cycle_identities():
         prev = None
         for K in (1, 2, 3):
             PK = zoo.extra_chance_finite(mu, psi, Q, K)
-            v = finite.var_lambda_cycle(f, R, PK, mu, lam)
+            v = finite.var_lambda_cycle(f, R, PK, mu, [lam])[0]
             if prev is not None:
                 worst_mono = max(worst_mono, v - prev)
             prev = v
@@ -254,8 +254,8 @@ def test_criterion_06_acceptance_rule_comparison():
     f = Observable(np.repeat(np.cos(2 * math.pi * np.arange(5) / 5), 2))
     worst = 0.0
     for lam in LAM_GRID:
-        worst = max(worst, finite.var_lambda_cycle(f, R, P_met, mu, lam)
-                    - finite.var_lambda_cycle(f, R, P_bar, mu, lam))
+        worst = max(worst, finite.var_lambda_cycle(f, R, P_met, mu, [lam])[0]
+                    - finite.var_lambda_cycle(f, R, P_bar, mu, [lam])[0])
     assert worst < 1e-9
 
     # GHMC on the 1-D Gaussian, 16 replicates x 1e6 steps

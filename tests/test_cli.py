@@ -1,6 +1,7 @@
 import json
 import math
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -300,6 +301,16 @@ class TestRun:
                                        "seed": 1, "weights": [1.0, -2.0, 1.0],
                                        "out": str(tmp_path / "x")})
         assert cli.main(["run", path]) == 3
+
+    @pytest.mark.parametrize("lam", [0.9999999, 0.9999999999999999])
+    def test_series_oracle_finishes_next_to_one(self, tmp_path, lam):
+        # summed term by term, the series oracle made 27.6 / (1 - lam)
+        # matrix-vector products: at 0.9999999 the run did not end in 30 s
+        path = write_config(tmp_path, {"experiment": "gustafson-ring", "seed": 1,
+                                       "lambdas": [lam], "out": str(tmp_path / "x")})
+        start = time.perf_counter()
+        assert cli.main(["run", path]) == 0
+        assert time.perf_counter() - start < 5.0
 
     def test_metadata_records_seed_and_threads(self, tmp_path):
         _, out = self.run_gustafson(tmp_path, "a", seed=31)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from nonrev import finite
+from nonrev import experiments, finite, zoo
 from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            HypothesisNotCertified, KernelMatrix,
                            NotReversibleError, Observable)
@@ -17,6 +17,7 @@ def two_state_flip(p):
 
 
 UNIF2 = FiniteDistribution(np.array([0.5, 0.5]))
+LAMS = [0.05 * k for k in range(1, 20)]
 
 
 class TestTypes:
@@ -189,43 +190,39 @@ class TestVarLambda:
         f = Observable(rng.standard_normal(2))
         fbar = f.values - UNIF2.weights @ f.values
         expect = float(UNIF2.weights @ (fbar * fbar))
-        assert finite.var_lambda(f, two_state_flip(0.3), UNIF2, 0.0) == pytest.approx(expect)
+        v = finite.var_lambda(f, two_state_flip(0.3), UNIF2, [0.0])
+        assert v[0] == pytest.approx(expect)
 
     def test_identity_kernel_geometric(self):
         f = Observable(np.array([1.0, -1.0]))
-        for lam in (0.2, 0.5, 0.9):
-            v = finite.var_lambda(f, KernelMatrix(np.eye(2)), UNIF2, lam)
-            assert v == pytest.approx((1 + lam) / (1 - lam))
+        lams = [0.2, 0.5, 0.9]
+        v = finite.var_lambda(f, KernelMatrix(np.eye(2)), UNIF2, lams)
+        assert v.dtype == np.float64 and v.shape == (3,)
+        assert v == pytest.approx([(1 + lam) / (1 - lam) for lam in lams])
 
     def test_series_oracle(self):
         f = Observable(np.array([1.0, -1.0]))
         P = two_state_flip(0.5)
-        v = finite.var_lambda(f, P, UNIF2, 0.5)
-        o = finite.var_lambda_series(f, P, UNIF2, 0.5)
-        assert abs(v - o) <= 1e-8
+        v = finite.var_lambda(f, P, UNIF2, [0.5])
+        o = finite.var_lambda_series(f, P, UNIF2, [0.5])
+        assert abs(v[0] - o[0]) <= 1e-8
 
     def test_series_oracle_random_up_to_099(self):
         rng = np.random.default_rng(4)
         mu = FiniteDistribution.from_unnormalized(rng.random(8) + 0.1)
         P = KernelMatrix(np.tile(mu.weights, (8, 1)))
         f = Observable(rng.standard_normal(8))
-        for lam in (0.3, 0.9, 0.99):
-            a = finite.var_lambda(f, P, mu, lam)
-            b = finite.var_lambda_series(f, P, mu, lam)
-            assert abs(a - b) <= 1e-8
-
-    def test_rejects_bad_lambda(self):
-        f = Observable(np.zeros(2))
-        with pytest.raises(ValueError):
-            finite.var_lambda(f, two_state_flip(0.3), UNIF2, 1.0)
+        a = finite.var_lambda(f, P, mu, [0.3, 0.9, 0.99])
+        b = finite.var_lambda_series(f, P, mu, [0.3, 0.9, 0.99])
+        assert np.max(np.abs(a - b)) <= 1e-8
 
 
 class TestVarLambdaCycle:
     def test_identity_at_lambda_zero(self):
         f = Observable(np.array([1.0, -1.0]))
         v = finite.var_lambda_cycle(f, KernelMatrix(np.eye(2)),
-                                    KernelMatrix(np.eye(2)), UNIF2, 0.0)
-        assert v == pytest.approx(1.0)
+                                    KernelMatrix(np.eye(2)), UNIF2, [0.0])
+        assert v[0] == pytest.approx(1.0)
 
     def test_series_oracle_and_symmetry(self):
         rng = np.random.default_rng(5)
@@ -234,10 +231,164 @@ class TestVarLambdaCycle:
         M = 0.6 * np.eye(4) + 0.4 * np.tile(mu.weights, (4, 1))
         P2 = KernelMatrix(M)
         f = Observable(rng.standard_normal(4))
-        a = finite.var_lambda_cycle(f, P1, P2, mu, 0.7)
+        a = finite.var_lambda_cycle(f, P1, P2, mu, [0.7])[0]
         b = var_lambda_cycle_series(f, P1, P2, mu, 0.7)
         assert abs(a - b) <= 1e-9
-        assert finite.var_lambda_cycle(f, P2, P1, mu, 0.7) == pytest.approx(a, abs=1e-12)
+        swapped = finite.var_lambda_cycle(f, P2, P1, mu, [0.7])
+        assert swapped[0] == pytest.approx(a, abs=1e-12)
+
+
+GRID_FUNCTIONS = {
+    "var_lambda": lambda lams: finite.var_lambda(
+        Observable(np.zeros(2)), two_state_flip(0.3), UNIF2, lams),
+    "var_lambda_series": lambda lams: finite.var_lambda_series(
+        Observable(np.zeros(2)), two_state_flip(0.3), UNIF2, lams),
+    "var_lambda_cycle": lambda lams: finite.var_lambda_cycle(
+        Observable(np.zeros(2)), two_state_flip(0.3), two_state_flip(0.3), UNIF2, lams),
+    "verify_ordering_theorem": lambda lams: finite.verify_ordering_theorem(
+        two_state_flip(0.4), two_state_flip(0.2), UNIF2,
+        DeterministicInvolution(np.arange(2)), lams, trials=1),
+}
+
+
+@pytest.mark.parametrize("lambdas", [[], [1.0], [-0.1], [math.nan]],
+                         ids=["empty", "one", "negative", "nan"])
+@pytest.mark.parametrize("name", list(GRID_FUNCTIONS))
+def test_grid_refused_before_any_solve(name, lambdas, monkeypatch):
+    # a grid that certifies nothing, or reaches outside [0, 1), is refused
+    # before any solve; the valid lambda in front does not let the bad one through
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the grid was validated")
+
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    monkeypatch.setattr(finite, "dirichlet_dominance_certificate", no_solve)
+    for grid in [lambdas] + ([[0.5, *lambdas]] if lambdas else []):
+        with pytest.raises(ValueError) as err:
+            GRID_FUNCTIONS[name](grid)
+        assert err.type is ValueError
+
+
+def ring_families(weights, step_dist):
+    """Every kernel the finite catalog entries build on one ring, with the
+    observable each entry uses: (name, f, P, mu) for var_lambda, and
+    (name, f, P1, P2, mu) for var_lambda_cycle."""
+    target = zoo.RingTarget(weights)
+    f = experiments._position_observable(target.n)
+    P, mu, _Q = zoo.gustafson_ring(target)
+    single = [("gustafson", f, P, mu)]
+    pair = zoo.guided_walk_ring(target, step_dist)
+    f_base = Observable(np.cos(2 * math.pi * np.arange(target.n) / target.n))
+    for theta in (0.0, 0.5, 1.0):
+        P, mu, _Q = zoo.lifted_kernel(pair, theta)
+        single.append((f"lifted-{theta}", zoo.lift_observable(f_base), P, mu))
+    single.append(("collapsed", f_base, zoo.collapsed_kernel(pair), pair.pi))
+    mu, Q, psi, R, f = experiments._ring_cycle(weights)
+    cycles = [(f"extra-chance-K={K}", f, R, zoo.extra_chance_finite(mu, psi, Q, K), mu)
+              for K in (1, 2, 3)]
+    for rule in (zoo.AcceptanceRule.metropolis(), zoo.AcceptanceRule.barker()):
+        cycles.append((f"flow-{rule.kind}", f, R,
+                       zoo.metropolized_flow_finite(mu, psi, Q, rule), mu))
+    return single, cycles
+
+
+RINGS = {"default": (experiments.DEFAULT_RING, (1.0,)),
+         "200-site": (tuple(0.5 + np.random.default_rng(200).random(200)), (0.5, 0.3, 0.2))}
+CATALOG_LAMBDAS = list(experiments.DEFAULT_LAMBDAS)
+
+
+def doubled(lam, n):
+    """Whether var_lambda_series sums lam in doubling form on n states."""
+    K = finite._series_terms(lam)
+    return K > n * math.log2(K)
+
+
+class TestGridMatchesPerLambdaReference:
+    """The grid forms against one-lambda-per-call references: bit for bit on
+    the catalog's kernels, to rounding on generic dense pairs, where forming
+    P1 P2 once reorders the roundings of (lam^2 P1) P2."""
+
+    @pytest.mark.parametrize("ring", list(RINGS))
+    def test_catalog_kernels_bitwise(self, ring):
+        single, cycles = ring_families(*RINGS[ring])
+        for name, f, P, mu in single:
+            ref = [oracles.var_lambda_reference(f, P, mu, lam) for lam in CATALOG_LAMBDAS]
+            assert np.array_equal(finite.var_lambda(f, P, mu, CATALOG_LAMBDAS), ref), name
+        for name, f, P1, P2, mu in cycles:
+            ref = [oracles.var_lambda_cycle_reference(f, P1, P2, mu, lam)
+                   for lam in CATALOG_LAMBDAS]
+            got = finite.var_lambda_cycle(f, P1, P2, mu, CATALOG_LAMBDAS)
+            assert np.array_equal(got, ref), name
+
+    def test_neal_pair_kernels_bitwise(self):
+        for weights in ((0.2, 0.3, 0.5), tuple(0.5 + np.random.default_rng(20).random(20))):
+            T2, pi = experiments._neal_t2(weights)
+            P1, P2, mu, _Q = zoo.neal_pair_kernels(T2, pi)
+            g = Observable(np.add.outer(np.arange(pi.n), np.cos(np.arange(pi.n))).ravel())
+            for P in (P1, P2):
+                ref = [oracles.var_lambda_reference(g, P, mu, lam)
+                       for lam in CATALOG_LAMBDAS]
+                assert np.array_equal(finite.var_lambda(g, P, mu, CATALOG_LAMBDAS), ref)
+
+    @pytest.mark.parametrize("ring", list(RINGS))
+    def test_series_linear_sums_bitwise(self, ring):
+        # every lambda below the doubling switch sums the same moments in the
+        # same order; on 400 states the whole catalog grid stays linear
+        (name, f, P, mu), *_ = ring_families(*RINGS[ring])[0]
+        linear = [lam for lam in CATALOG_LAMBDAS if not doubled(lam, P.n)]
+        assert linear == (CATALOG_LAMBDAS if P.n == 400 else CATALOG_LAMBDAS[:6])
+        ref = [oracles.var_lambda_series_reference(f, P, mu, lam) for lam in linear]
+        assert np.array_equal(finite.var_lambda_series(f, P, mu, linear), ref)
+        # sharing the moments across a grid changes no lambda's sum
+        both = finite.var_lambda_series(f, P, mu, CATALOG_LAMBDAS)
+        assert np.array_equal(both[:len(linear)], ref)
+
+    @pytest.mark.parametrize("n", [3, 8, 40])
+    def test_generic_dense_pairs_to_rounding(self, n):
+        rng = np.random.default_rng(n)
+        mu = FiniteDistribution.from_unnormalized(rng.random(n) + 0.1)
+        P1, P2 = (KernelMatrix(m / m.sum(axis=1)[:, None]) for m in rng.random((2, n, n)))
+        f = Observable(rng.standard_normal(n))
+        got = finite.var_lambda_cycle(f, P1, P2, mu, LAMS)
+        ref = [oracles.var_lambda_cycle_reference(f, P1, P2, mu, lam) for lam in LAMS]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        ref = [oracles.var_lambda_reference(f, P1, mu, lam) for lam in LAMS]
+        assert np.array_equal(finite.var_lambda(f, P1, mu, LAMS), ref)
+
+
+class TestSeriesDoubling:
+    """Past K > n log2 K terms the series oracle doubles S_m instead of
+    summing K terms, so it finishes at every accepted lambda."""
+
+    DEFAULT = ring_families(*RINGS["default"])[0][0]
+
+    def test_matches_linear_sum_up_to_0999(self):
+        name, f, P, mu = self.DEFAULT
+        lams = [0.7, 0.8, 0.9, 0.99, 0.999]
+        assert all(doubled(lam, P.n) for lam in lams)
+        got = finite.var_lambda_series(f, P, mu, lams)
+        ref = [oracles.var_lambda_series_reference(f, P, mu, lam) for lam in lams]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("n", [3, 8])
+    def test_doubling_sum_matches_linear_sum_on_dense_kernels(self, n):
+        rng = np.random.default_rng(10 + n)
+        mu = FiniteDistribution.from_unnormalized(rng.random(n) + 0.1)
+        m = rng.random((n, n))
+        P = KernelMatrix(m / m.sum(axis=1)[:, None])
+        f = Observable(rng.standard_normal(n))
+        fbar = finite.centered(f, mu)
+        sq = finite.inner(fbar, fbar, mu)
+        for lam in (0.1, 0.5, 0.9, 0.99, 0.999):
+            got = 2.0 * finite.inner(fbar, finite._doubling_sum(P, fbar, lam), mu) - sq
+            ref = oracles.var_lambda_series_reference(f, P, mu, lam)
+            assert got == pytest.approx(ref, rel=1e-13, abs=1e-15)
+
+    def test_finishes_next_to_one(self):
+        name, f, P, mu = self.DEFAULT
+        lams = [0.9999999, 1 - 1e-12, 0.9999999999999999]
+        got = finite.var_lambda_series(f, P, mu, lams)
+        exact = finite.var_lambda(f, P, mu, lams)
+        np.testing.assert_allclose(got, exact, rtol=1e-13, atol=0)
 
 
 class TestDominanceCertificate:
@@ -319,9 +470,6 @@ def lifted_dominated_pair(seed, n=4):
     c = float(np.min(np.diag(M0))) * 0.8
     return (KernelMatrix((M0 + c * (M1 - np.eye(2 * n)))[Q.perm]),
             KernelMatrix(M0[Q.perm]), mu, Q)
-
-
-LAMS = [0.05 * k for k in range(1, 20)]
 
 
 class TestBatchedOrderingCheck:

@@ -160,7 +160,7 @@ class TestEstimator:
         mu = FiniteDistribution.from_unnormalized(np.abs(w))
         f = Observable(np.array([1.0, -0.5, 2.0]))
         lam = 0.5
-        exact = finite.var_lambda(f, KernelMatrix(P), mu, lam)
+        exact = finite.var_lambda(f, KernelMatrix(P), mu, [lam])[0]
         cum = P.cumsum(axis=1)
         R, T = 16, 20000
         vals = np.empty((R, T))

@@ -167,8 +167,8 @@ class TestLiftedKernel:
         assert cert.holds
         f = zoo.lift_observable(Observable(np.array([1.0, -1.0, 0.5, 0.0, -0.5])))
         for lam in (0.2, 0.5, 0.8):
-            v_min = finite.var_lambda(f, Pmin, mu, lam)
-            v_max = finite.var_lambda(f, Pmax, mu, lam)
+            v_min = finite.var_lambda(f, Pmin, mu, [lam])[0]
+            v_max = finite.var_lambda(f, Pmax, mu, [lam])[0]
             assert v_min <= v_max + 1e-9
 
     def test_maximal_dominated_by_collapsed(self):
@@ -178,8 +178,8 @@ class TestLiftedKernel:
         f0 = Observable(np.array([1.0, -1.0, 0.5, 0.0, -0.5]))
         f = zoo.lift_observable(f0)
         for lam in (0.3, 0.7):
-            assert (finite.var_lambda(f, Pmax, mu, lam)
-                    <= finite.var_lambda(f0, coll, RING5.pi, lam) + 1e-9)
+            assert (finite.var_lambda(f, Pmax, mu, [lam])[0]
+                    <= finite.var_lambda(f0, coll, RING5.pi, [lam])[0] + 1e-9)
 
     def test_symmetrization_identity(self):
         pair = mh_pair(RING5)
@@ -450,8 +450,8 @@ class TestNealPair:
             f0 = rng.standard_normal(4)
             g = Observable(np.add.outer(f0, f0).ravel())  # symmetric: Qg = g
             for lam in (0.2, 0.6, 0.9):
-                assert (finite.var_lambda(g, P1, mu, lam)
-                        <= finite.var_lambda(g, P2, mu, lam) + 1e-9)
+                assert (finite.var_lambda(g, P1, mu, [lam])[0]
+                        <= finite.var_lambda(g, P2, mu, [lam])[0] + 1e-9)
 
     def test_rejects_degenerate_t2(self):
         pi = FiniteDistribution.from_unnormalized(np.array([1.0, 1.0]))
