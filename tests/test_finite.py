@@ -216,6 +216,11 @@ class TestVarLambda:
         b = finite.var_lambda_series(f, P, mu, [0.3, 0.9, 0.99])
         assert np.max(np.abs(a - b)) <= 1e-8
 
+    def test_rejects_bad_lambda(self):
+        f = Observable(np.zeros(2))
+        with pytest.raises(ValueError):
+            finite.var_lambda(f, two_state_flip(0.3), UNIF2, [1.0])
+
 
 class TestVarLambdaCycle:
     def test_identity_at_lambda_zero(self):
