@@ -82,6 +82,7 @@ class IntensitySpec:
 
     kind applies to every coordinate, and the constant gamma >= 0 is added
     to every kind (an x-only rate, so gamma - Q gamma = 0 structurally).
+    eps, gamma and refresh_rate must be finite (infinite rates stall time).
     refresh_mode 'full' resamples v uniformly on {-1,1}^d at rate
     refresh_rate; 'partial' flips each coordinate independently at rate
     refresh_rate / d.
@@ -98,10 +99,12 @@ class IntensitySpec:
             raise ValueError(f"kind must be one of {_KINDS}")
         if self.kind == "penalty" and self.eps <= 0:
             raise ValueError("penalty requires eps > 0")
-        if not self.gamma >= 0:
-            raise ValueError(f"gamma must be >= 0, got {self.gamma!r}")
-        if not self.refresh_rate >= 0:
-            raise ValueError(f"refresh_rate must be >= 0, got {self.refresh_rate!r}")
+        if not math.isfinite(self.eps):
+            raise ValueError(f"eps must be finite, got {self.eps!r}")
+        if not 0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma!r}")
+        if not 0 <= self.refresh_rate < math.inf:
+            raise ValueError(f"refresh_rate must be finite and >= 0, got {self.refresh_rate!r}")
         if self.refresh_mode not in ("full", "partial"):
             raise ValueError("refresh_mode must be 'full' or 'partial'")
 
@@ -184,6 +187,9 @@ def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
     return t0 + 2 * rem / (gamma + math.sqrt(gamma * gamma + 2 * b * rem))
 
 
+_BLOCK = 8  # thinning proposals per batched intensity call
+
+
 def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
                        x: np.ndarray, v: np.ndarray, rng,
                        horizon: float = np.inf) -> float:
@@ -195,6 +201,14 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
     are 1-Lipschitz transforms of s(t) = dU_i(x + t v) v_i, so the ray bound
     B on |s'(t)| dominates |d lambda / dt| as well.  An intensity above the
     envelope (a hessian_bound that is too small) raises EnvelopeViolation.
+
+    Each window draws its proposals in blocks of up to _BLOCK, every one an
+    exponential() for the offset and then a random() for the accept test,
+    and evaluates a block's intensities in one batched call.  A block that
+    accepts before its last draw restores the generator to the block's
+    start and redraws up to the accepted proposal, so a returning call
+    reads the stream exactly as one proposal at a time would (a raising
+    call may have drawn further).
     """
     if pot.hessian_bound is None:
         raise EnvelopeViolation("no ray bound available for thinning envelope")
@@ -205,19 +219,33 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
         u = 0.0
         lam0 = base
         while u < 1.0:
-            e = rng.exponential()
-            # first point of rate lam0 + B t after u, within the window
-            du = 2 * e / (lam0 + math.sqrt(lam0 * lam0 + 2 * B * e))
-            if u + du >= 1.0:
+            state = rng.bit_generator.state
+            block = []  # (offset, envelope, uniform) per proposal
+            for _ in range(_BLOCK):
+                e = rng.exponential()
+                # first point of rate lam0 + B t after u, within the window
+                du = 2 * e / (lam0 + math.sqrt(lam0 * lam0 + 2 * B * e))
+                if u + du >= 1.0:
+                    u = 1.0  # this draw ends the window
+                    break
+                u += du
+                lam0 = base + B * u
+                block.append((u, lam0, rng.random()))
+            if not block:
                 break
-            u += du
-            lam0 = base + B * u
-            true = float(intensity(spec, pot, i, x + (s + u) * v, v))
-            if true > lam0 + 1e-9:
-                raise EnvelopeViolation(
-                    f"intensity {true} exceeds envelope {lam0} at offset {s + u}")
-            if rng.random() * lam0 < true:
-                return s + u
+            offsets = s + np.array([p[0] for p in block])
+            trues = intensity(spec, pot, i, x + offsets[:, None] * v, v).tolist()
+            for k, ((uk, env, r), true) in enumerate(zip(block, trues)):
+                if true > env + 1e-9:
+                    raise EnvelopeViolation(
+                        f"intensity {true} exceeds envelope {env} at offset {s + uk}")
+                if r * env < true:
+                    if k + 1 < len(block) or u == 1.0:  # drew past proposal k
+                        rng.bit_generator.state = state
+                        for _ in range(k + 1):
+                            rng.exponential()
+                            rng.random()
+                    return s + uk
         s += 1.0
     return math.inf
 
@@ -234,10 +262,12 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     the d coordinate clocks and then the refresh clock (the layout of that
     many scalar ``exponential()`` calls), then the refresh draw.  Every
     other input thins each coordinate against an affine envelope
-    (``_thinned_flip_time``, coordinates in order), then draws one
-    ``exponential()`` for the refresh clock and the refresh draw, and raises
-    RuntimeError at a non-finite gradient.  x0 must be finite; it is checked
-    before anything is drawn.
+    (``_thinned_flip_time``, coordinates in order; its proposals are
+    evaluated in blocks, and a block that overdraws is replayed, so it reads
+    the stream as one proposal at a time), then draws one ``exponential()``
+    for the refresh clock and the refresh draw, and raises RuntimeError at a
+    non-finite gradient.  x0 must be finite; it is checked before anything
+    is drawn.
     """
     if horizon <= 0:
         raise ValueError("horizon must be positive")

@@ -3,10 +3,11 @@
 Each one recomputes a quantity of the package by a different route (a
 truncated series, a half-square-sum form, an explicit symmetrization, a
 per-state loop in place of index arithmetic, a per-vector solve in place of
-a block solve, one lambda per call in place of a grid, a centred second pass
-in place of one batch-means pass) or
-builds a target the catalog does not use, so it lives
-beside the tests that use it rather than inside the package under test.
+a block solve, one intensity call per thinning proposal in place of a
+block, one lambda per call in place of a grid, a centred second pass in
+place of one batch-means pass) or builds a target the catalog does not use,
+so it lives beside the tests that use it rather than inside the package
+under test.
 """
 
 import math
@@ -20,7 +21,8 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            check_mu_reversible, dirichlet_dominance_certificate,
                            inner)
 from nonrev.samplers import Potential, replicate_rng
-from nonrev.zigzag import _window_integrals, simulate_zigzag
+from nonrev.zigzag import (EnvelopeViolation, _window_integrals, intensity,
+                           simulate_zigzag)
 from nonrev.zoo import (FlowMap, RingTarget, SubKernelPair, collapsed_kernel,
                         half_lift, lifted_kernel)
 
@@ -164,6 +166,47 @@ def steep_double_well() -> Potential:
     overflows the energy, or drops it past exp's range."""
     return Potential(U=lambda x: 10.0 * (x[..., 0] ** 2 - 2.0) ** 2,
                      grad=lambda x: 40.0 * x * (x ** 2 - 2.0), d=1)
+
+
+def thinned_flip_time_reference(spec, pot: Potential, i: int, x: np.ndarray,
+                                v: np.ndarray, rng, horizon: float = np.inf) -> float:
+    """First arrival of the inhomogeneous rate t -> lambda_i(x + t v, v) by
+    thinning against the affine envelope lam(0) + B t, refreshed per unit
+    time window.
+
+    Valid for every intensity kind here (gamma is constant): smooth kinds
+    are 1-Lipschitz transforms of s(t) = dU_i(x + t v) v_i, so the ray bound
+    B on |s'(t)| dominates |d lambda / dt| as well.  An intensity above the
+    envelope (a hessian_bound that is too small) raises EnvelopeViolation.
+
+    The scalar form of zigzag._thinned_flip_time: one intensity call per
+    proposal, and each proposal reads one exponential() and, inside the
+    window, one random() in turn.
+    """
+    if pot.hessian_bound is None:
+        raise EnvelopeViolation("no ray bound available for thinning envelope")
+    s = 0.0
+    while s < horizon:
+        base = float(intensity(spec, pot, i, x + s * v, v))
+        B = float(pot.hessian_bound(x + s * v, v)) + 1e-12
+        u = 0.0
+        lam0 = base
+        while u < 1.0:
+            e = rng.exponential()
+            # first point of rate lam0 + B t after u, within the window
+            du = 2 * e / (lam0 + math.sqrt(lam0 * lam0 + 2 * B * e))
+            if u + du >= 1.0:
+                break
+            u += du
+            lam0 = base + B * u
+            true = float(intensity(spec, pot, i, x + (s + u) * v, v))
+            if true > lam0 + 1e-9:
+                raise EnvelopeViolation(
+                    f"intensity {true} exceeds envelope {lam0} at offset {s + u}")
+            if rng.random() * lam0 < true:
+                return s + u
+        s += 1.0
+    return math.inf
 
 
 def estimate_var_continuous_centred(pot: Potential, spec, f, horizon: float,

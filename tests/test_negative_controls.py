@@ -1,14 +1,17 @@
-"""Negative controls for the finite catalog runners, which make one
-var_lambda* call per kernel over the whole lambda grid and then pair the
-results by grid index.  With the kernels or the oracle a runner builds
-replaced so that its hypothesis is false, the named check must report
-"pass": false; a runner that compared a value with itself, or with the wrong
-kernel's row, would still pass.  Each case also runs unpatched, where the
-same check passes."""
+"""Negative controls for the catalog's named checks.  The finite runners
+make one var_lambda* call per kernel over the whole lambda grid and then
+pair the results by grid index; the Monte Carlo and quadrature checks
+compare two processes or two rules in a fixed orientation.  With the
+kernels, processes, rules or oracle a runner uses replaced so that its
+hypothesis is false, the named check must report "pass": false; a runner
+that compared a value with itself, or with the wrong kernel's row, would
+still pass.  Each case also runs unpatched, where the same check passes."""
+
+import dataclasses
 
 import pytest
 
-from nonrev import experiments, finite, zoo
+from nonrev import experiments, finite, samplers, zigzag, zoo
 
 
 def swap_acceptance_rules(monkeypatch):
@@ -39,14 +42,49 @@ def shift_series_oracle(monkeypatch):
                         lambda *args: oracle(*args) + 1e-6)
 
 
-# (experiment, config overrides, check, patch); the GHMC part of
-# ghmc-phi-compare runs at the shortest chains its mc_lambdas allow
+def swap_mc_rules(monkeypatch):
+    # the GHMC comparison runs its rules as [Barker, Metropolis], so the
+    # first rule, which no other may beat, is the less accepting one
+    compare = samplers.compare_acceptance_rules
+    monkeypatch.setattr(samplers, "compare_acceptance_rules",
+                        lambda *args, rules, **kw: compare(*args, rules=rules[::-1], **kw))
+
+
+GAMMA = experiments.EXPERIMENTS["zigzag-1d-gamma"][1]["gamma"]
+
+
+def swap_gamma_processes(monkeypatch):
+    # the canonical process simulates canonical plus gamma, and the other
+    # way round (gamma -> GAMMA - gamma at the default GAMMA)
+    estimate = zigzag.estimate_var_continuous
+    monkeypatch.setattr(zigzag, "estimate_var_continuous", lambda pot, spec, *args, **kw:
+                        estimate(pot, dataclasses.replace(spec, gamma=GAMMA - spec.gamma),
+                                 *args, **kw))
+
+
+def swap_gap_specs(monkeypatch):
+    gap = zigzag.dirichlet_gap_quadrature
+    monkeypatch.setattr(zigzag, "dirichlet_gap_quadrature",
+                        lambda pot, spec1, spec2, *args: gap(pot, spec2, spec1, *args))
+
+
+# (test id, experiment, config overrides, check, patch); the finite part
+# of ghmc-phi-compare runs beside the shortest GHMC chains its mc_lambdas
+# allow, the GHMC check at its defaults
 CONTROLS = [
-    ("ghmc-phi-compare", {"steps": 270, "replicates": 2},
+    ("ghmc-phi-compare", "ghmc-phi-compare", {"steps": 270, "replicates": 2},
      "finite-metropolis<=barker", swap_acceptance_rules),
-    ("two-cycle-extra-chance", {}, "variance-nonincreasing-in-K", reverse_extra_chances),
-    ("lifted-ordering", {}, "rate-ordering-minimal<=convex<=maximal", swap_switching_rates),
-    ("gustafson-ring", {}, "series-oracle-agreement", shift_series_oracle),
+    ("ghmc-phi-compare-mc", "ghmc-phi-compare", {}, "mc-metropolis<=barker+2se",
+     swap_mc_rules),
+    ("zigzag-1d-gamma-estimates", "zigzag-1d-gamma", {}, "canonical<=plus-gamma+2se",
+     swap_gamma_processes),
+    ("zigzag-1d-gamma-gap", "zigzag-1d-gamma", {}, "dirichlet-gap-nonnegative",
+     swap_gap_specs),
+    ("two-cycle-extra-chance", "two-cycle-extra-chance", {},
+     "variance-nonincreasing-in-K", reverse_extra_chances),
+    ("lifted-ordering", "lifted-ordering", {}, "rate-ordering-minimal<=convex<=maximal",
+     swap_switching_rates),
+    ("gustafson-ring", "gustafson-ring", {}, "series-oracle-agreement", shift_series_oracle),
 ]
 
 
@@ -57,7 +95,7 @@ def named_check(name, overrides, check):
     return found
 
 
-@pytest.mark.parametrize("name, overrides, check, patch", CONTROLS,
+@pytest.mark.parametrize("name, overrides, check, patch", [c[1:] for c in CONTROLS],
                          ids=[c[0] for c in CONTROLS])
 def test_false_hypothesis_fails_the_check(monkeypatch, name, overrides, check, patch):
     assert named_check(name, overrides, check)["pass"]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from nonrev import experiments, zigzag
 from nonrev.samplers import replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, Potential,
                            intensity, simulate_zigzag, zz_gaussian)
-from oracles import estimate_var_continuous_centred, zz_tabulated
+from oracles import (estimate_var_continuous_centred, steep_double_well,
+                     thinned_flip_time_reference, zz_tabulated)
 
 
 def sigmaless(pot):
@@ -84,6 +86,17 @@ class TestIntensities:
         for gamma in (-0.5, math.nan):
             with pytest.raises(ValueError, match="gamma"):
                 IntensitySpec("canonical", gamma=gamma)
+
+    @pytest.mark.parametrize("field, kind", [("gamma", "canonical"),
+                                             ("refresh_rate", "canonical"),
+                                             ("eps", "penalty"), ("eps", "barker")])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, field, kind, value):
+        # an infinite gamma or refresh rate hung simulate_zigzag with ever
+        # growing event lists, and so did an infinite penalty eps; a NaN eps
+        # simulated no events at all
+        with pytest.raises(ValueError, match=field):
+            IntensitySpec(kind, **{field: value})
 
     def test_penalty_sup_bound(self):
         # sup_s |lambda^eps - lambda^0| <= -log(1 - sqrt(e^eps - 1)), eps < log 2
@@ -247,8 +260,8 @@ def exact_clock(pot, spec, i, x, v, rng, remaining):
 
 
 def thinned_clock(pot, spec, i, x, v, rng, remaining):
-    return zigzag._thinned_flip_time(spec, pot, i, x, v, rng,
-                                     horizon=remaining + 1.0)
+    return thinned_flip_time_reference(spec, pot, i, x, v, rng,
+                                       horizon=remaining + 1.0)
 
 
 def reference_loop(pot, spec, x0, v0, horizon, rng, clock):
@@ -335,6 +348,133 @@ class TestExactLoopMatchesReference:
         assert traj.types == types
         # both loops leave the stream at the same position
         assert rng.random() == rng_ref.random()
+
+
+class LoggedStream:
+    """A Generator whose draws are logged: 'e' per exponential(), 'r' per
+    random(), and '|' each time its state is restored.  It stands in for
+    its own bit_generator, so the clock's state reads and writes reach the
+    state property below."""
+
+    def __init__(self, rng):
+        self.rng, self.log = rng, []
+        self.bit_generator = self
+
+    @property
+    def state(self):
+        return self.rng.bit_generator.state
+
+    @state.setter
+    def state(self, value):
+        self.log.append("|")
+        self.rng.bit_generator.state = value
+
+    def exponential(self):
+        self.log.append("e")
+        return self.rng.exponential()
+
+    def random(self):
+        self.log.append("r")
+        return self.rng.random()
+
+
+def stream_state(rng):
+    """The generator's state with arrays as lists, so that == compares it."""
+    def plain(value):
+        if isinstance(value, dict):
+            return {k: plain(w) for k, w in value.items()}
+        return value.tolist() if isinstance(value, np.ndarray) else value
+    return plain(rng.bit_generator.state)
+
+
+def clock_outcome(clock, spec, pot, i, x, v, rng, horizon):
+    """The returned flip time, or the EnvelopeViolation message."""
+    try:
+        return clock(spec, pot, i, x, v, rng, horizon)
+    except EnvelopeViolation as err:
+        return str(err)
+
+
+def steep_well_with_bound():
+    # |U''| = |120 x^2 - 80| <= 120 m^2 + 80 on a unit ray from x, m the
+    # larger end |x| or |x + v|
+    return dataclasses.replace(steep_double_well(), hessian_bound=lambda x, v: (
+        120.0 * max(abs(float(x[0])), abs(float(x[0] + v[0]))) ** 2 + 80.0))
+
+
+class TestBlockedThinningClock:
+    """_thinned_flip_time evaluates its proposals in blocks and replays the
+    stream when a block drew past the accepted proposal; it must return what
+    the scalar reference returns and leave the stream where it leaves it."""
+
+    POTENTIALS = {
+        "double-well": (zigzag.zz_double_well, 2.0),
+        "steep-double-well": (steep_well_with_bound, 2.5),
+        "tabulated": (lambda: zz_tabulated(np.linspace(-6, 6, 401),
+                                           0.5 * np.linspace(-6, 6, 401) ** 2), 3.0),
+        "sigmaless-gaussian-2d": (lambda: sigmaless(zz_gaussian([0.7, 1.3])), 3.0),
+    }
+    SPECS = [IntensitySpec("canonical"), IntensitySpec("barker"),
+             IntensitySpec("penalty", eps=0.1), IntensitySpec("penalty", eps=1.0),
+             IntensitySpec("canonical", gamma=0.5)]
+
+    @staticmethod
+    def starts(pot, reach, n):
+        """n (coordinate, x, v, horizon) draws with x in [-reach, reach];
+        the horizons cycle through 1 and 3 unit windows and none."""
+        gen = np.random.default_rng(17)
+        for k in range(n):
+            yield (k % pot.d, gen.uniform(-reach, reach, pot.d),
+                   np.where(gen.random(pot.d) < 0.5, -1.0, 1.0),
+                   (1.0, 3.0, math.inf)[k % 3])
+
+    def test_same_times_and_stream_as_scalar_loop(self):
+        # the unit-scale targets rarely fill a block; the wells cover the
+        # block-end and mid-block cases, so coverage is counted over all
+        seen = {"capped-inf": 0, "accept-on-block-end": 0,
+                "replay-after-window-end": 0, "replay-mid-block": 0}
+        for name, (make, reach) in self.POTENTIALS.items():
+            pot = make()
+            for j, spec in enumerate(self.SPECS):
+                rng, rng_ref = replicate_rng(41, j), replicate_rng(41, j)
+                for i, x, v, horizon in self.starts(pot, reach, 120):
+                    stream, ref = LoggedStream(rng), LoggedStream(rng_ref)
+                    t = zigzag._thinned_flip_time(spec, pot, i, x, v, stream, horizon)
+                    t_ref = thinned_flip_time_reference(spec, pot, i, x, v, ref,
+                                                        horizon)
+                    case = (name, spec, i, x, v, horizon)
+                    assert t == t_ref, case
+                    assert stream_state(rng) == stream_state(rng_ref), case
+                    log = "".join(stream.log)
+                    # the reference's proposals in its last window, the
+                    # accepted one last; an 'e' without its 'r' ends a window
+                    tokens = ["e"] + re.findall("er|e", "".join(ref.log))
+                    accepted = len(tokens) - 1 - max(
+                        k for k, tok in enumerate(tokens) if tok == "e")
+                    if t == math.inf:
+                        seen["capped-inf"] += horizon < math.inf
+                    else:
+                        seen["accept-on-block-end"] += (
+                            accepted % zigzag._BLOCK == 0 and "|" not in log)
+                    seen["replay-after-window-end"] += "e|" in log
+                    seen["replay-mid-block"] += "r|" in log
+        assert min(seen.values()) > 0, seen
+
+    def test_envelope_violation_message(self):
+        # a ray bound a third too small: each call, from a fresh stream, must
+        # return the same time or raise with the same message as the scalar loop
+        pot = zigzag.zz_double_well()
+        lying = dataclasses.replace(pot, hessian_bound=lambda x, v: pot.hessian_bound(x, v) / 3)
+        violations = 0
+        for j, spec in enumerate(self.SPECS):
+            for k, (i, x, v, horizon) in enumerate(self.starts(lying, 2.0, 60)):
+                out, ref = (clock_outcome(clock, spec, lying, i, x, v,
+                                          replicate_rng(43 + j, k), horizon)
+                            for clock in (zigzag._thinned_flip_time,
+                                          thinned_flip_time_reference))
+                assert out == ref
+                violations += isinstance(ref, str)
+        assert violations > 0
 
 
 def reference_window_integral(traj, f, degree, t_start, t_end):
