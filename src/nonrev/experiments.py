@@ -76,9 +76,9 @@ def run_gustafson_ring(cfg: dict, seed: int):
     vals = finite.var_lambda(f, P, mu, lams)
     oracle = finite.var_lambda_series(f, P, mu, lams)
     gap = np.abs(vals - oracle)
-    rows = [ResultRow("gustafson-ring", "var", lam, v, 0.0, o, d <= 1e-8)
+    rows = [ResultRow("gustafson-ring", "var", lam, v, 0.0, o, d <= finite.SOLVE_TOL)
             for lam, v, o, d in zip(lams, vals, oracle, gap)]
-    checks.append(_check("series-oracle-agreement", np.max(gap), 1e-8))
+    checks.append(_check("series-oracle-agreement", np.max(gap), finite.SOLVE_TOL))
     return rows, checks
 
 
@@ -156,7 +156,7 @@ def run_two_cycle_extra_chance(cfg: dict, seed: int):
             kernels[Kb], kernels[Ka], mu, Q, side="right")
         worst_eig = max(worst_eig, -cert.dominance_matrix_min_eig)
     checks = [_check("variance-nonincreasing-in-K", worst_mono),
-              _check("dirichlet-form-nondecreasing-in-K", worst_eig, 1e-10)]
+              _check("dirichlet-form-nondecreasing-in-K", worst_eig, finite.PSD_TOL)]
     return rows, checks
 
 

@@ -24,6 +24,8 @@ import numpy as np
 
 from .zoo import AcceptanceRule
 
+_BLOCK = 100_000  # GHMC transitions of refresh noise and uniforms drawn at a time
+
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=(seed << 64) + replicate))
@@ -161,7 +163,7 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
                     omega: float, rules: Sequence[AcceptanceRule], n_steps: int,
                     replicates: int, seed: int,
                     observables: Sequence[Callable[[np.ndarray], np.ndarray]],
-                    *, burn_in: int = 0, block: int = 100_000):
+                    *, burn_in: int = 0):
     """Replicate-batched GHMC driver advancing all acceptance rules at once.
 
     Each replicate owns its Philox stream, split into a noise sub-stream and
@@ -170,8 +172,6 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     with that rule alone.  Returns a list of (len(rules) * R, n_steps) arrays,
     one per observable of the position x; rows [i*R:(i+1)*R] are rules[i]'s.
     """
-    if block < 1:
-        raise ValueError("block must be >= 1")
     k, R, d = len(rules), replicates, H.d
     noise_rngs = [replicate_rng(seed, r) for r in range(R)]
     unif_rngs = [np.random.Generator(g.bit_generator.jumped(1)) for g in noise_rngs]
@@ -182,8 +182,8 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     out = [np.empty((k * R, n_steps)) for _ in observables]
     total = n_steps + burn_in
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, total, block):
-            b = min(block, total - start)
+        for start in range(0, total, _BLOCK):
+            b = min(_BLOCK, total - start)
             # every rule's rows get its replicate's refresh term and uniform
             noise = np.stack([rng.standard_normal((b, d)) for rng in noise_rngs],
                              axis=1) * sin
@@ -243,16 +243,21 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
     of burn-in.  PASS when, for every lambda and observable, the estimate
     never beats the first (most accepting) rule by more than 2 combined
     standard errors; the report carries the worst excess as max_violation.
-    Raises ValueError unless there are at least two rules of distinct
-    kinds, a lambda, an observable and 2 replicates, and when the chains of
-    some rule and observable never moved (lag-0 autocovariance exactly 0.0,
-    as when every proposal is rejected).
+    Raises ValueError before sampling unless there are at least two rules of
+    distinct kinds, a lambda, an observable and 2 replicates, every lambda
+    lies in [0, 1) and n_steps >= min_chain_length(max(lambdas)); after
+    sampling, when the chains of some rule and observable never moved
+    (lag-0 autocovariance exactly 0.0, as when every proposal is rejected).
     """
     kinds = [rule.kind for rule in rules]
     if len(kinds) < 2 or len(set(kinds)) < len(kinds):
         raise ValueError(f"need at least two acceptance rules of distinct kinds, got {kinds}")
     if len(lambdas) == 0 or len(observables) == 0 or replicates < 2:
         raise ValueError("need at least one lambda, one observable and 2 replicates")
+    if not all(0.0 <= lam < 1.0 for lam in lambdas):
+        raise ValueError(f"lambda must lie in [0, 1), got {list(lambdas)!r}")
+    if n_steps < (need := min_chain_length(max(lambdas))):
+        raise ValueError(f"n_steps must be >= {need} at lambda {max(lambdas)!r}, got {n_steps}")
     names = list(observables)
     chains = run_ghmc_chains(H, step, nleap, omega, rules, n_steps, replicates,
                              seed, [observables[k] for k in names],

@@ -63,10 +63,8 @@ def zz_double_well() -> Potential:
 
 
 def _log_phi_eps_exp(eps: float, s):
-    """log phi_eps(e^s), numerically stable for large |s|."""
+    """log phi_eps(e^s) for eps > 0, numerically stable for large |s|."""
     s = np.asarray(s, dtype=float)
-    if eps == 0.0:
-        return np.minimum(0.0, s)
     se = math.sqrt(eps)
     a = s + log_ndtr(-(se / 2 + s / se))
     b = log_ndtr(-(se / 2 - s / se))
@@ -118,8 +116,8 @@ def intensity(spec: IntensitySpec, pot: Potential, i: int, x: np.ndarray,
     if spec.kind == "canonical":
         lam = np.maximum(0.0, s)
     elif spec.kind == "penalty":
-        # -log phi_eps(density ratio e^{-s}); reduces to (s)_+ at eps = 0 and
-        # satisfies lambda(s) - lambda(-s) = s by the balance of phi_eps
+        # -log phi_eps(density ratio e^{-s}), eps > 0; tends to (s)_+ as eps
+        # -> 0 and satisfies lambda(s) - lambda(-s) = s by the balance of phi_eps
         lam = -_log_phi_eps_exp(spec.eps, -s)
     else:
         lam = np.logaddexp(0.0, s)  # softplus
@@ -172,15 +170,12 @@ def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
     The root of c t + b t^2 / 2 = e is taken in the conjugate form
     2e / (c + sqrt(c^2 + 2be)), which does not cancel when c >> sqrt(be).
     """
-    if gamma == 0.0:
-        if a >= 0:
-            return 2 * e / (a + math.sqrt(a * a + 2 * b * e))
-        t0 = -a / b
-        return t0 + math.sqrt(2 * e / b)
     if a >= 0:
         ag = a + gamma
         return 2 * e / (ag + math.sqrt(ag * ag + 2 * b * e))
     t0 = -a / b
+    if gamma == 0.0:
+        return t0 + math.sqrt(2 * e / b)
     if e < gamma * t0:
         return e / gamma
     rem = e - gamma * t0
@@ -266,11 +261,11 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     evaluated in blocks, and a block that overdraws is replayed, so it reads
     the stream as one proposal at a time), then draws one ``exponential()``
     for the refresh clock and the refresh draw, and raises RuntimeError at a
-    non-finite gradient.  x0 must be finite; it is checked before anything
-    is drawn.
+    non-finite gradient.  The horizon must be finite and positive, and x0
+    finite; both are checked before anything is drawn.
     """
-    if horizon <= 0:
-        raise ValueError("horizon must be positive")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     d = pot.d
     x = np.array(x0, dtype=float).reshape(d)
     v = np.array(v0, dtype=float).reshape(d)

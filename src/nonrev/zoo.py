@@ -322,16 +322,13 @@ def neal_pair_kernels(T2: KernelMatrix, pi: FiniteDistribution):
 def metropolized_flow_finite(mu: FiniteDistribution, psi: FlowMap,
                              Q: DeterministicInvolution,
                              phi: AcceptanceRule) -> KernelMatrix:
-    """Move to psi(z) with probability phi(r(z)), else jump to xi(z).
-
-    r(z) = mu(xi o psi(z)) / mu(z) with the 0-convention when either mass
-    vanishes (unreachable for strictly positive mu, but guarded).
-    """
+    """Move to psi(z) with probability phi(r(z)), else jump to xi(z), where
+    r(z) = mu(xi o psi(z)) / mu(z) (finite and positive: mu is strictly
+    positive)."""
     if not psi.check_reversal(Q):
         raise ValueError("flow map must satisfy psi^{-1} = xi o psi o xi")
     w, xi, z = mu.weights, Q.perm, np.arange(mu.n)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = phi.phi(np.where(w == 0.0, 0.0, w[xi[psi.psi]] / w))
+    a = phi.phi(w[xi[psi.psi]] / w)
     P = np.zeros((mu.n, mu.n))
     P[z, psi.psi] += a
     P[z, xi] += 1.0 - a

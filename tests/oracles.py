@@ -7,7 +7,8 @@ a block solve, one intensity call per thinning proposal in place of a
 block, one lambda per call in place of a grid, a centred second pass in
 place of one batch-means pass) or builds a target the catalog does not use,
 so it lives beside the tests that use it rather than inside the package
-under test.
+under test.  Two are earlier forms of package code kept verbatim, so that
+a rewrite can be held to them bit for bit.
 """
 
 import math
@@ -17,7 +18,7 @@ from scipy.interpolate import CubicSpline
 
 from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            HypothesisNotCertified, KernelMatrix, Observable,
-                           OrderingReport, _check_dims, centered,
+                           OrderingReport, _check_dims, _lambda_grid, centered,
                            check_mu_reversible, dirichlet_dominance_certificate,
                            inner)
 from nonrev.samplers import Potential, replicate_rng
@@ -261,6 +262,60 @@ def verify_ordering_reference(P1: KernelMatrix, P2: KernelMatrix,
             worst_minus = max(worst_minus, var_lambda_reference(fm, P2, mu, lam)
                               - var_lambda_reference(fm, P1, mu, lam))
     return OrderingReport(worst_plus, worst_minus)
+
+
+# Earlier forms of package code, verbatim: finite.verify_ordering_theorem
+# with its own copy of the var_lambda formula, solving both kernels per
+# lambda inside the loop, and zigzag._exact_flip_time with a separate
+# gamma == 0, a >= 0 branch.
+
+def verify_ordering_block_reference(P1: KernelMatrix, P2: KernelMatrix,
+                                    mu: FiniteDistribution, Q: DeterministicInvolution,
+                                    lambdas, trials: int = 100,
+                                    rng_seed: int = 0) -> OrderingReport:
+    lambdas = _lambda_grid(lambdas)
+    if trials < 1:
+        raise ValueError("the check needs trials >= 1")
+    cert = dirichlet_dominance_certificate(P1, P2, mu, Q, side="left")
+    if not cert.holds:
+        raise HypothesisNotCertified(
+            f"dominance certificate fails (min eig {cert.dominance_matrix_min_eig:.3e})")
+    w = mu.weights
+    # one row per trial: the same draws as `trials` calls of standard_normal(n)
+    g = np.random.default_rng(rng_seed).standard_normal((trials, mu.n))
+    f = np.concatenate([g + g[:, Q.perm], g - g[:, Q.perm]]) / 2.0  # Qf = f, then Qf = -f
+    fbar = (f - (f @ w)[:, None]).T  # one centred observable per column
+    sq = w @ (fbar * fbar)
+    worst_plus = 0.0
+    worst_minus = 0.0
+    eye = np.eye(mu.n)
+    for lam in lambdas:
+        v1, v2 = (2.0 * (w @ (fbar * np.linalg.solve(eye - lam * P.entries, fbar))) - sq
+                  for P in (P1, P2))
+        worst_plus = max(worst_plus, float(np.max(v1[:trials] - v2[:trials])))
+        worst_minus = max(worst_minus, float(np.max(v2[trials:] - v1[trials:])))
+    return OrderingReport(worst_plus, worst_minus)
+
+
+def exact_flip_time_reference(a: float, b: float, gamma: float, e: float) -> float:
+    """First time Lambda(t) = e for rate (a + b t)_+ + gamma, b > 0.
+
+    The root of c t + b t^2 / 2 = e is taken in the conjugate form
+    2e / (c + sqrt(c^2 + 2be)), which does not cancel when c >> sqrt(be).
+    """
+    if gamma == 0.0:
+        if a >= 0:
+            return 2 * e / (a + math.sqrt(a * a + 2 * b * e))
+        t0 = -a / b
+        return t0 + math.sqrt(2 * e / b)
+    if a >= 0:
+        ag = a + gamma
+        return 2 * e / (ag + math.sqrt(ag * ag + 2 * b * e))
+    t0 = -a / b
+    if e < gamma * t0:
+        return e / gamma
+    rem = e - gamma * t0
+    return t0 + 2 * rem / (gamma + math.sqrt(gamma * gamma + 2 * b * rem))
 
 
 # Per-state loop references for the zoo constructors, which build the same

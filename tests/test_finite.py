@@ -43,6 +43,11 @@ class TestTypes:
         with pytest.raises(ValueError):
             Observable(np.array([1.0, np.nan]))
 
+    def test_size_mismatch_is_a_plain_value_error(self):
+        with pytest.raises(ValueError, match="incompatible sizes") as err:
+            finite.var_lambda(Observable(np.zeros(3)), two_state_flip(0.3), UNIF2, [0.5])
+        assert err.type is ValueError
+
 
 class TestInvariance:
     def test_identity(self):
@@ -495,6 +500,29 @@ class TestBatchedOrderingCheck:
                      (got.max_violation_minus, ref.max_violation_minus)):
             assert a > 1e-6 and b > 1e-6
             assert a == pytest.approx(b, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["dominated", "forced"])
+    def test_bit_identical_to_the_earlier_form(self, monkeypatch, swap):
+        # pairs like finite-exact's (rings of 3..6 sites, 20 trials), and the
+        # same pairs swapped with the certificate forced, whose violations
+        # are far from 0
+        if swap:
+            forced = lambda *args, **kwargs: finite.OrderingCertificate(0.0, True)  # noqa: E731
+            monkeypatch.setattr(finite, "dirichlet_dominance_certificate", forced)
+            monkeypatch.setattr(oracles, "dirichlet_dominance_certificate", forced)
+        for seed in range(8):
+            P1, P2, mu, Q = lifted_dominated_pair(seed, n=3 + seed % 4)
+            if swap:
+                P1, P2 = P2, P1
+            for lams, trials in ((LAMS, 20), ([0.5], 1)):
+                got = finite.verify_ordering_theorem(P1, P2, mu, Q, lams, trials=trials,
+                                                     rng_seed=seed)
+                ref = oracles.verify_ordering_block_reference(P1, P2, mu, Q, lams,
+                                                              trials=trials, rng_seed=seed)
+                assert (got.max_violation_plus.hex(), got.max_violation_minus.hex()) == (
+                    ref.max_violation_plus.hex(), ref.max_violation_minus.hex())
+                if trials == 20:
+                    assert got.ok != swap
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_dominated_pair_matches_oracle(self, seed):

@@ -1,14 +1,16 @@
 """Negative controls for the catalog's named checks.  The finite runners
 make one var_lambda* call per kernel over the whole lambda grid and then
-pair the results by grid index; the Monte Carlo and quadrature checks
-compare two processes or two rules in a fixed orientation.  With the
-kernels, processes, rules or oracle a runner uses replaced so that its
-hypothesis is false, the named check must report "pass": false; a runner
-that compared a value with itself, or with the wrong kernel's row, would
-still pass.  Each case also runs unpatched, where the same check passes."""
+pair the results by grid index; the Dirichlet-form certificate compares
+consecutive kernels; the Monte Carlo and quadrature checks compare two
+processes or two rules in a fixed orientation.  With the kernels,
+processes, rules or oracle a runner uses replaced so that its hypothesis
+is false, the named check must report "pass": false; a runner that
+compared a value with itself, or with the wrong kernel's row, would still
+pass.  Each case also runs unpatched, where the same check passes."""
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from nonrev import experiments, finite, samplers, zigzag, zoo
@@ -28,6 +30,25 @@ def reverse_extra_chances(monkeypatch):
     build = zoo.extra_chance_finite
     monkeypatch.setattr(zoo, "extra_chance_finite",
                         lambda mu, psi, Q, K: build(mu, psi, Q, 4 - K))
+
+
+def independence_collapsed_kernel(monkeypatch):
+    # the collapsed chain is replaced by independent draws from pi, 1 pi^T,
+    # whose variance no lift of the guided walk stays below
+    monkeypatch.setattr(zoo, "collapsed_kernel", lambda pair: finite.KernelMatrix(
+        np.tile(pair.pi.weights, (pair.pi.n, 1))))
+
+
+def swap_neal_kernels(monkeypatch):
+    # the never-stay kernel P1 is built as the independent refresh P2, and
+    # the other way round
+    build = zoo.neal_pair_kernels
+
+    def swapped(T2, pi):
+        P1, P2, mu, Q = build(T2, pi)
+        return P2, P1, mu, Q
+
+    monkeypatch.setattr(zoo, "neal_pair_kernels", swapped)
 
 
 def swap_switching_rates(monkeypatch):
@@ -82,8 +103,13 @@ CONTROLS = [
      swap_gap_specs),
     ("two-cycle-extra-chance", "two-cycle-extra-chance", {},
      "variance-nonincreasing-in-K", reverse_extra_chances),
+    ("two-cycle-extra-chance-dirichlet", "two-cycle-extra-chance", {},
+     "dirichlet-form-nondecreasing-in-K", reverse_extra_chances),
     ("lifted-ordering", "lifted-ordering", {}, "rate-ordering-minimal<=convex<=maximal",
      swap_switching_rates),
+    ("lifted-ordering-collapsed", "lifted-ordering", {}, "lifted<=collapsed",
+     independence_collapsed_kernel),
+    ("neal-ordering", "neal-ordering", {}, "never-stay-dominates", swap_neal_kernels),
     ("gustafson-ring", "gustafson-ring", {}, "series-oracle-agreement", shift_series_oracle),
 ]
 

@@ -4,7 +4,9 @@ other than its own unit tests: another part of the package, an acceptance
 criterion, or the benchmark.  Code that only unit tests call belongs in
 `tests/` (oracles and fixtures) or nowhere.  The same holds one level down:
 every defaulted parameter of a public function or method must be set by such
-a call, and every annotated field of a public dataclass must be read.
+a call, and every annotated field of a public dataclass must be read.  A
+public module-level constant must be read somewhere in those places, its
+own module included.
 
 A name counts as referenced when it appears as an AST name, an attribute or a
 string constant in `src/` outside its own definition, in
@@ -25,18 +27,19 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "nonrev"
 
-# parameter -> why only unit tests set it
-UNSET_PARAMETERS = {
-    "samplers.run_ghmc_chains(block)":
-        "the only way a test can show that GHMC output does not depend on "
-        "internal buffering, as the README promises",
-}
-
 
 def public_definitions(tree: ast.Module):
     return [node for node in tree.body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
+
+
+def public_constants(tree: ast.Module) -> list:
+    """(name, assignment) of each module-level assignment to a public name."""
+    return [(target.id, node) for node in tree.body
+            if isinstance(node, (ast.Assign, ast.AnnAssign))
+            for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
+            if isinstance(target, ast.Name) and not target.id.startswith("_")]
 
 
 def public_members(cls: ast.ClassDef):
@@ -137,15 +140,21 @@ def public_functions(tree: ast.Module):
                 yield f"{node.name}.{m.name}", m, True
 
 
+def references_elsewhere(trees: dict) -> dict:
+    """Module path -> names referenced outside that module: in the other
+    modules, the acceptance criteria or the benchmark."""
+    outside = set().union(*(referenced_names(tree) for tree in outside_trees()))
+    return {path: outside.union(*(referenced_names(other)
+                                  for p, other in trees.items() if p != path))
+            for path in trees}
+
+
 def unreferenced_public_names() -> list:
-    outside = set()
-    for tree in outside_trees():
-        outside |= referenced_names(tree)
     trees = sources()
+    elsewhere = references_elsewhere(trees)
     unused = []
     for path, tree in trees.items():
-        refs = outside.union(*(referenced_names(other)
-                               for p, other in trees.items() if p != path))
+        refs = elsewhere[path]
         for node in public_definitions(tree):
             if node.name not in refs | referenced_names(tree, skip=node):
                 unused.append(f"{path.stem}.{node.name}")
@@ -154,6 +163,14 @@ def unreferenced_public_names() -> list:
                            for m in public_members(node)
                            if m.name not in refs | referenced_names(tree, skip=m)]
     return unused
+
+
+def unread_constants() -> list:
+    trees = sources()
+    elsewhere = references_elsewhere(trees)
+    return [f"{path.stem}.{name}" for path, tree in trees.items()
+            for name, node in public_constants(tree)
+            if name not in elsewhere[path] | referenced_names(tree, skip=node)]
 
 
 def unset_parameters() -> list:
@@ -192,6 +209,7 @@ def test_scan_sees_the_package():
     assert sum(len(defaulted_parameters(fn, method)) for t in trees
                for _, fn, method in public_functions(t)) > 10
     assert sum(len(dataclass_fields(c)) for c in classes) > 40
+    assert sum(len(public_constants(t)) for t in trees) > 8
 
 
 def test_every_public_name_is_reached_outside_unit_tests():
@@ -199,9 +217,12 @@ def test_every_public_name_is_reached_outside_unit_tests():
 
 
 def test_every_defaulted_parameter_is_set_outside_unit_tests():
-    # an allowlisted parameter that some run sets leaves the list too
-    assert sorted(unset_parameters()) == sorted(UNSET_PARAMETERS)
+    assert unset_parameters() == []
 
 
 def test_every_dataclass_field_is_read_outside_unit_tests():
     assert unread_fields() == []
+
+
+def test_every_public_constant_is_read():
+    assert unread_constants() == []

@@ -179,19 +179,21 @@ class TestGhmcDriver:
     OBS = [lambda x: x[:, 0], lambda x: x[:, 0] ** 2]
     R = 8
 
-    def run(self, seed=0, block=100_000, n_steps=3000, rules=None):
+    def run(self, seed=0, n_steps=3000, rules=None):
         return samplers.run_ghmc_chains(
             self.H, step=0.9, nleap=2, omega=math.pi / 4,
             rules=rules or [AcceptanceRule.metropolis()],
             n_steps=n_steps, replicates=self.R, seed=seed,
-            observables=self.OBS, burn_in=200, block=block)
+            observables=self.OBS, burn_in=200)
 
-    def test_deterministic_and_block_independent(self):
+    def test_deterministic_and_block_independent(self, monkeypatch):
         for rules in ([AcceptanceRule.metropolis()],
                       [AcceptanceRule.metropolis(), AcceptanceRule.barker()]):
             a = self.run(rules=rules)
             b = self.run(rules=rules)
-            c = self.run(rules=rules, block=137)
+            with monkeypatch.context() as m:
+                m.setattr(samplers, "_BLOCK", 137)  # buffers of 137 transitions
+                c = self.run(rules=rules)
             for j in range(2):
                 assert np.array_equal(a[j], b[j])
                 assert np.array_equal(a[j], c[j])
@@ -292,8 +294,16 @@ class TestGhmcDriver:
         ({"rules": [AcceptanceRule.barker(), AcceptanceRule.barker()]}, "distinct"),
         ({"lambdas": []}, "lambda"),
         ({"observables": {}}, "observable"),
-    ], ids=["one-rule", "no-rules", "duplicate-kind", "no-lambdas", "no-observables"])
-    def test_compare_refuses_missing_evidence(self, kwargs, match):
+        ({"lambdas": [0.5, 1.0]}, r"lambda must lie in \[0, 1\)"),
+        ({"lambdas": [0.5, 0.999]}, "n_steps must be >= 184120"),
+    ], ids=["one-rule", "no-rules", "duplicate-kind", "no-lambdas", "no-observables",
+            "lambda-one", "short-chains"])
+    def test_compare_refuses_missing_evidence(self, monkeypatch, kwargs, match):
+        # refused before any sampling
+        def no_sampling(*args, **kwargs):
+            raise AssertionError("sampled before the inputs were validated")
+
+        monkeypatch.setattr(samplers, "run_ghmc_chains", no_sampling)
         with pytest.raises(ValueError, match=match):
             self.compare(**kwargs)
 

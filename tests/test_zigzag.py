@@ -11,8 +11,8 @@ from nonrev import experiments, zigzag
 from nonrev.samplers import replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, Potential,
                            intensity, simulate_zigzag, zz_gaussian)
-from oracles import (estimate_var_continuous_centred, steep_double_well,
-                     thinned_flip_time_reference, zz_tabulated)
+from oracles import (estimate_var_continuous_centred, exact_flip_time_reference,
+                     steep_double_well, thinned_flip_time_reference, zz_tabulated)
 
 
 def sigmaless(pot):
@@ -148,6 +148,32 @@ class TestExactInversion:
         assert (a * t + b * t * t / 2 - e) / e == pytest.approx(0.0, abs=1e-14)
         assert t == pytest.approx(e / a, rel=1e-7)
 
+    def test_bit_identical_to_the_earlier_form(self):
+        # one branch serves a >= 0 at every gamma: a + 0.0 is a, bit for bit
+        # (-0.0 + 0.0 = +0.0 only moves a zero that is added to a square
+        # root); an equal ZeroDivisionError is a match
+        def outcome(fn, *args):
+            try:
+                return fn(*args).hex()
+            except ZeroDivisionError:
+                return "ZeroDivisionError"
+
+        rng = np.random.default_rng(14)
+        mags = [0.0, 1e-300, 1e8, *rng.exponential(size=4).tolist()]
+        avals = mags + [-m for m in mags]
+        # b = 1e-30 with e = 1e-300 underflows 2be, so a = 0 divides by zero
+        bvals = [1e-30, 1e-8, 1.0, 1e8, *rng.exponential(size=2).tolist()]
+        evals = [1e-300, 1e-150, 1e-8, 1.0, 50.0, *rng.exponential(size=3).tolist()]
+        seen = set()
+        for a in avals:
+            for b in bvals:
+                for gamma in (0.0, 0.5):
+                    for e in evals:
+                        got = outcome(zigzag._exact_flip_time, a, b, gamma, e)
+                        assert got == outcome(exact_flip_time_reference, a, b, gamma, e)
+                        seen.add(got == "ZeroDivisionError")
+        assert seen == {False, True}
+
 
 class TestSimulation:
     def test_free_flight_has_no_events(self):
@@ -238,6 +264,24 @@ class TestSimulation:
         with pytest.raises(ValueError):
             simulate_zigzag(pot, IntensitySpec(), [0.0], [0.5], 1.0,
                             np.random.default_rng(0))
+
+    @pytest.mark.parametrize("thin", [False, True])
+    def test_non_finite_horizon_rejected_before_any_draw(self, thin):
+        # a NaN horizon never ended the event loop, nor did an infinite one
+        pot = zz_gaussian([1.0, 1.0])
+        if thin:
+            pot = sigmaless(pot)
+        for bad in (np.nan, np.inf, -np.inf):
+            rng = np.random.default_rng(0)
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="horizon must be finite and positive"):
+                simulate_zigzag(pot, IntensitySpec(), [0.0, 0.0], [1.0, -1.0], bad, rng)
+            assert rng.bit_generator.state == state
+
+    def test_infinite_horizon_estimate_refused(self):
+        with pytest.raises(ValueError, match="horizon must be finite and positive"):
+            zigzag.estimate_var_continuous(zz_gaussian([1.0]), IntensitySpec(),
+                                           lambda x, v: x[:, 0], np.inf, 2, 0.0, 0)
 
     @pytest.mark.parametrize("thin", [False, True])
     def test_non_finite_start_rejected_before_any_draw(self, thin):
