@@ -3,7 +3,8 @@
 `nonrev list` prints the experiment catalog; `nonrev run config.json` runs
 one experiment and writes `<name>_results.csv` (deterministic for a fixed
 seed), `<name>_summary.json` with per-check PASS/FAIL, and
-`<name>_metadata.json` (the only file carrying a timestamp).
+`<name>_metadata.json` (seed, params, the nonrev, numpy and scipy versions,
+and the only timestamp of the three).
 
 Exit codes: 0 all checks pass, 2 invalid configuration, 3 numerical failure
 (an internal numeric error or a failed theorem check).
@@ -18,6 +19,9 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .experiments import CSV_HEADER, EXPERIMENTS, PARAMS, cross_key_error
 
 
@@ -109,8 +113,11 @@ def run(config: ExperimentConfig) -> int:
         with open(f"{stem}_summary.json", "w", encoding="utf-8") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
+        import scipy  # its version only; scipy.special stays unloaded
         meta = {"experiment": config.experiment, "seed": config.seed,
                 "params": config.params,
+                "versions": {"nonrev": __version__, "numpy": np.__version__,
+                             "scipy": scipy.__version__},
                 "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat()}
         with open(f"{stem}_metadata.json", "w", encoding="utf-8") as fh:
             json.dump(meta, fh, indent=2, sort_keys=True)

@@ -26,7 +26,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import log_ndtr
 
 from . import samplers
 from .samplers import Potential
@@ -64,6 +63,7 @@ def zz_double_well() -> Potential:
 
 def _log_phi_eps_exp(eps: float, s):
     """log phi_eps(e^s) for eps > 0, numerically stable for large |s|."""
+    from scipy.special import log_ndtr  # loaded by the penalty path alone
     s = np.asarray(s, dtype=float)
     se = math.sqrt(eps)
     a = s + log_ndtr(-(se / 2 + s / se))

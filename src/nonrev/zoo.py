@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .finite import (
     DeterministicInvolution,
@@ -105,6 +104,7 @@ def _smoothed_metropolis(eps: float, r):
     se = sqrt(eps); min{1, r} at eps = 0, and 0 at r = 0."""
     if eps == 0.0:
         return np.minimum(1.0, r)
+    from scipy.special import ndtr  # loaded by the phi_eps path alone
     se = math.sqrt(eps)
     # finite r unchanged, inf -> max: the formula grows with r, so
     # phi(inf) >= phi(1e300) (it is 1 to within rounding unless eps is large)

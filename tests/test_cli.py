@@ -1,14 +1,20 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
+import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonrev import cli, samplers
+import nonrev
+from nonrev import cli, samplers, zigzag, zoo
 from nonrev.experiments import EXPERIMENTS, PARAMS, cross_key_error
 
 CATALOG = ["gustafson-ring", "lifted-ordering", "neal-ordering",
@@ -317,6 +323,76 @@ class TestRun:
         meta = json.loads((out / "gustafson-ring_metadata.json").read_text())
         assert meta["seed"] == 31
         assert "timestamp" in meta
+        assert meta["versions"] == {"nonrev": nonrev.__version__, "numpy": np.__version__,
+                                    "scipy": scipy.__version__}
+
+
+# -- scipy.special is loaded by the phi_eps and penalty paths alone ----------
+
+SRC = str(Path(nonrev.__file__).resolve().parent.parent)
+# the Monte Carlo entries at run lengths that take well under a second
+SMALL = {"ghmc-phi-compare": {"steps": 270, "replicates": 2},
+         "zigzag-1d-gamma": {"horizon": 50.0, "replicates": 2},
+         "zigzag-2d-refresh": {"horizon": 50.0, "replicates": 2}}
+
+WITHOUT_PHI_EPS = """
+import importlib, json, pkgutil, sys, tempfile
+from pathlib import Path
+import nonrev
+for module in pkgutil.iter_modules(nonrev.__path__):
+    importlib.import_module("nonrev." + module.name)
+from nonrev import cli
+codes = {"list": cli.main(["list"])}
+with tempfile.TemporaryDirectory() as d:
+    for name, overrides in json.loads(sys.argv[1]).items():
+        path = Path(d) / "config.json"
+        path.write_text(json.dumps({"experiment": name, "seed": 1, **overrides}))
+        codes[name] = cli.main(["run", str(path), "--out", d])
+print(json.dumps({"codes": codes, "loaded": "scipy.special" in sys.modules}))
+"""
+
+FIRST_CALL = """
+import json, sys
+import numpy as np
+from nonrev import zigzag, zoo
+before = "scipy.special" in sys.modules
+bits = np.asarray(eval(sys.argv[1]), dtype=float).tobytes().hex()
+print(json.dumps({"before": before, "after": "scipy.special" in sys.modules, "bits": bits}))
+"""
+
+# the first call of each path that needs the Gaussian CDF
+FIRST_CALLS = {
+    "phi-eps": "zoo.AcceptanceRule.phi_eps(0.5).phi("
+               "np.concatenate([[0.0], np.logspace(-3, 3, 41), [1e300, np.inf]]))",
+    "penalty-intensity": "zigzag.intensity(zigzag.IntensitySpec('penalty', eps=0.5), "
+                         "zigzag.zz_double_well(), 0, np.linspace(-3, 3, 41)[:, None], "
+                         "np.where(np.arange(41) % 2, 1.0, -1.0)[:, None])",
+}
+
+
+def fresh_python(script, arg):
+    """The last stdout line, as JSON, of script run in a new interpreter
+    that imports this source tree; the test process already holds scipy.special."""
+    proc = subprocess.run([sys.executable, "-c", script, arg], capture_output=True,
+                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+class TestScipySpecialStaysUnloaded:
+    def test_imports_list_and_runs_without_phi_eps(self):
+        configs = {name: SMALL.get(name, {}) for name in CATALOG if name != "phi-eps-bounds"}
+        out = fresh_python(WITHOUT_PHI_EPS, json.dumps(configs))
+        assert out["codes"] == {"list": 0, **dict.fromkeys(configs, 0)}
+        assert not out["loaded"]
+
+    @pytest.mark.parametrize("call", list(FIRST_CALLS))
+    def test_first_call_loads_it_and_gives_the_same_bits(self, call):
+        out = fresh_python(FIRST_CALL, FIRST_CALLS[call])
+        assert not out["before"] and out["after"]
+        here = np.asarray(eval(FIRST_CALLS[call], {"np": np, "zoo": zoo, "zigzag": zigzag}),
+                          dtype=float)
+        assert out["bits"] == here.tobytes().hex()
 
 
 # -- property tests over the parameter table ---------------------------------

@@ -2,13 +2,16 @@
 make one var_lambda* call per kernel over the whole lambda grid and then
 pair the results by grid index; the Dirichlet-form certificate compares
 consecutive kernels; the Monte Carlo and quadrature checks compare two
-processes or two rules in a fixed orientation.  With the kernels,
-processes, rules or oracle a runner uses replaced so that its hypothesis
-is false, the named check must report "pass": false; a runner that
-compared a value with itself, or with the wrong kernel's row, would still
-pass.  Each case also runs unpatched, where the same check passes."""
+processes or two rules in a fixed orientation; the phi_eps checks compare
+each phi_eps with itself at 1/r, with phi_0 and with the previous eps.
+With the kernels, processes, rules, oracle or phi_eps a runner uses
+replaced so that its hypothesis is false, the named check must report
+"pass": false; a runner that compared a value with itself, or with the
+wrong kernel's row, would still pass.  Each case also runs unpatched,
+where the same check passes."""
 
 import dataclasses
+import types
 
 import numpy as np
 import pytest
@@ -89,6 +92,38 @@ def swap_gap_specs(monkeypatch):
                         lambda pot, spec1, spec2, *args: gap(pot, spec2, spec1, *args))
 
 
+def patch_phi_eps(monkeypatch, phi):
+    # phi_eps(eps) maps ratios by phi(eps, r); the runner reads only .phi, so
+    # the stand-in need not pass AcceptanceRule's own balance and bound checks
+    monkeypatch.setattr(zoo.AcceptanceRule, "phi_eps", staticmethod(
+        lambda eps: types.SimpleNamespace(phi=lambda r: phi(eps, np.asarray(r)))))
+
+
+def unbalance_phi_eps(monkeypatch):
+    # phi_eps held at phi_eps(1) above r = 1: r phi(1/r) = phi_eps(r) there,
+    # which exceeds phi_eps(1)
+    build = zoo.AcceptanceRule.phi_eps
+    patch_phi_eps(monkeypatch, lambda eps, r: build(eps).phi(np.minimum(r, 1.0)))
+
+
+def halve_phi_eps(monkeypatch):
+    # phi_eps halved at every eps > 0, so it falls below min{1, r} by more
+    # than the appendix bound at small eps; phi_0 stays min{1, r}
+    build = zoo.AcceptanceRule.phi_eps
+    patch_phi_eps(monkeypatch, lambda eps, r: build(eps).phi(r) / (2.0 if eps > 0 else 1.0))
+
+
+EPS_VALUES = experiments.EXPERIMENTS["phi-eps-bounds"][1]["eps_values"]
+
+
+def reverse_eps_order(monkeypatch):
+    # the default eps values build phi_eps of the same values in reverse
+    # order, so the smoothing falls as eps grows; eps = 0 is unchanged
+    build = zoo.AcceptanceRule.phi_eps
+    reverse = dict(zip(EPS_VALUES, EPS_VALUES[::-1]))
+    patch_phi_eps(monkeypatch, lambda eps, r: build(reverse.get(eps, eps)).phi(r))
+
+
 # (test id, experiment, config overrides, check, patch); the finite part
 # of ghmc-phi-compare runs beside the shortest GHMC chains its mc_lambdas
 # allow, the GHMC check at its defaults
@@ -111,6 +146,9 @@ CONTROLS = [
      independence_collapsed_kernel),
     ("neal-ordering", "neal-ordering", {}, "never-stay-dominates", swap_neal_kernels),
     ("gustafson-ring", "gustafson-ring", {}, "series-oracle-agreement", shift_series_oracle),
+    ("phi-eps-bounds-balance", "phi-eps-bounds", {}, "balance-symmetry", unbalance_phi_eps),
+    ("phi-eps-bounds-appendix", "phi-eps-bounds", {}, "appendix-bound", halve_phi_eps),
+    ("phi-eps-bounds-monotone", "phi-eps-bounds", {}, "monotone-in-eps", reverse_eps_order),
 ]
 
 
