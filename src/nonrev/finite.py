@@ -125,7 +125,7 @@ class Observable:
 
 @dataclass(frozen=True)
 class OrderingCertificate:
-    """Result of the PSD test behind the Dirichlet-form dominance hypothesis."""
+    """Result of the PSD test behind a Dirichlet-form dominance hypothesis."""
 
     dominance_matrix_min_eig: float
     holds: bool
@@ -181,10 +181,13 @@ def check_mu_reversible(P: KernelMatrix, mu: FiniteDistribution) -> bool:
 
 def check_muQ_reversible(P: KernelMatrix, mu: FiniteDistribution,
                          Q: DeterministicInvolution) -> bool:
-    """True iff the mu-adjoint of P equals QPQ entrywise within 1e-10."""
+    """True iff P leaves mu invariant and its mu-adjoint equals QPQ
+    entrywise within 1e-10."""
     _check_dims(P.n, mu.n, Q.n)
     if not check_isometric_involution(Q, mu):
         raise ValueError("Q is not a mu-isometric involution")
+    if not check_invariance(P, mu):
+        return False  # QPQ is stochastic, the mu-adjoint of such a P is not
     qpq = P.entries[Q.perm][:, Q.perm]  # Q is a permutation: gathers, not products
     return bool(np.max(np.abs(adjoint(P, mu).entries - qpq)) <= STRUCT_TOL)
 
@@ -297,11 +300,12 @@ def var_lambda_cycle(f: Observable, P1: KernelMatrix, P2: KernelMatrix,
     return np.array(out)
 
 
-def _symmetrized(mat: np.ndarray, mu: FiniteDistribution) -> np.ndarray:
-    """Similarity transform D^{1/2} M D^{-1/2}, then symmetric part."""
-    s = np.sqrt(mu.weights)
-    a = (s[:, None] * mat) / s[None, :]
-    return (a + a.T) / 2.0
+def psd_certificate(a: np.ndarray) -> OrderingCertificate:
+    """The quadratic form of a is nonnegative iff the symmetric part
+    (a + a^T)/2 is PSD: its minimum eigenvalue, held to PSD_TOL."""
+    # eigh: eigvalsh may move the last bits of min_eig, which the catalog prints
+    min_eig = float(np.linalg.eigh((a + a.T) / 2.0)[0][0])
+    return OrderingCertificate(min_eig, min_eig >= -PSD_TOL)
 
 
 def dirichlet_dominance_certificate(P1: KernelMatrix, P2: KernelMatrix,
@@ -310,9 +314,9 @@ def dirichlet_dominance_certificate(P1: KernelMatrix, P2: KernelMatrix,
                                     side: str = "left") -> OrderingCertificate:
     """Certify E(g, QP1) >= E(g, QP2) for all g (or the PQ analogue).
 
-    The hypothesis holds for every g iff the symmetric part of the
-    mu-symmetrized difference QP2 - QP1 (resp. P2 Q - P1 Q) is positive
-    semidefinite; only the symmetric part matters for quadratic forms.
+    The hypothesis holds for every g iff the mu-symmetrized difference
+    D^{1/2} (QP2 - QP1) D^{-1/2} (resp. P2 Q - P1 Q), D = diag(mu), passes
+    psd_certificate.
     """
     _check_dims(P1.n, P2.n, mu.n, Q.n)
     for P in (P1, P2):
@@ -324,9 +328,8 @@ def dirichlet_dominance_certificate(P1: KernelMatrix, P2: KernelMatrix,
         s = P2.entries[:, Q.perm] - P1.entries[:, Q.perm]
     else:
         raise ValueError("side must be 'left' or 'right'")
-    # eigh: eigvalsh may move the last bits of min_eig, which the catalog prints
-    min_eig = float(np.linalg.eigh(_symmetrized(s, mu))[0][0])
-    return OrderingCertificate(min_eig, min_eig >= -PSD_TOL)
+    r = np.sqrt(mu.weights)
+    return psd_certificate((r[:, None] * s) / r[None, :])
 
 
 @dataclass

@@ -459,72 +459,67 @@ def jump_generator(pot: Potential, spec: IntensitySpec, g,
 
 
 def _gh_nodes(pot: Potential, m: int):
-    """Tensor quadrature over x for mu(dx) propto exp(-U); normalized weights.
+    """Tensor quadrature over x for the diagonal Gaussian mu(dx) propto
+    exp(-U); normalized weights.
 
     Per axis: Gauss-Legendre on [-L, 0] and [0, L] with the density folded
     into the weights.  Splitting at 0 keeps convergence spectral for the
     canonical rate's kink (which sits at x_i = 0 for centered Gaussians).
     """
-    if pot.d > 8:
-        raise ValueError("quadrature restricted to d <= 8")
     t, w = np.polynomial.legendre.leggauss(m)
-    sigmas = (pot.gaussian_sigmas if pot.gaussian_sigmas is not None
-              else np.full(pot.d, 3.0))
     axes_x, axes_w = [], []
-    for s in sigmas:
+    for s in pot.gaussian_sigmas:
         L = 8.0 * s
         xp = (t + 1.0) / 2.0 * L
         wp = w * L / 2.0
-        xs = np.concatenate([-xp[::-1], xp])
-        ws = np.concatenate([wp[::-1], wp])
-        axes_x.append(xs)
-        axes_w.append(ws)
-    grids = np.meshgrid(*axes_x, indexing="ij")
-    x = np.stack([gr.ravel() for gr in grids], axis=-1)
-    wgrids = np.meshgrid(*axes_w, indexing="ij")
+        axes_x.append(np.concatenate([-xp[::-1], xp]))
+        axes_w.append(np.concatenate([wp[::-1], wp]))
+    x = np.stack([gr.ravel() for gr in np.meshgrid(*axes_x, indexing="ij")], axis=-1)
     weight = np.ones(x.shape[0])
-    for gw in wgrids:
+    for gw in np.meshgrid(*axes_w, indexing="ij"):
         weight = weight * gw.ravel()
     weight = weight * np.exp(-np.asarray(pot.U(x)))
     return x, weight / weight.sum()
 
 
-def expectation_mu(pot: Potential, fn, m: int = 40):
-    """E_mu[fn(x, v)] by tensor quadrature over x and exact sum over v."""
+def _gap_gram(pot: Potential, spec1: IntensitySpec, spec2: IntensitySpec,
+              gs, m: int) -> np.ndarray:
+    """G[j, k] = <g_j, (J2 - J1) Q g_k>_mu on m nodes per half-axis: each g_j
+    and each (J2 - J1) Q g_k evaluated once per velocity, and each entry
+    summed over the velocities one dot product at a time."""
     x, wx = _gh_nodes(pot, m)
     vs = _all_velocities(pot.d)
-    total = 0.0
+    qgs = [lambda x, v, g=g: g(x, -v) for g in gs]
+    gram = np.zeros((len(gs), len(gs)))
     for w in vs:
-        vv = np.broadcast_to(w, x.shape).copy()
-        total += float(np.dot(wx, np.asarray(fn(x, vv), dtype=float)))
-    return total / vs.shape[0]
+        v = np.broadcast_to(w, x.shape).copy()
+        gv = [np.asarray(g(x, v), dtype=float) for g in gs]
+        dv = [jump_generator(pot, spec2, qg, x, v) - jump_generator(pot, spec1, qg, x, v)
+              for qg in qgs]
+        for j, a in enumerate(gv):
+            for k, b in enumerate(dv):
+                gram[j, k] += float(np.dot(wx, a * b))
+    return gram / vs.shape[0]
 
 
 def dirichlet_gap_quadrature(pot: Potential, spec1: IntensitySpec,
-                             spec2: IntensitySpec, g, m: int = 40) -> float:
-    """<g, -(L1 - L2) Q g>_mu by quadrature; >= 0 certifies that the spec1
-    process has the larger Dirichlet form (hence the smaller variance for
-    flip-symmetric observables).  Both processes move on the same potential,
-    so the transport terms cancel and -(L1 - L2) = J2 - J1 on the jump parts.
+                             spec2: IntensitySpec, gs, m: int = 40) -> np.ndarray:
+    """Gram matrix G[j, k] = <g_j, -(L1 - L2) Q g_k>_mu of the functions gs
+    by quadrature.  Both processes move on the same potential, so the
+    transport terms cancel and -(L1 - L2) = J2 - J1 on the jump parts.
+    G[j, j] >= 0 says that the spec1 process has the larger Dirichlet form at
+    g_j (hence the smaller variance for flip-symmetric observables);
+    finite.psd_certificate(G) says so on the whole span of gs.
 
-    Evaluated at two resolutions (m and m + 16 nodes per axis); a relative
-    disagreement above 1e-4 raises (grid too coarse).
+    mu must be a diagonal Gaussian (``pot.gaussian_sigmas``) with d in
+    {1, 2}.  Evaluated at two resolutions (m and m + 16 nodes per
+    half-axis); a relative disagreement above 1e-4 in any entry raises
+    (grid too coarse).
     """
-    if pot.d > 2:
-        raise ValueError("gap quadrature supports d in {1, 2}")
-
-    def qg(x, v):
-        return g(x, -v)
-
-    def integrand(x, v):
-        diff = (jump_generator(pot, spec2, qg, x, v)
-                - jump_generator(pot, spec1, qg, x, v))
-        return np.asarray(g(x, v), dtype=float) * diff
-
-    coarse = expectation_mu(pot, integrand, m)
-    fine = expectation_mu(pot, integrand, m + 16)
-    scale = max(1.0, abs(fine))
-    if abs(fine - coarse) > 1e-4 * scale:
-        raise ValueError(
-            f"quadrature not converged: {coarse!r} vs {fine!r}")
+    if pot.gaussian_sigmas is None or pot.d > 2:
+        raise ValueError("gap quadrature needs a diagonal Gaussian with d in {1, 2}")
+    coarse, fine = (_gap_gram(pot, spec1, spec2, gs, n) for n in (m, m + 16))
+    bad = np.abs(fine - coarse) > 1e-4 * np.maximum(1.0, np.abs(fine))
+    if bad.any():
+        raise ValueError(f"quadrature not converged: {coarse[bad]!r} vs {fine[bad]!r}")
     return fine

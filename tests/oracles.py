@@ -7,8 +7,9 @@ a block solve, one intensity call per thinning proposal in place of a
 block, one lambda per call in place of a grid, a centred second pass in
 place of one batch-means pass) or builds a target the catalog does not use,
 so it lives beside the tests that use it rather than inside the package
-under test.  Two are earlier forms of package code kept verbatim, so that
-a rewrite can be held to them bit for bit.
+under test.  Four are earlier forms of package code kept verbatim (the two
+flip-time references, expectation_mu and the per-function gap), so that a
+rewrite can be held to them bit for bit.
 """
 
 import math
@@ -22,7 +23,8 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            check_mu_reversible, dirichlet_dominance_certificate,
                            inner)
 from nonrev.samplers import Potential, replicate_rng
-from nonrev.zigzag import (EnvelopeViolation, _window_integrals, intensity,
+from nonrev.zigzag import (EnvelopeViolation, _all_velocities, _gh_nodes,
+                           _window_integrals, intensity, jump_generator,
                            simulate_zigzag)
 from nonrev.zoo import (FlowMap, RingTarget, SubKernelPair, collapsed_kernel,
                         half_lift, lifted_kernel)
@@ -229,6 +231,38 @@ def estimate_var_continuous_centred(pot: Potential, spec, f, horizon: float,
                                  degree, np.linspace(burn, burn + horizon, n + 1))
         per[r] = delta * (ints / delta).var(ddof=1)
     return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))
+
+
+def expectation_mu(pot: Potential, fn, m: int = 40) -> float:
+    """E_mu[fn(x, v)] for a diagonal Gaussian mu, by the gap quadrature's
+    tensor nodes over x and an exact sum over v."""
+    x, wx = _gh_nodes(pot, m)
+    vs = _all_velocities(pot.d)
+    total = 0.0
+    for w in vs:
+        vv = np.broadcast_to(w, x.shape).copy()
+        total += float(np.dot(wx, np.asarray(fn(x, vv), dtype=float)))
+    return total / vs.shape[0]
+
+
+def dirichlet_gap_reference(pot: Potential, spec1, spec2, g, m: int = 40) -> float:
+    """<g, (J2 - J1) Q g>_mu for one function g, as zigzag.dirichlet_gap_quadrature
+    computed it before it returned the Gram form of a list: one expectation_mu
+    of g (J2 - J1) Q g per resolution, m and m + 16, the finer one returned."""
+
+    def qg(x, v):
+        return g(x, -v)
+
+    def integrand(x, v):
+        diff = (jump_generator(pot, spec2, qg, x, v)
+                - jump_generator(pot, spec1, qg, x, v))
+        return np.asarray(g(x, v), dtype=float) * diff
+
+    coarse = expectation_mu(pot, integrand, m)
+    fine = expectation_mu(pot, integrand, m + 16)
+    if abs(fine - coarse) > 1e-4 * max(1.0, abs(fine)):
+        raise ValueError(f"quadrature not converged: {coarse!r} vs {fine!r}")
+    return fine
 
 
 def project_symmetric(f: Observable, Q: DeterministicInvolution, sign: int) -> Observable:

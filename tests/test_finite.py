@@ -126,6 +126,17 @@ class TestMuQReversible:
         with pytest.raises(ValueError):
             finite.check_muQ_reversible(two_state_flip(0.3), mu, Q)
 
+    def test_non_invariant_kernel_is_not_reversible(self):
+        # the mu-adjoint of a kernel that moves mu is not stochastic, so it
+        # cannot equal QPQ: False, where adjoint raises NotReversibleError
+        cases = [(KernelMatrix(np.full((2, 2), 0.5)), FiniteDistribution(np.array([0.7, 0.3])),
+                  DeterministicInvolution(np.arange(2))),
+                 (KernelMatrix(np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))),
+                  FiniteDistribution(np.full(4, 0.25)), DeterministicInvolution([1, 0, 3, 2]))]
+        for P, mu, Q in cases:
+            assert not finite.check_invariance(P, mu)
+            assert finite.check_muQ_reversible(P, mu, Q) is False
+
 
 class TestReversibleParts:
     def test_p_equals_q(self):
@@ -419,6 +430,13 @@ class TestDominanceCertificate:
         assert not swapped.holds
         # the symmetrized difference of the kernels is [[-0.2, 0.2], [0.2, -0.2]]
         assert swapped.dominance_matrix_min_eig == pytest.approx(-0.4, abs=1e-12)
+
+    def test_psd_certificate_reads_the_symmetric_part(self):
+        # a skew part adds nothing to the quadratic form
+        cert = finite.psd_certificate(np.array([[1.0, 5.0], [-5.0, 2.0]]))
+        assert cert == finite.OrderingCertificate(1.0, True)
+        assert finite.psd_certificate(np.diag([1.0, -0.5 * finite.PSD_TOL])).holds
+        assert not finite.psd_certificate(np.diag([1.0, -2.0 * finite.PSD_TOL])).holds
 
 
 class TestOrderingTheorem:

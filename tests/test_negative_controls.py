@@ -8,10 +8,13 @@ With the kernels, processes, rules, oracle or phi_eps a runner uses
 replaced so that its hypothesis is false, the named check must report
 "pass": false; a runner that compared a value with itself, or with the
 wrong kernel's row, would still pass.  Each case also runs unpatched,
-where the same check passes."""
+where the same check passes.  The coverage guard at the end runs every
+catalog entry and fails on an emitted check with neither a control nor an
+entry in NO_POWER."""
 
 import dataclasses
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -87,9 +90,53 @@ def swap_gamma_processes(monkeypatch):
 
 
 def swap_gap_specs(monkeypatch):
+    # the Gram form is taken with the dominated process first (m= is passed
+    # by keyword, so keywords are forwarded)
     gap = zigzag.dirichlet_gap_quadrature
     monkeypatch.setattr(zigzag, "dirichlet_gap_quadrature",
-                        lambda pot, spec1, spec2, *args: gap(pot, spec2, spec1, *args))
+                        lambda pot, spec1, spec2, *args, **kw: gap(pot, spec2, spec1,
+                                                                   *args, **kw))
+
+
+def patch_gustafson_kernel(monkeypatch, change):
+    # the ring walk's kernel P is replaced by change(P, Q); mu and Q stay
+    build = zoo.gustafson_ring
+
+    def changed(target):
+        P, mu, Q = build(target)
+        return finite.KernelMatrix(change(P.entries.copy(), Q)), mu, Q
+
+    monkeypatch.setattr(zoo, "gustafson_ring", changed)
+
+
+def move_gustafson_mass(monkeypatch):
+    # 0.05 of the largest entry of row 0 moves to the next state: P stays
+    # stochastic but no longer leaves mu invariant
+    def move(p, Q):
+        j = int(np.argmax(p[0]))
+        p[0, j] -= 0.05
+        p[0, (j + 1) % p.shape[0]] += 0.05
+        return p
+
+    patch_gustafson_kernel(monkeypatch, move)
+
+
+def gustafson_times_flip(monkeypatch):
+    # P replaced by PQ, which still leaves mu invariant (Q preserves mu) but
+    # is neither (mu, Q)-reversible nor split into detailed-balance parts
+    patch_gustafson_kernel(monkeypatch, lambda p, Q: p[:, Q.perm])
+
+
+def identity_never_stay_kernel(monkeypatch):
+    # the never-stay kernel P1 is the identity, whose variance breaks the
+    # pair identity that holds for the never-stay kernel
+    build = zoo.neal_pair_kernels
+
+    def identity(T2, pi):
+        P1, P2, mu, Q = build(T2, pi)
+        return finite.KernelMatrix(np.eye(P1.n)), P2, mu, Q
+
+    monkeypatch.setattr(zoo, "neal_pair_kernels", identity)
 
 
 def patch_phi_eps(monkeypatch, phi):
@@ -124,11 +171,18 @@ def reverse_eps_order(monkeypatch):
     patch_phi_eps(monkeypatch, lambda eps, r: build(reverse.get(eps, eps)).phi(r))
 
 
-# (test id, experiment, config overrides, check, patch); the finite part
-# of ghmc-phi-compare runs beside the shortest GHMC chains its mc_lambdas
-# allow, the GHMC check at its defaults
+# short Monte Carlo runs for the entries that have them: the shortest GHMC
+# chains ghmc-phi-compare's mc_lambdas allow, two Zig-Zag replicates of
+# four batches; no Monte Carlo check has power at these sizes
+SMALL = {"ghmc-phi-compare": {"steps": 270, "replicates": 2},
+         "zigzag-1d-gamma": {"horizon": 16.0, "replicates": 2},
+         "zigzag-2d-refresh": {"horizon": 16.0, "replicates": 2}}
+
+# (test id, experiment, config overrides, check, patch); the exact and
+# quadrature checks of the Monte Carlo entries run beside SMALL's runs, the
+# Monte Carlo checks at their defaults
 CONTROLS = [
-    ("ghmc-phi-compare", "ghmc-phi-compare", {"steps": 270, "replicates": 2},
+    ("ghmc-phi-compare", "ghmc-phi-compare", SMALL["ghmc-phi-compare"],
      "finite-metropolis<=barker", swap_acceptance_rules),
     ("ghmc-phi-compare-mc", "ghmc-phi-compare", {}, "mc-metropolis<=barker+2se",
      swap_mc_rules),
@@ -146,6 +200,17 @@ CONTROLS = [
      independence_collapsed_kernel),
     ("neal-ordering", "neal-ordering", {}, "never-stay-dominates", swap_neal_kernels),
     ("gustafson-ring", "gustafson-ring", {}, "series-oracle-agreement", shift_series_oracle),
+    ("gustafson-ring-invariance", "gustafson-ring", {}, "invariance", move_gustafson_mass),
+    ("gustafson-ring-muQ", "gustafson-ring", {}, "muQ-reversible", move_gustafson_mass),
+    ("gustafson-ring-muQ-PQ", "gustafson-ring", {}, "muQ-reversible", gustafson_times_flip),
+    ("gustafson-ring-parts", "gustafson-ring", {}, "reversible-parts-detailed-balance",
+     move_gustafson_mass),
+    ("gustafson-ring-parts-PQ", "gustafson-ring", {}, "reversible-parts-detailed-balance",
+     gustafson_times_flip),
+    ("neal-ordering-identity", "neal-ordering", {}, "pair-variance-identity",
+     identity_never_stay_kernel),
+    ("zigzag-2d-refresh-gap", "zigzag-2d-refresh", SMALL["zigzag-2d-refresh"],
+     "gap-nonnegative-on-basis", swap_gap_specs),
     ("phi-eps-bounds-balance", "phi-eps-bounds", {}, "balance-symmetry", unbalance_phi_eps),
     ("phi-eps-bounds-appendix", "phi-eps-bounds", {}, "appendix-bound", halve_phi_eps),
     ("phi-eps-bounds-monotone", "phi-eps-bounds", {}, "monotone-in-eps", reverse_eps_order),
@@ -167,3 +232,37 @@ def test_false_hypothesis_fails_the_check(monkeypatch, name, overrides, check, p
     found = named_check(name, overrides, check)
     assert not found["pass"]
     assert found["max_violation"] > 10 * found["tol"]
+
+
+def test_pq_control_passes_invariance(monkeypatch):
+    # PQ fails muQ-reversible through the QPQ comparison, not through the
+    # invariance test in front of it
+    gustafson_times_flip(monkeypatch)
+    assert named_check("gustafson-ring", {}, "invariance")["pass"]
+
+
+def test_swapped_specs_fail_the_span_certificate(monkeypatch):
+    # the Gram form's minimum eigenvalue certifies the whole basis span, and
+    # turns clearly negative with the dominated process first
+    args = ("zigzag-2d-refresh", SMALL["zigzag-2d-refresh"], "gap-nonnegative-on-basis")
+    assert named_check(*args)["span_min_eig"] >= -finite.PSD_TOL
+    swap_gap_specs(monkeypatch)
+    assert named_check(*args)["span_min_eig"] < -finite.PSD_TOL
+
+
+# "experiment :: check" of each check with no power at the catalog's
+# defaults, which therefore has no control; the README lists each under "no
+# power at their defaults"
+NO_POWER = {"zigzag-2d-refresh :: partial<=full+2se"}
+
+
+def test_every_check_has_a_control_or_no_power():
+    emitted = set()
+    for name, (_desc, defaults, runner) in experiments.EXPERIMENTS.items():
+        _rows, checks = runner({**defaults, **SMALL.get(name, {})}, 1)
+        emitted |= {f"{name} :: {c['name']}" for c in checks}
+    controlled = {f"{name} :: {check}" for _id, name, _o, check, _p in CONTROLS}
+    assert emitted - controlled - NO_POWER == set()
+    assert controlled | NO_POWER <= emitted and not controlled & NO_POWER
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    assert all(f"`{check}`" in readme for check in NO_POWER)

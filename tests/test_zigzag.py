@@ -11,8 +11,10 @@ from nonrev import experiments, zigzag
 from nonrev.samplers import replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, Potential,
                            intensity, simulate_zigzag, zz_gaussian)
-from oracles import (estimate_var_continuous_centred, exact_flip_time_reference,
-                     steep_double_well, thinned_flip_time_reference, zz_tabulated)
+from nonrev.finite import PSD_TOL, psd_certificate
+from oracles import (dirichlet_gap_reference, estimate_var_continuous_centred,
+                     exact_flip_time_reference, expectation_mu, steep_double_well,
+                     thinned_flip_time_reference, zz_tabulated)
 
 
 def sigmaless(pot):
@@ -246,6 +248,19 @@ class TestSimulation:
         with pytest.raises(EnvelopeViolation):
             simulate_zigzag(lying, IntensitySpec("canonical"), [5.0], [1.0],
                             horizon=100.0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind", ["canonical", "barker"])
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf])
+    @pytest.mark.parametrize("v0", [1.0, -1.0])
+    def test_thinning_refuses_non_finite_gradient(self, kind, bad, v0):
+        # at a -inf component with v = +1 both base intensities read 0.0,
+        # which is finite: the gradient itself is what the loop tests
+        broken = Potential(U=lambda x: np.zeros(x.shape[:-1]),
+                           grad=lambda x: np.full_like(x, bad), d=1,
+                           hessian_bound=lambda x, v: 1.0)
+        with pytest.raises(RuntimeError, match="non-finite gradient"):
+            simulate_zigzag(broken, IntensitySpec(kind), [0.0], [v0],
+                            horizon=10.0, rng=np.random.default_rng(0))
 
     def test_refresh_events_labelled(self):
         pot = zz_gaussian([1.0, 1.0])
@@ -675,11 +690,11 @@ class TestVarianceEstimation:
 class TestGeneratorAndQuadrature:
     def test_expectation_mu_gaussian_moments(self):
         pot = zz_gaussian([1.3])
-        assert zigzag.expectation_mu(pot, lambda x, v: np.ones(x.shape[0])) \
+        assert expectation_mu(pot, lambda x, v: np.ones(x.shape[0])) \
             == pytest.approx(1.0, abs=1e-12)
-        assert zigzag.expectation_mu(pot, lambda x, v: x[:, 0] ** 2) \
+        assert expectation_mu(pot, lambda x, v: x[:, 0] ** 2) \
             == pytest.approx(1.3 ** 2, abs=1e-10)
-        assert zigzag.expectation_mu(pot, lambda x, v: x[:, 0] * v[:, 0]) \
+        assert expectation_mu(pot, lambda x, v: x[:, 0] * v[:, 0]) \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_generator_integrates_to_zero(self):
@@ -711,13 +726,13 @@ class TestGeneratorAndQuadrature:
             for mode in ("partial", "full")]
         for pot, spec, basis in cases:
             for g, transport in basis:
-                val = zigzag.expectation_mu(
+                val = expectation_mu(
                     pot, lambda x, v: transport(x, v)
                     + zigzag.jump_generator(pot, spec, g, x, v))
                 assert abs(val) < 1e-6
         # the jump part alone does not integrate to zero: E[J(x v)] = -E[x^2]
         pot = zz_gaussian([1.0])
-        jump = zigzag.expectation_mu(pot, lambda x, v: zigzag.jump_generator(
+        jump = expectation_mu(pot, lambda x, v: zigzag.jump_generator(
             pot, IntensitySpec(), one_d[2][0], x, v))
         assert jump == pytest.approx(-1.0, abs=1e-8)
 
@@ -732,23 +747,22 @@ class TestGeneratorAndQuadrature:
         gamma = experiments.EXPERIMENTS["zigzag-1d-gamma"][1]["gamma"]
         gap = zigzag.dirichlet_gap_quadrature(
             zz_gaussian([1.0]), IntensitySpec("canonical"),
-            IntensitySpec("canonical", gamma=gamma), lambda x, v: x[:, 0] * v[:, 0])
-        assert gap == pytest.approx(self.GAP_1D, abs=1e-12)
+            IntensitySpec("canonical", gamma=gamma), [lambda x, v: x[:, 0] * v[:, 0]])
+        assert gap[0, 0] == pytest.approx(self.GAP_1D, abs=1e-12)
         defaults = experiments.EXPERIMENTS["zigzag-2d-refresh"][1]
         rate, m = defaults["refresh_rate"], defaults["quad_nodes"]
         partial, full = (IntensitySpec("canonical", refresh_rate=rate,
                                        refresh_mode=mode) for mode in ("partial", "full"))
-        gaps = [zigzag.dirichlet_gap_quadrature(zz_gaussian([1.0, 1.0]), partial,
-                                                full, g, m=m)
-                for g in experiments._basis_2d()]
-        assert gaps == pytest.approx([self.GAP_BASIS.get(k, 0.0) for k in range(20)],
-                                     abs=1e-12)
+        gram = zigzag.dirichlet_gap_quadrature(zz_gaussian([1.0, 1.0]), partial,
+                                               full, experiments._basis_2d(), m=m)
+        assert np.diag(gram) == pytest.approx(
+            [self.GAP_BASIS.get(k, 0.0) for k in range(20)], abs=1e-12)
 
     def test_gap_zero_for_equal_specs(self):
         pot = zz_gaussian([1.0])
         spec = IntensitySpec("canonical")
         g = lambda x, v: x[:, 0] * v[:, 0]
-        assert abs(zigzag.dirichlet_gap_quadrature(pot, spec, spec, g)) < 1e-12
+        assert abs(zigzag.dirichlet_gap_quadrature(pot, spec, spec, [g])[0, 0]) < 1e-12
 
     def test_gap_extra_gamma_closed_form(self):
         # the canonical process dominates the gamma-augmented one; for
@@ -757,22 +771,52 @@ class TestGeneratorAndQuadrature:
         g = lambda x, v: x[:, 0] * v[:, 0]
         gap = zigzag.dirichlet_gap_quadrature(
             pot, IntensitySpec("canonical"),
-            IntensitySpec("canonical", gamma=0.5), g)
-        assert gap == pytest.approx(1.0, abs=1e-8)
+            IntensitySpec("canonical", gamma=0.5), [g])
+        assert gap[0, 0] == pytest.approx(1.0, abs=1e-8)
         # and the reversed orientation is exactly the negation
         rev = zigzag.dirichlet_gap_quadrature(
             pot, IntensitySpec("canonical", gamma=0.5),
-            IntensitySpec("canonical"), g)
-        assert rev == pytest.approx(-1.0, abs=1e-8)
+            IntensitySpec("canonical"), [g])
+        assert rev[0, 0] == pytest.approx(-1.0, abs=1e-8)
 
     def test_dimension_guards(self):
-        pot3 = zz_gaussian([1.0, 1.0, 1.0])
-        with pytest.raises(ValueError):
-            zigzag.dirichlet_gap_quadrature(pot3, IntensitySpec(),
-                                            IntensitySpec(), lambda x, v: x[:, 0])
-        pot9 = zz_gaussian(np.ones(9))
-        with pytest.raises(ValueError):
-            zigzag.expectation_mu(pot9, lambda x, v: np.ones(x.shape[0]))
+        # the nodes exist only for diagonal Gaussians in d <= 2
+        for pot in (zz_gaussian([1.0, 1.0, 1.0]), zigzag.zz_double_well()):
+            with pytest.raises(ValueError, match="diagonal Gaussian"):
+                zigzag.dirichlet_gap_quadrature(pot, IntensitySpec(), IntensitySpec(),
+                                                [lambda x, v: x[:, 0]])
+
+    @pytest.mark.parametrize("rate", [0.3, 1.0, 3.0])
+    def test_gram_diagonal_is_the_per_function_gap(self, rate):
+        # bit for bit, at the catalog's 24 nodes; the symmetric part is PSD
+        # on the basis span, and clearly not with the processes swapped
+        pot = zz_gaussian([1.0, 1.0])
+        partial, full = (IntensitySpec("canonical", refresh_rate=rate, refresh_mode=mode)
+                         for mode in ("partial", "full"))
+        basis = experiments._basis_2d()
+        gram = zigzag.dirichlet_gap_quadrature(pot, partial, full, basis, m=24)
+        assert [float(gap).hex() for gap in np.diag(gram)] == [
+            dirichlet_gap_reference(pot, partial, full, g, m=24).hex() for g in basis]
+        assert psd_certificate(gram).dominance_matrix_min_eig >= -PSD_TOL
+        swapped = zigzag.dirichlet_gap_quadrature(pot, full, partial, basis, m=24)
+        assert psd_certificate(swapped).dominance_matrix_min_eig <= -1.0
+
+    def test_gram_of_one_function_is_the_1d_gap(self):
+        pot = zz_gaussian([1.0])
+        specs = (IntensitySpec("canonical"), IntensitySpec("canonical", gamma=0.5))
+        g = lambda x, v: x[:, 0] * v[:, 0]
+        gram = zigzag.dirichlet_gap_quadrature(pot, *specs, [g])
+        assert gram.shape == (1, 1)
+        assert float(gram[0, 0]).hex() == dirichlet_gap_reference(pot, *specs, g).hex()
+
+    def test_unconverged_entry_raises(self):
+        # two nodes per half-axis cannot resolve x^4 against the 18 of the
+        # second resolution
+        pot = zz_gaussian([1.0])
+        with pytest.raises(ValueError, match="not converged"):
+            zigzag.dirichlet_gap_quadrature(
+                pot, IntensitySpec("canonical"), IntensitySpec("canonical", gamma=0.5),
+                [lambda x, v: x[:, 0] ** 3 * v[:, 0]], m=2)
 
 
 class TestTabulatedPotential:

@@ -587,6 +587,8 @@ class TestQGathers:
         for a, b in ((P1, P2), (P2, P1)):
             diff = (qm @ b.entries - qm @ a.entries if side == "left"
                     else b.entries @ qm - a.entries @ qm)
-            want = np.linalg.eigh(finite._symmetrized(diff, mu))[0][0]
+            r = np.sqrt(mu.weights)
+            sim = (r[:, None] * diff) / r[None, :]  # D^{1/2} diff D^{-1/2}
+            want = np.linalg.eigh((sim + sim.T) / 2.0)[0][0]
             cert = finite.dirichlet_dominance_certificate(a, b, mu, Q, side=side)
             assert cert.dominance_matrix_min_eig == want
