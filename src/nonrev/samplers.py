@@ -24,7 +24,7 @@ import numpy as np
 
 from .zoo import AcceptanceRule
 
-_BLOCK = 100_000  # GHMC transitions of refresh noise and uniforms drawn at a time
+_BLOCK = 2_048  # GHMC transitions drawn, advanced and recorded at a time
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
@@ -71,33 +71,41 @@ def _energy(Ux, v: np.ndarray):
     return Ux + np.add.reduce(v * v, axis=-1) / 2.0
 
 
-def leapfrog(H: Potential, x: np.ndarray, v: np.ndarray,
+def leapfrog(H: Potential, x: np.ndarray, v: np.ndarray, kick: np.ndarray,
              step: float, nleap: int):
     """Velocity-Verlet flow for U(x) + |v|^2 / 2; symmetric splitting
-    so the map psi satisfies psi^{-1} = xi o psi o xi with xi(x,v) = (x,-v)."""
+    so the map psi satisfies psi^{-1} = xi o psi o xi with xi(x,v) = (x,-v).
+    kick is the opening half-kick 0.5 * step * grad U(x); returns the final
+    (x, v) and the closing half-kick at the final x, which opens the next
+    flow from there."""
     half = 0.5 * step
-    kick = half * np.asarray(H.grad(x))  # shared by consecutive half-kicks
     for _ in range(nleap):
         v = v - kick
         x = x + step * v
-        kick = half * np.asarray(H.grad(x))
+        kick = half * np.asarray(H.grad(x))  # shared by consecutive half-kicks
         v = v - kick
-    return x, v
+    return x, v, kick
 
 
-def _ghmc_update(H, x, Ux, v, u, step, nleap, rules):
+def _ghmc_update(H, x, Ux, kick, v, u, step, nleap, rules):
     """Leapfrog proposal and accept stage of one GHMC transition on k * R rows,
-    block i of R rows under rules[i]; v is the refreshed momentum, Ux = U(x).
-    Non-finite energy errors reject; rejection flips the momentum.  Returns the
-    next (x, U(x), v).  The caller silences floating-point warnings."""
-    xn, vn = leapfrog(H, x, v, step, nleap)
+    block i of R rows under rules[i]; v is the refreshed momentum, Ux = U(x)
+    and kick = 0.5 * step * grad U(x).  Non-finite energy errors reject;
+    rejection flips the momentum.  Returns the next (x, U(x), v, kick).  The
+    caller silences floating-point warnings."""
+    xn, vn, kn = leapfrog(H, x, v, kick, step, nleap)
     Un = np.asarray(H.U(xn))
-    de = _energy(Ux, v) - _energy(Un, vn)
+    n = len(u)
+    e = _energy(np.concatenate((Ux, Un)), np.concatenate((v, vn)))
+    de = e[:n] - e[n:]
     r = np.exp(de)
-    a = np.concatenate([rule.phi(ri)
-                        for rule, ri in zip(rules, r.reshape(len(rules), -1))])
+    a = np.empty(n)
+    R = n // len(rules)
+    for i, rule in enumerate(rules):
+        a[i * R:(i + 1) * R] = rule.phi(r[i * R:(i + 1) * R])
     acc = ((u < a) & np.isfinite(de))[:, None]
-    return np.where(acc, xn, x), np.where(acc[:, 0], Un, Ux), np.where(acc, vn, -v)
+    return (np.where(acc, xn, x), np.where(acc[:, 0], Un, Ux),
+            np.where(acc, vn, -v), np.where(acc, kn, kick))
 
 
 @dataclass
@@ -169,15 +177,23 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     Each replicate owns its Philox stream, split into a noise sub-stream and
     a uniform sub-stream so pre-drawing in blocks does not change the draws.
     Every rule uses the same draws, so its chains are bit-identical to a run
-    with that rule alone.  Returns a list of (len(rules) * R, n_steps) arrays,
-    one per observable of the position x; rows [i*R:(i+1)*R] are rules[i]'s.
+    with that rule alone.  The closing half-kick of each leapfrog flow opens
+    the next one from an accepted proposal, which saves a gradient per step.
+    Returns a list of (len(rules) * R, n_steps) arrays, one per observable of
+    the position x, recorded after burn_in >= 0 steps; rows [i*R:(i+1)*R] are
+    rules[i]'s.  Each observable maps an (m, d) array of positions row by row
+    to m values; it is applied once per block, to all the positions the block
+    recorded.
     """
+    if burn_in < 0:
+        raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
     k, R, d = len(rules), replicates, H.d
     noise_rngs = [replicate_rng(seed, r) for r in range(R)]
     unif_rngs = [np.random.Generator(g.bit_generator.jumped(1)) for g in noise_rngs]
     cos, sin = math.cos(omega), math.sin(omega)
     x = np.zeros((k * R, d))
     Ux = np.asarray(H.U(x))
+    kick = 0.5 * step * np.asarray(H.grad(x))
     v = np.tile(np.stack([rng.standard_normal(d) for rng in noise_rngs]), (k, 1))
     out = [np.empty((k * R, n_steps)) for _ in observables]
     total = n_steps + burn_in
@@ -190,13 +206,17 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
             noise = np.tile(noise, (1, k, 1))
             unif = np.tile(np.stack([rng.random(b) for rng in unif_rngs], axis=1),
                            (1, k))
+            xs = np.empty_like(noise)  # x after each of the block's steps
             for i in range(b):
-                x, Ux, v = _ghmc_update(H, x, Ux, v * cos + noise[i], unif[i],
-                                        step, nleap, rules)
-                t = start + i - burn_in
-                if t >= 0:
-                    for o, f in zip(out, observables):
-                        o[:, t] = f(x)
+                x, Ux, v, kick = _ghmc_update(H, x, Ux, kick, v * cos + noise[i],
+                                              unif[i], step, nleap, rules)
+                xs[i] = x
+            lo = max(0, burn_in - start)  # the block's first recorded step
+            if lo < b:
+                t = start + lo - burn_in
+                rows = xs[lo:].reshape(-1, d)
+                for o, f in zip(out, observables):
+                    o[:, t:t + b - lo] = np.reshape(f(rows), (b - lo, k * R)).T
     return out
 
 

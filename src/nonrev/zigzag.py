@@ -195,7 +195,8 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
     Valid for every intensity kind here (gamma is constant): smooth kinds
     are 1-Lipschitz transforms of s(t) = dU_i(x + t v) v_i, so the ray bound
     B on |s'(t)| dominates |d lambda / dt| as well.  An intensity above the
-    envelope (a hessian_bound that is too small) raises EnvelopeViolation.
+    envelope (a hessian_bound that is too small) raises EnvelopeViolation,
+    and a NaN proposal intensity or window base raises RuntimeError.
 
     Each window draws its proposals in blocks of up to _BLOCK, every one an
     exponential() for the offset and then a random() for the accept test,
@@ -231,7 +232,10 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
             offsets = s + np.array([p[0] for p in block])
             trues = intensity(spec, pot, i, x + offsets[:, None] * v, v).tolist()
             for k, ((uk, env, r), true) in enumerate(zip(block, trues)):
-                if true > env + 1e-9:
+                if not true <= env + 1e-9:  # true and env are never NaN below
+                    if math.isnan(true) or math.isnan(env):
+                        raise RuntimeError(f"NaN intensity {true} or envelope {env} "
+                                           f"at offset {s + uk}")
                     raise EnvelopeViolation(
                         f"intensity {true} exceeds envelope {env} at offset {s + uk}")
                 if r * env < true:
@@ -261,8 +265,9 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     evaluated in blocks, and a block that overdraws is replayed, so it reads
     the stream as one proposal at a time), then draws one ``exponential()``
     for the refresh clock and the refresh draw, and raises RuntimeError at a
-    non-finite gradient.  The horizon must be finite and positive, and x0
-    finite; both are checked before anything is drawn.
+    non-finite gradient at an event or a NaN intensity between events.  The
+    horizon must be finite and positive, and x0 finite; both are checked
+    before anything is drawn.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")

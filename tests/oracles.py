@@ -7,9 +7,10 @@ a block solve, one intensity call per thinning proposal in place of a
 block, one lambda per call in place of a grid, a centred second pass in
 place of one batch-means pass) or builds a target the catalog does not use,
 so it lives beside the tests that use it rather than inside the package
-under test.  Four are earlier forms of package code kept verbatim (the two
-flip-time references, expectation_mu and the per-function gap), so that a
-rewrite can be held to them bit for bit.
+under test.  Five are earlier forms of package code kept verbatim (the two
+flip-time references, expectation_mu, the per-function gap and the GHMC
+driver that recorded every observable on every step), so that a rewrite can
+be held to them bit for bit.
 """
 
 import math
@@ -22,7 +23,7 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            OrderingReport, _check_dims, _lambda_grid, centered,
                            check_mu_reversible, dirichlet_dominance_certificate,
                            inner)
-from nonrev.samplers import Potential, replicate_rng
+from nonrev.samplers import Potential, _energy, replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, _all_velocities, _gh_nodes,
                            _window_integrals, intensity, jump_generator,
                            simulate_zigzag)
@@ -472,3 +473,68 @@ def extra_chance_finite_loop(mu: FiniteDistribution, psi: FlowMap,
             alpha_prev = alpha
         P[z, xi[z]] += 1.0 - alpha_prev
     return KernelMatrix(P)
+
+
+GHMC_BLOCK_REFERENCE = 100_000  # transitions of noise and uniforms drawn at a time
+
+
+def leapfrog_reference(H: Potential, x: np.ndarray, v: np.ndarray,
+                       step: float, nleap: int):
+    """Velocity-Verlet flow for U(x) + |v|^2 / 2, opening with its own
+    gradient call: samplers.leapfrog before it took the opening half-kick."""
+    half = 0.5 * step
+    kick = half * np.asarray(H.grad(x))  # shared by consecutive half-kicks
+    for _ in range(nleap):
+        v = v - kick
+        x = x + step * v
+        kick = half * np.asarray(H.grad(x))
+        v = v - kick
+    return x, v
+
+
+def ghmc_update_reference(H, x, Ux, v, u, step, nleap, rules):
+    """One GHMC transition on k * R rows, as samplers._ghmc_update was before
+    it carried the half-kick; returns the next (x, U(x), v)."""
+    xn, vn = leapfrog_reference(H, x, v, step, nleap)
+    Un = np.asarray(H.U(xn))
+    de = _energy(Ux, v) - _energy(Un, vn)
+    r = np.exp(de)
+    a = np.concatenate([rule.phi(ri)
+                        for rule, ri in zip(rules, r.reshape(len(rules), -1))])
+    acc = ((u < a) & np.isfinite(de))[:, None]
+    return np.where(acc, xn, x), np.where(acc[:, 0], Un, Ux), np.where(acc, vn, -v)
+
+
+def run_ghmc_chains_reference(H: Potential, step: float, nleap: int,
+                              omega: float, rules, n_steps: int,
+                              replicates: int, seed: int, observables,
+                              *, burn_in: int = 0):
+    """samplers.run_ghmc_chains as it was before it recorded positions per
+    block: draws buffered GHMC_BLOCK_REFERENCE steps at a time, every
+    observable called on every step, a gradient call opening each flow."""
+    k, R, d = len(rules), replicates, H.d
+    noise_rngs = [replicate_rng(seed, r) for r in range(R)]
+    unif_rngs = [np.random.Generator(g.bit_generator.jumped(1)) for g in noise_rngs]
+    cos, sin = math.cos(omega), math.sin(omega)
+    x = np.zeros((k * R, d))
+    Ux = np.asarray(H.U(x))
+    v = np.tile(np.stack([rng.standard_normal(d) for rng in noise_rngs]), (k, 1))
+    out = [np.empty((k * R, n_steps)) for _ in observables]
+    total = n_steps + burn_in
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, total, GHMC_BLOCK_REFERENCE):
+            b = min(GHMC_BLOCK_REFERENCE, total - start)
+            # every rule's rows get its replicate's refresh term and uniform
+            noise = np.stack([rng.standard_normal((b, d)) for rng in noise_rngs],
+                             axis=1) * sin
+            noise = np.tile(noise, (1, k, 1))
+            unif = np.tile(np.stack([rng.random(b) for rng in unif_rngs], axis=1),
+                           (1, k))
+            for i in range(b):
+                x, Ux, v = ghmc_update_reference(H, x, Ux, v * cos + noise[i],
+                                                 unif[i], step, nleap, rules)
+                t = start + i - burn_in
+                if t >= 0:
+                    for o, f in zip(out, observables):
+                        o[:, t] = f(x)
+    return out

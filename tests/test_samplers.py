@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -9,11 +10,16 @@ from nonrev.samplers import (Potential, estimate_var_lambda, leapfrog,
                              replicate_rng)
 from nonrev.zigzag import zz_double_well, zz_gaussian
 from nonrev.zoo import AcceptanceRule
-from oracles import steep_double_well, zz_tabulated
+from oracles import run_ghmc_chains_reference, steep_double_well, zz_tabulated
 
 
 def energy(H, x, v):
     return samplers._energy(H.U(x), v)
+
+
+def flow(H, x, v, step, nleap):
+    """leapfrog from (x, v), opening with the half-kick at x."""
+    return leapfrog(H, x, v, 0.5 * step * np.asarray(H.grad(x)), step, nleap)[:2]
 
 
 class TestHamiltonian:
@@ -52,8 +58,8 @@ class TestLeapfrog:
             for _ in range(100):
                 x = rng.standard_normal(1)
                 v = rng.standard_normal(1)
-                xn, vn = leapfrog(H, x, v, step=step, nleap=7)
-                xb, vb = leapfrog(H, xn, -vn, step=step, nleap=7)
+                xn, vn = flow(H, x, v, step=step, nleap=7)
+                xb, vb = flow(H, xn, -vn, step=step, nleap=7)
                 worst = max(worst, float(np.max(np.abs(xb - x))),
                             float(np.max(np.abs(-vb - v))))
         assert worst < 1e-9
@@ -64,7 +70,7 @@ class TestLeapfrog:
         v = np.array([0.5])
         errs = []
         for step in (0.1, 0.05):
-            xn, vn = leapfrog(H, x, v, step, nleap=int(round(1.0 / step)))
+            xn, vn = flow(H, x, v, step, nleap=int(round(1.0 / step)))
             errs.append(abs(float(energy(H, xn, vn) - energy(H, x, v))))
         # second-order integrator: quartering the error when halving the step
         assert errs[1] < errs[0] / 3.0
@@ -72,7 +78,8 @@ class TestLeapfrog:
 
 class TestGhmcStep:
     """The accept stage of one GHMC transition, samplers._ghmc_update, on a
-    single row; the momentum passed in is the refreshed one."""
+    single row; the momentum passed in is the refreshed one.  The half-kick
+    it returns is the one at the position it returns, accepted or not."""
 
     H = zz_gaussian([1.0])
 
@@ -80,8 +87,10 @@ class TestGhmcStep:
     def update(H, x, v, u, step, nleap, rule):
         x, v = np.array([[x]]), np.array([[v]])
         with np.errstate(over="ignore", invalid="ignore"):
-            xn, Un, vn = samplers._ghmc_update(H, x, np.asarray(H.U(x)), v,
-                                               np.array([u]), step, nleap, [rule])
+            kick = 0.5 * step * np.asarray(H.grad(x))
+            xn, Un, vn, kn = samplers._ghmc_update(H, x, np.asarray(H.U(x)), kick, v,
+                                                   np.array([u]), step, nleap, [rule])
+            assert np.array_equal(kn, 0.5 * step * np.asarray(H.grad(xn)))
         return xn[0, 0], Un[0], vn[0, 0]
 
     def test_rejection_flips_refreshed_momentum(self):
@@ -94,7 +103,7 @@ class TestGhmcStep:
         # huge step on a steep potential overflows the proposal energy
         H = steep_double_well()
         with np.errstate(over="ignore", invalid="ignore"):
-            xn, vn = leapfrog(H, np.array([[1.0]]), np.array([[5.0]]), 50.0, 5)
+            xn, vn = flow(H, np.array([[1.0]]), np.array([[5.0]]), 50.0, 5)
             assert not np.isfinite(samplers._energy(np.asarray(H.U(xn)), vn)).all()
         x, _, v = self.update(H, 1.0, 5.0, 0.0, 50.0, 5, AcceptanceRule.metropolis())
         assert (x, v) == (1.0, -5.0)
@@ -107,7 +116,7 @@ class TestGhmcStep:
         # phi(inf) = 1, so the move must be accepted
         H = steep_double_well()
         x0, v0 = np.array([10.0]), np.array([0.0])
-        xn, vn = leapfrog(H, x0, v0, 0.01, 1)
+        xn, vn = flow(H, x0, v0, 0.01, 1)
         de = float(energy(H, x0, v0) - energy(H, xn, vn))
         assert 709.8 < de < math.inf
         x, _, v = self.update(H, 10.0, 0.0, 0.999, 0.01, 1, rule)
@@ -217,6 +226,18 @@ class TestGhmcDriver:
         assert np.array_equal(a[0], b[0])
         assert not np.array_equal(a[0], c[0])
 
+    def test_negative_burn_in_refused_before_any_draw(self, monkeypatch):
+        # burn_in = -5 used to return 5 columns of uninitialised memory
+        def no_streams(*args):
+            raise AssertionError("drew before burn_in was validated")
+
+        monkeypatch.setattr(samplers, "replicate_rng", no_streams)
+        for burn_in in (-1, -5):
+            with pytest.raises(ValueError, match="burn_in"):
+                samplers.run_ghmc_chains(
+                    self.H, 0.9, 2, math.pi / 4, [AcceptanceRule.metropolis()],
+                    100, 2, 0, self.OBS, burn_in=burn_in)
+
     def test_moment_preservation(self):
         chains = self.run(seed=4, n_steps=6000)
         means = chains[0].mean(axis=1)
@@ -306,6 +327,58 @@ class TestGhmcDriver:
         monkeypatch.setattr(samplers, "run_ghmc_chains", no_sampling)
         with pytest.raises(ValueError, match=match):
             self.compare(**kwargs)
+
+
+class TestGhmcDriverMatchesReference:
+    """run_ghmc_chains against the driver that buffered draws 100,000 steps
+    at a time, opened every flow with a gradient call and recorded every
+    observable on every step (oracles.run_ghmc_chains_reference): every chain
+    bit-identical, for every block layout of burn-in and recorded steps."""
+
+    RULES2 = [AcceptanceRule.metropolis(), AcceptanceRule.barker()]
+    RULES3 = RULES2 + [AcceptanceRule.phi_eps(0.5)]
+    # (potential, rules, step, nleap); at step 0.25 with 6 leaps the steep
+    # well's energies overflow on most proposals, and some still accept
+    CONFIGS = {
+        "d1-2rules-step0.9": (zz_gaussian([1.0]), RULES2, 0.9, 2),
+        "d1-3rules-step2.5": (zz_gaussian([1.0]), RULES3, 2.5, 2),
+        "d3-2rules-step2.5": (zz_gaussian([0.7, 1.0, 1.6]), RULES2, 2.5, 2),
+        "d3-3rules-step0.9": (zz_gaussian([0.7, 1.0, 1.6]), RULES3, 0.9, 2),
+        "steep-3rules-nonfinite": (steep_double_well(), RULES3, 0.25, 6),
+    }
+    OBS = [lambda x: x[:, 0] ** 2, lambda x: np.abs(x[:, -1]),
+           lambda x: np.add.reduce(x * x, axis=-1)]
+
+    LAYOUTS = [(burn, across) for burn in ("0", "1", "block-1", "block+3")
+               for across in (False, True)]
+    # every config on every layout of 137-step blocks, and one config on the
+    # layouts of the real block length
+    CASES = ([(config, 137, *layout) for config, layout in itertools.product(CONFIGS, LAYOUTS)]
+             + [("d3-3rules-step0.9", samplers._BLOCK, *layout) for layout in LAYOUTS])
+
+    @pytest.mark.parametrize("config, block, burn, across", CASES, ids=[
+        f"{c}-block{b}-burn{burn}-{'across' if a else 'within'}" for c, b, burn, a in CASES])
+    def test_chains_bit_identical(self, monkeypatch, config, block, burn, across):
+        H, rules, step, nleap = self.CONFIGS[config]
+        burn_in = {"0": 0, "1": 1, "block-1": block - 1, "block+3": block + 3}[burn]
+        # recording ends inside the block it starts in, or in the next one
+        n_steps = block - burn_in % block + 40 if across else 40
+        real_energy, nonfinite = samplers._energy, []
+
+        def energy(Ux, v):
+            e = real_energy(Ux, v)
+            nonfinite.append(int(np.sum(~np.isfinite(e))))
+            return e
+
+        monkeypatch.setattr(samplers, "_energy", energy)
+        monkeypatch.setattr(samplers, "_BLOCK", block)
+        args = (H, step, nleap, math.pi / 4, rules, n_steps, 3, 17, self.OBS)
+        got = samplers.run_ghmc_chains(*args, burn_in=burn_in)
+        want = run_ghmc_chains_reference(*args, burn_in=burn_in)
+        for g, w in zip(got, want, strict=True):
+            assert g.shape == (3 * len(rules), n_steps)
+            assert np.array_equal(g, w)
+        assert (sum(nonfinite) > 0) == config.startswith("steep")
 
 
 class TestMisc:

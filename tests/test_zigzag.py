@@ -262,6 +262,20 @@ class TestSimulation:
             simulate_zigzag(broken, IntensitySpec(kind), [0.0], [v0],
                             horizon=10.0, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_thinning_refuses_nan_intensity_between_events(self, seed):
+        # the gradient is finite at every event, but NaN past |x| = 1.5, where
+        # thinning proposals land: a NaN intensity used to read as a rejection,
+        # so the path ran out to |x| = 34-50
+        def grad(x):
+            return np.where(np.abs(x) < 1.5, x, np.nan)
+
+        holed = Potential(U=lambda x: 0.5 * np.sum(x * x, axis=-1), grad=grad, d=1,
+                          hessian_bound=lambda x, v: 1.0)
+        with pytest.raises(RuntimeError, match="NaN intensity"):
+            simulate_zigzag(holed, IntensitySpec("canonical"), [0.0], [1.0],
+                            horizon=50.0, rng=np.random.default_rng(seed))
+
     def test_refresh_events_labelled(self):
         pot = zz_gaussian([1.0, 1.0])
         spec = IntensitySpec("canonical", refresh_rate=2.0, refresh_mode="partial")
