@@ -112,7 +112,11 @@ def intensity(spec: IntensitySpec, pot: Potential, i: int, x: np.ndarray,
     """lambda_i(x, v) for batched states x, v of shape (..., d)."""
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    s = np.asarray(pot.grad(x))[..., i] * v[..., i]
+    return _rate(spec, np.asarray(pot.grad(x))[..., i] * v[..., i])
+
+
+def _rate(spec: IntensitySpec, s):
+    """The intensity at slope s = dU/dx_i(x) v_i."""
     if spec.kind == "canonical":
         lam = np.maximum(0.0, s)
     elif spec.kind == "penalty":
@@ -183,14 +187,18 @@ def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
 
 
 _BLOCK = 8  # thinning proposals per batched intensity call
+_EVENT_BLOCK = 512  # events per exact-clock draw when there is no refresh clock
 
 
 def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
                        x: np.ndarray, v: np.ndarray, rng,
-                       horizon: float = np.inf) -> float:
+                       horizon: float = np.inf, slope: float | None = None) -> float:
     """First arrival of the inhomogeneous rate t -> lambda_i(x + t v, v) by
     thinning against the affine envelope lam(0) + B t, refreshed per unit
-    time window.
+    time window.  A caller that holds the slope dU/dx_i(x) v_i passes it,
+    and the first window's base rate is computed from it without a gradient
+    call; otherwise that base comes from ``intensity`` like every later
+    window's.
 
     Valid for every intensity kind here (gamma is constant): smooth kinds
     are 1-Lipschitz transforms of s(t) = dU_i(x + t v) v_i, so the ray bound
@@ -210,7 +218,10 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
         raise EnvelopeViolation("no ray bound available for thinning envelope")
     s = 0.0
     while s < horizon:
-        base = float(intensity(spec, pot, i, x + s * v, v))
+        if slope is None:
+            base = float(intensity(spec, pot, i, x + s * v, v))
+        else:  # first window only
+            base, slope = float(_rate(spec, slope)), None
         B = float(pot.hessian_bound(x + s * v, v)) + 1e-12
         u = 0.0
         lam0 = base
@@ -256,18 +267,24 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     One event loop on Python floats moves x, flips or refreshes v and
     records the skeleton; only the coordinate clocks are drawn in two ways,
     picked from the inputs.  A diagonal Gaussian (``pot.gaussian_sigmas``)
-    with canonical rates inverts the integrated rate
-    exactly: each event reads rng as one ``standard_exponential`` call for
-    the d coordinate clocks and then the refresh clock (the layout of that
-    many scalar ``exponential()`` calls), then the refresh draw.  Every
-    other input thins each coordinate against an affine envelope
+    with canonical rates inverts the integrated rate exactly.  With a
+    refresh clock, each event reads rng as one ``standard_exponential``
+    call for the d coordinate clocks and then the refresh clock (the layout
+    of that many scalar ``exponential()`` calls), then the refresh draw.
+    Without one, every draw is a standard exponential: one call draws the
+    clocks of _EVENT_BLOCK events, and before returning the generator is
+    set back to that block's start and redraws only the clocks used.
+    Every other input thins each coordinate against an affine envelope
     (``_thinned_flip_time``, coordinates in order; its proposals are
     evaluated in blocks, and a block that overdraws is replayed, so it reads
     the stream as one proposal at a time), then draws one ``exponential()``
-    for the refresh clock and the refresh draw, and raises RuntimeError at a
-    non-finite gradient at an event or a NaN intensity between events.  The
-    horizon must be finite and positive, and x0 finite; both are checked
-    before anything is drawn.
+    for the refresh clock and the refresh draw.  The one gradient call per
+    event gives every coordinate's first-window base rate, and it raises
+    RuntimeError when non-finite, as does a NaN intensity between events.
+    Either way a returning call leaves rng where a loop that draws per
+    event, and per proposal when thinning, leaves it; a raising call may
+    have drawn further.  The horizon must be finite and positive, and x0
+    finite; both are checked before anything is drawn.
     """
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
@@ -284,27 +301,37 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
         gamma = float(spec.gamma)
     rate = spec.refresh_rate
     n_clocks = d + (rate > 0)
+    blocked = exact and rate == 0  # every draw is a standard exponential
     full = spec.refresh_mode == "full"
     x, v = x.tolist(), v.tolist()
     times, Xs, Vs, types = [0.0], list(x), list(v), []
     t = 0.0
+    e, k = [], 0  # clocks drawn, and how many of them are used
     while True:
         best_dt = math.inf
         best = d
         if exact:
-            e = rng.standard_exponential(n_clocks).tolist()
+            if not blocked:
+                e, k = rng.standard_exponential(n_clocks).tolist(), 0
+            elif k == len(e):
+                state = rng.bit_generator.state
+                e, k = rng.standard_exponential(_EVENT_BLOCK * d).tolist(), 0
             for i in range(d):
                 dt_i = _exact_flip_time(x[i] * v[i] * inv2[i], inv2[i], gamma,
-                                        e[i])
+                                        e[k + i])
                 if dt_i < best_dt:
                     best_dt, best = dt_i, i
+            k += d
         else:
             xa, va = np.array(x), np.array(v)
-            if not np.isfinite(np.asarray(pot.grad(xa[None, :]))).all():
+            grad = np.asarray(pot.grad(xa[None, :]))
+            if not np.isfinite(grad).all():
                 raise RuntimeError("non-finite gradient encountered")
+            slopes = (grad[0] * va).tolist()
             for i in range(d):
                 dt_i = _thinned_flip_time(spec, pot, i, xa, va, rng,
-                                          horizon=horizon - t + 1.0)
+                                          horizon=horizon - t + 1.0,
+                                          slope=slopes[i])
                 if dt_i < best_dt:
                     best_dt, best = dt_i, i
         if rate > 0:
@@ -328,6 +355,9 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
         times.append(t)
         Xs.extend(x)
         Vs.extend(v)
+    if blocked and k < len(e):  # give back the block's unused clocks
+        rng.bit_generator.state = state
+        rng.standard_exponential(k)
     return ZigZagTrajectory(np.array(times), np.array(Xs).reshape(-1, d),
                             np.array(Vs).reshape(-1, d), types, horizon)
 

@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import math
 import re
@@ -399,28 +400,80 @@ class TestExactLoopMatchesReference:
         "thinned-full-2d": (sigmaless(G2), FULL, thinned_clock),
         "thinned-canonical-3d": (sigmaless(zz_gaussian([0.5, 1.0, 2.0])),
                                  IntensitySpec("canonical"), thinned_clock),
+        # x0 = -0.0: the loop's slope is -0.0 where x + 0 v reads +0.0
+        "thinned-canonical-1d-negzero": (sigmaless(G1), IntensitySpec("canonical"),
+                                         thinned_clock, [-0.0]),
+        "thinned-barker-1d-negzero": (G1, IntensitySpec("barker"), thinned_clock,
+                                      [-0.0]),
+        "thinned-penalty-1d-negzero": (G1, IntensitySpec("penalty", eps=0.5),
+                                       thinned_clock, [-0.0]),
     }
 
-    @pytest.mark.parametrize("case", sorted(CASES))
-    @pytest.mark.parametrize("stream", ["replicate", "default"])
-    def test_bit_identical(self, case, stream):
-        pot, spec, clock = self.CASES[case]
+    def assert_same_run(self, case, horizon, make, min_events):
+        pot, spec, clock, *start = self.CASES[case]
         d = pot.d
-        x0 = np.linspace(-0.8, 1.1, d)
+        x0 = start[0] if start else np.linspace(-0.8, 1.1, d)
         v0 = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
-        make = ((lambda: replicate_rng(31, 2)) if stream == "replicate"
-                else (lambda: np.random.default_rng(31)))
         rng, rng_ref = make(), make()
-        traj = simulate_zigzag(pot, spec, x0, v0, 300.0, rng)
-        times, X, V, types = reference_loop(pot, spec, x0, v0, 300.0, rng_ref,
+        traj = simulate_zigzag(pot, spec, x0, v0, horizon, rng)
+        times, X, V, types = reference_loop(pot, spec, x0, v0, horizon, rng_ref,
                                             clock)
-        assert traj.n_events > 50
+        assert traj.n_events >= min_events
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.X, X)
         assert np.array_equal(traj.V, V)
         assert traj.types == types
-        # both loops leave the stream at the same position
-        assert rng.random() == rng_ref.random()
+        # both loops leave the stream in the same state
+        assert stream_state(rng) == stream_state(rng_ref)
+        return traj
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("stream", ["replicate", "default"])
+    def test_bit_identical(self, case, stream):
+        make = ((lambda: replicate_rng(31, 2)) if stream == "replicate"
+                else (lambda: np.random.default_rng(31)))
+        self.assert_same_run(case, 300.0, make, 51)
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    @pytest.mark.parametrize("case", ["canonical-1d", "gamma-1d", "canonical-3d",
+                                      "partial-2d", "full-2d"])
+    def test_block_boundaries(self, block, case, monkeypatch):
+        # without a refresh clock the exact clocks of _EVENT_BLOCK events are
+        # drawn at once and the unused ones given back on return; the refresh
+        # cases draw per event whatever the block length
+        if block is not None:
+            monkeypatch.setattr(zigzag, "_EVENT_BLOCK", block)
+        size = zigzag._EVENT_BLOCK
+        blocks_used = set()
+        for seed, horizon in enumerate([0.05, 0.5, 3.0, 4000.0]):
+            traj = self.assert_same_run(case, horizon,
+                                        lambda: replicate_rng(37, seed), 0)
+            blocks_used.add(min(traj.n_events // size, 2))
+        # some run ends inside the first block and some after several
+        assert {0, 2} <= blocks_used
+
+    @pytest.mark.parametrize("pot", [zigzag.zz_double_well(),
+                                     sigmaless(zz_gaussian([0.7, 1.3]))],
+                             ids=["double-well", "sigmaless-gaussian-2d"])
+    def test_one_gradient_per_event_position(self, pot):
+        # the loop's finiteness gradient also gives each coordinate's first
+        # window base: a point the loop stands at is evaluated once, plus
+        # once more by the accepted proposal for a flip into it (a gradient
+        # call per first-window base would add d more)
+        rows = []
+
+        def grad(x):
+            rows.extend(map(tuple, np.reshape(x, (-1, pot.d)).tolist()))
+            return pot.grad(x)
+
+        counting = dataclasses.replace(pot, grad=grad)
+        traj = simulate_zigzag(counting, IntensitySpec("canonical"),
+                               np.full(pot.d, 0.3), np.ones(pot.d), 200.0,
+                               np.random.default_rng(5))
+        seen = collections.Counter(rows)
+        flipped_in = [False] + [lab.startswith("flip") for lab in traj.types]
+        assert traj.n_events > 50
+        assert [seen[tuple(x)] for x in traj.X.tolist()] == [1 + f for f in flipped_in]
 
 
 class LoggedStream:
