@@ -33,9 +33,11 @@ class ResultRow:
 CSV_HEADER = "experiment,case_id,lambda,value,se,oracle,pass"
 
 
-def _check(name: str, violation: float, tol: float = 1e-9) -> dict:
-    return {"name": name, "pass": bool(violation <= tol),
-            "max_violation": float(violation), "tol": float(tol)}
+def _check(name: str, excess, tol: float = 1e-9) -> dict:
+    """A named check whose violation is finite.worst_excess(excess)."""
+    violation = finite.worst_excess(excess)
+    return {"name": name, "pass": violation <= tol,
+            "max_violation": violation, "tol": float(tol)}
 
 
 def _position_observable(n: int) -> Observable:
@@ -69,8 +71,8 @@ def run_gustafson_ring(cfg: dict, seed: int):
     checks.append(_check("muQ-reversible",
                          0.0 if finite.check_muQ_reversible(P, mu, Q) else 1.0))
     qp, pq = finite.reversible_parts(P, Q)
-    db = max(0.0 if finite.check_mu_reversible(k, mu) else 1.0 for k in (qp, pq))
-    checks.append(_check("reversible-parts-detailed-balance", db))
+    checks.append(_check("reversible-parts-detailed-balance",
+                         [0.0 if finite.check_mu_reversible(k, mu) else 1.0 for k in (qp, pq)]))
     f = _position_observable(target.n)
     lams = cfg["lambdas"]
     vals = finite.var_lambda(f, P, mu, lams)
@@ -78,7 +80,7 @@ def run_gustafson_ring(cfg: dict, seed: int):
     gap = np.abs(vals - oracle)
     rows = [ResultRow("gustafson-ring", "var", lam, v, 0.0, o, d <= finite.SOLVE_TOL)
             for lam, v, o, d in zip(lams, vals, oracle, gap)]
-    checks.append(_check("series-oracle-agreement", np.max(gap), finite.SOLVE_TOL))
+    checks.append(_check("series-oracle-agreement", gap, finite.SOLVE_TOL))
     return rows, checks
 
 
@@ -97,10 +99,8 @@ def run_lifted_ordering(cfg: dict, seed: int):
     rows = [ResultRow("lifted-ordering", name, lam, v[i])
             for i, lam in enumerate(lams) for name, v in vals.items()]
     lifted = np.array([vals[name] for name, _ in kinds])  # rate x lambda
-    checks = [_check("rate-ordering-minimal<=convex<=maximal",
-                     max(0.0, np.max(lifted[:-1] - lifted[1:]))),
-              _check("lifted<=collapsed",
-                     max(0.0, np.max(lifted.max(axis=0) - vals["collapsed"])))]
+    checks = [_check("rate-ordering-minimal<=convex<=maximal", lifted[:-1] - lifted[1:]),
+              _check("lifted<=collapsed", lifted - vals["collapsed"])]
     return rows, checks
 
 
@@ -115,9 +115,7 @@ def run_neal_ordering(cfg: dict, seed: int):
     P1, P2, mu, Q = zoo.neal_pair_kernels(T2, pi)
     n = pi.n
     rng = np.random.default_rng(seed)
-    rows = []
-    worst_id = 0.0
-    worst_ord = 0.0
+    rows, resids, diffs = [], [], []
     for lam in cfg["lambdas"]:  # a fresh observable per lambda
         f = rng.standard_normal(n)
         g = Observable(np.add.outer(f, f).ravel())  # g(x1,x2) = f(x1)+f(x2)
@@ -131,12 +129,12 @@ def run_neal_ordering(cfg: dict, seed: int):
             vals[name] = vf
             ident = -(1 - lam ** 2) / lam * var_pi + (1 + lam) ** 2 / lam * vf
             resid = abs(vg - ident)
-            worst_id = max(worst_id, resid)
+            resids.append(resid)
             rows.append(ResultRow("neal-ordering", name, lam, vg, 0.0, ident,
                                   resid <= 1e-9))
-        worst_ord = max(worst_ord, vals["P1"] - vals["P2"])
-    checks = [_check("pair-variance-identity", worst_id),
-              _check("never-stay-dominates", worst_ord)]
+        diffs.append(vals["P1"] - vals["P2"])
+    checks = [_check("pair-variance-identity", resids),
+              _check("never-stay-dominates", diffs)]
     return rows, checks
 
 
@@ -148,15 +146,12 @@ def run_two_cycle_extra_chance(cfg: dict, seed: int):
                      for K in Ks])  # K x lambda
     rows = [ResultRow("two-cycle-extra-chance", f"K={K}", lam, v[i])
             for i, lam in enumerate(lams) for K, v in zip(Ks, vals)]
-    worst_mono = max(0.0, np.max(vals[1:] - vals[:-1]))
     # Dirichlet forms of P_K Q nondecreasing in K, certified by PSD test
-    worst_eig = 0.0
-    for Ka, Kb in zip(Ks[:-1], Ks[1:]):
-        cert = finite.dirichlet_dominance_certificate(
-            kernels[Kb], kernels[Ka], mu, Q, side="right")
-        worst_eig = max(worst_eig, -cert.dominance_matrix_min_eig)
-    checks = [_check("variance-nonincreasing-in-K", worst_mono),
-              _check("dirichlet-form-nondecreasing-in-K", worst_eig, finite.PSD_TOL)]
+    neg_eigs = [-finite.dirichlet_dominance_certificate(
+        kernels[Kb], kernels[Ka], mu, Q, side="right").dominance_matrix_min_eig
+        for Ka, Kb in zip(Ks[:-1], Ks[1:])]
+    checks = [_check("variance-nonincreasing-in-K", vals[1:] - vals[:-1]),
+              _check("dirichlet-form-nondecreasing-in-K", neg_eigs, finite.PSD_TOL)]
     return rows, checks
 
 
@@ -170,7 +165,7 @@ def run_ghmc_phi_compare(cfg: dict, seed: int):
     rows = [ResultRow("ghmc-phi-compare", name, lam, v)
             for lam, m, b in zip(lams, vm, vb)
             for name, v in (("finite-metropolis", m), ("finite-barker", b))]
-    checks = [_check("finite-metropolis<=barker", max(0.0, np.max(vm - vb)))]
+    checks = [_check("finite-metropolis<=barker", vm - vb)]
     # Monte Carlo GHMC comparison on the 1-D Gaussian
     H = zigzag.zz_gaussian([1.0])
     obs = {"x2": lambda x: x[:, 0] ** 2, "absx": lambda x: np.abs(x[:, 0])}
@@ -203,7 +198,7 @@ def run_zigzag_1d_gamma(cfg: dict, seed: int):
     gap = float(zigzag.dirichlet_gap_quadrature(pot, spec1, spec2,
                                                 [lambda x, v: x[:, 0] * v[:, 0]])[0, 0])
     rows.append(ResultRow("zigzag-1d-gamma", "dirichlet-gap", 0.0, gap))
-    checks.append(_check("dirichlet-gap-nonnegative", max(0.0, -gap), 1e-8))
+    checks.append(_check("dirichlet-gap-nonnegative", -gap, 1e-8))
     return rows, checks
 
 
@@ -223,11 +218,11 @@ def run_zigzag_2d_refresh(cfg: dict, seed: int):
                                 refresh_mode="full")
     gram = zigzag.dirichlet_gap_quadrature(pot, partial, full, _basis_2d(),
                                            m=cfg["quad_nodes"])
-    gaps = np.diag(gram).tolist()
+    gaps = np.diag(gram)
     rows = [ResultRow("zigzag-2d-refresh", f"gap-basis-{k}", 0.0, gap)
-            for k, gap in enumerate(gaps)]
+            for k, gap in enumerate(gaps.tolist())]
     # the gaps certify each basis function, the Gram form's eigenvalue their span
-    checks = [{**_check("gap-nonnegative-on-basis", max(0.0, -min(gaps)), 1e-8),
+    checks = [{**_check("gap-nonnegative-on-basis", -gaps, 1e-8),
                "span_min_eig": finite.psd_certificate(gram).dominance_matrix_min_eig}]
     f = lambda x, v: x[:, 0] + x[:, 1]
     e1, s1 = zigzag.estimate_var_continuous(pot, partial, f, cfg["horizon"],
@@ -243,31 +238,26 @@ def run_zigzag_2d_refresh(cfg: dict, seed: int):
 
 def run_phi_eps_bounds(cfg: dict, seed: int):
     rs = np.logspace(-3, 3, cfg["grid_points"])
-    rows = []
-    worst_sym = 0.0
-    worst_bound = 0.0
-    worst_mono = 0.0
+    rows, sym, bound_excess, mono = [], [], [], []
     phi0 = zoo.AcceptanceRule.phi_eps(0.0).phi(rs)
     prev = phi0
     for eps in sorted(cfg["eps_values"]):
         rule = zoo.AcceptanceRule.phi_eps(eps)
         vals = rule.phi(rs)
-        sym = np.max(np.abs(rs * rule.phi(1.0 / rs) - vals))
-        worst_sym = max(worst_sym, float(sym))
+        sym.append(np.abs(rs * rule.phi(1.0 / rs) - vals))
         diff = phi0 - vals
         # past eps = log 2 the bound exceeds phi0 and holds trivially; the
         # cap keeps expm1 finite
         bound = phi0 * math.sqrt(math.expm1(min(eps, 700.0)))
-        worst_bound = max(worst_bound,
-                          float(np.max(-diff)), float(np.max(diff - bound)))
-        worst_mono = max(worst_mono, float(np.max(vals - prev)))
+        bound_excess += [-diff, diff - bound]
+        mono.append(vals - prev)
         prev = vals
         for r, val in list(zip(rs, vals))[:: max(1, rs.size // 5)]:
             rows.append(ResultRow("phi-eps-bounds", f"eps={eps}", 0.0,
                                   float(val), 0.0, None, True))
-    checks = [_check("balance-symmetry", worst_sym, 1e-10),
-              _check("appendix-bound", worst_bound, 1e-12),
-              _check("monotone-in-eps", worst_mono, 1e-12)]
+    checks = [_check("balance-symmetry", sym, 1e-10),
+              _check("appendix-bound", bound_excess, 1e-12),
+              _check("monotone-in-eps", mono, 1e-12)]
     return rows, checks
 
 

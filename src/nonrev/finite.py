@@ -41,9 +41,9 @@ class FiniteDistribution:
         object.__setattr__(self, "weights", w)
         if w.ndim != 1:
             raise ValueError("weights must be a vector")
-        if np.any(w <= 0):
+        if not np.all(w > 0):
             raise ValueError("all weights must be strictly positive")
-        if abs(w.sum() - 1.0) > 1e-12 * max(1.0, w.size):
+        if not abs(w.sum() - 1.0) <= 1e-12 * max(1.0, w.size):
             raise ValueError("weights must sum to 1")
 
     @property
@@ -67,9 +67,9 @@ class KernelMatrix:
         object.__setattr__(self, "entries", p)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError("entries must be a square matrix")
-        if np.any(p < -STOCH_TOL) or np.any(p > 1 + STOCH_TOL):
+        if not np.all((p >= -STOCH_TOL) & (p <= 1 + STOCH_TOL)):
             raise ValueError("entries must lie in [0, 1]")
-        if np.max(np.abs(p.sum(axis=1) - 1.0)) > 1e-12 * max(1.0, p.shape[0]):
+        if not np.max(np.abs(p.sum(axis=1) - 1.0)) <= 1e-12 * max(1.0, p.shape[0]):
             raise ValueError("rows must sum to 1")
 
     @property
@@ -129,6 +129,15 @@ class OrderingCertificate:
 
     dominance_matrix_min_eig: float
     holds: bool
+
+
+def worst_excess(excess) -> float:
+    """The violation of a check from its excesses (a scalar, an array, or a
+    list of scalars or of equal-length arrays): the largest excess, 0.0 when
+    none is positive, NaN when any is NaN.  No excess at all raises
+    ValueError, so a check without evidence cannot pass."""
+    worst = float(np.max(excess))
+    return 0.0 if worst <= 0.0 else worst  # -0.0 reads as 0.0
 
 
 def _check_dims(*sizes):
@@ -339,7 +348,7 @@ class OrderingReport:
 
     @property
     def ok(self) -> bool:
-        return max(self.max_violation_plus, self.max_violation_minus) <= 1e-9
+        return self.max_violation_plus <= 1e-9 and self.max_violation_minus <= 1e-9
 
 
 def verify_ordering_theorem(P1: KernelMatrix, P2: KernelMatrix,
@@ -366,6 +375,5 @@ def verify_ordering_theorem(P1: KernelMatrix, P2: KernelMatrix,
     f = np.concatenate([g + g[:, Q.perm], g - g[:, Q.perm]]) / 2.0  # Qf = f, then Qf = -f
     fbar = (f - (f @ w)[:, None]).T  # one centred observable per column
     v1, v2 = (_resolvent_var(fbar, P, w, lambdas) for P in (P1, P2))  # lambda x column
-    plus = np.max(v1[:, :trials] - v2[:, :trials], axis=1).tolist()
-    minus = np.max(v2[:, trials:] - v1[:, trials:], axis=1).tolist()
-    return OrderingReport(max([0.0, *plus]), max([0.0, *minus]))
+    return OrderingReport(worst_excess(v1[:, :trials] - v2[:, :trials]),
+                          worst_excess(v2[:, trials:] - v1[:, trials:]))

@@ -22,6 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .finite import worst_excess
 from .zoo import AcceptanceRule
 
 _BLOCK = 2_048  # GHMC transitions drawn, advanced and recorded at a time
@@ -62,7 +63,7 @@ class Potential:
                 e[i] = h
                 fd = (float(np.squeeze(self.U((p + e)[None, :])))
                       - float(np.squeeze(self.U((p - e)[None, :])))) / (2 * h)
-                if abs(fd - g[i]) > 1e-5 * max(1.0, abs(g[i])):
+                if not abs(fd - g[i]) <= 1e-5 * max(1.0, abs(g[i])):
                     raise ValueError("grad disagrees with finite differences")
 
 
@@ -221,11 +222,10 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
 
 
 def ordered_within_se(a: float, se_a: float, b: float, se_b: float) -> float:
-    """Violation of a <= b + 2 * sqrt(se_a^2 + se_b^2): 0.0 when the ordering
-    holds within two combined standard errors, the excess otherwise, and NaN
-    when an input is NaN, so that a `violation <= tol` test fails."""
-    gap = a - b - 2.0 * math.hypot(se_a, se_b)
-    return 0.0 if gap <= 0.0 else gap
+    """Violation of a <= b + 2 * sqrt(se_a^2 + se_b^2), as finite.worst_excess
+    forms it: 0.0 when the ordering holds within two combined standard
+    errors, the excess otherwise, and NaN when an input is NaN."""
+    return worst_excess(a - b - 2.0 * math.hypot(se_a, se_b))
 
 
 @dataclass
@@ -294,5 +294,5 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
     for (_kind, lam, name), b in stats.items():
         a = stats[kinds[0], lam, name]
         violations.append(ordered_within_se(a.estimate, a.se, b.estimate, b.se))
-    return RuleComparisonReport(rows, float(np.max(violations)))
+    return RuleComparisonReport(rows, worst_excess(violations))
 

@@ -33,7 +33,7 @@ from .samplers import Potential
 
 def zz_gaussian(sigmas) -> Potential:
     s = np.atleast_1d(np.asarray(sigmas, dtype=float))
-    if np.any(s <= 0):
+    if not np.all((s > 0) & np.isfinite(s)):
         raise ValueError("sigmas must be positive")
     inv2 = 1.0 / (s * s)
     bmax = float(np.max(inv2))
@@ -554,7 +554,7 @@ def dirichlet_gap_quadrature(pot: Potential, spec1: IntensitySpec,
     if pot.gaussian_sigmas is None or pot.d > 2:
         raise ValueError("gap quadrature needs a diagonal Gaussian with d in {1, 2}")
     coarse, fine = (_gap_gram(pot, spec1, spec2, gs, n) for n in (m, m + 16))
-    bad = np.abs(fine - coarse) > 1e-4 * np.maximum(1.0, np.abs(fine))
+    bad = ~(np.abs(fine - coarse) <= 1e-4 * np.maximum(1.0, np.abs(fine)))
     if bad.any():
         raise ValueError(f"quadrature not converged: {coarse[bad]!r} vs {fine[bad]!r}")
     return fine

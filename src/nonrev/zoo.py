@@ -50,7 +50,7 @@ class RingTarget:
         object.__setattr__(self, "weights", w)
         if w.size < 3:
             raise ValueError("ring needs n >= 3")
-        if np.any(w <= 0):
+        if not np.all((w > 0) & np.isfinite(w)):
             raise ValueError("weights must be positive")
 
     @property
@@ -81,12 +81,12 @@ class SubKernelPair:
         object.__setattr__(self, "T_minus", tm)
         if tp.shape != tm.shape or tp.shape[0] != self.pi.n:
             raise ValueError("shape mismatch")
-        if np.any(tp < -1e-12) or np.any(tm < -1e-12):
+        if not (np.all(tp >= -1e-12) and np.all(tm >= -1e-12)):
             raise ValueError("sub-kernels must be nonnegative")
-        if np.any(tp.sum(axis=1) > 1 + 1e-12) or np.any(tm.sum(axis=1) > 1 + 1e-12):
+        if not (np.all(tp.sum(axis=1) <= 1 + 1e-12) and np.all(tm.sum(axis=1) <= 1 + 1e-12)):
             raise ValueError("row sums must be <= 1")
         w = self.pi.weights
-        if np.max(np.abs(w[:, None] * tp - (w[:, None] * tm).T)) > STRUCT_TOL:
+        if not np.max(np.abs(w[:, None] * tp - (w[:, None] * tm).T)) <= STRUCT_TOL:
             raise ValueError("skewed detailed balance violated")
 
     def escape(self, v: int) -> np.ndarray:

@@ -29,6 +29,16 @@ class TestTypes:
         with pytest.raises(ValueError):
             FiniteDistribution(np.array([0.5, 0.4]))
 
+    def test_distribution_rejects_nan(self):
+        # every comparison with NaN is False, so each check is the negation
+        # of the condition that must hold
+        with pytest.raises(ValueError, match="strictly positive"):
+            FiniteDistribution(np.array([np.nan, 0.5]))
+
+    def test_kernel_rejects_nan(self):
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            KernelMatrix(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+
     def test_kernel_rejects_bad_rows(self):
         with pytest.raises(ValueError):
             KernelMatrix(np.array([[0.5, 0.4], [0.5, 0.5]]))
@@ -47,6 +57,44 @@ class TestTypes:
         with pytest.raises(ValueError, match="incompatible sizes") as err:
             finite.var_lambda(Observable(np.zeros(3)), two_state_flip(0.3), UNIF2, [0.5])
         assert err.type is ValueError
+
+
+class TestWorstExcess:
+    @pytest.mark.parametrize("excess, worst", [
+        (-1.5, 0.0), (0.0, 0.0), (2.5, 2.5), (np.float64(-3.0), 0.0),
+        (np.array([-1.0, 0.5, 0.25]), 0.5), (np.array([[-1.0, 2.0], [3.0, -4.0]]), 3.0),
+        ([-2.0, -1.0], 0.0), ([np.array([-1.0, 1e-12]), np.array([-3.0, -2.0])], 1e-12)],
+        ids=["negative", "zero", "positive", "numpy-scalar", "array", "matrix",
+             "list-of-scalars", "list-of-arrays"])
+    def test_largest_excess_clipped_at_zero(self, excess, worst):
+        got = finite.worst_excess(excess)
+        assert type(got) is float and got == worst
+
+    @pytest.mark.parametrize("excess", [-0.0, np.array([-0.0, -1.0]), [-0.0]])
+    def test_negative_zero_reads_as_zero(self, excess):
+        assert math.copysign(1.0, finite.worst_excess(excess)) == 1.0
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_nan_in_any_position_is_nan(self, position):
+        excess = [-1.0, 2.0, -3.0]
+        excess[position] = math.nan
+        for form in (excess, np.array(excess), [np.array(excess)] * 2):
+            assert math.isnan(finite.worst_excess(form))
+        assert math.isnan(finite.worst_excess(math.nan))
+
+    @pytest.mark.parametrize("excess", [[], np.array([]), np.empty((0, 3))],
+                             ids=["list", "array", "matrix"])
+    def test_no_evidence_raises(self, excess):
+        with pytest.raises(ValueError):
+            finite.worst_excess(excess)
+
+    def test_check_forms_its_violation_by_it(self):
+        assert experiments._check("c", [np.array([-1.0, 3e-10])]) == {
+            "name": "c", "pass": True, "max_violation": 3e-10, "tol": 1e-9}
+        nan = experiments._check("c", [0.0, math.nan], math.inf)
+        assert not nan["pass"] and math.isnan(nan["max_violation"])
+        with pytest.raises(ValueError):
+            experiments._check("c", [])
 
 
 class TestInvariance:
@@ -458,6 +506,11 @@ class TestOrderingTheorem:
                                              [0.05 * k for k in range(1, 20)],
                                              trials=50)
         assert rep.ok
+
+    def test_nan_violation_is_not_ok(self):
+        assert not finite.OrderingReport(0.0, math.nan).ok
+        assert not finite.OrderingReport(math.nan, 0.0).ok
+        assert finite.OrderingReport(0.0, 1e-9).ok
 
     def test_uncertified_hypothesis_raises(self):
         Q = DeterministicInvolution(np.arange(2))

@@ -8,18 +8,22 @@ With the kernels, processes, rules, oracle or phi_eps a runner uses
 replaced so that its hypothesis is false, the named check must report
 "pass": false; a runner that compared a value with itself, or with the
 wrong kernel's row, would still pass.  Each case also runs unpatched,
-where the same check passes.  The coverage guard at the end runs every
-catalog entry and fails on an emitted check with neither a control nor an
-entry in NO_POWER."""
+where the same check passes.  With the engine a check reads patched to
+return NaN, the check must fail with a NaN violation, or the runner must
+raise.  The coverage guard at the end runs every catalog entry and fails on
+an emitted check with neither a control nor an entry in NO_POWER, and on a
+numeric check without a NaN control."""
 
 import dataclasses
+import json
+import math
 import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from nonrev import experiments, finite, samplers, zigzag, zoo
+from nonrev import cli, experiments, finite, samplers, zigzag, zoo
 
 
 def swap_acceptance_rules(monkeypatch):
@@ -250,10 +254,113 @@ def test_swapped_specs_fail_the_span_certificate(monkeypatch):
     assert named_check(*args)["span_min_eig"] < -finite.PSD_TOL
 
 
+def nan_array_from(monkeypatch, module, name):
+    # the engine runs as before, and every value it returns reads NaN
+    engine = getattr(module, name)
+    monkeypatch.setattr(module, name,
+                        lambda *args, **kw: np.full_like(engine(*args, **kw), np.nan))
+
+
+def nan_var_lambda(monkeypatch):
+    nan_array_from(monkeypatch, finite, "var_lambda")
+
+
+def nan_var_lambda_cycle(monkeypatch):
+    nan_array_from(monkeypatch, finite, "var_lambda_cycle")
+
+
+def nan_var_lambda_series(monkeypatch):
+    nan_array_from(monkeypatch, finite, "var_lambda_series")
+
+
+def nan_gap_quadrature(monkeypatch):
+    nan_array_from(monkeypatch, zigzag, "dirichlet_gap_quadrature")
+
+
+def nan_certificate(monkeypatch):
+    monkeypatch.setattr(finite, "dirichlet_dominance_certificate",
+                        lambda *args, **kw: finite.OrderingCertificate(math.nan, False))
+
+
+def nan_continuous_estimates(monkeypatch):
+    monkeypatch.setattr(zigzag, "estimate_var_continuous",
+                        lambda *args, **kw: (math.nan, math.nan))
+
+
+def nan_mc_chains(monkeypatch):
+    # every observable of the GHMC comparison reads NaN, so every estimate
+    # and standard error the comparison forms is NaN
+    compare = samplers.compare_acceptance_rules
+    monkeypatch.setattr(samplers, "compare_acceptance_rules",
+                        lambda *args, observables, **kw: compare(
+                            *args, observables={name: lambda x: np.full(len(x), np.nan)
+                                                for name in observables}, **kw))
+
+
+def nan_phi_eps(monkeypatch):
+    patch_phi_eps(monkeypatch, lambda eps, r: np.full(np.shape(r), np.nan))
+
+
+# (experiment, check, patch): one case per numeric check, at SMALL's sizes
+NAN_CONTROLS = [
+    ("gustafson-ring", "series-oracle-agreement", nan_var_lambda_series),
+    ("lifted-ordering", "rate-ordering-minimal<=convex<=maximal", nan_var_lambda),
+    ("lifted-ordering", "lifted<=collapsed", nan_var_lambda),
+    ("neal-ordering", "pair-variance-identity", nan_var_lambda),
+    ("neal-ordering", "never-stay-dominates", nan_var_lambda),
+    ("two-cycle-extra-chance", "variance-nonincreasing-in-K", nan_var_lambda_cycle),
+    ("two-cycle-extra-chance", "dirichlet-form-nondecreasing-in-K", nan_certificate),
+    ("ghmc-phi-compare", "finite-metropolis<=barker", nan_var_lambda_cycle),
+    ("ghmc-phi-compare", "mc-metropolis<=barker+2se", nan_mc_chains),
+    ("zigzag-1d-gamma", "canonical<=plus-gamma+2se", nan_continuous_estimates),
+    ("zigzag-1d-gamma", "dirichlet-gap-nonnegative", nan_gap_quadrature),
+    ("zigzag-2d-refresh", "gap-nonnegative-on-basis", nan_gap_quadrature),
+    ("zigzag-2d-refresh", "partial<=full+2se", nan_continuous_estimates),
+    ("phi-eps-bounds", "balance-symmetry", nan_phi_eps),
+    ("phi-eps-bounds", "appendix-bound", nan_phi_eps),
+    ("phi-eps-bounds", "monotone-in-eps", nan_phi_eps),
+]
+
+
+# eigh refuses a NaN Gram form, so this runner raises, and the run exits 3
+# before it reports any check
+RAISES_ON_NAN = {("zigzag-2d-refresh", "gap-nonnegative-on-basis")}
+
+
+@pytest.mark.parametrize("name, check, patch", NAN_CONTROLS,
+                         ids=[f"{name}::{check}" for name, check, _p in NAN_CONTROLS])
+def test_nan_evidence_fails_the_check(monkeypatch, name, check, patch):
+    patch(monkeypatch)
+    if (name, check) in RAISES_ON_NAN:
+        with pytest.raises(np.linalg.LinAlgError):
+            named_check(name, SMALL.get(name, {}), check)
+        return
+    found = named_check(name, SMALL.get(name, {}), check)
+    assert not found["pass"]
+    assert math.isnan(found["max_violation"])
+
+
+def test_check_without_evidence_exits_3(monkeypatch, tmp_path, capsys):
+    # the finite engine returns no variance at all: the check cannot pass,
+    # and the run writes no summary
+    monkeypatch.setattr(finite, "var_lambda_cycle", lambda *args: np.empty(0))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "ghmc-phi-compare", "seed": 1,
+                                "out": str(tmp_path / "out")}))
+    assert cli.main(["run", str(path)]) == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "ghmc-phi-compare_summary.json").exists()
+
+
 # "experiment :: check" of each check with no power at the catalog's
 # defaults, which therefore has no control; the README lists each under "no
 # power at their defaults"
 NO_POWER = {"zigzag-2d-refresh :: partial<=full+2se"}
+
+# the checks that report 0.0 or 1.0, not a computed excess; every other
+# check is numeric and needs a NaN control
+STRUCTURAL = {f"gustafson-ring :: {check}" for check in
+              ("invariance", "muQ-reversible", "reversible-parts-detailed-balance")}
 
 
 def test_every_check_has_a_control_or_no_power():
@@ -266,3 +373,6 @@ def test_every_check_has_a_control_or_no_power():
     assert controlled | NO_POWER <= emitted and not controlled & NO_POWER
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     assert all(f"`{check}`" in readme for check in NO_POWER)
+    nan_controlled = {f"{name} :: {check}" for name, check, _p in NAN_CONTROLS}
+    assert len(nan_controlled) == len(NAN_CONTROLS)
+    assert nan_controlled == emitted - STRUCTURAL and STRUCTURAL <= emitted

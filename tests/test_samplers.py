@@ -32,6 +32,14 @@ class TestHamiltonian:
             Potential(U=lambda x: 0.5 * np.sum(x * x, axis=-1),
                       grad=lambda x: x * np.array([1.0, 2.0]), d=2)
 
+    @pytest.mark.parametrize("U, grad", [
+        (lambda x: np.full(x.shape[:-1], np.nan), lambda x: x),
+        (lambda x: 0.5 * np.sum(x * x, axis=-1), lambda x: np.full(x.shape, np.nan))],
+        ids=["nan-potential", "nan-gradient"])
+    def test_gradient_check_rejects_nan(self, U, grad):
+        with pytest.raises(ValueError, match="finite differences"):
+            Potential(U=U, grad=grad, d=2)
+
     def test_builtin_potentials_pass_their_own_check(self):
         # construction runs the finite-difference gradient check
         zz_gaussian([2.0, 2.0, 2.0])

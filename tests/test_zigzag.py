@@ -179,6 +179,13 @@ class TestExactInversion:
 
 
 class TestSimulation:
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf])
+    def test_gaussian_refuses_non_finite_sigmas(self, sigma):
+        # a NaN sigma used to give a 0-event trajectory, and an infinite one
+        # a ZeroDivisionError in the exact clock
+        with pytest.raises(ValueError, match="sigmas must be positive"):
+            zz_gaussian([1.0, sigma])
+
     def test_free_flight_has_no_events(self):
         traj = simulate_zigzag(free_potential(), IntensitySpec("canonical"),
                                [0.5], [1.0], horizon=10.0,
@@ -255,9 +262,11 @@ class TestSimulation:
     @pytest.mark.parametrize("v0", [1.0, -1.0])
     def test_thinning_refuses_non_finite_gradient(self, kind, bad, v0):
         # at a -inf component with v = +1 both base intensities read 0.0,
-        # which is finite: the gradient itself is what the loop tests
+        # which is finite: the gradient itself is what the loop tests.  It is
+        # bad only at the start x = 0, which the finite-difference probes of
+        # Potential, which refuse a NaN gradient, never reach
         broken = Potential(U=lambda x: np.zeros(x.shape[:-1]),
-                           grad=lambda x: np.full_like(x, bad), d=1,
+                           grad=lambda x: np.where(x == 0.0, bad, 0.0), d=1,
                            hessian_bound=lambda x, v: 1.0)
         with pytest.raises(RuntimeError, match="non-finite gradient"):
             simulate_zigzag(broken, IntensitySpec(kind), [0.0], [v0],
@@ -884,6 +893,16 @@ class TestGeneratorAndQuadrature:
             zigzag.dirichlet_gap_quadrature(
                 pot, IntensitySpec("canonical"), IntensitySpec("canonical", gamma=0.5),
                 [lambda x, v: x[:, 0] ** 3 * v[:, 0]], m=2)
+
+
+    def test_nan_entry_is_not_converged(self):
+        # NaN beyond |x| = 7 reaches the outer nodes of both resolutions; a
+        # NaN entry must not read as converged
+        pot = zz_gaussian([1.0])
+        g = lambda x, v: np.where(np.abs(x[:, 0]) > 7.0, np.nan, x[:, 0] * v[:, 0])
+        with pytest.raises(ValueError, match="not converged"):
+            zigzag.dirichlet_gap_quadrature(
+                pot, IntensitySpec("canonical"), IntensitySpec("canonical", gamma=0.5), [g])
 
 
 class TestTabulatedPotential:

@@ -53,6 +53,11 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             zoo.RingTarget(np.array([1.0, -1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_ring_target_refuses_non_finite_weights(self, bad):
+        with pytest.raises(ValueError, match="weights must be positive"):
+            zoo.RingTarget(np.array([1.0, bad, 2.0]))
+
 
 class TestGustafson:
     def test_structure(self):
@@ -104,6 +109,14 @@ class TestSubKernels:
         bad[0, 1] += 0.05
         with pytest.raises(ValueError):
             zoo.SubKernelPair(bad, pair.T_minus, pair.pi)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    def test_validation_rejects_nan_entry(self, side):
+        pair = mh_pair(RING5)
+        tp, tm = pair.T_plus.copy(), pair.T_minus.copy()
+        (tp if side == "plus" else tm)[0, 1] = np.nan
+        with pytest.raises(ValueError, match="nonnegative"):
+            zoo.SubKernelPair(tp, tm, pair.pi)
 
     def test_collapsed_is_pi_reversible(self):
         pair = mh_pair(RING5)
