@@ -35,7 +35,10 @@ CSV_HEADER = "experiment,case_id,lambda,value,se,oracle,pass"
 
 def _check(name: str, excess, tol: float = 1e-9) -> dict:
     """A named check whose violation is finite.worst_excess(excess)."""
-    violation = finite.worst_excess(excess)
+    try:
+        violation = finite.worst_excess(excess)
+    except ValueError as err:
+        raise ValueError(f"check {name}: {err}") from err
     return {"name": name, "pass": violation <= tol,
             "max_violation": violation, "tol": float(tol)}
 

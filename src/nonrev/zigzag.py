@@ -35,7 +35,10 @@ def zz_gaussian(sigmas) -> Potential:
     s = np.atleast_1d(np.asarray(sigmas, dtype=float))
     if not np.all((s > 0) & np.isfinite(s)):
         raise ValueError("sigmas must be positive")
-    inv2 = 1.0 / (s * s)
+    with np.errstate(over="ignore", divide="ignore"):
+        inv2 = 1.0 / (s * s)
+    if not np.all(np.isfinite(inv2)):
+        raise ValueError(f"sigma {float(s.min())!r} is too small: 1/sigma^2 overflows")
     bmax = float(np.max(inv2))
     return Potential(
         U=lambda x: 0.5 * np.add.reduce(x * x * inv2, axis=-1),
@@ -186,19 +189,19 @@ def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
     return t0 + 2 * rem / (gamma + math.sqrt(gamma * gamma + 2 * b * rem))
 
 
-_BLOCK = 8  # thinning proposals per batched intensity call
+_BLOCK = 8  # thinning proposals per intensity request
 _EVENT_BLOCK = 512  # events per exact-clock draw when there is no refresh clock
 
 
-def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
-                       x: np.ndarray, v: np.ndarray, rng,
-                       horizon: float = np.inf, slope: float | None = None) -> float:
+def _thinned_clock(spec: IntensitySpec, pot: Potential, i: int,
+                   x: np.ndarray, v: np.ndarray, rng,
+                   horizon: float = np.inf, slope: float | None = None):
     """First arrival of the inhomogeneous rate t -> lambda_i(x + t v, v) by
     thinning against the affine envelope lam(0) + B t, refreshed per unit
-    time window.  A caller that holds the slope dU/dx_i(x) v_i passes it,
-    and the first window's base rate is computed from it without a gradient
-    call; otherwise that base comes from ``intensity`` like every later
-    window's.
+    time window.  A ``_lockstep`` run: it yields (i, x, v, offsets) and is
+    sent the intensities at x + o v, o in offsets, as a list of floats.  A
+    caller that holds the slope dU/dx_i(x) v_i passes it, and the first
+    window's base rate is computed from it; every other base is asked for.
 
     Valid for every intensity kind here (gamma is constant): smooth kinds
     are 1-Lipschitz transforms of s(t) = dU_i(x + t v) v_i, so the ray bound
@@ -208,18 +211,18 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
 
     Each window draws its proposals in blocks of up to _BLOCK, every one an
     exponential() for the offset and then a random() for the accept test,
-    and evaluates a block's intensities in one batched call.  A block that
-    accepts before its last draw restores the generator to the block's
-    start and redraws up to the accepted proposal, so a returning call
-    reads the stream exactly as one proposal at a time would (a raising
-    call may have drawn further).
+    and asks for a block's intensities at once.  A block that accepts
+    before its last draw restores the generator to the block's start and
+    redraws up to the accepted proposal, so a returning call reads the
+    stream exactly as one proposal at a time would (a raising call may have
+    drawn further).
     """
     if pot.hessian_bound is None:
         raise EnvelopeViolation("no ray bound available for thinning envelope")
     s = 0.0
     while s < horizon:
         if slope is None:
-            base = float(intensity(spec, pot, i, x + s * v, v))
+            base, = yield i, x, v, [s]
         else:  # first window only
             base, slope = float(_rate(spec, slope)), None
         B = float(pot.hessian_bound(x + s * v, v)) + 1e-12
@@ -240,8 +243,7 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
                 block.append((u, lam0, rng.random()))
             if not block:
                 break
-            offsets = s + np.array([p[0] for p in block])
-            trues = intensity(spec, pot, i, x + offsets[:, None] * v, v).tolist()
+            trues = yield i, x, v, [s + p[0] for p in block]
             for k, ((uk, env, r), true) in enumerate(zip(block, trues)):
                 if not true <= env + 1e-9:  # true and env are never NaN below
                     if math.isnan(true) or math.isnan(env):
@@ -260,32 +262,65 @@ def _thinned_flip_time(spec: IntensitySpec, pot: Potential, i: int,
     return math.inf
 
 
+def _thinned_flip_time(spec, pot, i, x, v, rng, horizon=np.inf, slope=None) -> float:
+    """``_thinned_clock`` driven on its own."""
+    return _lockstep(spec, pot, [_thinned_clock(spec, pot, i, x, v, rng, horizon, slope)])[0]
+
+
+def _lockstep(spec: IntensitySpec, pot: Potential, runs) -> list:
+    """The return values of the generators runs (each yielding as
+    ``_thinned_clock`` does, or never), driven in rounds: each round advances
+    every unfinished run to its request, makes one ``intensity`` call per
+    coordinate on all rows x + o v asked for, and sends each run its slice,
+    the floats it would receive alone (rows are evaluated elementwise)."""
+    out, replies = [None] * len(runs), dict.fromkeys(range(len(runs)))
+    while replies:  # the runs still going, and what to send each
+        asks = {}
+        for r, reply in replies.items():
+            try:
+                asks[r] = runs[r].send(reply)
+            except StopIteration as stop:
+                out[r] = stop.value
+        replies = {}
+        for i in {ask[0] for ask in asks.values()}:
+            rs = [r for r, ask in asks.items() if ask[0] == i]
+            n = [len(asks[r][3]) for r in rs]
+            xs, vs = (np.repeat([asks[r][k] for r in rs], n, axis=0) for k in (1, 2))
+            rows = xs + np.concatenate([asks[r][3] for r in rs])[:, None] * vs
+            rates = intensity(spec, pot, i, rows, vs).tolist()
+            for r, k in zip(rs, n):
+                replies[r], rates = rates[:k], rates[k:]
+    return out
+
+
 def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
                     rng: np.random.Generator) -> ZigZagTrajectory:
     """Run the process to the horizon; returns the full event skeleton.
 
     One event loop on Python floats moves x, flips or refreshes v and
-    records the skeleton; only the coordinate clocks are drawn in two ways,
-    picked from the inputs.  A diagonal Gaussian (``pot.gaussian_sigmas``)
-    with canonical rates inverts the integrated rate exactly.  With a
-    refresh clock, each event reads rng as one ``standard_exponential``
-    call for the d coordinate clocks and then the refresh clock (the layout
-    of that many scalar ``exponential()`` calls), then the refresh draw.
-    Without one, every draw is a standard exponential: one call draws the
-    clocks of _EVENT_BLOCK events, and before returning the generator is
-    set back to that block's start and redraws only the clocks used.
-    Every other input thins each coordinate against an affine envelope
-    (``_thinned_flip_time``, coordinates in order; its proposals are
-    evaluated in blocks, and a block that overdraws is replayed, so it reads
-    the stream as one proposal at a time), then draws one ``exponential()``
-    for the refresh clock and the refresh draw.  The one gradient call per
-    event gives every coordinate's first-window base rate, and it raises
-    RuntimeError when non-finite, as does a NaN intensity between events.
-    Either way a returning call leaves rng where a loop that draws per
-    event, and per proposal when thinning, leaves it; a raising call may
-    have drawn further.  The horizon must be finite and positive, and x0
-    finite; both are checked before anything is drawn.
+    records the skeleton; the coordinate clocks are drawn in one of two
+    ways.  A diagonal Gaussian (``pot.gaussian_sigmas``) with canonical
+    rates inverts the integrated rate exactly.  With a refresh clock, each
+    event reads rng as one ``standard_exponential`` call for the d
+    coordinate clocks and the refresh clock (the layout of that many scalar
+    ``exponential()`` calls), then the refresh draw.  Without one, one call
+    draws the clocks of _EVENT_BLOCK events, and before returning the
+    generator is set back to that block's start and redraws only the
+    clocks used.  Every other input thins each coordinate in order
+    (``_thinned_clock``), then draws one ``exponential()`` for the refresh
+    clock and the refresh draw.  The one gradient call per event gives
+    every coordinate's first-window base rate, and it raises RuntimeError
+    when non-finite, as does a NaN intensity between events.  Either way a
+    returning call leaves rng where a loop that draws per event, and per
+    proposal when thinning, leaves it; a raising call may have drawn
+    further.  The horizon must be finite and positive, and x0 finite; both
+    are checked before anything is drawn.
     """
+    return _lockstep(spec, pot, [_event_loop(pot, spec, x0, v0, horizon, rng)])[0]
+
+
+def _event_loop(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float, rng):
+    """``simulate_zigzag``'s loop as a ``_lockstep`` run; exact clocks never yield."""
     if not 0 < horizon < math.inf:
         raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     d = pot.d
@@ -308,8 +343,7 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     t = 0.0
     e, k = [], 0  # clocks drawn, and how many of them are used
     while True:
-        best_dt = math.inf
-        best = d
+        best_dt, best = math.inf, d
         if exact:
             if not blocked:
                 e, k = rng.standard_exponential(n_clocks).tolist(), 0
@@ -329,9 +363,8 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
                 raise RuntimeError("non-finite gradient encountered")
             slopes = (grad[0] * va).tolist()
             for i in range(d):
-                dt_i = _thinned_flip_time(spec, pot, i, xa, va, rng,
-                                          horizon=horizon - t + 1.0,
-                                          slope=slopes[i])
+                dt_i = yield from _thinned_clock(spec, pot, i, xa, va, rng,
+                                                 horizon - t + 1.0, slopes[i])
                 if dt_i < best_dt:
                     best_dt, best = dt_i, i
         if rate > 0:
@@ -439,21 +472,24 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
 
     Each replicate starts at x = 0 with uniform random velocities, simulates
     horizon*1.1, discards the first tenth as burn-in and applies batch means
-    to f itself, in one pass over the path.  lam must be 0 (no discount);
-    the slot mirrors the discrete estimators.  Returns (estimate, se).
+    to f itself, in one pass over the path.  The replicates advance in
+    lockstep (``_lockstep``), so their thinning intensities are evaluated
+    together, and each reads its own stream as it would alone.  lam must be
+    0 (no discount); the slot mirrors the discrete estimators.  Returns
+    (estimate, se).
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
     if lam != 0:
         raise ValueError(f"only lam = 0 is supported, got {lam!r}")
-    d = pot.d
     burn = horizon / 10.0
-    per = np.empty(replicates)
-    for r in range(replicates):
+
+    def replicate(r):  # only its estimate outlives it
         rng = samplers.replicate_rng(seed, r)
-        v0 = np.where(rng.random(d) < 0.5, -1.0, 1.0)
-        traj = simulate_zigzag(pot, spec, np.zeros(d), v0, horizon + burn, rng)
-        per[r] = batch_means_variance(traj, f, burn, burn + horizon, degree)
+        v0 = np.where(rng.random(pot.d) < 0.5, -1.0, 1.0)
+        traj = yield from _event_loop(pot, spec, np.zeros(pot.d), v0, horizon + burn, rng)
+        return batch_means_variance(traj, f, burn, burn + horizon, degree)
+    per = np.array(_lockstep(spec, pot, [replicate(r) for r in range(replicates)]))
     return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))
 
 

@@ -25,8 +25,8 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            inner)
 from nonrev.samplers import Potential, _energy, replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, _all_velocities, _gh_nodes,
-                           _window_integrals, intensity, jump_generator,
-                           simulate_zigzag)
+                           _window_integrals, batch_means_variance, intensity,
+                           jump_generator, simulate_zigzag)
 from nonrev.zoo import (FlowMap, RingTarget, SubKernelPair, collapsed_kernel,
                         half_lift, lifted_kernel)
 
@@ -231,6 +231,26 @@ def estimate_var_continuous_centred(pot: Potential, spec, f, horizon: float,
         ints = _window_integrals(traj, lambda x, v: np.asarray(f(x, v)) - mean,
                                  degree, np.linspace(burn, burn + horizon, n + 1))
         per[r] = delta * (ints / delta).var(ddof=1)
+    return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))
+
+
+def estimate_var_continuous_reference(pot: Potential, spec, f, horizon: float,
+                                      replicates: int, lam: float, seed: int,
+                                      degree: int | None = None):
+    """zigzag.estimate_var_continuous with one replicate simulated and
+    reduced after another, each by its own simulate_zigzag call."""
+    if replicates < 2:
+        raise ValueError("need at least 2 replicates for a standard error")
+    if lam != 0:
+        raise ValueError(f"only lam = 0 is supported, got {lam!r}")
+    d = pot.d
+    burn = horizon / 10.0
+    per = np.empty(replicates)
+    for r in range(replicates):
+        rng = replicate_rng(seed, r)
+        v0 = np.where(rng.random(d) < 0.5, -1.0, 1.0)
+        traj = simulate_zigzag(pot, spec, np.zeros(d), v0, horizon + burn, rng)
+        per[r] = batch_means_variance(traj, f, burn, burn + horizon, degree)
     return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))
 
 

@@ -348,7 +348,9 @@ def test_check_without_evidence_exits_3(monkeypatch, tmp_path, capsys):
     path.write_text(json.dumps({"experiment": "ghmc-phi-compare", "seed": 1,
                                 "out": str(tmp_path / "out")}))
     assert cli.main(["run", str(path)]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "numerical failure" in err
+    assert "finite-metropolis<=barker" in err  # the check without evidence
     assert not (tmp_path / "out" / "ghmc-phi-compare_summary.json").exists()
 
 

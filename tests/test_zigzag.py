@@ -2,20 +2,23 @@ import collections
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
+import oracles
 from nonrev import experiments, zigzag
 from nonrev.samplers import replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, Potential,
                            intensity, simulate_zigzag, zz_gaussian)
 from nonrev.finite import PSD_TOL, psd_certificate
 from oracles import (dirichlet_gap_reference, estimate_var_continuous_centred,
-                     exact_flip_time_reference, expectation_mu, steep_double_well,
-                     thinned_flip_time_reference, zz_tabulated)
+                     estimate_var_continuous_reference, exact_flip_time_reference,
+                     expectation_mu, steep_double_well, thinned_flip_time_reference,
+                     zz_tabulated)
 
 
 def sigmaless(pot):
@@ -185,6 +188,15 @@ class TestSimulation:
         # a ZeroDivisionError in the exact clock
         with pytest.raises(ValueError, match="sigmas must be positive"):
             zz_gaussian([1.0, sigma])
+
+    @pytest.mark.parametrize("sigmas", [[1e-170], [1.0, 1e-160]])
+    def test_gaussian_refuses_sigma_whose_inverse_square_overflows(self, sigmas):
+        # 1/sigma^2 used to overflow with a RuntimeWarning, and Potential then
+        # refused the target as "grad disagrees with finite differences"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"sigma {sigmas[-1]!r} is too small"):
+                zz_gaussian(sigmas)
 
     def test_free_flight_has_no_events(self):
         traj = simulate_zigzag(free_potential(), IntensitySpec("canonical"),
@@ -761,6 +773,87 @@ class TestVarianceEstimation:
             with pytest.raises(ValueError, match="lam"):
                 zigzag.estimate_var_continuous(pot, IntensitySpec(), f, 100.0,
                                                replicates=4, lam=lam, seed=0)
+
+
+class TestLockstepReplicates:
+    """estimate_var_continuous advances its replicates in lockstep and pools
+    their thinning intensities; it must return what one replicate after
+    another returns, bit for bit."""
+
+    DW = zigzag.zz_double_well()
+    G2 = zz_gaussian([0.7, 1.3])
+    CASES = {
+        "exact-1d-gamma": (zz_gaussian([1.0]), IntensitySpec("canonical", gamma=0.5),
+                           200.0),
+        "exact-2d-partial": (G2, IntensitySpec("canonical", refresh_rate=1.0,
+                                               refresh_mode="partial"), 100.0),
+        "exact-2d-full": (G2, IntensitySpec("canonical", refresh_rate=1.0,
+                                            refresh_mode="full"), 100.0),
+        "thinned-canonical": (DW, IntensitySpec("canonical"), 50.0),
+        "thinned-barker": (DW, IntensitySpec("barker"), 50.0),
+        "thinned-penalty": (DW, IntensitySpec("penalty", eps=1.0), 50.0),
+        "thinned-2d-partial": (sigmaless(G2), IntensitySpec(
+            "barker", refresh_rate=1.0, refresh_mode="partial"), 30.0),
+        "thinned-2d-full": (sigmaless(G2), IntensitySpec(
+            "canonical", refresh_rate=1.0, refresh_mode="full"), 30.0),
+    }
+
+    @staticmethod
+    def f(x, v):
+        return x[:, 0] + 0.5 * x[:, -1] ** 2
+
+    @pytest.mark.parametrize("replicates", [2, 3, 16])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_bit_identical_to_sequential_replicates(self, case, replicates):
+        pot, spec, horizon = self.CASES[case]
+        args = (pot, spec, self.f, horizon, replicates, 0.0, 61)
+        assert (zigzag.estimate_var_continuous(*args, degree=2)
+                == estimate_var_continuous_reference(*args, degree=2))
+
+    def test_one_intensity_call_per_round(self, monkeypatch):
+        # at d = 1 each round serves every unfinished replicate's request in
+        # one call, so the calls are the longest replicate's request count,
+        # and the rows are those the replicates evaluate one at a time
+        rows = []
+
+        def counting(spec, pot, i, x, v):
+            rows.append(len(x))  # the driver always passes stacked rows
+            return intensity(spec, pot, i, x, v)
+
+        per_replicate = []
+
+        def mark(*args):
+            per_replicate.append(len(rows) - sum(per_replicate))
+            return zigzag.batch_means_variance(*args)
+
+        monkeypatch.setattr(zigzag, "intensity", counting)
+        monkeypatch.setattr(oracles, "batch_means_variance", mark)
+        args = (self.DW, IntensitySpec("penalty", eps=1.0), self.f, 50.0, 16, 0.0, 62)
+        ref = estimate_var_continuous_reference(*args)
+        solo_rows, rows[:] = sum(rows), []
+        assert zigzag.estimate_var_continuous(*args) == ref
+        assert len(per_replicate) == 16 and min(per_replicate) > 10
+        assert len(rows) == max(per_replicate)
+        assert sum(rows) == solo_rows
+
+    def test_envelope_violation_raises_through_estimator(self):
+        lying = dataclasses.replace(self.DW, hessian_bound=lambda x, v: 0.05)
+        with pytest.raises(EnvelopeViolation):
+            zigzag.estimate_var_continuous(lying, IntensitySpec("barker"), self.f,
+                                           50.0, 4, 0.0, 63)
+
+    @pytest.mark.parametrize("where, match", [
+        # NaN at the start x = 0, where every replicate's first event stands
+        (lambda x: x == 0.0, "non-finite gradient"),
+        # finite at x = 0, NaN where proposals past |x| = 1.5 land
+        (lambda x: np.abs(x) >= 1.5, "NaN intensity")], ids=["at-event", "at-proposal"])
+    def test_nan_gradient_raises_through_estimator(self, where, match):
+        holed = Potential(U=lambda x: 0.5 * np.sum(x * x, axis=-1),
+                          grad=lambda x: np.where(where(x), np.nan, x), d=1,
+                          hessian_bound=lambda x, v: 1.0)
+        with pytest.raises(RuntimeError, match=match):
+            zigzag.estimate_var_continuous(holed, IntensitySpec("canonical"), self.f,
+                                           50.0, 4, 0.0, 64)
 
 
 class TestGeneratorAndQuadrature:
