@@ -225,8 +225,12 @@ def run_zigzag_2d_refresh(cfg: dict, seed: int):
     rows = [ResultRow("zigzag-2d-refresh", f"gap-basis-{k}", 0.0, gap)
             for k, gap in enumerate(gaps.tolist())]
     # the gaps certify each basis function, the Gram form's eigenvalue their span
-    checks = [{**_check("gap-nonnegative-on-basis", -gaps, 1e-8),
-               "span_min_eig": finite.psd_certificate(gram).dominance_matrix_min_eig}]
+    check = _check("gap-nonnegative-on-basis", -gaps, 1e-8)
+    try:
+        check["span_min_eig"] = finite.psd_certificate(gram).dominance_matrix_min_eig
+    except ValueError as err:
+        raise ValueError(f"check {check['name']}: {err}") from err
+    checks = [check]
     f = lambda x, v: x[:, 0] + x[:, 1]
     e1, s1 = zigzag.estimate_var_continuous(pot, partial, f, cfg["horizon"],
                                             cfg["replicates"], 0.0, seed, degree=1)

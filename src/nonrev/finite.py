@@ -311,7 +311,10 @@ def var_lambda_cycle(f: Observable, P1: KernelMatrix, P2: KernelMatrix,
 
 def psd_certificate(a: np.ndarray) -> OrderingCertificate:
     """The quadratic form of a is nonnegative iff the symmetric part
-    (a + a^T)/2 is PSD: its minimum eigenvalue, held to PSD_TOL."""
+    (a + a^T)/2 is PSD: its minimum eigenvalue, held to PSD_TOL.  A form
+    with a NaN or infinite entry raises ValueError."""
+    if not np.all(np.isfinite(a)):
+        raise ValueError("psd_certificate: the form is not finite")
     # eigh: eigvalsh may move the last bits of min_eig, which the catalog prints
     min_eig = float(np.linalg.eigh((a + a.T) / 2.0)[0][0])
     return OrderingCertificate(min_eig, min_eig >= -PSD_TOL)

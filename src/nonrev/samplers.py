@@ -57,7 +57,10 @@ class Potential:
         probes = rng.standard_normal((5, self.d))
         h = 1e-6
         for p in probes:
-            g = np.asarray(self.grad(p[None, :]))[0]
+            with np.errstate(all="ignore"):  # refused below, by name
+                u, g = self.U(p[None, :]), np.asarray(self.grad(p[None, :]))[0]
+            if not (np.all(np.isfinite(u)) and np.all(np.isfinite(g))):
+                raise ValueError(f"U or grad is not finite at the probe {p.tolist()!r}")
             for i in range(self.d):
                 e = np.zeros(self.d)
                 e[i] = h

@@ -23,6 +23,9 @@ transport term, so their Dirichlet-form gap needs J alone.
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -465,6 +468,59 @@ def batch_means_variance(traj: ZigZagTrajectory, f, t_start: float,
     return float(delta * means.var(ddof=1))
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or ask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _in_shares(run, shares) -> list:
+    """[run(share) for share in shares], the first share in this process and
+    each other in a forked child (fork, not spawn: the potential and the
+    observable are closures, which do not pickle).  A child pickles its
+    result, or the exception it raised, into a pipe and leaves through
+    os._exit.  Errors are raised lowest share first, with their type and
+    message, and no child outlives the call."""
+    pids, pipes = [], []  # the children not yet reaped, and every read end
+    try:
+        for share in shares[1:]:
+            rfd, wfd = os.pipe()
+            pipes.append(os.fdopen(rfd, "rb"))
+            with os.fdopen(wfd, "wb") as w:  # the parent's write end closes here
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        try:
+                            out = (True, run(share))
+                        except Exception as exc:  # raised again in the parent
+                            out = (False, exc)
+                        pickle.dump(out, w)
+                        w.close()  # os._exit does not flush
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        results = [run(shares[0])]
+        for k, pipe in enumerate(pipes, 1):
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+            if status != 0:
+                raise RuntimeError(f"replicate share {k} ended without a result "
+                                   f"(exit status {status})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
                             horizon: float, replicates: int, lam: float,
                             seed: int, degree: int | None = None):
@@ -472,11 +528,14 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
 
     Each replicate starts at x = 0 with uniform random velocities, simulates
     horizon*1.1, discards the first tenth as burn-in and applies batch means
-    to f itself, in one pass over the path.  The replicates advance in
-    lockstep (``_lockstep``), so their thinning intensities are evaluated
-    together, and each reads its own stream as it would alone.  lam must be
-    0 (no discount); the slot mirrors the discrete estimators.  Returns
-    (estimate, se).
+    to f itself, in one pass over the path.  The replicates are cut into
+    min(CPUs, replicates // 2) contiguous shares, at least one, and each
+    share runs in its own process (``_in_shares``).  Within a share the
+    replicates advance in lockstep (``_lockstep``), so their thinning
+    intensities are evaluated together, and each reads its own stream as it
+    would alone; the estimate is therefore the same bits whatever the
+    shares.  lam must be 0 (no discount); the slot mirrors the discrete
+    estimators.  Returns (estimate, se).
     """
     if replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
@@ -489,7 +548,11 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
         v0 = np.where(rng.random(pot.d) < 0.5, -1.0, 1.0)
         traj = yield from _event_loop(pot, spec, np.zeros(pot.d), v0, horizon + burn, rng)
         return batch_means_variance(traj, f, burn, burn + horizon, degree)
-    per = np.array(_lockstep(spec, pot, [replicate(r) for r in range(replicates)]))
+    n = min(_cpus(), replicates // 2)  # both are at least 1
+    shares = [range(replicates * k // n, replicates * (k + 1) // n) for k in range(n)]
+    parts = _in_shares(lambda share: _lockstep(spec, pot, [replicate(r) for r in share]),
+                       shares)
+    per = np.array([e for part in parts for e in part])
     return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))
 
 

@@ -479,6 +479,11 @@ class TestDominanceCertificate:
         # the symmetrized difference of the kernels is [[-0.2, 0.2], [0.2, -0.2]]
         assert swapped.dominance_matrix_min_eig == pytest.approx(-0.4, abs=1e-12)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_psd_certificate_refuses_a_non_finite_form(self, bad):
+        with pytest.raises(ValueError, match="form is not finite"):
+            finite.psd_certificate(np.array([[1.0, bad], [0.0, 2.0]]))
+
     def test_psd_certificate_reads_the_symmetric_part(self):
         # a skew part adds nothing to the quadratic form
         cert = finite.psd_certificate(np.array([[1.0, 5.0], [-5.0, 2.0]]))
@@ -511,6 +516,11 @@ class TestOrderingTheorem:
         assert not finite.OrderingReport(0.0, math.nan).ok
         assert not finite.OrderingReport(math.nan, 0.0).ok
         assert finite.OrderingReport(0.0, 1e-9).ok
+
+    def test_violation_above_1e9_is_not_ok(self):
+        assert finite.OrderingReport(1e-9, 1e-9).ok
+        assert not finite.OrderingReport(1e-8, 0.0).ok
+        assert not finite.OrderingReport(0.0, 1e-8).ok
 
     def test_uncertified_hypothesis_raises(self):
         Q = DeterministicInvolution(np.arange(2))

@@ -322,8 +322,8 @@ NAN_CONTROLS = [
 ]
 
 
-# eigh refuses a NaN Gram form, so this runner raises, and the run exits 3
-# before it reports any check
+# psd_certificate refuses a NaN Gram form, so this runner raises, naming the
+# check, and the run exits 3 before it reports any check
 RAISES_ON_NAN = {("zigzag-2d-refresh", "gap-nonnegative-on-basis")}
 
 
@@ -332,12 +332,31 @@ RAISES_ON_NAN = {("zigzag-2d-refresh", "gap-nonnegative-on-basis")}
 def test_nan_evidence_fails_the_check(monkeypatch, name, check, patch):
     patch(monkeypatch)
     if (name, check) in RAISES_ON_NAN:
-        with pytest.raises(np.linalg.LinAlgError):
+        with pytest.raises(ValueError, match=f"^check {check}: .* not finite$"):
             named_check(name, SMALL.get(name, {}), check)
         return
     found = named_check(name, SMALL.get(name, {}), check)
     assert not found["pass"]
     assert math.isnan(found["max_violation"])
+
+
+# (criterion, engine): each of criteria 3-5 folds its excesses through
+# finite.worst_excess, so an engine that returns NaN fails it
+NAN_CRITERIA = [
+    ("test_criterion_03_lifted_chain", "var_lambda"),
+    ("test_criterion_04_pair_space_identity", "var_lambda"),
+    ("test_criterion_05_two_cycle_identities", "var_lambda"),
+    ("test_criterion_05_two_cycle_identities", "var_lambda_cycle"),
+]
+
+
+@pytest.mark.parametrize("criterion, engine", NAN_CRITERIA)
+def test_nan_evidence_fails_the_criterion(monkeypatch, criterion, engine):
+    import test_acceptance  # imported here, so pytest does not collect it twice
+
+    nan_array_from(monkeypatch, finite, engine)
+    with pytest.raises(AssertionError, match="nan < 1e-09"):
+        getattr(test_acceptance, criterion)()
 
 
 def test_check_without_evidence_exits_3(monkeypatch, tmp_path, capsys):
@@ -352,6 +371,17 @@ def test_check_without_evidence_exits_3(monkeypatch, tmp_path, capsys):
     assert "numerical failure" in err
     assert "finite-metropolis<=barker" in err  # the check without evidence
     assert not (tmp_path / "out" / "ghmc-phi-compare_summary.json").exists()
+
+
+def test_nan_gram_form_exits_3_naming_the_check(monkeypatch, tmp_path, capsys):
+    nan_gap_quadrature(monkeypatch)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"experiment": "zigzag-2d-refresh", "seed": 1,
+                                "out": str(tmp_path / "out")}))
+    assert cli.main(["run", str(path)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical failure: check gap-nonnegative-on-basis" in err
+    assert "not finite" in err and "did not converge" not in err
 
 
 # "experiment :: check" of each check with no power at the catalog's

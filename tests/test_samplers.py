@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -34,11 +35,22 @@ class TestHamiltonian:
 
     @pytest.mark.parametrize("U, grad", [
         (lambda x: np.full(x.shape[:-1], np.nan), lambda x: x),
-        (lambda x: 0.5 * np.sum(x * x, axis=-1), lambda x: np.full(x.shape, np.nan))],
-        ids=["nan-potential", "nan-gradient"])
+        (lambda x: 0.5 * np.sum(x * x, axis=-1), lambda x: np.full(x.shape, np.nan)),
+        (lambda x: np.full(x.shape[:-1], np.inf), lambda x: x),
+        (lambda x: 0.5 * np.sum(x * x, axis=-1), lambda x: np.full(x.shape, -np.inf))],
+        ids=["nan-potential", "nan-gradient", "inf-potential", "inf-gradient"])
     def test_gradient_check_rejects_nan(self, U, grad):
-        with pytest.raises(ValueError, match="finite differences"):
+        with pytest.raises(ValueError, match=r"^U or grad is not finite at the probe \["):
             Potential(U=U, grad=grad, d=2)
+
+    def test_overflowing_potential_is_refused_as_not_finite(self):
+        # 1/sigma^2 = 1e308 is finite, but U overflows at a probe: the
+        # refusal names the overflow, not the finite differences, and warns
+        # of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="U or grad is not finite"):
+                zz_gaussian([1e-154])
 
     def test_builtin_potentials_pass_their_own_check(self):
         # construction runs the finite-difference gradient check

@@ -1,7 +1,9 @@
 import collections
 import dataclasses
 import math
+import os
 import re
+import time
 import warnings
 
 import numpy as np
@@ -268,6 +270,18 @@ class TestSimulation:
         with pytest.raises(EnvelopeViolation):
             simulate_zigzag(lying, IntensitySpec("canonical"), [5.0], [1.0],
                             horizon=100.0, rng=np.random.default_rng(0))
+
+    @pytest.mark.parametrize("c", [1e-6, 1e-4])
+    def test_envelope_violation_by_a_small_excess(self, c):
+        # U = c x^2 / 2 with a ray bound of 0: along the ray the rate grows
+        # as 1 + c u past the envelope 1 + 1e-12 u, an excess of about c u,
+        # which is above the 1e-9 slack and below 1e-3
+        creeping = Potential(U=lambda x: 0.5 * c * np.sum(x * x, axis=-1),
+                             grad=lambda x: c * x, d=1,
+                             hessian_bound=lambda x, v: 0.0)
+        with pytest.raises(EnvelopeViolation, match="exceeds envelope"):
+            simulate_zigzag(creeping, IntensitySpec("canonical", gamma=1.0), [0.0],
+                            [1.0], horizon=20.0, rng=np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind", ["canonical", "barker"])
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
@@ -775,10 +789,29 @@ class TestVarianceEstimation:
                                                replicates=4, lam=lam, seed=0)
 
 
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def record_forks(monkeypatch) -> list:
+    """Patch os.fork to list, in this process, the pid of each child."""
+    forks, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
 class TestLockstepReplicates:
     """estimate_var_continuous advances its replicates in lockstep and pools
-    their thinning intensities; it must return what one replicate after
-    another returns, bit for bit."""
+    their thinning intensities, in one process or in forked shares; it must
+    return what one replicate after another returns, bit for bit."""
 
     DW = zigzag.zz_double_well()
     G2 = zz_gaussian([0.7, 1.3])
@@ -828,6 +861,7 @@ class TestLockstepReplicates:
 
         monkeypatch.setattr(zigzag, "intensity", counting)
         monkeypatch.setattr(oracles, "batch_means_variance", mark)
+        monkeypatch.setattr(zigzag, "_cpus", lambda: 1)  # one share: all calls here
         args = (self.DW, IntensitySpec("penalty", eps=1.0), self.f, 50.0, 16, 0.0, 62)
         ref = estimate_var_continuous_reference(*args)
         solo_rows, rows[:] = sum(rows), []
@@ -835,6 +869,86 @@ class TestLockstepReplicates:
         assert len(per_replicate) == 16 and min(per_replicate) > 10
         assert len(rows) == max(per_replicate)
         assert sum(rows) == solo_rows
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize("replicates", [4, 16])
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_forked_shares_bit_identical(self, case, replicates, cpus, monkeypatch):
+        # each share runs in its own process; the estimate keeps its bits
+        pot, spec, horizon = self.CASES[case]
+        args = (pot, spec, self.f, horizon, replicates, 0.0, 61)
+        monkeypatch.setattr(zigzag, "_cpus", lambda: cpus)
+        assert (zigzag.estimate_var_continuous(*args, degree=2)
+                == estimate_var_continuous_reference(*args, degree=2))
+        assert_no_children()
+
+    @pytest.mark.parametrize("replicates, shares", [(2, 1), (3, 1), (4, 2), (7, 3),
+                                                    (8, 4), (16, 4)])
+    def test_two_replicates_per_share(self, replicates, shares, monkeypatch):
+        # min(CPUs, replicates // 2) shares, contiguous and in order
+        seen = []
+        real = zigzag._in_shares
+        monkeypatch.setattr(zigzag, "_cpus", lambda: 4)
+        monkeypatch.setattr(zigzag, "_in_shares",
+                            lambda run, parts: seen.extend(parts) or real(run, parts))
+        zigzag.estimate_var_continuous(zz_gaussian([1.0]), IntensitySpec(), self.f,
+                                       20.0, replicates, 0.0, 65)
+        assert len(seen) == shares and min(map(len, seen)) >= 2
+        assert [r for part in seen for r in part] == list(range(replicates))
+
+    def test_one_share_without_fork(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert zigzag._cpus() == 1
+
+    @pytest.mark.parametrize("error", [EnvelopeViolation, RuntimeError])
+    def test_child_error_raised_with_its_type_and_message(self, error, monkeypatch):
+        parent = os.getpid()
+
+        def f(x, v):
+            if os.getpid() != parent:
+                raise error(f"raised in child {os.getpid()}")
+            return x[:, 0]
+
+        forks = record_forks(monkeypatch)
+        monkeypatch.setattr(zigzag, "_cpus", lambda: 4)
+        with pytest.raises(error, match=r"^raised in child (\d+)$") as err:
+            zigzag.estimate_var_continuous(zz_gaussian([1.0]), IntensitySpec(), f,
+                                           20.0, 8, 0.0, 66)
+        # three children raised; the lowest share's error comes first
+        assert type(err.value) is error
+        assert len(forks) == 3 and str(err.value) == f"raised in child {forks[0]}"
+        assert_no_children()
+
+    def test_parent_error_comes_first_and_kills_children(self, monkeypatch):
+        parent = os.getpid()
+
+        def f(x, v):
+            if os.getpid() == parent:
+                raise RuntimeError("raised in the parent")
+            time.sleep(60)  # a child still running when the parent raises
+
+        monkeypatch.setattr(zigzag, "_cpus", lambda: 2)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="raised in the parent"):
+            zigzag.estimate_var_continuous(zz_gaussian([1.0]), IntensitySpec(), f,
+                                           20.0, 4, 0.0, 67)
+        assert time.monotonic() - t0 < 30
+        assert_no_children()
+
+    def test_child_that_dies_without_a_result(self, monkeypatch):
+        parent = os.getpid()
+
+        def f(x, v):
+            if os.getpid() != parent:
+                os._exit(7)
+            return x[:, 0]
+
+        monkeypatch.setattr(zigzag, "_cpus", lambda: 2)
+        with pytest.raises(RuntimeError, match=r"share 1 ended without a result "
+                                               r"\(exit status 7\)"):
+            zigzag.estimate_var_continuous(zz_gaussian([1.0]), IntensitySpec(), f,
+                                           20.0, 4, 0.0, 68)
+        assert_no_children()
 
     def test_envelope_violation_raises_through_estimator(self):
         lying = dataclasses.replace(self.DW, hessian_bound=lambda x, v: 0.05)
