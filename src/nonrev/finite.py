@@ -12,6 +12,9 @@ stochasticity checks 1e-12.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +23,7 @@ STRUCT_TOL = 1e-10
 SOLVE_TOL = 1e-8
 STOCH_TOL = 1e-12
 PSD_TOL = 1e-10
+_FORK_STATES = 256  # the smallest systems whose grid of solves forks (_map_grid)
 
 
 class NotReversibleError(ValueError):
@@ -218,14 +222,106 @@ def _lambda_grid(lambdas) -> list[float]:
     return grid
 
 
+def _cpus() -> int:
+    """The CPUs this process may run on; 1 where it cannot fork or ask."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _blas_threads() -> int:
+    """The BLAS's thread count, read as OpenBLAS reads it at start-up: the
+    first positive of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
+    OMP_NUM_THREADS, else the CPU count."""
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        try:
+            threads = int(os.environ.get(name, "0"))
+        except ValueError:
+            continue
+        if threads > 0:
+            return threads
+    return _cpus()
+
+
+def _split(items, n: int) -> list:
+    """items cut into n contiguous shares, in order."""
+    return [items[len(items) * k // n:len(items) * (k + 1) // n] for k in range(n)]
+
+
+def _in_shares(run, shares) -> list:
+    """[run(share) for share in shares], the first share in this process and
+    each other in a forked child (fork, not spawn: callers pass closures,
+    which do not pickle).  A child pickles its result, or the exception it
+    raised, into a pipe and leaves through os._exit.  Errors are raised
+    lowest share first, with their type and message, and no child outlives
+    the call."""
+    pids, pipes = [], []  # the children not yet reaped, and every read end
+    try:
+        for share in shares[1:]:
+            rfd, wfd = os.pipe()
+            pipes.append(os.fdopen(rfd, "rb"))
+            with os.fdopen(wfd, "wb") as w:  # the parent's write end closes here
+                pid = os.fork()
+                if pid == 0:
+                    try:
+                        try:
+                            out = (True, run(share))
+                        except Exception as exc:  # raised again in the parent
+                            out = (False, exc)
+                        pickle.dump(out, w)
+                        w.close()  # os._exit does not flush
+                        os._exit(0)
+                    finally:
+                        os._exit(1)
+            pids.append(pid)
+        results = [run(shares[0])]
+        for k, pipe in enumerate(pipes, 1):
+            data = pipe.read()
+            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
+            if status != 0:
+                raise RuntimeError(f"share {k} ended without a result "
+                                   f"(exit status {status})")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        return results
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _map_grid(fn, items, states: int) -> list:
+    """[fn(item) for item in items], for items that solve systems of the
+    given size.  From _FORK_STATES states on they are cut into CPUs //
+    BLAS-threads contiguous shares, each in its own process (_in_shares),
+    so no two shares compete for a BLAS thread; each item is computed as
+    it would be alone, so the results keep their bits."""
+    n = min(len(items), _cpus() // _blas_threads()) if states >= _FORK_STATES else 1
+    parts = _in_shares(lambda share: [fn(item) for item in share], _split(items, max(n, 1)))
+    return [out for part in parts for out in part]
+
+
+def _shifted(a: np.ndarray, c: float) -> np.ndarray:
+    """Id - c a in one pass over a.  It equals np.eye(n) - c * a entry for
+    entry, except that an off-diagonal zero of a gives -0.0 where that
+    gives +0.0; no solve branches on the sign of a zero."""
+    out = a * -c
+    out.flat[::a.shape[0] + 1] += 1.0
+    return out
+
+
 def _resolvent_var(fbar: np.ndarray, P: KernelMatrix, w: np.ndarray, grid) -> np.ndarray:
     """2<fbar, (Id - lam P)^{-1} fbar>_mu - |fbar|^2_mu per lam of the grid, one
-    solve each, for mu-weights w and a centred vector fbar or (n, m) block of
-    centred columns; the result has one row per lam."""
+    solve each (_map_grid), for mu-weights w and a centred vector fbar or
+    (n, m) block of centred columns; the result has one row per lam."""
     sq = w @ (fbar * fbar)
-    eye = np.eye(P.n)
-    return np.array([2.0 * (w @ (fbar * np.linalg.solve(eye - lam * P.entries, fbar))) - sq
-                     for lam in grid])
+    return np.array(_map_grid(
+        lambda lam: 2.0 * (w @ (fbar * np.linalg.solve(_shifted(P.entries, lam), fbar))) - sq,
+        grid, P.n))
 
 
 def var_lambda(f: Observable, P: KernelMatrix, mu: FiniteDistribution,
@@ -294,19 +390,20 @@ def var_lambda_cycle(f: Observable, P1: KernelMatrix, P2: KernelMatrix,
 
     Closed form at each lam via two resolvent solves with (Id - lam^2 P1 P2)
     and (Id - lam^2 P2 P1), the products formed once; symmetric in (P1, P2).
+    The two families of solves are the two items of a _map_grid.
     """
     grid = _lambda_grid(lambdas)
     _check_dims(f.n, P1.n, P2.n, mu.n)
     fbar = centered(f, mu)
     sq = inner(fbar, fbar, mu)
-    eye = np.eye(P1.n)
-    p12, p21 = P1.entries @ P2.entries, P2.entries @ P1.entries
-    out = []
-    for lam in grid:
-        a = np.linalg.solve(eye - lam ** 2 * p12, fbar + lam * P1.entries @ fbar)
-        b = np.linalg.solve(eye - lam ** 2 * p21, fbar + lam * P2.entries @ fbar)
-        out.append(inner(fbar, a, mu) + inner(fbar, b, mu) - sq)
-    return np.array(out)
+
+    def family(pair):  # the grid's solves with Id - lam^2 Pa Pb
+        pa, pb = pair
+        pab = pa @ pb
+        return [inner(fbar, np.linalg.solve(_shifted(pab, lam ** 2), fbar + lam * pa @ fbar), mu)
+                for lam in grid]
+    a, b = _map_grid(family, [(P1.entries, P2.entries), (P2.entries, P1.entries)], P1.n)
+    return np.array([x + y - sq for x, y in zip(a, b)])
 
 
 def psd_certificate(a: np.ndarray) -> OrderingCertificate:

@@ -23,14 +23,12 @@ transport term, so their Dirichlet-form gap needs J alone.
 from __future__ import annotations
 
 import math
-import os
-import pickle
-import signal
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import samplers
+from .finite import _cpus, _in_shares, _split
 from .samplers import Potential
 
 
@@ -468,59 +466,6 @@ def batch_means_variance(traj: ZigZagTrajectory, f, t_start: float,
     return float(delta * means.var(ddof=1))
 
 
-def _cpus() -> int:
-    """The CPUs this process may run on; 1 where it cannot fork or ask."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    return len(os.sched_getaffinity(0))
-
-
-def _in_shares(run, shares) -> list:
-    """[run(share) for share in shares], the first share in this process and
-    each other in a forked child (fork, not spawn: the potential and the
-    observable are closures, which do not pickle).  A child pickles its
-    result, or the exception it raised, into a pipe and leaves through
-    os._exit.  Errors are raised lowest share first, with their type and
-    message, and no child outlives the call."""
-    pids, pipes = [], []  # the children not yet reaped, and every read end
-    try:
-        for share in shares[1:]:
-            rfd, wfd = os.pipe()
-            pipes.append(os.fdopen(rfd, "rb"))
-            with os.fdopen(wfd, "wb") as w:  # the parent's write end closes here
-                pid = os.fork()
-                if pid == 0:
-                    try:
-                        try:
-                            out = (True, run(share))
-                        except Exception as exc:  # raised again in the parent
-                            out = (False, exc)
-                        pickle.dump(out, w)
-                        w.close()  # os._exit does not flush
-                        os._exit(0)
-                    finally:
-                        os._exit(1)
-            pids.append(pid)
-        results = [run(shares[0])]
-        for k, pipe in enumerate(pipes, 1):
-            data = pipe.read()
-            status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
-            if status != 0:
-                raise RuntimeError(f"replicate share {k} ended without a result "
-                                   f"(exit status {status})")
-            ok, value = pickle.loads(data)
-            if not ok:
-                raise value
-            results.append(value)
-        return results
-    finally:
-        for pipe in pipes:
-            pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
 def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
                             horizon: float, replicates: int, lam: float,
                             seed: int, degree: int | None = None):
@@ -549,9 +494,8 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
         traj = yield from _event_loop(pot, spec, np.zeros(pot.d), v0, horizon + burn, rng)
         return batch_means_variance(traj, f, burn, burn + horizon, degree)
     n = min(_cpus(), replicates // 2)  # both are at least 1
-    shares = [range(replicates * k // n, replicates * (k + 1) // n) for k in range(n)]
     parts = _in_shares(lambda share: _lockstep(spec, pot, [replicate(r) for r in share]),
-                       shares)
+                       _split(range(replicates), n))
     per = np.array([e for part in parts for e in part])
     return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))
 

@@ -7,10 +7,11 @@ a block solve, one intensity call per thinning proposal in place of a
 block, one lambda per call in place of a grid, a centred second pass in
 place of one batch-means pass) or builds a target the catalog does not use,
 so it lives beside the tests that use it rather than inside the package
-under test.  Five are earlier forms of package code kept verbatim (the two
-flip-time references, expectation_mu, the per-function gap and the GHMC
-driver that recorded every observable on every step), so that a rewrite can
-be held to them bit for bit.
+under test.  Eight are earlier forms of package code kept verbatim (the two
+flip-time references, expectation_mu, the per-function gap, the GHMC
+driver that recorded every observable on every step, and the finite grids
+and neal-ordering loop that solved every lambda in this process), so that a
+rewrite can be held to them bit for bit.
 """
 
 import math
@@ -18,6 +19,8 @@ import math
 import numpy as np
 from scipy.interpolate import CubicSpline
 
+from nonrev import finite, zoo
+from nonrev.experiments import ResultRow, _check, _neal_t2
 from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            HypothesisNotCertified, KernelMatrix, Observable,
                            OrderingReport, _check_dims, _lambda_grid, centered,
@@ -371,6 +374,63 @@ def exact_flip_time_reference(a: float, b: float, gamma: float, e: float) -> flo
         return e / gamma
     rem = e - gamma * t0
     return t0 + 2 * rem / (gamma + math.sqrt(gamma * gamma + 2 * b * rem))
+
+
+# Earlier forms of finite._resolvent_var, finite.var_lambda_cycle and the
+# lambda loop of experiments.run_neal_ordering, verbatim: every system built
+# as eye - c P and solved in this process, and each neal observable drawn
+# inside the loop.
+
+def resolvent_var_reference(fbar: np.ndarray, P: KernelMatrix, w: np.ndarray,
+                            grid) -> np.ndarray:
+    sq = w @ (fbar * fbar)
+    eye = np.eye(P.n)
+    return np.array([2.0 * (w @ (fbar * np.linalg.solve(eye - lam * P.entries, fbar))) - sq
+                     for lam in grid])
+
+
+def var_lambda_cycle_grid_reference(f: Observable, P1: KernelMatrix, P2: KernelMatrix,
+                                    mu: FiniteDistribution, lambdas) -> np.ndarray:
+    grid = _lambda_grid(lambdas)
+    _check_dims(f.n, P1.n, P2.n, mu.n)
+    fbar = centered(f, mu)
+    sq = inner(fbar, fbar, mu)
+    eye = np.eye(P1.n)
+    p12, p21 = P1.entries @ P2.entries, P2.entries @ P1.entries
+    out = []
+    for lam in grid:
+        a = np.linalg.solve(eye - lam ** 2 * p12, fbar + lam * P1.entries @ fbar)
+        b = np.linalg.solve(eye - lam ** 2 * p21, fbar + lam * P2.entries @ fbar)
+        out.append(inner(fbar, a, mu) + inner(fbar, b, mu) - sq)
+    return np.array(out)
+
+
+def run_neal_ordering_reference(cfg: dict, seed: int):
+    T2, pi = _neal_t2(cfg["weights"])
+    P1, P2, mu, Q = zoo.neal_pair_kernels(T2, pi)
+    n = pi.n
+    rng = np.random.default_rng(seed)
+    rows, resids, diffs = [], [], []
+    for lam in cfg["lambdas"]:  # a fresh observable per lambda
+        f = rng.standard_normal(n)
+        g = Observable(np.add.outer(f, f).ravel())  # g(x1,x2) = f(x1)+f(x2)
+        fb = Observable(np.repeat(f, n))            # f(x1) lifted to pairs
+        fbar = finite.centered(Observable(f), pi)
+        var_pi = finite.inner(fbar, fbar, pi)
+        vals = {}
+        for name, P in (("P1", P1), ("P2", P2)):
+            vg = finite.var_lambda(g, P, mu, [lam])[0]
+            vf = finite.var_lambda(fb, P, mu, [lam])[0]
+            vals[name] = vf
+            ident = -(1 - lam ** 2) / lam * var_pi + (1 + lam) ** 2 / lam * vf
+            resid = abs(vg - ident)
+            resids.append(resid)
+            rows.append(ResultRow("neal-ordering", name, lam, vg, 0.0, ident,
+                                  resid <= 1e-9))
+        diffs.append(vals["P1"] - vals["P2"])
+    checks = [_check("pair-variance-identity", resids),
+              _check("never-stay-dominates", diffs)]
+    return rows, checks
 
 
 # Per-state loop references for the zoo constructors, which build the same

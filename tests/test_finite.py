@@ -1,4 +1,6 @@
+import functools
 import math
+import os
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
 import oracles
 from oracles import (dirichlet_form, dirichlet_form_halfsum, project_symmetric,
                      var_lambda_cycle_series)
+from test_zigzag import assert_no_children, record_forks
 
 
 def two_state_flip(p):
@@ -616,3 +619,170 @@ class TestBatchedOrderingCheck:
                                                        rel=1e-12, abs=1e-15)
         assert got.max_violation_minus == pytest.approx(ref.max_violation_minus,
                                                         rel=1e-12, abs=1e-15)
+
+
+@functools.cache
+def ring_400():
+    """Of ring_families on the 200-site ring, the Gustafson and convex
+    lifted kernels (400 states) and the collapsed kernel (200), then one
+    extra-chance and one flow cycle (400)."""
+    single, cycles = ring_families(*RINGS["200-site"])
+    return [single[0], single[2], single[-1]], [cycles[1], cycles[-1]]
+
+
+def forced_shares(monkeypatch, shares):
+    """Every grid, on however few states, forks into `shares` shares."""
+    monkeypatch.setattr(finite, "_cpus", lambda: shares)
+    monkeypatch.setattr(finite, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(finite, "_FORK_STATES", 1)
+
+
+def report_hex(report):
+    return report.max_violation_plus.hex(), report.max_violation_minus.hex()
+
+
+class TestGridInShares:
+    """The finite grids, their systems built in one pass and their solves
+    run in forked shares, against the earlier in-process forms kept in
+    tests/oracles.py: the same bytes under 1, 2 and 4 forced shares."""
+
+    @pytest.mark.parametrize("shares", [1, 2, 4])
+    def test_ring_kernels_bitwise(self, shares, monkeypatch):
+        single, cycles = ring_400()
+        forced_shares(monkeypatch, shares)
+        forks = record_forks(monkeypatch)
+        for name, f, P, mu in single:
+            ref = oracles.resolvent_var_reference(finite.centered(f, mu), P, mu.weights,
+                                                  CATALOG_LAMBDAS)
+            got = finite.var_lambda(f, P, mu, CATALOG_LAMBDAS)
+            assert got.tobytes() == ref.tobytes(), name
+        for name, f, P1, P2, mu in cycles:
+            ref = oracles.var_lambda_cycle_grid_reference(f, P1, P2, mu, CATALOG_LAMBDAS)
+            got = finite.var_lambda_cycle(f, P1, P2, mu, CATALOG_LAMBDAS)
+            assert got.tobytes() == ref.tobytes(), name
+        # a 9-lambda grid forks shares - 1 children, a cycle's two families one
+        assert len(forks) == len(single) * (shares - 1) + len(cycles) * min(shares - 1, 1)
+        assert_no_children()
+
+    @pytest.mark.parametrize("shares", [1, 2, 4])
+    def test_neal_ordering_bitwise(self, shares, monkeypatch):
+        cfg = {"weights": tuple(0.5 + np.random.default_rng(20).random(20)),
+               "lambdas": CATALOG_LAMBDAS}
+        ref_rows, ref_checks = oracles.run_neal_ordering_reference(cfg, 7)
+        forced_shares(monkeypatch, shares)
+        forks = record_forks(monkeypatch)
+        rows, checks = experiments.run_neal_ordering(cfg, 7)
+        assert [r.to_csv() for r in rows] == [r.to_csv() for r in ref_rows]
+        assert [{k: repr(v) for k, v in c.items()} for c in checks] == [
+            {k: repr(v) for k, v in c.items()} for c in ref_checks]
+        assert len(forks) == shares - 1  # one lambda per call: only the loop forks
+        assert_no_children()
+
+    @pytest.mark.parametrize("shares", [1, 2, 4])
+    def test_tiny_ordering_pairs_bitwise(self, shares, monkeypatch):
+        forced_shares(monkeypatch, shares)
+        for seed in range(8):
+            P1, P2, mu, Q = lifted_dominated_pair(seed, n=3 + seed % 4)
+            got = finite.verify_ordering_theorem(P1, P2, mu, Q, LAMS, trials=20,
+                                                 rng_seed=seed)
+            ref = oracles.verify_ordering_block_reference(P1, P2, mu, Q, LAMS, trials=20,
+                                                          rng_seed=seed)
+            assert report_hex(got) == report_hex(ref)
+        assert_no_children()
+
+    def test_shifted_is_eye_minus_c_a(self):
+        single, _cycles = ring_families(*RINGS["default"])
+        (_, _, gustafson, _), (_, _, lifted, _), *_ = single
+        T2, pi = experiments._neal_t2((0.2, 0.3, 0.5))
+        neal, *_ = zoo.neal_pair_kernels(T2, pi)
+        mu, Q, psi, R, _f = experiments._ring_cycle(experiments.DEFAULT_RING)
+        extra = zoo.extra_chance_finite(mu, psi, Q, 2)
+        for P in (gustafson, lifted, neal, extra, R):
+            a = P.entries
+            off = ~np.eye(P.n, dtype=bool)
+            assert (a[off] == 0).any()
+            for c in (0.0, 0.25, 0.81, 0.99):
+                got, ref = finite._shifted(a, c), np.eye(P.n) - c * a
+                assert np.array_equal(got, ref)
+                # only the off-diagonal zeros change sign, to -0.0
+                assert np.array_equal(np.signbit(got) != np.signbit(ref), off & (ref == 0))
+
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (2, 4), (4, 4), (4, 3)])
+    def test_no_fork_when_blas_threads_fill_the_cpus(self, cpus, threads, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(finite, "_cpus", lambda: cpus)
+        monkeypatch.setattr(finite, "_blas_threads", lambda: threads)
+        (name, f, P, mu), *_ = ring_400()[0]
+        assert P.n == 400
+        finite.var_lambda(f, P, mu, CATALOG_LAMBDAS)
+        (name, f, P1, P2, mu), *_ = ring_400()[1]
+        finite.var_lambda_cycle(f, P1, P2, mu, CATALOG_LAMBDAS)
+
+    def test_no_fork_below_256_states(self, monkeypatch):
+        # the 200-state collapsed kernel, catalog defaults and the benchmark's
+        # warm-up sizes stay in this process whatever the CPUs
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        monkeypatch.setattr(finite, "_cpus", lambda: 4)
+        monkeypatch.setattr(finite, "_blas_threads", lambda: 1)
+        name, f, P, mu = ring_400()[0][-1]
+        assert name == "collapsed" and P.n == 200
+        finite.var_lambda(f, P, mu, CATALOG_LAMBDAS)
+        warm = {"gustafson-ring": 12, "lifted-ordering": 12, "two-cycle-extra-chance": 12,
+                "neal-ordering": 4}  # finite-exact's warm-up weights
+        for name, k in warm.items():
+            _desc, defaults, runner = experiments.EXPERIMENTS[name]
+            runner(defaults, 1)
+            runner({**defaults, "weights": tuple(np.linspace(0.5, 1.5, k))}, 1)
+
+    @pytest.mark.parametrize("states, shares", [(255, [9]), (256, [2, 2, 2, 3]),
+                                                (400, [2, 2, 2, 3])])
+    def test_share_rule(self, states, shares, monkeypatch):
+        # CPUs // BLAS threads contiguous shares from 256 states on
+        seen = []
+        monkeypatch.setattr(finite, "_cpus", lambda: 8)
+        monkeypatch.setattr(finite, "_blas_threads", lambda: 2)
+        monkeypatch.setattr(finite, "_in_shares",
+                            lambda run, parts: seen.extend(parts) or list(map(run, parts)))
+        assert finite._map_grid(lambda x: -x, list(range(9)), states) == [
+            -x for x in range(9)]
+        assert list(map(len, seen)) == shares
+        assert [x for part in seen for x in part] == list(range(9))
+
+    @pytest.mark.parametrize("env, threads", [
+        ({}, "cpus"), ({"OMP_NUM_THREADS": "3"}, 3),
+        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, 2),
+        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, 1),
+        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "3"}, 3),
+        ({"OPENBLAS_NUM_THREADS": "two", "GOTO_NUM_THREADS": "-1"}, "cpus")])
+    def test_blas_threads_read_as_openblas_does(self, env, threads, monkeypatch):
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        monkeypatch.setattr(finite, "_cpus", lambda: 5)
+        assert finite._blas_threads() == (5 if threads == "cpus" else threads)
+
+    def test_child_linalg_error_raised_with_its_type_and_message(self, monkeypatch):
+        parent, solve = os.getpid(), np.linalg.solve
+
+        def failing(a, b):
+            if os.getpid() != parent:
+                raise np.linalg.LinAlgError(f"singular in child {os.getpid()}")
+            return solve(a, b)
+
+        forced_shares(monkeypatch, 4)
+        forks = record_forks(monkeypatch)
+        monkeypatch.setattr(np.linalg, "solve", failing)
+        name, f, P, mu = ring_families(*RINGS["default"])[0][0]
+        with pytest.raises(np.linalg.LinAlgError) as err:
+            finite.var_lambda(f, P, mu, CATALOG_LAMBDAS)
+        # three children raised; the lowest share's error comes first
+        assert type(err.value) is np.linalg.LinAlgError
+        assert len(forks) == 3 and str(err.value) == f"singular in child {forks[0]}"
+        assert_no_children()

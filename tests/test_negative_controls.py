@@ -408,3 +408,59 @@ def test_every_check_has_a_control_or_no_power():
     nan_controlled = {f"{name} :: {check}" for name, check, _p in NAN_CONTROLS}
     assert len(nan_controlled) == len(NAN_CONTROLS)
     assert nan_controlled == emitted - STRUCTURAL and STRUCTURAL <= emitted
+
+
+# every catalog check's tolerance, pinned: a loosened tol fails here
+TOLS = {
+    "gustafson-ring": {"invariance": 1e-9, "muQ-reversible": 1e-9,
+                       "reversible-parts-detailed-balance": 1e-9,
+                       "series-oracle-agreement": 1e-8},
+    "lifted-ordering": {"rate-ordering-minimal<=convex<=maximal": 1e-9,
+                        "lifted<=collapsed": 1e-9},
+    "neal-ordering": {"pair-variance-identity": 1e-9, "never-stay-dominates": 1e-9},
+    "two-cycle-extra-chance": {"variance-nonincreasing-in-K": 1e-9,
+                               "dirichlet-form-nondecreasing-in-K": 1e-10},
+    "ghmc-phi-compare": {"finite-metropolis<=barker": 1e-9,
+                         "mc-metropolis<=barker+2se": 0.0},
+    "zigzag-1d-gamma": {"canonical<=plus-gamma+2se": 0.0, "dirichlet-gap-nonnegative": 1e-8},
+    "zigzag-2d-refresh": {"gap-nonnegative-on-basis": 1e-8, "partial<=full+2se": 0.0},
+    "phi-eps-bounds": {"balance-symmetry": 1e-10, "appendix-bound": 1e-12,
+                       "monotone-in-eps": 1e-12},
+}
+# each tolerance, and the next float above it
+BOUNDARIES = sorted({v for tols in TOLS.values() for t in tols.values()
+                     for v in (t, math.nextafter(t, math.inf))})
+
+
+def catalog_summaries(out: Path) -> dict:
+    """The checks of every catalog entry's <name>_summary.json, run through
+    the CLI at SMALL's sizes; the exit code must agree with the flags."""
+    checks = {}
+    for name in experiments.EXPERIMENTS:
+        path = out / f"{name}.json"
+        path.write_text(json.dumps({"experiment": name, "seed": 1, **SMALL.get(name, {})}))
+        code = cli.main(["run", str(path), "--out", str(out)])
+        summary = json.loads((out / f"{name}_summary.json").read_text(encoding="utf-8"))
+        checks[name] = summary["checks"]
+        assert code == (0 if all(c["pass"] for c in checks[name]) else 3)
+    return checks
+
+
+def test_pass_flag_is_its_violation_within_its_pinned_tol(tmp_path):
+    summaries = catalog_summaries(tmp_path)
+    assert list(summaries) == list(TOLS)
+    for name, checks in summaries.items():
+        assert {c["name"]: c["tol"] for c in checks} == TOLS[name]
+        for c in checks:
+            assert c["pass"] == (c["max_violation"] <= c["tol"]), (name, c)
+
+
+@pytest.mark.parametrize("violation", BOUNDARIES)
+def test_pass_flag_flips_at_its_tol(violation, tmp_path, monkeypatch):
+    # every check reads the same violation: each passes at its tol, and
+    # fails one float above it
+    monkeypatch.setattr(finite, "worst_excess", lambda excess: violation)
+    for name, checks in catalog_summaries(tmp_path).items():
+        for c in checks:
+            assert c["max_violation"] == violation
+            assert c["pass"] == (violation <= TOLS[name][c["name"]]), (name, c)
