@@ -153,9 +153,9 @@ def run_two_cycle_extra_chance(cfg: dict, seed: int):
                      for K in Ks])  # K x lambda
     rows = [ResultRow("two-cycle-extra-chance", f"K={K}", lam, v[i])
             for i, lam in enumerate(lams) for K, v in zip(Ks, vals)]
-    # Dirichlet forms of P_K Q nondecreasing in K, certified by PSD test
+    # Dirichlet forms of Q P_K (and so of P_K Q) nondecreasing in K, certified by PSD test
     neg_eigs = [-finite.dirichlet_dominance_certificate(
-        kernels[Kb], kernels[Ka], mu, Q, side="right").dominance_matrix_min_eig
+        kernels[Kb], kernels[Ka], mu, Q).dominance_matrix_min_eig
         for Ka, Kb in zip(Ks[:-1], Ks[1:])]
     checks = [_check("variance-nonincreasing-in-K", vals[1:] - vals[:-1]),
               _check("dirichlet-form-nondecreasing-in-K", neg_eigs, finite.PSD_TOL)]

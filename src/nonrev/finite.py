@@ -176,15 +176,6 @@ def check_isometric_involution(Q: DeterministicInvolution, mu: FiniteDistributio
     return bool(np.max(np.abs(mu.weights[Q.perm] - mu.weights)) <= STRUCT_TOL)
 
 
-def adjoint(P: KernelMatrix, mu: FiniteDistribution) -> KernelMatrix:
-    """mu-adjoint kernel P*(z, z') = mu(z') P(z', z) / mu(z)."""
-    _check_dims(P.n, mu.n)
-    if not check_invariance(P, mu):
-        raise NotReversibleError("P does not leave mu invariant; adjoint is not stochastic")
-    w = mu.weights
-    return KernelMatrix((w[None, :] * P.entries.T) / w[:, None])
-
-
 def check_mu_reversible(P: KernelMatrix, mu: FiniteDistribution) -> bool:
     """Detailed balance: mu(z) P(z, z') = mu(z') P(z', z)."""
     _check_dims(P.n, mu.n)
@@ -194,15 +185,16 @@ def check_mu_reversible(P: KernelMatrix, mu: FiniteDistribution) -> bool:
 
 def check_muQ_reversible(P: KernelMatrix, mu: FiniteDistribution,
                          Q: DeterministicInvolution) -> bool:
-    """True iff P leaves mu invariant and its mu-adjoint equals QPQ
-    entrywise within 1e-10."""
+    """True iff P leaves mu invariant and its mu-adjoint
+    P*(z, z') = mu(z') P(z', z) / mu(z) equals QPQ entrywise within 1e-10."""
     _check_dims(P.n, mu.n, Q.n)
     if not check_isometric_involution(Q, mu):
         raise ValueError("Q is not a mu-isometric involution")
     if not check_invariance(P, mu):
         return False  # QPQ is stochastic, the mu-adjoint of such a P is not
+    w = mu.weights
     qpq = P.entries[Q.perm][:, Q.perm]  # Q is a permutation: gathers, not products
-    return bool(np.max(np.abs(adjoint(P, mu).entries - qpq)) <= STRUCT_TOL)
+    return bool(np.max(np.abs(w[None, :] * P.entries.T / w[:, None] - qpq)) <= STRUCT_TOL)
 
 
 def reversible_parts(P: KernelMatrix, Q: DeterministicInvolution):
@@ -243,18 +235,15 @@ def _blas_threads() -> int:
     return _cpus()
 
 
-def _split(items, n: int) -> list:
-    """items cut into n contiguous shares, in order."""
-    return [items[len(items) * k // n:len(items) * (k + 1) // n] for k in range(n)]
-
-
-def _in_shares(run, shares) -> list:
-    """[run(share) for share in shares], the first share in this process and
-    each other in a forked child (fork, not spawn: callers pass closures,
-    which do not pickle).  A child pickles its result, or the exception it
+def _in_shares(run, items, n: int) -> list:
+    """The lists run(share) for the items cut into n contiguous shares,
+    concatenated in order: the first share runs in this process and each
+    other in a forked child (fork, not spawn: callers pass closures, which
+    do not pickle).  A child pickles its result, or the exception it
     raised, into a pipe and leaves through os._exit.  Errors are raised
     lowest share first, with their type and message, and no child outlives
     the call."""
+    shares = [items[len(items) * k // n:len(items) * (k + 1) // n] for k in range(n)]
     pids, pipes = [], []  # the children not yet reaped, and every read end
     try:
         for share in shares[1:]:
@@ -274,7 +263,7 @@ def _in_shares(run, shares) -> list:
                     finally:
                         os._exit(1)
             pids.append(pid)
-        results = [run(shares[0])]
+        results = run(shares[0])
         for k, pipe in enumerate(pipes, 1):
             data = pipe.read()
             status = os.waitstatus_to_exitcode(os.waitpid(pids.pop(0), 0)[1])
@@ -284,7 +273,7 @@ def _in_shares(run, shares) -> list:
             ok, value = pickle.loads(data)
             if not ok:
                 raise value
-            results.append(value)
+            results.extend(value)
         return results
     finally:
         for pipe in pipes:
@@ -301,8 +290,7 @@ def _map_grid(fn, items, states: int) -> list:
     so no two shares compete for a BLAS thread; each item is computed as
     it would be alone, so the results keep their bits."""
     n = min(len(items), _cpus() // _blas_threads()) if states >= _FORK_STATES else 1
-    parts = _in_shares(lambda share: [fn(item) for item in share], _split(items, max(n, 1)))
-    return [out for part in parts for out in part]
+    return _in_shares(lambda share: [fn(item) for item in share], items, max(n, 1))
 
 
 def _shifted(a: np.ndarray, c: float) -> np.ndarray:
@@ -419,24 +407,18 @@ def psd_certificate(a: np.ndarray) -> OrderingCertificate:
 
 def dirichlet_dominance_certificate(P1: KernelMatrix, P2: KernelMatrix,
                                     mu: FiniteDistribution,
-                                    Q: DeterministicInvolution,
-                                    side: str = "left") -> OrderingCertificate:
-    """Certify E(g, QP1) >= E(g, QP2) for all g (or the PQ analogue).
+                                    Q: DeterministicInvolution) -> OrderingCertificate:
+    """Certify E(g, QP1) >= E(g, QP2) for all g.
 
     The hypothesis holds for every g iff the mu-symmetrized difference
-    D^{1/2} (QP2 - QP1) D^{-1/2} (resp. P2 Q - P1 Q), D = diag(mu), passes
-    psd_certificate.
+    D^{1/2} (QP2 - QP1) D^{-1/2}, D = diag(mu), passes psd_certificate.
+    The PQ form certifies the same: PQ = Q(QP)Q and Q commutes with D.
     """
     _check_dims(P1.n, P2.n, mu.n, Q.n)
     for P in (P1, P2):
         if not check_muQ_reversible(P, mu, Q):
             raise NotReversibleError("certificate requires (mu,Q)-reversible kernels")
-    if side == "left":
-        s = P2.entries[Q.perm] - P1.entries[Q.perm]
-    elif side == "right":
-        s = P2.entries[:, Q.perm] - P1.entries[:, Q.perm]
-    else:
-        raise ValueError("side must be 'left' or 'right'")
+    s = P2.entries[Q.perm] - P1.entries[Q.perm]
     r = np.sqrt(mu.weights)
     return psd_certificate((r[:, None] * s) / r[None, :])
 
@@ -465,7 +447,7 @@ def verify_ordering_theorem(P1: KernelMatrix, P2: KernelMatrix,
     lambdas = _lambda_grid(lambdas)
     if trials < 1:
         raise ValueError("the check needs trials >= 1")
-    cert = dirichlet_dominance_certificate(P1, P2, mu, Q, side="left")
+    cert = dirichlet_dominance_certificate(P1, P2, mu, Q)
     if not cert.holds:
         raise HypothesisNotCertified(
             f"dominance certificate fails (min eig {cert.dominance_matrix_min_eig:.3e})")

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import samplers
-from .finite import _cpus, _in_shares, _split
+from .finite import _cpus, _in_shares
 from .samplers import Potential
 
 
@@ -494,9 +494,8 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
         traj = yield from _event_loop(pot, spec, np.zeros(pot.d), v0, horizon + burn, rng)
         return batch_means_variance(traj, f, burn, burn + horizon, degree)
     n = min(_cpus(), replicates // 2)  # both are at least 1
-    parts = _in_shares(lambda share: _lockstep(spec, pot, [replicate(r) for r in share]),
-                       _split(range(replicates), n))
-    per = np.array([e for part in parts for e in part])
+    per = np.array(_in_shares(lambda share: _lockstep(spec, pot, [replicate(r) for r in share]),
+                              range(replicates), n))
     return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))
 
 

@@ -7,11 +7,12 @@ a block solve, one intensity call per thinning proposal in place of a
 block, one lambda per call in place of a grid, a centred second pass in
 place of one batch-means pass) or builds a target the catalog does not use,
 so it lives beside the tests that use it rather than inside the package
-under test.  Eight are earlier forms of package code kept verbatim (the two
+under test.  Nine are earlier forms of package code kept verbatim (the two
 flip-time references, expectation_mu, the per-function gap, the GHMC
-driver that recorded every observable on every step, and the finite grids
-and neal-ordering loop that solved every lambda in this process), so that a
-rewrite can be held to them bit for bit.
+driver that recorded every observable on every step, the finite grids
+and neal-ordering loop that solved every lambda in this process, and the
+PQ form of the dominance certificate), so that a rewrite can be held to
+them bit for bit.
 """
 
 import math
@@ -22,10 +23,11 @@ from scipy.interpolate import CubicSpline
 from nonrev import finite, zoo
 from nonrev.experiments import ResultRow, _check, _neal_t2
 from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
-                           HypothesisNotCertified, KernelMatrix, Observable,
-                           OrderingReport, _check_dims, _lambda_grid, centered,
-                           check_mu_reversible, dirichlet_dominance_certificate,
-                           inner)
+                           HypothesisNotCertified, KernelMatrix, NotReversibleError,
+                           Observable, OrderingCertificate, OrderingReport,
+                           _check_dims, _lambda_grid, centered, check_mu_reversible,
+                           check_muQ_reversible, dirichlet_dominance_certificate,
+                           inner, psd_certificate)
 from nonrev.samplers import Potential, _energy, replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, _all_velocities, _gh_nodes,
                            _window_integrals, batch_means_variance, intensity,
@@ -302,7 +304,7 @@ def verify_ordering_reference(P1: KernelMatrix, P2: KernelMatrix,
                               rng_seed: int = 0) -> OrderingReport:
     """Per-vector oracle for finite.verify_ordering_theorem: one observable
     and one var_lambda_reference solve at a time, on the same draws."""
-    cert = dirichlet_dominance_certificate(P1, P2, mu, Q, side="left")
+    cert = dirichlet_dominance_certificate(P1, P2, mu, Q)
     if not cert.holds:
         raise HypothesisNotCertified(
             f"dominance certificate fails (min eig {cert.dominance_matrix_min_eig:.3e})")
@@ -324,8 +326,8 @@ def verify_ordering_reference(P1: KernelMatrix, P2: KernelMatrix,
 
 # Earlier forms of package code, verbatim: finite.verify_ordering_theorem
 # with its own copy of the var_lambda formula, solving both kernels per
-# lambda inside the loop, and zigzag._exact_flip_time with a separate
-# gamma == 0, a >= 0 branch.
+# lambda inside the loop, the PQ form of the dominance certificate, and
+# zigzag._exact_flip_time with a separate gamma == 0, a >= 0 branch.
 
 def verify_ordering_block_reference(P1: KernelMatrix, P2: KernelMatrix,
                                     mu: FiniteDistribution, Q: DeterministicInvolution,
@@ -334,7 +336,7 @@ def verify_ordering_block_reference(P1: KernelMatrix, P2: KernelMatrix,
     lambdas = _lambda_grid(lambdas)
     if trials < 1:
         raise ValueError("the check needs trials >= 1")
-    cert = dirichlet_dominance_certificate(P1, P2, mu, Q, side="left")
+    cert = dirichlet_dominance_certificate(P1, P2, mu, Q)
     if not cert.holds:
         raise HypothesisNotCertified(
             f"dominance certificate fails (min eig {cert.dominance_matrix_min_eig:.3e})")
@@ -353,6 +355,20 @@ def verify_ordering_block_reference(P1: KernelMatrix, P2: KernelMatrix,
         worst_plus = max(worst_plus, float(np.max(v1[:trials] - v2[:trials])))
         worst_minus = max(worst_minus, float(np.max(v2[trials:] - v1[trials:])))
     return OrderingReport(worst_plus, worst_minus)
+
+
+def dirichlet_dominance_certificate_pq(P1: KernelMatrix, P2: KernelMatrix,
+                                       mu: FiniteDistribution,
+                                       Q: DeterministicInvolution) -> OrderingCertificate:
+    """The PQ form of finite.dirichlet_dominance_certificate (its former
+    side="right"): the mu-symmetrized D^{1/2} (P2 Q - P1 Q) D^{-1/2}."""
+    _check_dims(P1.n, P2.n, mu.n, Q.n)
+    for P in (P1, P2):
+        if not check_muQ_reversible(P, mu, Q):
+            raise NotReversibleError("certificate requires (mu,Q)-reversible kernels")
+    s = P2.entries[:, Q.perm] - P1.entries[:, Q.perm]
+    r = np.sqrt(mu.weights)
+    return psd_certificate((r[:, None] * s) / r[None, :])
 
 
 def exact_flip_time_reference(a: float, b: float, gamma: float, e: float) -> float:

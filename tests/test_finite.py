@@ -134,30 +134,56 @@ class TestIsometricInvolution:
         assert not finite.check_isometric_involution(Q, mu)
 
 
+def near_invariant_pair(moved):
+    """A lifted guided walk on a ring with a low-mass site, and the same
+    kernel with `moved` mass shifted between the two positive entries of
+    row 3: mu stays invariant to 1e-10, but at the low-mass states the
+    mu-adjoint's rows miss 1 by about 1e3 `moved`."""
+    P, mu, Q = zoo.lifted_kernel(
+        zoo.guided_walk_ring(zoo.RingTarget([1e-3, 1, 1]), (1.0,)), 1.0)
+    a = P.entries.copy()
+    i, j = np.flatnonzero(a[3] > 0)
+    a[3, i] -= moved
+    a[3, j] += moved
+    return P, KernelMatrix(a), mu, Q
+
+
 class TestAdjoint:
+    """check_muQ_reversible forms the mu-adjoint mu(z') P(z', z) / mu(z)
+    itself and compares it with QPQ."""
+
     def test_reversible_fixed_point(self):
-        P = two_state_flip(0.3)
-        assert np.allclose(finite.adjoint(P, UNIF2).entries, P.entries,
-                           atol=1e-14)
+        # with Q the identity, a mu-reversible kernel is its own adjoint
+        mu = FiniteDistribution.from_unnormalized(np.random.default_rng(0).random(4) + 0.1)
+        every_row_mu = KernelMatrix(np.tile(mu.weights, (4, 1)))
+        for P, m in ((two_state_flip(0.3), UNIF2), (every_row_mu, mu)):
+            assert finite.check_mu_reversible(P, m)
+            assert finite.check_muQ_reversible(P, m, DeterministicInvolution(np.arange(P.n)))
 
     def test_cyclic_shift(self):
+        # the adjoint of z -> z + 1 is z -> z - 1: QPQ for the reversal
+        # z -> 3 - z, not P itself
         P = KernelMatrix(np.roll(np.eye(4), 1, axis=1))
         mu = FiniteDistribution(np.full(4, 0.25))
-        back = np.roll(np.eye(4), -1, axis=1)
-        assert np.allclose(finite.adjoint(P, mu).entries, back, atol=1e-14)
+        assert finite.check_muQ_reversible(P, mu, DeterministicInvolution(np.arange(4)[::-1]))
+        assert not finite.check_muQ_reversible(P, mu, DeterministicInvolution(np.arange(4)))
 
-    def test_adjoint_is_involution(self):
-        rng = np.random.default_rng(0)
-        mu = FiniteDistribution.from_unnormalized(rng.random(4) + 0.1)
-        # mu-invariant kernel: all rows equal to mu
-        P = KernelMatrix(np.tile(mu.weights, (4, 1)))
-        PP = finite.adjoint(finite.adjoint(P, mu), mu)
-        assert np.max(np.abs(PP.entries - P.entries)) <= 1e-12
-
-    def test_requires_invariance(self):
-        mu = FiniteDistribution(np.array([0.7, 0.3]))
-        with pytest.raises(NotReversibleError):
-            finite.adjoint(KernelMatrix(np.full((2, 2), 0.5)), mu)
+    @pytest.mark.parametrize("moved, reversible", [(2e-14, True), (-2e-14, True),
+                                                   (1e-11, False), (-1e-11, False)])
+    def test_near_invariant_kernel(self, moved, reversible):
+        # its adjoint is not stochastic to 1e-12 n: still a bool, and the
+        # certificate's refusal is NotReversibleError
+        P, Pm, mu, Q = near_invariant_pair(moved)
+        w = mu.weights
+        adj_rows = (w[None, :] * Pm.entries.T / w[:, None]).sum(axis=1)
+        assert np.max(np.abs(adj_rows - 1.0)) > 1e-12 * Pm.n
+        assert finite.check_invariance(Pm, mu)
+        assert finite.check_muQ_reversible(Pm, mu, Q) is reversible
+        if reversible:
+            assert finite.dirichlet_dominance_certificate(Pm, P, mu, Q).holds
+        else:
+            with pytest.raises(NotReversibleError):
+                finite.dirichlet_dominance_certificate(Pm, P, mu, Q)
 
 
 class TestMuQReversible:
@@ -179,7 +205,7 @@ class TestMuQReversible:
 
     def test_non_invariant_kernel_is_not_reversible(self):
         # the mu-adjoint of a kernel that moves mu is not stochastic, so it
-        # cannot equal QPQ: False, where adjoint raises NotReversibleError
+        # cannot equal QPQ: False, not an error
         cases = [(KernelMatrix(np.full((2, 2), 0.5)), FiniteDistribution(np.array([0.7, 0.3])),
                   DeterministicInvolution(np.arange(2))),
                  (KernelMatrix(np.tile([1.0, 0.0, 0.0, 0.0], (4, 1))),
@@ -744,15 +770,29 @@ class TestGridInShares:
                                                 (400, [2, 2, 2, 3])])
     def test_share_rule(self, states, shares, monkeypatch):
         # CPUs // BLAS threads contiguous shares from 256 states on
-        seen = []
+        seen, real = [], finite._in_shares
         monkeypatch.setattr(finite, "_cpus", lambda: 8)
         monkeypatch.setattr(finite, "_blas_threads", lambda: 2)
-        monkeypatch.setattr(finite, "_in_shares",
-                            lambda run, parts: seen.extend(parts) or list(map(run, parts)))
+        monkeypatch.setattr(finite, "_in_shares", lambda run, items, n: seen.extend(
+            real(lambda share: [share], items, n)) or real(run, items, n))
         assert finite._map_grid(lambda x: -x, list(range(9)), states) == [
             -x for x in range(9)]
         assert list(map(len, seen)) == shares
         assert [x for part in seen for x in part] == list(range(9))
+        assert_no_children()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_in_shares_cuts_and_concatenates(self, n):
+        # share k holds items[len * k // n : len * (k + 1) // n]; the first
+        # runs here, each other in its own child, and the lists join in order
+        out = finite._in_shares(lambda share: [(os.getpid(), list(share))], range(7), n)
+        assert [share for _pid, share in out] == [
+            list(range(7 * k // n, 7 * (k + 1) // n)) for k in range(n)]
+        pids = [pid for pid, _share in out]
+        assert pids[0] == os.getpid() and len(set(pids)) == n
+        assert finite._in_shares(lambda share: [-x for x in share], list(range(7)), n) == [
+            -x for x in range(7)]
+        assert_no_children()
 
     @pytest.mark.parametrize("env, threads", [
         ({}, "cpus"), ({"OMP_NUM_THREADS": "3"}, 3),

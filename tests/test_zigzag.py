@@ -886,11 +886,10 @@ class TestLockstepReplicates:
                                                     (8, 4), (16, 4)])
     def test_two_replicates_per_share(self, replicates, shares, monkeypatch):
         # min(CPUs, replicates // 2) shares, contiguous and in order
-        seen = []
-        real = zigzag._in_shares
+        seen, real = [], zigzag._in_shares
         monkeypatch.setattr(zigzag, "_cpus", lambda: 4)
-        monkeypatch.setattr(zigzag, "_in_shares",
-                            lambda run, parts: seen.extend(parts) or real(run, parts))
+        monkeypatch.setattr(zigzag, "_in_shares", lambda run, items, n: seen.extend(
+            real(lambda share: [list(share)], items, n)) or real(run, items, n))
         zigzag.estimate_var_continuous(zz_gaussian([1.0]), IntensitySpec(), self.f,
                                        20.0, replicates, 0.0, 65)
         assert len(seen) == shares and min(map(len, seen)) >= 2

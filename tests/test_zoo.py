@@ -9,6 +9,7 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            KernelMatrix, Observable)
 import oracles
 from oracles import dirichlet_form_halfsum, pv_index, symmetrized_lift_identity_residual
+from test_acceptance import dominated_pair, random_muQ_kernel
 
 RING5 = zoo.RingTarget(np.array([1.0, 2.0, 3.0, 2.0, 1.0]))
 RING4 = zoo.RingTarget(np.array([1.0, 0.5, 2.0, 1.5]))
@@ -176,7 +177,7 @@ class TestLiftedKernel:
         pair = mh_pair(RING5)
         Pmin, mu, Q = zoo.lifted_kernel(pair, 0.0)
         Pmax, _, _ = zoo.lifted_kernel(pair, 1.0)
-        cert = finite.dirichlet_dominance_certificate(Pmin, Pmax, mu, Q, side="left")
+        cert = finite.dirichlet_dominance_certificate(Pmin, Pmax, mu, Q)
         assert cert.holds
         f = zoo.lift_observable(Observable(np.array([1.0, -1.0, 0.5, 0.0, -0.5])))
         for lam in (0.2, 0.5, 0.8):
@@ -394,8 +395,7 @@ class TestExtraChance:
             assert finite.check_muQ_reversible(P, mu, Q)
             if prev is not None:
                 # more proposal stages -> larger Dirichlet form
-                cert = finite.dirichlet_dominance_certificate(P, prev, mu, Q,
-                                                              side="left")
+                cert = finite.dirichlet_dominance_certificate(P, prev, mu, Q)
                 assert cert.holds
                 for f in fs:
                     d_prev = dirichlet_form_halfsum(f, KernelMatrix(
@@ -452,7 +452,7 @@ class TestNealPair:
         for P in (P1, P2):
             assert finite.check_invariance(P, mu)
             assert finite.check_muQ_reversible(P, mu, Q)
-        cert = finite.dirichlet_dominance_certificate(P1, P2, mu, Q, side="left")
+        cert = finite.dirichlet_dominance_certificate(P1, P2, mu, Q)
         assert cert.holds
 
     def test_variance_ordering(self):
@@ -591,17 +591,41 @@ class TestQGathers:
         assert np.array_equal(P.entries[Q.perm][:, Q.perm], qm @ P.entries @ qm)
         assert finite.check_muQ_reversible(P, mu, Q)
 
-    @pytest.mark.parametrize("side", ["left", "right"])
-    def test_certificate_equals_product_form(self, side):
+    @pytest.mark.parametrize("form", ["QP", "PQ"])
+    def test_certificate_equals_product_form(self, form):
         P1, P2, mu, Q = zoo.neal_pair_kernels(
             KernelMatrix(0.4 * np.eye(5) + 0.6 * np.tile(RING5.pi.weights, (5, 1))),
             RING5.pi)
         qm = Q.matrix
+        certify = (finite.dirichlet_dominance_certificate if form == "QP"
+                   else oracles.dirichlet_dominance_certificate_pq)
         for a, b in ((P1, P2), (P2, P1)):
-            diff = (qm @ b.entries - qm @ a.entries if side == "left"
+            diff = (qm @ b.entries - qm @ a.entries if form == "QP"
                     else b.entries @ qm - a.entries @ qm)
             r = np.sqrt(mu.weights)
             sim = (r[:, None] * diff) / r[None, :]  # D^{1/2} diff D^{-1/2}
             want = np.linalg.eigh((sim + sim.T) / 2.0)[0][0]
-            cert = finite.dirichlet_dominance_certificate(a, b, mu, Q, side=side)
-            assert cert.dominance_matrix_min_eig == want
+            assert certify(a, b, mu, Q).dominance_matrix_min_eig == want
+
+    def test_pq_form_certifies_the_same(self):
+        # PQ = Q(QP)Q and Q commutes with diag(mu): the two forms are similar
+        # through a permutation.  Criterion 2's draws, each pair as given,
+        # reversed, and against a random (mu, Q)-reversible kernel
+        rng = np.random.default_rng(202)
+        eig_gaps, holds = [], []
+        for _ in range(50):
+            n = int(rng.integers(3, 7))
+            mu = zoo.half_lift(FiniteDistribution.from_unnormalized(0.5 + rng.random(n)))
+            Q = zoo.velocity_flip(n)
+            P1, P2 = dominated_pair(rng, mu, Q)
+            rng.integers(2 ** 31)  # criterion 2's rng_seed draw
+            R = random_muQ_kernel(rng, mu, Q)
+            for a, b in ((P1, P2), (P2, P1), (P1, R), (R, P2)):
+                qp = finite.dirichlet_dominance_certificate(a, b, mu, Q)
+                pq = oracles.dirichlet_dominance_certificate_pq(a, b, mu, Q)
+                assert qp.holds == pq.holds
+                holds.append(qp.holds)
+                eig_gaps.append(abs(qp.dominance_matrix_min_eig
+                                    - pq.dominance_matrix_min_eig))
+        assert max(eig_gaps) <= 1e-15
+        assert all(holds[0::4]) and not any(holds[1::4])  # both verdicts occur
