@@ -397,7 +397,11 @@ def var_lambda_cycle(f: Observable, P1: KernelMatrix, P2: KernelMatrix,
 def psd_certificate(a: np.ndarray) -> OrderingCertificate:
     """The quadratic form of a is nonnegative iff the symmetric part
     (a + a^T)/2 is PSD: its minimum eigenvalue, held to PSD_TOL.  A form
-    with a NaN or infinite entry raises ValueError."""
+    that is not a non-empty square matrix, or has a NaN or infinite entry,
+    raises ValueError."""
+    if a.ndim != 2 or a.shape[0] != a.shape[1] or a.size == 0:
+        raise ValueError("psd_certificate: the form is not a non-empty square matrix, "
+                         f"got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise ValueError("psd_certificate: the form is not finite")
     # eigh: eigvalsh may move the last bits of min_eig, which the catalog prints

@@ -499,40 +499,9 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
     return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))
 
 
-def _flip(v: np.ndarray, i: int) -> np.ndarray:
-    w = v.copy()
-    w[..., i] = -w[..., i]
-    return w
-
-
 def _all_velocities(d: int) -> np.ndarray:
     out = np.array(np.meshgrid(*([[-1.0, 1.0]] * d), indexing="ij"))
     return out.reshape(d, -1).T
-
-
-def jump_generator(pot: Potential, spec: IntensitySpec, g,
-                   x: np.ndarray, v: np.ndarray):
-    """(Jg)(x, v) = sum_i lambda_i(x, v) [g(x, flip_i v) - g(x, v)] plus the
-    refresh term: the generator without its transport term <grad_x g, v>.
-    Batched over the leading axis."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
-    v = np.atleast_2d(np.asarray(v, dtype=float))
-    d = pot.d
-    gv = np.asarray(g(x, v), dtype=float)
-    flips = [np.asarray(g(x, _flip(v, i)), dtype=float) - gv for i in range(d)]
-    out = np.zeros_like(gv)
-    for i, dg in enumerate(flips):
-        out += intensity(spec, pot, i, x, v) * dg
-    lb = spec.refresh_rate
-    if lb > 0 and spec.refresh_mode == "full":
-        vs = _all_velocities(d)
-        mean = sum(np.asarray(g(x, np.broadcast_to(w, v.shape)), dtype=float)
-                   for w in vs) / vs.shape[0]
-        out += lb * (mean - gv)
-    elif lb > 0:
-        for dg in flips:
-            out += (lb / d) * dg
-    return out
 
 
 def _gh_nodes(pot: Potential, m: int):
@@ -561,22 +530,43 @@ def _gh_nodes(pot: Potential, m: int):
 
 def _gap_gram(pot: Potential, spec1: IntensitySpec, spec2: IntensitySpec,
               gs, m: int) -> np.ndarray:
-    """G[j, k] = <g_j, (J2 - J1) Q g_k>_mu on m nodes per half-axis: each g_j
-    and each (J2 - J1) Q g_k evaluated once per velocity, and each entry
-    summed over the velocities one dot product at a time."""
+    """G[j, k] = <g_j, (J2 - J1) Q g_k>_mu on m nodes per half-axis, from one
+    table of basis values and rates per velocity.
+
+    J g = sum_i lambda_i(x, v) [g(x, flip_i v) - g(x, v)] plus the refresh
+    term.  In the order of _all_velocities, flipping coordinate i of v_b
+    gives v_(b ^ 1 << (d - 1 - i)), and -v_b is v_(n - 1 - b).  Each J Q g_k
+    adds the coordinate terms, then the refresh term; each entry is summed
+    over the velocities one dot product at a time."""
     x, wx = _gh_nodes(pot, m)
     vs = _all_velocities(pot.d)
-    qgs = [lambda x, v, g=g: g(x, -v) for g in gs]
+    n, d = vs.shape
+    vb = [np.broadcast_to(w, x.shape).copy() for w in vs]
+    gv = [[np.asarray(g(x, v), dtype=float) for v in vb] for g in gs]
+    specs = (spec1, spec2)
+    rates = [[[intensity(s, pot, i, x, v) for i in range(d)] for v in vb] for s in specs]
     gram = np.zeros((len(gs), len(gs)))
-    for w in vs:
-        v = np.broadcast_to(w, x.shape).copy()
-        gv = [np.asarray(g(x, v), dtype=float) for g in gs]
-        dv = [jump_generator(pot, spec2, qg, x, v) - jump_generator(pot, spec1, qg, x, v)
-              for qg in qgs]
-        for j, a in enumerate(gv):
-            for k, b in enumerate(dv):
-                gram[j, k] += float(np.dot(wx, a * b))
-    return gram / vs.shape[0]
+    for b in range(n):
+        dv = []
+        for q in (row[::-1] for row in gv):  # q[c] = (Q g)(x, v_c)
+            flips = [q[b ^ (1 << (d - 1 - i))] - q[b] for i in range(d)]
+            jq = []
+            for spec, lam in zip(specs, rates):
+                out = np.zeros_like(q[b])
+                for i, dg in enumerate(flips):
+                    out += lam[b][i] * dg
+                lb = spec.refresh_rate
+                if lb > 0 and spec.refresh_mode == "full":
+                    out += lb * (sum(q) / n - q[b])
+                elif lb > 0:
+                    for dg in flips:
+                        out += (lb / d) * dg
+                jq.append(out)
+            dv.append(jq[1] - jq[0])
+        for j, row in enumerate(gv):
+            for k, dq in enumerate(dv):
+                gram[j, k] += float(np.dot(wx, row[b] * dq))
+    return gram / n
 
 
 def dirichlet_gap_quadrature(pot: Potential, spec1: IntensitySpec,
@@ -591,8 +581,10 @@ def dirichlet_gap_quadrature(pot: Potential, spec1: IntensitySpec,
     mu must be a diagonal Gaussian (``pot.gaussian_sigmas``) with d in
     {1, 2}.  Evaluated at two resolutions (m and m + 16 nodes per
     half-axis); a relative disagreement above 1e-4 in any entry raises
-    (grid too coarse).
+    (grid too coarse).  An empty list of functions raises ValueError.
     """
+    if len(gs) == 0:
+        raise ValueError("gap quadrature needs at least one function")
     if pot.gaussian_sigmas is None or pot.d > 2:
         raise ValueError("gap quadrature needs a diagonal Gaussian with d in {1, 2}")
     coarse, fine = (_gap_gram(pot, spec1, spec2, gs, n) for n in (m, m + 16))

@@ -7,9 +7,10 @@ a block solve, one intensity call per thinning proposal in place of a
 block, one lambda per call in place of a grid, a centred second pass in
 place of one batch-means pass) or builds a target the catalog does not use,
 so it lives beside the tests that use it rather than inside the package
-under test.  Nine are earlier forms of package code kept verbatim (the two
-flip-time references, expectation_mu, the per-function gap, the GHMC
-driver that recorded every observable on every step, the finite grids
+under test.  Eleven are earlier forms of package code kept verbatim (the
+two flip-time references, expectation_mu, the generic jump generator, the
+per-function gap and the Gram form that applied the jump generator per
+function and velocity, the GHMC driver that recorded every observable on every step, the finite grids
 and neal-ordering loop that solved every lambda in this process, and the
 PQ form of the dominance certificate), so that a rewrite can be held to
 them bit for bit.
@@ -31,7 +32,7 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
 from nonrev.samplers import Potential, _energy, replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, _all_velocities, _gh_nodes,
                            _window_integrals, batch_means_variance, intensity,
-                           jump_generator, simulate_zigzag)
+                           simulate_zigzag)
 from nonrev.zoo import (FlowMap, RingTarget, SubKernelPair, collapsed_kernel,
                         half_lift, lifted_kernel)
 
@@ -257,6 +258,56 @@ def estimate_var_continuous_reference(pot: Potential, spec, f, horizon: float,
         traj = simulate_zigzag(pot, spec, np.zeros(d), v0, horizon + burn, rng)
         per[r] = batch_means_variance(traj, f, burn, burn + horizon, degree)
     return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))
+
+
+def _flip(v: np.ndarray, i: int) -> np.ndarray:
+    w = v.copy()
+    w[..., i] = -w[..., i]
+    return w
+
+
+def jump_generator(pot: Potential, spec, g, x: np.ndarray, v: np.ndarray):
+    """(Jg)(x, v) = sum_i lambda_i(x, v) [g(x, flip_i v) - g(x, v)] plus the
+    refresh term: the generator without its transport term <grad_x g, v>.
+    Batched over the leading axis."""
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    d = pot.d
+    gv = np.asarray(g(x, v), dtype=float)
+    flips = [np.asarray(g(x, _flip(v, i)), dtype=float) - gv for i in range(d)]
+    out = np.zeros_like(gv)
+    for i, dg in enumerate(flips):
+        out += intensity(spec, pot, i, x, v) * dg
+    lb = spec.refresh_rate
+    if lb > 0 and spec.refresh_mode == "full":
+        vs = _all_velocities(d)
+        mean = sum(np.asarray(g(x, np.broadcast_to(w, v.shape)), dtype=float)
+                   for w in vs) / vs.shape[0]
+        out += lb * (mean - gv)
+    elif lb > 0:
+        for dg in flips:
+            out += (lb / d) * dg
+    return out
+
+
+def gap_gram_reference(pot: Potential, spec1, spec2, gs, m: int) -> np.ndarray:
+    """zigzag._gap_gram as it was before its tables: G[j, k] = <g_j, (J2 - J1)
+    Q g_k>_mu on m nodes per half-axis, each (J2 - J1) Q g_k formed by
+    jump_generator at every velocity, and each entry summed over the
+    velocities one dot product at a time."""
+    x, wx = _gh_nodes(pot, m)
+    vs = _all_velocities(pot.d)
+    qgs = [lambda x, v, g=g: g(x, -v) for g in gs]
+    gram = np.zeros((len(gs), len(gs)))
+    for w in vs:
+        v = np.broadcast_to(w, x.shape).copy()
+        gv = [np.asarray(g(x, v), dtype=float) for g in gs]
+        dv = [jump_generator(pot, spec2, qg, x, v) - jump_generator(pot, spec1, qg, x, v)
+              for qg in qgs]
+        for j, a in enumerate(gv):
+            for k, b in enumerate(dv):
+                gram[j, k] += float(np.dot(wx, a * b))
+    return gram / vs.shape[0]
 
 
 def expectation_mu(pot: Potential, fn, m: int = 40) -> float:

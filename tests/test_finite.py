@@ -513,6 +513,11 @@ class TestDominanceCertificate:
         with pytest.raises(ValueError, match="form is not finite"):
             finite.psd_certificate(np.array([[1.0, bad], [0.0, 2.0]]))
 
+    @pytest.mark.parametrize("shape", [(0, 0), (2, 3), (3,), (0,), (2, 2, 2)])
+    def test_psd_certificate_refuses_a_form_that_is_not_square(self, shape):
+        with pytest.raises(ValueError, match="not a non-empty square matrix"):
+            finite.psd_certificate(np.zeros(shape))
+
     def test_psd_certificate_reads_the_symmetric_part(self):
         # a skew part adds nothing to the quadratic form
         cert = finite.psd_certificate(np.array([[1.0, 5.0], [-5.0, 2.0]]))

@@ -19,8 +19,8 @@ from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, Potential,
 from nonrev.finite import PSD_TOL, psd_certificate
 from oracles import (dirichlet_gap_reference, estimate_var_continuous_centred,
                      estimate_var_continuous_reference, exact_flip_time_reference,
-                     expectation_mu, steep_double_well, thinned_flip_time_reference,
-                     zz_tabulated)
+                     expectation_mu, gap_gram_reference, jump_generator,
+                     steep_double_well, thinned_flip_time_reference, zz_tabulated)
 
 
 def sigmaless(pot):
@@ -1010,11 +1010,11 @@ class TestGeneratorAndQuadrature:
             for g, transport in basis:
                 val = expectation_mu(
                     pot, lambda x, v: transport(x, v)
-                    + zigzag.jump_generator(pot, spec, g, x, v))
+                    + jump_generator(pot, spec, g, x, v))
                 assert abs(val) < 1e-6
         # the jump part alone does not integrate to zero: E[J(x v)] = -E[x^2]
         pot = zz_gaussian([1.0])
-        jump = expectation_mu(pot, lambda x, v: zigzag.jump_generator(
+        jump = expectation_mu(pot, lambda x, v: jump_generator(
             pot, IntensitySpec(), one_d[2][0], x, v))
         assert jump == pytest.approx(-1.0, abs=1e-8)
 
@@ -1090,6 +1090,54 @@ class TestGeneratorAndQuadrature:
         gram = zigzag.dirichlet_gap_quadrature(pot, *specs, [g])
         assert gram.shape == (1, 1)
         assert float(gram[0, 0]).hex() == dirichlet_gap_reference(pot, *specs, g).hex()
+
+    GRAM_CASES = [(zz_gaussian([1.0, 1.0]), IntensitySpec(
+        "canonical", refresh_rate=rate, refresh_mode=first), IntensitySpec(
+        "canonical", refresh_rate=rate, refresh_mode=second), experiments._basis_2d())
+        for rate in (0.3, 1.0, 3.0)
+        for first, second in (("partial", "full"), ("full", "partial"))]
+    GRAM_CASES += [
+        (zz_gaussian([1.0]), IntensitySpec("canonical"), IntensitySpec(
+            "canonical", gamma=experiments.EXPERIMENTS["zigzag-1d-gamma"][1]["gamma"]),
+         [lambda x, v: x[:, 0] * v[:, 0]]),
+        (zz_gaussian([0.7, 1.3]), IntensitySpec("barker", gamma=0.2), IntensitySpec(
+            "penalty", eps=0.5, refresh_rate=0.7), experiments._basis_2d())]
+
+    @pytest.mark.parametrize("case", range(len(GRAM_CASES)))
+    @pytest.mark.parametrize("m", [24, 40])
+    def test_gram_tables_match_the_jump_generator(self, case, m):
+        # the tables keep every bit of the Gram form built by jump_generator
+        pot, spec1, spec2, basis = self.GRAM_CASES[case]
+        assert np.array_equal(zigzag._gap_gram(pot, spec1, spec2, basis, m),
+                              gap_gram_reference(pot, spec1, spec2, basis, m))
+
+    def test_one_basis_call_per_velocity(self, monkeypatch):
+        # zigzag-2d-refresh at its defaults: 20 functions x 4 velocities x 2
+        # resolutions, and 2 specs x 2 coordinates x 4 velocities x 2
+        # resolutions (1,760 and 640 when jump_generator made the Gram form)
+        calls = {"basis": 0, "intensity": 0}
+
+        def counted(fn, key):
+            def call(*args):
+                calls[key] += 1
+                return fn(*args)
+            return call
+
+        monkeypatch.setattr(zigzag, "intensity", counted(zigzag.intensity, "intensity"))
+        defaults = experiments.EXPERIMENTS["zigzag-2d-refresh"][1]
+        partial, full = (IntensitySpec("canonical", refresh_rate=defaults["refresh_rate"],
+                                       refresh_mode=mode) for mode in ("partial", "full"))
+        basis = [counted(g, "basis") for g in experiments._basis_2d()]
+        zigzag.dirichlet_gap_quadrature(zz_gaussian([1.0, 1.0]), partial, full, basis,
+                                        m=defaults["quad_nodes"])
+        assert calls == {"basis": 160, "intensity": 32}
+
+    def test_empty_function_list_raises(self, monkeypatch):
+        # refused before any node is built
+        monkeypatch.setattr(zigzag, "_gh_nodes", None)
+        with pytest.raises(ValueError, match="at least one function"):
+            zigzag.dirichlet_gap_quadrature(zz_gaussian([1.0]), IntensitySpec(),
+                                            IntensitySpec(), [])
 
     def test_unconverged_entry_raises(self):
         # two nodes per half-axis cannot resolve x^4 against the 18 of the
