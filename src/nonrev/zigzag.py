@@ -8,11 +8,12 @@ kinds, each -log phi(e^{-s}) for an acceptance function phi of
 an extra x-only rate gamma on top, and all satisfy the switching
 identity lambda_i(x, v) - lambda_i(x, -v) = s.
 
-One event loop simulates every process; the coordinate clocks are drawn in
-one of two ways, picked from the potential and the spec: exact inversion of
-the integrated rate for diagonal-Gaussian potentials with canonical
-intensities, and thinning against an affine-along-the-ray envelope
-otherwise.
+The coordinate clocks are drawn in one of two ways, picked from the
+potential and the spec: exact inversion of the integrated rate for
+diagonal-Gaussian potentials with canonical intensities, in an event loop
+compiled from ``_zigzag_exact.c`` on first use (a C compiler is needed),
+and thinning against an affine-along-the-ray envelope otherwise, in an
+event loop on Python floats.
 
 Observables are plain callables g(x, v), vectorized over a leading axis.
 The generator is L g = <grad_x g, v> + J g, where the jump part J holds the
@@ -22,8 +23,17 @@ transport term, so their Dirichlet-form gap needs J alone.
 
 from __future__ import annotations
 
+import atexit
+import ctypes
+import functools
+import hashlib
 import math
+import os
+import shutil
+import sysconfig
+import tempfile
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -172,26 +182,90 @@ class EnvelopeViolation(RuntimeError):
     pass
 
 
-def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
-    """First time Lambda(t) = e for rate (a + b t)_+ + gamma, b > 0.
+_SOURCE = Path(__file__).with_name("_zigzag_exact.c")
+_CACHE = Path(__file__).with_name("__pycache__")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_FULL, _ZERO_DIVISION = 1, -1  # exact_run's return codes besides the horizon's 0
+_ROWS = 256  # skeleton rows of the exact kernel's first buffers
 
-    The root of c t + b t^2 / 2 = e is taken in the conjugate form
-    2e / (c + sqrt(c^2 + 2be)), which does not cancel when c >> sqrt(be).
+
+def _cache_name(source: bytes) -> str:
+    """The kernel library's file name, from everything that shapes it."""
+    h = hashlib.sha256(source)
+    for part in (*_CFLAGS, np.__version__, sysconfig.get_platform()):
+        h.update(b"\0" + part.encode())
+    return f"_zigzag_exact.{h.hexdigest()[:16]}.so"
+
+
+def _compile(out: str) -> None:
+    """Build _SOURCE into the shared library out, linked with numpy's
+    random C functions; raises RuntimeError naming the command."""
+    import shlex  # both needed on a cold cache alone
+    import subprocess
+    npyrandom = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
+    cmd = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_CFLAGS,
+           "-I", np.get_include(), str(_SOURCE), str(npyrandom), "-lm", "-o", out]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot run the C compiler: {shlex.join(cmd)}: {exc}") from exc
+    if proc.returncode != 0:
+        raise RuntimeError(f"the C compiler failed: {shlex.join(cmd)}\n{proc.stderr}")
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL:
+    """The compiled exact event loop, ``_zigzag_exact.c``.
+
+    Built on first use into the package's __pycache__, under a name keyed
+    by the source, flags, numpy version and platform (``_cache_name``), and
+    loaded from there afterwards.  Where that directory cannot be written,
+    it is built into a private temporary directory of this process,
+    removed at exit.  Each build writes a temporary file and renames it
+    into place.
     """
-    if a >= 0:
-        ag = a + gamma
-        return 2 * e / (ag + math.sqrt(ag * ag + 2 * b * e))
-    t0 = -a / b
-    if gamma == 0.0:
-        return t0 + math.sqrt(2 * e / b)
-    if e < gamma * t0:
-        return e / gamma
-    rem = e - gamma * t0
-    return t0 + 2 * rem / (gamma + math.sqrt(gamma * gamma + 2 * b * rem))
+    name = _cache_name(_SOURCE.read_bytes())
+    path = _CACHE / name
+    if not path.exists():
+        try:
+            _CACHE.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=_CACHE)
+        except OSError:
+            path = Path(tempfile.mkdtemp(prefix="nonrev-")) / name
+            atexit.register(shutil.rmtree, path.parent, ignore_errors=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent)
+        os.close(fd)
+        try:
+            _compile(tmp)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        os.replace(tmp, path)
+    lib = ctypes.CDLL(str(path))
+    lib.flip_time.argtypes = [ctypes.c_double] * 4 + [ctypes.POINTER(ctypes.c_int)]
+    lib.flip_time.restype = ctypes.c_double
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    lib.exact_run.argtypes = [
+        ctypes.c_void_p, ctypes.c_int64, f64, ctypes.c_double, ctypes.c_double,
+        ctypes.c_int, ctypes.c_double, f64, f64, f64,
+        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), ctypes.c_int64,
+        ctypes.POINTER(ctypes.c_int64)]
+    lib.exact_run.restype = ctypes.c_int
+    return lib
+
+
+def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
+    """First time Lambda(t) = e for rate (a + b t)_+ + gamma, b > 0, e >= 0:
+    the kernel's ``flip_time``, which raises ZeroDivisionError where
+    Python's float arithmetic would."""
+    zero_division = ctypes.c_int(0)
+    t = _kernel().flip_time(a, b, gamma, e, ctypes.byref(zero_division))
+    if zero_division.value:
+        raise ZeroDivisionError("float division by zero")
+    return t
 
 
 _BLOCK = 8  # thinning proposals per intensity request
-_EVENT_BLOCK = 512  # events per exact-clock draw when there is no refresh clock
 
 
 def _thinned_clock(spec: IntensitySpec, pot: Potential, i: int,
@@ -298,26 +372,59 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
                     rng: np.random.Generator) -> ZigZagTrajectory:
     """Run the process to the horizon; returns the full event skeleton.
 
-    One event loop on Python floats moves x, flips or refreshes v and
-    records the skeleton; the coordinate clocks are drawn in one of two
-    ways.  A diagonal Gaussian (``pot.gaussian_sigmas``) with canonical
-    rates inverts the integrated rate exactly.  With a refresh clock, each
-    event reads rng as one ``standard_exponential`` call for the d
-    coordinate clocks and the refresh clock (the layout of that many scalar
-    ``exponential()`` calls), then the refresh draw.  Without one, one call
-    draws the clocks of _EVENT_BLOCK events, and before returning the
-    generator is set back to that block's start and redraws only the
-    clocks used.  Every other input thins each coordinate in order
-    (``_thinned_clock``), then draws one ``exponential()`` for the refresh
-    clock and the refresh draw.  The one gradient call per event gives
-    every coordinate's first-window base rate, and it raises RuntimeError
-    when non-finite, as does a NaN intensity between events.  Either way a
-    returning call leaves rng where a loop that draws per event, and per
-    proposal when thinning, leaves it; a raising call may have drawn
-    further.  The horizon must be finite and positive, and x0 finite; both
-    are checked before anything is drawn.
+    Each event draws the coordinate clocks in coordinate order, then the
+    refresh clock, then the refresh draw, in one of two ways.  A diagonal
+    Gaussian (``pot.gaussian_sigmas``) with canonical rates inverts the
+    integrated rate exactly, in the compiled kernel ``_zigzag_exact.c``
+    (``_exact_loop``): one standard exponential per clock.  Every other
+    input runs an event loop on Python floats that thins each coordinate in
+    order (``_thinned_clock``), then draws one ``exponential()`` for the
+    refresh clock and the refresh draw.  Its one gradient call per event
+    gives every coordinate's first-window base rate, and it raises
+    RuntimeError when non-finite, as does a NaN intensity between events.
+    Either way a returning call leaves rng where a loop that draws per
+    event, and per proposal when thinning, leaves it; a raising call may
+    have drawn further.  The horizon must be finite and positive, and x0
+    finite; both are checked before anything is drawn, as is the kernel's
+    build (RuntimeError when the compiler fails).
     """
     return _lockstep(spec, pot, [_event_loop(pot, spec, x0, v0, horizon, rng)])[0]
+
+
+def _is_exact(pot: Potential, spec: IntensitySpec) -> bool:
+    return pot.gaussian_sigmas is not None and spec.kind == "canonical"
+
+
+def _exact_loop(pot: Potential, spec: IntensitySpec, x: np.ndarray, v: np.ndarray,
+                horizon: float, rng: np.random.Generator) -> ZigZagTrajectory:
+    """The exact branch of ``_event_loop``: the kernel's ``exact_run`` fills
+    skeleton buffers of _ROWS rows, and whenever they are full they double
+    and it resumes from the last row.  The generator's lock is held during
+    each call."""
+    lib = _kernel()
+    d = pot.d
+    inv2 = np.asarray(1.0 / (pot.gaussian_sigmas ** 2), dtype=float).reshape(d)
+    times, codes = np.empty(_ROWS), np.empty(_ROWS, dtype=np.int64)
+    X, V = np.empty((_ROWS, d)), np.empty((_ROWS, d))
+    times[0], X[0], V[0] = 0.0, x, v
+    rows = ctypes.c_int64(1)
+    bitgen = rng.bit_generator
+    while True:
+        with bitgen.lock:
+            status = lib.exact_run(bitgen.ctypes.bit_generator, d, inv2, spec.gamma,
+                                   spec.refresh_rate, spec.refresh_mode == "full",
+                                   horizon, times, X, V, codes, len(times),
+                                   ctypes.byref(rows))
+        if status != _FULL:
+            break
+        times, X, V, codes = (np.concatenate((a, np.empty_like(a)))
+                              for a in (times, X, V, codes))
+    if status == _ZERO_DIVISION:
+        raise ZeroDivisionError("float division by zero")
+    n = rows.value
+    labels = np.array([f"flip({i})" for i in range(d)] + ["refresh"], dtype=object)
+    return ZigZagTrajectory(times[:n], X[:n], V[:n], labels[codes[1:n]].tolist(),
+                            horizon)
 
 
 def _event_loop(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float, rng):
@@ -331,45 +438,27 @@ def _event_loop(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float, rng
         raise ValueError("x0 must be finite")
     if not np.all(np.isin(v, (-1.0, 1.0))):
         raise ValueError("v0 must be +-1 valued")
-    exact = pot.gaussian_sigmas is not None and spec.kind == "canonical"
-    if exact:
-        inv2 = (1.0 / (pot.gaussian_sigmas ** 2)).tolist()
-        gamma = float(spec.gamma)
+    if _is_exact(pot, spec):
+        return _exact_loop(pot, spec, x, v, horizon, rng)
     rate = spec.refresh_rate
-    n_clocks = d + (rate > 0)
-    blocked = exact and rate == 0  # every draw is a standard exponential
     full = spec.refresh_mode == "full"
     x, v = x.tolist(), v.tolist()
     times, Xs, Vs, types = [0.0], list(x), list(v), []
     t = 0.0
-    e, k = [], 0  # clocks drawn, and how many of them are used
     while True:
         best_dt, best = math.inf, d
-        if exact:
-            if not blocked:
-                e, k = rng.standard_exponential(n_clocks).tolist(), 0
-            elif k == len(e):
-                state = rng.bit_generator.state
-                e, k = rng.standard_exponential(_EVENT_BLOCK * d).tolist(), 0
-            for i in range(d):
-                dt_i = _exact_flip_time(x[i] * v[i] * inv2[i], inv2[i], gamma,
-                                        e[k + i])
-                if dt_i < best_dt:
-                    best_dt, best = dt_i, i
-            k += d
-        else:
-            xa, va = np.array(x), np.array(v)
-            grad = np.asarray(pot.grad(xa[None, :]))
-            if not np.isfinite(grad).all():
-                raise RuntimeError("non-finite gradient encountered")
-            slopes = (grad[0] * va).tolist()
-            for i in range(d):
-                dt_i = yield from _thinned_clock(spec, pot, i, xa, va, rng,
-                                                 horizon - t + 1.0, slopes[i])
-                if dt_i < best_dt:
-                    best_dt, best = dt_i, i
+        xa, va = np.array(x), np.array(v)
+        grad = np.asarray(pot.grad(xa[None, :]))
+        if not np.isfinite(grad).all():
+            raise RuntimeError("non-finite gradient encountered")
+        slopes = (grad[0] * va).tolist()
+        for i in range(d):
+            dt_i = yield from _thinned_clock(spec, pot, i, xa, va, rng,
+                                             horizon - t + 1.0, slopes[i])
+            if dt_i < best_dt:
+                best_dt, best = dt_i, i
         if rate > 0:
-            dt_r = (e[d] if exact else rng.exponential()) / rate
+            dt_r = rng.exponential() / rate
             if dt_r < best_dt:
                 best_dt, best = dt_r, d
         if best_dt >= horizon - t:
@@ -389,9 +478,6 @@ def _event_loop(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float, rng
         times.append(t)
         Xs.extend(x)
         Vs.extend(v)
-    if blocked and k < len(e):  # give back the block's unused clocks
-        rng.bit_generator.state = state
-        rng.standard_exponential(k)
     return ZigZagTrajectory(np.array(times), np.array(Xs).reshape(-1, d),
                             np.array(Vs).reshape(-1, d), types, horizon)
 
@@ -493,6 +579,8 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
         v0 = np.where(rng.random(pot.d) < 0.5, -1.0, 1.0)
         traj = yield from _event_loop(pot, spec, np.zeros(pot.d), v0, horizon + burn, rng)
         return batch_means_variance(traj, f, burn, burn + horizon, degree)
+    if _is_exact(pot, spec):
+        _kernel()  # built or loaded here, once, not in each forked share
     n = min(_cpus(), replicates // 2)  # both are at least 1
     per = np.array(_in_shares(lambda share: _lockstep(spec, pot, [replicate(r) for r in share]),
                               range(replicates), n))

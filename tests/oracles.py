@@ -7,8 +7,8 @@ a block solve, one intensity call per thinning proposal in place of a
 block, one lambda per call in place of a grid, a centred second pass in
 place of one batch-means pass) or builds a target the catalog does not use,
 so it lives beside the tests that use it rather than inside the package
-under test.  Eleven are earlier forms of package code kept verbatim (the
-two flip-time references, expectation_mu, the generic jump generator, the
+under test.  Twelve are earlier forms of package code kept verbatim (the
+three flip-time references, expectation_mu, the generic jump generator, the
 per-function gap and the Gram form that applied the jump generator per
 function and velocity, the GHMC driver that recorded every observable on every step, the finite grids
 and neal-ordering loop that solved every lambda in this process, and the
@@ -378,7 +378,8 @@ def verify_ordering_reference(P1: KernelMatrix, P2: KernelMatrix,
 # Earlier forms of package code, verbatim: finite.verify_ordering_theorem
 # with its own copy of the var_lambda formula, solving both kernels per
 # lambda inside the loop, the PQ form of the dominance certificate, and
-# zigzag._exact_flip_time with a separate gamma == 0, a >= 0 branch.
+# zigzag._exact_flip_time in two Python forms: with a separate gamma == 0,
+# a >= 0 branch, and the last one before the compiled kernel took it over.
 
 def verify_ordering_block_reference(P1: KernelMatrix, P2: KernelMatrix,
                                     mu: FiniteDistribution, Q: DeterministicInvolution,
@@ -422,7 +423,8 @@ def dirichlet_dominance_certificate_pq(P1: KernelMatrix, P2: KernelMatrix,
     return psd_certificate((r[:, None] * s) / r[None, :])
 
 
-def exact_flip_time_reference(a: float, b: float, gamma: float, e: float) -> float:
+def exact_flip_time_split_reference(a: float, b: float, gamma: float,
+                                     e: float) -> float:
     """First time Lambda(t) = e for rate (a + b t)_+ + gamma, b > 0.
 
     The root of c t + b t^2 / 2 = e is taken in the conjugate form
@@ -685,3 +687,21 @@ def run_ghmc_chains_reference(H: Potential, step: float, nleap: int,
                     for o, f in zip(out, observables):
                         o[:, t] = f(x)
     return out
+
+
+def exact_flip_time_reference(a: float, b: float, gamma: float, e: float) -> float:
+    """First time Lambda(t) = e for rate (a + b t)_+ + gamma, b > 0.
+
+    The root of c t + b t^2 / 2 = e is taken in the conjugate form
+    2e / (c + sqrt(c^2 + 2be)), which does not cancel when c >> sqrt(be).
+    """
+    if a >= 0:
+        ag = a + gamma
+        return 2 * e / (ag + math.sqrt(ag * ag + 2 * b * e))
+    t0 = -a / b
+    if gamma == 0.0:
+        return t0 + math.sqrt(2 * e / b)
+    if e < gamma * t0:
+        return e / gamma
+    rem = e - gamma * t0
+    return t0 + 2 * rem / (gamma + math.sqrt(gamma * gamma + 2 * b * rem))

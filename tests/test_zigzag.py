@@ -3,8 +3,11 @@ import dataclasses
 import math
 import os
 import re
+import sysconfig
+import tempfile
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,8 +22,9 @@ from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, Potential,
 from nonrev.finite import PSD_TOL, psd_certificate
 from oracles import (dirichlet_gap_reference, estimate_var_continuous_centred,
                      estimate_var_continuous_reference, exact_flip_time_reference,
-                     expectation_mu, gap_gram_reference, jump_generator,
-                     steep_double_well, thinned_flip_time_reference, zz_tabulated)
+                     exact_flip_time_split_reference, expectation_mu,
+                     gap_gram_reference, jump_generator, steep_double_well,
+                     thinned_flip_time_reference, zz_tabulated)
 
 
 def sigmaless(pot):
@@ -178,9 +182,50 @@ class TestExactInversion:
                 for gamma in (0.0, 0.5):
                     for e in evals:
                         got = outcome(zigzag._exact_flip_time, a, b, gamma, e)
-                        assert got == outcome(exact_flip_time_reference, a, b, gamma, e)
+                        assert got == outcome(exact_flip_time_split_reference,
+                                              a, b, gamma, e)
                         seen.add(got == "ZeroDivisionError")
         assert seen == {False, True}
+
+    def test_kernel_matches_the_last_python_form(self):
+        # the compiled flip_time against the Python form it replaced, bit
+        # for bit and ZeroDivisionError for ZeroDivisionError, on every
+        # branch: a >= 0 (+-0.0 included), and a < 0 with gamma = 0,
+        # e < gamma t0 or e >= gamma t0
+        def outcome(fn, *args):
+            try:
+                return fn(*args).hex()
+            except ZeroDivisionError:
+                return "ZeroDivisionError"
+
+        def branch(a, b, gamma, e):
+            if a >= 0:
+                return "a >= 0"
+            if gamma == 0.0:
+                return "gamma = 0"
+            return "e < gamma t0" if e < gamma * (-a / b) else "e >= gamma t0"
+
+        rng = np.random.default_rng(15)
+        mags = [0.0, 1e-300, 1e-150, 1e-8, 1.0, 1e8, *rng.exponential(size=3).tolist()]
+        avals = mags + [-m for m in mags]
+        bvals = [1e-300, 1e-30, 1e-8, 1.0, 1e8, *rng.exponential(size=2).tolist()]
+        gammas = [0.0, 1e-300, 1e-8, 0.5, 1e8, *rng.exponential(size=2).tolist()]
+        evals = [1e-300, 1e-150, 1e-8, 1.0, 50.0, 1e8, *rng.exponential(size=3).tolist()]
+        grid = [(a, b, g, e) for a in avals for b in bvals for g in gammas for e in evals]
+        # the cases of test_large_rate_does_not_cancel, and zero divisors:
+        # b = 0 at a < 0, and 2be underflowing at a = 0
+        extra = [(1e8, 1.0, 0.0, 1.0), (1e8, 1.0, 0.5, 1.0), (-1.0, 1.0, 1e8, 1e8 + 1.0),
+                 (-1.0, 0.0, 0.5, 1.0), (0.0, 1e-30, 0.0, 1e-300)]
+        outcomes, branches = collections.Counter(), collections.Counter()
+        for k, case in enumerate(grid + extra):
+            got = outcome(zigzag._exact_flip_time, *case)
+            assert got == outcome(exact_flip_time_reference, *case), case
+            kind = got if got.endswith("Error") else "float"
+            outcomes[kind] += 1
+            if k < len(grid) and kind == "float":
+                branches[branch(*case)] += 1
+        assert set(outcomes) == {"float", "ZeroDivisionError"}
+        assert len(branches) == 4 and min(branches.values()) > 100
 
 
 class TestSimulation:
@@ -364,8 +409,8 @@ class TestSimulation:
 
 def exact_clock(pot, spec, i, x, v, rng, remaining):
     inv2 = 1.0 / pot.gaussian_sigmas[i] ** 2
-    return zigzag._exact_flip_time(float(x[i] * v[i] * inv2), float(inv2),
-                                   float(spec.gamma), rng.exponential())
+    return exact_flip_time_reference(float(x[i] * v[i] * inv2), float(inv2),
+                                     float(spec.gamma), rng.exponential())
 
 
 def thinned_clock(pot, spec, i, x, v, rng, remaining):
@@ -426,6 +471,14 @@ class TestExactLoopMatchesReference:
         "full-2d": (G2, FULL, exact_clock),
         "canonical-3d": (zz_gaussian([0.5, 1.0, 2.0]), IntensitySpec("canonical"),
                          exact_clock),
+        "gamma-partial-3d": (zz_gaussian([0.5, 1.0, 2.0]),
+                             IntensitySpec("canonical", gamma=0.4, refresh_rate=0.8,
+                                           refresh_mode="partial"), exact_clock),
+        "gamma-full-3d": (zz_gaussian([0.7, 1.3, 2.5]),
+                          IntensitySpec("canonical", gamma=0.3, refresh_rate=1.2,
+                                        refresh_mode="full"), exact_clock),
+        # integers(1) draws nothing
+        "partial-1d": (G1, PARTIAL, exact_clock),
         "thinned-barker-1d": (G1, IntensitySpec("barker"), thinned_clock),
         "thinned-penalty-1d": (G1, IntensitySpec("penalty", eps=0.5),
                                thinned_clock),
@@ -471,21 +524,33 @@ class TestExactLoopMatchesReference:
 
     @pytest.mark.parametrize("block", [1, 3, None])
     @pytest.mark.parametrize("case", ["canonical-1d", "gamma-1d", "canonical-3d",
-                                      "partial-2d", "full-2d"])
+                                      "partial-2d", "full-2d", "gamma-partial-3d",
+                                      "gamma-full-3d", "partial-1d"])
     def test_block_boundaries(self, block, case, monkeypatch):
-        # without a refresh clock the exact clocks of _EVENT_BLOCK events are
-        # drawn at once and the unused ones given back on return; the refresh
-        # cases draw per event whatever the block length
+        # the exact kernel fills skeleton buffers of _ROWS rows, and when
+        # they are full they double and it resumes from the last row; a
+        # buffer of one row is full before the first event
         if block is not None:
-            monkeypatch.setattr(zigzag, "_EVENT_BLOCK", block)
-        size = zigzag._EVENT_BLOCK
+            monkeypatch.setattr(zigzag, "_ROWS", block)
+        size = zigzag._ROWS
         blocks_used = set()
         for seed, horizon in enumerate([0.05, 0.5, 3.0, 4000.0]):
             traj = self.assert_same_run(case, horizon,
                                         lambda: replicate_rng(37, seed), 0)
             blocks_used.add(min(traj.n_events // size, 2))
-        # some run ends inside the first block and some after several
+        # some run ends inside the first buffer and some after several
         assert {0, 2} <= blocks_used
+
+    def test_fault_raises_as_the_python_loop_does(self):
+        # sigma = 1e160 squares to inf, so 1/sigma^2 = 0 and the first
+        # clock divides by zero: ZeroDivisionError in both loops
+        pot = zz_gaussian([1e160])
+        for loop in (simulate_zigzag,
+                     lambda *args: reference_loop(*args, exact_clock)):
+            with np.errstate(over="ignore"), pytest.raises(
+                    ZeroDivisionError, match="float division by zero"):
+                loop(pot, IntensitySpec("canonical"), [0.5], [1.0], 1.0,
+                     np.random.default_rng(2))
 
     @pytest.mark.parametrize("pot", [zigzag.zz_double_well(),
                                      sigmaless(zz_gaussian([0.7, 1.3]))],
@@ -509,6 +574,81 @@ class TestExactLoopMatchesReference:
         flipped_in = [False] + [lab.startswith("flip") for lab in traj.types]
         assert traj.n_events > 50
         assert [seen[tuple(x)] for x in traj.X.tolist()] == [1 + f for f in flipped_in]
+
+
+class TestExactKernelBuild:
+    """The exact kernel is compiled on first use, cached by a key of its
+    source, and refused with RuntimeError before any draw when the build
+    fails."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_kernel(self):
+        # each test loads the kernel itself, and later users load it anew
+        zigzag._kernel.cache_clear()
+        yield
+        zigzag._kernel.cache_clear()
+
+    @staticmethod
+    def run(rng):
+        return simulate_zigzag(zz_gaussian([0.8, 1.5]),
+                               IntensitySpec("canonical", refresh_rate=1.0),
+                               [0.3, -0.2], [1.0, -1.0], 50.0, rng)
+
+    def test_warm_cache_loads_without_the_compiler(self, monkeypatch):
+        zigzag._kernel()  # built now, or loaded from an earlier build
+        zigzag._kernel.cache_clear()
+
+        def refuse(out):
+            raise RuntimeError("compiled although the cache is warm")
+        monkeypatch.setattr(zigzag, "_compile", refuse)
+        assert Path(zigzag._kernel()._name).parent == zigzag._CACHE
+        assert self.run(np.random.default_rng(3)).n_events > 20
+
+    def test_source_bytes_key_the_cache(self):
+        source = zigzag._SOURCE.read_bytes()
+        name = zigzag._cache_name(source)
+        assert zigzag._cache_name(bytes(bytearray(source))) == name
+        assert zigzag._cache_name(source + b"\n") != name
+        assert zigzag._cache_name(source.replace(b"0.5", b"0.25", 1)) != name
+        assert Path(zigzag._kernel()._name).name == name
+
+    @pytest.mark.parametrize("broken", ["source", "compiler"])
+    def test_failed_build_raises_before_any_draw(self, broken, monkeypatch, tmp_path):
+        cache = tmp_path / "__pycache__"
+        monkeypatch.setattr(zigzag, "_CACHE", cache)
+        if broken == "source":
+            bad = tmp_path / "_zigzag_exact.c"
+            bad.write_text("this is not C\n")
+            monkeypatch.setattr(zigzag, "_SOURCE", bad)
+            match = r"the C compiler failed: .*_zigzag_exact\.c(.|\n)*error"
+        else:
+            real = sysconfig.get_config_var
+            missing = str(tmp_path / "no-such-cc")
+            monkeypatch.setattr(sysconfig, "get_config_var",
+                                lambda name: missing if name == "CC" else real(name))
+            match = "cannot run the C compiler: .*no-such-cc"
+        rng = np.random.default_rng(3)
+        state = stream_state(rng)
+        with pytest.raises(RuntimeError, match=match):
+            self.run(rng)
+        assert stream_state(rng) == state
+        assert list(cache.iterdir()) == []  # the temporary file is gone too
+
+    def test_unwritable_cache_builds_in_a_private_directory(self, monkeypatch, tmp_path):
+        # __pycache__ cannot be made under a file, even by root
+        (tmp_path / "file").write_text("")
+        monkeypatch.setattr(zigzag, "_CACHE", tmp_path / "file" / "__pycache__")
+        where = Path(zigzag._kernel()._name).parent
+        assert where.parent == Path(tempfile.gettempdir())
+        assert where.stat().st_mode & 0o777 == 0o700
+        private = self.run(np.random.default_rng(4))
+        monkeypatch.undo()
+        zigzag._kernel.cache_clear()
+        cached = self.run(np.random.default_rng(4))
+        assert Path(zigzag._kernel()._name).parent == zigzag._CACHE
+        for field in ("times", "X", "V"):
+            assert np.array_equal(getattr(private, field), getattr(cached, field))
+        assert private.types == cached.types
 
 
 class LoggedStream:
