@@ -1,0 +1,86 @@
+"""The package's C kernels, built into one shared library on first use.
+
+``_zigzag_exact.c`` (the exact Zig-Zag event loop, which draws through
+numpy's random C functions) and ``_ghmc.c`` (the GHMC transition loop,
+which reads np.exp's loop table) compile together against Python's and
+numpy's headers and link with numpy's ``libnpyrandom.a``.  The library is
+cached in the package's __pycache__ under a name keyed by everything that
+shapes it; each engine declares the signatures of the functions it calls.
+"""
+
+from __future__ import annotations
+
+import atexit
+import ctypes
+import functools
+import hashlib
+import os
+import shutil
+import sysconfig
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+_SOURCES = tuple(Path(__file__).with_name(n) for n in ("_zigzag_exact.c", "_ghmc.c"))
+_CACHE = Path(__file__).with_name("__pycache__")
+_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+def _cache_name(sources) -> str:
+    """The library's file name, from the bytes of every source, the flags,
+    numpy's version, the platform and Python's ABI."""
+    h = hashlib.sha256()
+    for source in sources:
+        h.update(hashlib.sha256(source).digest())
+    for part in (*_CFLAGS, np.__version__, sysconfig.get_platform(),
+                 sysconfig.get_config_var("SOABI") or ""):
+        h.update(b"\0" + part.encode())
+    return f"_native.{h.hexdigest()[:16]}.so"
+
+
+def _compile(out: str) -> None:
+    """Build _SOURCES into the shared library out; raises RuntimeError
+    naming the command."""
+    import shlex  # both needed on a cold cache alone
+    import subprocess
+    npyrandom = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
+    cmd = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_CFLAGS,
+           "-I", np.get_include(), "-I", sysconfig.get_paths()["include"],
+           *map(str, _SOURCES), str(npyrandom), "-lm", "-o", out]
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True)
+    except OSError as exc:
+        raise RuntimeError(f"cannot run the C compiler: {shlex.join(cmd)}: {exc}") from exc
+    if proc.returncode != 0:
+        raise RuntimeError(f"the C compiler failed: {shlex.join(cmd)}\n{proc.stderr}")
+
+
+@functools.cache
+def load() -> ctypes.CDLL:
+    """The compiled library.
+
+    Built on first use into _CACHE under ``_cache_name`` of the sources,
+    and loaded from there afterwards.  Where that directory cannot be
+    written, it is built into a private temporary directory of this
+    process, removed at exit.  Each build writes a temporary file and
+    renames it into place.
+    """
+    name = _cache_name([source.read_bytes() for source in _SOURCES])
+    path = _CACHE / name
+    if not path.exists():
+        try:
+            _CACHE.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=_CACHE)
+        except OSError:
+            path = Path(tempfile.mkdtemp(prefix="nonrev-")) / name
+            atexit.register(shutil.rmtree, path.parent, ignore_errors=True)
+            fd, tmp = tempfile.mkstemp(dir=path.parent)
+        os.close(fd)
+        try:
+            _compile(tmp)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+        os.replace(tmp, path)
+    return ctypes.CDLL(str(path))

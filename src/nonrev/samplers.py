@@ -11,19 +11,24 @@ The batched driver splits that stream into a refresh-noise sub-stream and an
 accept-uniform sub-stream (a 2**128 jump apart), which makes its output
 independent of the internal buffering block size.  It runs all acceptance
 rules in one batch, and every rule reads each replicate's two sub-streams,
-so the rules share common random numbers.
+so the rules share common random numbers.  Its transitions run in a C
+kernel, ``_ghmc.c``, for diagonal-Gaussian targets in d <= 2 under the
+Metropolis and Barker rules, and in numpy otherwise, with the same bits.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
+from . import _native
 from .finite import worst_excess
-from .zoo import AcceptanceRule
+from .zoo import AcceptanceRule, _barker, _metropolis
 
 _BLOCK = 2_048  # GHMC transitions drawn, advanced and recorded at a time
 
@@ -42,8 +47,9 @@ class Potential:
     leading axes; U returns shape (...), grad returns (..., d).
     hessian_bound(x, v) must bound max_i sup_{s in [0, 1]}
     |(Hess U(x + s v) v)_i|; it feeds the Zig-Zag thinning envelope.
-    gaussian_sigmas marks diagonal-Gaussian targets eligible for exact
-    Zig-Zag event-time inversion.
+    gaussian_sigmas marks the diagonal-Gaussian targets of zz_gaussian,
+    U(x) = sum_i x_i^2 / (2 sigma_i^2): exact Zig-Zag event-time inversion
+    and the GHMC kernel compute from the sigmas, not from U and grad.
     """
 
     U: Callable[[np.ndarray], np.ndarray]
@@ -110,6 +116,58 @@ def _ghmc_update(H, x, Ux, kick, v, u, step, nleap, rules):
     acc = ((u < a) & np.isfinite(de))[:, None]
     return (np.where(acc, xn, x), np.where(acc[:, 0], Un, Ux),
             np.where(acc, vn, -v), np.where(acc, kn, kick))
+
+
+def _numpy_block(H, rules, step, nleap, cos, x, Ux, kick, v, noise, unif, xs):
+    """The GHMC steps of one block of draws: step i refreshes v to
+    v * cos + noise[i], takes _ghmc_update with uniforms unif[i] and writes
+    x to xs[i].  Returns the final (x, U(x), kick, v)."""
+    for i in range(len(xs)):
+        x, Ux, v, kick = _ghmc_update(H, x, Ux, kick, v * cos + noise[i], unif[i],
+                                      step, nleap, rules)
+        xs[i] = x
+    return x, Ux, kick, v
+
+
+_NO_EXP_LOOP = "np.exp has no float64 loop ('d->d') for the GHMC kernel to call"
+
+
+def _in_c(H: Potential, rules) -> bool:
+    """Whether ``_c_block`` runs the chains: diagonal-Gaussian targets in
+    d <= 2, where numpy sums each row's two terms in the one order there
+    is, and rules whose phi is the kernel's Metropolis or Barker function."""
+    return (H.gaussian_sigmas is not None and H.d <= 2
+            and all(rule.phi is _metropolis or rule.phi is _barker for rule in rules))
+
+
+@functools.cache
+def _c_kernel():
+    """``_ghmc.c``'s ghmc_run, called with the interpreter lock held,
+    since it reads the np.exp ufunc object."""
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    proto = ctypes.PYFUNCTYPE(
+        ctypes.c_int, ctypes.py_object, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        ctypes.c_int64, np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS"), f64,
+        ctypes.c_double, ctypes.c_double, ctypes.c_int64, *[f64] * 8)
+    return proto(("ghmc_run", _native.load()))
+
+
+def _c_block(H, rules, step, nleap, cos, x, Ux, kick, v, noise, unif, xs):
+    """``_numpy_block`` in one call of the C kernel, on copies of the state,
+    with the same bits.  H and rules must pass ``_in_c``."""
+    b, n, d = noise.shape
+    if not (unif.shape == (b, n) and xs.shape == noise.shape
+            and np.shape(x) == np.shape(kick) == np.shape(v) == (n, d)
+            and np.shape(Ux) == (n,) and n % len(rules) == 0):
+        raise ValueError("GHMC block arrays of inconsistent shapes")
+    s = np.asarray(H.gaussian_sigmas, dtype=float)
+    inv2 = (1.0 / (s * s)).reshape(d)  # as zz_gaussian forms it
+    x, Ux, kick, v = (np.array(a, dtype=float) for a in (x, Ux, kick, v))
+    barker = np.array([rule.phi is _barker for rule in rules], dtype=np.intc)
+    if _c_kernel()(np.exp, b, n, d, len(rules), barker, inv2, cos, step, nleap,
+                   noise, unif, x, Ux, v, kick, xs, np.empty(n * (3 * d + 3))):
+        raise RuntimeError(_NO_EXP_LOOP)
+    return x, Ux, kick, v
 
 
 @dataclass
@@ -192,6 +250,11 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
     k, R, d = len(rules), replicates, H.d
+    block = _c_block if _in_c(H, rules) else _numpy_block
+    if block is _c_block:
+        _c_kernel()  # built or loaded, and np.exp's loop found, before any draw
+        if "d->d" not in np.exp.types:
+            raise RuntimeError(_NO_EXP_LOOP)
     noise_rngs = [replicate_rng(seed, r) for r in range(R)]
     unif_rngs = [np.random.Generator(g.bit_generator.jumped(1)) for g in noise_rngs]
     cos, sin = math.cos(omega), math.sin(omega)
@@ -211,10 +274,8 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
             unif = np.tile(np.stack([rng.random(b) for rng in unif_rngs], axis=1),
                            (1, k))
             xs = np.empty_like(noise)  # x after each of the block's steps
-            for i in range(b):
-                x, Ux, v, kick = _ghmc_update(H, x, Ux, kick, v * cos + noise[i],
-                                              unif[i], step, nleap, rules)
-                xs[i] = x
+            x, Ux, kick, v = block(H, rules, step, nleap, cos, x, Ux, kick, v,
+                                   noise, unif, xs)
             lo = max(0, burn_in - start)  # the block's first recorded step
             if lo < b:
                 t = start + lo - burn_in

@@ -11,9 +11,9 @@ identity lambda_i(x, v) - lambda_i(x, -v) = s.
 The coordinate clocks are drawn in one of two ways, picked from the
 potential and the spec: exact inversion of the integrated rate for
 diagonal-Gaussian potentials with canonical intensities, in an event loop
-compiled from ``_zigzag_exact.c`` on first use (a C compiler is needed),
-and thinning against an affine-along-the-ray envelope otherwise, in an
-event loop on Python floats.
+in ``_zigzag_exact.c`` that ``_native`` builds on first use (a C compiler
+is needed), and thinning against an affine-along-the-ray envelope
+otherwise, in an event loop on Python floats.
 
 Observables are plain callables g(x, v), vectorized over a leading axis.
 The generator is L g = <grad_x g, v> + J g, where the jump part J holds the
@@ -23,21 +23,14 @@ transport term, so their Dirichlet-form gap needs J alone.
 
 from __future__ import annotations
 
-import atexit
 import ctypes
 import functools
-import hashlib
 import math
-import os
-import shutil
-import sysconfig
-import tempfile
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from . import samplers
+from . import _native, samplers
 from .finite import _cpus, _in_shares
 from .samplers import Potential
 
@@ -50,6 +43,8 @@ def zz_gaussian(sigmas) -> Potential:
         inv2 = 1.0 / (s * s)
     if not np.all(np.isfinite(inv2)):
         raise ValueError(f"sigma {float(s.min())!r} is too small: 1/sigma^2 overflows")
+    if not np.all(inv2 > 0):
+        raise ValueError(f"sigma {float(s.max())!r} is too large: 1/sigma^2 is 0")
     bmax = float(np.max(inv2))
     return Potential(
         U=lambda x: 0.5 * np.add.reduce(x * x * inv2, axis=-1),
@@ -182,66 +177,15 @@ class EnvelopeViolation(RuntimeError):
     pass
 
 
-_SOURCE = Path(__file__).with_name("_zigzag_exact.c")
-_CACHE = Path(__file__).with_name("__pycache__")
-_CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 _FULL, _ZERO_DIVISION = 1, -1  # exact_run's return codes besides the horizon's 0
 _ROWS = 256  # skeleton rows of the exact kernel's first buffers
 
 
-def _cache_name(source: bytes) -> str:
-    """The kernel library's file name, from everything that shapes it."""
-    h = hashlib.sha256(source)
-    for part in (*_CFLAGS, np.__version__, sysconfig.get_platform()):
-        h.update(b"\0" + part.encode())
-    return f"_zigzag_exact.{h.hexdigest()[:16]}.so"
-
-
-def _compile(out: str) -> None:
-    """Build _SOURCE into the shared library out, linked with numpy's
-    random C functions; raises RuntimeError naming the command."""
-    import shlex  # both needed on a cold cache alone
-    import subprocess
-    npyrandom = Path(np.random.__file__).with_name("lib") / "libnpyrandom.a"
-    cmd = [*shlex.split(sysconfig.get_config_var("CC") or "cc"), *_CFLAGS,
-           "-I", np.get_include(), str(_SOURCE), str(npyrandom), "-lm", "-o", out]
-    try:
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-    except OSError as exc:
-        raise RuntimeError(f"cannot run the C compiler: {shlex.join(cmd)}: {exc}") from exc
-    if proc.returncode != 0:
-        raise RuntimeError(f"the C compiler failed: {shlex.join(cmd)}\n{proc.stderr}")
-
-
 @functools.cache
 def _kernel() -> ctypes.CDLL:
-    """The compiled exact event loop, ``_zigzag_exact.c``.
-
-    Built on first use into the package's __pycache__, under a name keyed
-    by the source, flags, numpy version and platform (``_cache_name``), and
-    loaded from there afterwards.  Where that directory cannot be written,
-    it is built into a private temporary directory of this process,
-    removed at exit.  Each build writes a temporary file and renames it
-    into place.
-    """
-    name = _cache_name(_SOURCE.read_bytes())
-    path = _CACHE / name
-    if not path.exists():
-        try:
-            _CACHE.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(prefix=name, suffix=".tmp", dir=_CACHE)
-        except OSError:
-            path = Path(tempfile.mkdtemp(prefix="nonrev-")) / name
-            atexit.register(shutil.rmtree, path.parent, ignore_errors=True)
-            fd, tmp = tempfile.mkstemp(dir=path.parent)
-        os.close(fd)
-        try:
-            _compile(tmp)
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        os.replace(tmp, path)
-    lib = ctypes.CDLL(str(path))
+    """The native library (``_native.load``) with the signatures of the
+    exact event loop, ``_zigzag_exact.c``."""
+    lib = _native.load()
     lib.flip_time.argtypes = [ctypes.c_double] * 4 + [ctypes.POINTER(ctypes.c_int)]
     lib.flip_time.restype = ctypes.c_double
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")

@@ -94,6 +94,10 @@ class SubKernelPair:
         return (self.T_plus if v == 1 else self.T_minus).sum(axis=1)
 
 
+def _metropolis(r):
+    return np.minimum(1.0, r)
+
+
 def _barker(r):
     r = np.minimum(r, sys.float_info.max)  # finite r unchanged, inf -> max/max = 1
     return r / (1.0 + r)
@@ -103,7 +107,7 @@ def _smoothed_metropolis(eps: float, r):
     """r [1 - Phi(se/2 + ln r / se)] + [1 - Phi(se/2 - ln r / se)] with
     se = sqrt(eps); min{1, r} at eps = 0, and 0 at r = 0."""
     if eps == 0.0:
-        return np.minimum(1.0, r)
+        return _metropolis(r)
     from scipy.special import ndtr  # loaded by the phi_eps path alone
     se = math.sqrt(eps)
     # finite r unchanged, inf -> max: the formula grows with r, so
@@ -154,7 +158,7 @@ class AcceptanceRule:
 
     @staticmethod
     def metropolis() -> "AcceptanceRule":
-        return AcceptanceRule("metropolis", lambda r: np.minimum(1.0, r))
+        return AcceptanceRule("metropolis", _metropolis)
 
     @staticmethod
     def barker() -> "AcceptanceRule":

@@ -1,9 +1,14 @@
+import ctypes
+import ctypes.util
+import dataclasses
 import itertools
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nonrev import finite, samplers
 from nonrev.finite import FiniteDistribution, KernelMatrix, Observable
@@ -358,23 +363,29 @@ class TestGhmcDriverMatchesReference:
     RULES2 = [AcceptanceRule.metropolis(), AcceptanceRule.barker()]
     RULES3 = RULES2 + [AcceptanceRule.phi_eps(0.5)]
     # (potential, rules, step, nleap); at step 0.25 with 6 leaps the steep
-    # well's energies overflow on most proposals, and some still accept
+    # well's energies overflow on most proposals, and some still accept; at
+    # step 2.5 with 200 leaps sigma 0.1's energies overflow to inf and NaN,
+    # and a Gaussian target never accepts those
     CONFIGS = {
         "d1-2rules-step0.9": (zz_gaussian([1.0]), RULES2, 0.9, 2),
+        "d2-2rules-step1.7": (zz_gaussian([0.8, 1.3]), RULES2, 1.7, 3),
+        "d1-2rules-nonfinite": (zz_gaussian([0.1]), RULES2, 2.5, 200),
         "d1-3rules-step2.5": (zz_gaussian([1.0]), RULES3, 2.5, 2),
         "d3-2rules-step2.5": (zz_gaussian([0.7, 1.0, 1.6]), RULES2, 2.5, 2),
         "d3-3rules-step0.9": (zz_gaussian([0.7, 1.0, 1.6]), RULES3, 0.9, 2),
         "steep-3rules-nonfinite": (steep_double_well(), RULES3, 0.25, 6),
     }
+    IN_C = {"d1-2rules-step0.9", "d2-2rules-step1.7", "d1-2rules-nonfinite"}
     OBS = [lambda x: x[:, 0] ** 2, lambda x: np.abs(x[:, -1]),
            lambda x: np.add.reduce(x * x, axis=-1)]
 
     LAYOUTS = [(burn, across) for burn in ("0", "1", "block-1", "block+3")
                for across in (False, True)]
-    # every config on every layout of 137-step blocks, and one config on the
-    # layouts of the real block length
+    # every config on every layout of 137-step blocks, and one config of
+    # each driver on the layouts of the real block length
     CASES = ([(config, 137, *layout) for config, layout in itertools.product(CONFIGS, LAYOUTS)]
-             + [("d3-3rules-step0.9", samplers._BLOCK, *layout) for layout in LAYOUTS])
+             + [(config, samplers._BLOCK, *layout) for config, layout in itertools.product(
+                 ("d3-3rules-step0.9", "d1-2rules-step0.9"), LAYOUTS)])
 
     @pytest.mark.parametrize("config, block, burn, across", CASES, ids=[
         f"{c}-block{b}-burn{burn}-{'across' if a else 'within'}" for c, b, burn, a in CASES])
@@ -398,7 +409,163 @@ class TestGhmcDriverMatchesReference:
         for g, w in zip(got, want, strict=True):
             assert g.shape == (3 * len(rules), n_steps)
             assert np.array_equal(g, w)
+        # the C kernel forms its own energies
+        assert (nonfinite == []) == (config in self.IN_C)
         assert (sum(nonfinite) > 0) == config.startswith("steep")
+
+
+class TestGhmcKernel:
+    """The C kernel's block, samplers._c_block, against the numpy driver's,
+    samplers._numpy_block: the same chains for drawn targets and settings,
+    the same decisions at the accept boundary and on non-finite energies,
+    no floating-point state left behind, and the numpy driver for every
+    target and rule the kernel does not have."""
+
+    MET, BAR = AcceptanceRule.metropolis(), AcceptanceRule.barker()
+    OBS = [lambda x: x[:, 0], lambda x: x[:, -1] ** 2]
+
+    @classmethod
+    def chains(cls, H, rules, step, nleap, omega, seed, in_c):
+        with pytest.MonkeyPatch.context() as m:
+            if not in_c:
+                m.setattr(samplers, "_in_c", lambda H, rules: False)
+            return samplers.run_ghmc_chains(H, step, nleap, omega, rules, 60, 3, seed,
+                                            cls.OBS, burn_in=7)
+
+    @settings(derandomize=True, deadline=None, max_examples=40)
+    @given(sigmas=st.lists(st.floats(0.05, 5.0), min_size=1, max_size=2),
+           rules=st.sampled_from(["M", "B", "MB", "BM"]),
+           step=st.floats(0.01, 3.0), nleap=st.integers(1, 30),
+           omega=st.floats(0.0, math.pi), seed=st.integers(0, 2 ** 32))
+    def test_chains_match_the_numpy_driver(self, sigmas, rules, step, nleap, omega, seed):
+        H = zz_gaussian(sigmas)
+        rules = [{"M": self.MET, "B": self.BAR}[c] for c in rules]
+        assert samplers._in_c(H, rules)
+        got = self.chains(H, rules, step, nleap, omega, seed, True)
+        want = self.chains(H, rules, step, nleap, omega, seed, False)
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+
+    @staticmethod
+    def block(fn, H, rules, step, nleap, x, Ux, kick, v, unif):
+        """One step of fn from the given state, with the momentum refresh
+        v * 1.0 + 0.0 = v: returns (x, U(x), kick, v, xs)."""
+        noise = np.zeros((1, *np.shape(x)))
+        xs = np.empty_like(noise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = fn(H, rules, step, nleap, 1.0, *(np.array(a) for a in (x, Ux, kick, v)),
+                     noise, np.asarray(unif, dtype=float)[None, :], xs)
+        return (*out, xs)
+
+    def both(self, H, rules, step, nleap, x, v, unif, Ux=None):
+        """self.block of both drivers from x, v (and Ux = U(x) unless
+        given), checked bit-equal; returns the numpy driver's."""
+        Ux = np.asarray(H.U(x)) if Ux is None else Ux
+        args = (H, rules, step, nleap, x, Ux, 0.5 * step * np.asarray(H.grad(x)), v, unif)
+        got, want = (self.block(fn, *args) for fn in (samplers._c_block,
+                                                      samplers._numpy_block))
+        for g, w in zip(got, want, strict=True):
+            assert np.array_equal(g, w)
+        return want
+
+    @pytest.mark.parametrize("rule", ["metropolis", "barker"])
+    def test_accepts_exactly_when_u_is_below_phi(self, rule):
+        # u = phi(exp(de)) rejects and the double below it accepts, row by
+        # row: one ulp of exp, from a libm exp say, moves some decisions
+        rule = {"metropolis": self.MET, "barker": self.BAR}[rule]
+        H, step, nleap = zz_gaussian([1.0, 0.6]), 0.7, 3
+        rng = np.random.default_rng(5)
+        x, v = rng.normal(0.0, 1.5, (400, 2)), rng.normal(0.0, 1.0, (400, 2))
+        Ux = np.asarray(H.U(x))
+        xn, vn, _ = leapfrog(H, x, v, 0.5 * step * np.asarray(H.grad(x)), step, nleap)
+        de = samplers._energy(Ux, v) - samplers._energy(np.asarray(H.U(xn)), vn)
+        a = rule.phi(np.exp(de))
+        assert 0.0 < a.min() and np.mean(a < 1.0) > 0.3
+        two = np.concatenate
+        _, _, _, v1, _ = self.both(H, [rule], step, nleap, two((x, x)), two((v, v)),
+                                   two((a, np.nextafter(a, -1.0))))
+        assert np.array_equal(v1, two((-v, vn)))  # rejected, then accepted
+
+    def test_overflowing_ratio_accepts_and_infinite_energy_rejects(self):
+        # from x = 40 (U = 800, v = 0) eight leaps of 1.99 reach energy 8.7:
+        # exp(de) overflows to inf for a finite de, and phi(inf) = 1 accepts;
+        # a current energy of inf gives de = +inf, which rejects
+        H, step, nleap = zz_gaussian([1.0]), 1.99, 8
+        x, v = np.full((2, 1), 40.0), np.zeros((2, 1))
+        xn, vn, _ = leapfrog(H, x, v, 0.5 * step * np.asarray(H.grad(x)), step, nleap)
+        de = samplers._energy(np.asarray(H.U(x)), v) - samplers._energy(np.asarray(H.U(xn)), vn)
+        assert np.all((709.8 < de) & (de < math.inf))
+        for Ux, accepted in ((np.asarray(H.U(x)), True), (np.full(2, np.inf), False)):
+            x1, _, _, v1, _ = self.both(H, [self.MET, self.BAR], step, nleap, x, v,
+                                        [0.999, 0.999], Ux=Ux)
+            assert np.array_equal(x1, xn if accepted else x)
+            assert np.array_equal(v1, vn if accepted else -v)
+
+    def test_leaves_no_floating_point_state(self):
+        # sigma 0.1 at step 2.5 with 200 leaps overflows in every transition
+        H, rules, step, nleap = zz_gaussian([0.1]), [self.MET, self.BAR], 2.5, 200
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.chains(H, rules, step, nleap, 0.7, 3, True)
+        with np.errstate(all="raise"):
+            assert np.add(np.ones(3), 1.0).tolist() == [2.0] * 3
+        # the kernel restores the flags it found, here none
+        n, d = 4, 1
+        x = np.zeros((n, d))
+        args = (np.exp, 5, n, d, 2, np.array([0, 1], dtype=np.intc), np.array([100.0]),
+                0.0, step, nleap, np.ones((5, n, d)), np.full((5, n), 0.5), x,
+                np.zeros(n), np.ones((n, d)), np.zeros((n, d)), np.empty((5, n, d)),
+                np.empty(n * (3 * d + 3)))
+        libm = ctypes.CDLL(ctypes.util.find_library("m"))
+        libm.feclearexcept(-1)
+        assert samplers._c_kernel()(*args) == 0
+        assert libm.fetestexcept(-1) == 0
+        assert np.array_equal(args[12], x)  # every proposal overflowed and was rejected
+
+    def test_missing_exp_loop_raises_before_any_draw(self, monkeypatch):
+        def no_streams(*args):
+            raise AssertionError("drew before the kernel was ready")
+
+        monkeypatch.setattr(samplers, "replicate_rng", no_streams)
+        monkeypatch.setattr(np, "exp", np.isnan)  # a ufunc without a d->d loop
+        match = r"np\.exp has no float64 loop \('d->d'\)"
+        with pytest.raises(RuntimeError, match=match):
+            samplers.run_ghmc_chains(zz_gaussian([1.0]), 0.9, 2, 0.7, [self.MET],
+                                     50, 2, 0, self.OBS)
+        x = np.zeros((2, 1))
+        with pytest.raises(RuntimeError, match=match):
+            self.block(samplers._c_block, zz_gaussian([1.0]), [self.MET], 0.9, 2,
+                       x, np.zeros(2), x, x, [0.5, 0.5])
+
+    @pytest.mark.parametrize("case", [
+        "d1-metropolis-barker", "d2-barker", "d3", "metropolis-kind-other-phi",
+        "phi-eps-0", "phi-eps-0.5", "steep-double-well", "sigmaless-gaussian",
+        "tabulated"])
+    def test_kernel_only_for_its_targets_and_rules(self, monkeypatch, case):
+        xs = np.linspace(-3.0, 3.0, 13)
+        H, rules = {
+            "d1-metropolis-barker": (zz_gaussian([1.0]), [self.MET, self.BAR]),
+            "d2-barker": (zz_gaussian([0.7, 1.3]), [AcceptanceRule.barker()]),
+            "d3": (zz_gaussian([0.7, 1.0, 1.6]), [self.MET, self.BAR]),
+            "metropolis-kind-other-phi": (
+                zz_gaussian([1.0]), [AcceptanceRule("metropolis", lambda r: np.minimum(1.0, r))]),
+            "phi-eps-0": (zz_gaussian([1.0]), [self.MET, AcceptanceRule.phi_eps(0.0)]),
+            "phi-eps-0.5": (zz_gaussian([1.0]), [AcceptanceRule.phi_eps(0.5)]),
+            "steep-double-well": (steep_double_well(), [self.MET, self.BAR]),
+            "sigmaless-gaussian": (dataclasses.replace(zz_gaussian([1.0]), gaussian_sigmas=None),
+                                   [self.MET, self.BAR]),
+            "tabulated": (zz_tabulated(xs, 0.5 * xs ** 2), [self.MET]),
+        }[case]
+        in_c = case.startswith(("d1", "d2"))
+        assert AcceptanceRule.metropolis().phi is self.MET.phi
+        assert samplers._in_c(H, rules) == in_c
+        ran = []
+        for name in ("_c_block", "_numpy_block"):
+            real = getattr(samplers, name)
+            monkeypatch.setattr(samplers, name, lambda *a, real=real, name=name: (
+                ran.append(name), real(*a))[1])
+        samplers.run_ghmc_chains(H, 0.9, 2, 0.7, rules, 30, 2, 0, self.OBS)
+        assert set(ran) == {"_c_block" if in_c else "_numpy_block"}
 
 
 class TestMisc:

@@ -3,11 +3,8 @@ import dataclasses
 import math
 import os
 import re
-import sysconfig
-import tempfile
 import time
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,6 +241,16 @@ class TestSimulation:
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"sigma {sigmas[-1]!r} is too small"):
                 zz_gaussian(sigmas)
+
+    @pytest.mark.parametrize("sigmas", [[1e160], [1.0, 1.5e154]])
+    def test_gaussian_refuses_sigma_whose_inverse_square_is_zero(self, sigmas):
+        # 1/sigma^2 used to round to 0.0, so U and grad were identically 0
+        # and the exact clock divided by zero
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(f"sigma {sigmas[-1]!r} is too large")):
+                zz_gaussian(sigmas)
+        assert zz_gaussian([1.3e154]).gaussian_sigmas[0] == 1.3e154
 
     def test_free_flight_has_no_events(self):
         traj = simulate_zigzag(free_potential(), IntensitySpec("canonical"),
@@ -544,7 +551,8 @@ class TestExactLoopMatchesReference:
     def test_fault_raises_as_the_python_loop_does(self):
         # sigma = 1e160 squares to inf, so 1/sigma^2 = 0 and the first
         # clock divides by zero: ZeroDivisionError in both loops
-        pot = zz_gaussian([1e160])
+        # (zz_gaussian refuses that sigma, so the target is built by hand)
+        pot = dataclasses.replace(free_potential(), gaussian_sigmas=np.array([1e160]))
         for loop in (simulate_zigzag,
                      lambda *args: reference_loop(*args, exact_clock)):
             with np.errstate(over="ignore"), pytest.raises(
@@ -574,81 +582,6 @@ class TestExactLoopMatchesReference:
         flipped_in = [False] + [lab.startswith("flip") for lab in traj.types]
         assert traj.n_events > 50
         assert [seen[tuple(x)] for x in traj.X.tolist()] == [1 + f for f in flipped_in]
-
-
-class TestExactKernelBuild:
-    """The exact kernel is compiled on first use, cached by a key of its
-    source, and refused with RuntimeError before any draw when the build
-    fails."""
-
-    @pytest.fixture(autouse=True)
-    def fresh_kernel(self):
-        # each test loads the kernel itself, and later users load it anew
-        zigzag._kernel.cache_clear()
-        yield
-        zigzag._kernel.cache_clear()
-
-    @staticmethod
-    def run(rng):
-        return simulate_zigzag(zz_gaussian([0.8, 1.5]),
-                               IntensitySpec("canonical", refresh_rate=1.0),
-                               [0.3, -0.2], [1.0, -1.0], 50.0, rng)
-
-    def test_warm_cache_loads_without_the_compiler(self, monkeypatch):
-        zigzag._kernel()  # built now, or loaded from an earlier build
-        zigzag._kernel.cache_clear()
-
-        def refuse(out):
-            raise RuntimeError("compiled although the cache is warm")
-        monkeypatch.setattr(zigzag, "_compile", refuse)
-        assert Path(zigzag._kernel()._name).parent == zigzag._CACHE
-        assert self.run(np.random.default_rng(3)).n_events > 20
-
-    def test_source_bytes_key_the_cache(self):
-        source = zigzag._SOURCE.read_bytes()
-        name = zigzag._cache_name(source)
-        assert zigzag._cache_name(bytes(bytearray(source))) == name
-        assert zigzag._cache_name(source + b"\n") != name
-        assert zigzag._cache_name(source.replace(b"0.5", b"0.25", 1)) != name
-        assert Path(zigzag._kernel()._name).name == name
-
-    @pytest.mark.parametrize("broken", ["source", "compiler"])
-    def test_failed_build_raises_before_any_draw(self, broken, monkeypatch, tmp_path):
-        cache = tmp_path / "__pycache__"
-        monkeypatch.setattr(zigzag, "_CACHE", cache)
-        if broken == "source":
-            bad = tmp_path / "_zigzag_exact.c"
-            bad.write_text("this is not C\n")
-            monkeypatch.setattr(zigzag, "_SOURCE", bad)
-            match = r"the C compiler failed: .*_zigzag_exact\.c(.|\n)*error"
-        else:
-            real = sysconfig.get_config_var
-            missing = str(tmp_path / "no-such-cc")
-            monkeypatch.setattr(sysconfig, "get_config_var",
-                                lambda name: missing if name == "CC" else real(name))
-            match = "cannot run the C compiler: .*no-such-cc"
-        rng = np.random.default_rng(3)
-        state = stream_state(rng)
-        with pytest.raises(RuntimeError, match=match):
-            self.run(rng)
-        assert stream_state(rng) == state
-        assert list(cache.iterdir()) == []  # the temporary file is gone too
-
-    def test_unwritable_cache_builds_in_a_private_directory(self, monkeypatch, tmp_path):
-        # __pycache__ cannot be made under a file, even by root
-        (tmp_path / "file").write_text("")
-        monkeypatch.setattr(zigzag, "_CACHE", tmp_path / "file" / "__pycache__")
-        where = Path(zigzag._kernel()._name).parent
-        assert where.parent == Path(tempfile.gettempdir())
-        assert where.stat().st_mode & 0o777 == 0o700
-        private = self.run(np.random.default_rng(4))
-        monkeypatch.undo()
-        zigzag._kernel.cache_clear()
-        cached = self.run(np.random.default_rng(4))
-        assert Path(zigzag._kernel()._name).parent == zigzag._CACHE
-        for field in ("times", "X", "V"):
-            assert np.array_equal(getattr(private, field), getattr(cached, field))
-        assert private.types == cached.types
 
 
 class LoggedStream:
