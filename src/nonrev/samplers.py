@@ -49,7 +49,8 @@ class Potential:
     |(Hess U(x + s v) v)_i|; it feeds the Zig-Zag thinning envelope.
     gaussian_sigmas marks the diagonal-Gaussian targets of zz_gaussian,
     U(x) = sum_i x_i^2 / (2 sigma_i^2): exact Zig-Zag event-time inversion
-    and the GHMC kernel compute from the sigmas, not from U and grad.
+    and the GHMC kernel compute from the sigmas, not from U and grad, so
+    they must be d finite positive values with grad(x) = x / sigma^2.
     """
 
     U: Callable[[np.ndarray], np.ndarray]
@@ -59,14 +60,25 @@ class Potential:
     gaussian_sigmas: np.ndarray | None = None
 
     def __post_init__(self):
+        if self.gaussian_sigmas is not None:
+            s = np.asarray(self.gaussian_sigmas, dtype=float)
+            if s.shape != (self.d,) or not np.all((s > 0) & np.isfinite(s)):
+                raise ValueError(f"gaussian_sigmas must be d = {self.d} finite positive "
+                                 f"values, got {s.tolist()!r}")
+            with np.errstate(over="ignore", divide="ignore"):
+                inv2 = 1.0 / (s * s)
         rng = np.random.default_rng(12345)
         probes = rng.standard_normal((5, self.d))
         h = 1e-6
         for p in probes:
             with np.errstate(all="ignore"):  # refused below, by name
                 u, g = self.U(p[None, :]), np.asarray(self.grad(p[None, :]))[0]
+                want = g if self.gaussian_sigmas is None else p * inv2  # the sigmas' grad
             if not (np.all(np.isfinite(u)) and np.all(np.isfinite(g))):
                 raise ValueError(f"U or grad is not finite at the probe {p.tolist()!r}")
+            if not np.all(np.abs(g - want) <= 1e-12 * np.maximum(1.0, np.abs(g))):
+                raise ValueError(f"grad disagrees with gaussian_sigmas at the probe "
+                                 f"{p.tolist()!r}")
             for i in range(self.d):
                 e = np.zeros(self.d)
                 e[i] = h
@@ -249,6 +261,8 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     """
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
+    if len(rules) == 0:
+        raise ValueError("rules is empty: GHMC needs at least one acceptance rule")
     k, R, d = len(rules), replicates, H.d
     block = _c_block if _in_c(H, rules) else _numpy_block
     if block is _c_block:

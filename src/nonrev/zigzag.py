@@ -209,18 +209,15 @@ def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
     return t
 
 
-_BLOCK = 8  # thinning proposals per intensity request
-
-
 def _thinned_clock(spec: IntensitySpec, pot: Potential, i: int,
                    x: np.ndarray, v: np.ndarray, rng,
                    horizon: float = np.inf, slope: float | None = None):
     """First arrival of the inhomogeneous rate t -> lambda_i(x + t v, v) by
     thinning against the affine envelope lam(0) + B t, refreshed per unit
-    time window.  A ``_lockstep`` run: it yields (i, x, v, offsets) and is
-    sent the intensities at x + o v, o in offsets, as a list of floats.  A
-    caller that holds the slope dU/dx_i(x) v_i passes it, and the first
-    window's base rate is computed from it; every other base is asked for.
+    time window.  A ``_lockstep`` run: it yields (i, x, v, o) and is sent
+    the intensity at x + o v as a float.  A caller that holds the slope
+    dU/dx_i(x) v_i passes it, and the first window's base rate is computed
+    from it; every other base is asked for.
 
     Valid for every intensity kind here (gamma is constant): smooth kinds
     are 1-Lipschitz transforms of s(t) = dU_i(x + t v) v_i, so the ray bound
@@ -228,55 +225,40 @@ def _thinned_clock(spec: IntensitySpec, pot: Potential, i: int,
     envelope (a hessian_bound that is too small) raises EnvelopeViolation,
     and a NaN proposal intensity or window base raises RuntimeError.
 
-    Each window draws its proposals in blocks of up to _BLOCK, every one an
-    exponential() for the offset and then a random() for the accept test,
-    and asks for a block's intensities at once.  A block that accepts
-    before its last draw restores the generator to the block's start and
-    redraws up to the accepted proposal, so a returning call reads the
-    stream exactly as one proposal at a time would (a raising call may have
-    drawn further).
+    Each proposal draws an exponential() for its offset, asks for its
+    intensity, checks it against the envelope and then draws a random()
+    for the accept test, so a call reads the stream as the scalar loop
+    that evaluates one proposal at a time does, up to the proposal at
+    which it returns or raises.
     """
     if pot.hessian_bound is None:
         raise EnvelopeViolation("no ray bound available for thinning envelope")
     s = 0.0
     while s < horizon:
         if slope is None:
-            base, = yield i, x, v, [s]
+            base = yield i, x, v, s
         else:  # first window only
             base, slope = float(_rate(spec, slope)), None
         B = float(pot.hessian_bound(x + s * v, v)) + 1e-12
         u = 0.0
         lam0 = base
-        while u < 1.0:
-            state = rng.bit_generator.state
-            block = []  # (offset, envelope, uniform) per proposal
-            for _ in range(_BLOCK):
-                e = rng.exponential()
-                # first point of rate lam0 + B t after u, within the window
-                du = 2 * e / (lam0 + math.sqrt(lam0 * lam0 + 2 * B * e))
-                if u + du >= 1.0:
-                    u = 1.0  # this draw ends the window
-                    break
-                u += du
-                lam0 = base + B * u
-                block.append((u, lam0, rng.random()))
-            if not block:
+        while True:
+            e = rng.exponential()
+            # first point of rate lam0 + B t after u, within the window
+            du = 2 * e / (lam0 + math.sqrt(lam0 * lam0 + 2 * B * e))
+            if u + du >= 1.0:
                 break
-            trues = yield i, x, v, [s + p[0] for p in block]
-            for k, ((uk, env, r), true) in enumerate(zip(block, trues)):
-                if not true <= env + 1e-9:  # true and env are never NaN below
-                    if math.isnan(true) or math.isnan(env):
-                        raise RuntimeError(f"NaN intensity {true} or envelope {env} "
-                                           f"at offset {s + uk}")
-                    raise EnvelopeViolation(
-                        f"intensity {true} exceeds envelope {env} at offset {s + uk}")
-                if r * env < true:
-                    if k + 1 < len(block) or u == 1.0:  # drew past proposal k
-                        rng.bit_generator.state = state
-                        for _ in range(k + 1):
-                            rng.exponential()
-                            rng.random()
-                    return s + uk
+            u += du
+            lam0 = base + B * u
+            true = yield i, x, v, s + u
+            if not true <= lam0 + 1e-9:  # true and lam0 are never NaN below
+                if math.isnan(true) or math.isnan(lam0):
+                    raise RuntimeError(f"NaN intensity {true} or envelope {lam0} "
+                                       f"at offset {s + u}")
+                raise EnvelopeViolation(
+                    f"intensity {true} exceeds envelope {lam0} at offset {s + u}")
+            if rng.random() * lam0 < true:
+                return s + u
         s += 1.0
     return math.inf
 
@@ -290,8 +272,8 @@ def _lockstep(spec: IntensitySpec, pot: Potential, runs) -> list:
     """The return values of the generators runs (each yielding as
     ``_thinned_clock`` does, or never), driven in rounds: each round advances
     every unfinished run to its request, makes one ``intensity`` call per
-    coordinate on all rows x + o v asked for, and sends each run its slice,
-    the floats it would receive alone (rows are evaluated elementwise)."""
+    coordinate on the rows x + o v asked for, and sends each run its float,
+    the one it would receive alone (rows are evaluated elementwise)."""
     out, replies = [None] * len(runs), dict.fromkeys(range(len(runs)))
     while replies:  # the runs still going, and what to send each
         asks = {}
@@ -303,12 +285,9 @@ def _lockstep(spec: IntensitySpec, pot: Potential, runs) -> list:
         replies = {}
         for i in {ask[0] for ask in asks.values()}:
             rs = [r for r, ask in asks.items() if ask[0] == i]
-            n = [len(asks[r][3]) for r in rs]
-            xs, vs = (np.repeat([asks[r][k] for r in rs], n, axis=0) for k in (1, 2))
-            rows = xs + np.concatenate([asks[r][3] for r in rs])[:, None] * vs
-            rates = intensity(spec, pot, i, rows, vs).tolist()
-            for r, k in zip(rs, n):
-                replies[r], rates = rates[:k], rates[k:]
+            xs, vs, offsets = (np.array([asks[r][k] for r in rs]) for k in (1, 2, 3))
+            rates = intensity(spec, pot, i, xs + offsets[:, None] * vs, vs).tolist()
+            replies.update(zip(rs, rates))
     return out
 
 
@@ -327,10 +306,11 @@ def simulate_zigzag(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float,
     gives every coordinate's first-window base rate, and it raises
     RuntimeError when non-finite, as does a NaN intensity between events.
     Either way a returning call leaves rng where a loop that draws per
-    event, and per proposal when thinning, leaves it; a raising call may
-    have drawn further.  The horizon must be finite and positive, and x0
-    finite; both are checked before anything is drawn, as is the kernel's
-    build (RuntimeError when the compiler fails).
+    event, and per proposal when thinning, leaves it.  A thinned call that
+    raises stops after the offending proposal's exponential; an exact call
+    that raises may have drawn further.  The horizon must be finite and
+    positive, and x0 finite; both are checked before anything is drawn, as
+    is the kernel's build (RuntimeError when the compiler fails).
     """
     return _lockstep(spec, pot, [_event_loop(pot, spec, x0, v0, horizon, rng)])[0]
 

@@ -57,6 +57,24 @@ class TestHamiltonian:
             with pytest.raises(ValueError, match="U or grad is not finite"):
                 zz_gaussian([1e-154])
 
+    def test_sigmas_must_give_the_gradient(self):
+        # the GHMC kernel and exact Zig-Zag sample the sigmas' Gaussian and
+        # the numpy driver samples U: a steep double well marked as a unit
+        # Gaussian ran different chains on the two GHMC drivers
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pot, sigmas in [(steep_double_well(), [1.0]),
+                                (zz_gaussian([0.7, 1.3]), [1.3, 0.7]),
+                                (zz_gaussian([1.0]), [1e-170])]:  # 1/sigma^2 = inf
+                with pytest.raises(ValueError, match="^grad disagrees with gaussian_sigmas"):
+                    dataclasses.replace(pot, gaussian_sigmas=np.array(sigmas))
+
+    @pytest.mark.parametrize("sigmas", [[1.0], [1.0, 2.0, 3.0], [[1.0, 2.0]], [1.0, 0.0],
+                                        [1.0, -2.0], [1.0, np.inf], [np.nan, 1.0]])
+    def test_sigmas_must_be_d_finite_positive_values(self, sigmas):
+        with pytest.raises(ValueError, match=r"^gaussian_sigmas must be d = 2 finite positive"):
+            dataclasses.replace(zz_gaussian([1.0, 2.0]), gaussian_sigmas=np.array(sigmas))
+
     def test_builtin_potentials_pass_their_own_check(self):
         # construction runs the finite-difference gradient check
         zz_gaussian([2.0, 2.0, 2.0])
@@ -262,6 +280,16 @@ class TestGhmcDriver:
                 samplers.run_ghmc_chains(
                     self.H, 0.9, 2, math.pi / 4, [AcceptanceRule.metropolis()],
                     100, 2, 0, self.OBS, burn_in=burn_in)
+
+    def test_empty_rules_refused_before_any_draw(self, monkeypatch):
+        # it raised an unnamed ZeroDivisionError from the rows per rule
+        def no_streams(*args):
+            raise AssertionError("drew before the rules were validated")
+
+        monkeypatch.setattr(samplers, "replicate_rng", no_streams)
+        for H in (self.H, steep_double_well()):  # the kernel's target and numpy's
+            with pytest.raises(ValueError, match="rules is empty"):
+                samplers.run_ghmc_chains(H, 0.9, 2, math.pi / 4, [], 100, 2, 0, self.OBS)
 
     def test_moment_preservation(self):
         chains = self.run(seed=4, n_steps=6000)

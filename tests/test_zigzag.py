@@ -1,5 +1,6 @@
 import collections
 import dataclasses
+import itertools
 import math
 import os
 import re
@@ -335,6 +336,16 @@ class TestSimulation:
             simulate_zigzag(creeping, IntensitySpec("canonical", gamma=1.0), [0.0],
                             [1.0], horizon=20.0, rng=np.random.default_rng(0))
 
+    def test_excess_within_the_slack_is_no_violation(self):
+        # as above with c = 1e-10: the rate passes the envelope by at most
+        # 1e-10 per unit window, inside the 1e-9 slack, so nothing raises
+        creeping = Potential(U=lambda x: 0.5e-10 * np.sum(x * x, axis=-1),
+                             grad=lambda x: 1e-10 * x, d=1,
+                             hessian_bound=lambda x, v: 0.0)
+        traj = simulate_zigzag(creeping, IntensitySpec("canonical", gamma=1.0), [0.0],
+                               [1.0], horizon=20.0, rng=np.random.default_rng(0))
+        assert traj.n_events > 5
+
     @pytest.mark.parametrize("kind", ["canonical", "barker"])
     @pytest.mark.parametrize("bad", [math.nan, -math.inf])
     @pytest.mark.parametrize("v0", [1.0, -1.0])
@@ -612,6 +623,20 @@ class LoggedStream:
         return self.rng.random()
 
 
+class ScriptedStream:
+    """A stand-in generator whose exponential() and random() return the
+    scripted values in turn."""
+
+    def __init__(self, exponentials, uniforms):
+        self.exponentials, self.uniforms = iter(exponentials), iter(uniforms)
+
+    def exponential(self):
+        return next(self.exponentials)
+
+    def random(self):
+        return next(self.uniforms)
+
+
 def stream_state(rng):
     """The generator's state with arrays as lists, so that == compares it."""
     def plain(value):
@@ -636,10 +661,10 @@ def steep_well_with_bound():
         120.0 * max(abs(float(x[0])), abs(float(x[0] + v[0]))) ** 2 + 80.0))
 
 
-class TestBlockedThinningClock:
-    """_thinned_flip_time evaluates its proposals in blocks and replays the
-    stream when a block drew past the accepted proposal; it must return what
-    the scalar reference returns and leave the stream where it leaves it."""
+class TestThinningClock:
+    """_thinned_flip_time asks for one proposal's intensity at a time; it
+    must return what the scalar reference returns and read the stream draw
+    for draw as it does, whether it returns or raises."""
 
     POTENTIALS = {
         "double-well": (zigzag.zz_double_well, 2.0),
@@ -663,10 +688,7 @@ class TestBlockedThinningClock:
                    (1.0, 3.0, math.inf)[k % 3])
 
     def test_same_times_and_stream_as_scalar_loop(self):
-        # the unit-scale targets rarely fill a block; the wells cover the
-        # block-end and mid-block cases, so coverage is counted over all
-        seen = {"capped-inf": 0, "accept-on-block-end": 0,
-                "replay-after-window-end": 0, "replay-mid-block": 0}
+        capped_inf = 0
         for name, (make, reach) in self.POTENTIALS.items():
             pot = make()
             for j, spec in enumerate(self.SPECS):
@@ -679,34 +701,48 @@ class TestBlockedThinningClock:
                     case = (name, spec, i, x, v, horizon)
                     assert t == t_ref, case
                     assert stream_state(rng) == stream_state(rng_ref), case
-                    log = "".join(stream.log)
-                    # the reference's proposals in its last window, the
-                    # accepted one last; an 'e' without its 'r' ends a window
-                    tokens = ["e"] + re.findall("er|e", "".join(ref.log))
-                    accepted = len(tokens) - 1 - max(
-                        k for k, tok in enumerate(tokens) if tok == "e")
-                    if t == math.inf:
-                        seen["capped-inf"] += horizon < math.inf
-                    else:
-                        seen["accept-on-block-end"] += (
-                            accepted % zigzag._BLOCK == 0 and "|" not in log)
-                    seen["replay-after-window-end"] += "e|" in log
-                    seen["replay-mid-block"] += "r|" in log
-        assert min(seen.values()) > 0, seen
+                    # the same draws in the same order, and no state write
+                    assert stream.log == ref.log, case
+                    capped_inf += t == math.inf and horizon < math.inf
+        assert capped_inf > 0
+
+    def test_zero_intensity_never_accepts(self):
+        # U = x^2 / 2 from x = -0.5 with v = +1: the canonical rate is 0 up
+        # to offset 0.5, so even a uniform of 0.0 rejects every proposal there
+        pot, spec = sigmaless(zz_gaussian([1.0])), IntensitySpec("canonical")
+        times = [clock(spec, pot, 0, np.array([-0.5]), np.array([1.0]),
+                       ScriptedStream(itertools.repeat(0.01), itertools.repeat(0.0)), 3.0)
+                 for clock in (zigzag._thinned_flip_time, thinned_flip_time_reference)]
+        assert times[0] == times[1] > 0.5
+
+    def test_proposal_on_the_window_end_is_not_evaluated(self):
+        # from x = 0 the base rate is 0 and B = 1 + 1e-12, so the exponential
+        # B / 2 puts the first proposal exactly at u = 1, which ends the
+        # window: with a one-window horizon no flip happens
+        pot, spec = sigmaless(zz_gaussian([1.0])), IntensitySpec("canonical")
+        B = 1.0 + 1e-12
+        e = B / 2
+        assert 2 * e / (0.0 + math.sqrt(0.0 * 0.0 + 2 * B * e)) == 1.0
+        times = [clock(spec, pot, 0, np.array([0.0]), np.array([1.0]),
+                       ScriptedStream([e], itertools.repeat(0.0)), 1.0)
+                 for clock in (zigzag._thinned_flip_time, thinned_flip_time_reference)]
+        assert times == [math.inf, math.inf]
 
     def test_envelope_violation_message(self):
         # a ray bound a third too small: each call, from a fresh stream, must
-        # return the same time or raise with the same message as the scalar loop
+        # return the same time or raise with the same message as the scalar
+        # loop, and leave the stream where it leaves it
         pot = zigzag.zz_double_well()
         lying = dataclasses.replace(pot, hessian_bound=lambda x, v: pot.hessian_bound(x, v) / 3)
         violations = 0
         for j, spec in enumerate(self.SPECS):
             for k, (i, x, v, horizon) in enumerate(self.starts(lying, 2.0, 60)):
-                out, ref = (clock_outcome(clock, spec, lying, i, x, v,
-                                          replicate_rng(43 + j, k), horizon)
-                            for clock in (zigzag._thinned_flip_time,
-                                          thinned_flip_time_reference))
+                rngs = [replicate_rng(43 + j, k) for _ in range(2)]
+                out, ref = (clock_outcome(clock, spec, lying, i, x, v, rng, horizon)
+                            for clock, rng in zip((zigzag._thinned_flip_time,
+                                                   thinned_flip_time_reference), rngs))
                 assert out == ref
+                assert stream_state(rngs[0]) == stream_state(rngs[1]), (spec, k, ref)
                 violations += isinstance(ref, str)
         assert violations > 0
 
