@@ -142,13 +142,14 @@ def _rate(spec: IntensitySpec, s):
 @dataclass
 class ZigZagTrajectory:
     """Piecewise-linear path: segment k starts at (times[k], X[k]) with
-    velocity V[k]; the event ending it has label types[k] (the last segment
-    runs to the horizon and has no label)."""
+    velocity V[k]; the event ending it has code codes[k], i < d for a flip
+    of coordinate i and d for a refresh (the last segment runs to the
+    horizon and has no code)."""
 
     times: np.ndarray
     X: np.ndarray
     V: np.ndarray
-    types: list
+    codes: np.ndarray
     horizon: float
 
     def __post_init__(self):
@@ -156,12 +157,14 @@ class ZigZagTrajectory:
             raise ValueError("event times must be strictly increasing")
         if not np.all(np.isin(self.V, (-1.0, 1.0))):
             raise ValueError("velocities must be +-1")
-        if len(self.types) != self.times.size - 1:
-            raise ValueError("one event label per interior segment boundary")
+        if not (self.codes.shape == (self.times.size - 1,)
+                and np.issubdtype(self.codes.dtype, np.integer)
+                and np.all((self.codes >= 0) & (self.codes <= self.X.shape[1]))):
+            raise ValueError("one integer event code in [0, d] per interior segment boundary")
 
     @property
     def n_events(self) -> int:
-        return len(self.types)
+        return self.codes.size
 
     def state_at(self, t):
         """Positions and velocities at times t (vectorized)."""
@@ -210,14 +213,12 @@ def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
 
 
 def _thinned_clock(spec: IntensitySpec, pot: Potential, i: int,
-                   x: np.ndarray, v: np.ndarray, rng,
-                   horizon: float = np.inf, slope: float | None = None):
+                   x: np.ndarray, v: np.ndarray, rng, horizon: float, slope: float):
     """First arrival of the inhomogeneous rate t -> lambda_i(x + t v, v) by
     thinning against the affine envelope lam(0) + B t, refreshed per unit
     time window.  A ``_lockstep`` run: it yields (i, x, v, o) and is sent
-    the intensity at x + o v as a float.  A caller that holds the slope
-    dU/dx_i(x) v_i passes it, and the first window's base rate is computed
-    from it; every other base is asked for.
+    the intensity at x + o v as a float.  The first window's base rate is
+    computed from the slope dU/dx_i(x) v_i; every other base is asked for.
 
     Valid for every intensity kind here (gamma is constant): smooth kinds
     are 1-Lipschitz transforms of s(t) = dU_i(x + t v) v_i, so the ray bound
@@ -233,12 +234,10 @@ def _thinned_clock(spec: IntensitySpec, pot: Potential, i: int,
     """
     if pot.hessian_bound is None:
         raise EnvelopeViolation("no ray bound available for thinning envelope")
-    s = 0.0
+    s, base = 0.0, float(_rate(spec, slope))
     while s < horizon:
-        if slope is None:
+        if s > 0.0:
             base = yield i, x, v, s
-        else:  # first window only
-            base, slope = float(_rate(spec, slope)), None
         B = float(pot.hessian_bound(x + s * v, v)) + 1e-12
         u = 0.0
         lam0 = base
@@ -263,8 +262,9 @@ def _thinned_clock(spec: IntensitySpec, pot: Potential, i: int,
     return math.inf
 
 
-def _thinned_flip_time(spec, pot, i, x, v, rng, horizon=np.inf, slope=None) -> float:
-    """``_thinned_clock`` driven on its own."""
+def _thinned_flip_time(spec, pot, i, x, v, rng, horizon=np.inf) -> float:
+    """``_thinned_clock`` driven on its own, its slope from one gradient call."""
+    slope = float(np.asarray(pot.grad(x[None, :]))[0, i] * v[i])
     return _lockstep(spec, pot, [_thinned_clock(spec, pot, i, x, v, rng, horizon, slope)])[0]
 
 
@@ -346,9 +346,7 @@ def _exact_loop(pot: Potential, spec: IntensitySpec, x: np.ndarray, v: np.ndarra
     if status == _ZERO_DIVISION:
         raise ZeroDivisionError("float division by zero")
     n = rows.value
-    labels = np.array([f"flip({i})" for i in range(d)] + ["refresh"], dtype=object)
-    return ZigZagTrajectory(times[:n], X[:n], V[:n], labels[codes[1:n]].tolist(),
-                            horizon)
+    return ZigZagTrajectory(times[:n], X[:n], V[:n], codes[1:n], horizon)
 
 
 def _event_loop(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float, rng):
@@ -367,7 +365,7 @@ def _event_loop(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float, rng
     rate = spec.refresh_rate
     full = spec.refresh_mode == "full"
     x, v = x.tolist(), v.tolist()
-    times, Xs, Vs, types = [0.0], list(x), list(v), []
+    times, Xs, Vs, codes = [0.0], list(x), list(v), []
     t = 0.0
     while True:
         best_dt, best = math.inf, d
@@ -389,21 +387,17 @@ def _event_loop(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float, rng
             break
         t += best_dt
         x = [xi + best_dt * vi for xi, vi in zip(x, v)]
-        if best < d:
-            v[best] = -v[best]
-            types.append(f"flip({best})")
-        else:
-            if full:
-                v = [-1.0 if u < 0.5 else 1.0 for u in rng.random(d).tolist()]
-            else:
-                j = int(rng.integers(d))
-                v[j] = -v[j]
-            types.append("refresh")
+        if best == d and full:
+            v = [-1.0 if u < 0.5 else 1.0 for u in rng.random(d).tolist()]
+        else:  # a flip, or the coordinate a partial refresh flips
+            j = best if best < d else int(rng.integers(d))
+            v[j] = -v[j]
+        codes.append(best)
         times.append(t)
         Xs.extend(x)
         Vs.extend(v)
-    return ZigZagTrajectory(np.array(times), np.array(Xs).reshape(-1, d),
-                            np.array(Vs).reshape(-1, d), types, horizon)
+    return ZigZagTrajectory(np.array(times), np.reshape(Xs, (-1, d)), np.reshape(Vs, (-1, d)),
+                            np.array(codes, dtype=np.int64), horizon)
 
 
 _GL3 = np.polynomial.legendre.leggauss(3)
@@ -414,32 +408,28 @@ def _window_integrals(traj: ZigZagTrajectory, f, degree: int | None,
                       edges) -> np.ndarray:
     """Time integrals of f(Z_s) over the windows [edges[k], edges[k+1]].
 
-    Each window is cut at the event times strictly inside it, and every
-    segment gets the Gauss-Legendre rule; f is evaluated once per node over
-    the segments of all windows, and each window sums its own segments with
-    one dot product per node.
+    The path is cut at the edges and at the event times strictly between
+    the first and last edge, and every segment gets the Gauss-Legendre rule;
+    f is evaluated once per node over all segments, and each window sums
+    its own segments with one dot product per node.
     """
     edges = np.asarray(edges, dtype=float)
     if not (edges[0] >= 0.0 and np.all(np.diff(edges) > 0)
             and edges[-1] <= traj.horizon + 1e-12):
         raise ValueError("bad integration window")
     nodes, weights = _GL3 if (degree is not None and degree <= 4) else _GL8
-    lo = np.searchsorted(traj.times, edges[:-1], side="right")
-    hi = np.searchsorted(traj.times, edges[1:], side="left")
-    points = np.concatenate([np.concatenate(([a], traj.times[i:j]))
-                             for a, i, j in zip(edges[:-1], lo, hi)]
-                            + [edges[-1:]])
-    bounds = np.concatenate(([0], np.cumsum(hi - lo + 1))).tolist()
-    windows = list(zip(bounds[:-1], bounds[1:]))
-    a, b = points[:-1], points[1:]
-    half = (b - a) / 2.0
-    mid = (a + b) / 2.0
-    totals = [0.0] * len(windows)
+    # np.union1d's points, sorted, without the numpy.ma import np.unique makes on first use
+    inside = traj.times[(traj.times > edges[0]) & (traj.times < edges[-1])]
+    cut = np.sort(np.concatenate((edges, inside[~np.isin(inside, edges, assume_unique=True)])))
+    bounds = np.searchsorted(cut, edges).tolist()
+    a, b = cut[:-1], cut[1:]
+    half, mid = (b - a) / 2.0, (a + b) / 2.0
+    totals = [0.0] * (len(bounds) - 1)
     for z, w in zip(nodes, weights):
         x, v = traj.state_at(mid + z * half)
         vals = np.asarray(f(x, v), dtype=float)
         wh = w * half
-        for k, (s, e) in enumerate(windows):
+        for k, (s, e) in enumerate(zip(bounds, bounds[1:])):
             totals[k] += float(np.dot(wh[s:e], vals[s:e]))
     return np.array(totals)
 
@@ -454,6 +444,18 @@ def trajectory_integral(traj: ZigZagTrajectory, f, degree: int | None = None) ->
     return float(_window_integrals(traj, f, degree, [0.0, traj.horizon])[0])
 
 
+def _batch_count(t_start: float, t_end: float) -> int:
+    """floor(sqrt(t_end - t_start)) batches, refused below 2 or unless finite t_start < t_end."""
+    span = t_end - t_start
+    if not 0 < span < math.inf:
+        raise ValueError(f"batch means need finite t_start < t_end, got {t_start!r}, {t_end!r}")
+    n_batches = int(math.sqrt(span))
+    if n_batches < 2:
+        raise ValueError(f"batch means need at least 2 batches, got {n_batches} "
+                         f"for a span of {span!r}")
+    return n_batches
+
+
 def batch_means_variance(traj: ZigZagTrajectory, f, t_start: float,
                          t_end: float, degree: int | None = None) -> float:
     """Asymptotic-variance estimate from block averages of the path integral
@@ -462,18 +464,12 @@ def batch_means_variance(traj: ZigZagTrajectory, f, t_start: float,
     The batch means' sample variance does not change when a constant is
     subtracted from f, so f needs no centring.
     """
-    span = t_end - t_start
-    n_batches = int(math.sqrt(span))
-    if n_batches < 2:
-        raise ValueError(f"batch means need at least 2 batches, got {n_batches} "
-                         f"for a span of {span!r}")
+    n_batches = _batch_count(t_start, t_end)
     if traj.n_events < 2:
         raise ValueError("degenerate trajectory: fewer than 2 events")
-    edges = np.linspace(t_start, t_end, n_batches + 1)
-    ints = _window_integrals(traj, f, degree, edges)
-    delta = span / n_batches
-    means = ints / delta
-    return float(delta * means.var(ddof=1))
+    ints = _window_integrals(traj, f, degree, np.linspace(t_start, t_end, n_batches + 1))
+    delta = (t_end - t_start) / n_batches
+    return float(delta * (ints / delta).var(ddof=1))
 
 
 def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
@@ -496,7 +492,10 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
         raise ValueError("need at least 2 replicates for a standard error")
     if lam != 0:
         raise ValueError(f"only lam = 0 is supported, got {lam!r}")
+    if not 0 < horizon < math.inf:
+        raise ValueError(f"horizon must be finite and positive, got {horizon!r}")
     burn = horizon / 10.0
+    _batch_count(burn, burn + horizon)  # refused here, before any stream
 
     def replicate(r):  # only its estimate outlives it
         rng = samplers.replicate_rng(seed, r)

@@ -110,5 +110,16 @@ class TestNativeBuild:
         assert Path(_native.load()._name).parent == _native._CACHE
         for field in ("times", "X", "V"):
             assert np.array_equal(getattr(private[0], field), getattr(cached[0], field))
-        assert private[0].types == cached[0].types
+        assert np.array_equal(private[0].codes, cached[0].codes)
         assert np.array_equal(private[1], cached[1])
+
+    def test_sources_compile_without_warnings(self, monkeypatch, tmp_path):
+        # -Werror fails the build on any -Wall -Wextra warning; the library
+        # goes to tmp_path, so the cache is not touched
+        monkeypatch.setattr(_native, "_CFLAGS",
+                            (*_native._CFLAGS, "-Wall", "-Wextra", "-Werror"))
+        cache = sorted(_native._CACHE.glob("*"))
+        out = tmp_path / "strict.so"
+        _native._compile(str(out))
+        assert out.stat().st_size > 0
+        assert sorted(_native._CACHE.glob("*")) == cache

@@ -154,7 +154,7 @@ class TestExactInversion:
         e = np.random.default_rng(4).standard_exponential()
         a = b = 1e8
         t = traj.times[1]
-        assert traj.types[0] == "flip(0)"
+        assert traj.codes[0] == 0
         assert (a * t + b * t * t / 2 - e) / e == pytest.approx(0.0, abs=1e-14)
         assert t == pytest.approx(e / a, rel=1e-7)
 
@@ -376,13 +376,31 @@ class TestSimulation:
                             horizon=50.0, rng=np.random.default_rng(seed))
 
     def test_refresh_events_labelled(self):
-        pot = zz_gaussian([1.0, 1.0])
+        # code i < d flips coordinate i and code d is a refresh, on both
+        # loops: each flip turns exactly its coordinate's velocity
         spec = IntensitySpec("canonical", refresh_rate=2.0, refresh_mode="partial")
-        traj = simulate_zigzag(pot, spec, [0.0, 0.0], [1.0, -1.0],
-                               horizon=200.0, rng=np.random.default_rng(1))
-        labels = set(traj.types)
-        assert "refresh" in labels
-        assert any(lab.startswith("flip(") for lab in labels)
+        for pot in (zz_gaussian([1.0, 1.0]), sigmaless(zz_gaussian([1.0, 1.0]))):
+            traj = simulate_zigzag(pot, spec, [0.0, 0.0], [1.0, -1.0],
+                                   horizon=200.0, rng=np.random.default_rng(1))
+            assert traj.codes.dtype == np.int64
+            assert traj.n_events == traj.codes.size == traj.times.size - 1
+            assert set(traj.codes.tolist()) == {0, 1, 2}
+            turned = traj.V[1:] != traj.V[:-1]
+            flips = traj.codes < 2
+            assert np.array_equal(turned[flips], np.eye(2, dtype=bool)[traj.codes[flips]])
+
+    @pytest.mark.parametrize("codes", [
+        np.array([0, 1]), np.array([0, 1, 2, 0]), np.array([[0, 1, 2]]),
+        np.array([0.0, 1.0, 2.0]), np.array([False, True, True]),
+        np.array(["flip(0)", "flip(1)", "refresh"], dtype=object),
+        np.array([0, 3, 1]), np.array([0, -1, 1])],
+        ids=["short", "long", "2-d", "float", "bool", "labels", "above-d", "negative"])
+    def test_trajectory_refuses_bad_codes(self, codes):
+        times = np.array([0.0, 0.5, 1.0, 1.5])
+        X, V = np.zeros((4, 2)), np.ones((4, 2))
+        assert zigzag.ZigZagTrajectory(times, X, V, np.array([0, 1, 2]), 2.0).n_events == 3
+        with pytest.raises(ValueError, match=r"one integer event code in \[0, d\]"):
+            zigzag.ZigZagTrajectory(times, X, V, codes, 2.0)
 
     def test_input_validation(self):
         pot = zz_gaussian([1.0])
@@ -443,7 +461,7 @@ def reference_loop(pot, spec, x0, v0, horizon, rng, clock):
     d = pot.d
     x = np.array(x0, dtype=float).reshape(d).copy()
     v = np.array(v0, dtype=float).reshape(d).copy()
-    times, Xs, Vs, types = [0.0], [x.copy()], [v.copy()], []
+    times, Xs, Vs, codes = [0.0], [x.copy()], [v.copy()], []
     t = 0.0
     while True:
         remaining = horizon - t
@@ -463,19 +481,19 @@ def reference_loop(pot, spec, x0, v0, horizon, rng, clock):
         kind, i = best_ev
         if kind == "flip":
             v[i] = -v[i]
-            label = f"flip({i})"
+            code = i
         else:
             if spec.refresh_mode == "full":
                 v = np.where(rng.random(d) < 0.5, -1.0, 1.0)
             else:
                 j = int(rng.integers(d))
                 v[j] = -v[j]
-            label = "refresh"
+            code = d
         times.append(t)
         Xs.append(x.copy())
         Vs.append(v.copy())
-        types.append(label)
-    return np.array(times), np.array(Xs), np.array(Vs), types
+        codes.append(code)
+    return np.array(times), np.array(Xs), np.array(Vs), np.array(codes, dtype=np.int64)
 
 
 class TestExactLoopMatchesReference:
@@ -522,13 +540,13 @@ class TestExactLoopMatchesReference:
         v0 = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
         rng, rng_ref = make(), make()
         traj = simulate_zigzag(pot, spec, x0, v0, horizon, rng)
-        times, X, V, types = reference_loop(pot, spec, x0, v0, horizon, rng_ref,
+        times, X, V, codes = reference_loop(pot, spec, x0, v0, horizon, rng_ref,
                                             clock)
         assert traj.n_events >= min_events
         assert np.array_equal(traj.times, times)
         assert np.array_equal(traj.X, X)
         assert np.array_equal(traj.V, V)
-        assert traj.types == types
+        assert traj.codes.dtype == np.int64 and np.array_equal(traj.codes, codes)
         # both loops leave the stream in the same state
         assert stream_state(rng) == stream_state(rng_ref)
         return traj
@@ -590,7 +608,7 @@ class TestExactLoopMatchesReference:
                                np.full(pot.d, 0.3), np.ones(pot.d), 200.0,
                                np.random.default_rng(5))
         seen = collections.Counter(rows)
-        flipped_in = [False] + [lab.startswith("flip") for lab in traj.types]
+        flipped_in = [False] + (traj.codes < pot.d).tolist()
         assert traj.n_events > 50
         assert [seen[tuple(x)] for x in traj.X.tolist()] == [1 + f for f in flipped_in]
 
@@ -835,6 +853,32 @@ class TestTrajectoryTools:
         assert (zigzag.trajectory_integral(traj, f, degree)
                 == reference_window_integral(traj, f, degree, 0.0, traj.horizon))
 
+    @pytest.mark.parametrize("degree", [1, None])
+    def test_window_integrals_on_event_times_and_path_ends(self, degree):
+        # interior edges on event times, a window from 0.0 (itself the first
+        # event time) and one to the horizon, each the reference's bits; the
+        # windows hold hundreds of segments, so a zero-length segment left at
+        # an edge on an event time would move the dot products' last bits
+        traj = simulate_zigzag(zz_gaussian([1.0]), IntensitySpec("canonical"), [0.3],
+                               [1.0], horizon=500.0, rng=np.random.default_rng(5))
+        f = lambda x, v: np.cos(x[:, 0]) + x[:, 0] * v[:, 0]
+        on_events = traj.times[np.searchsorted(traj.times, [100.0, 250.0, 400.0])]
+        for edges in ([50.0, *on_events, 450.0], [0.0, 7.5, 120.0],
+                      [0.0, 250.0, traj.horizon], [312.5, traj.horizon]):
+            expected = [reference_window_integral(traj, f, degree, a, b)
+                        for a, b in zip(edges[:-1], edges[1:])]
+            assert np.array_equal(zigzag._window_integrals(traj, f, degree, edges),
+                                  expected), edges
+
+    @pytest.mark.parametrize("t_start, t_end", [
+        (30.0, 5.0), (5.0, 5.0), (math.nan, 40.0), (5.0, math.nan), (5.0, math.inf),
+        (-math.inf, 40.0)])
+    def test_batch_means_refuses_bad_bounds_by_name(self, t_start, t_end):
+        # refused by name, not left to math.sqrt or int to fail on
+        with pytest.raises(ValueError, match="batch means need finite t_start < t_end"):
+            zigzag.batch_means_variance(self.short_traj(), lambda x, v: x[:, 0],
+                                        t_start, t_end)
+
     def test_batch_means_needs_events(self):
         traj = simulate_zigzag(free_potential(), IntensitySpec(), [0.0], [1.0],
                                horizon=5.0, rng=np.random.default_rng(0))
@@ -878,11 +922,29 @@ class TestVarianceEstimation:
         assert est == pytest.approx(ref_est, rel=1e-12)
         assert se == pytest.approx(ref_se, rel=1e-12)
 
-    def test_too_few_batches_raises(self):
-        # horizon 3 gives floor(sqrt(3)) = 1 batch, whose variance is NaN
+    @staticmethod
+    def refuse_streams(monkeypatch):
+        def no_stream(seed, replicate):
+            raise AssertionError("a replicate stream was made")
+        monkeypatch.setattr(zigzag.samplers, "replicate_rng", no_stream)
+
+    def test_too_few_batches_raises(self, monkeypatch):
+        # horizon 3 gives floor(sqrt(3)) = 1 batch, whose variance is NaN;
+        # it is refused before any replicate is simulated
+        self.refuse_streams(monkeypatch)
         with pytest.raises(ValueError, match="at least 2 batches"):
             zigzag.estimate_var_continuous(zz_gaussian([0.2]), IntensitySpec(),
                                            lambda x, v: x[:, 0], horizon=3.0,
+                                           replicates=3, lam=0.0, seed=0)
+
+    @pytest.mark.parametrize("horizon", [-1.0, 0.0, math.nan, math.inf])
+    def test_bad_horizon_named_by_its_own_value(self, horizon, monkeypatch):
+        # not by the horizon plus its burn-in, and before any stream
+        self.refuse_streams(monkeypatch)
+        with pytest.raises(ValueError, match=re.escape(
+                f"horizon must be finite and positive, got {horizon!r}") + "$"):
+            zigzag.estimate_var_continuous(zz_gaussian([0.2]), IntensitySpec(),
+                                           lambda x, v: x[:, 0], horizon=horizon,
                                            replicates=3, lam=0.0, seed=0)
 
     def test_validation(self):
