@@ -1,11 +1,13 @@
 """The package's C kernels, built into one shared library on first use.
 
 ``_zigzag_exact.c`` (the exact Zig-Zag event loop, which draws through
-numpy's random C functions) and ``_ghmc.c`` (the GHMC transition loop,
-which reads np.exp's loop table) compile together against Python's and
-numpy's headers and link with numpy's ``libnpyrandom.a``.  The library is
-cached in the package's __pycache__ under a name keyed by everything that
-shapes it; each engine declares the signatures of the functions it calls.
+numpy's random C functions), ``_ghmc.c`` (the GHMC transition loop, which
+reads np.exp's loop table) and ``_autocov.c`` (the GHMC estimator's
+autocovariances, which call numpy's float64 dot) compile together against
+Python's and numpy's headers and link with numpy's ``libnpyrandom.a``.
+The library is cached in the package's __pycache__ under a name keyed by
+everything that shapes it; each engine declares the signatures of the
+functions it calls.
 """
 
 from __future__ import annotations
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-_SOURCES = tuple(Path(__file__).with_name(n) for n in ("_zigzag_exact.c", "_ghmc.c"))
+_SOURCES = tuple(Path(__file__).with_name(n)
+                 for n in ("_zigzag_exact.c", "_ghmc.c", "_autocov.c"))
 _CACHE = Path(__file__).with_name("__pycache__")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
 

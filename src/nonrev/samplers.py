@@ -14,6 +14,8 @@ rules in one batch, and every rule reads each replicate's two sub-streams,
 so the rules share common random numbers.  Its transitions run in a C
 kernel, ``_ghmc.c``, for diagonal-Gaussian targets in d <= 2 under the
 Metropolis and Barker rules, and in numpy otherwise, with the same bits.
+The estimator's autocovariances run in a C kernel, ``_autocov.c``, that
+calls numpy's own float64 dot, with the bits of one np.dot per lag.
 """
 
 from __future__ import annotations
@@ -202,12 +204,30 @@ def min_chain_length(lam: float) -> int:
     return 10 * max(1, default_max_lag(lam))
 
 
-def _autocov(values: np.ndarray, max_lag: int) -> np.ndarray:
-    c = values - values.mean()
-    n = c.size
-    out = np.empty(max_lag + 1)
-    for k in range(max_lag + 1):
-        out[k] = np.dot(c[: n - k], c[k:]) / n  # biased normalization
+@functools.cache
+def _autocov_kernel():
+    """``_autocov.c``'s autocov_rows, called with the interpreter lock
+    held, since it calls numpy's C API."""
+    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
+    proto = ctypes.PYFUNCTYPE(ctypes.c_int, f64, f64, ctypes.c_int64, ctypes.c_int64,
+                              ctypes.c_int64, f64, f64)
+    return proto(("autocov_rows", _native.load()))
+
+
+def _autocov(chains: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased autocovariances at lags 0..max_lag of each row of the (R, n)
+    block chains: row r is c = chains[r] - chains[r].mean() and lag k is
+    np.dot(c[:n - k], c[k:]) / n, with the bits of that numpy loop whatever
+    the block's layout and dtype.  Refuses max_lag outside [0, n)."""
+    # C order first: on a Fortran-ordered block mean(axis=1) does not sum
+    # each row as row.mean() does
+    chains = np.ascontiguousarray(chains, dtype=float)
+    R, n = chains.shape
+    if not 0 <= max_lag < n:
+        raise ValueError(f"max_lag must lie in [0, {n}) for chains of length {n}, "
+                         f"got {max_lag!r}")
+    out = np.empty((R, max_lag + 1))
+    _autocov_kernel()(chains, chains.mean(axis=1), R, n, max_lag, np.empty(n), out)
     return out
 
 
@@ -233,8 +253,7 @@ def estimate_var_lambda(chains, lam: float) -> ChainStats:
     weights[1:] *= 2.0
     per = np.empty(chains.shape[0])
     acc_cov = np.zeros(max_lag + 1)
-    for r, row in enumerate(chains):
-        g = _autocov(row, max_lag)
+    for r, g in enumerate(_autocov(chains, max_lag)):
         acc_cov += g
         per[r] = float(np.dot(weights, g))
     R = chains.shape[0]
@@ -346,6 +365,8 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
     lies in [0, 1) and n_steps >= min_chain_length(max(lambdas)); after
     sampling, when the chains of some rule and observable never moved
     (lag-0 autocovariance exactly 0.0, as when every proposal is rejected).
+    A failed build of the C kernels raises RuntimeError before sampling,
+    whichever GHMC driver runs, since the estimator needs them.
     """
     kinds = [rule.kind for rule in rules]
     if len(kinds) < 2 or len(set(kinds)) < len(kinds):
@@ -357,6 +378,7 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
     if n_steps < (need := min_chain_length(max(lambdas))):
         raise ValueError(f"n_steps must be >= {need} at lambda {max(lambdas)!r}, got {n_steps}")
     names = list(observables)
+    _autocov_kernel()  # built or loaded before any draw, whichever driver runs
     chains = run_ghmc_chains(H, step, nleap, omega, rules, n_steps, replicates,
                              seed, [observables[k] for k in names],
                              burn_in=n_steps // 10)

@@ -7,13 +7,14 @@ a block solve, one intensity call per thinning proposal in place of a
 block, one lambda per call in place of a grid, a centred second pass in
 place of one batch-means pass) or builds a target the catalog does not use,
 so it lives beside the tests that use it rather than inside the package
-under test.  Twelve are earlier forms of package code kept verbatim (the
+under test.  Fourteen are earlier forms of package code kept verbatim (the
 three flip-time references, expectation_mu, the generic jump generator, the
 per-function gap and the Gram form that applied the jump generator per
 function and velocity, the GHMC driver that recorded every observable on every step, the finite grids
-and neal-ordering loop that solved every lambda in this process, and the
-PQ form of the dominance certificate), so that a rewrite can be held to
-them bit for bit.
+and neal-ordering loop that solved every lambda in this process, the
+PQ form of the dominance certificate, and the per-lag autocovariance loop
+with the estimator that called it row by row), so that a rewrite can be
+held to them bit for bit.
 """
 
 import math
@@ -29,7 +30,7 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            _check_dims, _lambda_grid, centered, check_mu_reversible,
                            check_muQ_reversible, dirichlet_dominance_certificate,
                            inner, psd_certificate)
-from nonrev.samplers import Potential, _energy, replicate_rng
+from nonrev.samplers import Potential, _energy, default_max_lag, replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, _all_velocities, _gh_nodes,
                            _window_integrals, batch_means_variance, intensity,
                            simulate_zigzag)
@@ -687,6 +688,35 @@ def run_ghmc_chains_reference(H: Potential, step: float, nleap: int,
                     for o, f in zip(out, observables):
                         o[:, t] = f(x)
     return out
+
+
+def autocov_reference(values: np.ndarray, max_lag: int) -> np.ndarray:
+    """Biased autocovariances of one row at lags 0..max_lag, one np.dot per
+    lag: samplers._autocov before its lag loop moved into C."""
+    c = values - values.mean()
+    n = c.size
+    out = np.empty(max_lag + 1)
+    for k in range(max_lag + 1):
+        out[k] = np.dot(c[: n - k], c[k:]) / n  # biased normalization
+    return out
+
+
+def estimate_var_lambda_reference(chains, lam: float):
+    """samplers.estimate_var_lambda with autocov_reference per row, as it was
+    before the lag loop moved into C; returns (autocovariances, estimate,
+    se)."""
+    chains = np.asarray(chains, dtype=float)
+    max_lag = default_max_lag(lam)
+    weights = lam ** np.arange(max_lag + 1)
+    weights[1:] *= 2.0
+    per = np.empty(chains.shape[0])
+    acc_cov = np.zeros(max_lag + 1)
+    for r, row in enumerate(chains):
+        g = autocov_reference(row, max_lag)
+        acc_cov += g
+        per[r] = float(np.dot(weights, g))
+    R = chains.shape[0]
+    return acc_cov / R, float(per.mean()), float(per.std(ddof=1) / math.sqrt(R))
 
 
 def exact_flip_time_reference(a: float, b: float, gamma: float, e: float) -> float:

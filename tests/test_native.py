@@ -29,7 +29,8 @@ def ghmc_run(seed):
 
 
 def forget_library():
-    for cache in (_native.load, zigzag._kernel, samplers._c_kernel):
+    for cache in (_native.load, zigzag._kernel, samplers._c_kernel,
+                  samplers._autocov_kernel):
         cache.cache_clear()
 
 
@@ -61,10 +62,12 @@ class TestNativeBuild:
             return _native._cache_name(sources[:i] + [new] + sources[i + 1:])
         assert changed(bytes(bytearray(sources[i]))) == name
         assert changed(sources[i] + b"\n") != name
-        assert changed(sources[i].replace(b"0.5", b"0.25", 1)) != name
+        assert b"double" in sources[i]
+        assert changed(sources[i].replace(b"double", b"float", 1)) != name
         assert Path(_native.load()._name).name == name
 
-    @pytest.mark.parametrize("broken", ["zigzag-source", "ghmc-source", "compiler"])
+    @pytest.mark.parametrize("broken", ["zigzag-source", "ghmc-source", "autocov-source",
+                                        "compiler"])
     def test_failed_build_raises_before_any_draw(self, broken, monkeypatch, tmp_path):
         cache = tmp_path / "__pycache__"
         monkeypatch.setattr(_native, "_CACHE", cache)
@@ -75,7 +78,7 @@ class TestNativeBuild:
                                 lambda name: missing if name == "CC" else real(name))
             match = "cannot run the C compiler: .*no-such-cc"
         else:
-            i = ["zigzag-source", "ghmc-source"].index(broken)
+            i = ["zigzag-source", "ghmc-source", "autocov-source"].index(broken)
             bad = tmp_path / _native._SOURCES[i].name
             bad.write_text("this is not C\n")
             sources = list(_native._SOURCES)
@@ -94,6 +97,13 @@ class TestNativeBuild:
         monkeypatch.setattr(samplers, "replicate_rng", no_stream)
         with pytest.raises(RuntimeError, match=match):
             ghmc_run(3)
+        # d = 3 runs the numpy driver, which never calls the GHMC kernel,
+        # but the estimator's kernel is loaded before the chains are drawn
+        with pytest.raises(RuntimeError, match=match):
+            samplers.compare_acceptance_rules(
+                zz_gaussian([0.8, 1.0, 1.5]), 0.7, 0.9, 2,
+                [AcceptanceRule.metropolis(), AcceptanceRule.barker()], [0.5],
+                {"x0": lambda x: x[:, 0]}, n_steps=300, replicates=2, seed=3)
         assert list(cache.iterdir()) == []  # the temporary files are gone too
 
     def test_unwritable_cache_builds_in_a_private_directory(self, monkeypatch, tmp_path):

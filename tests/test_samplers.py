@@ -16,7 +16,8 @@ from nonrev.samplers import (Potential, estimate_var_lambda, leapfrog,
                              replicate_rng)
 from nonrev.zigzag import zz_double_well, zz_gaussian
 from nonrev.zoo import AcceptanceRule
-from oracles import run_ghmc_chains_reference, steep_double_well, zz_tabulated
+from oracles import (autocov_reference, estimate_var_lambda_reference,
+                     run_ghmc_chains_reference, steep_double_well, zz_tabulated)
 
 
 def energy(H, x, v):
@@ -200,6 +201,83 @@ class TestEstimator:
         assert samplers.default_max_lag(0.0) == 0
         k = samplers.default_max_lag(0.5)
         assert 0.5 ** k <= 1e-8 < 0.5 ** (k - 1)
+
+    @staticmethod
+    def assert_same_bits(a, b):
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert a.shape == b.shape
+        assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_autocov_matches_the_per_lag_loop(self):
+        # random lengths, scales and offsets, at lag 0, lag n - 1 and between
+        rng = np.random.default_rng(11)
+        for n in (1, 2, 3, 17, 128, 1_000, 4_097, 12_345):
+            chains = (rng.standard_normal((3, n)) * 10.0 ** rng.uniform(-8, 8, (3, 1))
+                      + rng.uniform(-1e3, 1e3, (3, 1)))
+            for max_lag in {0, n // 3, n - 1}:
+                got = samplers._autocov(chains, max_lag)
+                self.assert_same_bits(got, [autocov_reference(row, max_lag) for row in chains])
+
+    def test_autocov_calls_the_blas_dot(self):
+        # on this row a left-to-right sum of the lag-0 products is not the
+        # ddot sum, so a kernel that sums the products itself fails here
+        x = np.random.default_rng(5).standard_normal((2, 6_000))
+        c = x[0] - x[0].mean()
+        left_to_right = 0.0
+        for p in (c * c).tolist():
+            left_to_right += p
+        want = autocov_reference(x[0], 60)
+        assert left_to_right / c.size != want[0]
+        self.assert_same_bits(samplers._autocov(x, 60)[0], want)
+
+    @pytest.mark.parametrize("bad", [[np.nan], [np.inf], [-np.inf], [np.inf, -np.inf],
+                                     [np.nan, -np.inf]], ids=str)
+    def test_autocov_of_rows_with_nan_and_inf(self, bad):
+        rng = np.random.default_rng(12)
+        chains = rng.standard_normal((3, 50))
+        chains[0, rng.choice(50, len(bad), replace=False)] = bad
+        chains[1, -1] = bad[0]
+        with np.errstate(invalid="ignore"):
+            want = [autocov_reference(row, 10) for row in chains]
+            got = samplers._autocov(chains, 10)
+        assert np.all(np.isnan(got[:2])) and np.all(np.isfinite(got[2]))
+        self.assert_same_bits(got, want)
+
+    @pytest.mark.parametrize("layout", ["C", "Fortran", "strided", "integer"])
+    def test_estimate_is_the_per_row_loops_whatever_the_layout(self, layout):
+        # every layout gives the bits that the estimator which called the
+        # per-lag loop row by row gives on its C-ordered float copy
+        rng = np.random.default_rng(13)
+        base = np.cumsum(rng.standard_normal((8, 2_500)), axis=1) * 3.0 + 7.0
+        chains = {"C": base, "Fortran": np.asfortranarray(base),
+                  "strided": np.repeat(base, 2, axis=1)[::2, ::2],
+                  "integer": np.rint(base * 1e3).astype(np.int64)}[layout]
+        copy = np.array(chains, dtype=float, order="C")
+        for lam in (0.0, 0.5, 0.9):
+            st = estimate_var_lambda(chains, lam)
+            for a, b in zip((st.autocovariances, st.estimate, st.se),
+                            estimate_var_lambda_reference(copy, lam)):
+                self.assert_same_bits(a, b)
+
+    def test_rows_past_the_blas_threading_threshold(self):
+        # OpenBLAS threads ddot above 10,000 elements at its default thread
+        # count; the kernel calls the same function, so the bits hold there
+        chains = np.random.default_rng(14).standard_normal((2, 30_000)).cumsum(axis=1)
+        st = estimate_var_lambda(chains, 0.9)
+        for a, b in zip((st.autocovariances, st.estimate, st.se),
+                        estimate_var_lambda_reference(chains, 0.9)):
+            self.assert_same_bits(a, b)
+        self.assert_same_bits(samplers._autocov(chains, 29_999)[:, [0, 1, 20_000, 29_999]],
+                              [autocov_reference(row, 29_999)[[0, 1, 20_000, 29_999]]
+                               for row in chains])
+
+    @pytest.mark.parametrize("max_lag", [4, 5, 100, -1])
+    def test_autocov_refuses_lags_outside_the_chain(self, max_lag):
+        chains = np.random.default_rng(15).standard_normal((2, 4))
+        with pytest.raises(ValueError, match=rf"max_lag must lie in \[0, 4\).*got {max_lag}"):
+            samplers._autocov(chains, max_lag)
+        self.assert_same_bits(samplers._autocov(chains, 3),
+                              [autocov_reference(row, 3) for row in chains])
 
     def test_consistency_against_exact_finite_chain(self):
         # simulate a 3-state reversible chain and compare to the exact
