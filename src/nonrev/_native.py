@@ -3,7 +3,8 @@
 ``_zigzag_exact.c`` (the exact Zig-Zag event loop, which draws through
 numpy's random C functions), ``_ghmc.c`` (the GHMC transition loop, which
 reads np.exp's loop table) and ``_autocov.c`` (the GHMC estimator's
-autocovariances, which call numpy's float64 dot) compile together against
+autocovariances and the Zig-Zag trajectory integrals' window sums, which
+call numpy's float64 dot) compile together against
 Python's and numpy's headers and link with numpy's ``libnpyrandom.a``.
 The library is cached in the package's __pycache__ under a name keyed by
 everything that shapes it; each engine declares the signatures of the

@@ -16,6 +16,8 @@ is needed), and thinning against an affine-along-the-ray envelope
 otherwise, in an event loop on Python floats.
 
 Observables are plain callables g(x, v), vectorized over a leading axis.
+Trajectory integrals sum their windows in ``_autocov.c``, through numpy's
+float64 dot, so they need the compiler on either path.
 The generator is L g = <grad_x g, v> + J g, where the jump part J holds the
 flips and the refresh clock.  Two processes on the same potential share the
 transport term, so their Dirichlet-form gap needs J alone.
@@ -166,15 +168,6 @@ class ZigZagTrajectory:
     def n_events(self) -> int:
         return self.codes.size
 
-    def state_at(self, t):
-        """Positions and velocities at times t (vectorized)."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
-        if np.any(t < 0) or np.any(t > self.horizon + 1e-12):
-            raise ValueError("t outside [0, horizon]")
-        k = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, None)
-        x = self.X[k] + (t - self.times[k])[:, None] * self.V[k]
-        return x, self.V[k]
-
 
 class EnvelopeViolation(RuntimeError):
     pass
@@ -199,6 +192,14 @@ def _kernel() -> ctypes.CDLL:
         ctypes.POINTER(ctypes.c_int64)]
     lib.exact_run.restype = ctypes.c_int
     return lib
+
+
+@functools.cache
+def _sums_kernel():
+    """``_autocov.c``'s window_sums, called with the interpreter lock held,
+    since it calls numpy's C API."""
+    proto = ctypes.PYFUNCTYPE(ctypes.c_int, *[ctypes.py_object] * 5)
+    return proto(("window_sums", _native.load()))
 
 
 def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
@@ -409,29 +410,47 @@ def _window_integrals(traj: ZigZagTrajectory, f, degree: int | None,
     """Time integrals of f(Z_s) over the windows [edges[k], edges[k+1]].
 
     The path is cut at the edges and at the event times strictly between
-    the first and last edge, and every segment gets the Gauss-Legendre rule;
-    f is evaluated once per node over all segments, and each window sums
-    its own segments with one dot product per node.
+    the first and last edge, and every segment gets the Gauss-Legendre rule.
+    Each cut segment's event segment is found once; a node set's states
+    are that segment's start moved along its velocity, except where a node
+    rounds past the segment's end (a segment a few ulps long), which takes
+    the full search over the event times.  f is evaluated once per node
+    over all segments, and each window sums its own segments with one
+    np.dot per node, all windows in one call of ``_autocov.c``'s
+    window_sums.
     """
     edges = np.asarray(edges, dtype=float)
     if not (edges[0] >= 0.0 and np.all(np.diff(edges) > 0)
             and edges[-1] <= traj.horizon + 1e-12):
         raise ValueError("bad integration window")
     nodes, weights = _GL3 if (degree is not None and degree <= 4) else _GL8
-    # np.union1d's points, sorted, without the numpy.ma import np.unique makes on first use
-    inside = traj.times[(traj.times > edges[0]) & (traj.times < edges[-1])]
-    cut = np.sort(np.concatenate((edges, inside[~np.isin(inside, edges, assume_unique=True)])))
-    bounds = np.searchsorted(cut, edges).tolist()
+    times, X, V, top = traj.times, traj.X, traj.V, traj.horizon + 1e-12
+    # np.union1d's points, without the numpy.ma import np.unique makes on first use
+    cut = np.sort(np.concatenate((edges, times[(times > edges[0]) & (times < edges[-1])])))
+    cut = cut[np.concatenate(([True], cut[1:] != cut[:-1]))]  # an event on an edge once
     a, b = cut[:-1], cut[1:]
     half, mid = (b - a) / 2.0, (a + b) / 2.0
-    totals = [0.0] * (len(bounds) - 1)
-    for z, w in zip(nodes, weights):
-        x, v = traj.state_at(mid + z * half)
-        vals = np.asarray(f(x, v), dtype=float)
-        wh = w * half
-        for k, (s, e) in enumerate(zip(bounds, bounds[1:])):
-            totals[k] += float(np.dot(wh[s:e], vals[s:e]))
-    return np.array(totals)
+    # the event segment each cut segment lies in, its start, and its end:
+    # the next event time, or for the last segment the last time admitted,
+    # so a node past it takes the full search and is refused there (take
+    # gathers rows faster than indexing)
+    seg = np.maximum(np.searchsorted(times, a, side="right") - 1, 0)
+    t0, X0, V0 = times[seg], X.take(seg, axis=0), V.take(seg, axis=0)
+    t1 = np.append(times[1:], top)[seg]
+    vals = []
+    for z in nodes:
+        t = mid + z * half
+        if np.all((t0 <= t) & (t < t1)):
+            x, v = X0 + (t - t0)[:, None] * V0, V0
+        else:  # a node rounded onto its segment's end: the full search
+            if np.any(t < 0) or np.any(t > top):
+                raise ValueError("t outside [0, horizon]")
+            k = np.maximum(np.searchsorted(times, t, side="right") - 1, 0)
+            x, v = X[k] + (t - times[k])[:, None] * V[k], V[k]
+        vals.append(np.asarray(f(x, v), dtype=float))
+    totals = np.empty(edges.size - 1)
+    _sums_kernel()(tuple(vals), weights, half, np.searchsorted(cut, edges), totals)
+    return totals
 
 
 def trajectory_integral(traj: ZigZagTrajectory, f, degree: int | None = None) -> float:
@@ -502,8 +521,7 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
         v0 = np.where(rng.random(pot.d) < 0.5, -1.0, 1.0)
         traj = yield from _event_loop(pot, spec, np.zeros(pot.d), v0, horizon + burn, rng)
         return batch_means_variance(traj, f, burn, burn + horizon, degree)
-    if _is_exact(pot, spec):
-        _kernel()  # built or loaded here, once, not in each forked share
+    _kernel(), _sums_kernel()  # built or loaded here, before any stream, not in each share
     n = min(_cpus(), replicates // 2)  # both are at least 1
     per = np.array(_in_shares(lambda share: _lockstep(spec, pot, [replicate(r) for r in share]),
                               range(replicates), n))

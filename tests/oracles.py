@@ -7,14 +7,16 @@ a block solve, one intensity call per thinning proposal in place of a
 block, one lambda per call in place of a grid, a centred second pass in
 place of one batch-means pass) or builds a target the catalog does not use,
 so it lives beside the tests that use it rather than inside the package
-under test.  Fourteen are earlier forms of package code kept verbatim (the
+under test.  Sixteen are earlier forms of package code kept verbatim (the
 three flip-time references, expectation_mu, the generic jump generator, the
 per-function gap and the Gram form that applied the jump generator per
 function and velocity, the GHMC driver that recorded every observable on every step, the finite grids
 and neal-ordering loop that solved every lambda in this process, the
-PQ form of the dominance certificate, and the per-lag autocovariance loop
-with the estimator that called it row by row), so that a rewrite can be
-held to them bit for bit.
+PQ form of the dominance certificate, the per-lag autocovariance loop
+with the estimator that called it row by row, and the trajectory's
+state_at with the window integrals that searched it per node set and
+summed each window with its own np.dot), so that a rewrite can be held to
+them bit for bit.
 """
 
 import math
@@ -31,9 +33,9 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            check_muQ_reversible, dirichlet_dominance_certificate,
                            inner, psd_certificate)
 from nonrev.samplers import Potential, _energy, default_max_lag, replicate_rng
-from nonrev.zigzag import (EnvelopeViolation, _all_velocities, _gh_nodes,
-                           _window_integrals, batch_means_variance, intensity,
-                           simulate_zigzag)
+from nonrev.zigzag import (_GL3, _GL8, EnvelopeViolation, ZigZagTrajectory,
+                           _all_velocities, _gh_nodes, _window_integrals,
+                           batch_means_variance, intensity, simulate_zigzag)
 from nonrev.zoo import (FlowMap, RingTarget, SubKernelPair, collapsed_kernel,
                         half_lift, lifted_kernel)
 
@@ -218,6 +220,47 @@ def thinned_flip_time_reference(spec, pot: Potential, i: int, x: np.ndarray,
                 return s + u
         s += 1.0
     return math.inf
+
+
+def state_at(traj: ZigZagTrajectory, t):
+    """Positions and velocities of the path at times t (vectorized), each
+    from a search over all event times; refuses t outside [0, horizon]."""
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    if np.any(t < 0) or np.any(t > traj.horizon + 1e-12):
+        raise ValueError("t outside [0, horizon]")
+    k = np.clip(np.searchsorted(traj.times, t, side="right") - 1, 0, None)
+    x = traj.X[k] + (t - traj.times[k])[:, None] * traj.V[k]
+    return x, traj.V[k]
+
+
+def window_integrals_reference(traj: ZigZagTrajectory, f, degree: int | None,
+                               edges) -> np.ndarray:
+    """Time integrals of f(Z_s) over the windows [edges[k], edges[k+1]].
+
+    The path is cut at the edges and at the event times strictly between
+    the first and last edge, and every segment gets the Gauss-Legendre rule;
+    f is evaluated once per node over all segments, and each window sums
+    its own segments with one dot product per node.
+    """
+    edges = np.asarray(edges, dtype=float)
+    if not (edges[0] >= 0.0 and np.all(np.diff(edges) > 0)
+            and edges[-1] <= traj.horizon + 1e-12):
+        raise ValueError("bad integration window")
+    nodes, weights = _GL3 if (degree is not None and degree <= 4) else _GL8
+    # np.union1d's points, sorted, without the numpy.ma import np.unique makes on first use
+    inside = traj.times[(traj.times > edges[0]) & (traj.times < edges[-1])]
+    cut = np.sort(np.concatenate((edges, inside[~np.isin(inside, edges, assume_unique=True)])))
+    bounds = np.searchsorted(cut, edges).tolist()
+    a, b = cut[:-1], cut[1:]
+    half, mid = (b - a) / 2.0, (a + b) / 2.0
+    totals = [0.0] * (len(bounds) - 1)
+    for z, w in zip(nodes, weights):
+        x, v = state_at(traj, mid + z * half)
+        vals = np.asarray(f(x, v), dtype=float)
+        wh = w * half
+        for k, (s, e) in enumerate(zip(bounds, bounds[1:])):
+            totals[k] += float(np.dot(wh[s:e], vals[s:e]))
+    return np.array(totals)
 
 
 def estimate_var_continuous_centred(pot: Potential, spec, f, horizon: float,

@@ -29,7 +29,7 @@ def ghmc_run(seed):
 
 
 def forget_library():
-    for cache in (_native.load, zigzag._kernel, samplers._c_kernel,
+    for cache in (_native.load, zigzag._kernel, zigzag._sums_kernel, samplers._c_kernel,
                   samplers._autocov_kernel):
         cache.cache_clear()
 
@@ -104,6 +104,13 @@ class TestNativeBuild:
                 zz_gaussian([0.8, 1.0, 1.5]), 0.7, 0.9, 2,
                 [AcceptanceRule.metropolis(), AcceptanceRule.barker()], [0.5],
                 {"x0": lambda x: x[:, 0]}, n_steps=300, replicates=2, seed=3)
+        # the thinned loop never calls the exact kernel, but the batch
+        # means' window sums are loaded before any replicate is simulated
+        well, canonical = zigzag.zz_double_well(), IntensitySpec("canonical")
+        assert not zigzag._is_exact(well, canonical)
+        with pytest.raises(RuntimeError, match=match):
+            zigzag.estimate_var_continuous(well, canonical, lambda x, v: x[:, 0], 20.0,
+                                           replicates=2, lam=0.0, seed=3)
         assert list(cache.iterdir()) == []  # the temporary files are gone too
 
     def test_unwritable_cache_builds_in_a_private_directory(self, monkeypatch, tmp_path):

@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
@@ -21,8 +23,9 @@ from nonrev.finite import PSD_TOL, psd_certificate
 from oracles import (dirichlet_gap_reference, estimate_var_continuous_centred,
                      estimate_var_continuous_reference, exact_flip_time_reference,
                      exact_flip_time_split_reference, expectation_mu,
-                     gap_gram_reference, jump_generator, steep_double_well,
-                     thinned_flip_time_reference, zz_tabulated)
+                     gap_gram_reference, jump_generator, state_at, steep_double_well,
+                     thinned_flip_time_reference, window_integrals_reference,
+                     zz_tabulated)
 
 
 def sigmaless(pot):
@@ -258,7 +261,7 @@ class TestSimulation:
                                [0.5], [1.0], horizon=10.0,
                                rng=np.random.default_rng(0))
         assert traj.n_events == 0
-        x, v = traj.state_at([10.0])
+        x, v = state_at(traj, [10.0])
         assert x[0, 0] == pytest.approx(10.5)
 
     def test_gaussian_moments(self):
@@ -776,7 +779,7 @@ def reference_window_integral(traj, f, degree, t_start, t_end):
     mid = (a + b) / 2.0
     total = 0.0
     for z, w in zip(nodes, weights):
-        x, v = traj.state_at(mid + z * half)
+        x, v = state_at(traj, mid + z * half)
         total += float(np.dot(w * half, np.asarray(f(x, v), dtype=float)))
     return total
 
@@ -792,7 +795,7 @@ class TestTrajectoryTools:
         traj = self.short_traj()
         f = lambda x, v: np.cos(x[:, 0]) + x[:, 0] ** 2
         ts = (np.arange(500_000) + 0.5) * (traj.horizon / 500_000)
-        x, v = traj.state_at(ts)
+        x, v = state_at(traj, ts)
         riemann = float(np.sum(f(x, v))) * (traj.horizon / ts.size)
         val = zigzag.trajectory_integral(traj, f)
         assert val == pytest.approx(riemann, abs=1e-6)
@@ -814,9 +817,9 @@ class TestTrajectoryTools:
     def test_state_at_bounds(self):
         traj = self.short_traj()
         with pytest.raises(ValueError):
-            traj.state_at([-0.1])
+            state_at(traj, [-0.1])
         with pytest.raises(ValueError):
-            traj.state_at([traj.horizon + 1.0])
+            state_at(traj, [traj.horizon + 1.0])
 
     def test_batch_means_zero_for_constants(self):
         traj = self.short_traj()
@@ -884,6 +887,144 @@ class TestTrajectoryTools:
                                horizon=5.0, rng=np.random.default_rng(0))
         with pytest.raises(ValueError):
             zigzag.batch_means_variance(traj, lambda x, v: x[:, 0], 0.0, 5.0)
+
+
+def skeleton(times, X, V, horizon):
+    """A hand-built path: segment k starts at (times[k], X[k]) with velocity
+    V[k].  X need not follow the velocities, so a state read from the wrong
+    segment shows."""
+    X = np.array(X, dtype=float).reshape(len(times), -1)
+    return zigzag.ZigZagTrajectory(np.array(times, dtype=float), X,
+                                   np.array(V, dtype=float).reshape(X.shape),
+                                   np.zeros(len(times) - 1, dtype=np.int64), horizon)
+
+
+def twelve_byte_stride(values):
+    """values as the float field of a packed record array: a stride of 12
+    bytes, every other element not 8-byte aligned."""
+    rec = np.zeros(values.size, dtype=[("value", "f8"), ("pad", "i4")])
+    rec["value"] = values
+    return rec["value"]
+
+
+def misaligned(values):
+    """values in an array whose data starts one byte past an 8-byte boundary."""
+    buf = np.zeros(values.size * 8 + 1, dtype=np.uint8)
+    out = buf[1:].view(np.float64)
+    out[:] = values
+    return out
+
+
+class TestWindowSums:
+    """zigzag._window_integrals, its segment gather and its window sums in
+    C, against window_integrals_reference, the per-node-set search and
+    per-window np.dot loop it replaced, bit for bit."""
+
+    # f's output in every layout window_sums reads: np.dot hands the BLAS a
+    # strided vector as it is, and a contiguous copy of one whose stride is
+    # zero, negative or not a multiple of 8 bytes, or whose data is
+    # misaligned; the strided dot's last bits differ from the copy's
+    LAYOUTS = {
+        "contiguous": lambda x, v: np.cos(x[:, 0]) + x[:, -1] * v[:, 0],
+        "strided": lambda x, v: x[:, 0],
+        "broadcast": lambda x, v: np.broadcast_to(np.float64(1.7), x.shape[:1]),
+        "negative-stride": lambda x, v: np.ascontiguousarray(x[::-1, 0])[::-1],
+        "twelve-byte-stride": lambda x, v: twelve_byte_stride(x[:, 0] * v[:, -1]),
+        "misaligned": lambda x, v: misaligned(np.sin(x[:, -1])),
+    }
+
+    @staticmethod
+    def assert_bits(traj, f, degree, edges):
+        got = zigzag._window_integrals(traj, f, degree, edges)
+        want = window_integrals_reference(traj, f, degree, edges)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), edges
+
+    @staticmethod
+    def path_2d():
+        return simulate_zigzag(zz_gaussian([1.0, 2.0]),
+                               IntensitySpec("canonical", refresh_rate=1.0,
+                                             refresh_mode="partial"),
+                               [0.3, -0.1], [1.0, -1.0], 600.0, np.random.default_rng(11))
+
+    @pytest.mark.parametrize("degree", [1, None])
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_every_layout_of_f(self, layout, degree):
+        traj = self.path_2d()
+        f = self.LAYOUTS[layout]
+        out = f(traj.X, traj.V)
+        assert out.strides == {"contiguous": (8,), "strided": (16,), "broadcast": (0,),
+                               "negative-stride": (-8,), "twelve-byte-stride": (12,),
+                               "misaligned": (8,)}[layout]
+        assert out.flags.aligned == (layout not in ("twelve-byte-stride", "misaligned"))
+        # windows of hundreds of segments, and windows of one segment each
+        # (between two events, more than 0.02 apart)
+        gaps = np.diff(traj.times)
+        k = int(np.argmax(gaps))
+        inside = np.linspace(traj.times[k], traj.times[k + 1], 12)[1:-1]
+        for edges in (np.linspace(20.0, 580.0, 8), inside, [0.0, traj.horizon]):
+            self.assert_bits(traj, f, degree, edges)
+        assert traj.times.size > 800 and gaps[k] > 0.02
+
+    def test_strided_values_keep_their_stride(self):
+        # the strided dot differs from the contiguous copy's, so a kernel
+        # that copied every vector (or read it as contiguous) would not
+        # match the reference
+        traj = self.path_2d()
+        edges = np.linspace(20.0, 580.0, 8)
+        strided = zigzag._window_integrals(traj, self.LAYOUTS["strided"], 1, edges)
+        copied = zigzag._window_integrals(
+            traj, lambda x, v: np.ascontiguousarray(x[:, 0]), 1, edges)
+        assert not np.array_equal(strided, copied)
+        assert np.allclose(strided, copied, rtol=1e-12, atol=1e-12)
+
+    @pytest.mark.parametrize("degree", [1, None])
+    def test_segment_a_few_ulps_long(self, degree):
+        # segment 1 spans two ulps, so a node mid + z * half rounds onto its
+        # end, 1.0 + 2 ulp, which the full search puts in segment 2; the
+        # segment's own start moved along its velocity gives another state
+        short_end = np.nextafter(np.nextafter(1.0, 2.0), 2.0)
+        traj = skeleton([0.0, 1.0, short_end, 3.0], [0.0, 1.0, 5.0, -2.0],
+                        [1.0, 1.0, -1.0, 1.0], 4.0)
+        f = lambda x, v: x[:, 0] + 0.25 * v[:, 0]
+        nodes = zigzag._GL3[0] if degree == 1 else zigzag._GL8[0]
+        mid, half = (1.0 + short_end) / 2.0, (short_end - 1.0) / 2.0
+        assert short_end in mid + nodes * half
+        # the first window holds the short segment alone, so a state read
+        # from the wrong segment changes its integral by about half
+        for edges in ([1.0, short_end, 2.0], [0.0, 2.0, 4.0], [0.5, short_end, 3.5]):
+            self.assert_bits(traj, f, degree, edges)
+
+    @settings(derandomize=True, deadline=None, max_examples=60)
+    @given(d=st.integers(1, 2), n=st.integers(1, 300), seed=st.integers(0, 2 ** 32 - 1),
+           n_edges=st.integers(0, 40), on_events=st.integers(0, 8), ulp_pairs=st.integers(0, 6),
+           degree=st.sampled_from([1, 4, 5, None]), layout=st.sampled_from(sorted(LAYOUTS)))
+    def test_random_skeletons_and_edges(self, d, n, seed, n_edges, on_events, ulp_pairs,
+                                        degree, layout):
+        rng = np.random.default_rng(seed)
+        horizon = float(rng.uniform(1.0, 200.0))
+        times = np.sort(rng.uniform(0.0, horizon, n))
+        # event pairs a few ulps apart, so nodes round onto segment ends
+        pairs = times[rng.integers(n, size=ulp_pairs)]
+        pairs = np.nextafter(np.nextafter(pairs, np.inf), np.inf)
+        times = np.unique(np.concatenate(([0.0], times, pairs)))
+        times = times[times < horizon]
+        traj = skeleton(times, rng.normal(size=(times.size, d)),
+                        rng.choice([-1.0, 1.0], size=(times.size, d)), horizon)
+        edges = np.concatenate((rng.uniform(0.0, horizon, n_edges),
+                                rng.choice(times, size=on_events),
+                                rng.choice([0.0, horizon], size=rng.integers(3))))
+        edges = np.unique(edges)
+        if edges.size < 2:
+            edges = np.array([0.0, horizon])
+        self.assert_bits(traj, self.LAYOUTS[layout], degree, edges)
+
+    @pytest.mark.parametrize("f", [lambda x, v: x, lambda x, v: 1.0,
+                                   lambda x, v: x[:-1, 0], lambda x, v: x[:, :1]],
+                             ids=["two-d", "scalar", "short", "column"])
+    def test_f_of_another_shape_refused(self, f):
+        traj = self.path_2d()
+        with pytest.raises(ValueError, match="f must give one float64 value per node"):
+            zigzag._window_integrals(traj, f, 1, [10.0, 20.0, 30.0])
 
 
 class TestVarianceEstimation:
