@@ -77,11 +77,10 @@ static void *array_data(PyObject *a, int type, npy_intp n, const char *what)
  * nondecreasing.  vals is a tuple of one 1-d float64 array of m values per
  * quadrature node, with any strides; node i has weight weights[i].  Writes
  * out[k] = 0.0 (W doubles), then, node by node, out[k] += np.dot(wh[s:e],
- * vals[i][s:e]) with wh = weights[i] * half (m doubles).  np.dot multiplies
- * one-element vectors, and gives the dot a contiguous copy of a vector
- * whose stride is zero, negative or not a multiple of 8 bytes, or whose
- * data is not 8-byte aligned; this does the same.  Returns 0, or -1 with a
- * Python exception set. */
+ * vals[i][s:e]) with wh = weights[i] * half (m doubles).  np.dot gives
+ * the dot a contiguous copy of a vector whose stride is zero, negative or
+ * not a multiple of 8 bytes, or whose data is not 8-byte aligned; this does
+ * the same.  Returns 0, or -1 with a Python exception set. */
 int window_sums(PyObject *vals, PyObject *weights_arr, PyObject *half_arr,
                 PyObject *bounds_arr, PyObject *out_arr)
 {
@@ -133,10 +132,7 @@ int window_sums(PyObject *vals, PyObject *weights_arr, PyObject *half_arr,
         for (npy_intp k = 0; k < windows; k++) {
             npy_intp s = bounds[k], e = bounds[k + 1];
             double d;
-            if (e - s == 1)
-                d = wh[s] * *(double *)(v + s * stride);
-            else
-                dot(wh + s, sizeof(double), v + s * stride, stride, &d, e - s, NULL);
+            dot(wh + s, sizeof(double), v + s * stride, stride, &d, e - s, NULL);
             out[k] += d;
         }
     }

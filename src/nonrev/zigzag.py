@@ -521,7 +521,9 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
         v0 = np.where(rng.random(pot.d) < 0.5, -1.0, 1.0)
         traj = yield from _event_loop(pot, spec, np.zeros(pot.d), v0, horizon + burn, rng)
         return batch_means_variance(traj, f, burn, burn + horizon, degree)
-    _kernel(), _sums_kernel()  # built or loaded here, before any stream, not in each share
+    _sums_kernel()  # built or loaded here, before any stream, not in each share
+    if _is_exact(pot, spec):
+        _kernel()
     n = min(_cpus(), replicates // 2)  # both are at least 1
     per = np.array(_in_shares(lambda share: _lockstep(spec, pot, [replicate(r) for r in share]),
                               range(replicates), n))
