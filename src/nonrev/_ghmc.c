@@ -6,10 +6,11 @@
  * lock, for a block of steps at a time.  Every other operation is the IEEE
  * double operation of the numpy expression it stands for, in that
  * expression's order, and the build forbids fused multiply-adds, so the
- * chains keep the numpy driver's bits.  libm's exp differs from the loop
- * numpy dispatched for this CPU in the last bit of some values, so exp is
- * the first float64 loop in the table of the np.exp ufunc passed in (the
- * one numpy's own type resolution picks), read at every call.
+ * chains keep the bits of tests/oracles.py::ghmc_update_reference, the
+ * transition in numpy.  libm's exp differs from the loop numpy dispatched
+ * for this CPU in the last bit of some values, so exp is the first float64
+ * loop in the table of the np.exp ufunc passed in (the one numpy's own
+ * type resolution picks), read at every call.
  */
 
 #include <Python.h>
@@ -38,18 +39,18 @@ static double sum_sq(const double *a, const double *w, int64_t d)
     return s;
 }
 
-/* Runs b GHMC steps on n rows of dimension d, as samplers._numpy_block
- * does: rows [i * n / k, (i + 1) * n / k) follow rule i, Barker where
- * barker[i] and Metropolis otherwise.  inv2[c] is 1 / sigma_c^2.  Step s
- * refreshes v to v * cos_w + noise[s] (noise is b x n x d, pre-scaled by
- * sin), runs nleap leapfrog steps of size step from the carried half-kick,
- * and accepts a row where unif[s] < phi(exp(de)) and de is finite, de
- * being the energy before minus the energy after; a rejected row keeps x,
- * U(x) and the kick and flips v.  x, Ux, v and kick (n x d, n, n x d,
- * n x d) are updated in place and each step's x is written to xs[s].
- * work holds n * (3 d + 3) doubles.  Leaves the floating-point exception
- * flags as it found them.  Returns DONE, or NO_EXP_LOOP before any step
- * when exp has no float64 -> float64 loop. */
+/* Runs b GHMC steps on n rows of dimension d, each one the transition of
+ * tests/oracles.py::ghmc_update_reference: rows [i * n / k, (i + 1) * n / k)
+ * follow rule i, Barker where barker[i] and Metropolis otherwise.  inv2[c]
+ * is 1 / sigma_c^2.  Step s refreshes v to v * cos_w + noise[s] (noise is
+ * b x n x d, pre-scaled by sin), runs nleap leapfrog steps of size step from
+ * the carried half-kick, and accepts a row where unif[s] < phi(exp(de)) and
+ * de is finite, de being the energy before minus the energy after; a
+ * rejected row keeps x, U(x) and the kick and flips v.  x, Ux, v and kick
+ * (n x d, n, n x d, n x d) are updated in place and each step's x is written
+ * to xs[s].  work holds n * (3 d + 3) doubles.  Leaves the floating-point
+ * exception flags as it found them.  Returns DONE, or NO_EXP_LOOP before any
+ * step when exp has no float64 -> float64 loop. */
 int ghmc_run(PyObject *exp_ufunc, int64_t b, int64_t n, int64_t d, int64_t k,
              const int *barker, const double *inv2, double cos_w, double step,
              int64_t nleap, const double *noise, const double *unif, double *x,

@@ -12,8 +12,10 @@ accept-uniform sub-stream (a 2**128 jump apart), which makes its output
 independent of the internal buffering block size.  It runs all acceptance
 rules in one batch, and every rule reads each replicate's two sub-streams,
 so the rules share common random numbers.  Its transitions run in a C
-kernel, ``_ghmc.c``, for diagonal-Gaussian targets in d <= 2 under the
-Metropolis and Barker rules, and in numpy otherwise, with the same bits.
+kernel, ``_ghmc.c``, with the bits of the numpy transition in
+tests/oracles.py; it serves diagonal-Gaussian targets in d <= 2 under the
+Metropolis and Barker rules, and the driver refuses every other target and
+rule.
 The estimator's autocovariances run in a C kernel, ``_autocov.c``, that
 calls numpy's own float64 dot, with the bits of one np.dot per lag.
 """
@@ -90,68 +92,7 @@ class Potential:
                     raise ValueError("grad disagrees with finite differences")
 
 
-def _energy(Ux, v: np.ndarray):
-    """H(x, v) = U(x) + |v|^2 / 2 from Ux = U(x), momentum marginal N(0, I)."""
-    return Ux + np.add.reduce(v * v, axis=-1) / 2.0
-
-
-def leapfrog(H: Potential, x: np.ndarray, v: np.ndarray, kick: np.ndarray,
-             step: float, nleap: int):
-    """Velocity-Verlet flow for U(x) + |v|^2 / 2; symmetric splitting
-    so the map psi satisfies psi^{-1} = xi o psi o xi with xi(x,v) = (x,-v).
-    kick is the opening half-kick 0.5 * step * grad U(x); returns the final
-    (x, v) and the closing half-kick at the final x, which opens the next
-    flow from there."""
-    half = 0.5 * step
-    for _ in range(nleap):
-        v = v - kick
-        x = x + step * v
-        kick = half * np.asarray(H.grad(x))  # shared by consecutive half-kicks
-        v = v - kick
-    return x, v, kick
-
-
-def _ghmc_update(H, x, Ux, kick, v, u, step, nleap, rules):
-    """Leapfrog proposal and accept stage of one GHMC transition on k * R rows,
-    block i of R rows under rules[i]; v is the refreshed momentum, Ux = U(x)
-    and kick = 0.5 * step * grad U(x).  Non-finite energy errors reject;
-    rejection flips the momentum.  Returns the next (x, U(x), v, kick).  The
-    caller silences floating-point warnings."""
-    xn, vn, kn = leapfrog(H, x, v, kick, step, nleap)
-    Un = np.asarray(H.U(xn))
-    n = len(u)
-    e = _energy(np.concatenate((Ux, Un)), np.concatenate((v, vn)))
-    de = e[:n] - e[n:]
-    r = np.exp(de)
-    a = np.empty(n)
-    R = n // len(rules)
-    for i, rule in enumerate(rules):
-        a[i * R:(i + 1) * R] = rule.phi(r[i * R:(i + 1) * R])
-    acc = ((u < a) & np.isfinite(de))[:, None]
-    return (np.where(acc, xn, x), np.where(acc[:, 0], Un, Ux),
-            np.where(acc, vn, -v), np.where(acc, kn, kick))
-
-
-def _numpy_block(H, rules, step, nleap, cos, x, Ux, kick, v, noise, unif, xs):
-    """The GHMC steps of one block of draws: step i refreshes v to
-    v * cos + noise[i], takes _ghmc_update with uniforms unif[i] and writes
-    x to xs[i].  Returns the final (x, U(x), kick, v)."""
-    for i in range(len(xs)):
-        x, Ux, v, kick = _ghmc_update(H, x, Ux, kick, v * cos + noise[i], unif[i],
-                                      step, nleap, rules)
-        xs[i] = x
-    return x, Ux, kick, v
-
-
 _NO_EXP_LOOP = "np.exp has no float64 loop ('d->d') for the GHMC kernel to call"
-
-
-def _in_c(H: Potential, rules) -> bool:
-    """Whether ``_c_block`` runs the chains: diagonal-Gaussian targets in
-    d <= 2, where numpy sums each row's two terms in the one order there
-    is, and rules whose phi is the kernel's Metropolis or Barker function."""
-    return (H.gaussian_sigmas is not None and H.d <= 2
-            and all(rule.phi is _metropolis or rule.phi is _barker for rule in rules))
 
 
 @functools.cache
@@ -167,8 +108,12 @@ def _c_kernel():
 
 
 def _c_block(H, rules, step, nleap, cos, x, Ux, kick, v, noise, unif, xs):
-    """``_numpy_block`` in one call of the C kernel, on copies of the state,
-    with the same bits.  H and rules must pass ``_in_c``."""
+    """The GHMC steps of one block of draws, in one call of the C kernel on
+    copies of the state: step i refreshes v to v * cos + noise[i], runs the
+    leapfrog flow from the carried half-kick, accepts a row where
+    unif[i] < phi(exp(de)) and de is finite, flips v where it rejects, and
+    writes x to xs[i].  Returns the final (x, U(x), kick, v).  H and rules
+    must be ones ``run_ghmc_chains`` serves."""
     b, n, d = noise.shape
     if not (unif.shape == (b, n) and xs.shape == noise.shape
             and np.shape(x) == np.shape(kick) == np.shape(v) == (n, d)
@@ -277,17 +222,27 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     rules[i]'s.  Each observable maps an (m, d) array of positions row by row
     to m values; it is applied once per block, to all the positions the block
     recorded.
+
+    The transitions run in the C kernel ``_ghmc.c``, which serves
+    diagonal-Gaussian targets (gaussian_sigmas set) in d <= 2 under rules
+    whose phi is the Metropolis or Barker function; any other target or rule
+    raises ValueError before any draw, after the checks of burn_in and of
+    empty rules.  A failed build of the kernel raises RuntimeError before any
+    draw.
     """
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
     if len(rules) == 0:
         raise ValueError("rules is empty: GHMC needs at least one acceptance rule")
     k, R, d = len(rules), replicates, H.d
-    block = _c_block if _in_c(H, rules) else _numpy_block
-    if block is _c_block:
-        _c_kernel()  # built or loaded, and np.exp's loop found, before any draw
-        if "d->d" not in np.exp.types:
-            raise RuntimeError(_NO_EXP_LOOP)
+    if not (H.gaussian_sigmas is not None and d <= 2
+            and all(rule.phi is _metropolis or rule.phi is _barker for rule in rules)):
+        raise ValueError("run_ghmc_chains serves diagonal-Gaussian targets (gaussian_sigmas "
+                         "set) in d <= 2 under rules whose phi is the Metropolis or Barker "
+                         f"function, got d = {d} and rules {[rule.kind for rule in rules]}")
+    _c_kernel()  # built or loaded, and np.exp's loop found, before any draw
+    if "d->d" not in np.exp.types:
+        raise RuntimeError(_NO_EXP_LOOP)
     noise_rngs = [replicate_rng(seed, r) for r in range(R)]
     unif_rngs = [np.random.Generator(g.bit_generator.jumped(1)) for g in noise_rngs]
     cos, sin = math.cos(omega), math.sin(omega)
@@ -297,24 +252,23 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     v = np.tile(np.stack([rng.standard_normal(d) for rng in noise_rngs]), (k, 1))
     out = [np.empty((k * R, n_steps)) for _ in observables]
     total = n_steps + burn_in
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, total, _BLOCK):
-            b = min(_BLOCK, total - start)
-            # every rule's rows get its replicate's refresh term and uniform
-            noise = np.stack([rng.standard_normal((b, d)) for rng in noise_rngs],
-                             axis=1) * sin
-            noise = np.tile(noise, (1, k, 1))
-            unif = np.tile(np.stack([rng.random(b) for rng in unif_rngs], axis=1),
-                           (1, k))
-            xs = np.empty_like(noise)  # x after each of the block's steps
-            x, Ux, kick, v = block(H, rules, step, nleap, cos, x, Ux, kick, v,
-                                   noise, unif, xs)
-            lo = max(0, burn_in - start)  # the block's first recorded step
-            if lo < b:
-                t = start + lo - burn_in
-                rows = xs[lo:].reshape(-1, d)
-                for o, f in zip(out, observables):
-                    o[:, t:t + b - lo] = np.reshape(f(rows), (b - lo, k * R)).T
+    for start in range(0, total, _BLOCK):
+        b = min(_BLOCK, total - start)
+        # every rule's rows get its replicate's refresh term and uniform
+        noise = np.stack([rng.standard_normal((b, d)) for rng in noise_rngs],
+                         axis=1) * sin
+        noise = np.tile(noise, (1, k, 1))
+        unif = np.tile(np.stack([rng.random(b) for rng in unif_rngs], axis=1),
+                       (1, k))
+        xs = np.empty_like(noise)  # x after each of the block's steps
+        x, Ux, kick, v = _c_block(H, rules, step, nleap, cos, x, Ux, kick, v,
+                                  noise, unif, xs)
+        lo = max(0, burn_in - start)  # the block's first recorded step
+        if lo < b:
+            t = start + lo - burn_in
+            rows = xs[lo:].reshape(-1, d)
+            for o, f in zip(out, observables):
+                o[:, t:t + b - lo] = np.reshape(f(rows), (b - lo, k * R)).T
     return out
 
 
@@ -362,11 +316,11 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
     standard errors; the report carries the worst excess as max_violation.
     Raises ValueError before sampling unless there are at least two rules of
     distinct kinds, a lambda, an observable and 2 replicates, every lambda
-    lies in [0, 1) and n_steps >= min_chain_length(max(lambdas)); after
-    sampling, when the chains of some rule and observable never moved
-    (lag-0 autocovariance exactly 0.0, as when every proposal is rejected).
-    A failed build of the C kernels raises RuntimeError before sampling,
-    whichever GHMC driver runs, since the estimator needs them.
+    lies in [0, 1), n_steps >= min_chain_length(max(lambdas)) and
+    run_ghmc_chains serves H and the rules; after sampling, when the chains
+    of some rule and observable never moved (lag-0 autocovariance exactly
+    0.0, as when every proposal is rejected).  A failed build of the C
+    kernels raises RuntimeError before sampling.
     """
     kinds = [rule.kind for rule in rules]
     if len(kinds) < 2 or len(set(kinds)) < len(kinds):
@@ -378,7 +332,6 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
     if n_steps < (need := min_chain_length(max(lambdas))):
         raise ValueError(f"n_steps must be >= {need} at lambda {max(lambdas)!r}, got {n_steps}")
     names = list(observables)
-    _autocov_kernel()  # built or loaded before any draw, whichever driver runs
     chains = run_ghmc_chains(H, step, nleap, omega, rules, n_steps, replicates,
                              seed, [observables[k] for k in names],
                              burn_in=n_steps // 10)

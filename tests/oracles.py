@@ -7,12 +7,14 @@ a block solve, one intensity call per thinning proposal in place of a
 block, one lambda per call in place of a grid, a centred second pass in
 place of one batch-means pass) or builds a target the catalog does not use,
 so it lives beside the tests that use it rather than inside the package
-under test.  Sixteen are earlier forms of package code kept verbatim (the
+under test.  Seventeen are earlier forms of package code kept verbatim (the
 three flip-time references, expectation_mu, the generic jump generator, the
 per-function gap and the Gram form that applied the jump generator per
-function and velocity, the GHMC driver that recorded every observable on every step, the finite grids
-and neal-ordering loop that solved every lambda in this process, the
-PQ form of the dominance certificate, the per-lag autocovariance loop
+function and velocity, the GHMC driver that recorded every observable on
+every step and the energy it formed (the one numpy form of GHMC, since the
+package runs its GHMC transitions in C only), the finite grids and
+neal-ordering loop that solved every lambda in this process, the PQ form of
+the dominance certificate, the per-lag autocovariance loop
 with the estimator that called it row by row, and the trajectory's
 state_at with the window integrals that searched it per node set and
 summed each window with its own np.dot), so that a rewrite can be held to
@@ -32,7 +34,7 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            _check_dims, _lambda_grid, centered, check_mu_reversible,
                            check_muQ_reversible, dirichlet_dominance_certificate,
                            inner, psd_certificate)
-from nonrev.samplers import Potential, _energy, default_max_lag, replicate_rng
+from nonrev.samplers import Potential, default_max_lag, replicate_rng
 from nonrev.zigzag import (_GL3, _GL8, EnvelopeViolation, ZigZagTrajectory,
                            _all_velocities, _gh_nodes, _window_integrals,
                            batch_means_variance, intensity, simulate_zigzag)
@@ -671,10 +673,17 @@ def extra_chance_finite_loop(mu: FiniteDistribution, psi: FlowMap,
 GHMC_BLOCK_REFERENCE = 100_000  # transitions of noise and uniforms drawn at a time
 
 
+def _energy(Ux, v: np.ndarray):
+    """H(x, v) = U(x) + |v|^2 / 2 from Ux = U(x), momentum marginal N(0, I)."""
+    return Ux + np.add.reduce(v * v, axis=-1) / 2.0
+
+
 def leapfrog_reference(H: Potential, x: np.ndarray, v: np.ndarray,
                        step: float, nleap: int):
     """Velocity-Verlet flow for U(x) + |v|^2 / 2, opening with its own
-    gradient call: samplers.leapfrog before it took the opening half-kick."""
+    gradient call: the package's numpy leapfrog before it took the opening
+    half-kick.  The splitting is symmetric, so the map psi satisfies
+    psi^{-1} = xi o psi o xi with xi(x, v) = (x, -v)."""
     half = 0.5 * step
     kick = half * np.asarray(H.grad(x))  # shared by consecutive half-kicks
     for _ in range(nleap):
@@ -686,8 +695,11 @@ def leapfrog_reference(H: Potential, x: np.ndarray, v: np.ndarray,
 
 
 def ghmc_update_reference(H, x, Ux, v, u, step, nleap, rules):
-    """One GHMC transition on k * R rows, as samplers._ghmc_update was before
-    it carried the half-kick; returns the next (x, U(x), v)."""
+    """One GHMC transition on k * R rows, block i of R rows under rules[i]:
+    the package's numpy transition before it carried the half-kick, and the
+    transition that _ghmc.c computes from the carried one.  v is the
+    refreshed momentum; non-finite energy errors reject, and rejection
+    flips the momentum.  Returns the next (x, U(x), v)."""
     xn, vn = leapfrog_reference(H, x, v, step, nleap)
     Un = np.asarray(H.U(xn))
     de = _energy(Ux, v) - _energy(Un, vn)
@@ -703,8 +715,10 @@ def run_ghmc_chains_reference(H: Potential, step: float, nleap: int,
                               replicates: int, seed: int, observables,
                               *, burn_in: int = 0):
     """samplers.run_ghmc_chains as it was before it recorded positions per
-    block: draws buffered GHMC_BLOCK_REFERENCE steps at a time, every
-    observable called on every step, a gradient call opening each flow."""
+    block, in numpy: draws buffered GHMC_BLOCK_REFERENCE steps at a time,
+    every observable called on every step, a gradient call opening each
+    flow.  It runs any target and rule; the package serves only those of its
+    C kernel."""
     k, R, d = len(rules), replicates, H.d
     noise_rngs = [replicate_rng(seed, r) for r in range(R)]
     unif_rngs = [np.random.Generator(g.bit_generator.jumped(1)) for g in noise_rngs]

@@ -97,11 +97,11 @@ class TestNativeBuild:
         monkeypatch.setattr(samplers, "replicate_rng", no_stream)
         with pytest.raises(RuntimeError, match=match):
             ghmc_run(3)
-        # d = 3 runs the numpy driver, which never calls the GHMC kernel,
-        # but the estimator's kernel is loaded before the chains are drawn
+        # a comparison loads the library, the estimator's kernel with it,
+        # when its chains load the GHMC kernel, before any stream is made
         with pytest.raises(RuntimeError, match=match):
             samplers.compare_acceptance_rules(
-                zz_gaussian([0.8, 1.0, 1.5]), 0.7, 0.9, 2,
+                zz_gaussian([0.8, 1.5]), 0.7, 0.9, 2,
                 [AcceptanceRule.metropolis(), AcceptanceRule.barker()], [0.5],
                 {"x0": lambda x: x[:, 0]}, n_steps=300, replicates=2, seed=3)
         # the thinned loop never calls the exact kernel, but the batch
