@@ -159,6 +159,20 @@ class TestGhmcStep:
         x, _, v = self.update(H, 1.0, 5.0, 0.0, 2.5, 200, AcceptanceRule.metropolis())
         assert (x, v) == (1.0, -5.0)
 
+    @pytest.mark.parametrize("rule", [AcceptanceRule.metropolis(),
+                                      AcceptanceRule.barker()],
+                             ids=["metropolis", "barker"])
+    def test_overflowing_ratio_accepts(self, rule):
+        # one leap of step 1.4 from x = 60 at rest drops a finite energy of
+        # about 882, so exp(de) overflows to inf; phi(inf) = 1, so the move
+        # must be accepted even at u = 0.999
+        x0, v0 = np.array([60.0]), np.array([0.0])
+        xn, vn = leapfrog_reference(self.H, x0, v0, 1.4, 1)
+        de = float(energy(self.H, x0, v0) - energy(self.H, xn, vn))
+        assert 709.8 < de < math.inf
+        x, U, v = self.update(self.H, 60.0, 0.0, 0.999, 1.4, 1, rule)
+        assert (x, U, v) == (xn[0], float(self.H.U(xn)), vn[0])
+
 
 class TestEstimator:
     def test_lag0_is_biased_variance(self):
@@ -456,25 +470,32 @@ class TestGhmcDriverMatchesReference:
     observable on every step (oracles.run_ghmc_chains_reference): every chain
     bit-identical, for every block layout of burn-in and recorded steps."""
 
-    RULES2 = [AcceptanceRule.metropolis(), AcceptanceRule.barker()]
+    MET, BAR = AcceptanceRule.metropolis(), AcceptanceRule.barker()
+    RULES2 = [MET, BAR]
+    RULES3 = [BAR, MET, BAR]  # Barker's rows first, and a rule run twice
     # (potential, rules, step, nleap); at step 2.5 with 200 leaps sigma 0.1's
     # energies overflow to inf and NaN, and a Gaussian target never accepts
-    # those
+    # those; at step 2.5 the unit Gaussian's flow is unstable and most
+    # proposals reject
     CONFIGS = {
         "d1-2rules-step0.9": (zz_gaussian([1.0]), RULES2, 0.9, 2),
         "d2-2rules-step1.7": (zz_gaussian([0.8, 1.3]), RULES2, 1.7, 3),
         "d1-2rules-nonfinite": (zz_gaussian([0.1]), RULES2, 2.5, 200),
+        "d1-3rules-step2.5": (zz_gaussian([1.0]), RULES3, 2.5, 2),
+        "d2-3rules-step0.4": (zz_gaussian([0.3, 2.0]), RULES3, 0.4, 9),
+        "d1-barker-step1.2": (zz_gaussian([2.5]), [BAR], 1.2, 4),
+        "d2-metropolis-nonfinite": (zz_gaussian([0.1, 1.0]), [MET], 2.5, 200),
     }
     OBS = [lambda x: x[:, 0] ** 2, lambda x: np.abs(x[:, -1]),
            lambda x: np.add.reduce(x * x, axis=-1)]
 
     LAYOUTS = [(burn, across) for burn in ("0", "1", "block-1", "block+3")
                for across in (False, True)]
-    # every config on every layout of 137-step blocks, and two configs on
+    # every config on every layout of 137-step blocks, and three configs on
     # the layouts of the real block length
     CASES = ([(config, 137, *layout) for config, layout in itertools.product(CONFIGS, LAYOUTS)]
              + [(config, samplers._BLOCK, *layout) for config, layout in itertools.product(
-                 ("d2-2rules-step1.7", "d1-2rules-step0.9"), LAYOUTS)])
+                 ("d2-2rules-step1.7", "d1-2rules-step0.9", "d1-3rules-step2.5"), LAYOUTS)])
 
     @pytest.mark.parametrize("config, block, burn, across", CASES, ids=[
         f"{c}-block{b}-burn{burn}-{'across' if a else 'within'}" for c, b, burn, a in CASES])
