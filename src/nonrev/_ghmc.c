@@ -2,8 +2,9 @@
  * Metropolis and Barker acceptance functions, with exp through numpy's
  * own float64 loop.
  *
- * nonrev.samplers calls ghmc_run through ctypes, holding the interpreter
- * lock, for a block of steps at a time.  Every other operation is the IEEE
+ * nonrev.samplers calls ghmc_run through nonrev._native, as every entry
+ * point of the library is called (see _autocov.c), for a block of steps at
+ * a time.  Every other operation is the IEEE
  * double operation of the numpy expression it stands for, in that
  * expression's order, and the build forbids fused multiply-adds, so the
  * chains keep the bits of tests/oracles.py::ghmc_update_reference, the
@@ -25,8 +26,9 @@
 #include "numpy/ndarraytypes.h"
 #include "numpy/ufuncobject.h"
 
-/* Return codes of ghmc_run. */
-enum { DONE = 0, NO_EXP_LOOP = -1 };
+/* Defined in _autocov.c. */
+void *array_data(PyObject *a, int type, int write, int ndim, npy_intp *shape,
+                 const char *what);
 
 /* np.add.reduce(a * a * w, axis=-1) on one row of d <= 2 values; w = NULL
  * is np.add.reduce(a * a, axis=-1).  For d <= 2 numpy's pairwise and
@@ -41,21 +43,49 @@ static double sum_sq(const double *a, const double *w, int64_t d)
 
 /* Runs b GHMC steps on n rows of dimension d, each one the transition of
  * tests/oracles.py::ghmc_update_reference: rows [i * n / k, (i + 1) * n / k)
- * follow rule i, Barker where barker[i] and Metropolis otherwise.  inv2[c]
- * is 1 / sigma_c^2.  Step s refreshes v to v * cos_w + noise[s] (noise is
- * b x n x d, pre-scaled by sin), runs nleap leapfrog steps of size step from
- * the carried half-kick, and accepts a row where unif[s] < phi(exp(de)) and
- * de is finite, de being the energy before minus the energy after; a
- * rejected row keeps x, U(x) and the kick and flips v.  x, Ux, v and kick
- * (n x d, n, n x d, n x d) are updated in place and each step's x is written
- * to xs[s].  work holds n * (3 d + 3) doubles.  Leaves the floating-point
- * exception flags as it found them.  Returns DONE, or NO_EXP_LOOP before any
- * step when exp has no float64 -> float64 loop. */
-int ghmc_run(PyObject *exp_ufunc, int64_t b, int64_t n, int64_t d, int64_t k,
-             const int *barker, const double *inv2, double cos_w, double step,
-             int64_t nleap, const double *noise, const double *unif, double *x,
-             double *Ux, double *v, double *kick, double *xs, double *work)
+ * follow rule i, Barker where barker[i] (k >= 1 intc values, k dividing n)
+ * and Metropolis otherwise.  inv2[c] is 1 / sigma_c^2 (d >= 1 values).
+ * Step s refreshes v to v * cos_w + noise[s] (noise is b x n x d,
+ * pre-scaled by sin), runs nleap leapfrog steps of size step from the
+ * carried half-kick, and accepts a row where unif[s] < phi(exp(de)) (unif
+ * is b x n) and de is finite, de being the energy before minus the energy
+ * after; a rejected row keeps x, U(x) and the kick and flips v.  x, Ux, v
+ * and kick (n x d, n, n x d, n x d) are updated in place and each step's x
+ * is written to xs[s] (b x n x d).  Leaves the floating-point exception
+ * flags as it found them.  Returns 0, or -1 with a Python exception set
+ * before any step: ValueError for a bad argument, RuntimeError when exp
+ * (a ufunc) has no float64 -> float64 loop. */
+int ghmc_run(PyObject *exp_ufunc, PyObject *barker_arr, PyObject *inv2_arr, double cos_w,
+             double step, int64_t nleap, PyObject *noise_arr, PyObject *unif_arr,
+             PyObject *x_arr, PyObject *Ux_arr, PyObject *v_arr, PyObject *kick_arr,
+             PyObject *xs_arr)
 {
+    if (PyUFunc_ImportUFuncAPI() < 0)
+        return -1;
+    if (!PyObject_TypeCheck(exp_ufunc, &PyUFunc_Type)) {
+        PyErr_SetString(PyExc_ValueError, "exp must be a numpy ufunc");
+        return -1;
+    }
+    npy_intp bnd[3] = {-1, -1, -1}, k = -1;
+    const double *noise = array_data(noise_arr, NPY_DOUBLE, 0, 3, bnd, "noise");
+    const int *barker = noise ? array_data(barker_arr, NPY_INT, 0, 1, &k, "barker") : NULL;
+    if (barker == NULL)
+        return -1;
+    const npy_intp b = bnd[0], n = bnd[1], d = bnd[2];
+    if (d < 1 || k < 1 || n % k) {
+        PyErr_Format(PyExc_ValueError, "need d >= 1 and k >= 1 rules dividing n = %lld rows, "
+                     "got d = %lld and k = %lld", (long long)n, (long long)d, (long long)k);
+        return -1;
+    }
+    const double *inv2 = array_data(inv2_arr, NPY_DOUBLE, 0, 1, bnd + 2, "inv2");
+    const double *unif = inv2 ? array_data(unif_arr, NPY_DOUBLE, 0, 2, bnd, "unif") : NULL;
+    double *x = unif ? array_data(x_arr, NPY_DOUBLE, 1, 2, bnd + 1, "x") : NULL;
+    double *Ux = x ? array_data(Ux_arr, NPY_DOUBLE, 1, 1, bnd + 1, "Ux") : NULL;
+    double *v = Ux ? array_data(v_arr, NPY_DOUBLE, 1, 2, bnd + 1, "v") : NULL;
+    double *kick = v ? array_data(kick_arr, NPY_DOUBLE, 1, 2, bnd + 1, "kick") : NULL;
+    double *xs = kick ? array_data(xs_arr, NPY_DOUBLE, 1, 3, bnd, "xs") : NULL;
+    if (xs == NULL)
+        return -1;
     const PyUFuncObject *uf = (const PyUFuncObject *)exp_ufunc;
     PyUFuncGenericFunction loop = NULL;
     void *loop_data = NULL;
@@ -66,8 +96,16 @@ int ghmc_run(PyObject *exp_ufunc, int64_t b, int64_t n, int64_t d, int64_t k,
             break;
         }
     }
-    if (loop == NULL)
-        return NO_EXP_LOOP;
+    if (loop == NULL) {
+        PyErr_SetString(PyExc_RuntimeError,
+                        "np.exp has no float64 loop ('d->d') for the GHMC kernel to call");
+        return -1;
+    }
+    double *work = PyMem_Malloc((size_t)n * (3 * (size_t)d + 3) * sizeof(double));
+    if (work == NULL) {
+        PyErr_NoMemory();
+        return -1;
+    }
 
     fexcept_t flags;
     fegetexceptflag(&flags, FE_ALL_EXCEPT);
@@ -120,5 +158,6 @@ int ghmc_run(PyObject *exp_ufunc, int64_t b, int64_t n, int64_t d, int64_t k,
         }
     }
     fesetexceptflag(&flags, FE_ALL_EXCEPT);
-    return DONE;
+    PyMem_Free(work);
+    return 0;
 }

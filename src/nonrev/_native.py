@@ -4,11 +4,16 @@
 numpy's random C functions), ``_ghmc.c`` (the GHMC transition loop, which
 reads np.exp's loop table) and ``_autocov.c`` (the GHMC estimator's
 autocovariances and the Zig-Zag trajectory integrals' window sums, which
-call numpy's float64 dot) compile together against
-Python's and numpy's headers and link with numpy's ``libnpyrandom.a``.
-The library is cached in the package's __pycache__ under a name keyed by
-everything that shapes it; each engine declares the signatures of the
-functions it calls.
+call numpy's float64 dot, and the argument check of every entry point)
+compile together against Python's and numpy's headers and link with numpy's
+``libnpyrandom.a``.  The library is cached in the package's __pycache__
+under a name keyed by everything that shapes it.
+
+Every entry point is declared here, in ``_SIGNATURES``, and called through
+``entry``: with the interpreter lock held, its arrays and the bit generator
+passed as Python objects that the C code checks.  A failed check raises a
+ValueError naming the argument, and any other error the entry point sets
+(ZeroDivisionError, RuntimeError, MemoryError) is raised from the call.
 """
 
 from __future__ import annotations
@@ -29,6 +34,18 @@ _SOURCES = tuple(Path(__file__).with_name(n)
                  for n in ("_zigzag_exact.c", "_ghmc.c", "_autocov.c"))
 _CACHE = Path(__file__).with_name("__pycache__")
 _CFLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+_OBJ, _I64, _F64 = ctypes.py_object, ctypes.c_int64, ctypes.c_double
+# each entry point's return type, then its argument types
+_SIGNATURES = {
+    # (bit generator capsule, inv2, gamma, rate, full, horizon, times, X, V,
+    # codes, rows) -> rows filled
+    "exact_run": (_I64, _OBJ, _OBJ, _F64, _F64, ctypes.c_int, _F64, *[_OBJ] * 4, _I64),
+    "flip_time": (_F64, _F64, _F64, _F64, _F64),  # (a, b, gamma, e)
+    # (exp ufunc, barker, inv2, cos, step, nleap, noise, unif, x, Ux, v, kick, xs)
+    "ghmc_run": (ctypes.c_int, _OBJ, _OBJ, _OBJ, _F64, _F64, _I64, *[_OBJ] * 7),
+    "autocov_rows": (ctypes.c_int, _OBJ, _OBJ, _I64, _OBJ),  # (chains, means, max_lag, out)
+    "window_sums": (ctypes.c_int, *[_OBJ] * 5),  # (vals, weights, half, bounds, out)
+}
 
 
 def _cache_name(sources) -> str:
@@ -88,3 +105,11 @@ def load() -> ctypes.CDLL:
             raise
         os.replace(tmp, path)
     return ctypes.CDLL(str(path))
+
+
+@functools.cache
+def entry(name: str):
+    """The library's entry point name, with its signature from
+    ``_SIGNATURES``; it holds the interpreter lock while it runs."""
+    restype, *argtypes = _SIGNATURES[name]
+    return ctypes.PYFUNCTYPE(restype, *argtypes)((name, load()))

@@ -1,28 +1,26 @@
 /* Exact Zig-Zag event loop for diagonal Gaussian targets with canonical
  * rates, drawing through numpy's random C functions.
  *
- * nonrev.zigzag compiles this file on first use and calls it through
- * ctypes.  Every draw is one of the functions behind
- * Generator.standard_exponential, .random and .integers, so a run reads
- * the generator's stream exactly as those Python calls would.  The
- * arithmetic is IEEE + - * / and sqrt only, in the order of the Python
- * expressions it replaced, and the build forbids fused multiply-adds, so
- * every result keeps its bits.
+ * nonrev.zigzag calls exact_run and flip_time through nonrev._native, as
+ * every entry point of the library is called (see _autocov.c).  Every draw
+ * is one of the functions behind Generator.standard_exponential, .random
+ * and .integers, so a run reads the generator's stream exactly as those
+ * Python calls would.  The arithmetic is IEEE + - * / and sqrt only, in
+ * the order of the Python expressions it replaced, and the build forbids
+ * fused multiply-adds, so every result keeps its bits.
  */
+
+#include <Python.h>
 
 #include <math.h>
 
-#include "numpy/random/bitgen.h"
+#define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
+#include "numpy/ndarraytypes.h"
+#include "numpy/random/distributions.h"
 
-/* As declared in numpy/random/distributions.h, which needs Python.h. */
-double random_standard_exponential(bitgen_t *bitgen_state);
-double random_standard_uniform(bitgen_t *bitgen_state);
-void random_bounded_uint64_fill(bitgen_t *bitgen_state, uint64_t off, uint64_t rng,
-                                intptr_t cnt, bool use_masked, uint64_t *out);
-
-/* Return codes of exact_run.  ZERO_DIVISION is where Python's float
- * arithmetic raises ZeroDivisionError. */
-enum { HORIZON = 0, FULL = 1, ZERO_DIVISION = -1 };
+/* Defined in _autocov.c. */
+void *array_data(PyObject *a, int type, int write, int ndim, npy_intp *shape,
+                 const char *what);
 
 /* num / den; a zero divisor sets *zero_div. */
 static double quotient(double num, double den, int *zero_div)
@@ -40,7 +38,7 @@ static double quotient(double num, double den, int *zero_div)
  * 2e / (c + sqrt(c^2 + 2be)), which does not cancel when c >> sqrt(be).
  * *zero_div is set where Python divides by zero; the value is then
  * meaningless. */
-double flip_time(double a, double b, double gamma, double e, int *zero_div)
+static double clock_time(double a, double b, double gamma, double e, int *zero_div)
 {
     if (a >= 0) {
         double ag = a + gamma;
@@ -55,10 +53,22 @@ double flip_time(double a, double b, double gamma, double e, int *zero_div)
     return t0 + quotient(2 * rem, gamma + sqrt(gamma * gamma + 2 * b * rem), zero_div);
 }
 
-/* Runs the process on from row *rows - 1 of the skeleton: times (cap),
- * X and V (cap x d, row-major) and codes (cap).  Each event appends a row:
+/* clock_time, raising ZeroDivisionError where Python's float arithmetic
+ * would. */
+double flip_time(double a, double b, double gamma, double e)
+{
+    int zero_div = 0;
+    double t = clock_time(a, b, gamma, e, &zero_div);
+    if (zero_div)
+        PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+    return t;
+}
+
+/* Runs the process on from row rows - 1 of the skeleton: times (cap), X and
+ * V (cap x d, row-major) and codes (cap, int64).  Each event appends a row:
  * its time, position and velocity, and in codes the coordinate flipped, or
- * d for a refresh.  inv2[i] is 1 / sigma_i^2.
+ * d for a refresh.  inv2 (d >= 1 values) holds 1 / sigma_i^2, and
+ * bitgen_capsule is a numpy BitGenerator's capsule.
  *
  * An event draws one standard exponential per coordinate clock, in
  * coordinate order, then one for the refresh clock when rate > 0; the
@@ -66,33 +76,53 @@ double flip_time(double a, double b, double gamma, double e, int *zero_div)
  * draws d uniforms (full: v_i = -1 where u < 0.5, else 1) or one integer
  * j < d (partial: v_j flips).
  *
- * Returns HORIZON when the next event would fall at or past the horizon
- * (its clocks are drawn, as the Python loop drew them), FULL when all cap
- * rows are filled (before any draw for the next event, so a caller with
- * larger buffers resumes bit for bit), or ZERO_DIVISION.  *rows is set to
- * the rows filled. */
-int exact_run(bitgen_t *bitgen, int64_t d, const double *inv2, double gamma,
-              double rate, int full, double horizon, double *times, double *X,
-              double *V, int64_t *codes, int64_t cap, int64_t *rows)
+ * Returns the rows filled: fewer than cap when the next event would fall at
+ * or past the horizon (its clocks are drawn, as the Python loop drew them),
+ * and cap when all rows are filled, before any draw for the next event, so
+ * a caller with larger buffers resumes bit for bit.  Returns -1 with a
+ * Python exception set: ValueError for a bad argument, ZeroDivisionError
+ * where Python's float arithmetic divides by zero. */
+int64_t exact_run(PyObject *bitgen_capsule, PyObject *inv2_arr, double gamma, double rate,
+                  int full, double horizon, PyObject *times_arr, PyObject *X_arr,
+                  PyObject *V_arr, PyObject *codes_arr, int64_t rows)
 {
+    if (!PyCapsule_IsValid(bitgen_capsule, "BitGenerator")) {
+        PyErr_SetString(PyExc_ValueError, "bitgen_capsule must be a numpy BitGenerator's capsule");
+        return -1;
+    }
+    bitgen_t *bitgen = PyCapsule_GetPointer(bitgen_capsule, "BitGenerator");
+    npy_intp d = -1, cap = -1, xs[2] = {-1, -1};
+    const double *inv2 = array_data(inv2_arr, NPY_DOUBLE, 0, 1, &d, "inv2");
+    double *times = inv2 ? array_data(times_arr, NPY_DOUBLE, 1, 1, &cap, "times") : NULL;
+    if (times == NULL)
+        return -1;
+    xs[0] = cap;
+    xs[1] = d;
+    double *X = array_data(X_arr, NPY_DOUBLE, 1, 2, xs, "X");
+    double *V = X ? array_data(V_arr, NPY_DOUBLE, 1, 2, xs, "V") : NULL;
+    int64_t *codes = V ? array_data(codes_arr, NPY_INT64, 1, 1, &cap, "codes") : NULL;
+    if (codes == NULL)
+        return -1;
+    if (d < 1 || rows < 1 || rows > cap) {
+        PyErr_Format(PyExc_ValueError, "need d >= 1 and rows in [1, %lld], got d = %lld "
+                     "and rows = %lld", (long long)cap, (long long)d, (long long)rows);
+        return -1;
+    }
     int zero_div = 0;
-    int64_t r = *rows - 1;
+    int64_t r = rows - 1;
     double t = times[r];
     for (;; r++) {
-        if (r + 1 == cap) {
-            *rows = cap;
-            return FULL;
-        }
+        if (r + 1 == cap)
+            return cap;
         const double *x = X + r * d, *v = V + r * d;
         double best_dt = INFINITY;
         int64_t best = d;
         for (int64_t i = 0; i < d; i++) {
             double e = random_standard_exponential(bitgen);
-            double dt_i = flip_time(x[i] * v[i] * inv2[i], inv2[i], gamma, e,
-                                    &zero_div);
+            double dt_i = clock_time(x[i] * v[i] * inv2[i], inv2[i], gamma, e, &zero_div);
             if (zero_div) {
-                *rows = r + 1;
-                return ZERO_DIVISION;
+                PyErr_SetString(PyExc_ZeroDivisionError, "float division by zero");
+                return -1;
             }
             if (dt_i < best_dt) {
                 best_dt = dt_i;
@@ -106,10 +136,8 @@ int exact_run(bitgen_t *bitgen, int64_t d, const double *inv2, double gamma,
                 best = d;
             }
         }
-        if (best_dt >= horizon - t) {
-            *rows = r + 1;
-            return HORIZON;
-        }
+        if (best_dt >= horizon - t)
+            return r + 1;
         t += best_dt;
         double *xn = X + (r + 1) * d, *vn = V + (r + 1) * d;
         for (int64_t i = 0; i < d; i++) {

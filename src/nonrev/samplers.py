@@ -22,8 +22,6 @@ calls numpy's own float64 dot, with the bits of one np.dot per lag.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -95,37 +93,20 @@ class Potential:
 _NO_EXP_LOOP = "np.exp has no float64 loop ('d->d') for the GHMC kernel to call"
 
 
-@functools.cache
-def _c_kernel():
-    """``_ghmc.c``'s ghmc_run, called with the interpreter lock held,
-    since it reads the np.exp ufunc object."""
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    proto = ctypes.PYFUNCTYPE(
-        ctypes.c_int, ctypes.py_object, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        ctypes.c_int64, np.ctypeslib.ndpointer(np.intc, flags="C_CONTIGUOUS"), f64,
-        ctypes.c_double, ctypes.c_double, ctypes.c_int64, *[f64] * 8)
-    return proto(("ghmc_run", _native.load()))
-
-
 def _c_block(H, rules, step, nleap, cos, x, Ux, kick, v, noise, unif, xs):
     """The GHMC steps of one block of draws, in one call of the C kernel on
     copies of the state: step i refreshes v to v * cos + noise[i], runs the
     leapfrog flow from the carried half-kick, accepts a row where
     unif[i] < phi(exp(de)) and de is finite, flips v where it rejects, and
     writes x to xs[i].  Returns the final (x, U(x), kick, v).  H and rules
-    must be ones ``run_ghmc_chains`` serves."""
-    b, n, d = noise.shape
-    if not (unif.shape == (b, n) and xs.shape == noise.shape
-            and np.shape(x) == np.shape(kick) == np.shape(v) == (n, d)
-            and np.shape(Ux) == (n,) and n % len(rules) == 0):
-        raise ValueError("GHMC block arrays of inconsistent shapes")
+    must be ones ``run_ghmc_chains`` serves; the kernel refuses arrays of
+    inconsistent shapes with ValueError."""
     s = np.asarray(H.gaussian_sigmas, dtype=float)
-    inv2 = (1.0 / (s * s)).reshape(d)  # as zz_gaussian forms it
+    inv2 = 1.0 / (s * s)  # as zz_gaussian forms it
     x, Ux, kick, v = (np.array(a, dtype=float) for a in (x, Ux, kick, v))
     barker = np.array([rule.phi is _barker for rule in rules], dtype=np.intc)
-    if _c_kernel()(np.exp, b, n, d, len(rules), barker, inv2, cos, step, nleap,
-                   noise, unif, x, Ux, v, kick, xs, np.empty(n * (3 * d + 3))):
-        raise RuntimeError(_NO_EXP_LOOP)
+    _native.entry("ghmc_run")(np.exp, barker, inv2, cos, step, nleap, noise, unif,
+                              x, Ux, v, kick, xs)
     return x, Ux, kick, v
 
 
@@ -149,16 +130,6 @@ def min_chain_length(lam: float) -> int:
     return 10 * max(1, default_max_lag(lam))
 
 
-@functools.cache
-def _autocov_kernel():
-    """``_autocov.c``'s autocov_rows, called with the interpreter lock
-    held, since it calls numpy's C API."""
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    proto = ctypes.PYFUNCTYPE(ctypes.c_int, f64, f64, ctypes.c_int64, ctypes.c_int64,
-                              ctypes.c_int64, f64, f64)
-    return proto(("autocov_rows", _native.load()))
-
-
 def _autocov(chains: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased autocovariances at lags 0..max_lag of each row of the (R, n)
     block chains: row r is c = chains[r] - chains[r].mean() and lag k is
@@ -172,7 +143,7 @@ def _autocov(chains: np.ndarray, max_lag: int) -> np.ndarray:
         raise ValueError(f"max_lag must lie in [0, {n}) for chains of length {n}, "
                          f"got {max_lag!r}")
     out = np.empty((R, max_lag + 1))
-    _autocov_kernel()(chains, chains.mean(axis=1), R, n, max_lag, np.empty(n), out)
+    _native.entry("autocov_rows")(chains, chains.mean(axis=1), max_lag, out)
     return out
 
 
@@ -226,12 +197,16 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     The transitions run in the C kernel ``_ghmc.c``, which serves
     diagonal-Gaussian targets (gaussian_sigmas set) in d <= 2 under rules
     whose phi is the Metropolis or Barker function; any other target or rule
-    raises ValueError before any draw, after the checks of burn_in and of
-    empty rules.  A failed build of the kernel raises RuntimeError before any
-    draw.
+    raises ValueError before any draw, after the checks of burn_in, n_steps,
+    replicates and of empty rules.  A failed build of the kernel raises
+    RuntimeError before any draw.
     """
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
+    if n_steps < 0:
+        raise ValueError(f"n_steps must be >= 0, got {n_steps!r}")
+    if replicates < 1:
+        raise ValueError(f"replicates must be >= 1, got {replicates!r}")
     if len(rules) == 0:
         raise ValueError("rules is empty: GHMC needs at least one acceptance rule")
     k, R, d = len(rules), replicates, H.d
@@ -240,7 +215,7 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
         raise ValueError("run_ghmc_chains serves diagonal-Gaussian targets (gaussian_sigmas "
                          "set) in d <= 2 under rules whose phi is the Metropolis or Barker "
                          f"function, got d = {d} and rules {[rule.kind for rule in rules]}")
-    _c_kernel()  # built or loaded, and np.exp's loop found, before any draw
+    _native.entry("ghmc_run")  # built or loaded before any draw
     if "d->d" not in np.exp.types:
         raise RuntimeError(_NO_EXP_LOOP)
     noise_rngs = [replicate_rng(seed, r) for r in range(R)]

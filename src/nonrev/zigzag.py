@@ -25,8 +25,6 @@ transport term, so their Dirichlet-form gap needs J alone.
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import math
 from dataclasses import dataclass
 
@@ -157,7 +155,7 @@ class ZigZagTrajectory:
     def __post_init__(self):
         if np.any(np.diff(self.times) <= 0):
             raise ValueError("event times must be strictly increasing")
-        if not np.all(np.isin(self.V, (-1.0, 1.0))):
+        if not np.all(np.abs(self.V) == 1.0):
             raise ValueError("velocities must be +-1")
         if not (self.codes.shape == (self.times.size - 1,)
                 and np.issubdtype(self.codes.dtype, np.integer)
@@ -173,44 +171,14 @@ class EnvelopeViolation(RuntimeError):
     pass
 
 
-_FULL, _ZERO_DIVISION = 1, -1  # exact_run's return codes besides the horizon's 0
-_ROWS = 256  # skeleton rows of the exact kernel's first buffers
-
-
-@functools.cache
-def _kernel() -> ctypes.CDLL:
-    """The native library (``_native.load``) with the signatures of the
-    exact event loop, ``_zigzag_exact.c``."""
-    lib = _native.load()
-    lib.flip_time.argtypes = [ctypes.c_double] * 4 + [ctypes.POINTER(ctypes.c_int)]
-    lib.flip_time.restype = ctypes.c_double
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    lib.exact_run.argtypes = [
-        ctypes.c_void_p, ctypes.c_int64, f64, ctypes.c_double, ctypes.c_double,
-        ctypes.c_int, ctypes.c_double, f64, f64, f64,
-        np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS"), ctypes.c_int64,
-        ctypes.POINTER(ctypes.c_int64)]
-    lib.exact_run.restype = ctypes.c_int
-    return lib
-
-
-@functools.cache
-def _sums_kernel():
-    """``_autocov.c``'s window_sums, called with the interpreter lock held,
-    since it calls numpy's C API."""
-    proto = ctypes.PYFUNCTYPE(ctypes.c_int, *[ctypes.py_object] * 5)
-    return proto(("window_sums", _native.load()))
+_MAX_ROWS = 65_536  # cap on the skeleton rows of the exact kernel's first buffers
 
 
 def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
     """First time Lambda(t) = e for rate (a + b t)_+ + gamma, b > 0, e >= 0:
     the kernel's ``flip_time``, which raises ZeroDivisionError where
     Python's float arithmetic would."""
-    zero_division = ctypes.c_int(0)
-    t = _kernel().flip_time(a, b, gamma, e, ctypes.byref(zero_division))
-    if zero_division.value:
-        raise ZeroDivisionError("float division by zero")
-    return t
+    return _native.entry("flip_time")(a, b, gamma, e)
 
 
 def _thinned_clock(spec: IntensitySpec, pot: Potential, i: int,
@@ -320,34 +288,37 @@ def _is_exact(pot: Potential, spec: IntensitySpec) -> bool:
     return pot.gaussian_sigmas is not None and spec.kind == "canonical"
 
 
+def _first_rows(pot: Potential, spec: IntensitySpec, horizon: float) -> int:
+    """Rows of the exact kernel's first buffers: 1.25 times the events
+    expected over the horizon at stationarity, plus 64, at most _MAX_ROWS.
+    Coordinate i of a diagonal Gaussian flips at the mean rate
+    E[(x_i v_i / sigma_i^2)_+] + gamma = 1 / (sigma_i sqrt(2 pi)) + gamma."""
+    rate = (float(np.sum(1.0 / (pot.gaussian_sigmas * math.sqrt(2.0 * math.pi))))
+            + pot.d * spec.gamma + spec.refresh_rate)
+    return int(min(_MAX_ROWS, 1.25 * horizon * rate + 64))
+
+
 def _exact_loop(pot: Potential, spec: IntensitySpec, x: np.ndarray, v: np.ndarray,
                 horizon: float, rng: np.random.Generator) -> ZigZagTrajectory:
     """The exact branch of ``_event_loop``: the kernel's ``exact_run`` fills
-    skeleton buffers of _ROWS rows, and whenever they are full they double
-    and it resumes from the last row.  The generator's lock is held during
-    each call."""
-    lib = _kernel()
-    d = pot.d
-    inv2 = np.asarray(1.0 / (pot.gaussian_sigmas ** 2), dtype=float).reshape(d)
-    times, codes = np.empty(_ROWS), np.empty(_ROWS, dtype=np.int64)
-    X, V = np.empty((_ROWS, d)), np.empty((_ROWS, d))
+    skeleton buffers of ``_first_rows`` rows, and whenever they are full
+    they double and it resumes from the last row.  The generator's lock is
+    held during each call."""
+    run = _native.entry("exact_run")
+    inv2 = np.asarray(1.0 / (pot.gaussian_sigmas ** 2), dtype=float).reshape(pot.d)
+    size = _first_rows(pot, spec, horizon)
+    times, codes = np.empty(size), np.empty(size, dtype=np.int64)
+    X, V = np.empty((size, pot.d)), np.empty((size, pot.d))
     times[0], X[0], V[0] = 0.0, x, v
-    rows = ctypes.c_int64(1)
-    bitgen = rng.bit_generator
+    n, bitgen = 1, rng.bit_generator
     while True:
         with bitgen.lock:
-            status = lib.exact_run(bitgen.ctypes.bit_generator, d, inv2, spec.gamma,
-                                   spec.refresh_rate, spec.refresh_mode == "full",
-                                   horizon, times, X, V, codes, len(times),
-                                   ctypes.byref(rows))
-        if status != _FULL:
-            break
+            n = run(bitgen.capsule, inv2, spec.gamma, spec.refresh_rate,
+                    spec.refresh_mode == "full", horizon, times, X, V, codes, n)
+        if n < len(times):
+            return ZigZagTrajectory(times[:n], X[:n], V[:n], codes[1:n], horizon)
         times, X, V, codes = (np.concatenate((a, np.empty_like(a)))
                               for a in (times, X, V, codes))
-    if status == _ZERO_DIVISION:
-        raise ZeroDivisionError("float division by zero")
-    n = rows.value
-    return ZigZagTrajectory(times[:n], X[:n], V[:n], codes[1:n], horizon)
 
 
 def _event_loop(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float, rng):
@@ -359,7 +330,7 @@ def _event_loop(pot: Potential, spec: IntensitySpec, x0, v0, horizon: float, rng
     v = np.array(v0, dtype=float).reshape(d)
     if not np.all(np.isfinite(x)):
         raise ValueError("x0 must be finite")
-    if not np.all(np.isin(v, (-1.0, 1.0))):
+    if not np.all(np.abs(v) == 1.0):
         raise ValueError("v0 must be +-1 valued")
     if _is_exact(pot, spec):
         return _exact_loop(pot, spec, x, v, horizon, rng)
@@ -449,7 +420,8 @@ def _window_integrals(traj: ZigZagTrajectory, f, degree: int | None,
             x, v = X[k] + (t - times[k])[:, None] * V[k], V[k]
         vals.append(np.asarray(f(x, v), dtype=float))
     totals = np.empty(edges.size - 1)
-    _sums_kernel()(tuple(vals), weights, half, np.searchsorted(cut, edges), totals)
+    _native.entry("window_sums")(tuple(vals), weights, half, np.searchsorted(cut, edges),
+                                 totals)
     return totals
 
 
@@ -521,9 +493,7 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
         v0 = np.where(rng.random(pot.d) < 0.5, -1.0, 1.0)
         traj = yield from _event_loop(pot, spec, np.zeros(pot.d), v0, horizon + burn, rng)
         return batch_means_variance(traj, f, burn, burn + horizon, degree)
-    _sums_kernel()  # built or loaded here, before any stream, not in each share
-    if _is_exact(pot, spec):
-        _kernel()
+    _native.entry("window_sums")  # built or loaded here, before any stream, not in each share
     n = min(_cpus(), replicates // 2)  # both are at least 1
     per = np.array(_in_shares(lambda share: _lockstep(spec, pot, [replicate(r) for r in share]),
                               range(replicates), n))

@@ -2,6 +2,7 @@
 key of its sources, and refused with RuntimeError before any draw when the
 build fails."""
 
+import ast
 import math
 import sysconfig
 import tempfile
@@ -29,9 +30,9 @@ def ghmc_run(seed):
 
 
 def forget_library():
-    for cache in (_native.load, zigzag._kernel, zigzag._sums_kernel, samplers._c_kernel,
-                  samplers._autocov_kernel):
-        cache.cache_clear()
+    # the library and its entry points are cached in _native alone
+    _native.load.cache_clear()
+    _native.entry.cache_clear()
 
 
 class TestNativeBuild:
@@ -140,3 +141,176 @@ class TestNativeBuild:
         _native._compile(str(out))
         assert out.stat().st_size > 0
         assert sorted(_native._CACHE.glob("*")) == cache
+
+
+def entry_args(name: str) -> dict:
+    """Valid arguments of the entry point name, by the names its checks
+    give them, in call order."""
+    rng = np.random.default_rng(0)
+    return {
+        "exact_run": {"bitgen_capsule": rng.bit_generator.capsule, "inv2": np.ones(2),
+                      "gamma": 0.0, "rate": 1.0, "full": 1, "horizon": 1.0,
+                      "times": np.zeros(8), "X": np.zeros((8, 2)), "V": np.ones((8, 2)),
+                      "codes": np.zeros(8, dtype=np.int64), "rows": 1},
+        "ghmc_run": {"exp": np.exp, "barker": np.array([0, 1], dtype=np.intc),
+                     "inv2": np.ones(2), "cos": 0.5, "step": 0.9, "nleap": 2,
+                     "noise": np.zeros((3, 4, 2)), "unif": np.full((3, 4), 0.5),
+                     "x": np.zeros((4, 2)), "Ux": np.zeros(4), "v": np.ones((4, 2)),
+                     "kick": np.zeros((4, 2)), "xs": np.empty((3, 4, 2))},
+        "autocov_rows": {"chains": rng.random((2, 6)), "means": np.full(2, 0.5),
+                         "max_lag": 3, "out": np.empty((2, 4))},
+        "window_sums": {"vals": (np.ones(5), np.arange(5.0)), "weights": np.ones(2),
+                        "half": np.ones(5), "bounds": np.array([0, 2, 5], dtype=np.intp),
+                        "out": np.empty(2)},
+    }[name]
+
+
+# the arrays each entry point writes, and those whose sizes the others are
+# checked against (their own lengths are read, not checked)
+WRITTEN = {"exact_run": {"times", "X", "V", "codes"},
+           "ghmc_run": {"x", "Ux", "v", "kick", "xs"},
+           "autocov_rows": {"out"}, "window_sums": {"out"}}
+SIZING = {"exact_run": {"inv2", "times"}, "ghmc_run": {"noise", "barker"},
+          "autocov_rows": {"chains"}, "window_sums": {"out", "bounds"}}
+
+
+def strided(a):
+    """a's values in a view that is not C-contiguous."""
+    out = np.empty(a.shape + (2,), a.dtype)[..., 0]
+    out[...] = a
+    return out
+
+
+def misaligned(a):
+    """a's values in a C-contiguous view one byte past an aligned address."""
+    out = np.zeros(a.nbytes + 1, np.uint8)[1:].view(a.dtype).reshape(a.shape)
+    out[...] = a
+    return out
+
+
+def read_only(a):
+    out = a.copy()
+    out.flags.writeable = False
+    return out
+
+
+BREAKS = {  # property -> (how it breaks an array, the error it must raise)
+    "dtype": (lambda a: a.astype(np.float32 if a.dtype == np.float64 else np.float64),
+              "must be a native-order numpy array of numpy\\.{dtype}$"),
+    "byte-order": (lambda a: a.astype(a.dtype.newbyteorder()),
+                   "must be a native-order numpy array of numpy\\.{dtype}$"),
+    "list": (lambda a: a.tolist(), "must be a native-order numpy array of numpy\\.{dtype}$"),
+    "axes": (lambda a: a[None], "must have {ndim} axes, not {ndim1}$"),
+    "length": (lambda a: a[:-1].copy(), "must have length {n} along axis 0, not {n1}$"),
+    "strided": (strided, "must be C-contiguous and aligned$"),
+    "misaligned": (misaligned, "must be C-contiguous and aligned$"),
+    "read-only": (read_only, "must be writeable$"),
+}
+
+
+def broken_cases():
+    for name in WRITTEN:
+        for arg, value in entry_args(name).items():
+            if not isinstance(value, np.ndarray):
+                continue
+            for prop in BREAKS:
+                if ((prop == "read-only" and arg not in WRITTEN[name])
+                        or (prop == "length" and arg in SIZING[name])):
+                    continue
+                yield pytest.param(name, arg, prop, id=f"{name}-{arg}-{prop}")
+
+
+class TestEntryPointChecks:
+    """Every array an entry point takes is checked in C before anything is
+    read, drawn or written, and a failed check raises a ValueError naming
+    the argument and the property."""
+
+    @pytest.mark.parametrize("name", WRITTEN)
+    def test_valid_arguments_run(self, name):
+        got = _native.entry(name)(*entry_args(name).values())
+        assert got == 0 or (name == "exact_run" and 1 <= got < 8)
+
+    @pytest.mark.parametrize("name, arg, prop", broken_cases())
+    def test_broken_array_refused(self, name, arg, prop):
+        args = entry_args(name)
+        good = args[arg]
+        args[arg] = BREAKS[prop][0](good)
+        match = "^" + arg + " " + BREAKS[prop][1].format(
+            dtype=good.dtype.type.__name__, ndim=good.ndim, ndim1=good.ndim + 1,
+            n=len(good), n1=len(good) - 1)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        if name == "exact_run":
+            args["bitgen_capsule"] = rng.bit_generator.capsule
+        written = {k: np.array(args[k]).tobytes() for k in WRITTEN[name]}
+        with pytest.raises(ValueError, match=match):
+            _native.entry(name)(*args.values())
+        # nothing written or drawn
+        assert {k: np.array(args[k]).tobytes() for k in WRITTEN[name]} == written
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("capsule", [
+        None, 0, "BitGenerator", np.random.PCG64(0),
+        np.random.PCG64(0).ctypes.bit_generator,
+        np._core._multiarray_umath._ARRAY_API],
+        ids=["none", "int", "str", "bit-generator", "c-pointer", "other-capsule"])
+    def test_wrong_capsule_refused(self, capsule):
+        args = entry_args("exact_run")
+        args["bitgen_capsule"] = capsule
+        with pytest.raises(ValueError,
+                           match=r"^bitgen_capsule must be a numpy BitGenerator's capsule$"):
+            _native.entry("exact_run")(*args.values())
+
+    @pytest.mark.parametrize("name, changes, match", [
+        ("exact_run", {"rows": 0}, r"^need d >= 1 and rows in \[1, 8\], got d = 2 and rows = 0$"),
+        ("exact_run", {"rows": 9}, r"^need d >= 1 and rows in \[1, 8\], got d = 2 and rows = 9$"),
+        ("exact_run", {"inv2": np.ones(0), "X": np.zeros((8, 0)), "V": np.zeros((8, 0))},
+         r"^need d >= 1 and rows in \[1, 8\], got d = 0 and rows = 1$"),
+        ("ghmc_run", {"exp": math.exp}, r"^exp must be a numpy ufunc$"),
+        ("ghmc_run", {"barker": np.zeros(3, dtype=np.intc)},
+         r"^need d >= 1 and k >= 1 rules dividing n = 4 rows, got d = 2 and k = 3$"),
+        ("ghmc_run", {"barker": np.zeros(0, dtype=np.intc)},
+         r"^need d >= 1 and k >= 1 rules dividing n = 4 rows, got d = 2 and k = 0$"),
+        ("autocov_rows", {"max_lag": 6}, r"^max_lag must lie in \[0, 6\), got 6$"),
+        ("autocov_rows", {"max_lag": -1}, r"^max_lag must lie in \[0, 6\), got -1$"),
+        ("window_sums", {"bounds": np.array([1, 2, 5])}, r"^bounds must rise from 0$"),
+        ("window_sums", {"bounds": np.array([0, 3, 2])}, r"^bounds must rise from 0$"),
+        ("window_sums", {"vals": [np.ones(5), np.ones(5)]}, r"^vals must be a tuple$"),
+        ("window_sums", {"vals": (np.ones(5), np.ones(4))},
+         r"^f must give one float64 value per node, 5 of them$"),
+        ("window_sums", {"vals": (np.ones(5), np.ones(5, dtype=np.float32))},
+         r"^f must give one float64 value per node, 5 of them$"),
+    ], ids=["rows-0", "rows-past-cap", "d-0", "exp-not-ufunc", "rules-not-dividing",
+            "no-rules", "lag-n", "lag-negative", "bounds-from-1", "bounds-falling",
+            "vals-list", "vals-short", "vals-float32"])
+    def test_other_argument_refused(self, name, changes, match):
+        args = {**entry_args(name), **changes}
+        with pytest.raises(ValueError, match=match):
+            _native.entry(name)(*args.values())
+
+    def test_zero_divisor_raises_from_c(self):
+        # flip_time's b = 0 at a < 0, and exact_run's first clock when
+        # 1 / sigma^2 is 0, raise Python's own error
+        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+            _native.entry("flip_time")(-1.0, 0.0, 0.5, 1.0)
+        args = entry_args("exact_run")
+        args["inv2"] = np.zeros(2)
+        with pytest.raises(ZeroDivisionError, match="^float division by zero$"):
+            _native.entry("exact_run")(*args.values())
+
+
+def test_only_native_declares_entry_points():
+    # every entry point is declared in _native; a ctypes prototype, argtypes
+    # or ndpointer anywhere else would bring back another calling convention
+    for path in sorted(Path(_native.__file__).parent.glob("*.py")):
+        if path.name == "_native.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+                assert not any(n.split(".")[0] == "ctypes" for n in names), path.name
+            elif isinstance(node, ast.Attribute):
+                assert node.attr not in ("argtypes", "restype", "PYFUNCTYPE", "CFUNCTYPE",
+                                         "ndpointer", "ctypeslib", "ctypes"), (
+                    path.name, node.lineno)

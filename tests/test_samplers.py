@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nonrev import finite, samplers
+from nonrev import _native, finite, samplers
 from nonrev.finite import FiniteDistribution, KernelMatrix, Observable
 from nonrev.samplers import Potential, estimate_var_lambda, replicate_rng
 from nonrev.zigzag import zz_double_well, zz_gaussian
@@ -376,6 +376,23 @@ class TestGhmcDriver:
             with pytest.raises(ValueError, match="rules is empty"):
                 samplers.run_ghmc_chains(H, 0.9, 2, math.pi / 4, [], 100, 2, 0, self.OBS)
 
+    @pytest.mark.parametrize("n_steps, replicates, match", [
+        (-1, 2, r"^n_steps must be >= 0, got -1$"),
+        (100, 0, r"^replicates must be >= 1, got 0$"),
+        (100, -3, r"^replicates must be >= 1, got -3$")])
+    def test_negative_steps_and_no_replicates_refused_before_the_kernel(
+            self, n_steps, replicates, match, monkeypatch):
+        # they failed after the kernel loaded, with numpy's unnamed "need at
+        # least one array to stack" and "negative dimensions are not allowed"
+        def too_late(*args):
+            raise AssertionError("loaded the kernel or drew before the refusal")
+
+        monkeypatch.setattr(_native, "entry", too_late)
+        monkeypatch.setattr(samplers, "replicate_rng", too_late)
+        with pytest.raises(ValueError, match=match):
+            samplers.run_ghmc_chains(self.H, 0.9, 2, math.pi / 4, [AcceptanceRule.metropolis()],
+                                     n_steps, replicates, 0, self.OBS)
+
     def test_moment_preservation(self):
         chains = self.run(seed=4, n_steps=6000)
         means = chains[0].mean(axis=1)
@@ -601,15 +618,14 @@ class TestGhmcKernel:
         # the kernel restores the flags it found, here none
         n, d = 4, 1
         x = np.zeros((n, d))
-        args = (np.exp, 5, n, d, 2, np.array([0, 1], dtype=np.intc), np.array([100.0]),
-                0.0, step, nleap, np.ones((5, n, d)), np.full((5, n), 0.5), x,
-                np.zeros(n), np.ones((n, d)), np.zeros((n, d)), np.empty((5, n, d)),
-                np.empty(n * (3 * d + 3)))
+        args = (np.exp, np.array([0, 1], dtype=np.intc), np.array([100.0]), 0.0, step,
+                nleap, np.ones((5, n, d)), np.full((5, n), 0.5), x.copy(), np.zeros(n),
+                np.ones((n, d)), np.zeros((n, d)), np.empty((5, n, d)))
         libm = ctypes.CDLL(ctypes.util.find_library("m"))
         libm.feclearexcept(-1)
-        assert samplers._c_kernel()(*args) == 0
+        assert _native.entry("ghmc_run")(*args) == 0
         assert libm.fetestexcept(-1) == 0
-        assert np.array_equal(args[12], x)  # every proposal overflowed and was rejected
+        assert np.array_equal(args[8], x)  # every proposal overflowed and was rejected
 
     def test_missing_exp_loop_raises_before_any_draw(self, monkeypatch):
         def no_streams(*args):
@@ -656,7 +672,7 @@ class TestGhmcKernel:
         def too_late(*args):
             raise AssertionError("loaded the kernel or drew before the refusal")
 
-        monkeypatch.setattr(samplers, "_c_kernel", too_late)
+        monkeypatch.setattr(_native, "entry", too_late)
         monkeypatch.setattr(samplers, "replicate_rng", too_late)
         with pytest.raises(ValueError, match=(
                 r"^run_ghmc_chains serves diagonal-Gaussian targets \(gaussian_sigmas set\) "

@@ -15,7 +15,7 @@ from scipy.integrate import quad
 from scipy.stats import ks_2samp
 
 import oracles
-from nonrev import experiments, zigzag
+from nonrev import _native, experiments, zigzag
 from nonrev.samplers import replicate_rng
 from nonrev.zigzag import (EnvelopeViolation, IntensitySpec, Potential,
                            intensity, simulate_zigzag, zz_gaussian)
@@ -32,6 +32,24 @@ def sigmaless(pot):
     """The same target without the diagonal-Gaussian mark, so that
     simulate_zigzag draws its clocks by thinning."""
     return dataclasses.replace(pot, gaussian_sigmas=None)
+
+
+def count_exact_runs(monkeypatch) -> list:
+    """Patches _native.entry so that every call of the exact kernel's
+    exact_run appends the row it resumes from to the list returned."""
+    calls, entry = [], _native.entry
+
+    def counting(name):
+        run = entry(name)
+        if name != "exact_run":
+            return run
+
+        def counted(*args):
+            calls.append(args[-1])
+            return run(*args)
+        return counted
+    monkeypatch.setattr(_native, "entry", counting)
+    return calls
 
 
 def free_potential():
@@ -255,6 +273,22 @@ class TestSimulation:
             with pytest.raises(ValueError, match=re.escape(f"sigma {sigmas[-1]!r} is too large")):
                 zz_gaussian(sigmas)
         assert zz_gaussian([1.3e154]).gaussian_sigmas[0] == 1.3e154
+
+    @pytest.mark.parametrize("bad", [0.0, 2.0, math.nan, math.inf, -math.inf])
+    def test_velocity_off_the_unit_values_refused(self, bad):
+        # |v| == 1 refuses each value np.isin(v, (-1, 1)) refused, NaN and
+        # the infinities included, on the exact and the thinned loop alike
+        pot, rng = zz_gaussian([1.0, 2.0]), np.random.default_rng(3)
+        state = rng.bit_generator.state
+        for spec in (IntensitySpec("canonical"), IntensitySpec("barker")):
+            with pytest.raises(ValueError, match=r"^v0 must be \+-1 valued$"):
+                simulate_zigzag(pot, spec, [0.1, 0.2], [1.0, bad], 5.0, rng)
+        assert rng.bit_generator.state == state
+        for V in ([[1.0, -1.0], [bad, 1.0]], [[bad, -1.0], [1.0, 1.0]]):
+            with pytest.raises(ValueError, match=r"^velocities must be \+-1$"):
+                skeleton([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]], V, 2.0)
+        assert skeleton([0.0, 1.0], [[0.0, 0.0], [1.0, 1.0]], [[1.0, -1.0], [-1.0, 1.0]],
+                        2.0).n_events == 1
 
     def test_free_flight_has_no_events(self):
         traj = simulate_zigzag(free_potential(), IntensitySpec("canonical"),
@@ -566,19 +600,24 @@ class TestExactLoopMatchesReference:
                                       "partial-2d", "full-2d", "gamma-partial-3d",
                                       "gamma-full-3d", "partial-1d"])
     def test_block_boundaries(self, block, case, monkeypatch):
-        # the exact kernel fills skeleton buffers of _ROWS rows, and when
-        # they are full they double and it resumes from the last row; a
-        # buffer of one row is full before the first event
+        # the exact kernel fills skeleton buffers sized from the event rate,
+        # at most _MAX_ROWS rows, and when they are full they double and it
+        # resumes from the last row; a buffer of one row is full before the
+        # first event
         if block is not None:
-            monkeypatch.setattr(zigzag, "_ROWS", block)
-        size = zigzag._ROWS
-        blocks_used = set()
+            monkeypatch.setattr(zigzag, "_MAX_ROWS", block)
+        calls = count_exact_runs(monkeypatch)
+        per_run = []
         for seed, horizon in enumerate([0.05, 0.5, 3.0, 4000.0]):
-            traj = self.assert_same_run(case, horizon,
-                                        lambda: replicate_rng(37, seed), 0)
-            blocks_used.add(min(traj.n_events // size, 2))
-        # some run ends inside the first buffer and some after several
-        assert {0, 2} <= blocks_used
+            before = len(calls)
+            self.assert_same_run(case, horizon, lambda: replicate_rng(37, seed), 0)
+            per_run.append(len(calls) - before)
+        # buffers sized from the rate take one call; forced small ones take
+        # several on the long run, and some short run ends inside 3 rows
+        if block is None:
+            assert per_run == [1] * 4
+        else:
+            assert min(per_run) == (2 if block == 1 else 1) and per_run[-1] > 2
 
     def test_fault_raises_as_the_python_loop_does(self):
         # sigma = 1e160 squares to inf, so 1/sigma^2 = 0 and the first
@@ -614,6 +653,62 @@ class TestExactLoopMatchesReference:
         flipped_in = [False] + (traj.codes < pot.d).tolist()
         assert traj.n_events > 50
         assert [seen[tuple(x)] for x in traj.X.tolist()] == [1 + f for f in flipped_in]
+
+
+class TestExactBuffers:
+    """The exact kernel's first buffers, sized from the stationary event
+    rate, hold a whole trajectory of the zigzag-exact benchmark's shapes:
+    estimate_var_continuous's replicates from x = 0 with uniform velocities,
+    to 1.1 times the benchmark's horizons."""
+
+    G2 = zz_gaussian([1.0, 1.0])
+    SHAPES = {
+        "2d-partial": (G2, IntensitySpec("canonical", refresh_rate=1.0,
+                                         refresh_mode="partial"), 1100.0),
+        "2d-full": (G2, IntensitySpec("canonical", refresh_rate=1.0, refresh_mode="full"),
+                    1100.0),
+        "1d-canonical": (zz_gaussian([1.0]), IntensitySpec("canonical"), 2750.0),
+        "1d-gamma": (zz_gaussian([1.0]), IntensitySpec("canonical", gamma=0.5), 2750.0),
+    }
+
+    @staticmethod
+    def replicates(pot, spec, horizon, calls):
+        """16 replicates' trajectories, stream states and exact_run calls."""
+        out = []
+        for r in range(16):
+            rng = replicate_rng(3201, r)
+            v0 = np.where(rng.random(pot.d) < 0.5, -1.0, 1.0)
+            before = len(calls)
+            traj = simulate_zigzag(pot, spec, np.zeros(pot.d), v0, horizon, rng)
+            out.append((traj, stream_state(rng), len(calls) - before))
+        return out
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_one_kernel_call_per_trajectory(self, shape, monkeypatch):
+        pot, spec, horizon = self.SHAPES[shape]
+        calls = count_exact_runs(monkeypatch)
+        sized = self.replicates(pot, spec, horizon, calls)
+        assert [n_calls for *_, n_calls in sized] == [1] * 16
+        # 256-row first buffers double several times, to the same bits
+        monkeypatch.setattr(zigzag, "_MAX_ROWS", 256)
+        small = self.replicates(pot, spec, horizon, calls)
+        assert min(n_calls for *_, n_calls in small) > 1
+        for (a, state_a, _), (b, state_b, _) in zip(sized, small):
+            assert a.n_events > 256 and state_a == state_b
+            for field in ("times", "X", "V", "codes"):
+                assert np.array_equal(getattr(a, field), getattr(b, field))
+
+    def test_first_buffers_are_sized_from_the_rate_and_capped(self):
+        # 1.25 x horizon x (sum_i 1 / (sigma_i sqrt(2 pi)) + d gamma + refresh) + 64
+        spec = IntensitySpec("canonical", gamma=0.5, refresh_rate=0.25)
+        rate = (1 / 0.5 + 1 / 2.0) / math.sqrt(2 * math.pi) + 2 * 0.5 + 0.25
+        assert zigzag._first_rows(zz_gaussian([0.5, 2.0]), spec, 300.0) == int(
+            1.25 * 300.0 * rate + 64)
+        assert zigzag._first_rows(zz_gaussian([1.0]), IntensitySpec("canonical"), 1e-9) == 64
+        # a horizon or rate too large for the cap, even one whose product
+        # overflows a float, asks for _MAX_ROWS rows
+        for sigma, horizon in ((1.0, 1e6), (1e-150, 1e300)):
+            assert zigzag._first_rows(zz_gaussian([sigma]), spec, horizon) == zigzag._MAX_ROWS
 
 
 class LoggedStream:
