@@ -92,12 +92,13 @@ int autocov_rows(PyObject *chains_arr, PyObject *means_arr, int64_t max_lag,
     const double *chains = dot ? array_data(chains_arr, NPY_DOUBLE, 0, 2, cs, "chains") : NULL;
     if (chains == NULL)
         return -1;
-    npy_intp rows = cs[0], n = cs[1], os[2] = {rows, max_lag + 1};
+    npy_intp rows = cs[0], n = cs[1];
     if (!(0 <= max_lag && max_lag < n)) {
         PyErr_Format(PyExc_ValueError, "max_lag must lie in [0, %lld), got %lld",
                      (long long)n, (long long)max_lag);
         return -1;
     }
+    npy_intp os[2] = {rows, max_lag + 1};
     const double *means = array_data(means_arr, NPY_DOUBLE, 0, 1, &rows, "means");
     double *out = means ? array_data(out_arr, NPY_DOUBLE, 1, 2, os, "out") : NULL;
     if (out == NULL)

@@ -4,11 +4,10 @@
  *
  * nonrev.samplers calls ghmc_run through nonrev._native, as every entry
  * point of the library is called (see _autocov.c), for a block of steps at
- * a time.  Every other operation is the IEEE
- * double operation of the numpy expression it stands for, in that
- * expression's order, and the build forbids fused multiply-adds, so the
- * chains keep the bits of tests/oracles.py::ghmc_update_reference, the
- * transition in numpy.  libm's exp differs from the loop numpy dispatched
+ * a time.  Every other operation is the IEEE double operation of the numpy
+ * expression it stands for, in that expression's order, and the build
+ * forbids fused multiply-adds, so the chains keep the bits of
+ * tests/oracles.py::ghmc_update_reference, the transition in numpy.  libm's exp differs from the loop numpy dispatched
  * for this CPU in the last bit of some values, so exp is the first float64
  * loop in the table of the np.exp ufunc passed in (the one numpy's own
  * type resolution picks), read at every call.

@@ -87,19 +87,19 @@ int64_t exact_run(PyObject *bitgen_capsule, PyObject *inv2_arr, double gamma, do
                   PyObject *V_arr, PyObject *codes_arr, int64_t rows)
 {
     if (!PyCapsule_IsValid(bitgen_capsule, "BitGenerator")) {
-        PyErr_SetString(PyExc_ValueError, "bitgen_capsule must be a numpy BitGenerator's capsule");
+        PyErr_SetString(PyExc_ValueError,
+                        "bitgen_capsule must be a numpy BitGenerator's capsule");
         return -1;
     }
     bitgen_t *bitgen = PyCapsule_GetPointer(bitgen_capsule, "BitGenerator");
-    npy_intp d = -1, cap = -1, xs[2] = {-1, -1};
+    npy_intp d = -1, cap = -1;
     const double *inv2 = array_data(inv2_arr, NPY_DOUBLE, 0, 1, &d, "inv2");
     double *times = inv2 ? array_data(times_arr, NPY_DOUBLE, 1, 1, &cap, "times") : NULL;
     if (times == NULL)
         return -1;
-    xs[0] = cap;
-    xs[1] = d;
-    double *X = array_data(X_arr, NPY_DOUBLE, 1, 2, xs, "X");
-    double *V = X ? array_data(V_arr, NPY_DOUBLE, 1, 2, xs, "V") : NULL;
+    npy_intp shape[2] = {cap, d};
+    double *X = array_data(X_arr, NPY_DOUBLE, 1, 2, shape, "X");
+    double *V = X ? array_data(V_arr, NPY_DOUBLE, 1, 2, shape, "V") : NULL;
     int64_t *codes = V ? array_data(codes_arr, NPY_INT64, 1, 1, &cap, "codes") : NULL;
     if (codes == NULL)
         return -1;
