@@ -40,14 +40,15 @@ static double sum_sq(const double *a, const double *w, int64_t d)
     return s;
 }
 
-/* Runs b GHMC steps on n rows of dimension d, each one the transition of
- * tests/oracles.py::ghmc_update_reference: rows [i * n / k, (i + 1) * n / k)
- * follow rule i, Barker where barker[i] (k >= 1 intc values, k dividing n)
- * and Metropolis otherwise.  inv2[c] is 1 / sigma_c^2 (d >= 1 values).
- * Step s refreshes v to v * cos_w + noise[s] (noise is b x n x d,
+/* Runs b GHMC steps on n = R * k rows of dimension d, each one the
+ * transition of tests/oracles.py::ghmc_update_reference: rows
+ * [i * R, (i + 1) * R) follow rule i, Barker where barker[i] (k intc
+ * values) and Metropolis otherwise, and row j reads replicate j % R's
+ * draws, so every rule shares them.  inv2[c] is 1 / sigma_c^2 (d >= 1
+ * values).  Step s refreshes v to v * cos_w + noise[s] (noise is b x R x d,
  * pre-scaled by sin), runs nleap leapfrog steps of size step from the
  * carried half-kick, and accepts a row where unif[s] < phi(exp(de)) (unif
- * is b x n) and de is finite, de being the energy before minus the energy
+ * is b x R) and de is finite, de being the energy before minus the energy
  * after; a rejected row keeps x, U(x) and the kick and flips v.  x, Ux, v
  * and kick (n x d, n, n x d, n x d) are updated in place and each step's x
  * is written to xs[s] (b x n x d).  Leaves the floating-point exception
@@ -65,19 +66,19 @@ int ghmc_run(PyObject *exp_ufunc, PyObject *barker_arr, PyObject *inv2_arr, doub
         PyErr_SetString(PyExc_ValueError, "exp must be a numpy ufunc");
         return -1;
     }
-    npy_intp bnd[3] = {-1, -1, -1}, k = -1;
-    const double *noise = array_data(noise_arr, NPY_DOUBLE, 0, 3, bnd, "noise");
+    npy_intp draws[3] = {-1, -1, -1}, k = -1;
+    const double *noise = array_data(noise_arr, NPY_DOUBLE, 0, 3, draws, "noise");
     const int *barker = noise ? array_data(barker_arr, NPY_INT, 0, 1, &k, "barker") : NULL;
     if (barker == NULL)
         return -1;
-    const npy_intp b = bnd[0], n = bnd[1], d = bnd[2];
-    if (d < 1 || k < 1 || n % k) {
-        PyErr_Format(PyExc_ValueError, "need d >= 1 and k >= 1 rules dividing n = %lld rows, "
-                     "got d = %lld and k = %lld", (long long)n, (long long)d, (long long)k);
+    const npy_intp b = draws[0], R = draws[1], d = draws[2], n = R * k;
+    if (d < 1) {
+        PyErr_Format(PyExc_ValueError, "need d >= 1, got d = %lld", (long long)d);
         return -1;
     }
+    npy_intp bnd[3] = {b, n, d};  /* xs; x, v and kick are bnd + 1 */
     const double *inv2 = array_data(inv2_arr, NPY_DOUBLE, 0, 1, bnd + 2, "inv2");
-    const double *unif = inv2 ? array_data(unif_arr, NPY_DOUBLE, 0, 2, bnd, "unif") : NULL;
+    const double *unif = inv2 ? array_data(unif_arr, NPY_DOUBLE, 0, 2, draws, "unif") : NULL;
     double *x = unif ? array_data(x_arr, NPY_DOUBLE, 1, 2, bnd + 1, "x") : NULL;
     double *Ux = x ? array_data(Ux_arr, NPY_DOUBLE, 1, 1, bnd + 1, "Ux") : NULL;
     double *v = Ux ? array_data(v_arr, NPY_DOUBLE, 1, 2, bnd + 1, "v") : NULL;
@@ -108,16 +109,17 @@ int ghmc_run(PyObject *exp_ufunc, PyObject *barker_arr, PyObject *inv2_arr, doub
 
     fexcept_t flags;
     fegetexceptflag(&flags, FE_ALL_EXCEPT);
-    const int64_t nd = n * d, rows = n / k;
+    const int64_t nd = n * d, rd = R * d;
     const double half = 0.5 * step;
     double *xn = work, *vn = xn + nd, *kn = vn + nd, *Un = kn + nd, *de = Un + n,
            *r = de + n;
     char *args[2] = {(char *)de, (char *)r};
     npy_intp count = (npy_intp)n, strides[2] = {sizeof(double), sizeof(double)};
     for (int64_t s = 0; s < b; s++) {
-        const double *nz = noise + s * nd, *u = unif + s * n;
-        for (int64_t j = 0; j < nd; j++)
-            v[j] = v[j] * cos_w + nz[j];
+        const double *nz = noise + s * rd, *u = unif + s * R;
+        for (int64_t i = 0; i < nd; i += rd)  /* each rule's rows */
+            for (int64_t j = 0; j < rd; j++)
+                v[i + j] = v[i + j] * cos_w + nz[j];
         memcpy(xn, x, nd * sizeof(double));
         memcpy(vn, v, nd * sizeof(double));
         memcpy(kn, kick, nd * sizeof(double));
@@ -135,25 +137,27 @@ int ghmc_run(PyObject *exp_ufunc, PyObject *barker_arr, PyObject *inv2_arr, doub
                     - (Un[j] + sum_sq(vn + j * d, NULL, d) / 2.0);
         }
         loop(args, &count, strides, loop_data);
-        for (int64_t j = 0; j < n; j++) {
-            double a;  /* zoo._barker and np.minimum(1.0, r); NaN stays NaN */
-            if (barker[j / rows]) {
-                double c = r[j] > DBL_MAX ? DBL_MAX : r[j];
-                a = c / (1.0 + c);
-            } else {
-                a = 1.0 <= r[j] ? 1.0 : r[j];
+        for (int64_t i = 0, j = 0; i < k; i++) {
+            for (int64_t q = 0; q < R; q++, j++) {  /* row j: rule i, replicate q */
+                double a;  /* zoo._barker and np.minimum(1.0, r); NaN stays NaN */
+                if (barker[i]) {
+                    double c = r[j] > DBL_MAX ? DBL_MAX : r[j];
+                    a = c / (1.0 + c);
+                } else {
+                    a = 1.0 <= r[j] ? 1.0 : r[j];
+                }
+                double *xj = x + j * d, *vj = v + j * d;
+                if (u[q] < a && isfinite(de[j])) {
+                    memcpy(xj, xn + j * d, d * sizeof(double));
+                    memcpy(vj, vn + j * d, d * sizeof(double));
+                    memcpy(kick + j * d, kn + j * d, d * sizeof(double));
+                    Ux[j] = Un[j];
+                } else {
+                    for (int64_t c = 0; c < d; c++)
+                        vj[c] = -vj[c];
+                }
+                memcpy(xs + s * nd + j * d, xj, d * sizeof(double));
             }
-            double *xj = x + j * d, *vj = v + j * d;
-            if (u[j] < a && isfinite(de[j])) {
-                memcpy(xj, xn + j * d, d * sizeof(double));
-                memcpy(vj, vn + j * d, d * sizeof(double));
-                memcpy(kick + j * d, kn + j * d, d * sizeof(double));
-                Ux[j] = Un[j];
-            } else {
-                for (int64_t c = 0; c < d; c++)
-                    vj[c] = -vj[c];
-            }
-            memcpy(xs + s * nd + j * d, xj, d * sizeof(double));
         }
     }
     fesetexceptflag(&flags, FE_ALL_EXCEPT);

@@ -10,8 +10,8 @@ bit-reproducible and replicates can execute in any order or in parallel.
 The batched driver splits that stream into a refresh-noise sub-stream and an
 accept-uniform sub-stream (a 2**128 jump apart), which makes its output
 independent of the internal buffering block size.  It runs all acceptance
-rules in one batch, and every rule reads each replicate's two sub-streams,
-so the rules share common random numbers.  Its transitions run in a C
+rules in one batch, and the kernel gives every rule's rows each replicate's
+draws, so the rules share common random numbers.  Its transitions run in a C
 kernel, ``_ghmc.c``, with the bits of the numpy transition in
 tests/oracles.py; it serves diagonal-Gaussian targets in d <= 2 under the
 Metropolis and Barker rules, and the driver refuses every other target and
@@ -93,23 +93,6 @@ class Potential:
 _NO_EXP_LOOP = "np.exp has no float64 loop ('d->d') for the GHMC kernel to call"
 
 
-def _c_block(H, rules, step, nleap, cos, x, Ux, kick, v, noise, unif, xs):
-    """The GHMC steps of one block of draws, in one call of the C kernel on
-    copies of the state: step i refreshes v to v * cos + noise[i], runs the
-    leapfrog flow from the carried half-kick, accepts a row where
-    unif[i] < phi(exp(de)) and de is finite, flips v where it rejects, and
-    writes x to xs[i].  Returns the final (x, U(x), kick, v).  H and rules
-    must be ones ``run_ghmc_chains`` serves; the kernel refuses arrays of
-    inconsistent shapes with ValueError."""
-    s = np.asarray(H.gaussian_sigmas, dtype=float)
-    inv2 = 1.0 / (s * s)  # as zz_gaussian forms it
-    x, Ux, kick, v = (np.array(a, dtype=float) for a in (x, Ux, kick, v))
-    barker = np.array([rule.phi is _barker for rule in rules], dtype=np.intc)
-    _native.entry("ghmc_run")(np.exp, barker, inv2, cos, step, nleap, noise, unif,
-                              x, Ux, v, kick, xs)
-    return x, Ux, kick, v
-
-
 @dataclass
 class ChainStats:
     """Replicate summary of a discounted-variance estimate."""
@@ -185,9 +168,10 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
 
     Each replicate owns its Philox stream, split into a noise sub-stream and
     a uniform sub-stream so pre-drawing in blocks does not change the draws.
-    Every rule uses the same draws, so its chains are bit-identical to a run
-    with that rule alone.  The closing half-kick of each leapfrog flow opens
-    the next one from an accepted proposal, which saves a gradient per step.
+    Every rule reads the same draws, passed once per block, so its chains are
+    bit-identical to a run with that rule alone.  The closing half-kick of
+    each leapfrog flow opens the next one from an accepted proposal, which
+    saves a gradient per step.
     Returns a list of (len(rules) * R, n_steps) arrays, one per observable of
     the position x, recorded after burn_in >= 0 steps; rows [i*R:(i+1)*R] are
     rules[i]'s.  Each observable maps an (m, d) array of positions row by row
@@ -198,8 +182,8 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     diagonal-Gaussian targets (gaussian_sigmas set) in d <= 2 under rules
     whose phi is the Metropolis or Barker function; any other target or rule
     raises ValueError before any draw, after the checks of burn_in, n_steps,
-    replicates and of empty rules.  A failed build of the kernel raises
-    RuntimeError before any draw.
+    replicates, nleap >= 1, a finite step > 0, a finite omega and of empty
+    rules.  A failed build of the kernel raises RuntimeError before any draw.
     """
     if burn_in < 0:
         raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
@@ -207,6 +191,12 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
         raise ValueError(f"n_steps must be >= 0, got {n_steps!r}")
     if replicates < 1:
         raise ValueError(f"replicates must be >= 1, got {replicates!r}")
+    if nleap < 1:  # each of these three froze every chain
+        raise ValueError(f"nleap must be >= 1, got {nleap!r}")
+    if not (math.isfinite(step) and step > 0):
+        raise ValueError(f"step must be finite and > 0, got {step!r}")
+    if not math.isfinite(omega):
+        raise ValueError(f"omega must be finite, got {omega!r}")
     if len(rules) == 0:
         raise ValueError("rules is empty: GHMC needs at least one acceptance rule")
     k, R, d = len(rules), replicates, H.d
@@ -215,29 +205,29 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
         raise ValueError("run_ghmc_chains serves diagonal-Gaussian targets (gaussian_sigmas "
                          "set) in d <= 2 under rules whose phi is the Metropolis or Barker "
                          f"function, got d = {d} and rules {[rule.kind for rule in rules]}")
-    _native.entry("ghmc_run")  # built or loaded before any draw
+    ghmc_run = _native.entry("ghmc_run")  # built or loaded before any draw
     if "d->d" not in np.exp.types:
         raise RuntimeError(_NO_EXP_LOOP)
+    s = np.asarray(H.gaussian_sigmas, dtype=float)
+    inv2 = 1.0 / (s * s)  # as zz_gaussian forms it
+    barker = np.array([rule.phi is _barker for rule in rules], dtype=np.intc)
     noise_rngs = [replicate_rng(seed, r) for r in range(R)]
     unif_rngs = [np.random.Generator(g.bit_generator.jumped(1)) for g in noise_rngs]
     cos, sin = math.cos(omega), math.sin(omega)
     x = np.zeros((k * R, d))
-    Ux = np.asarray(H.U(x))
-    kick = 0.5 * step * np.asarray(H.grad(x))
+    Ux = np.array(H.U(x), dtype=float)  # x, Ux, v and kick: updated in place
+    kick = 0.5 * step * np.asarray(H.grad(x), dtype=float)
     v = np.tile(np.stack([rng.standard_normal(d) for rng in noise_rngs]), (k, 1))
     out = [np.empty((k * R, n_steps)) for _ in observables]
     total = n_steps + burn_in
     for start in range(0, total, _BLOCK):
         b = min(_BLOCK, total - start)
-        # every rule's rows get its replicate's refresh term and uniform
+        # (b, R, d) and (b, R): the kernel reads them for every rule's rows
         noise = np.stack([rng.standard_normal((b, d)) for rng in noise_rngs],
                          axis=1) * sin
-        noise = np.tile(noise, (1, k, 1))
-        unif = np.tile(np.stack([rng.random(b) for rng in unif_rngs], axis=1),
-                       (1, k))
-        xs = np.empty_like(noise)  # x after each of the block's steps
-        x, Ux, kick, v = _c_block(H, rules, step, nleap, cos, x, Ux, kick, v,
-                                  noise, unif, xs)
+        unif = np.stack([rng.random(b) for rng in unif_rngs], axis=1)
+        xs = np.empty((b, k * R, d))  # x after each of the block's steps
+        ghmc_run(np.exp, barker, inv2, cos, step, nleap, noise, unif, x, Ux, v, kick, xs)
         lo = max(0, burn_in - start)  # the block's first recorded step
         if lo < b:
             t = start + lo - burn_in

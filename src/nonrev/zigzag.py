@@ -153,8 +153,10 @@ class ZigZagTrajectory:
     horizon: float
 
     def __post_init__(self):
-        if np.any(np.diff(self.times) <= 0):
-            raise ValueError("event times must be strictly increasing")
+        if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0)):
+            raise ValueError("event times must be finite and strictly increasing")
+        if not np.all(np.isfinite(self.X)):
+            raise ValueError("event positions must be finite")
         if not np.all(np.abs(self.V) == 1.0):
             raise ValueError("velocities must be +-1")
         if not (self.codes.shape == (self.times.size - 1,)

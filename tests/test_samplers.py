@@ -14,7 +14,7 @@ from nonrev import _native, finite, samplers
 from nonrev.finite import FiniteDistribution, KernelMatrix, Observable
 from nonrev.samplers import Potential, estimate_var_lambda, replicate_rng
 from nonrev.zigzag import zz_double_well, zz_gaussian
-from nonrev.zoo import AcceptanceRule
+from nonrev.zoo import AcceptanceRule, _barker
 from oracles import (_energy, autocov_reference, estimate_var_lambda_reference,
                      ghmc_update_reference, leapfrog_reference, run_ghmc_chains_reference,
                      steep_double_well, zz_tabulated)
@@ -25,13 +25,18 @@ def energy(H, x, v):
 
 
 def c_step(H, rules, step, nleap, x, Ux, kick, v, unif):
-    """One step of samplers._c_block from the given state, with the momentum
-    refresh v * 1.0 + 0.0: returns (x, U(x), kick, v, xs)."""
-    noise = np.zeros((1, *np.shape(x)))
-    xs = np.empty_like(noise)
-    out = samplers._c_block(H, rules, step, nleap, 1.0, x, Ux, kick, v, noise,
-                            np.asarray(unif, dtype=float)[None, :], xs)
-    return (*out, xs)
+    """One step of the kernel's entry point ghmc_run on copies of the given
+    state, with the momentum refresh v * 1.0 + 0.0 and unif[r] the uniform
+    of replicate r, so of row r under every rule: returns (x, U(x), kick, v,
+    xs)."""
+    x, Ux, kick, v = (np.array(a, dtype=float) for a in (x, Ux, kick, v))
+    unif = np.asarray(unif, dtype=float)[None, :]
+    inv2 = 1.0 / np.asarray(H.gaussian_sigmas, dtype=float) ** 2
+    barker = np.array([rule.phi is _barker for rule in rules], dtype=np.intc)
+    xs = np.empty((1, *x.shape))
+    _native.entry("ghmc_run")(np.exp, barker, inv2, 1.0, step, nleap,
+                              np.zeros((1, unif.size, x.shape[1])), unif, x, Ux, v, kick, xs)
+    return x, Ux, kick, v, xs
 
 
 class TestHamiltonian:
@@ -127,8 +132,8 @@ class TestLeapfrog:
 
 
 class TestGhmcStep:
-    """The accept stage of one GHMC transition, one step of
-    samplers._c_block, on a single row; the momentum passed in is the
+    """The accept stage of one GHMC transition, one step of the kernel's
+    entry point ghmc_run, on a single row; the momentum passed in is the
     refreshed one.  The half-kick it returns is the one at the position it
     returns, accepted or not."""
 
@@ -393,6 +398,29 @@ class TestGhmcDriver:
             samplers.run_ghmc_chains(self.H, 0.9, 2, math.pi / 4, [AcceptanceRule.metropolis()],
                                      n_steps, replicates, 0, self.OBS)
 
+    @pytest.mark.parametrize("step, nleap, omega, match", [
+        (0.9, 0, math.pi / 4, r"^nleap must be >= 1, got 0$"),
+        (0.9, -2, math.pi / 4, r"^nleap must be >= 1, got -2$"),
+        (0.0, 2, math.pi / 4, r"^step must be finite and > 0, got 0\.0$"),
+        (-0.9, 2, math.pi / 4, r"^step must be finite and > 0, got -0\.9$"),
+        (math.nan, 2, math.pi / 4, r"^step must be finite and > 0, got nan$"),
+        (math.inf, 2, math.pi / 4, r"^step must be finite and > 0, got inf$"),
+        (0.9, 2, math.nan, r"^omega must be finite, got nan$"),
+        (0.9, 2, -math.inf, r"^omega must be finite, got -inf$")],
+        ids=["nleap-0", "nleap-negative", "step-0", "step-negative", "step-nan", "step-inf",
+             "omega-nan", "omega-minus-inf"])
+    def test_bad_leapfrog_settings_refused_before_the_kernel(
+            self, step, nleap, omega, match, monkeypatch):
+        # nleap 0 or -2 and step 0.0 or NaN returned chains that never moved
+        def too_late(*args):
+            raise AssertionError("loaded the kernel or drew before the refusal")
+
+        monkeypatch.setattr(_native, "entry", too_late)
+        monkeypatch.setattr(samplers, "replicate_rng", too_late)
+        with pytest.raises(ValueError, match=match):
+            samplers.run_ghmc_chains(self.H, step, nleap, omega, [AcceptanceRule.metropolis()],
+                                     100, 2, 0, self.OBS)
+
     def test_moment_preservation(self):
         chains = self.run(seed=4, n_steps=6000)
         means = chains[0].mean(axis=1)
@@ -531,7 +559,7 @@ class TestGhmcDriverMatchesReference:
 
 
 class TestGhmcKernel:
-    """The C kernel, samplers._c_block, against the numpy GHMC driver and
+    """The C kernel, _ghmc.c's ghmc_run, against the numpy GHMC driver and
     transition of tests/oracles.py: the same chains for drawn targets and
     settings, the same decisions at the accept boundary and on non-finite
     energies, no floating-point state left behind, and a refusal, before any
@@ -566,7 +594,8 @@ class TestGhmcKernel:
         got = c_step(H, rules, step, nleap, x, Ux, 0.5 * step * np.asarray(H.grad(x)), v, unif)
         with np.errstate(over="ignore", invalid="ignore"):
             # c_step's refresh v * 1.0 + 0.0 turns -0.0 into +0.0
-            want = ghmc_update_reference(H, x, Ux, v * 1.0 + 0.0, np.asarray(unif, dtype=float),
+            want = ghmc_update_reference(H, x, Ux, v * 1.0 + 0.0,
+                                         np.tile(np.asarray(unif, dtype=float), len(rules)),
                                          step, nleap, rules)
             kick = 0.5 * step * np.asarray(H.grad(got[0]))
         x1, U1, k1, v1, xs = got
@@ -602,10 +631,43 @@ class TestGhmcKernel:
         de = energy(H, x, v) - energy(H, xn, vn)
         assert np.all((709.8 < de) & (de < math.inf))
         for Ux, accepted in ((np.asarray(H.U(x)), True), (np.full(2, np.inf), False)):
+            # two rules on one replicate: both rows read its uniform
             x1, _, _, v1, _ = self.both(H, [self.MET, self.BAR], step, nleap, x, v,
-                                        [0.999, 0.999], Ux=Ux)
+                                        [0.999], Ux=Ux)
             assert np.array_equal(x1, xn if accepted else x)
             assert np.array_equal(v1, vn if accepted else -v)
+
+    def test_every_rule_reads_each_replicates_draws(self):
+        # one call of four steps, 3 replicates under 2 rules, with distinct
+        # scripted noise and uniforms per replicate: the same steps as
+        # ghmc_update_reference on the draws tiled over the rules
+        H, rules, step, nleap, cos = zz_gaussian([0.8, 1.3]), [self.MET, self.BAR], 1.1, 3, 0.6
+        R, k, b = 3, 2, 4
+        rng = np.random.default_rng(8)
+        noise = rng.normal(0.0, 0.8, (b, R, 2))
+        unif = np.array([[0.05, 0.5, 0.999], [0.3, 0.999, 0.01], [0.999, 0.2, 0.6],
+                         [0.7, 0.02, 0.4]])
+        x = np.tile(rng.normal(0.0, 1.0, (R, 2)), (k, 1))
+        v = np.tile(rng.normal(0.0, 1.0, (R, 2)), (k, 1))
+        Ux = np.asarray(H.U(x))
+        state = [a.copy() for a in (x, Ux, v, 0.5 * step * np.asarray(H.grad(x)))]
+        xs = np.empty((b, k * R, 2))
+        assert _native.entry("ghmc_run")(
+            np.exp, np.array([0, 1], dtype=np.intc), 1.0 / H.gaussian_sigmas ** 2, cos, step,
+            nleap, noise, unif, *state, xs) == 0
+        moved = []
+        for s in range(b):
+            with np.errstate(over="ignore", invalid="ignore"):
+                xn, Un, vn = ghmc_update_reference(H, x, Ux, v * cos + np.tile(noise[s], (k, 1)),
+                                                   np.tile(unif[s], k), step, nleap, rules)
+            moved.append(np.any(xn != x, axis=1))
+            x, Ux, v = xn, Un, vn
+            assert np.array_equal(xs[s], x)
+        for g, w in zip(state, (x, Ux, v, 0.5 * step * np.asarray(H.grad(x)))):
+            assert np.array_equal(g, w)
+        moved = np.array(moved)
+        assert moved.any() and not moved.all()  # some rows accept, others reject
+        assert np.any(moved[:, :R] != moved[:, R:])  # and the rules decide apart
 
     def test_leaves_no_floating_point_state(self):
         # sigma 0.1 at step 2.5 with 200 leaps overflows in every transition
@@ -616,10 +678,10 @@ class TestGhmcKernel:
         with np.errstate(all="raise"):
             assert np.add(np.ones(3), 1.0).tolist() == [2.0] * 3
         # the kernel restores the flags it found, here none
-        n, d = 4, 1
+        n, d = 4, 1  # two replicates under two rules
         x = np.zeros((n, d))
         args = (np.exp, np.array([0, 1], dtype=np.intc), np.array([100.0]), 0.0, step,
-                nleap, np.ones((5, n, d)), np.full((5, n), 0.5), x.copy(), np.zeros(n),
+                nleap, np.ones((5, 2, d)), np.full((5, 2), 0.5), x.copy(), np.zeros(n),
                 np.ones((n, d)), np.zeros((n, d)), np.empty((5, n, d)))
         libm = ctypes.CDLL(ctypes.util.find_library("m"))
         libm.feclearexcept(-1)

@@ -439,6 +439,26 @@ class TestSimulation:
         with pytest.raises(ValueError, match=r"one integer event code in \[0, d\]"):
             zigzag.ZigZagTrajectory(times, X, V, codes, 2.0)
 
+    @pytest.mark.parametrize("times, x, match", [
+        ([0.0, np.nan, 1.0], 0.0, "event times must be finite and strictly increasing"),
+        ([np.nan, 0.5, 1.0], 0.0, "event times must be finite and strictly increasing"),
+        ([0.0, 0.5, np.inf], 0.0, "event times must be finite and strictly increasing"),
+        ([-np.inf, 0.5, 1.0], 0.0, "event times must be finite and strictly increasing"),
+        ([0.0, 0.5, 0.5], 0.0, "event times must be finite and strictly increasing"),
+        ([0.0, 0.5, 1.0], np.nan, "event positions must be finite"),
+        ([0.0, 0.5, 1.0], np.inf, "event positions must be finite")],
+        ids=["nan-inside", "nan-first", "inf-last", "minus-inf-first", "tie",
+             "nan-position", "inf-position"])
+    def test_trajectory_refuses_nonfinite_times_and_positions(self, times, x, match):
+        # np.diff(times) <= 0 is False at a NaN, so the path with a NaN event
+        # time was accepted and its integral of x + 1 read a silent 3.0
+        X, V, codes = np.zeros((3, 1)), np.ones((3, 1)), np.array([0, 0])
+        X[1] = x
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            zigzag.ZigZagTrajectory(np.array(times), X, V, codes, 2.0)
+        assert zigzag.ZigZagTrajectory(np.array([0.0, 0.5, 1.0]), np.zeros((3, 1)), V,
+                                       codes, 2.0).n_events == 2
+
     def test_input_validation(self):
         pot = zz_gaussian([1.0])
         with pytest.raises(ValueError):
