@@ -23,20 +23,24 @@ calls numpy's own float64 dot, with the bits of one np.dot per lag.
 from __future__ import annotations
 
 import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import _native
-from .finite import worst_excess
+from .finite import _lambda_grid, worst_excess
 from .zoo import AcceptanceRule, _barker, _metropolis
 
 _BLOCK = 2_048  # GHMC transitions drawn, advanced and recorded at a time
 
 
 def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=(seed << 64) + replicate))
+    # operator.index: a numpy integer seed would wrap to 0 when shifted by 64
+    return np.random.Generator(np.random.Philox(
+        key=(operator.index(seed) << 64) + operator.index(replicate)))
 
 
 @dataclass(frozen=True)
@@ -139,8 +143,7 @@ def estimate_var_lambda(chains, lam: float) -> ChainStats:
     K = default_max_lag(lam) (the first lag with lam^K <= 1e-8); the
     standard error is the replicate sample SD divided by sqrt(R).
     """
-    if not 0.0 <= lam < 1.0:
-        raise ValueError("lambda must lie in [0, 1)")
+    (lam,) = _lambda_grid([lam])
     chains = np.asarray(chains, dtype=float)
     if chains.ndim != 2 or chains.shape[0] < 2:
         raise ValueError("need a (replicates, length) array with at least 2 "
@@ -181,18 +184,18 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     The transitions run in the C kernel ``_ghmc.c``, which serves
     diagonal-Gaussian targets (gaussian_sigmas set) in d <= 2 under rules
     whose phi is the Metropolis or Barker function; any other target or rule
-    raises ValueError before any draw, after the checks of burn_in, n_steps,
-    replicates, nleap >= 1, a finite step > 0, a finite omega and of empty
-    rules.  A failed build of the kernel raises RuntimeError before any draw.
+    raises ValueError before any draw, after the checks that n_steps,
+    burn_in, replicates, nleap and seed are integers (not bools) of at least
+    0, 0, 1, 1 and 0, that step is finite and > 0 and omega finite, and of
+    empty rules.  A failed build of the kernel raises RuntimeError before
+    any draw.
     """
-    if burn_in < 0:
-        raise ValueError(f"burn_in must be >= 0, got {burn_in!r}")
-    if n_steps < 0:
-        raise ValueError(f"n_steps must be >= 0, got {n_steps!r}")
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates!r}")
-    if nleap < 1:  # each of these three froze every chain
-        raise ValueError(f"nleap must be >= 1, got {nleap!r}")
+    for name, value, least in [("n_steps", n_steps, 0), ("burn_in", burn_in, 0),
+                               ("replicates", replicates, 1), ("nleap", nleap, 1),
+                               ("seed", seed, 0)]:
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                           and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
     if not math.isfinite(omega):
@@ -290,11 +293,10 @@ def compare_acceptance_rules(H: Potential, omega: float, step: float,
     kinds = [rule.kind for rule in rules]
     if len(kinds) < 2 or len(set(kinds)) < len(kinds):
         raise ValueError(f"need at least two acceptance rules of distinct kinds, got {kinds}")
-    if len(lambdas) == 0 or len(observables) == 0 or replicates < 2:
-        raise ValueError("need at least one lambda, one observable and 2 replicates")
-    if not all(0.0 <= lam < 1.0 for lam in lambdas):
-        raise ValueError(f"lambda must lie in [0, 1), got {list(lambdas)!r}")
-    if n_steps < (need := min_chain_length(max(lambdas))):
+    if len(observables) == 0 or replicates < 2:
+        raise ValueError("need at least one observable and 2 replicates")
+    grid = _lambda_grid(lambdas)
+    if n_steps < (need := min_chain_length(max(grid))):
         raise ValueError(f"n_steps must be >= {need} at lambda {max(lambdas)!r}, got {n_steps}")
     names = list(observables)
     chains = run_ghmc_chains(H, step, nleap, omega, rules, n_steps, replicates,

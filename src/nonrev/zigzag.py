@@ -144,7 +144,8 @@ class ZigZagTrajectory:
     """Piecewise-linear path: segment k starts at (times[k], X[k]) with
     velocity V[k]; the event ending it has code codes[k], i < d for a flip
     of coordinate i and d for a refresh (the last segment runs to the
-    horizon and has no code)."""
+    horizon and has no code).  The times start at 0.0 and increase
+    strictly, to the last one before the finite horizon."""
 
     times: np.ndarray
     X: np.ndarray
@@ -155,6 +156,13 @@ class ZigZagTrajectory:
     def __post_init__(self):
         if not (np.all(np.isfinite(self.times)) and np.all(np.diff(self.times) > 0)):
             raise ValueError("event times must be finite and strictly increasing")
+        if not math.isfinite(self.horizon):
+            raise ValueError(f"horizon must be finite, got {self.horizon!r}")
+        if not (self.times.size and self.times[0] == 0.0):
+            raise ValueError(f"the path must start at time 0.0, got {self.times[:1].tolist()}")
+        if not self.times[-1] < self.horizon:
+            raise ValueError(f"the last event time {self.times[-1]} must lie before "
+                             f"the horizon {self.horizon}")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("event positions must be finite")
         if not np.all(np.abs(self.V) == 1.0):
@@ -174,13 +182,6 @@ class EnvelopeViolation(RuntimeError):
 
 
 _MAX_ROWS = 65_536  # cap on the skeleton rows of the exact kernel's first buffers
-
-
-def _exact_flip_time(a: float, b: float, gamma: float, e: float) -> float:
-    """First time Lambda(t) = e for rate (a + b t)_+ + gamma, b > 0, e >= 0:
-    the kernel's ``flip_time``, which raises ZeroDivisionError where
-    Python's float arithmetic would."""
-    return _native.entry("flip_time")(a, b, gamma, e)
 
 
 def _thinned_clock(spec: IntensitySpec, pot: Potential, i: int,
@@ -231,12 +232,6 @@ def _thinned_clock(spec: IntensitySpec, pot: Potential, i: int,
                 return s + u
         s += 1.0
     return math.inf
-
-
-def _thinned_flip_time(spec, pot, i, x, v, rng, horizon=np.inf) -> float:
-    """``_thinned_clock`` driven on its own, its slope from one gradient call."""
-    slope = float(np.asarray(pot.grad(x[None, :]))[0, i] * v[i])
-    return _lockstep(spec, pot, [_thinned_clock(spec, pot, i, x, v, rng, horizon, slope)])[0]
 
 
 def _lockstep(spec: IntensitySpec, pot: Potential, runs) -> list:

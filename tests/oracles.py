@@ -3,22 +3,22 @@
 Each one recomputes a quantity of the package by a different route (a
 truncated series, a half-square-sum form, an explicit symmetrization, a
 per-state loop in place of index arithmetic, a per-vector solve in place of
-a block solve, one intensity call per thinning proposal in place of a
-block, one lambda per call in place of a grid, a centred second pass in
-place of one batch-means pass) or builds a target the catalog does not use,
-so it lives beside the tests that use it rather than inside the package
-under test.  Seventeen are earlier forms of package code kept verbatim (the
-three flip-time references, expectation_mu, the generic jump generator, the
-per-function gap and the Gram form that applied the jump generator per
-function and velocity, the GHMC driver that recorded every observable on
-every step and the energy it formed (the one numpy form of GHMC, since the
-package runs its GHMC transitions in C only), the finite grids and
-neal-ordering loop that solved every lambda in this process, the PQ form of
-the dominance certificate, the per-lag autocovariance loop
-with the estimator that called it row by row, and the trajectory's
-state_at with the window integrals that searched it per node set and
-summed each window with its own np.dot), so that a rewrite can be held to
-them bit for bit.
+a block solve, one intensity call per thinning proposal in place of a block,
+one lambda per call in place of a grid, a centred second pass in place of
+one batch-means pass), builds a target the catalog does not use, or drives
+one of the package's clocks on its own, so it lives beside the tests that
+use it rather than inside the package under test.  Seventeen are earlier
+forms of package code kept verbatim (the three flip-time references,
+expectation_mu, the generic jump generator, the per-function gap and the
+Gram form that applied the jump generator per function and velocity, the
+GHMC driver that recorded every observable on every step and the energy it
+formed (the one numpy form of GHMC, since the package runs its GHMC
+transitions in C only), the finite grids and neal-ordering loop that solved
+every lambda in this process, the PQ form of the dominance certificate, the
+per-lag autocovariance loop with the estimator that called it row by row,
+and the trajectory's state_at with the window integrals that searched it per
+node set and summed each window with its own np.dot), so that a rewrite can
+be held to them bit for bit.
 """
 
 import math
@@ -36,8 +36,9 @@ from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            inner, psd_certificate)
 from nonrev.samplers import Potential, default_max_lag, replicate_rng
 from nonrev.zigzag import (_GL3, _GL8, EnvelopeViolation, ZigZagTrajectory,
-                           _all_velocities, _gh_nodes, _window_integrals,
-                           batch_means_variance, intensity, simulate_zigzag)
+                           _all_velocities, _gh_nodes, _lockstep, _thinned_clock,
+                           _window_integrals, batch_means_variance, intensity,
+                           simulate_zigzag)
 from nonrev.zoo import (FlowMap, RingTarget, SubKernelPair, collapsed_kernel,
                         half_lift, lifted_kernel)
 
@@ -183,6 +184,14 @@ def steep_double_well() -> Potential:
                      grad=lambda x: 40.0 * x * (x ** 2 - 2.0), d=1)
 
 
+def thinned_flip_time(spec, pot: Potential, i: int, x: np.ndarray, v: np.ndarray,
+                      rng, horizon: float = np.inf) -> float:
+    """zigzag._thinned_clock driven on its own through one zigzag._lockstep,
+    its slope from one gradient call, as the event loop gives it."""
+    slope = float(np.asarray(pot.grad(x[None, :]))[0, i] * v[i])
+    return _lockstep(spec, pot, [_thinned_clock(spec, pot, i, x, v, rng, horizon, slope)])[0]
+
+
 def thinned_flip_time_reference(spec, pot: Potential, i: int, x: np.ndarray,
                                 v: np.ndarray, rng, horizon: float = np.inf) -> float:
     """First arrival of the inhomogeneous rate t -> lambda_i(x + t v, v) by
@@ -194,7 +203,7 @@ def thinned_flip_time_reference(spec, pot: Potential, i: int, x: np.ndarray,
     B on |s'(t)| dominates |d lambda / dt| as well.  An intensity above the
     envelope (a hessian_bound that is too small) raises EnvelopeViolation.
 
-    The scalar form of zigzag._thinned_flip_time: one intensity call per
+    The scalar form of thinned_flip_time above: one intensity call per
     proposal, and each proposal reads one exponential() and, inside the
     window, one random() in turn.
     """
@@ -424,8 +433,9 @@ def verify_ordering_reference(P1: KernelMatrix, P2: KernelMatrix,
 # Earlier forms of package code, verbatim: finite.verify_ordering_theorem
 # with its own copy of the var_lambda formula, solving both kernels per
 # lambda inside the loop, the PQ form of the dominance certificate, and
-# zigzag._exact_flip_time in two Python forms: with a separate gamma == 0,
-# a >= 0 branch, and the last one before the compiled kernel took it over.
+# the exact clock in two Python forms (the compiled kernel's flip_time now):
+# with a separate gamma == 0, a >= 0 branch, and the last one before the
+# kernel took it over.
 
 def verify_ordering_block_reference(P1: KernelMatrix, P2: KernelMatrix,
                                     mu: FiniteDistribution, Q: DeterministicInvolution,

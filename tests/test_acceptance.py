@@ -8,10 +8,11 @@ import numpy as np
 import pytest
 from scipy.stats import ks_2samp
 
-from nonrev import cli, finite, samplers, zigzag, zoo
+from nonrev import _native, cli, finite, samplers, zigzag, zoo
 from nonrev.experiments import EXPERIMENTS
 from nonrev.finite import (DeterministicInvolution, FiniteDistribution,
                            KernelMatrix, Observable)
+from oracles import thinned_flip_time
 
 LAM_GRID = [round(0.05 * k, 2) for k in range(1, 20)]  # 0.05 .. 0.95
 
@@ -336,9 +337,9 @@ def test_criterion_08_zigzag_correctness():
     rng1 = np.random.default_rng(81)
     rng2 = np.random.default_rng(82)
     n = 5000
-    exact = np.array([zigzag._exact_flip_time(0.7, 1.0, 0.0, rng1.exponential())
+    exact = np.array([_native.entry("flip_time")(0.7, 1.0, 0.0, rng1.exponential())
                       for _ in range(n)])
-    thinned = np.array([zigzag._thinned_flip_time(
+    thinned = np.array([thinned_flip_time(
         spec, pot, 0, np.array([0.7]), np.array([1.0]), rng2)
         for _ in range(n)])
     ks = ks_2samp(exact, thinned)

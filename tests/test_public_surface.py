@@ -6,7 +6,9 @@ criterion, or the benchmark.  Code that only unit tests call belongs in
 every defaulted parameter of a public function or method must be set by such
 a call, and every annotated field of a public dataclass must be read.  A
 public module-level constant must be read somewhere in those places, its
-own module included.
+own module included.  A private module-level function, class or constant
+(one leading underscore) must be referenced in the package itself: tests
+and the benchmark do not count as its callers.
 
 A name counts as referenced when it appears as an AST name, an attribute or a
 string constant in `src/` outside its own definition, in
@@ -40,6 +42,23 @@ def public_constants(tree: ast.Module) -> list:
             if isinstance(node, (ast.Assign, ast.AnnAssign))
             for target in (node.targets if isinstance(node, ast.Assign) else [node.target])
             if isinstance(target, ast.Name) and not target.id.startswith("_")]
+
+
+def private_definitions(tree: ast.Module) -> list:
+    """(name, definition) of each module-level function, class and constant
+    whose name has one leading underscore."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            names = []
+        found += [(name, node) for name in names
+                  if name.startswith("_") and not name.startswith("__")]
+    return found
 
 
 def public_members(cls: ast.ClassDef):
@@ -165,6 +184,17 @@ def unreferenced_public_names() -> list:
     return unused
 
 
+def unreferenced_private_names() -> list:
+    trees = sources()
+    unused = []
+    for path, tree in trees.items():
+        package = set().union(*(referenced_names(other)
+                                for p, other in trees.items() if p != path))
+        unused += [f"{path.stem}.{name}" for name, node in private_definitions(tree)
+                   if name not in package | referenced_names(tree, skip=node)]
+    return unused
+
+
 def unread_constants() -> list:
     trees = sources()
     elsewhere = references_elsewhere(trees)
@@ -210,6 +240,7 @@ def test_scan_sees_the_package():
                for _, fn, method in public_functions(t)) > 10
     assert sum(len(dataclass_fields(c)) for c in classes) > 40
     assert sum(len(public_constants(t)) for t in trees) > 8
+    assert sum(len(private_definitions(t)) for t in trees) > 40
 
 
 def test_every_public_name_is_reached_outside_unit_tests():
@@ -226,3 +257,7 @@ def test_every_dataclass_field_is_read_outside_unit_tests():
 
 def test_every_public_constant_is_read():
     assert unread_constants() == []
+
+
+def test_every_private_name_is_referenced_in_the_package():
+    assert unreferenced_private_names() == []

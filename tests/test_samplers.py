@@ -382,9 +382,9 @@ class TestGhmcDriver:
                 samplers.run_ghmc_chains(H, 0.9, 2, math.pi / 4, [], 100, 2, 0, self.OBS)
 
     @pytest.mark.parametrize("n_steps, replicates, match", [
-        (-1, 2, r"^n_steps must be >= 0, got -1$"),
-        (100, 0, r"^replicates must be >= 1, got 0$"),
-        (100, -3, r"^replicates must be >= 1, got -3$")])
+        (-1, 2, r"^n_steps must be an integer >= 0, got -1$"),
+        (100, 0, r"^replicates must be an integer >= 1, got 0$"),
+        (100, -3, r"^replicates must be an integer >= 1, got -3$")])
     def test_negative_steps_and_no_replicates_refused_before_the_kernel(
             self, n_steps, replicates, match, monkeypatch):
         # they failed after the kernel loaded, with numpy's unnamed "need at
@@ -399,8 +399,8 @@ class TestGhmcDriver:
                                      n_steps, replicates, 0, self.OBS)
 
     @pytest.mark.parametrize("step, nleap, omega, match", [
-        (0.9, 0, math.pi / 4, r"^nleap must be >= 1, got 0$"),
-        (0.9, -2, math.pi / 4, r"^nleap must be >= 1, got -2$"),
+        (0.9, 0, math.pi / 4, r"^nleap must be an integer >= 1, got 0$"),
+        (0.9, -2, math.pi / 4, r"^nleap must be an integer >= 1, got -2$"),
         (0.0, 2, math.pi / 4, r"^step must be finite and > 0, got 0\.0$"),
         (-0.9, 2, math.pi / 4, r"^step must be finite and > 0, got -0\.9$"),
         (math.nan, 2, math.pi / 4, r"^step must be finite and > 0, got nan$"),
@@ -420,6 +420,47 @@ class TestGhmcDriver:
         with pytest.raises(ValueError, match=match):
             samplers.run_ghmc_chains(self.H, step, nleap, omega, [AcceptanceRule.metropolis()],
                                      100, 2, 0, self.OBS)
+
+    @pytest.mark.parametrize("arg, value, match", [
+        ("nleap", 2.5, r"^nleap must be an integer >= 1, got 2\.5$"),
+        ("nleap", True, r"^nleap must be an integer >= 1, got True$"),
+        ("n_steps", 20.5, r"^n_steps must be an integer >= 0, got 20\.5$"),
+        ("burn_in", 1.5, r"^burn_in must be an integer >= 0, got 1\.5$"),
+        ("seed", 0.5, r"^seed must be an integer >= 0, got 0\.5$"),
+        ("seed", -1, r"^seed must be an integer >= 0, got -1$"),
+        ("replicates", 2.0, r"^replicates must be an integer >= 1, got 2\.0$")],
+        ids=["nleap-float", "nleap-bool", "n_steps-float", "burn_in-float", "seed-float",
+             "seed-negative", "replicates-float"])
+    def test_non_integer_counts_refused_before_the_kernel(self, arg, value, match,
+                                                          monkeypatch):
+        # a float nleap failed in ctypes after every stream was made, with an
+        # unnamed "argument 6: TypeError", and nleap=True ran one leap
+        def too_late(*args):
+            raise AssertionError("loaded the kernel or drew before the refusal")
+
+        monkeypatch.setattr(_native, "entry", too_late)
+        monkeypatch.setattr(samplers, "replicate_rng", too_late)
+        kwargs = {"nleap": 2, "n_steps": 20, "burn_in": 0, "seed": 0, "replicates": 2,
+                  arg: value}
+        with pytest.raises(ValueError, match=match):
+            samplers.run_ghmc_chains(self.H, 0.9, omega=math.pi / 4,
+                                     rules=[AcceptanceRule.metropolis()],
+                                     observables=self.OBS, **kwargs)
+
+    def test_numpy_integer_counts_run_as_their_ints(self):
+        # seed << 64 wrapped to 0 on a numpy integer, so seed np.int64(4)
+        # ran seed 0's streams
+        def run(nleap, n_steps, replicates, seed, burn_in):
+            return samplers.run_ghmc_chains(self.H, 0.9, nleap, math.pi / 4,
+                                            [AcceptanceRule.metropolis()], n_steps,
+                                            replicates, seed, self.OBS, burn_in=burn_in)
+
+        want = run(2, 300, 3, 4, 5)
+        got = run(*map(np.int64, (2, 300, 3, 4, 5)))
+        seed_0 = run(2, 300, 3, 0, 5)
+        for a, b, c in zip(want, got, seed_0):
+            assert np.array_equal(a, b)
+            assert not np.array_equal(a, c)
 
     def test_moment_preservation(self):
         chains = self.run(seed=4, n_steps=6000)
@@ -488,6 +529,20 @@ class TestGhmcDriver:
                 rules=[AcceptanceRule.metropolis(), AcceptanceRule.barker()],
                 lambdas=[0.5], observables={"x2": lambda x: x[:, 0] ** 2},
                 n_steps=2000, replicates=1, seed=1)
+
+    def test_compare_names_a_float_n_steps(self, monkeypatch):
+        # its burn-in n_steps // 10 is a float too, and was the one reported
+        def too_late(*args):
+            raise AssertionError("loaded the kernel or drew before the refusal")
+
+        monkeypatch.setattr(_native, "entry", too_late)
+        monkeypatch.setattr(samplers, "replicate_rng", too_late)
+        with pytest.raises(ValueError, match=r"^n_steps must be an integer >= 0, got 4000\.5$"):
+            samplers.compare_acceptance_rules(
+                self.H, omega=math.pi / 4, step=0.9, nleap=2,
+                rules=[AcceptanceRule.metropolis(), AcceptanceRule.barker()],
+                lambdas=[0.5], observables={"x2": lambda x: x[:, 0] ** 2},
+                n_steps=4000.5, replicates=8, seed=1)
 
     @pytest.mark.parametrize("kwargs, match", [
         ({"rules": [AcceptanceRule.metropolis()]}, "at least two"),
@@ -750,6 +805,10 @@ class TestMisc:
         c = replicate_rng(7, 0).standard_normal(5)
         assert not np.allclose(a, b)
         assert np.array_equal(a, c)
+        # a numpy integer seed keys the stream of its int, not of seed 0
+        assert np.array_equal(replicate_rng(np.int64(7), np.int64(0)).standard_normal(5), a)
+        with pytest.raises(TypeError):
+            replicate_rng(7.0, 0)
 
     def test_ordered_within_se(self):
         # a <= b + 2 sqrt(se_a^2 + se_b^2); the violation is the excess

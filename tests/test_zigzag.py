@@ -24,8 +24,8 @@ from oracles import (dirichlet_gap_reference, estimate_var_continuous_centred,
                      estimate_var_continuous_reference, exact_flip_time_reference,
                      exact_flip_time_split_reference, expectation_mu,
                      gap_gram_reference, jump_generator, state_at, steep_double_well,
-                     thinned_flip_time_reference, window_integrals_reference,
-                     zz_tabulated)
+                     thinned_flip_time, thinned_flip_time_reference,
+                     window_integrals_reference, zz_tabulated)
 
 
 def sigmaless(pot):
@@ -151,19 +151,19 @@ class TestExactInversion:
         for a, b, gamma, e in [(0.5, 2.0, 0.0, 1.3), (-1.0, 0.5, 0.0, 0.2),
                                (0.3, 1.0, 0.7, 2.0), (-2.0, 1.5, 0.4, 0.1),
                                (-2.0, 1.5, 0.4, 3.0)]:
-            t = zigzag._exact_flip_time(a, b, gamma, e)
+            t = _native.entry("flip_time")(a, b, gamma, e)
             integral = quad(lambda s: max(0.0, a + b * s) + gamma, 0.0, t)[0]
             assert integral == pytest.approx(e, abs=1e-9)
 
     def test_large_rate_does_not_cancel(self):
         # the root of a t + t^2 / 2 = 1 is 1e-8 to 16 digits at a = 1e8;
         # (-a + sqrt(a^2 + 2e)) / b returned 1.49e-8
-        assert zigzag._exact_flip_time(1e8, 1.0, 0.0, 1.0) == pytest.approx(
+        assert _native.entry("flip_time")(1e8, 1.0, 0.0, 1.0) == pytest.approx(
             1e-8, rel=1e-12)
-        assert zigzag._exact_flip_time(1e8, 1.0, 0.5, 1.0) == pytest.approx(
+        assert _native.entry("flip_time")(1e8, 1.0, 0.5, 1.0) == pytest.approx(
             1.0 / (1e8 + 0.5), rel=1e-12)
         # gamma-remainder branch: t0 = 1, then rate gamma + b (t - t0)
-        t = zigzag._exact_flip_time(-1.0, 1.0, 1e8, 1e8 + 1.0)
+        t = _native.entry("flip_time")(-1.0, 1.0, 1e8, 1e8 + 1.0)
         assert t - 1.0 == pytest.approx(1e-8, rel=1e-7)
 
     def test_narrow_target_first_event(self):
@@ -200,7 +200,7 @@ class TestExactInversion:
             for b in bvals:
                 for gamma in (0.0, 0.5):
                     for e in evals:
-                        got = outcome(zigzag._exact_flip_time, a, b, gamma, e)
+                        got = outcome(_native.entry("flip_time"), a, b, gamma, e)
                         assert got == outcome(exact_flip_time_split_reference,
                                               a, b, gamma, e)
                         seen.add(got == "ZeroDivisionError")
@@ -237,7 +237,7 @@ class TestExactInversion:
                  (-1.0, 0.0, 0.5, 1.0), (0.0, 1e-30, 0.0, 1e-300)]
         outcomes, branches = collections.Counter(), collections.Counter()
         for k, case in enumerate(grid + extra):
-            got = outcome(zigzag._exact_flip_time, *case)
+            got = outcome(_native.entry("flip_time"), *case)
             assert got == outcome(exact_flip_time_reference, *case), case
             kind = got if got.endswith("Error") else "float"
             outcomes[kind] += 1
@@ -323,10 +323,9 @@ class TestSimulation:
         rng1 = np.random.default_rng(10)
         rng2 = np.random.default_rng(20)
         n = 3000
-        exact = np.array([zigzag._exact_flip_time(0.5, 1.0, 0.0,
-                                                  rng1.exponential())
+        exact = np.array([_native.entry("flip_time")(0.5, 1.0, 0.0, rng1.exponential())
                           for _ in range(n)])
-        thinned = np.array([zigzag._thinned_flip_time(
+        thinned = np.array([thinned_flip_time(
             spec, pot, 0, np.array([0.5]), np.array([1.0]), rng2)
             for _ in range(n)])
         assert ks_2samp(exact, thinned).pvalue > 1e-3
@@ -458,6 +457,23 @@ class TestSimulation:
             zigzag.ZigZagTrajectory(np.array(times), X, V, codes, 2.0)
         assert zigzag.ZigZagTrajectory(np.array([0.0, 0.5, 1.0]), np.zeros((3, 1)), V,
                                        codes, 2.0).n_events == 2
+
+    @pytest.mark.parametrize("times, horizon, match", [
+        ([0.0, 0.5, 1.0], 0.7, r"the last event time 1\.0 must lie before the horizon 0\.7"),
+        ([0.0, 0.5, 1.0], 1.0, r"the last event time 1\.0 must lie before the horizon 1\.0"),
+        ([0.3, 0.5, 1.0], 2.0, r"the path must start at time 0\.0, got \[0\.3\]"),
+        ([-0.5, 0.5, 1.0], 2.0, r"the path must start at time 0\.0, got \[-0\.5\]"),
+        ([0.0, 0.5, 1.0], math.inf, "horizon must be finite, got inf"),
+        ([0.0, 0.5, 1.0], math.nan, "horizon must be finite, got nan")],
+        ids=["past-horizon", "at-horizon", "late-start", "early-start", "inf-horizon",
+             "nan-horizon"])
+    def test_trajectory_refuses_paths_not_from_zero_to_the_horizon(self, times, horizon,
+                                                                   match):
+        # the integral of x + 1 read a silent 0.845 over the first path, 2.6 over
+        # the late start (its first segment extended back to 0) and NaN at inf
+        X, V, codes = np.zeros((3, 1)), np.ones((3, 1)), np.array([0, 0])
+        with pytest.raises(ValueError, match=f"^{match}$"):
+            zigzag.ZigZagTrajectory(np.array(times), X, V, codes, horizon)
 
     def test_input_validation(self):
         pot = zz_gaussian([1.0])
@@ -798,7 +814,7 @@ def steep_well_with_bound():
 
 
 class TestThinningClock:
-    """_thinned_flip_time asks for one proposal's intensity at a time; it
+    """thinned_flip_time asks for one proposal's intensity at a time; it
     must return what the scalar reference returns and read the stream draw
     for draw as it does, whether it returns or raises."""
 
@@ -831,7 +847,7 @@ class TestThinningClock:
                 rng, rng_ref = replicate_rng(41, j), replicate_rng(41, j)
                 for i, x, v, horizon in self.starts(pot, reach, 120):
                     stream, ref = LoggedStream(rng), LoggedStream(rng_ref)
-                    t = zigzag._thinned_flip_time(spec, pot, i, x, v, stream, horizon)
+                    t = thinned_flip_time(spec, pot, i, x, v, stream, horizon)
                     t_ref = thinned_flip_time_reference(spec, pot, i, x, v, ref,
                                                         horizon)
                     case = (name, spec, i, x, v, horizon)
@@ -848,7 +864,7 @@ class TestThinningClock:
         pot, spec = sigmaless(zz_gaussian([1.0])), IntensitySpec("canonical")
         times = [clock(spec, pot, 0, np.array([-0.5]), np.array([1.0]),
                        ScriptedStream(itertools.repeat(0.01), itertools.repeat(0.0)), 3.0)
-                 for clock in (zigzag._thinned_flip_time, thinned_flip_time_reference)]
+                 for clock in (thinned_flip_time, thinned_flip_time_reference)]
         assert times[0] == times[1] > 0.5
 
     def test_proposal_on_the_window_end_is_not_evaluated(self):
@@ -861,7 +877,7 @@ class TestThinningClock:
         assert 2 * e / (0.0 + math.sqrt(0.0 * 0.0 + 2 * B * e)) == 1.0
         times = [clock(spec, pot, 0, np.array([0.0]), np.array([1.0]),
                        ScriptedStream([e], itertools.repeat(0.0)), 1.0)
-                 for clock in (zigzag._thinned_flip_time, thinned_flip_time_reference)]
+                 for clock in (thinned_flip_time, thinned_flip_time_reference)]
         assert times == [math.inf, math.inf]
 
     def test_envelope_violation_message(self):
@@ -875,7 +891,7 @@ class TestThinningClock:
             for k, (i, x, v, horizon) in enumerate(self.starts(lying, 2.0, 60)):
                 rngs = [replicate_rng(43 + j, k) for _ in range(2)]
                 out, ref = (clock_outcome(clock, spec, lying, i, x, v, rng, horizon)
-                            for clock, rng in zip((zigzag._thinned_flip_time,
+                            for clock, rng in zip((thinned_flip_time,
                                                    thinned_flip_time_reference), rngs))
                 assert out == ref
                 assert stream_state(rngs[0]) == stream_state(rngs[1]), (spec, k, ref)
