@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -136,7 +137,9 @@ def list_experiments() -> str:
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """main's parser, built once: each build leaves objects in reference cycles."""
     parser = argparse.ArgumentParser(prog="nonrev",
                                      description="variance-ordering experiments")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -145,7 +148,11 @@ def main(argv=None) -> int:
     p_run.add_argument("--seed", type=int, default=None)
     p_run.add_argument("--out", default=None)
     sub.add_parser("list", help="print the experiment catalog")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     if args.command == "list":
         print(list_experiments())
         return 0

@@ -43,6 +43,18 @@ def replicate_rng(seed: int, replicate: int) -> np.random.Generator:
         key=(operator.index(seed) << 64) + operator.index(replicate)))
 
 
+def _check_integers(seed, *counts) -> None:
+    """Refuse, by name and in order, each (name, value, least) of counts that
+    is a bool, not an integer or below least, then a seed outside [0, 2**64),
+    the CLI's range and the top 64 bits of a replicate's Philox key."""
+    for name, value, least in [*counts, ("seed", seed, 0)]:
+        if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
+                                           and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    if seed >= 2 ** 64:
+        raise ValueError(f"seed must be an integer below 2**64, got {seed!r}")
+
+
 @dataclass(frozen=True)
 class Potential:
     """Smooth potential U with gradient, the target exp(-U(x)) of GHMC (with
@@ -186,16 +198,12 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     whose phi is the Metropolis or Barker function; any other target or rule
     raises ValueError before any draw, after the checks that n_steps,
     burn_in, replicates, nleap and seed are integers (not bools) of at least
-    0, 0, 1, 1 and 0, that step is finite and > 0 and omega finite, and of
-    empty rules.  A failed build of the kernel raises RuntimeError before
-    any draw.
+    0, 0, 1, 1 and 0 (seed below 2**64), that step is finite and > 0 and
+    omega finite, and of empty rules.  A failed build of the kernel raises
+    RuntimeError before any draw.
     """
-    for name, value, least in [("n_steps", n_steps, 0), ("burn_in", burn_in, 0),
-                               ("replicates", replicates, 1), ("nleap", nleap, 1),
-                               ("seed", seed, 0)]:
-        if isinstance(value, bool) or not (isinstance(value, numbers.Integral)
-                                           and value >= least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+    _check_integers(seed, ("n_steps", n_steps, 0), ("burn_in", burn_in, 0),
+                    ("replicates", replicates, 1), ("nleap", nleap, 1))
     if not (math.isfinite(step) and step > 0):
         raise ValueError(f"step must be finite and > 0, got {step!r}")
     if not math.isfinite(omega):

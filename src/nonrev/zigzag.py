@@ -26,6 +26,7 @@ transport term, so their Dirichlet-form gap needs J alone.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -467,17 +468,22 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
 
     Each replicate starts at x = 0 with uniform random velocities, simulates
     horizon*1.1, discards the first tenth as burn-in and applies batch means
-    to f itself, in one pass over the path.  The replicates are cut into
-    min(CPUs, replicates // 2) contiguous shares, at least one, and each
-    share runs in its own process (``_in_shares``).  Within a share the
-    replicates advance in lockstep (``_lockstep``), so their thinning
-    intensities are evaluated together, and each reads its own stream as it
-    would alone; the estimate is therefore the same bits whatever the
-    shares.  lam must be 0 (no discount); the slot mirrors the discrete
-    estimators.  Returns (estimate, se).
+    to f itself, in one pass over the path.  Exact-path replicates
+    (``_is_exact``) all run in the calling process, as a fork costs more
+    than the half of their work it moves below about 70k events per call,
+    past every catalog size; thinned ones are cut into min(CPUs,
+    replicates // 2) contiguous shares, at least one, each in its own
+    process (``_in_shares``).  Within a share the replicates advance in
+    lockstep (``_lockstep``), so their thinning intensities are evaluated
+    together, and each reads its own stream as it would alone; the
+    estimate is therefore the same bits whatever the shares.  replicates
+    and seed must be integers (not bools), seed in [0, 2**64).  lam must
+    be 0 (no discount); the slot mirrors the discrete estimators.  Returns
+    (estimate, se).
     """
-    if replicates < 2:
+    if isinstance(replicates, numbers.Integral) and replicates < 2:
         raise ValueError("need at least 2 replicates for a standard error")
+    samplers._check_integers(seed, ("replicates", replicates, 2))
     if lam != 0:
         raise ValueError(f"only lam = 0 is supported, got {lam!r}")
     if not 0 < horizon < math.inf:
@@ -491,7 +497,7 @@ def estimate_var_continuous(pot: Potential, spec: IntensitySpec, f,
         traj = yield from _event_loop(pot, spec, np.zeros(pot.d), v0, horizon + burn, rng)
         return batch_means_variance(traj, f, burn, burn + horizon, degree)
     _native.entry("window_sums")  # built or loaded here, before any stream, not in each share
-    n = min(_cpus(), replicates // 2)  # both are at least 1
+    n = 1 if _is_exact(pot, spec) else min(_cpus(), replicates // 2)  # both are at least 1
     per = np.array(_in_shares(lambda share: _lockstep(spec, pot, [replicate(r) for r in share]),
                               range(replicates), n))
     return float(per.mean()), float(per.std(ddof=1) / math.sqrt(replicates))

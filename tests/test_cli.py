@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 import os
@@ -283,6 +284,22 @@ class TestRun:
         path = write_config(tmp_path, {"experiment": "gustafson-ring", "seed": 1})
         assert cli.main(["run", path, "--out", str(tmp_path / out)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+    def test_second_call_leaves_no_parser_cycles(self, capsys):
+        # each call built its own parser, and left its HelpFormatter,
+        # _ArgumentGroup and _SubParsersAction objects in reference cycles
+        assert cli.main(["list"]) == 0
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert cli.main(["list"]) == 0
+            gc.collect()
+            left = [type(o).__name__ for o in gc.garbage if type(o).__module__ == "argparse"]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert left == []
+        assert capsys.readouterr().out.count("gustafson-ring:") == 2
 
     def test_results_csv_deterministic(self, tmp_path):
         _, out_a = self.run_gustafson(tmp_path, "a")

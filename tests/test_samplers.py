@@ -428,9 +428,10 @@ class TestGhmcDriver:
         ("burn_in", 1.5, r"^burn_in must be an integer >= 0, got 1\.5$"),
         ("seed", 0.5, r"^seed must be an integer >= 0, got 0\.5$"),
         ("seed", -1, r"^seed must be an integer >= 0, got -1$"),
+        ("seed", 2 ** 64, r"^seed must be an integer below 2\*\*64, got 18446744073709551616$"),
         ("replicates", 2.0, r"^replicates must be an integer >= 1, got 2\.0$")],
         ids=["nleap-float", "nleap-bool", "n_steps-float", "burn_in-float", "seed-float",
-             "seed-negative", "replicates-float"])
+             "seed-negative", "seed-2-to-the-64", "replicates-float"])
     def test_non_integer_counts_refused_before_the_kernel(self, arg, value, match,
                                                           monkeypatch):
         # a float nleap failed in ctypes after every stream was made, with an

@@ -1219,6 +1219,28 @@ class TestVarianceEstimation:
                                            lambda x, v: x[:, 0], horizon=horizon,
                                            replicates=3, lam=0.0, seed=0)
 
+    @pytest.mark.parametrize("replicates, seed, match", [
+        (4.0, 0, r"^replicates must be an integer >= 2, got 4\.0$"),
+        ("4", 0, r"^replicates must be an integer >= 2, got '4'$"),
+        (4, True, r"^seed must be an integer >= 0, got True$"),
+        (4, 0.0, r"^seed must be an integer >= 0, got 0\.0$"),
+        (4, -1, r"^seed must be an integer >= 0, got -1$"),
+        (4, 2 ** 64, r"^seed must be an integer below 2\*\*64, got 18446744073709551616$"),
+        (1, 0, r"^need at least 2 replicates for a standard error$"),
+        (0, 0, r"^need at least 2 replicates for a standard error$"),
+        (-3, 0, r"^need at least 2 replicates for a standard error$")],
+        ids=["replicates-float", "replicates-str", "seed-bool", "seed-float", "seed-negative",
+             "seed-2-to-the-64", "replicates-1", "replicates-0", "replicates-negative"])
+    def test_bad_counts_refused_by_name_before_any_stream(self, replicates, seed, match,
+                                                          monkeypatch):
+        # replicates=4.0 or "4" raised an unnamed TypeError, seed=True
+        # ran seed 1, and seeds -1 and 2**64 failed in numpy's Philox key check
+        self.refuse_streams(monkeypatch)
+        with pytest.raises(ValueError, match=match):
+            zigzag.estimate_var_continuous(zz_gaussian([1.0]), IntensitySpec(),
+                                           lambda x, v: x[:, 0], 100.0, replicates,
+                                           0.0, seed)
+
     def test_validation(self):
         pot = zz_gaussian([1.0])
         f = lambda x, v: x[:, 0]
@@ -1253,10 +1275,15 @@ def record_forks(monkeypatch) -> list:
 
 class TestLockstepReplicates:
     """estimate_var_continuous advances its replicates in lockstep and pools
-    their thinning intensities, in one process or in forked shares; it must
-    return what one replicate after another returns, bit for bit."""
+    their thinning intensities; it must return what one replicate after
+    another returns, bit for bit.  Exact-path replicates run in the calling
+    process; thinned ones in min(CPUs, replicates // 2) shares, each but the
+    first in a forked child.  One 1-D exact call of 16 replicates breaks even
+    with two shares at about 70k events (horizon 10,000): 3.9 against
+    6.2 ms forked at horizon 2,500, 11.8 against 12.2 ms at 10,000."""
 
     DW = zigzag.zz_double_well()
+    THIN = sigmaless(zz_gaussian([1.0]))  # a thinned 1-D target: the fork tests use it
     G2 = zz_gaussian([0.7, 1.3])
     CASES = {
         "exact-1d-gamma": (zz_gaussian([1.0]), IntensitySpec("canonical", gamma=0.5),
@@ -1317,12 +1344,28 @@ class TestLockstepReplicates:
     @pytest.mark.parametrize("replicates", [4, 16])
     @pytest.mark.parametrize("case", sorted(CASES))
     def test_forked_shares_bit_identical(self, case, replicates, cpus, monkeypatch):
-        # each share runs in its own process; the estimate keeps its bits
+        # each thinned share runs in its own process; the estimate keeps its
+        # bits, and exact replicates all run here
         pot, spec, horizon = self.CASES[case]
         args = (pot, spec, self.f, horizon, replicates, 0.0, 61)
+        forks = record_forks(monkeypatch)
         monkeypatch.setattr(zigzag, "_cpus", lambda: cpus)
         assert (zigzag.estimate_var_continuous(*args, degree=2)
                 == estimate_var_continuous_reference(*args, degree=2))
+        assert len(forks) == (0 if case.startswith("exact") else min(cpus, replicates // 2) - 1)
+        assert_no_children()
+
+    @pytest.mark.parametrize("cpus", [2, 4])
+    @pytest.mark.parametrize("replicates", [2, 5, 16])
+    @pytest.mark.parametrize("path", ["exact", "thinned"])
+    def test_only_the_thinned_path_forks(self, path, replicates, cpus, monkeypatch):
+        # the path kind alone picks the share rule
+        pot = zz_gaussian([1.0]) if path == "exact" else self.THIN
+        forks = record_forks(monkeypatch)
+        monkeypatch.setattr(zigzag, "_cpus", lambda: cpus)
+        zigzag.estimate_var_continuous(pot, IntensitySpec(), self.f, 20.0, replicates,
+                                       0.0, 69)
+        assert len(forks) == (0 if path == "exact" else min(cpus, replicates // 2) - 1)
         assert_no_children()
 
     @pytest.mark.parametrize("replicates, shares", [(2, 1), (3, 1), (4, 2), (7, 3),
@@ -1333,7 +1376,7 @@ class TestLockstepReplicates:
         monkeypatch.setattr(zigzag, "_cpus", lambda: 4)
         monkeypatch.setattr(zigzag, "_in_shares", lambda run, items, n: seen.extend(
             real(lambda share: [list(share)], items, n)) or real(run, items, n))
-        zigzag.estimate_var_continuous(zz_gaussian([1.0]), IntensitySpec(), self.f,
+        zigzag.estimate_var_continuous(self.THIN, IntensitySpec(), self.f,
                                        20.0, replicates, 0.0, 65)
         assert len(seen) == shares and min(map(len, seen)) >= 2
         assert [r for part in seen for r in part] == list(range(replicates))
@@ -1354,7 +1397,7 @@ class TestLockstepReplicates:
         forks = record_forks(monkeypatch)
         monkeypatch.setattr(zigzag, "_cpus", lambda: 4)
         with pytest.raises(error, match=r"^raised in child (\d+)$") as err:
-            zigzag.estimate_var_continuous(zz_gaussian([1.0]), IntensitySpec(), f,
+            zigzag.estimate_var_continuous(self.THIN, IntensitySpec(), f,
                                            20.0, 8, 0.0, 66)
         # three children raised; the lowest share's error comes first
         assert type(err.value) is error
@@ -1372,7 +1415,7 @@ class TestLockstepReplicates:
         monkeypatch.setattr(zigzag, "_cpus", lambda: 2)
         t0 = time.monotonic()
         with pytest.raises(RuntimeError, match="raised in the parent"):
-            zigzag.estimate_var_continuous(zz_gaussian([1.0]), IntensitySpec(), f,
+            zigzag.estimate_var_continuous(self.THIN, IntensitySpec(), f,
                                            20.0, 4, 0.0, 67)
         assert time.monotonic() - t0 < 30
         assert_no_children()
@@ -1388,7 +1431,7 @@ class TestLockstepReplicates:
         monkeypatch.setattr(zigzag, "_cpus", lambda: 2)
         with pytest.raises(RuntimeError, match=r"share 1 ended without a result "
                                                r"\(exit status 7\)"):
-            zigzag.estimate_var_continuous(zz_gaussian([1.0]), IntensitySpec(), f,
+            zigzag.estimate_var_continuous(self.THIN, IntensitySpec(), f,
                                            20.0, 4, 0.0, 68)
         assert_no_children()
 
