@@ -7,10 +7,10 @@
  * checks them with array_data, and returns with a Python exception set when
  * it fails.  autocov_rows and window_sums each stand for a Python loop of
  * np.dot calls on float64 vectors.  np.dot hands such a pair to the
- * float64 dtype's dotfunc (cblas_ddot in blocks, threaded as the BLAS
- * threads it), so this file calls that same function, with the strides
- * np.dot would pass it, rather than summing the products itself, and every
- * sum keeps its bits.
+ * float64 dtype's dotfunc (cblas_ddot in blocks, on the one BLAS thread
+ * that nonrev.finite sets), so this file calls that same function, with
+ * the strides np.dot would pass it, rather than summing the products
+ * itself, and every sum keeps its bits.
  */
 
 #include <Python.h>

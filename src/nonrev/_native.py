@@ -113,3 +113,14 @@ def entry(name: str):
     ``_SIGNATURES``; it holds the interpreter lock while it runs."""
     restype, *argtypes = _SIGNATURES[name]
     return ctypes.PYFUNCTYPE(restype, *argtypes)((name, load()))
+
+
+def one_blas_thread() -> None:
+    """Hold numpy's bundled OpenBLAS at one thread for the rest of the
+    process and every child it forks, so no sum's bits depend on the CPU
+    count; RuntimeError where numpy links another BLAS (MKL, Accelerate)."""
+    core = ctypes.CDLL(np._core._multiarray_umath.__file__)  # links the OpenBLAS
+    if not hasattr(core, "scipy_openblas_set_num_threads64_"):
+        raise RuntimeError("nonrev needs numpy's bundled OpenBLAS, which exports "
+                           "scipy_openblas_set_num_threads64_")
+    ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", core))(1)

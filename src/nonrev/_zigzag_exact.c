@@ -1,8 +1,9 @@
 /* Exact Zig-Zag event loop for diagonal Gaussian targets with canonical
  * rates, drawing through numpy's random C functions.
  *
- * nonrev.zigzag calls exact_run and flip_time through nonrev._native, as
- * every entry point of the library is called (see _autocov.c).  Every draw
+ * nonrev.zigzag calls exact_run through nonrev._native, as every entry
+ * point of the library is called (see _autocov.c); only the tests call
+ * flip_time, the event-time inversion exact_run uses.  Every draw
  * is one of the functions behind Generator.standard_exponential, .random
  * and .integers, so a run reads the generator's stream exactly as those
  * Python calls would.  The arithmetic is IEEE + - * / and sqrt only, in

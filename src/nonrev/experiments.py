@@ -239,7 +239,7 @@ def run_zigzag_2d_refresh(cfg: dict, seed: int):
     e1, s1 = zigzag.estimate_var_continuous(pot, partial, f, cfg["horizon"],
                                             cfg["replicates"], 0.0, seed, degree=1)
     e2, s2 = zigzag.estimate_var_continuous(pot, full, f, cfg["horizon"],
-                                            cfg["replicates"], 0.0, seed + 1, degree=1)
+                                            cfg["replicates"], 0.0, (seed + 1) % 2**64, degree=1)
     rows.append(ResultRow("zigzag-2d-refresh", "partial", 0.0, e1, s1))
     rows.append(ResultRow("zigzag-2d-refresh", "full", 0.0, e2, s2))
     checks.append(_check("partial<=full+2se",

@@ -19,6 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _native
+
 STRUCT_TOL = 1e-10
 SOLVE_TOL = 1e-8
 STOCH_TOL = 1e-12
@@ -221,20 +223,6 @@ def _cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _blas_threads() -> int:
-    """The BLAS's thread count, read as OpenBLAS reads it at start-up: the
-    first positive of OPENBLAS_NUM_THREADS, GOTO_NUM_THREADS and
-    OMP_NUM_THREADS, else the CPU count."""
-    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-        try:
-            threads = int(os.environ.get(name, "0"))
-        except ValueError:
-            continue
-        if threads > 0:
-            return threads
-    return _cpus()
-
-
 def _in_shares(run, items, n: int) -> list:
     """The lists run(share) for the items cut into n contiguous shares,
     concatenated in order: the first share runs in this process and each
@@ -285,12 +273,13 @@ def _in_shares(run, items, n: int) -> list:
 
 def _map_grid(fn, items, states: int) -> list:
     """[fn(item) for item in items], for items that solve systems of the
-    given size.  From _FORK_STATES states on they are cut into CPUs //
-    BLAS-threads contiguous shares, each in its own process (_in_shares),
-    so no two shares compete for a BLAS thread; each item is computed as
-    it would be alone, so the results keep their bits."""
-    n = min(len(items), _cpus() // _blas_threads()) if states >= _FORK_STATES else 1
-    return _in_shares(lambda share: [fn(item) for item in share], items, max(n, 1))
+    given size, from _FORK_STATES states on in min(items, CPUs) contiguous
+    shares (_in_shares); each is computed as alone, so the results keep their bits."""
+    n = min(len(items), _cpus()) if states >= _FORK_STATES else 1
+    return _in_shares(lambda share: [fn(item) for item in share], items, n)
+
+
+_native.one_blas_thread()  # one BLAS thread: the only parallelism is _in_shares' forks
 
 
 def _shifted(a: np.ndarray, c: float) -> np.ndarray:

@@ -335,13 +335,24 @@ class TestRun:
         assert cli.main(["run", path]) == 0
         assert time.perf_counter() - start < 5.0
 
-    def test_metadata_records_seed_and_threads(self, tmp_path):
+    def test_metadata_records_seed_timestamp_and_versions(self, tmp_path):
         _, out = self.run_gustafson(tmp_path, "a", seed=31)
         meta = json.loads((out / "gustafson-ring_metadata.json").read_text())
         assert meta["seed"] == 31
         assert "timestamp" in meta
         assert meta["versions"] == {"nonrev": nonrev.__version__, "numpy": np.__version__,
                                     "scipy": scipy.__version__}
+
+    def test_top_seed_runs_the_full_refresh(self, tmp_path, capsys):
+        # the full-refresh estimate reads seed + 1, wrapped into [0, 2**64):
+        # at the top seed it read 2**64 and the admitted seed exited 3
+        name = "zigzag-2d-refresh"
+        path = write_config(tmp_path, {"experiment": name, "seed": 2 ** 64 - 1,
+                                       **SMALL[name], "out": str(tmp_path / "x")})
+        assert cli.main(["run", path]) in (0, 3)
+        assert "numerical failure" not in capsys.readouterr().err
+        rows = (tmp_path / "x" / f"{name}_results.csv").read_text().splitlines()
+        assert [row.split(",")[1] for row in rows[-2:]] == ["partial", "full"]
 
 
 # -- scipy.special is loaded by the phi_eps and penalty paths alone ----------
@@ -387,11 +398,13 @@ FIRST_CALLS = {
 }
 
 
-def fresh_python(script, arg):
+def fresh_python(script, arg, **env):
     """The last stdout line, as JSON, of script run in a new interpreter
-    that imports this source tree; the test process already holds scipy.special."""
+    that imports this source tree, with env added to the environment; the
+    test process already holds scipy.special and one BLAS thread."""
     proc = subprocess.run([sys.executable, "-c", script, arg], capture_output=True,
-                          text=True, timeout=120, env={**os.environ, "PYTHONPATH": SRC})
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": SRC, **env})
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.splitlines()[-1])
 
@@ -410,6 +423,52 @@ class TestScipySpecialStaysUnloaded:
         here = np.asarray(eval(FIRST_CALLS[call], {"np": np, "zoo": zoo, "zigzag": zigzag}),
                           dtype=float)
         assert out["bits"] == here.tobytes().hex()
+
+
+# -- one BLAS thread, whatever thread count the environment asks for -------
+
+BLAS_THREADS = """
+import ctypes, json
+import numpy as np
+core = ctypes.CDLL(np._core._multiarray_umath.__file__)
+before = core.scipy_openblas_get_num_threads64_()
+import nonrev.cli
+print(json.dumps([before, core.scipy_openblas_get_num_threads64_()]))
+"""
+
+RUN_ALL = """
+import json, sys, tempfile
+from pathlib import Path
+from nonrev import cli
+out = []
+with tempfile.TemporaryDirectory() as d:
+    for k, config in enumerate(json.loads(sys.argv[1])):
+        path, where = Path(d) / "config.json", Path(d) / str(k)
+        path.write_text(json.dumps({**config, "out": str(where)}))
+        code = cli.main(["run", str(path)])
+        out.append([code, (where / f"{config['experiment']}_results.csv").read_text()])
+print(json.dumps(out))
+"""
+
+
+class TestAnyBlasThreadCount:
+    def test_import_sets_one_thread(self):
+        before, after = fresh_python(BLAS_THREADS, "", OPENBLAS_NUM_THREADS="2")
+        assert after == 1, before
+
+    def test_results_keep_their_bytes_at_any_thread_count(self):
+        # at 2 threads ghmc-phi-compare's long dots were threaded, and the
+        # 20-weight neal-ordering grid (400 states) solved threaded in one
+        # process: the last digits of their rows depended on the count
+        configs = [{"experiment": name, "seed": 1} for name in CATALOG]
+        configs.append({"experiment": "neal-ordering", "seed": 1,
+                        "weights": np.linspace(0.5, 1.5, 20).tolist()})
+        runs = {threads: fresh_python(RUN_ALL, json.dumps(configs),
+                                      OPENBLAS_NUM_THREADS=threads)
+                for threads in ("1", "2")}
+        assert [code for code, _csv in runs["1"]] == [0] * len(configs)
+        assert [config for config, one, two in zip(configs, runs["1"], runs["2"])
+                if one != two] == []
 
 
 # -- property tests over the parameter table ---------------------------------

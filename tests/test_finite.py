@@ -664,7 +664,6 @@ def ring_400():
 def forced_shares(monkeypatch, shares):
     """Every grid, on however few states, forks into `shares` shares."""
     monkeypatch.setattr(finite, "_cpus", lambda: shares)
-    monkeypatch.setattr(finite, "_blas_threads", lambda: 1)
     monkeypatch.setattr(finite, "_FORK_STATES", 1)
 
 
@@ -738,20 +737,6 @@ class TestGridInShares:
                 # only the off-diagonal zeros change sign, to -0.0
                 assert np.array_equal(np.signbit(got) != np.signbit(ref), off & (ref == 0))
 
-    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (2, 4), (4, 4), (4, 3)])
-    def test_no_fork_when_blas_threads_fill_the_cpus(self, cpus, threads, monkeypatch):
-        def no_fork():
-            raise AssertionError("forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setattr(finite, "_cpus", lambda: cpus)
-        monkeypatch.setattr(finite, "_blas_threads", lambda: threads)
-        (name, f, P, mu), *_ = ring_400()[0]
-        assert P.n == 400
-        finite.var_lambda(f, P, mu, CATALOG_LAMBDAS)
-        (name, f, P1, P2, mu), *_ = ring_400()[1]
-        finite.var_lambda_cycle(f, P1, P2, mu, CATALOG_LAMBDAS)
-
     def test_no_fork_below_256_states(self, monkeypatch):
         # the 200-state collapsed kernel, catalog defaults and the benchmark's
         # warm-up sizes stay in this process whatever the CPUs
@@ -760,7 +745,6 @@ class TestGridInShares:
 
         monkeypatch.setattr(os, "fork", no_fork)
         monkeypatch.setattr(finite, "_cpus", lambda: 4)
-        monkeypatch.setattr(finite, "_blas_threads", lambda: 1)
         name, f, P, mu = ring_400()[0][-1]
         assert name == "collapsed" and P.n == 200
         finite.var_lambda(f, P, mu, CATALOG_LAMBDAS)
@@ -771,13 +755,15 @@ class TestGridInShares:
             runner(defaults, 1)
             runner({**defaults, "weights": tuple(np.linspace(0.5, 1.5, k))}, 1)
 
-    @pytest.mark.parametrize("states, shares", [(255, [9]), (256, [2, 2, 2, 3]),
-                                                (400, [2, 2, 2, 3])])
-    def test_share_rule(self, states, shares, monkeypatch):
-        # CPUs // BLAS threads contiguous shares from 256 states on
+    @pytest.mark.parametrize("states, cpus, shares", [
+        (255, 8, [9]), (400, 1, [9]), (256, 4, [2, 2, 2, 3]), (256, 8, [1] * 7 + [2]),
+        (400, 16, [1] * 9)])
+    def test_share_rule(self, states, cpus, shares, monkeypatch):
+        # min(items, CPUs) contiguous shares from 256 states on, whatever the
+        # BLAS thread count the environment asks for
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         seen, real = [], finite._in_shares
-        monkeypatch.setattr(finite, "_cpus", lambda: 8)
-        monkeypatch.setattr(finite, "_blas_threads", lambda: 2)
+        monkeypatch.setattr(finite, "_cpus", lambda: cpus)
         monkeypatch.setattr(finite, "_in_shares", lambda run, items, n: seen.extend(
             real(lambda share: [share], items, n)) or real(run, items, n))
         assert finite._map_grid(lambda x: -x, list(range(9)), states) == [
@@ -798,20 +784,6 @@ class TestGridInShares:
         assert finite._in_shares(lambda share: [-x for x in share], list(range(7)), n) == [
             -x for x in range(7)]
         assert_no_children()
-
-    @pytest.mark.parametrize("env, threads", [
-        ({}, "cpus"), ({"OMP_NUM_THREADS": "3"}, 3),
-        ({"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, 2),
-        ({"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"}, 1),
-        ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "3"}, 3),
-        ({"OPENBLAS_NUM_THREADS": "two", "GOTO_NUM_THREADS": "-1"}, "cpus")])
-    def test_blas_threads_read_as_openblas_does(self, env, threads, monkeypatch):
-        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
-            monkeypatch.delenv(name, raising=False)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
-        monkeypatch.setattr(finite, "_cpus", lambda: 5)
-        assert finite._blas_threads() == (5 if threads == "cpus" else threads)
 
     def test_child_linalg_error_raised_with_its_type_and_message(self, monkeypatch):
         parent, solve = os.getpid(), np.linalg.solve

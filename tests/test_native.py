@@ -1,9 +1,15 @@
 """The native library of every C kernel: compiled on first use, cached by a
 key of its sources, and refused with RuntimeError before any draw when the
-build fails."""
+build fails; and the one BLAS thread, refused likewise where numpy's BLAS
+cannot be held at it."""
 
+import _ctypes
 import ast
+import json
 import math
+import os
+import subprocess
+import sys
 import sysconfig
 import tempfile
 from pathlib import Path
@@ -319,3 +325,36 @@ def test_only_native_declares_entry_points():
                 assert node.attr not in ("argtypes", "restype", "PYFUNCTYPE", "CFUNCTYPE",
                                          "ndpointer", "ctypeslib", "ctypes"), (
                     path.name, node.lineno)
+
+
+WITHOUT_SETTER = """
+import _ctypes, json, sys
+import numpy as np
+np._core._multiarray_umath.__file__ = _ctypes.__file__  # exports no BLAS setter
+try:
+    import nonrev.cli
+    error = None
+except RuntimeError as exc:
+    error = str(exc)
+print(json.dumps([error, sorted(name for name in sys.modules if name.startswith("nonrev"))]))
+"""
+
+
+class TestOneBlasThread:
+    def test_library_without_the_setter_refused_by_name(self, monkeypatch):
+        # as for a numpy linked to MKL, Accelerate or a system BLAS
+        monkeypatch.setattr(np._core._multiarray_umath, "__file__", _ctypes.__file__)
+        with pytest.raises(RuntimeError, match="^nonrev needs numpy's bundled OpenBLAS, "
+                                               "which exports scipy_openblas_set_num_threads64_$"):
+            _native.one_blas_thread()
+
+    def test_refused_at_import_before_any_solve_or_draw(self):
+        # the refusal comes from importing nonrev.finite, which every engine
+        # imports: none of them is left loaded to solve or draw
+        src = str(Path(_native.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", WITHOUT_SETTER], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        error, loaded = json.loads(proc.stdout)
+        assert error.startswith("nonrev needs numpy's bundled OpenBLAS")
+        assert loaded == ["nonrev", "nonrev._native"]

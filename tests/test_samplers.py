@@ -272,8 +272,8 @@ class TestEstimator:
                 self.assert_same_bits(a, b)
 
     def test_rows_past_the_blas_threading_threshold(self):
-        # OpenBLAS threads ddot above 10,000 elements at its default thread
-        # count; the kernel calls the same function, so the bits hold there
+        # OpenBLAS would thread ddot above 10,000 elements at more than one
+        # thread; the kernel calls the same function, so the bits hold there
         chains = np.random.default_rng(14).standard_normal((2, 30_000)).cumsum(axis=1)
         st = estimate_var_lambda(chains, 0.9)
         for a, b in zip((st.autocovariances, st.estimate, st.se),
