@@ -456,6 +456,19 @@ class TestAnyBlasThreadCount:
         before, after = fresh_python(BLAS_THREADS, "", OPENBLAS_NUM_THREADS="2")
         assert after == 1, before
 
+    @pytest.mark.parametrize("env", [
+        {}, {"OMP_NUM_THREADS": "3"}, {"GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"},
+        {"OPENBLAS_NUM_THREADS": "1", "GOTO_NUM_THREADS": "2", "OMP_NUM_THREADS": "3"},
+        {"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "3"},
+        {"OPENBLAS_NUM_THREADS": "two", "GOTO_NUM_THREADS": "-1"}])
+    def test_import_sets_one_thread_whatever_the_variables_ask(self, env, monkeypatch):
+        # OpenBLAS reads these three at load, the first valid one winning,
+        # and defaults to the CPUs; the import overrides them all
+        for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(name, raising=False)
+        before, after = fresh_python(BLAS_THREADS, "", **env)
+        assert after == 1, before
+
     def test_results_keep_their_bytes_at_any_thread_count(self):
         # at 2 threads ghmc-phi-compare's long dots were threaded, and the
         # 20-weight neal-ordering grid (400 states) solved threaded in one

@@ -737,6 +737,22 @@ class TestGridInShares:
                 # only the off-diagonal zeros change sign, to -0.0
                 assert np.array_equal(np.signbit(got) != np.signbit(ref), off & (ref == 0))
 
+    @pytest.mark.parametrize("cpus, threads", [(1, 1), (2, 2), (2, 4), (4, 4), (4, 3)])
+    def test_blas_thread_request_cuts_no_share(self, cpus, threads, monkeypatch):
+        # a thread request that fills the CPUs still leaves a 400-state grid
+        # min(items, CPUs) shares: the BLAS runs one thread whatever it asks
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", str(threads))
+        monkeypatch.setattr(finite, "_cpus", lambda: cpus)
+        forks = record_forks(monkeypatch)
+        (name, f, P, mu), *_ = ring_400()[0]
+        assert P.n == 400
+        finite.var_lambda(f, P, mu, CATALOG_LAMBDAS)
+        (name, f, P1, P2, mu), *_ = ring_400()[1]
+        finite.var_lambda_cycle(f, P1, P2, mu, CATALOG_LAMBDAS)
+        # a 9-lambda grid forks cpus - 1 children, a cycle's two families one
+        assert len(forks) == (cpus - 1) + min(cpus - 1, 1)
+        assert_no_children()
+
     def test_no_fork_below_256_states(self, monkeypatch):
         # the 200-state collapsed kernel, catalog defaults and the benchmark's
         # warm-up sizes stay in this process whatever the CPUs
