@@ -1,4 +1,6 @@
-"""The package's C kernels, built into one shared library on first use.
+"""The package's C kernels, built into one shared library on first use;
+and the foreign code it calls elsewhere: numpy's OpenBLAS thread setter and
+scipy's compiled Gaussian CDF.
 
 ``_zigzag_exact.c`` (the exact Zig-Zag event loop, which draws through
 numpy's random C functions), ``_ghmc.c`` (the GHMC transition loop, which
@@ -22,8 +24,11 @@ import atexit
 import ctypes
 import functools
 import hashlib
+import importlib.machinery
+import importlib.util
 import os
 import shutil
+import sys
 import sysconfig
 import tempfile
 from pathlib import Path
@@ -124,3 +129,29 @@ def one_blas_thread() -> None:
         raise RuntimeError("nonrev needs numpy's bundled OpenBLAS, which exports "
                            "scipy_openblas_set_num_threads64_")
     ctypes.CFUNCTYPE(None, ctypes.c_int)(("scipy_openblas_set_num_threads64_", core))(1)
+
+
+@functools.cache
+def gaussian_cdf() -> tuple[np.ufunc, np.ufunc]:
+    """scipy's ufuncs ndtr and log_ndtr, from its compiled module
+    scipy.special._special_ufuncs, loaded by its file and kept in
+    sys.modules: neither scipy's __init__ nor scipy.special (0.2 s, mostly
+    array-API dispatch) runs, and a later ``import scipy.special`` exports
+    these very objects.  Where scipy has no such module, or it lacks either
+    ufunc, RuntimeError names what is missing."""
+    name = "scipy.special._special_ufuncs"
+    if (module := sys.modules.get(name)) is None:
+        special = Path(importlib.util.find_spec("scipy").submodule_search_locations[0], "special")
+        paths = [special / f"_special_ufuncs{suffix}"
+                 for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+        if not (found := [path for path in paths if path.exists()]):
+            raise RuntimeError(f"nonrev needs scipy's compiled module {name}, "
+                               f"which {special} lacks")
+        spec = importlib.util.spec_from_file_location(name, found[0])
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    for ufunc in ("ndtr", "log_ndtr"):
+        if not hasattr(module, ufunc):
+            raise RuntimeError(f"nonrev needs {name}.{ufunc}, which this scipy lacks")
+    return module.ndtr, module.log_ndtr

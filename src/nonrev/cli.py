@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .experiments import CSV_HEADER, EXPERIMENTS, PARAMS, cross_key_error
+from .experiments import CSV_HEADER, EXPERIMENTS, PARAMS, cross_key_error, size_error
 
 
 class ConfigError(ValueError):
@@ -85,7 +85,7 @@ def load_config(path, seed_override=None, out_override=None) -> ExperimentConfig
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     params = {key: _value(key, raw.get(key, default), default)
               for key, default in defaults.items()}
-    if error := cross_key_error(params):
+    if error := cross_key_error(params) or size_error(name, params):
         raise ConfigError(error)
     return ExperimentConfig(name, seed, params, out_dir)
 

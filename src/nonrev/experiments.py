@@ -189,10 +189,15 @@ def run_ghmc_phi_compare(cfg: dict, seed: int):
     return rows, checks
 
 
+def _gamma_pair(cfg: dict):
+    """zigzag-1d-gamma's target sigmas, and its rates without and with gamma."""
+    return (np.array([1.0]), zigzag.IntensitySpec("canonical"),
+            zigzag.IntensitySpec("canonical", gamma=cfg["gamma"]))
+
+
 def run_zigzag_1d_gamma(cfg: dict, seed: int):
-    pot = zigzag.zz_gaussian([1.0])
-    spec1 = zigzag.IntensitySpec("canonical")
-    spec2 = zigzag.IntensitySpec("canonical", gamma=cfg["gamma"])
+    sigmas, spec1, spec2 = _gamma_pair(cfg)
+    pot = zigzag.zz_gaussian(sigmas)
     f = lambda x, v: x[:, 0]
     e1, s1 = zigzag.estimate_var_continuous(pot, spec1, f, cfg["horizon"],
                                             cfg["replicates"], 0.0, seed, degree=1)
@@ -217,12 +222,17 @@ def _basis_2d():
             for p, q in [(0, 0), (1, 0), (0, 1), (1, 1)]]
 
 
+def _refresh_pair(cfg: dict):
+    """zigzag-2d-refresh's target sigmas, and its partial and full refresh
+    rates."""
+    return (np.array([1.0, 1.0]),
+            *(zigzag.IntensitySpec("canonical", refresh_rate=cfg["refresh_rate"],
+                                   refresh_mode=mode) for mode in ("partial", "full")))
+
+
 def run_zigzag_2d_refresh(cfg: dict, seed: int):
-    pot = zigzag.zz_gaussian([1.0, 1.0])
-    partial = zigzag.IntensitySpec("canonical", refresh_rate=cfg["refresh_rate"],
-                                   refresh_mode="partial")
-    full = zigzag.IntensitySpec("canonical", refresh_rate=cfg["refresh_rate"],
-                                refresh_mode="full")
+    sigmas, partial, full = _refresh_pair(cfg)
+    pot = zigzag.zz_gaussian(sigmas)
     gram = zigzag.dirichlet_gap_quadrature(pot, partial, full, _basis_2d(),
                                            m=cfg["quad_nodes"])
     gaps = np.diag(gram)
@@ -363,4 +373,28 @@ def cross_key_error(params: dict) -> str | None:
     lams = params.get("mc_lambdas")
     if lams and params["steps"] < (need := samplers.min_chain_length(max(lams))):
         return f"steps must be >= {need} for mc_lambdas {lams!r}, got {params['steps']!r}"
+    return None
+
+
+# events a Zig-Zag replicate may be predicted to make: 500 times the most a
+# default predicts (about 2,000, zigzag-1d-gamma), and few enough that the
+# exact loop's buffers, which double past the event count at 48 B a row in
+# 2-D, stay under about 150 MB
+_MAX_EVENTS = 10 ** 6
+# name -> the target sigmas and the two rates of a Zig-Zag entry, from its params
+_ZIGZAG_PAIRS = {"zigzag-1d-gamma": _gamma_pair, "zigzag-2d-refresh": _refresh_pair}
+
+
+def size_error(name: str, params: dict) -> str | None:
+    """Why the replicates of a Zig-Zag entry are too long to run: each
+    makes about 1.1 x horizon x the exact path's mean rate of events
+    (the estimator adds a tenth as burn-in), at most _MAX_EVENTS; None if
+    not, or if name is no Zig-Zag entry."""
+    if name not in _ZIGZAG_PAIRS:
+        return None
+    sigmas, *specs = _ZIGZAG_PAIRS[name](params)
+    events = 1.1 * params["horizon"] * max(zigzag._mean_rate(sigmas, spec) for spec in specs)
+    if events > _MAX_EVENTS:
+        return (f"horizon {params['horizon']!r} at these rates predicts {events:.3g} events "
+                f"per replicate, more than {_MAX_EVENTS}")
     return None

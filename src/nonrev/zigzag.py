@@ -73,7 +73,7 @@ def zz_double_well() -> Potential:
 
 def _log_phi_eps_exp(eps: float, s):
     """log phi_eps(e^s) for eps > 0, numerically stable for large |s|."""
-    from scipy.special import log_ndtr  # loaded by the penalty path alone
+    _, log_ndtr = _native.gaussian_cdf()  # loaded by the penalty path alone
     s = np.asarray(s, dtype=float)
     se = math.sqrt(eps)
     a = s + log_ndtr(-(se / 2 + s / se))
@@ -286,14 +286,19 @@ def _is_exact(pot: Potential, spec: IntensitySpec) -> bool:
     return pot.gaussian_sigmas is not None and spec.kind == "canonical"
 
 
+def _mean_rate(sigmas: np.ndarray, spec: IntensitySpec) -> float:
+    """Events per unit time of the exact path on the diagonal Gaussian of
+    these sigmas, at stationarity: coordinate i flips at the mean rate
+    E[(x_i v_i / sigma_i^2)_+] + gamma = 1 / (sigma_i sqrt(2 pi)) + gamma,
+    and refreshes add theirs."""
+    return (float(np.sum(1.0 / (sigmas * math.sqrt(2.0 * math.pi))))
+            + len(sigmas) * spec.gamma + spec.refresh_rate)
+
+
 def _first_rows(pot: Potential, spec: IntensitySpec, horizon: float) -> int:
     """Rows of the exact kernel's first buffers: 1.25 times the events
-    expected over the horizon at stationarity, plus 64, at most _MAX_ROWS.
-    Coordinate i of a diagonal Gaussian flips at the mean rate
-    E[(x_i v_i / sigma_i^2)_+] + gamma = 1 / (sigma_i sqrt(2 pi)) + gamma."""
-    rate = (float(np.sum(1.0 / (pot.gaussian_sigmas * math.sqrt(2.0 * math.pi))))
-            + pot.d * spec.gamma + spec.refresh_rate)
-    return int(min(_MAX_ROWS, 1.25 * horizon * rate + 64))
+    expected over the horizon, plus 64, at most _MAX_ROWS."""
+    return int(min(_MAX_ROWS, 1.25 * horizon * _mean_rate(pot.gaussian_sigmas, spec) + 64))
 
 
 def _exact_loop(pot: Potential, spec: IntensitySpec, x: np.ndarray, v: np.ndarray,

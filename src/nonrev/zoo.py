@@ -19,6 +19,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import _native
 from .finite import (
     DeterministicInvolution,
     FiniteDistribution,
@@ -108,7 +109,7 @@ def _smoothed_metropolis(eps: float, r):
     se = sqrt(eps); min{1, r} at eps = 0, and 0 at r = 0."""
     if eps == 0.0:
         return _metropolis(r)
-    from scipy.special import ndtr  # loaded by the phi_eps path alone
+    ndtr, _ = _native.gaussian_cdf()  # loaded by the phi_eps path alone
     se = math.sqrt(eps)
     # finite r unchanged, inf -> max: the formula grows with r, so
     # phi(inf) >= phi(1e300) (it is 1 to within rounding unless eps is large)

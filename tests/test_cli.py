@@ -13,10 +13,11 @@ import pytest
 import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr, ndtr
 
 import nonrev
-from nonrev import cli, samplers, zigzag, zoo
-from nonrev.experiments import EXPERIMENTS, PARAMS, cross_key_error
+from nonrev import cli, samplers, zigzag
+from nonrev.experiments import EXPERIMENTS, PARAMS, cross_key_error, size_error
 
 CATALOG = ["gustafson-ring", "lifted-ordering", "neal-ordering",
            "two-cycle-extra-chance", "ghmc-phi-compare", "zigzag-1d-gamma",
@@ -216,6 +217,40 @@ class TestConfigValidation:
                 with pytest.raises(cli.ConfigError, match="steps must be >= 830"):
                     cli.load_config(path)
 
+    # gamma = 1e300 grew the exact loop's buffers until the process was
+    # killed, or exited 3 under a memory limit
+    @pytest.mark.parametrize("overrides", [
+        {"experiment": "zigzag-1d-gamma", "gamma": 1e300, "horizon": 16.0, "replicates": 2},
+        {"experiment": "zigzag-1d-gamma", "horizon": 1e300},
+        {"experiment": "zigzag-2d-refresh", "refresh_rate": 1e6, "horizon": 16.0},
+    ], ids=["gamma-1e300", "horizon-1e300", "refresh-1e6"])
+    def test_replicates_too_long_refused_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                          overrides):
+        def refuse(*args, **kwargs):
+            raise AssertionError("simulated a refused config")
+        monkeypatch.setattr(zigzag, "estimate_var_continuous", refuse)
+        monkeypatch.setattr(zigzag, "_exact_loop", refuse)
+        path = write_config(tmp_path, {"seed": 1, **overrides, "out": str(tmp_path / "x")})
+        assert cli.main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: horizon {float(overrides['horizon'])!r} "
+                              "at these rates predicts"), err
+        assert err.rstrip().endswith("events per replicate, more than 1000000"), err
+        assert not (tmp_path / "x").exists()
+
+    def test_replicate_size_rule_boundary(self, tmp_path):
+        # 1.1 x horizon x (1 / sqrt(2 pi) + gamma) events at gamma = 0.5;
+        # the defaults predict about 2,000
+        horizon = 1e6 / (1.1 * (1 / math.sqrt(2 * math.pi) + 0.5))
+        for scale, ok in ((0.999, True), (1.001, False), (2000 / horizon, True)):
+            path = write_config(tmp_path, {"experiment": "zigzag-1d-gamma", "seed": 1,
+                                           "horizon": scale * horizon})
+            if ok:
+                assert cli.load_config(path).params["horizon"] == scale * horizon
+            else:
+                with pytest.raises(cli.ConfigError, match="more than 1000000$"):
+                    cli.load_config(path)
+
     @pytest.mark.parametrize("payload", [
         {"experiment": ["gustafson-ring"], "seed": 1},
         {"experiment": "gustafson-ring", "seed": 1, "out": 5},
@@ -355,7 +390,7 @@ class TestRun:
         assert [row.split(",")[1] for row in rows[-2:]] == ["partial", "full"]
 
 
-# -- scipy.special is loaded by the phi_eps and penalty paths alone ----------
+# -- scipy.special stays unloaded, even where the Gaussian CDF runs ----------
 
 SRC = str(Path(nonrev.__file__).resolve().parent.parent)
 # the Monte Carlo entries at run lengths that take well under a second
@@ -388,14 +423,36 @@ bits = np.asarray(eval(sys.argv[1]), dtype=float).tobytes().hex()
 print(json.dumps({"before": before, "after": "scipy.special" in sys.modules, "bits": bits}))
 """
 
-# the first call of each path that needs the Gaussian CDF
+RATIOS = "np.concatenate([[0.0], np.logspace(-3, 3, 41), [1e300, np.inf]])"
+STATES = "np.linspace(-3, 3, 41)[:, None], np.where(np.arange(41) % 2, 1.0, -1.0)[:, None]"
+# the first call of each path that needs the Gaussian CDF, at eps = 0.5
 FIRST_CALLS = {
-    "phi-eps": "zoo.AcceptanceRule.phi_eps(0.5).phi("
-               "np.concatenate([[0.0], np.logspace(-3, 3, 41), [1e300, np.inf]]))",
+    "phi-eps": f"zoo.AcceptanceRule.phi_eps(0.5).phi({RATIOS})",
     "penalty-intensity": "zigzag.intensity(zigzag.IntensitySpec('penalty', eps=0.5), "
-                         "zigzag.zz_double_well(), 0, np.linspace(-3, 3, 41)[:, None], "
-                         "np.where(np.arange(41) % 2, 1.0, -1.0)[:, None])",
+                         f"zigzag.zz_double_well(), 0, {STATES})",
 }
+
+
+def smoothed_metropolis_reference(r, se=math.sqrt(0.5)):
+    """phi_eps(r), with ndtr imported from scipy.special here."""
+    r = np.minimum(r, sys.float_info.max)
+    out, pos = np.zeros_like(r), r > 0
+    lr = np.log(r[pos])
+    out[pos] = r[pos] * ndtr(-(se / 2 + lr / se)) + ndtr(-(se / 2 - lr / se))
+    return out
+
+
+def penalty_rate_reference(x, v, se=math.sqrt(0.5)):
+    """-log phi_eps(e^-s) at the double well's slopes s, with log_ndtr
+    imported from scipy.special here."""
+    s = zigzag.zz_double_well().grad(x)[:, 0] * v[:, 0]
+    return -np.logaddexp(-s + log_ndtr(-(se / 2 - s / se)), log_ndtr(-(se / 2 + s / se)))
+
+
+# the package's path shares its loader with the fresh process, so the bits
+# are held to the formulas above instead
+REFERENCES = {"phi-eps": lambda: smoothed_metropolis_reference(eval(RATIOS)),
+              "penalty-intensity": lambda: penalty_rate_reference(*eval(STATES))}
 
 
 def fresh_python(script, arg, **env):
@@ -417,12 +474,10 @@ class TestScipySpecialStaysUnloaded:
         assert not out["loaded"]
 
     @pytest.mark.parametrize("call", list(FIRST_CALLS))
-    def test_first_call_loads_it_and_gives_the_same_bits(self, call):
+    def test_first_call_keeps_it_unloaded_and_gives_the_same_bits(self, call):
         out = fresh_python(FIRST_CALL, FIRST_CALLS[call])
-        assert not out["before"] and out["after"]
-        here = np.asarray(eval(FIRST_CALLS[call], {"np": np, "zoo": zoo, "zigzag": zigzag}),
-                          dtype=float)
-        assert out["bits"] == here.tobytes().hex()
+        assert not out["before"] and not out["after"]
+        assert out["bits"] == REFERENCES[call]().tobytes().hex()
 
 
 # -- one BLAS thread, whatever thread count the environment asks for -------
@@ -564,6 +619,16 @@ def long_enough_chains(case):
     return name, overrides
 
 
+def short_enough_paths(case):
+    """case without its horizon and rates where the size rule refuses
+    them: valid values drawn one key at a time can break that rule."""
+    name, overrides = case
+    if size_error(name, {**EXPERIMENTS[name][1], **overrides}) is None:
+        return case
+    return name, {key: value for key, value in overrides.items()
+                  if key not in ("horizon", "gamma", "refresh_rate")}
+
+
 class TestParamTableProperties:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(configs(any_value))
@@ -576,7 +641,7 @@ class TestParamTableProperties:
         assert_typed_and_in_range(cfg.params, EXPERIMENTS[name][1])
 
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(configs(valid_value).map(long_enough_chains))
+    @given(configs(valid_value).map(long_enough_chains).map(short_enough_paths))
     def test_values_inside_the_table_load_unchanged(self, case):
         name, overrides = case
         params = load({"experiment": name, "seed": 1, **overrides}).params

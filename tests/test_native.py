@@ -1,17 +1,22 @@
 """The native library of every C kernel: compiled on first use, cached by a
 key of its sources, and refused with RuntimeError before any draw when the
-build fails; and the one BLAS thread, refused likewise where numpy's BLAS
-cannot be held at it."""
+build fails; the one BLAS thread, refused likewise where numpy's BLAS
+cannot be held at it; and scipy's Gaussian CDF ufuncs, loaded by file and
+refused by name where scipy lacks them."""
 
 import _ctypes
 import ast
+import importlib.machinery
+import importlib.util
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import sysconfig
 import tempfile
+import types
 from pathlib import Path
 
 import numpy as np
@@ -358,3 +363,69 @@ class TestOneBlasThread:
         error, loaded = json.loads(proc.stdout)
         assert error.startswith("nonrev needs numpy's bundled OpenBLAS")
         assert loaded == ["nonrev", "nonrev._native"]
+
+
+LOADED_FIRST = """
+import json, sys, warnings
+import numpy as np
+from nonrev import _native
+warnings.simplefilter("error")
+ndtr, log_ndtr = _native.gaussian_cdf()
+x = np.concatenate([np.linspace(-40, 40, 1_000_001),
+                    np.random.default_rng(0).normal(0.0, 10.0, 1_000_000),
+                    [np.inf, -np.inf, np.nan, 0.0, -0.0]])
+loaded = [ndtr(x), log_ndtr(x)]
+before = sorted(name for name in sys.modules if name.startswith("scipy"))
+import scipy.special
+print(json.dumps({
+    "before": before,
+    "same": [scipy.special.ndtr is ndtr, scipy.special.log_ndtr is log_ndtr],
+    "bits": [np.array_equal(a.view(np.uint64), b.view(np.uint64)) for a, b in
+             zip(loaded, [scipy.special.ndtr(x), scipy.special.log_ndtr(x)])]}))
+"""
+
+CDF_MODULE = "scipy.special._special_ufuncs"
+
+
+class TestGaussianCdf:
+    @pytest.fixture(autouse=True)
+    def fresh_loader(self):
+        # each test loads the ufuncs itself, and later users load them anew
+        _native.gaussian_cdf.cache_clear()
+        yield
+        _native.gaussian_cdf.cache_clear()
+
+    def test_loaded_first_they_are_what_scipy_special_exports(self):
+        # a scipy release that moves ndtr or log_ndtr out of the module
+        # fails here, not in a catalog run
+        src = str(Path(_native.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", LOADED_FIRST], capture_output=True,
+                              text=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout)
+        assert out == {"before": [CDF_MODULE], "same": [True, True], "bits": [True, True]}
+
+    def test_scipy_without_the_module_refused_by_name(self, tmp_path, monkeypatch):
+        (tmp_path / "special").mkdir()
+        scipy_spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        scipy_spec.submodule_search_locations = [str(tmp_path)]
+        find_spec = importlib.util.find_spec
+        monkeypatch.setattr(importlib.util, "find_spec",
+                            lambda name, *args: scipy_spec if name == "scipy"
+                            else find_spec(name, *args))
+        monkeypatch.delitem(sys.modules, CDF_MODULE, raising=False)
+        with pytest.raises(RuntimeError, match=re.escape(
+                f"nonrev needs scipy's compiled module {CDF_MODULE}, "
+                f"which {tmp_path / 'special'} lacks")):
+            _native.gaussian_cdf()
+        assert CDF_MODULE not in sys.modules
+
+    @pytest.mark.parametrize("missing", ["ndtr", "log_ndtr"])
+    def test_module_without_a_ufunc_refused_by_name(self, missing, monkeypatch):
+        module = types.ModuleType(CDF_MODULE)
+        module.ndtr = module.log_ndtr = np.exp
+        delattr(module, missing)
+        monkeypatch.setitem(sys.modules, CDF_MODULE, module)
+        with pytest.raises(RuntimeError, match=f"^nonrev needs {re.escape(CDF_MODULE)}"
+                                               rf"\.{missing}, which this scipy lacks$"):
+            _native.gaussian_cdf()
