@@ -4,13 +4,16 @@
  *
  * nonrev.samplers calls ghmc_run through nonrev._native, as every entry
  * point of the library is called (see _autocov.c), for a block of steps at
- * a time.  Every other operation is the IEEE double operation of the numpy
- * expression it stands for, in that expression's order, and the build
- * forbids fused multiply-adds, so the chains keep the bits of
- * tests/oracles.py::ghmc_update_reference, the transition in numpy.  libm's exp differs from the loop numpy dispatched
- * for this CPU in the last bit of some values, so exp is the first float64
- * loop in the table of the np.exp ufunc passed in (the one numpy's own
- * type resolution picks), read at every call.
+ * a time, with each replicate's raw standard normals and uniforms for the
+ * block in that replicate's own rows.  Every other operation is the IEEE
+ * double operation of the numpy expression it stands for, in that
+ * expression's order (the refresh v * cos + z * sin among them), and the
+ * build forbids fused multiply-adds, so the chains keep the bits of
+ * tests/oracles.py::run_ghmc_chains_reference and ghmc_update_reference,
+ * the driver and transition in numpy.  libm's exp differs from the loop
+ * numpy dispatched for this CPU in the last bit of some values, so exp is
+ * the first float64 loop in the table of the np.exp ufunc passed in (the
+ * one numpy's own type resolution picks), read at every call.
  */
 
 #include <Python.h>
@@ -19,7 +22,6 @@
 #include <float.h>
 #include <math.h>
 #include <stdint.h>
-#include <string.h>
 
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include "numpy/ndarraytypes.h"
@@ -45,20 +47,21 @@ static double sum_sq(const double *a, const double *w, int64_t d)
  * [i * R, (i + 1) * R) follow rule i, Barker where barker[i] (k intc
  * values) and Metropolis otherwise, and row j reads replicate j % R's
  * draws, so every rule shares them.  inv2[c] is 1 / sigma_c^2 (d >= 1
- * values).  Step s refreshes v to v * cos_w + noise[s] (noise is b x R x d,
- * pre-scaled by sin), runs nleap leapfrog steps of size step from the
- * carried half-kick, and accepts a row where unif[s] < phi(exp(de)) (unif
- * is b x R) and de is finite, de being the energy before minus the energy
- * after; a rejected row keeps x, U(x) and the kick and flips v.  x, Ux, v
- * and kick (n x d, n, n x d, n x d) are updated in place and each step's x
- * is written to xs[s] (b x n x d).  Leaves the floating-point exception
- * flags as it found them.  Returns 0, or -1 with a Python exception set
- * before any step: ValueError for a bad argument, RuntimeError when exp
- * (a ufunc) has no float64 -> float64 loop. */
+ * values).  Step s refreshes v to v * cos_w + noise[q, s] * sin_w, noise
+ * being replicate q's raw standard normals (R x b x d), runs nleap leapfrog
+ * steps of size step from the carried half-kick, and accepts a row where
+ * unif[q, s] < phi(exp(de)) (unif is R x b) and de is finite, de being the
+ * energy before minus the energy after; a rejected row keeps x, U(x) and
+ * the kick and flips v.  x, Ux, v and kick (n x d, n, n x d, n x d) are
+ * updated in place and each step's x is written to xs[s] (b x n x d).
+ * Leaves the floating-point exception flags as it found them.  Returns 0,
+ * or -1 with a Python exception set before any step: ValueError for a bad
+ * argument, RuntimeError when exp (a ufunc) has no float64 -> float64
+ * loop. */
 int ghmc_run(PyObject *exp_ufunc, PyObject *barker_arr, PyObject *inv2_arr, double cos_w,
-             double step, int64_t nleap, PyObject *noise_arr, PyObject *unif_arr,
-             PyObject *x_arr, PyObject *Ux_arr, PyObject *v_arr, PyObject *kick_arr,
-             PyObject *xs_arr)
+             double sin_w, double step, int64_t nleap, PyObject *noise_arr,
+             PyObject *unif_arr, PyObject *x_arr, PyObject *Ux_arr, PyObject *v_arr,
+             PyObject *kick_arr, PyObject *xs_arr)
 {
     if (PyUFunc_ImportUFuncAPI() < 0)
         return -1;
@@ -71,7 +74,7 @@ int ghmc_run(PyObject *exp_ufunc, PyObject *barker_arr, PyObject *inv2_arr, doub
     const int *barker = noise ? array_data(barker_arr, NPY_INT, 0, 1, &k, "barker") : NULL;
     if (barker == NULL)
         return -1;
-    const npy_intp b = draws[0], R = draws[1], d = draws[2], n = R * k;
+    const npy_intp R = draws[0], b = draws[1], d = draws[2], n = R * k;
     if (d < 1) {
         PyErr_Format(PyExc_ValueError, "need d >= 1, got d = %lld", (long long)d);
         return -1;
@@ -109,26 +112,33 @@ int ghmc_run(PyObject *exp_ufunc, PyObject *barker_arr, PyObject *inv2_arr, doub
 
     fexcept_t flags;
     fegetexceptflag(&flags, FE_ALL_EXCEPT);
-    const int64_t nd = n * d, rd = R * d;
+    const int64_t nd = n * d;
     const double half = 0.5 * step;
     double *xn = work, *vn = xn + nd, *kn = vn + nd, *Un = kn + nd, *de = Un + n,
            *r = de + n;
     char *args[2] = {(char *)de, (char *)r};
     npy_intp count = (npy_intp)n, strides[2] = {sizeof(double), sizeof(double)};
     for (int64_t s = 0; s < b; s++) {
-        const double *nz = noise + s * rd, *u = unif + s * R;
-        for (int64_t i = 0; i < nd; i += rd)  /* each rule's rows */
-            for (int64_t j = 0; j < rd; j++)
-                v[i + j] = v[i + j] * cos_w + nz[j];
-        memcpy(xn, x, nd * sizeof(double));
-        memcpy(vn, v, nd * sizeof(double));
-        memcpy(kn, kick, nd * sizeof(double));
+        for (int64_t i = 0, j = 0; i < k; i++) {
+            for (int64_t q = 0; q < R; q++, j++) {  /* row j refreshes from replicate q */
+                const double *z = noise + (q * b + s) * d;
+                double *vj = v + j * d;
+                for (int64_t c = 0; c < d; c++) {
+                    vj[c] = vj[c] * cos_w + z[c] * sin_w;
+                    xn[j * d + c] = x[j * d + c];
+                    vn[j * d + c] = vj[c];
+                    kn[j * d + c] = kick[j * d + c];
+                }
+            }
+        }
         for (int64_t l = 0; l < nleap; l++) {
-            for (int64_t j = 0; j < nd; j++) {
-                vn[j] = vn[j] - kn[j];
-                xn[j] = xn[j] + step * vn[j];
-                kn[j] = half * (xn[j] * inv2[j % d]);
-                vn[j] = vn[j] - kn[j];
+            for (int64_t j = 0; j < nd; j += d) {
+                for (int64_t c = 0; c < d; c++) {
+                    vn[j + c] = vn[j + c] - kn[j + c];
+                    xn[j + c] = xn[j + c] + step * vn[j + c];
+                    kn[j + c] = half * (xn[j + c] * inv2[c]);
+                    vn[j + c] = vn[j + c] - kn[j + c];
+                }
             }
         }
         for (int64_t j = 0; j < n; j++) {
@@ -146,17 +156,21 @@ int ghmc_run(PyObject *exp_ufunc, PyObject *barker_arr, PyObject *inv2_arr, doub
                 } else {
                     a = 1.0 <= r[j] ? 1.0 : r[j];
                 }
-                double *xj = x + j * d, *vj = v + j * d;
-                if (u[q] < a && isfinite(de[j])) {
-                    memcpy(xj, xn + j * d, d * sizeof(double));
-                    memcpy(vj, vn + j * d, d * sizeof(double));
-                    memcpy(kick + j * d, kn + j * d, d * sizeof(double));
+                double *xj = x + j * d, *vj = v + j * d, *kj = kick + j * d,
+                       *out = xs + s * nd + j * d;
+                if (unif[q * b + s] < a && isfinite(de[j])) {
+                    for (int64_t c = 0; c < d; c++) {
+                        xj[c] = xn[j * d + c];
+                        vj[c] = vn[j * d + c];
+                        kj[c] = kn[j * d + c];
+                    }
                     Ux[j] = Un[j];
                 } else {
                     for (int64_t c = 0; c < d; c++)
                         vj[c] = -vj[c];
                 }
-                memcpy(xs + s * nd + j * d, xj, d * sizeof(double));
+                for (int64_t c = 0; c < d; c++)
+                    out[c] = xj[c];
             }
         }
     }

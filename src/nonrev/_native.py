@@ -46,8 +46,9 @@ _SIGNATURES = {
     # codes, rows) -> rows filled
     "exact_run": (_I64, _OBJ, _OBJ, _F64, _F64, ctypes.c_int, _F64, *[_OBJ] * 4, _I64),
     "flip_time": (_F64, _F64, _F64, _F64, _F64),  # (a, b, gamma, e)
-    # (exp ufunc, barker, inv2, cos, step, nleap, noise, unif, x, Ux, v, kick, xs)
-    "ghmc_run": (ctypes.c_int, _OBJ, _OBJ, _OBJ, _F64, _F64, _I64, *[_OBJ] * 7),
+    # (exp ufunc, barker, inv2, cos, sin, step, nleap, noise (R x b x d raw
+    # normals), unif (R x b), x, Ux, v, kick, xs)
+    "ghmc_run": (ctypes.c_int, _OBJ, _OBJ, _OBJ, _F64, _F64, _F64, _I64, *[_OBJ] * 7),
     "autocov_rows": (ctypes.c_int, _OBJ, _OBJ, _I64, _OBJ),  # (chains, means, max_lag, out)
     "window_sums": (ctypes.c_int, *[_OBJ] * 5),  # (vals, weights, half, bounds, out)
 }

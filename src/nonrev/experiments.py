@@ -383,13 +383,25 @@ def cross_key_error(params: dict) -> str | None:
 _MAX_EVENTS = 10 ** 6
 # name -> the target sigmas and the two rates of a Zig-Zag entry, from its params
 _ZIGZAG_PAIRS = {"zigzag-1d-gamma": _gamma_pair, "zigzag-2d-refresh": _refresh_pair}
+# bytes ghmc-phi-compare's chains may take, allocated before the first step
+# at 8 B x 2 observables x 2 rules per replicate and step: about 200 times
+# the defaults' 5.1 MB, twice criterion 6's 16 replicates x 10**6 steps, and
+# an eighth of an 8 GB host
+_MAX_CHAIN_BYTES = 2 ** 30
 
 
 def size_error(name: str, params: dict) -> str | None:
-    """Why the replicates of a Zig-Zag entry are too long to run: each
-    makes about 1.1 x horizon x the exact path's mean rate of events
-    (the estimator adds a tenth as burn-in), at most _MAX_EVENTS; None if
-    not, or if name is no Zig-Zag entry."""
+    """Why a run is too large to start: ghmc-phi-compare's chains take
+    8 x 2 x 2 x replicates x steps bytes, at most _MAX_CHAIN_BYTES; the
+    replicates of a Zig-Zag entry each make about 1.1 x horizon x the exact
+    path's mean rate of events (the estimator adds a tenth as burn-in), at
+    most _MAX_EVENTS.  None if not, or for any other entry."""
+    if name == "ghmc-phi-compare":
+        size = 8 * 2 * 2 * params["replicates"] * params["steps"]
+        if size > _MAX_CHAIN_BYTES:
+            return (f"steps {params['steps']!r} and replicates {params['replicates']!r} "
+                    f"make {size} bytes of chains, more than {_MAX_CHAIN_BYTES}")
+        return None
     if name not in _ZIGZAG_PAIRS:
         return None
     sigmas, *specs = _ZIGZAG_PAIRS[name](params)

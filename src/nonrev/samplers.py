@@ -9,7 +9,9 @@ counter-based Philox stream keyed by s * 2**64 + r, so runs are
 bit-reproducible and replicates can execute in any order or in parallel.
 The batched driver splits that stream into a refresh-noise sub-stream and an
 accept-uniform sub-stream (a 2**128 jump apart), which makes its output
-independent of the internal buffering block size.  It runs all acceptance
+independent of the internal buffering block size.  Each block draws every
+replicate's raw normals and uniforms into that replicate's own rows, and the
+kernel forms the refresh v * cos + z * sin itself.  It runs all acceptance
 rules in one batch, and the kernel gives every rule's rows each replicate's
 draws, so the rules share common random numbers.  Its transitions run in a C
 kernel, ``_ghmc.c``, with the bits of the numpy transition in
@@ -183,10 +185,11 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
 
     Each replicate owns its Philox stream, split into a noise sub-stream and
     a uniform sub-stream so pre-drawing in blocks does not change the draws.
-    Every rule reads the same draws, passed once per block, so its chains are
-    bit-identical to a run with that rule alone.  The closing half-kick of
-    each leapfrog flow opens the next one from an accepted proposal, which
-    saves a gradient per step.
+    Each block draws replicate r's raw standard normals and uniforms into
+    rows r of (R, b, d) and (R, b) arrays, and every rule reads them, so its
+    chains are bit-identical to a run with that rule alone.  The closing
+    half-kick of each leapfrog flow opens the next one from an accepted
+    proposal, which saves a gradient per step.
     Returns a list of (len(rules) * R, n_steps) arrays, one per observable of
     the position x, recorded after burn_in >= 0 steps; rows [i*R:(i+1)*R] are
     rules[i]'s.  Each observable maps an (m, d) array of positions row by row
@@ -233,12 +236,13 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     total = n_steps + burn_in
     for start in range(0, total, _BLOCK):
         b = min(_BLOCK, total - start)
-        # (b, R, d) and (b, R): the kernel reads them for every rule's rows
-        noise = np.stack([rng.standard_normal((b, d)) for rng in noise_rngs],
-                         axis=1) * sin
-        unif = np.stack([rng.random(b) for rng in unif_rngs], axis=1)
+        # replicate r's draws in rows r: the kernel reads them for every rule
+        noise, unif = np.empty((R, b, d)), np.empty((R, b))
+        for r in range(R):
+            noise_rngs[r].standard_normal(out=noise[r])
+            unif_rngs[r].random(out=unif[r])
         xs = np.empty((b, k * R, d))  # x after each of the block's steps
-        ghmc_run(np.exp, barker, inv2, cos, step, nleap, noise, unif, x, Ux, v, kick, xs)
+        ghmc_run(np.exp, barker, inv2, cos, sin, step, nleap, noise, unif, x, Ux, v, kick, xs)
         lo = max(0, burn_in - start)  # the block's first recorded step
         if lo < b:
             t = start + lo - burn_in

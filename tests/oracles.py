@@ -5,9 +5,10 @@ truncated series, a half-square-sum form, an explicit symmetrization, a
 per-state loop in place of index arithmetic, a per-vector solve in place of
 a block solve, one intensity call per thinning proposal in place of a block,
 one lambda per call in place of a grid, a centred second pass in place of
-one batch-means pass), builds a target the catalog does not use, or drives
-one of the package's clocks on its own, so it lives beside the tests that
-use it rather than inside the package under test.  Seventeen are earlier
+one batch-means pass), builds a target the catalog does not use, states a
+closed form the package never evaluates, or drives one of the package's
+clocks on its own, so it lives beside the tests that use it rather than
+inside the package under test.  Seventeen are earlier
 forms of package code kept verbatim (the three flip-time references,
 expectation_mu, the generic jump generator, the per-function gap and the
 Gram form that applied the jump generator per function and velocity, the
@@ -802,3 +803,15 @@ def exact_flip_time_reference(a: float, b: float, gamma: float, e: float) -> flo
         return e / gamma
     rem = e - gamma * t0
     return t0 + 2 * rem / (gamma + math.sqrt(gamma * gamma + 2 * b * rem))
+
+
+def zigzag_1d_variance_of_x(sigma: float, gamma: float) -> float:
+    """Asymptotic variance of f(x) = x under the 1-D Zig-Zag process on
+    N(0, sigma^2) with rates (x v / sigma^2)_+ + gamma, in closed form:
+    2 sqrt(2 / pi) sigma^3 + 4 gamma sigma^4.
+
+    The Poisson equation -L g = x has g(x, +1) - g(x, -1) = 2 sigma^2, and
+    the variance is 2 E_mu[x g]: the first term from the canonical rate, the
+    second from the extra flips at rate gamma (Bierkens & Duncan 2017, Adv.
+    Appl. Probab. 49(3), on the 1-D process's central limit theorem)."""
+    return 2.0 * math.sqrt(2.0 / math.pi) * sigma ** 3 + 4.0 * gamma * sigma ** 4

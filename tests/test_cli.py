@@ -251,6 +251,41 @@ class TestConfigValidation:
                 with pytest.raises(cli.ConfigError, match="more than 1000000$"):
                     cli.load_config(path)
 
+    # steps = 10**12 exited 3 when allocating its first chain (116 TiB); a
+    # size the allocator overcommits would run until the host ran out
+    @pytest.mark.parametrize("overrides, size", [
+        ({"steps": 10 ** 12}, 32 * 8 * 10 ** 12),
+        ({"steps": 40_000, "replicates": 10 ** 6}, 32 * 40_000 * 10 ** 6),
+    ], ids=["steps-1e12", "replicates-1e6"])
+    def test_chains_too_large_refused_before_any_draw(self, tmp_path, capsys, monkeypatch,
+                                                      overrides, size):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled a refused config")
+        monkeypatch.setattr(samplers, "run_ghmc_chains", refuse)
+        path = write_config(tmp_path, {"experiment": "ghmc-phi-compare", "seed": 1,
+                                       **overrides, "out": str(tmp_path / "x")})
+        assert cli.main(["run", path]) == 2
+        err = capsys.readouterr().err
+        assert err.rstrip().endswith(f"make {size} bytes of chains, more than 1073741824"), err
+        assert err.startswith("config error: steps "), err
+        assert not (tmp_path / "x").exists()
+
+    def test_chain_size_rule_boundary(self, tmp_path):
+        # 8 B x 2 observables x 2 rules x replicates x steps, at most 2**30:
+        # 2**25 replicate-steps; the defaults take 5.1 MB
+        for sizes, ok in (({"steps": 2 ** 22, "replicates": 8}, True),
+                          ({"steps": 2 ** 22 + 1, "replicates": 8}, False),
+                          ({"steps": 2 ** 24, "replicates": 2}, True),
+                          ({"steps": 2 ** 24 + 1, "replicates": 2}, False), ({}, True)):
+            path = write_config(tmp_path, {"experiment": "ghmc-phi-compare", "seed": 1,
+                                           **sizes})
+            if ok:
+                params = cli.load_config(path).params
+                assert {key: params[key] for key in sizes} == sizes
+            else:
+                with pytest.raises(cli.ConfigError, match="more than 1073741824$"):
+                    cli.load_config(path)
+
     @pytest.mark.parametrize("payload", [
         {"experiment": ["gustafson-ring"], "seed": 1},
         {"experiment": "gustafson-ring", "seed": 1, "out": 5},
@@ -629,6 +664,17 @@ def short_enough_paths(case):
                   if key not in ("horizon", "gamma", "refresh_rate")}
 
 
+def small_enough_chains(case):
+    """case without its steps, replicates and mc_lambdas where the chain
+    size rule refuses them: valid values drawn one key at a time, and the
+    steps long_enough_chains raises them to, can break that rule."""
+    name, overrides = case
+    if size_error(name, {**EXPERIMENTS[name][1], **overrides}) is None:
+        return case
+    return name, {key: value for key, value in overrides.items()
+                  if key not in ("steps", "replicates", "mc_lambdas")}
+
+
 class TestParamTableProperties:
     @settings(derandomize=True, deadline=None, max_examples=300)
     @given(configs(any_value))
@@ -641,7 +687,8 @@ class TestParamTableProperties:
         assert_typed_and_in_range(cfg.params, EXPERIMENTS[name][1])
 
     @settings(derandomize=True, deadline=None, max_examples=150)
-    @given(configs(valid_value).map(long_enough_chains).map(short_enough_paths))
+    @given(configs(valid_value).map(long_enough_chains).map(short_enough_paths)
+           .map(small_enough_chains))
     def test_values_inside_the_table_load_unchanged(self, case):
         name, overrides = case
         params = load({"experiment": name, "seed": 1, **overrides}).params

@@ -164,8 +164,8 @@ def entry_args(name: str) -> dict:
                       "times": np.zeros(8), "X": np.zeros((8, 2)), "V": np.ones((8, 2)),
                       "codes": np.zeros(8, dtype=np.int64), "rows": 1},
         "ghmc_run": {"exp": np.exp, "barker": np.array([0, 1], dtype=np.intc),
-                     "inv2": np.ones(2), "cos": 0.5, "step": 0.9, "nleap": 2,
-                     "noise": np.zeros((3, 2, 2)), "unif": np.full((3, 2), 0.5),
+                     "inv2": np.ones(2), "cos": 0.5, "sin": 0.5, "step": 0.9, "nleap": 2,
+                     "noise": np.zeros((2, 3, 2)), "unif": np.full((2, 3), 0.5),
                      "x": np.zeros((4, 2)), "Ux": np.zeros(4), "v": np.ones((4, 2)),
                      "kick": np.zeros((4, 2)), "xs": np.empty((3, 4, 2))},
         "autocov_rows": {"chains": rng.random((2, 6)), "means": np.full(2, 0.5),
@@ -282,9 +282,11 @@ class TestEntryPointChecks:
          r"^x must have length 6 along axis 0, not 4$"),
         ("ghmc_run", {"barker": np.zeros(0, dtype=np.intc)},
          r"^x must have length 0 along axis 0, not 4$"),
-        ("ghmc_run", {"noise": np.zeros((3, 4, 2)), "unif": np.full((3, 4), 0.5)},
+        ("ghmc_run", {"noise": np.zeros((4, 3, 2)), "unif": np.full((4, 3), 0.5)},
          r"^x must have length 8 along axis 0, not 4$"),
-        ("ghmc_run", {"noise": np.zeros((3, 2, 0)), "inv2": np.ones(0)},
+        ("ghmc_run", {"unif": np.full((2, 4), 0.5)},
+         r"^unif must have length 3 along axis 1, not 4$"),
+        ("ghmc_run", {"noise": np.zeros((2, 3, 0)), "inv2": np.ones(0)},
          r"^need d >= 1, got d = 0$"),
         ("autocov_rows", {"max_lag": 6}, r"^max_lag must lie in \[0, 6\), got 6$"),
         ("autocov_rows", {"max_lag": -1}, r"^max_lag must lie in \[0, 6\), got -1$"),
@@ -296,7 +298,8 @@ class TestEntryPointChecks:
         ("window_sums", {"vals": (np.ones(5), np.ones(5, dtype=np.float32))},
          r"^f must give one float64 value per node, 5 of them$"),
     ], ids=["rows-0", "rows-past-cap", "d-0", "exp-not-ufunc", "rows-not-3-rules",
-            "rows-not-0-rules", "rows-not-4-replicates", "ghmc-d-0", "lag-n", "lag-negative",
+            "rows-not-0-rules", "rows-not-4-replicates", "unif-not-3-steps", "ghmc-d-0",
+            "lag-n", "lag-negative",
             "bounds-from-1", "bounds-falling",
             "vals-list", "vals-short", "vals-float32"])
     def test_other_argument_refused(self, name, changes, match):

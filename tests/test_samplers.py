@@ -26,16 +26,16 @@ def energy(H, x, v):
 
 def c_step(H, rules, step, nleap, x, Ux, kick, v, unif):
     """One step of the kernel's entry point ghmc_run on copies of the given
-    state, with the momentum refresh v * 1.0 + 0.0 and unif[r] the uniform
-    of replicate r, so of row r under every rule: returns (x, U(x), kick, v,
-    xs)."""
+    state, with the momentum refresh v * 1.0 + 0.0 * 0.0 and unif[r] the
+    uniform of replicate r, so of row r under every rule: returns (x, U(x),
+    kick, v, xs)."""
     x, Ux, kick, v = (np.array(a, dtype=float) for a in (x, Ux, kick, v))
-    unif = np.asarray(unif, dtype=float)[None, :]
+    unif = np.asarray(unif, dtype=float)[:, None]
     inv2 = 1.0 / np.asarray(H.gaussian_sigmas, dtype=float) ** 2
     barker = np.array([rule.phi is _barker for rule in rules], dtype=np.intc)
     xs = np.empty((1, *x.shape))
-    _native.entry("ghmc_run")(np.exp, barker, inv2, 1.0, step, nleap,
-                              np.zeros((1, unif.size, x.shape[1])), unif, x, Ux, v, kick, xs)
+    _native.entry("ghmc_run")(np.exp, barker, inv2, 1.0, 0.0, step, nleap,
+                              np.zeros((unif.size, 1, x.shape[1])), unif, x, Ux, v, kick, xs)
     return x, Ux, kick, v, xs
 
 
@@ -695,27 +695,30 @@ class TestGhmcKernel:
 
     def test_every_rule_reads_each_replicates_draws(self):
         # one call of four steps, 3 replicates under 2 rules, with distinct
-        # scripted noise and uniforms per replicate: the same steps as
-        # ghmc_update_reference on the draws tiled over the rules
-        H, rules, step, nleap, cos = zz_gaussian([0.8, 1.3]), [self.MET, self.BAR], 1.1, 3, 0.6
+        # scripted raw normals and uniforms per replicate, each in its own
+        # rows: the same steps as ghmc_update_reference on the refresh
+        # v * cos + z * sin with the draws tiled over the rules
+        H, rules, step, nleap = zz_gaussian([0.8, 1.3]), [self.MET, self.BAR], 1.1, 3
+        cos, sin = 0.6, 0.8
         R, k, b = 3, 2, 4
         rng = np.random.default_rng(8)
-        noise = rng.normal(0.0, 0.8, (b, R, 2))
-        unif = np.array([[0.05, 0.5, 0.999], [0.3, 0.999, 0.01], [0.999, 0.2, 0.6],
-                         [0.7, 0.02, 0.4]])
+        noise = rng.standard_normal((R, b, 2))
+        unif = np.array([[0.05, 0.3, 0.999, 0.7], [0.5, 0.999, 0.2, 0.02],
+                         [0.999, 0.01, 0.6, 0.4]])
         x = np.tile(rng.normal(0.0, 1.0, (R, 2)), (k, 1))
         v = np.tile(rng.normal(0.0, 1.0, (R, 2)), (k, 1))
         Ux = np.asarray(H.U(x))
         state = [a.copy() for a in (x, Ux, v, 0.5 * step * np.asarray(H.grad(x)))]
         xs = np.empty((b, k * R, 2))
         assert _native.entry("ghmc_run")(
-            np.exp, np.array([0, 1], dtype=np.intc), 1.0 / H.gaussian_sigmas ** 2, cos, step,
-            nleap, noise, unif, *state, xs) == 0
+            np.exp, np.array([0, 1], dtype=np.intc), 1.0 / H.gaussian_sigmas ** 2, cos, sin,
+            step, nleap, noise, unif, *state, xs) == 0
         moved = []
         for s in range(b):
             with np.errstate(over="ignore", invalid="ignore"):
-                xn, Un, vn = ghmc_update_reference(H, x, Ux, v * cos + np.tile(noise[s], (k, 1)),
-                                                   np.tile(unif[s], k), step, nleap, rules)
+                xn, Un, vn = ghmc_update_reference(
+                    H, x, Ux, v * cos + np.tile(noise[:, s] * sin, (k, 1)),
+                    np.tile(unif[:, s], k), step, nleap, rules)
             moved.append(np.any(xn != x, axis=1))
             x, Ux, v = xn, Un, vn
             assert np.array_equal(xs[s], x)
@@ -736,14 +739,14 @@ class TestGhmcKernel:
         # the kernel restores the flags it found, here none
         n, d = 4, 1  # two replicates under two rules
         x = np.zeros((n, d))
-        args = (np.exp, np.array([0, 1], dtype=np.intc), np.array([100.0]), 0.0, step,
-                nleap, np.ones((5, 2, d)), np.full((5, 2), 0.5), x.copy(), np.zeros(n),
+        args = (np.exp, np.array([0, 1], dtype=np.intc), np.array([100.0]), 0.0, 1.0, step,
+                nleap, np.ones((2, 5, d)), np.full((2, 5), 0.5), x.copy(), np.zeros(n),
                 np.ones((n, d)), np.zeros((n, d)), np.empty((5, n, d)))
         libm = ctypes.CDLL(ctypes.util.find_library("m"))
         libm.feclearexcept(-1)
         assert _native.entry("ghmc_run")(*args) == 0
         assert libm.fetestexcept(-1) == 0
-        assert np.array_equal(args[8], x)  # every proposal overflowed and was rejected
+        assert np.array_equal(args[9], x)  # every proposal overflowed and was rejected
 
     def test_missing_exp_loop_raises_before_any_draw(self, monkeypatch):
         def no_streams(*args):

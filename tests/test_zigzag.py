@@ -1273,6 +1273,23 @@ def record_forks(monkeypatch) -> list:
     return forks
 
 
+class TestClosedFormVariance:
+    """The catalog's zigzag-1d-gamma rows against the closed-form variance
+    of f(x) = x in tests/oracles.py: a fault that moves both rows alike, as
+    an exact loop that ignores gamma does, passes the catalog's one-sided
+    check between them but not this one."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_zigzag_1d_gamma_rows_within_3_se(self, seed):
+        # at seeds 1-3 the rows read z = 0.72, -1.45, 0.49, 1.11, -0.12, -0.70
+        _desc, defaults, runner = experiments.EXPERIMENTS["zigzag-1d-gamma"]
+        (sigma,), *specs = experiments._gamma_pair(defaults)
+        rows = {row.case_id: row for row in runner(dict(defaults), seed)[0]}
+        for case, spec in zip(("canonical", "plus-gamma"), specs, strict=True):
+            want = oracles.zigzag_1d_variance_of_x(sigma, spec.gamma)
+            assert abs(rows[case].value - want) <= 3.0 * rows[case].se, (case, want)
+
+
 class TestLockstepReplicates:
     """estimate_var_continuous advances its replicates in lockstep and pools
     their thinning intensities; it must return what one replicate after
