@@ -82,6 +82,7 @@ class Potential:
     def __post_init__(self):
         if self.gaussian_sigmas is not None:
             s = np.asarray(self.gaussian_sigmas, dtype=float)
+            object.__setattr__(self, "gaussian_sigmas", s)
             if s.shape != (self.d,) or not np.all((s > 0) & np.isfinite(s)):
                 raise ValueError(f"gaussian_sigmas must be d = {self.d} finite positive "
                                  f"values, got {s.tolist()!r}")
@@ -222,7 +223,7 @@ def run_ghmc_chains(H: Potential, step: float, nleap: int,
     ghmc_run = _native.entry("ghmc_run")  # built or loaded before any draw
     if "d->d" not in np.exp.types:
         raise RuntimeError(_NO_EXP_LOOP)
-    s = np.asarray(H.gaussian_sigmas, dtype=float)
+    s = H.gaussian_sigmas
     inv2 = 1.0 / (s * s)  # as zz_gaussian forms it
     barker = np.array([rule.phi is _barker for rule in rules], dtype=np.intc)
     noise_rngs = [replicate_rng(seed, r) for r in range(R)]

@@ -308,7 +308,7 @@ def _exact_loop(pot: Potential, spec: IntensitySpec, x: np.ndarray, v: np.ndarra
     they double and it resumes from the last row.  The generator's lock is
     held during each call."""
     run = _native.entry("exact_run")
-    inv2 = np.asarray(1.0 / (pot.gaussian_sigmas ** 2), dtype=float).reshape(pot.d)
+    inv2 = 1.0 / (pot.gaussian_sigmas ** 2)
     size = _first_rows(pot, spec, horizon)
     times, codes = np.empty(size), np.empty(size, dtype=np.int64)
     X, V = np.empty((size, pot.d)), np.empty((size, pot.d))

@@ -324,20 +324,33 @@ def neal_pair_kernels(T2: KernelMatrix, pi: FiniteDistribution):
     return P1, P2, mu, Q
 
 
+def _flow_ladder(mu: FiniteDistribution, psi: FlowMap, Q: DeterministicInvolution,
+                 phi: Callable[[np.ndarray], np.ndarray], K: int) -> KernelMatrix:
+    """Try psi^k(z), k = 1..K, on the ladder alpha_k = max{alpha_{k-1}, phi(r_k)},
+    r_k = mu(xi o psi^k(z)) / mu(z) (mu is strictly positive): alpha_k -
+    alpha_{k-1} moves to psi^k(z) and 1 - alpha_K to xi(z).  An orbit of psi
+    has at most mu.n states, so a stage past mu.n repeats a ratio and adds
+    exactly 0.0 to entries that are never -0.0: min(K, mu.n) stages suffice."""
+    if not psi.check_reversal(Q):
+        raise ValueError("flow map must satisfy psi^{-1} = xi o psi o xi")
+    w, xi, z = mu.weights, Q.perm, np.arange(mu.n)
+    P = np.zeros((mu.n, mu.n))
+    zk, alpha_prev = z, np.zeros(mu.n)
+    for _k in range(min(K, mu.n)):  # stages, each over all states z at once
+        zk = psi.psi[zk]
+        alpha = np.maximum(alpha_prev, phi(w[xi[zk]] / w))
+        P[z, zk] += alpha - alpha_prev
+        alpha_prev = alpha
+    P[z, xi] += 1.0 - alpha_prev
+    return KernelMatrix(P)
+
+
 def metropolized_flow_finite(mu: FiniteDistribution, psi: FlowMap,
                              Q: DeterministicInvolution,
                              phi: AcceptanceRule) -> KernelMatrix:
     """Move to psi(z) with probability phi(r(z)), else jump to xi(z), where
-    r(z) = mu(xi o psi(z)) / mu(z) (finite and positive: mu is strictly
-    positive)."""
-    if not psi.check_reversal(Q):
-        raise ValueError("flow map must satisfy psi^{-1} = xi o psi o xi")
-    w, xi, z = mu.weights, Q.perm, np.arange(mu.n)
-    a = phi.phi(w[xi[psi.psi]] / w)
-    P = np.zeros((mu.n, mu.n))
-    P[z, psi.psi] += a
-    P[z, xi] += 1.0 - a
-    return KernelMatrix(P)
+    r(z) = mu(xi o psi(z)) / mu(z): the one-stage ladder."""
+    return _flow_ladder(mu, psi, Q, phi.phi, 1)
 
 
 def ring_shift_flow(n: int) -> FlowMap:
@@ -349,23 +362,8 @@ def ring_shift_flow(n: int) -> FlowMap:
 
 def extra_chance_finite(mu: FiniteDistribution, psi: FlowMap,
                         Q: DeterministicInvolution, K: int) -> KernelMatrix:
-    """Multi-stage proposal: try psi^k(z), k = 1..K, with the monotone
-    acceptance ladder alpha_k = max{alpha_{k-1}, min{1, r_k}}; leftover mass
-    rho_K goes to xi(z)."""
+    """Multi-stage proposal: the K-stage ladder under min{1, r}, whose
+    leftover mass 1 - alpha_K goes to xi(z)."""
     if K < 1:
         raise ValueError("K must be >= 1")
-    if not psi.check_reversal(Q):
-        raise ValueError("flow map must satisfy psi^{-1} = xi o psi o xi")
-    w = mu.weights
-    xi = Q.perm
-    z = np.arange(mu.n)
-    P = np.zeros((mu.n, mu.n))
-    zk, alpha_prev = z, np.zeros(mu.n)
-    for _k in range(K):  # stages, each over all states z at once
-        zk = psi.psi[zk]
-        alpha = np.maximum(alpha_prev, np.minimum(1.0, w[xi[zk]] / w))
-        P[z, zk] += alpha - alpha_prev
-        alpha_prev = alpha
-    P[z, xi] += 1.0 - alpha_prev
-    return KernelMatrix(P)
-
+    return _flow_ladder(mu, psi, Q, _metropolis, K)

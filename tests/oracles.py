@@ -40,8 +40,8 @@ from nonrev.zigzag import (_GL3, _GL8, EnvelopeViolation, ZigZagTrajectory,
                            _all_velocities, _gh_nodes, _lockstep, _thinned_clock,
                            _window_integrals, batch_means_variance, intensity,
                            simulate_zigzag)
-from nonrev.zoo import (FlowMap, RingTarget, SubKernelPair, collapsed_kernel,
-                        half_lift, lifted_kernel)
+from nonrev.zoo import (AcceptanceRule, FlowMap, RingTarget, SubKernelPair,
+                        collapsed_kernel, half_lift, lifted_kernel)
 
 
 def dirichlet_form(f: Observable, P: KernelMatrix, mu: FiniteDistribution) -> float:
@@ -663,7 +663,11 @@ def neal_pair_kernels_loop(T2: KernelMatrix, pi: FiniteDistribution):
 
 
 def extra_chance_finite_loop(mu: FiniteDistribution, psi: FlowMap,
-                             Q: DeterministicInvolution, K: int) -> KernelMatrix:
+                             Q: DeterministicInvolution, K: int,
+                             phi: AcceptanceRule) -> KernelMatrix:
+    """The K-stage ladder under phi, state by state, through every stage:
+    K = 1 is the metropolized flow, and phi = min{1, r} the extra-chance
+    kernel."""
     n = mu.n
     w = mu.weights
     xi = Q.perm
@@ -673,8 +677,7 @@ def extra_chance_finite_loop(mu: FiniteDistribution, psi: FlowMap,
         zk = z
         for _k in range(1, K + 1):
             zk = psi.psi[zk]
-            r = 0.0 if w[z] == 0.0 else w[xi[zk]] / w[z]
-            alpha = max(alpha_prev, min(1.0, r))
+            alpha = max(alpha_prev, float(phi.phi(w[xi[zk]] / w[z])))
             P[z, zk] += alpha - alpha_prev
             alpha_prev = alpha
         P[z, xi[z]] += 1.0 - alpha_prev
@@ -815,3 +818,13 @@ def zigzag_1d_variance_of_x(sigma: float, gamma: float) -> float:
     second from the extra flips at rate gamma (Bierkens & Duncan 2017, Adv.
     Appl. Probab. 49(3), on the 1-D process's central limit theorem)."""
     return 2.0 * math.sqrt(2.0 / math.pi) * sigma ** 3 + 4.0 * gamma * sigma ** 4
+
+
+def zigzag_2d_refresh_variance_of_sum(refresh_rate: float) -> float:
+    """Asymptotic variance of f(x) = x_1 + x_2 under the 2-D Zig-Zag process
+    on N(0, I_2) with canonical rates and a refresh at rate r.  The partial
+    refresh flips one of the two coordinates, and the full one resamples each
+    velocity uniformly, so under either each coordinate flips at the extra
+    rate r / 2.  Given the refresh times the coordinates are independent, so
+    for the additive f the cross terms vanish: twice the 1-D variance."""
+    return 2.0 * zigzag_1d_variance_of_x(1.0, refresh_rate / 2.0)

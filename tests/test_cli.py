@@ -1,7 +1,10 @@
+import contextlib
 import gc
+import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -413,6 +416,18 @@ class TestRun:
         assert meta["versions"] == {"nonrev": nonrev.__version__, "numpy": np.__version__,
                                     "scipy": scipy.__version__}
 
+    def test_k_values_past_the_state_count_run_at_once(self, tmp_path):
+        # the ladder ran every one of K's stages, about 4.8 us each on the
+        # default 10-state ring: 10**12 of them would have taken about 56 days
+        path = write_config(tmp_path, {"experiment": "two-cycle-extra-chance", "seed": 1,
+                                       "K_values": [1, 10 ** 12], "out": str(tmp_path / "x")})
+        proc = subprocess.run([sys.executable, "-m", "nonrev.cli", "run", path],
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": SRC})
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert len(lines) == 2 and all(": PASS (" in line for line in lines), proc.stdout
+
     def test_top_seed_runs_the_full_refresh(self, tmp_path, capsys):
         # the full-refresh estimate reads seed + 1, wrapped into [0, 2**64):
         # at the top seed it read 2**64 and the admitted seed exited 3
@@ -695,3 +710,73 @@ class TestParamTableProperties:
         assert_typed_and_in_range(params, EXPERIMENTS[name][1])
         for key, value in overrides.items():
             assert params[key] == (tuple(value) if isinstance(value, list) else value)
+
+
+# -- the exit contract over runs of admitted configs --------------------------
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)  # what Param() admits
+POSITIVE = st.floats(0.0, 1e300, exclude_min=True)
+RATE = st.floats(0.0, 50.0, exclude_min=True)
+# the table leaves the grid lengths, nleap, quad_nodes and grid_points
+# unbounded, and bounds the rates only through the size rule: these draws
+# keep every run to milliseconds
+RUN_VALUES = {
+    "step_dist": st.lists(FINITE, min_size=1, max_size=3),
+    "lambdas": st.lists(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                        min_size=1, max_size=3),
+    # min_chain_length(0.88) is 1,450 steps
+    "mc_lambdas": st.lists(st.floats(0.0, 0.88, exclude_min=True), min_size=1, max_size=3),
+    "K_values": st.lists(st.integers(1, 10 ** 12), min_size=2, max_size=4,
+                         unique=True).map(sorted),
+    "replicates": st.integers(2, 4), "horizon": st.floats(4.0, 60.0),
+    "step": POSITIVE, "gamma": RATE, "refresh_rate": RATE,
+    "eps_values": st.lists(POSITIVE, min_size=1, max_size=3),
+    "nleap": st.integers(1, 4), "steps": st.integers(1, 1500),
+    "quad_nodes": st.integers(1, 30), "grid_points": st.integers(1, 200),
+}
+# drawn whenever an entry has them, as steps are
+SIZE_KEYS = ("replicates", "horizon", "K_values")
+
+
+def run_value(name, key):
+    if key == "weights":  # half of them positive, so most rings can be built
+        return st.lists(st.one_of(st.floats(0.1, 10.0), FINITE), min_size=1,
+                        max_size=5 if name == "neal-ordering" else 7)
+    return RUN_VALUES[key]
+
+
+@st.composite
+def run_configs(draw):
+    name = draw(st.sampled_from(CATALOG))
+    defaults = EXPERIMENTS[name][1]
+    keys = draw(st.lists(st.sampled_from(sorted(defaults)), unique=True, max_size=3))
+    keys += [key for key in SIZE_KEYS if key in defaults and key not in keys]
+    overrides = {key: draw(run_value(name, key)) for key in keys}
+    if "steps" in defaults:  # at least the cross-key rule's least, at most 1,500
+        need = samplers.min_chain_length(max(overrides.get("mc_lambdas",
+                                                           defaults["mc_lambdas"])))
+        overrides["steps"] = draw(st.integers(need, 1500))
+    seed = draw(st.sampled_from([0, 1, 2 ** 64 - 2, 2 ** 64 - 1]))
+    return {"experiment": name, "seed": seed, **overrides}
+
+
+class TestRunProperties:
+    @settings(derandomize=True, deadline=None, max_examples=100)
+    @given(run_configs())
+    def test_admitted_configs_exit_by_the_contract(self, payload):
+        # exit 0 with every check passed, or 3 with a failed check or a
+        # named numerical failure
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as d:
+            path = Path(d) / "config.json"
+            path.write_text(json.dumps({**payload, "out": d}))
+            cli.load_config(path)  # admitted: a ConfigError fails the test
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["run", str(path)])
+        lines, err = out.getvalue().splitlines(), err.getvalue()
+        if code == 0:
+            assert lines and all(": PASS (" in line for line in lines), lines
+            return
+        assert code == 3, (code, err)
+        named = any(re.match(r"numerical failure: \S", line) for line in err.splitlines())
+        assert named or any(": FAIL (" in line for line in lines), (lines, err)

@@ -274,6 +274,25 @@ class TestSimulation:
                 zz_gaussian(sigmas)
         assert zz_gaussian([1.3e154]).gaussian_sigmas[0] == 1.3e154
 
+    @pytest.mark.parametrize("given", [[1.0, 2.0], (1, 2)], ids=["list", "int-tuple"])
+    def test_sigmas_given_as_a_sequence_run_as_the_array(self, given):
+        # Potential checked list sigmas but kept the list, and the exact
+        # loop's square of it raised an unnamed TypeError
+        pot = dataclasses.replace(zz_gaussian([1.0, 2.0]), gaussian_sigmas=given)
+        spec = IntensitySpec("canonical", gamma=0.5, refresh_rate=1.0)
+        got, want = np.random.default_rng(8), np.random.default_rng(8)
+        traj = simulate_zigzag(pot, spec, [0.1, 0.2], [1.0, -1.0], 50.0, got)
+        ref = simulate_zigzag(zz_gaussian([1.0, 2.0]), spec, [0.1, 0.2], [1.0, -1.0],
+                              50.0, want)
+        for name in ("times", "X", "V", "codes"):
+            assert np.array_equal(getattr(traj, name), getattr(ref, name)), name
+        assert stream_state(got) == stream_state(want)
+        assert pot.gaussian_sigmas.dtype == np.float64
+        f = lambda x, v: x[:, 0]
+        assert (zigzag.estimate_var_continuous(pot, spec, f, 50.0, 2, 0.0, 3)
+                == zigzag.estimate_var_continuous(zz_gaussian([1.0, 2.0]), spec, f,
+                                                  50.0, 2, 0.0, 3))
+
     @pytest.mark.parametrize("bad", [0.0, 2.0, math.nan, math.inf, -math.inf])
     def test_velocity_off_the_unit_values_refused(self, bad):
         # |v| == 1 refuses each value np.isin(v, (-1, 1)) refused, NaN and
@@ -1274,10 +1293,10 @@ def record_forks(monkeypatch) -> list:
 
 
 class TestClosedFormVariance:
-    """The catalog's zigzag-1d-gamma rows against the closed-form variance
-    of f(x) = x in tests/oracles.py: a fault that moves both rows alike, as
-    an exact loop that ignores gamma does, passes the catalog's one-sided
-    check between them but not this one."""
+    """The catalog's Zig-Zag rows against the closed-form variances in
+    tests/oracles.py: a fault that moves both rows of an entry alike, as an
+    exact loop that ignores gamma or the refresh clock does, passes the
+    catalog's one-sided check between them but not these."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_zigzag_1d_gamma_rows_within_3_se(self, seed):
@@ -1287,6 +1306,18 @@ class TestClosedFormVariance:
         rows = {row.case_id: row for row in runner(dict(defaults), seed)[0]}
         for case, spec in zip(("canonical", "plus-gamma"), specs, strict=True):
             want = oracles.zigzag_1d_variance_of_x(sigma, spec.gamma)
+            assert abs(rows[case].value - want) <= 3.0 * rows[case].se, (case, want)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_zigzag_2d_refresh_rows_within_3_se(self, seed):
+        # both rows estimate 2 (2 sqrt(2 / pi) + 2 r), 7.19 at r = 1; at
+        # seeds 1-3 they read z = 0.63, -0.54, -0.69, -1.44, -0.23, 0.96
+        _desc, defaults, runner = experiments.EXPERIMENTS["zigzag-2d-refresh"]
+        sigmas, *specs = experiments._refresh_pair(defaults)
+        assert sigmas.tolist() == [1.0, 1.0]
+        rows = {row.case_id: row for row in runner(dict(defaults), seed)[0]}
+        for case, spec in zip(("partial", "full"), specs, strict=True):
+            want = oracles.zigzag_2d_refresh_variance_of_sum(spec.refresh_rate)
             assert abs(rows[case].value - want) <= 3.0 * rows[case].se, (case, want)
 
 

@@ -340,24 +340,18 @@ class TestFlowMaps:
         assert np.max(np.abs(P.entries - P_ref.entries)) < 1e-15
 
     def test_metropolized_flow_matches_loop_reference(self):
-        def loop_reference(mu, psi, Q, phi):
-            w, xi = mu.weights, Q.perm
-            P = np.zeros((mu.n, mu.n))
-            for z in range(mu.n):
-                a = phi.phi(w[xi[psi.psi[z]]] / w[z])
-                P[z, psi.psi[z]] += a
-                P[z, xi[z]] += 1.0 - a
-            return P
-
         rng = np.random.default_rng(11)
+        rules = (zoo.AcceptanceRule.metropolis(), zoo.AcceptanceRule.barker(),
+                 zoo.AcceptanceRule.phi_eps(0.5))
         for n in (3, 5, 12):
             mu = zoo.half_lift(zoo.RingTarget(0.1 + 3.0 * rng.random(n)).pi)
             Q = zoo.velocity_flip(n)
             # psi = xi puts the move and the flip mass on the same entry
             for psi in (zoo.ring_shift_flow(n), zoo.FlowMap(Q.perm)):
-                for phi in (zoo.AcceptanceRule.metropolis(), zoo.AcceptanceRule.barker()):
+                for phi in rules:
                     P = zoo.metropolized_flow_finite(mu, psi, Q, phi)
-                    assert np.array_equal(P.entries, loop_reference(mu, psi, Q, phi))
+                    ref = oracles.extra_chance_finite_loop(mu, psi, Q, 1, phi)
+                    assert np.array_equal(P.entries, ref.entries), (n, phi.kind)
 
     def test_barker_flow_is_muQ_reversible(self):
         _, mu, Q = zoo.gustafson_ring(RING4)
@@ -381,7 +375,7 @@ class TestExtraChance:
         psi = zoo.ring_shift_flow(5)
         P1 = zoo.extra_chance_finite(mu, psi, Q, K=1)
         P_ref = zoo.metropolized_flow_finite(mu, psi, Q, zoo.AcceptanceRule.metropolis())
-        assert np.max(np.abs(P1.entries - P_ref.entries)) < 1e-15
+        assert np.array_equal(P1.entries, P_ref.entries)
 
     def test_structure_and_dirichlet_monotonicity(self):
         _, mu, Q = zoo.gustafson_ring(RING5)
@@ -404,6 +398,29 @@ class TestExtraChance:
                         Q.matrix @ P.entries), mu)
                     assert d_cur >= d_prev - 1e-12
             prev = P
+
+    @pytest.mark.parametrize("m", [3, 5, 8])
+    def test_stages_past_the_state_count_keep_the_bits(self, m):
+        # an orbit of psi has at most n states, so a stage past n repeats a
+        # ratio and adds exactly 0.0: the ladder stops at n stages, where
+        # K_values [1, 10**12] once ran 10**12 of them
+        rng = np.random.default_rng(m)
+        Q = zoo.velocity_flip(m)
+        xi, n = Q.perm, 2 * m
+        pairs = rng.permutation(n).reshape(-1, 2)
+        J = np.empty(n, dtype=np.intp)
+        J[pairs[:, 0]], J[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+        # psi = xi o J satisfies psi^{-1} = xi psi xi for any involution J
+        flows = (zoo.ring_shift_flow(m), zoo.FlowMap(xi), zoo.FlowMap(xi[J]))
+        metropolis = zoo.AcceptanceRule.metropolis()
+        for mu in (zoo.half_lift(random_ring(m).pi),
+                   FiniteDistribution.from_unnormalized(0.1 + rng.random(n))):
+            for psi in flows:
+                want = zoo.extra_chance_finite(mu, psi, Q, n).entries
+                for K in (n + 1, 3 * n):
+                    assert bit_equal(zoo.extra_chance_finite(mu, psi, Q, K).entries, want)
+                assert bit_equal(oracles.extra_chance_finite_loop(
+                    mu, psi, Q, 3 * n, metropolis).entries, want)
 
     def test_invalid_k(self):
         _, mu, Q = zoo.gustafson_ring(RING4)
@@ -536,7 +553,8 @@ class TestLoopReferences:
         mu = zoo.half_lift(random_ring(n).pi)
         Q, psi = zoo.velocity_flip(n), zoo.ring_shift_flow(n)
         assert bit_equal(zoo.extra_chance_finite(mu, psi, Q, K).entries,
-                         oracles.extra_chance_finite_loop(mu, psi, Q, K).entries)
+                         oracles.extra_chance_finite_loop(
+                             mu, psi, Q, K, zoo.AcceptanceRule.metropolis()).entries)
 
     @pytest.mark.parametrize("n", [3, 9, 20])
     def test_neal_pair(self, n):
